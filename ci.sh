@@ -31,39 +31,29 @@ test "$hotpath_elapsed" -le 10
 
 go build ./...
 
-# Full suite with per-package coverage; the profile and its per-package
-# summary are CI artifacts (kept out of git via .gitignore).
+# Full suite under the race detector, with per-package coverage; the profile
+# and its per-package summary are CI artifacts (kept out of git via
+# .gitignore). This one line carries every gate that used to re-run a subset:
+# - Sweep: the parallel experiment runner must stay race-clean and
+#   bit-identical to the sequential path (outside internal/sim's worker pool,
+#   goroutines are legal only in internal/experiments).
+# - Progress reporter: the live meters are read by a wall-clock goroutine
+#   while the simulation writes them, so internal/obs must stay race-clean
+#   under concurrent Line/FlowStarted/FlowDone against a running loop.
+# - Golden figures: figure orderings, goodput bands, the 8-rack determinism
+#   trace, the workload sweep parity check, the conservation property suite,
+#   and the pinned trace+metrics bytes of the run path (TestPinnedBytes).
+# - Shard parity: the sharded engine must produce byte-identical traces and
+#   reports at every worker count, and the worker pool itself must be
+#   race-clean while doing it. This is the proof obligation for `-shards`:
+#   if this passes, worker count is unobservable except in wall time.
+# - Service lifecycle: internal/serve is the one place where goroutines,
+#   wall clocks, and shared mutable job state meet, so its admission / retry /
+#   panic-isolation / drain tests must stay race-clean; cmd/tdserve's drain
+#   tests are the smoke against the real binary: SIGTERM with a running job
+#   must cancel it through the stop seam and exit 0 inside the budget.
 go test -race -coverprofile=artifacts/cover.out ./...
 go tool cover -func=artifacts/cover.out | tee artifacts/coverage.txt
-
-# Sweep gate: the parallel experiment runner must stay race-clean and
-# bit-identical to the sequential path (outside internal/sim's worker pool,
-# goroutines are legal only in internal/experiments).
-go test -race -run TestSweepParallelMatchesSequential ./internal/experiments/
-
-# Progress-reporter gate: the live meters are read by a wall-clock goroutine
-# while the simulation writes them, so the obs package must stay race-clean
-# under concurrent Line/FlowStarted/FlowDone against a running loop.
-go test -race -run 'TestMeterConcurrentReads|TestReporter' ./internal/obs/
-
-# Golden-figure regression gate under the race detector: figure orderings,
-# goodput bands, the 8-rack determinism trace, the workload sweep parity
-# check, and the conservation property suite.
-go test -race -run 'TestGolden|TestConservation' ./internal/experiments/
-
-# Shard parity gate: the sharded engine must produce byte-identical traces
-# and reports at every worker count, and the worker pool itself must be
-# race-clean while doing it. This is the proof obligation for `-shards`:
-# if this passes, worker count is unobservable except in wall time.
-go test -race -run 'TestShardParity|TestShardPerRackLedger' ./internal/experiments/
-
-# Service-lifecycle gate: the serve package is the one place where goroutines,
-# wall clocks, and shared mutable job state meet, so its admission / retry /
-# panic-isolation / drain tests must stay race-clean. The cmd/tdserve run is
-# the shutdown-drain smoke against the real binary: SIGTERM with a running
-# job must cancel it through the stop seam and exit 0 inside the budget.
-go test -race ./internal/serve/
-go test -run 'TestServeSubmitResultAndDrain|TestServeDrainCancelsRunningJob' ./cmd/tdserve/
 
 # Bench smoke: one iteration of every benchmark, so the harness itself (and
 # the alloc-free fast paths it pins down) cannot silently rot. Numbers from

@@ -24,8 +24,8 @@
 //	tdsim -fig multirack -racks 8 -workload websearch
 //	                                # open-loop flow workload with FCTs
 //
-// Traces are post-processed with the tdtrace command (summary, filtering,
-// Chrome trace-viewer export) and the tdprof command (span stats, per-flow
+// Traces and metrics dumps are post-processed with the tdtrace command
+// (summary, filtering, Chrome trace-viewer export, span stats, per-flow
 // timelines, histogram summaries).
 package main
 

@@ -1,23 +1,31 @@
-// Command tdtrace post-processes JSONL event traces produced by
-// tdsim -trace (or any trace.Tracer):
+// Command tdtrace post-processes what tdsim's observability flags write:
+// JSONL event traces (tdsim -trace, or any trace.Tracer) and metrics dumps
+// (tdsim -metrics).
 //
 //	tdtrace -summary out.jsonl              # per-category/flow/TDN rollups
 //	tdtrace -chrome out.jsonl -o out.json   # Chrome trace-viewer export
 //	tdtrace -filter -cat voq,rdcn out.jsonl # select events, emit JSONL
 //	tdtrace -filter -flow 3 -from 2ms -to 4ms out.jsonl
+//	tdtrace -spans out.jsonl                # duration stats per span name
+//	tdtrace -timeline -flow 3 out.jsonl     # flow 3's causal span timeline
+//	tdtrace -hist metrics.json              # histogram summary table
 //
-// Exactly one of -summary, -chrome, -filter must be chosen. The input is a
-// file path or "-" for stdin; filtered output and Chrome JSON go to -o
+// Exactly one of -summary, -chrome, -filter, -spans, -timeline, -hist must be
+// chosen. The input is a file path or "-" for stdin; output goes to -o
 // (default stdout). Chrome exports load in chrome://tracing or
 // https://ui.perfetto.dev.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,90 +33,94 @@ import (
 	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main: 0 on success, 1 when the input
+// cannot be read or parsed, 2 on a usage error.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tdtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		doSummary = flag.Bool("summary", false, "print per-category, per-flow and per-TDN rollups")
-		doChrome  = flag.Bool("chrome", false, "convert to Chrome trace-viewer JSON")
-		doFilter  = flag.Bool("filter", false, "select matching events and re-emit JSONL")
-		out       = flag.String("o", "-", "output file ('-' = stdout)")
-		topN      = flag.Int("top", 5, "top-N droppers/retransmitters in the summary")
+		doSummary  = fs.Bool("summary", false, "print per-category, per-flow and per-TDN rollups")
+		doChrome   = fs.Bool("chrome", false, "convert to Chrome trace-viewer JSON")
+		doFilter   = fs.Bool("filter", false, "select matching events and re-emit JSONL")
+		doSpans    = fs.Bool("spans", false, "aggregate span durations per name: count, mean, p50, p90, p99, max")
+		doTimeline = fs.Bool("timeline", false, "print the causal span timeline of -flow N (span begin/end, duration, parent chain)")
+		doHist     = fs.Bool("hist", false, "print the histogram summaries from a -metrics JSON dump")
+		out        = fs.String("o", "-", "output file ('-' = stdout)")
+		topN       = fs.Int("top", 5, "top-N droppers/retransmitters in the summary")
 
-		fCats = flag.String("cat", "", "filter: categories (comma-separated, e.g. 'voq,rdcn')")
-		fName = flag.String("name", "", "filter: event name (exact match)")
-		fFlow = flag.Int("flow", -2, "filter: flow id (-1 = unlabeled network events)")
-		fTDN  = flag.Int("tdn", -2, "filter: TDN label")
-		fFrom = flag.String("from", "", "filter: start of time window (e.g. '2ms', '180us', '1500000' ns)")
-		fTo   = flag.String("to", "", "filter: end of time window (exclusive)")
+		fCats = fs.String("cat", "", "filter: categories (comma-separated, e.g. 'voq,rdcn')")
+		fName = fs.String("name", "", "filter: event name (exact match)")
+		fFlow = fs.Int("flow", -2, "filter, timeline: flow id (-1 = unlabeled network events)")
+		fTDN  = fs.Int("tdn", -2, "filter: TDN label")
+		fFrom = fs.String("from", "", "filter: start of time window (e.g. '2ms', '180us', '1500000' ns)")
+		fTo   = fs.String("to", "", "filter: end of time window (exclusive)")
 	)
-	flag.Parse()
 	// Go's flag package stops at the first positional argument; accept
-	// "tdtrace -chrome out.jsonl -o out.json" by re-parsing what follows
+	// "tdtrace -chrome out.jsonl -o out.json" by parsing again what follows
 	// the input path.
-	input := flag.Arg(0)
-	if flag.NArg() > 1 {
-		if err := flag.CommandLine.Parse(flag.Args()[1:]); err != nil {
-			os.Exit(2)
-		}
-		if flag.NArg() != 0 {
-			flag.Usage()
-			os.Exit(2)
-		}
+	err := fs.Parse(args)
+	input, extra := fs.Arg(0), 0
+	if err == nil && fs.NArg() > 1 {
+		err = fs.Parse(fs.Args()[1:])
+		extra = fs.NArg()
 	}
-
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	modes := 0
-	for _, m := range []bool{*doSummary, *doChrome, *doFilter} {
+	for _, m := range []bool{*doSummary, *doChrome, *doFilter, *doSpans, *doTimeline, *doHist} {
 		if m {
 			modes++
 		}
 	}
-	if modes != 1 || input == "" {
-		flag.Usage()
-		os.Exit(2)
+	if modes != 1 || input == "" || extra != 0 || (*doTimeline && *fFlow == -2) {
+		fs.Usage()
+		return 2
 	}
 
-	in, closeIn, err := openIn(input)
+	err = func() error {
+		in, closeIn, err := openIn(input, stdin)
+		if err != nil {
+			return err
+		}
+		defer closeIn()
+		w, closeOut, err := openOut(*out, stdout)
+		if err != nil {
+			return err
+		}
+		switch {
+		case *doChrome:
+			err = trace.Chrome(in, w)
+		case *doSummary:
+			err = summarize(in, w, *topN)
+		case *doFilter:
+			var flt *filter
+			if flt, err = buildFilter(*fCats, *fName, *fFlow, *fTDN, *fFrom, *fTo); err == nil {
+				err = filterEvents(in, w, flt)
+			}
+		case *doSpans:
+			err = spanStats(in, w)
+		case *doTimeline:
+			err = flowTimeline(in, w, *fFlow)
+		case *doHist:
+			err = histSummary(in, w)
+		}
+		return errors.Join(err, closeOut())
+	}()
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "tdtrace:", err)
+		return 1
 	}
-	defer closeIn()
-
-	switch {
-	case *doChrome:
-		w, closeOut, err := openOut(*out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := trace.Chrome(in, w); err != nil {
-			fatal(err)
-		}
-		if err := closeOut(); err != nil {
-			fatal(err)
-		}
-	case *doSummary:
-		if err := summarize(in, os.Stdout, *topN); err != nil {
-			fatal(err)
-		}
-	case *doFilter:
-		flt, err := buildFilter(*fCats, *fName, *fFlow, *fTDN, *fFrom, *fTo)
-		if err != nil {
-			fatal(err)
-		}
-		w, closeOut, err := openOut(*out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := filterEvents(in, w, flt); err != nil {
-			fatal(err)
-		}
-		if err := closeOut(); err != nil {
-			fatal(err)
-		}
-	}
+	return 0
 }
 
-func openIn(path string) (io.Reader, func() error, error) {
+func openIn(path string, stdin io.Reader) (io.Reader, func() error, error) {
 	if path == "-" {
-		return os.Stdin, func() error { return nil }, nil
+		return stdin, func() error { return nil }, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -117,9 +129,9 @@ func openIn(path string) (io.Reader, func() error, error) {
 	return f, f.Close, nil
 }
 
-func openOut(path string) (io.Writer, func() error, error) {
+func openOut(path string, stdout io.Writer) (io.Writer, func() error, error) {
 	if path == "-" {
-		w := bufio.NewWriter(os.Stdout)
+		w := bufio.NewWriter(stdout)
 		return w, w.Flush, nil
 	}
 	f, err := os.Create(path)
@@ -160,14 +172,12 @@ func parseTime(s string) (int64, error) {
 type filter struct {
 	cats      map[string]bool // nil = all
 	name      string
-	flow, tdn int // -2 = any
-	from, to  int64
-	haveFrom  bool
-	haveTo    bool
+	flow, tdn int   // -2 = any
+	from, to  int64 // [from, to) in ns
 }
 
 func buildFilter(cats, name string, flow, tdn int, from, to string) (*filter, error) {
-	f := &filter{name: name, flow: flow, tdn: tdn}
+	f := &filter{name: name, flow: flow, tdn: tdn, from: math.MinInt64, to: math.MaxInt64}
 	if cats != "" {
 		mask, err := trace.ParseCategories(cats)
 		if err != nil {
@@ -186,13 +196,11 @@ func buildFilter(cats, name string, flow, tdn int, from, to string) (*filter, er
 		if f.from, err = parseTime(from); err != nil {
 			return nil, err
 		}
-		f.haveFrom = true
 	}
 	if to != "" {
 		if f.to, err = parseTime(to); err != nil {
 			return nil, err
 		}
-		f.haveTo = true
 	}
 	return f, nil
 }
@@ -210,13 +218,7 @@ func (f *filter) match(ev *trace.Event) bool {
 	if f.tdn != -2 && ev.TDN != f.tdn {
 		return false
 	}
-	if f.haveFrom && ev.TS < f.from {
-		return false
-	}
-	if f.haveTo && ev.TS >= f.to {
-		return false
-	}
-	return true
+	return ev.TS >= f.from && ev.TS < f.to
 }
 
 // forEachEvent streams JSONL lines through fn; malformed lines abort with a
@@ -343,13 +345,13 @@ func summarize(r io.Reader, w io.Writer, topN int) error {
 		total, float64(lastTS-firstTS)/1e6, firstTS, lastTS)
 
 	fmt.Fprintln(w, "\nby category/name")
-	for _, k := range sortedKeys(byCatName) {
+	for _, k := range slices.Sorted(maps.Keys(byCatName)) {
 		fmt.Fprintf(w, "  %-24s %d\n", k, byCatName[k])
 	}
 
 	if len(flows) > 0 {
 		fmt.Fprintln(w, "\nper flow            events  retrans  rto  tlp   sack  ca-chg  cc-md  tdn-sw")
-		for _, id := range sortedIntKeys(flows) {
+		for _, id := range slices.Sorted(maps.Keys(flows)) {
 			fs := flows[id]
 			fmt.Fprintf(w, "  flow %-4d       %8d %8d %4d %4d %6d %7d %6d %7d\n",
 				id, fs.events, fs.retrans, fs.rtoFires, fs.tlps, fs.sacks, fs.caChanges, fs.ccMD, fs.switches)
@@ -358,7 +360,7 @@ func summarize(r io.Reader, w io.Writer, topN int) error {
 
 	if len(tdns) > 0 {
 		fmt.Fprintln(w, "\nper TDN             events    drops  marks   days  switches")
-		for _, id := range sortedIntKeys(tdns) {
+		for _, id := range slices.Sorted(maps.Keys(tdns)) {
 			ts := tdns[id]
 			fmt.Fprintf(w, "  tdn %-4d        %8d %8d %6d %6d %9d\n",
 				id, ts.events, ts.voqDrops, ts.voqMarks, ts.days, ts.switches)
@@ -389,27 +391,4 @@ func summarize(r io.Reader, w io.Writer, topN int) error {
 		}
 	}
 	return nil
-}
-
-func sortedKeys(m map[string]int) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func sortedIntKeys[V any](m map[int]V) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tdtrace:", err)
-	os.Exit(1)
 }

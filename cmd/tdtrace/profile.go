@@ -1,87 +1,19 @@
-// Command tdprof renders profile views from tdsim's observability output:
-// span statistics and per-flow causal timelines from JSONL traces, and
-// histogram summaries from metrics dumps.
-//
-//	tdsim -run tdtcp -trace out.jsonl -metrics out.json
-//	tdprof -spans out.jsonl          # duration stats per span name
-//	tdprof -flow 3 out.jsonl         # flow 3's causal span timeline
-//	tdprof -hist out.json            # histogram summary table
-//
-// Exactly one of -spans, -flow, -hist must be chosen. The input is a file
-// path or "-" for stdin; all output goes to stdout.
 package main
 
 import (
-	"bufio"
+	"cmp"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
-func main() {
-	var (
-		doSpans = flag.Bool("spans", false, "aggregate span durations per name: count, mean, p50, p90, p99, max")
-		flowID  = flag.Int("flow", -2, "print one flow's causal span timeline (span begin/end, duration, parent chain)")
-		doHist  = flag.Bool("hist", false, "print the histogram summaries from a -metrics JSON dump")
-	)
-	flag.Parse()
-	input := flag.Arg(0)
-	if flag.NArg() > 1 {
-		if err := flag.CommandLine.Parse(flag.Args()[1:]); err != nil {
-			os.Exit(2)
-		}
-		if flag.NArg() != 0 {
-			flag.Usage()
-			os.Exit(2)
-		}
-	}
-
-	modes := 0
-	for _, m := range []bool{*doSpans, *flowID != -2, *doHist} {
-		if m {
-			modes++
-		}
-	}
-	if modes != 1 || input == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	in, closeIn, err := openIn(input)
-	if err != nil {
-		fatal(err)
-	}
-	defer closeIn()
-
-	switch {
-	case *doSpans:
-		err = spanStats(in, os.Stdout)
-	case *flowID != -2:
-		err = flowTimeline(in, os.Stdout, *flowID)
-	case *doHist:
-		err = histSummary(in, os.Stdout)
-	}
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func openIn(path string) (io.Reader, func() error, error) {
-	if path == "-" {
-		return os.Stdin, func() error { return nil }, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f.Close, nil
-}
+// The profile views: span statistics and per-flow causal timelines from a
+// JSONL trace, histogram summaries from a metrics dump.
 
 // span is one reassembled Begin/End pair (or an unclosed Begin).
 type span struct {
@@ -100,17 +32,7 @@ type span struct {
 func collectSpans(r io.Reader) (map[int64]*span, []*span, error) {
 	byID := make(map[int64]*span)
 	var order []*span
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	var ev trace.Event
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if err := trace.ParseLine(line, &ev); err != nil {
-			return nil, nil, fmt.Errorf("tdprof: bad trace line %q: %w", line, err)
-		}
+	err := forEachEvent(r, func(_ []byte, ev *trace.Event) error {
 		switch ev.Ph {
 		case "B":
 			s := &span{id: ev.Span, parent: ev.Parent, name: ev.Name,
@@ -125,8 +47,9 @@ func collectSpans(r io.Reader) (map[int64]*span, []*span, error) {
 				}
 			}
 		}
-	}
-	return byID, order, sc.Err()
+		return nil
+	})
+	return byID, order, err
 }
 
 // spanStats prints per-name duration aggregates, longest mean first.
@@ -136,7 +59,6 @@ func spanStats(r io.Reader, w io.Writer) error {
 		return err
 	}
 	type agg struct {
-		name     string
 		durs     []int64
 		unclosed int
 	}
@@ -144,7 +66,7 @@ func spanStats(r io.Reader, w io.Writer) error {
 	for _, s := range order {
 		a := byName[s.name]
 		if a == nil {
-			a = &agg{name: s.name}
+			a = &agg{}
 			byName[s.name] = a
 		}
 		if s.complete {
@@ -153,22 +75,14 @@ func spanStats(r io.Reader, w io.Writer) error {
 			a.unclosed++
 		}
 	}
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		mi, mj := mean(byName[names[i]].durs), mean(byName[names[j]].durs)
-		if mi != mj {
-			return mi > mj
-		}
-		return names[i] < names[j]
+	names := slices.SortedFunc(maps.Keys(byName), func(x, y string) int {
+		return cmp.Or(cmp.Compare(mean(byName[y].durs), mean(byName[x].durs)), cmp.Compare(x, y))
 	})
 	fmt.Fprintf(w, "%-12s %8s %10s %10s %10s %10s %10s %9s\n",
 		"span", "count", "mean", "p50", "p90", "p99", "max", "unclosed")
 	for _, n := range names {
 		a := byName[n]
-		sort.Slice(a.durs, func(i, j int) bool { return a.durs[i] < a.durs[j] })
+		slices.Sort(a.durs)
 		fmt.Fprintf(w, "%-12s %8d %10s %10s %10s %10s %10s %9d\n",
 			n, len(a.durs), fmtNs(int64(mean(a.durs))),
 			fmtNs(quantile(a.durs, 0.50)), fmtNs(quantile(a.durs, 0.90)),
@@ -243,19 +157,14 @@ func histSummary(r io.Reader, w io.Writer) error {
 	}
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&doc); err != nil {
-		return fmt.Errorf("tdprof: parsing metrics JSON: %w", err)
+		return fmt.Errorf("parsing metrics JSON: %w", err)
 	}
 	if len(doc.Histograms) == 0 {
 		fmt.Fprintln(w, "no histograms in metrics dump")
 		return nil
 	}
-	names := make([]string, 0, len(doc.Histograms))
-	for n := range doc.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	fmt.Fprintf(w, "%-24s %10s %12s %12s %12s %12s\n", "histogram", "count", "p50", "p90", "p99", "max")
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(doc.Histograms)) {
 		h := doc.Histograms[n]
 		// _ns-suffixed metrics are durations; everything else prints raw.
 		f := func(v int64) string {
@@ -301,9 +210,4 @@ func fmtNs(v int64) string {
 	default:
 		return fmt.Sprintf("%dns", v)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tdprof:", err)
-	os.Exit(1)
 }

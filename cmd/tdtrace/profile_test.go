@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -110,24 +108,26 @@ func TestHistSummary(t *testing.T) {
 	}
 }
 
-// TestCLIUsageExit pins the process contract: no mode or missing input exits
-// 2 with usage on stderr.
+// TestCLIUsageExit pins the process contract: zero modes, two modes, a
+// missing input, stray arguments or a timeline without -flow exit 2 with
+// usage on stderr and nothing on stdout.
 func TestCLIUsageExit(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "tdprof")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	for _, args := range [][]string{{}, {"-spans"}, {"-spans", "-hist", "x.jsonl"}} {
-		cmd := exec.Command(bin, args...)
-		var stderr strings.Builder
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		ee, ok := err.(*exec.ExitError)
-		if !ok || ee.ExitCode() != 2 {
-			t.Errorf("args %v: want exit 2, got %v", args, err)
+	for _, args := range [][]string{
+		{},
+		{"x.jsonl"},
+		{"-spans"},
+		{"-spans", "-hist", "x.jsonl"},
+		{"-summary", "x.jsonl", "-filter"},
+		{"-summary", "x.jsonl", "-top", "3", "y.jsonl"},
+		{"-timeline", "x.jsonl"},
+		{"-nosuchflag", "x.jsonl"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, strings.NewReader(""), &stdout, &stderr); code != 2 {
+			t.Errorf("args %v: exit %d, want 2", args, code)
 		}
-		if !strings.Contains(stderr.String(), "-spans") {
-			t.Errorf("args %v: usage missing from stderr: %s", args, stderr.String())
+		if !strings.Contains(stderr.String(), "-spans") || stdout.Len() != 0 {
+			t.Errorf("args %v: want usage on stderr only, got stdout %q stderr %q", args, &stdout, &stderr)
 		}
 	}
 }

@@ -7,14 +7,26 @@ import (
 	"testing"
 
 	"github.com/rdcn-net/tdtcp/internal/fault"
+	"github.com/rdcn-net/tdtcp/internal/rdcn"
 	"github.com/rdcn-net/tdtcp/internal/trace"
 )
+
+// refPlane returns the harness hook that switches a run onto rdcn's
+// reference data planes: unpooled wire buffers, frame-at-a-time delivery, or
+// both. The pooled/unpooled and batched/unbatched A/B suites compare the
+// default planes against these.
+func refPlane(unpooled, unbatched bool) func(*rdcn.Config) {
+	return func(c *rdcn.Config) {
+		c.DisableFramePool = unpooled
+		c.DisableBatchDelivery = unbatched
+	}
+}
 
 // Batch-delivery A/B suite: per-(host,TDN) batch delivery and the coalesced
 // per-link timer are pure mechanics — the protocol must not be able to tell
 // they exist. Each test runs the same seeded scenario twice, once batched
-// (the default) and once with DisableBatchDelivery, and requires the two
-// protocol traces to be byte-identical.
+// (the default) and once with rdcn's DisableBatchDelivery reference path, and requires
+// the two protocol traces to be byte-identical.
 //
 // The comparison mask is CatAll &^ trace.CatSim, NOT CatAll: batching changes
 // the simulator's own event mechanics by design (one delivery event per batch
@@ -122,7 +134,7 @@ func batchABRun(t *testing.T, cfg RunConfig, disableBatch bool) ([]byte, *Result
 	t.Helper()
 	var buf bytes.Buffer
 	cfg.Tracer = trace.New(&buf, batchABCats)
-	cfg.DisableBatchDelivery = disableBatch
+	cfg.tweakNet = refPlane(false, disableBatch)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run(batch=%v): %v", !disableBatch, err)
@@ -239,8 +251,8 @@ func TestBatchParityWithClosingConnections(t *testing.T) {
 		res, err := RunWorkload(WorkloadConfig{
 			Variant: TDTCP, Scenario: MultiRack(4), Load: 0.2,
 			WarmupWeeks: 1, MeasureWeeks: 2, Seed: 2,
-			Tracer:               tr,
-			DisableBatchDelivery: disableBatch,
+			Tracer:   tr,
+			tweakNet: refPlane(false, disableBatch),
 		})
 		if err != nil {
 			t.Fatalf("RunWorkload(batch=%v): %v", !disableBatch, err)

@@ -3,8 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
 
 	"github.com/rdcn-net/tdtcp/internal/core"
 	"github.com/rdcn-net/tdtcp/internal/fault"
@@ -148,18 +146,6 @@ type RunConfig struct {
 	// every simulation event (see Result.Violations).
 	Invariants bool
 
-	// DisableFramePool turns off the data plane's wire-buffer recycling
-	// (see rdcn.Config.DisableFramePool). Pooling must not be observable:
-	// the golden-trace test runs the same seed with and without it and
-	// requires byte-identical traces.
-	DisableFramePool bool
-
-	// DisableBatchDelivery reverts the fabric to frame-at-a-time delivery
-	// (see rdcn.Config.DisableBatchDelivery). Batching must not be
-	// protocol-visible: the batch-delivery A/B tests run the same seed with
-	// and without it and require identical protocol traces.
-	DisableBatchDelivery bool
-
 	// Stop, when non-nil, is the cooperative cancellation seam: it is polled
 	// between simulation events (every StopEvery events; sim.DefaultStopEvery
 	// when zero) and once it returns true the run abandons the event loop and
@@ -172,6 +158,12 @@ type RunConfig struct {
 	// sim.Loop.SetStopCheck and TestCancelledRunTraceIsPrefix).
 	Stop      func() bool
 	StopEvery int
+
+	// tweakNet, when non-nil, edits the rdcn.Config just before the network
+	// is built. It is how this package's A/B suites reach the unpooled and
+	// unbatched reference data planes (rdcn.Config.DisableFramePool,
+	// DisableBatchDelivery) without those being run options.
+	tweakNet func(*rdcn.Config)
 }
 
 func (cfg *RunConfig) fillDefaults() {
@@ -259,104 +251,11 @@ type Result struct {
 // recorder contents) is a valid prefix of the uncancelled run's output.
 var ErrCancelled = errors.New("run cancelled")
 
-// loopStats is the slice of the event-loop API the error and metrics paths
-// need; both *sim.Loop and *sim.ShardedLoop satisfy it.
-type loopStats interface {
-	Fired() uint64
-	Live() int
-	Now() sim.Time
-}
-
-// cancelledErr builds the wrapped cancellation error for one run.
-func cancelledErr(what string, loop loopStats) error {
-	return fmt.Errorf("experiments: %s after %d events at %v: %w",
-		what, loop.Fired(), loop.Now(), ErrCancelled)
-}
-
-// dumpFlight writes the flight recorder's ring as JSONL behind a banner line
-// naming the reason. Used on the failure paths (conservation failure, panic;
-// the invariant checker dumps through its own hook) so a post-mortem always
-// has the last events in hand.
-func dumpFlight(w io.Writer, f *trace.Flight, reason string) {
-	if f == nil || f.Len() == 0 {
-		return
-	}
-	fmt.Fprintf(w, "== flight recorder dump (%s): last %d events ==\n", reason, f.Len())
-	_ = f.Dump(w)
-}
-
-// wireFlowHists attaches the registry's per-TDN RTT and deadman-lag
-// histograms to a flow's connections (both directions; every MPTCP subflow).
-// Handles resolve once here — Conn and TDTCP record into them lock-free.
-func wireFlowHists(m *trace.Registry, f *Flow, ntdns int) {
-	if m == nil {
-		return
-	}
-	rtts := make([]*trace.Histogram, ntdns)
-	for k := range rtts {
-		rtts[k] = m.Hist(fmt.Sprintf("tcp.rtt_tdn%d_ns", k))
-	}
-	lag := m.Hist("tdtcp.deadman_lag_ns")
-	wire := func(c *tcp.Conn) {
-		if c == nil {
-			return
-		}
-		c.RTTHists = rtts
-		if p, ok := c.Config().Policy.(*core.TDTCP); ok {
-			p.DeadmanLag = lag
-		}
-	}
-	if f.MSnd != nil {
-		for _, sub := range f.MSnd.Subflows() {
-			wire(sub)
-		}
-		for _, sub := range f.MRcv.Subflows() {
-			wire(sub)
-		}
-		return
-	}
-	wire(f.Snd)
-	wire(f.Rcv)
-}
-
 // Run executes one experiment and returns its measurements.
 func Run(cfg RunConfig) (*Result, error) {
 	cfg.fillDefaults()
-	flight := cfg.Flight
-	if flight == nil && !cfg.DisableFlight {
-		flight = trace.NewFlight(trace.DefaultFlightLen, trace.DefaultFlightCats)
-	}
-	// tracer carries the flight recorder alongside any caller-supplied JSONL
-	// tracer; it is what every layer below gets wired with. JSONL output is
-	// byte-identical with or without the recorder attached.
-	tracer := cfg.Tracer.WithFlight(flight)
-	defer func() {
-		if r := recover(); r != nil {
-			dumpFlight(os.Stderr, flight, fmt.Sprintf("panic: %v", r))
-			panic(r)
-		}
-	}()
-	racks := cfg.Scenario.Racks
-	if racks == 0 {
-		racks = 2
-	}
-	// Every run executes on the sharded engine: one lane per rack plus the
-	// control lane, regardless of Shards. Shards only picks the worker
-	// count, which the engine guarantees is unobservable.
-	engine := sim.NewSharded(cfg.Seed, racks, cfg.Shards)
-	loop := engine.Control()
-	if cfg.Meter != nil {
-		// The meter is all-atomic, so every lane can feed it: attach to the
-		// control loop and each rack lane for true whole-run event counts.
-		cfg.Meter.Attach(loop)
-		for r := 0; r < racks; r++ {
-			cfg.Meter.Attach(engine.RackLoop(r))
-		}
-	}
-	if cfg.Stop != nil {
-		engine.SetStopCheck(cfg.StopEvery, cfg.Stop)
-	}
-	if racks > 2 {
+	hostsPerRack := cfg.Flows
+	if racks := cfg.Scenario.Racks; racks > 2 {
 		switch cfg.Variant {
 		case MPTCP, ReTCP, ReTCPDyn:
 			// Subflow pinning and the circuit-up/down signal are defined
@@ -366,138 +265,39 @@ func Run(cfg RunConfig) (*Result, error) {
 		default:
 			// Cubic, DCTCP, Reno, TDTCP run on any rack count.
 		}
-	}
-
-	ncfg := rdcn.DefaultConfig()
-	ncfg.Racks = racks
-	ncfg.HostsPerRack = cfg.Flows
-	if racks > 2 {
 		// Ring placement: flow i runs rack i%racks -> rack (i%racks)+1,
 		// host i/racks on both sides.
-		ncfg.HostsPerRack = (cfg.Flows + racks - 1) / racks
+		hostsPerRack = (cfg.Flows + racks - 1) / racks
 	}
-	ncfg.TDNs = cfg.Scenario.TDNs
-	ncfg.Schedule = cfg.Scenario.Schedule
-	ncfg.VOQCap = cfg.Scenario.VOQCap
-	ncfg.MarkThresh = cfg.MarkThresh
-	ncfg.DisableFramePool = cfg.DisableFramePool
-	ncfg.DisableBatchDelivery = cfg.DisableBatchDelivery
-	if cfg.Notify != nil {
-		ncfg.Notify = *cfg.Notify
-	}
-	if cfg.Variant == ReTCPDyn {
-		ncfg.PreChange = &rdcn.PreChange{TDN: 1, Lead: 150 * sim.Microsecond, Cap: 50}
-	}
-	ncfg.Cluster = engine
-	net, err := rdcn.New(loop, ncfg)
+	h, err := newHarness(&cfg, fmt.Sprintf("%s on %s", cfg.Variant, cfg.Scenario.Name), hostsPerRack, 2*cfg.Flows)
 	if err != nil {
 		return nil, err
 	}
-	// Engine first: it creates the per-rack tracer forks that Network's
-	// SetTracer then hands to each rack's components.
-	engine.SetTracer(tracer)
-	net.SetTracer(tracer)
-	if m := cfg.Metrics; m != nil {
-		// Histogram handles resolve here, at setup; the hot-path Record is
-		// lock-free and allocation-free.
-		net.NotifyLat = m.Hist("rdcn.notify_lat_ns")
-		for _, rack := range net.Racks {
-			occ := m.Hist(fmt.Sprintf("voq.r%d.occ_pkts", rack.ID))
-			for _, v := range rack.VOQs() {
-				v.OccHist = occ
-			}
-		}
-	}
+	defer h.dumpOnPanic()
+	loop, net, tracer, racks := h.loop, h.net, h.tracer, h.racks
+	measureStart, end := h.measureStart, h.end
 
-	var inj *fault.Injector
-	if cfg.Fault != nil && cfg.Fault.Enabled() {
-		inj = fault.New(loop, *cfg.Fault, cfg.FaultSeed)
-		inj.SetTracer(tracer)
-		inj.SetMetrics(cfg.Metrics)
-		inj.Install(net)
-		if cfg.Variant == TDTCP && cfg.Flow.TDTCPOpts.DeadmanHorizon == 0 {
-			cfg.Flow.TDTCPOpts.DeadmanHorizon = defaultDeadmanHorizon(ncfg.Schedule)
-		}
-	}
-	var chk *invariant.Checker
-	if cfg.Invariants {
-		chk = invariant.New(loop)
-		chk.SetTracer(tracer)
-		chk.SetMetrics(cfg.Metrics)
-		chk.SetFlight(flight, os.Stderr)
-		chk.WatchNetwork(net)
-	}
-
-	if cfg.Flow.Slab == nil && cfg.Flow.Slabs == nil {
-		// One struct-of-arrays slab per rack: a flow's hot state packs into
-		// its own lane's dense columns (see tcp.Slab), so no two lanes ever
-		// share a free list.
-		slabs := make([]*tcp.Slab, racks)
-		for r := range slabs {
-			slabs[r] = tcp.NewSlab(2*cfg.Flows, 4*cfg.Flows)
-		}
-		cfg.Flow.Slabs = slabs
-	}
-	flows := make([]*Flow, cfg.Flows)
-	// A flow's sender emits trace events from its rack's lane, so it must
-	// record through that lane's tracer fork (Rack.Tracer), never the shared
-	// parent.
+	var mn *muxNet
 	if racks > 2 {
-		mn := newMuxNet(net)
-		for i := range flows {
-			src, host := i%racks, i/racks
-			f, err := mn.BuildFlow(loop, src, host, (src+1)%racks, host,
+		mn = newMuxNet(net)
+	}
+	for i := 0; i < cfg.Flows; i++ {
+		var f *Flow
+		src := 0
+		if mn != nil {
+			src = i % racks
+			f, err = mn.BuildFlow(loop, src, i/racks, (src+1)%racks, i/racks,
 				uint16(40000+i), cfg.Variant, cfg.Flow)
-			if err != nil {
-				return nil, err
-			}
-			f.SetTracer(net.Racks[src].Tracer(), i)
-			wireFlowHists(cfg.Metrics, f, len(cfg.Scenario.TDNs))
-			flows[i] = f
+		} else {
+			f, err = BuildFlow(loop, net, i, cfg.Variant, cfg.Flow)
 		}
-	} else {
-		for i := range flows {
-			f, err := BuildFlow(loop, net, i, cfg.Variant, cfg.Flow)
-			if err != nil {
-				return nil, err
-			}
-			f.SetTracer(net.Racks[0].Tracer(), i)
-			wireFlowHists(cfg.Metrics, f, len(cfg.Scenario.TDNs))
-			flows[i] = f
+		if err != nil {
+			return nil, err
 		}
+		h.addFlow(f, src, i)
 	}
-	if chk != nil {
-		for i, f := range flows {
-			if f.MSnd != nil {
-				for _, sub := range f.MSnd.Subflows() {
-					chk.WatchConn(sub, i)
-				}
-				for _, sub := range f.MRcv.Subflows() {
-					chk.WatchConn(sub, i)
-				}
-				continue
-			}
-			chk.WatchConn(f.Snd, i)
-			chk.WatchConn(f.Rcv, i)
-		}
-	}
-
-	week := cfg.Scenario.Schedule.Week()
-	measureStart := sim.Time(sim.Dur(cfg.WarmupWeeks) * week)
-	end := measureStart.Add(sim.Dur(cfg.MeasureWeeks) * week)
-	net.Start(end)
-	if inj != nil {
-		inj.Start(end)
-	}
-
-	delivered := func() float64 {
-		var sum int64
-		for _, f := range flows {
-			sum += f.Delivered()
-		}
-		return float64(sum)
-	}
-	voqLen := func() float64 { return float64(net.Racks[0].QueueLen()) }
+	flows := h.flows
+	h.start()
 
 	// Per-optical-day buckets over [measureStart, end).
 	var evBuckets, rtBuckets stats.Buckets
@@ -523,35 +323,29 @@ func Run(cfg RunConfig) (*Result, error) {
 		f.Start(-1)
 	}
 
-	engine.RunUntil(measureStart)
-	// Cancellation is surfaced only between RunUntil legs: no trace event is
-	// emitted after the last executed simulation event, so the cancelled
-	// run's trace stays a byte-identical prefix of the full run's.
-	if engine.Stopped() {
-		return nil, cancelledErr(fmt.Sprintf("%s on %s", cfg.Variant, cfg.Scenario.Name), engine)
-	}
-	baseline := delivered()
-	// Samplers live on the control lane: their reads of flow state are
-	// barrier-synchronized (control instants run with every worker parked).
-	seq := stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end,
-		func() float64 { return delivered() - baseline })
-	voq := stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end, voqLen)
-	engine.RunUntil(end)
-	if engine.Stopped() {
-		return nil, cancelledErr(fmt.Sprintf("%s on %s", cfg.Variant, cfg.Scenario.Name), engine)
+	var seq, voq *stats.Sampler
+	err = h.run(func() {
+		// Samplers live on the control lane: their reads of flow state are
+		// barrier-synchronized (control instants run with every worker parked).
+		seq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end,
+			func() float64 { return float64(h.delivered() - h.baseline) })
+		voq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end,
+			func() float64 { return float64(net.Racks[0].QueueLen()) })
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i, f := range flows {
 		tracer.EndSpan(trace.CatTCP, int64(loop.Now()), "flow", i, -1,
 			flowSpans[i], float64(f.Delivered()), 0)
 	}
 
-	measureDur := end.Sub(measureStart)
 	res := &Result{
 		Variant:     cfg.Variant,
 		Cfg:         cfg,
 		Seq:         seq.Series.Normalize(),
 		VOQ:         voq.Series, // occupancy needs no normalization
-		GoodputGbps: stats.ThroughputGbps(int64(delivered()-baseline), measureDur),
+		GoodputGbps: h.goodputGbps(),
 		Optimal: workload.OptimalSeries(cfg.Scenario.Schedule, cfg.Scenario.TDNs,
 			measureStart, end, cfg.SampleEvery).Normalize(),
 		PacketOnly: workload.PacketOnlySeries(cfg.Scenario.TDNs[0].Rate,
@@ -576,42 +370,31 @@ func Run(cfg RunConfig) (*Result, error) {
 			}
 		}
 	}
-	res.FramesSent, res.FramesDelivered, res.FramesMisrouted = net.FrameLedger()
-	if err := net.CheckConservation(); err != nil {
-		dumpFlight(os.Stderr, flight, fmt.Sprintf("conservation failure: %v", err))
-		dumpEngineFlights(os.Stderr, engine, fmt.Sprintf("conservation failure: %v", err))
-		return nil, fmt.Errorf("experiments: %s on %s: %w", cfg.Variant, cfg.Scenario.Name, err)
+	res.FramesSent, res.FramesDelivered, res.FramesMisrouted, err = h.finish()
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", h.what, err)
 	}
-	if inj != nil {
-		res.FaultStats = inj.Stats()
+	if h.inj != nil {
+		res.FaultStats = h.inj.Stats()
 	}
-	if chk != nil {
+	if chk := h.chk; chk != nil {
 		res.InvariantChecks = chk.Checks()
 		res.Violations = chk.Violations()
 		res.FlightSnapshot = chk.FlightSnapshot()
 	}
-	res.Flight = flight
+	res.Flight = h.flight
 	// The VOQ series gets its label from the variant but its own axis: fix
 	// labels for clarity.
 	res.Seq.Label = string(cfg.Variant)
 	res.VOQ.Label = string(cfg.Variant)
-	populateMetrics(cfg, res, engine, net, flows)
+	populateMetrics(cfg, res, h)
 	return res, nil
-}
-
-// dumpEngineFlights dumps every rack lane's private flight recorder (the
-// per-fork rings the sharded engine maintains alongside the shared one).
-func dumpEngineFlights(w io.Writer, engine *sim.ShardedLoop, reason string) {
-	for r := 0; r < engine.Racks(); r++ {
-		dumpFlight(w, engine.RackTracer(r).FlightRecorder(),
-			fmt.Sprintf("%s, rack %d lane", reason, r))
-	}
 }
 
 // populateMetrics fills cfg.Metrics (when set) with the run's counters and
 // gauges. Keys are stable, so Registry.WriteJSON output is byte-comparable
 // across runs of the same configuration.
-func populateMetrics(cfg RunConfig, res *Result, loop loopStats, net *rdcn.Network, flows []*Flow) {
+func populateMetrics(cfg RunConfig, res *Result, h *harness) {
 	m := cfg.Metrics
 	if m == nil {
 		return
@@ -651,10 +434,10 @@ func populateMetrics(cfg RunConfig, res *Result, loop loopStats, net *rdcn.Netwo
 		m.Add("invariant.violations", 0)
 	}
 
-	for i, f := range flows {
+	for i, f := range h.flows {
 		m.Add(fmt.Sprintf("flow.%02d.bytes_delivered", i), f.Delivered())
 	}
-	for _, rack := range net.Racks {
+	for _, rack := range h.net.Racks {
 		var enq, deq, drops, marks uint64
 		for _, v := range rack.VOQs() {
 			e, d, dr, mk := v.Stats()
@@ -669,11 +452,9 @@ func populateMetrics(cfg RunConfig, res *Result, loop loopStats, net *rdcn.Netwo
 		m.Add(fmt.Sprintf("voq.r%d.marks", rack.ID), int64(marks))
 	}
 
-	m.Add("sim.events_fired", int64(loop.Fired()))
 	// Live (not Pending) so stopped-but-unpopped timers don't inflate the
 	// reported queue depth.
-	m.Set("sim.live_timers", float64(loop.Live()))
-	m.Set("sim.virtual_seconds", float64(loop.Now())/1e9)
+	m.Set("sim.live_timers", float64(h.engine.Live()))
 	if cfg.Tracer != nil {
 		m.Add("trace.events", int64(cfg.Tracer.Count()))
 	}

@@ -179,6 +179,20 @@ func TestBuildFlowValidation(t *testing.T) {
 	}
 }
 
+// TestRunWorkloadRejectsUnservableMaxFlows: every arrival takes a fresh port,
+// so a cap above the port space cannot be honoured; it must be an error, not
+// an arrival process that quietly stops early.
+func TestRunWorkloadRejectsUnservableMaxFlows(t *testing.T) {
+	_, err := RunWorkload(WorkloadConfig{Variant: TDTCP, MaxFlows: maxWorkloadFlows + 1})
+	if err == nil || !strings.Contains(err.Error(), "MaxFlows") {
+		t.Fatalf("MaxFlows %d: err = %v, want a MaxFlows error", maxWorkloadFlows+1, err)
+	}
+	if _, err := RunWorkload(WorkloadConfig{Variant: TDTCP, MaxFlows: maxWorkloadFlows,
+		WarmupWeeks: 1, MeasureWeeks: 1}); err != nil {
+		t.Fatalf("MaxFlows %d (the whole port space) rejected: %v", maxWorkloadFlows, err)
+	}
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	r1, err := Run(RunConfig{Variant: TDTCP, WarmupWeeks: 1, MeasureWeeks: 2, Seed: 7})
 	if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/rdcn-net/tdtcp/internal/core"
@@ -87,7 +88,7 @@ func (f *Figure) Render() string {
 				}
 			}
 		}
-		sortStrings(keys)
+		slices.Sort(keys)
 		fmt.Fprintf(&b, "%-14s %12s", "series", "goodput_gbps")
 		for _, k := range keys {
 			fmt.Fprintf(&b, " %14s", k)
@@ -109,14 +110,6 @@ func (f *Figure) Render() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // plotWindow truncates a series to the paper's ~3-optical-week plotting

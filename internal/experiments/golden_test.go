@@ -152,7 +152,7 @@ func rotorTraceRun(t *testing.T, disablePool bool) []byte {
 	_, err := Run(RunConfig{
 		Variant: TDTCP, Scenario: MultiRack(8), Flows: 8,
 		WarmupWeeks: 1, MeasureWeeks: 1, Seed: 7,
-		Tracer: tr, DisableFramePool: disablePool,
+		Tracer: tr, tweakNet: refPlane(disablePool, false),
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -172,7 +172,7 @@ func workloadTraceRun(t *testing.T, disablePool bool) []byte {
 	_, err := RunWorkload(WorkloadConfig{
 		Variant: TDTCP, Scenario: MultiRack(8),
 		WarmupWeeks: 1, MeasureWeeks: 1, Seed: 7,
-		Tracer: tr, DisableFramePool: disablePool,
+		Tracer: tr, tweakNet: refPlane(disablePool, false),
 	})
 	if err != nil {
 		t.Fatalf("RunWorkload: %v", err)

@@ -1,0 +1,68 @@
+package experiments
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+
+	"github.com/rdcn-net/tdtcp/internal/fault"
+	"github.com/rdcn-net/tdtcp/internal/trace"
+)
+
+// TestPinnedBytes is the "same behaviour, byte for byte" gate for refactors
+// of the run path: three small scenarios covering both entry points, the
+// fault injector and the invariant checker, each hashed over its JSONL trace
+// (everything but the per-event-loop CatSim chatter) followed by its metrics
+// JSON. The constants were generated at the commit before the run harness was
+// extracted; a change that moves any of them changed what a run emits, and
+// has to say why.
+func TestPinnedBytes(t *testing.T) {
+	plan, err := fault.Parse("drop=0.01,nloss=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		want string
+		run  func(tr *trace.Tracer, reg *trace.Registry) error
+	}{
+		{"hybrid_tdtcp", "20c9c1d9e9e66eed35e72b84061e176086b721ef799ccbfdd05ac2699c198022", func(tr *trace.Tracer, reg *trace.Registry) error {
+			_, err := Run(RunConfig{Variant: TDTCP, Flows: 4, WarmupWeeks: 1, MeasureWeeks: 2,
+				Tracer: tr, Metrics: reg})
+			return err
+		}},
+		{"hybrid_cubic_faulted", "7936d23b9a444546a645b464297a6cc71a0c328c78ba8c58a79d63b602ef8e15", func(tr *trace.Tracer, reg *trace.Registry) error {
+			_, err := Run(RunConfig{Variant: Cubic, Flows: 4, WarmupWeeks: 1, MeasureWeeks: 2,
+				Fault: &plan, Invariants: true, Tracer: tr, Metrics: reg})
+			return err
+		}},
+		{"rotor4_websearch", "2db1d037fa7e95e6e9550a079d21be2a06a52a469c801a702ef6570909af29b6", func(tr *trace.Tracer, reg *trace.Registry) error {
+			_, err := RunWorkload(WorkloadConfig{Variant: TDTCP, Scenario: MultiRack(4), Load: 0.3,
+				WarmupWeeks: 1, MeasureWeeks: 2, Tracer: tr, Metrics: reg})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			tr := trace.New(&buf, trace.CatAll&^trace.CatSim)
+			reg := trace.NewRegistry()
+			if err := tc.run(tr, reg); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if buf.Len() == 0 {
+				t.Fatal("traced run produced no events")
+			}
+			if err := reg.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("trace+metrics bytes changed (%d bytes):\n got %s\nwant %s", buf.Len(), got, tc.want)
+			}
+		})
+	}
+}

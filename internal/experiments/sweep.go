@@ -57,24 +57,37 @@ func Sweep(cfgs []RunConfig, workers int) []SweepResult {
 // and errors only, never the configurations or measurements.
 func SweepWithObserver(cfgs []RunConfig, workers int, obs SweepObserver) []SweepResult {
 	out := make([]SweepResult, len(cfgs))
+	sweepCells(len(cfgs), workers, obs, func(i int) error {
+		res, err := Run(cfgs[i])
+		out[i] = SweepResult{Cfg: cfgs[i], Res: res, Err: err}
+		return err
+	})
+	return out
+}
+
+// sweepCells is the worker pool under both sweeps: it calls cell(i) once for
+// every i in [0,n), on the calling goroutine when workers <= 1 and otherwise
+// on min(workers, n) goroutines pulling indexes from a channel, bracketing
+// each call with the observer's callbacks. cell writes its own result slot,
+// so no two calls share state.
+func sweepCells(n, workers int, obs SweepObserver, cell func(i int) error) {
 	runCell := func(worker, i int) {
 		if obs != nil {
 			obs.CellStart(worker, i)
 		}
-		res, err := Run(cfgs[i])
-		out[i] = SweepResult{Cfg: cfgs[i], Res: res, Err: err}
+		err := cell(i)
 		if obs != nil {
 			obs.CellDone(worker, i, err)
 		}
 	}
 	if workers <= 1 {
-		for i := range cfgs {
+		for i := 0; i < n; i++ {
 			runCell(0, i)
 		}
-		return out
+		return
 	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
+	if workers > n {
+		workers = n
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -87,10 +100,9 @@ func SweepWithObserver(cfgs []RunConfig, workers int, obs SweepObserver) []Sweep
 			}
 		}(w)
 	}
-	for i := range cfgs {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	return out
 }

@@ -73,14 +73,14 @@ func goldenTraceRun(t *testing.T, seed int64, disablePool bool) []byte {
 	var buf bytes.Buffer
 	tr := trace.New(&buf, trace.CatAll)
 	_, err := Run(RunConfig{
-		Variant:          TDTCP,
-		Scenario:         Hybrid(),
-		Flows:            2,
-		WarmupWeeks:      1,
-		MeasureWeeks:     1,
-		Seed:             seed,
-		Tracer:           tr,
-		DisableFramePool: disablePool,
+		Variant:      TDTCP,
+		Scenario:     Hybrid(),
+		Flows:        2,
+		WarmupWeeks:  1,
+		MeasureWeeks: 1,
+		Seed:         seed,
+		Tracer:       tr,
+		tweakNet:     refPlane(disablePool, false),
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

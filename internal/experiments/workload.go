@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
-	"os"
-	"sync"
+	"slices"
 
 	"github.com/rdcn-net/tdtcp/internal/netem"
 	"github.com/rdcn-net/tdtcp/internal/obs"
@@ -162,7 +162,7 @@ type WorkloadConfig struct {
 	// traces are byte-identical for every value (see RunConfig.Shards).
 	Shards int
 	// MaxFlows caps total arrivals so a mis-set load cannot spawn unbounded
-	// state (default 512).
+	// state (default 512, at most 64512: one port per arrival).
 	MaxFlows int
 	// SampleEvery is the VOQ-occupancy sampling cadence (default 5 µs).
 	SampleEvery sim.Dur
@@ -187,18 +187,20 @@ type WorkloadConfig struct {
 	// RunConfig.Meter); workload runs additionally count flow arrivals and
 	// completions through it.
 	Meter *obs.Meter
-	// DisableFramePool turns off wire-buffer recycling (determinism probe,
-	// see RunConfig.DisableFramePool).
-	DisableFramePool bool
-	// DisableBatchDelivery reverts to frame-at-a-time delivery (determinism
-	// probe, see RunConfig.DisableBatchDelivery).
-	DisableBatchDelivery bool
 	// Stop and StopEvery mirror RunConfig: the cooperative cancellation
 	// seam, polled between events, that makes RunWorkload return an error
 	// wrapping ErrCancelled without perturbing the executed prefix.
 	Stop      func() bool
 	StopEvery int
+
+	// tweakNet selects a reference data plane (see RunConfig.tweakNet).
+	tweakNet func(*rdcn.Config)
 }
+
+// maxWorkloadFlows is the number of ports a workload run can hand out: every
+// arrival takes the next port from 1024 up as its demux key on both hosts,
+// and ports are never recycled.
+const maxWorkloadFlows = 0xFFFF - 1024 + 1
 
 func (cfg *WorkloadConfig) fillDefaults() {
 	if cfg.Scenario.Name == "" {
@@ -268,93 +270,44 @@ type WorkloadResult struct {
 // deterministic. Frame conservation is checked at the horizon.
 func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	cfg.fillDefaults()
-	racks := cfg.Scenario.Racks
-	if racks == 0 {
-		racks = 2
-	}
-	if cfg.Flow.Slab == nil && cfg.Flow.Slabs == nil {
-		// One slab per rack per workload run, so each lane's connections pack
-		// into lane-private columns; completed flows' rows are not recycled
-		// (they are few and small), matching the retained result objects.
-		slabs := make([]*tcp.Slab, racks)
-		for r := range slabs {
-			slabs[r] = tcp.NewSlab(256, 512)
-		}
-		cfg.Flow.Slabs = slabs
-	}
 	switch cfg.Variant {
 	case TDTCP, Cubic, DCTCP, Reno:
 	default:
 		return nil, fmt.Errorf("experiments: variant %s is not supported by RunWorkload", cfg.Variant)
 	}
-
-	flight := cfg.Flight
-	if flight == nil && !cfg.DisableFlight {
-		flight = trace.NewFlight(trace.DefaultFlightLen, trace.DefaultFlightCats)
+	if cfg.MaxFlows > maxWorkloadFlows {
+		return nil, fmt.Errorf("experiments: MaxFlows %d exceeds the %d ports a workload run can hand out",
+			cfg.MaxFlows, maxWorkloadFlows)
 	}
-	tracer := cfg.Tracer.WithFlight(flight)
-	defer func() {
-		if r := recover(); r != nil {
-			dumpFlight(os.Stderr, flight, fmt.Sprintf("panic: %v", r))
-			panic(r)
-		}
-	}()
-
-	// The sharded engine runs every workload (see RunConfig.Shards): one lane
-	// per rack plus the control lane, where the arrival process lives.
-	engine := sim.NewSharded(cfg.Seed, racks, cfg.Shards)
-	loop := engine.Control()
-	if cfg.Meter != nil {
-		cfg.Meter.Attach(loop)
-		for r := 0; r < racks; r++ {
-			cfg.Meter.Attach(engine.RackLoop(r))
-		}
+	// The harness reads what the two configs share off a RunConfig. Slabs are
+	// one per rack per run; completed flows' rows are not recycled (they are
+	// few and small), matching the retained result objects.
+	rc := RunConfig{
+		Variant: cfg.Variant, Scenario: cfg.Scenario,
+		WarmupWeeks: cfg.WarmupWeeks, MeasureWeeks: cfg.MeasureWeeks,
+		Seed: cfg.Seed, Shards: cfg.Shards, MarkThresh: cfg.MarkThresh, Notify: cfg.Notify,
+		Flow: cfg.Flow, Tracer: cfg.Tracer, Metrics: cfg.Metrics,
+		Flight: cfg.Flight, DisableFlight: cfg.DisableFlight, Meter: cfg.Meter,
+		Stop: cfg.Stop, StopEvery: cfg.StopEvery, tweakNet: cfg.tweakNet,
 	}
-	if cfg.Stop != nil {
-		engine.SetStopCheck(cfg.StopEvery, cfg.Stop)
-	}
-	ncfg := rdcn.DefaultConfig()
-	ncfg.Racks = racks
-	ncfg.HostsPerRack = cfg.Hosts
-	ncfg.TDNs = cfg.Scenario.TDNs
-	ncfg.Schedule = cfg.Scenario.Schedule
-	ncfg.VOQCap = cfg.Scenario.VOQCap
-	ncfg.MarkThresh = cfg.MarkThresh
-	ncfg.DisableFramePool = cfg.DisableFramePool
-	ncfg.DisableBatchDelivery = cfg.DisableBatchDelivery
-	if cfg.Notify != nil {
-		ncfg.Notify = *cfg.Notify
-	}
-	ncfg.Cluster = engine
-	net, err := rdcn.New(loop, ncfg)
+	h, err := newHarness(&rc, fmt.Sprintf("workload %s on %s", cfg.Variant, cfg.Scenario.Name), cfg.Hosts, 256)
 	if err != nil {
 		return nil, err
 	}
-	engine.SetTracer(tracer)
-	net.SetTracer(tracer)
-	if m := cfg.Metrics; m != nil {
-		net.NotifyLat = m.Hist("rdcn.notify_lat_ns")
-		for _, rack := range net.Racks {
-			occ := m.Hist(fmt.Sprintf("voq.r%d.occ_pkts", rack.ID))
-			for _, v := range rack.VOQs() {
-				v.OccHist = occ
-			}
-		}
-	}
+	defer h.dumpOnPanic()
+	cfg.Flow = rc.Flow
+	loop, net, tracer, racks := h.loop, h.net, h.tracer, h.racks
+	measureStart, end := h.measureStart, h.end
+
 	fctHist := cfg.Metrics.Hist("fct.ns")
 	mn := newMuxNet(net)
-
-	week := cfg.Scenario.Schedule.Week()
-	measureStart := sim.Time(sim.Dur(cfg.WarmupWeeks) * week)
-	end := measureStart.Add(sim.Dur(cfg.MeasureWeeks) * week)
-	net.Start(end)
+	h.start()
 
 	// Aggregate capacity = per-rack schedule-weighted uplink rate × racks.
 	aggRate := sim.Rate(workload.OptimalGbps(cfg.Scenario.Schedule, cfg.Scenario.TDNs)*1e9) * sim.Rate(racks)
 	meanGap := workload.MeanInterarrival(cfg.Dist, cfg.Load, aggRate)
 
 	res := &WorkloadResult{Variant: cfg.Variant, Cfg: cfg}
-	var flows []*Flow
 	var buildErr error
 	nextPort := 1024
 	// Completions fire on the sender's rack lane, so each lane gets a private
@@ -369,7 +322,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	perRack := make([][]doneRec, racks)
 	var spawn func()
 	spawn = func() {
-		if buildErr != nil || res.FlowsStarted >= cfg.MaxFlows || nextPort > 0xFFFF {
+		if buildErr != nil || res.FlowsStarted >= cfg.MaxFlows {
 			return // stop the arrival process; pending flows run out
 		}
 		rng := loop.Rand()
@@ -385,9 +338,8 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 			return
 		}
 		id := res.FlowsStarted
+		h.addFlow(f, src, id)
 		rt := net.Racks[src].Tracer()
-		f.SetTracer(rt, id)
-		wireFlowHists(cfg.Metrics, f, len(cfg.Scenario.TDNs))
 		start := loop.Now()
 		res.FlowsStarted++
 		res.BytesOffered += size
@@ -405,83 +357,55 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 				fctHist.Record(int64(now.Sub(start)))
 			}
 		}
-		flows = append(flows, f)
 		f.Start(size)
 		f.Snd.Close() // queue the FIN behind the data; its ACK is the FCT instant
 		loop.After(workload.Interarrival(rng, meanGap), spawn)
 	}
+	// Arrivals run on the control lane.
 	loop.After(workload.Interarrival(loop.Rand(), meanGap), spawn)
 
-	delivered := func() float64 {
-		var sum int64
-		for _, f := range flows {
-			sum += f.Delivered()
-		}
-		return float64(sum)
-	}
-	voqLen := func() float64 {
-		n := 0
-		for _, rack := range net.Racks {
-			n += rack.QueueLen()
-		}
-		return float64(n)
-	}
-
-	engine.RunUntil(measureStart)
-	if engine.Stopped() {
-		return nil, cancelledErr(fmt.Sprintf("workload %s on %s", cfg.Variant, cfg.Scenario.Name), engine)
-	}
-	baseline := delivered()
-	voq := stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end, voqLen)
-	engine.RunUntil(end)
-	if engine.Stopped() {
-		return nil, cancelledErr(fmt.Sprintf("workload %s on %s", cfg.Variant, cfg.Scenario.Name), engine)
+	var voq *stats.Sampler
+	err = h.run(func() {
+		voq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end, func() float64 {
+			n := 0
+			for _, rack := range net.Racks {
+				n += rack.QueueLen()
+			}
+			return float64(n)
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	if buildErr != nil {
 		return nil, buildErr
 	}
-	// Merge the per-lane done-lists (each already in lane execution order,
-	// hence nondecreasing completion time) in canonical (done, rack) order —
-	// the same order a sequential execution completes them in.
-	heads := make([]int, racks)
-	for {
-		best := -1
-		for r := 0; r < racks; r++ {
-			if heads[r] >= len(perRack[r]) {
-				continue
-			}
-			if best < 0 || perRack[r][heads[r]].done < perRack[best][heads[best]].done {
-				best = r
-			}
-		}
-		if best < 0 {
-			break
-		}
-		d := perRack[best][heads[best]]
-		heads[best]++
+	// Merge the per-lane done-lists in canonical (done, rack) order — the
+	// order a sequential execution completes them in. Each list is already in
+	// lane execution order, so a stable sort of their concatenation is that
+	// merge.
+	done := slices.Concat(perRack...)
+	slices.SortStableFunc(done, func(a, b doneRec) int { return cmp.Compare(a.done, b.done) })
+	for _, d := range done {
 		res.FlowsCompleted++
 		if d.start >= measureStart {
 			res.FCT.Record(d.size, d.start, d.done)
 		}
 	}
-	res.GoodputGbps = stats.ThroughputGbps(int64(delivered()-baseline), end.Sub(measureStart))
+	res.GoodputGbps = h.goodputGbps()
 	res.MeanVOQ = voq.Series.Mean()
-	res.FramesSent, res.FramesDelivered, res.FramesMisrouted = net.FrameLedger()
-	if err := net.CheckConservation(); err != nil {
-		dumpFlight(os.Stderr, flight, fmt.Sprintf("conservation failure: %v", err))
-		dumpEngineFlights(os.Stderr, engine, fmt.Sprintf("conservation failure: %v", err))
+	res.FramesSent, res.FramesDelivered, res.FramesMisrouted, err = h.finish()
+	if err != nil {
 		return nil, fmt.Errorf("experiments: workload run %s: %w", cfg.Scenario.Name, err)
 	}
-	res.Flight = flight
+	res.Flight = h.flight
 	if m := cfg.Metrics; m != nil {
 		m.Set("workload.goodput_gbps", res.GoodputGbps)
 		m.Set("workload.mean_voq_pkts", res.MeanVOQ)
 		m.Add("workload.flows_started", int64(res.FlowsStarted))
 		m.Add("workload.flows_completed", int64(res.FlowsCompleted))
 		m.Add("workload.bytes_offered", res.BytesOffered)
-		m.Add("sim.events_fired", int64(engine.Fired()))
-		m.Set("sim.virtual_seconds", float64(engine.Now())/1e9)
 	}
 	return res, nil
 }
@@ -506,40 +430,10 @@ func SweepWorkload(cfgs []WorkloadConfig, workers int) []WorkloadSweepResult {
 // (see SweepWithObserver; nil obs = plain SweepWorkload).
 func SweepWorkloadWithObserver(cfgs []WorkloadConfig, workers int, obs SweepObserver) []WorkloadSweepResult {
 	out := make([]WorkloadSweepResult, len(cfgs))
-	runCell := func(worker, i int) {
-		if obs != nil {
-			obs.CellStart(worker, i)
-		}
+	sweepCells(len(cfgs), workers, obs, func(i int) error {
 		res, err := RunWorkload(cfgs[i])
 		out[i] = WorkloadSweepResult{Cfg: cfgs[i], Res: res, Err: err}
-		if obs != nil {
-			obs.CellDone(worker, i, err)
-		}
-	}
-	if workers <= 1 {
-		for i := range cfgs {
-			runCell(0, i)
-		}
-		return out
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for i := range idx {
-				runCell(worker, i)
-			}
-		}(w)
-	}
-	for i := range cfgs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+		return err
+	})
 	return out
 }

@@ -94,8 +94,10 @@ type Config struct {
 	// per-(src,dst) docks applied at engine barriers, and the control plane
 	// runs on Cluster.Control() — which must be the loop passed to New. The
 	// engine's tracer (ShardedLoop.SetTracer) must be attached before
-	// Network.SetTracer so per-rack forks exist. nil keeps the classic
-	// single-loop wiring, byte for byte.
+	// Network.SetTracer so per-rack forks exist. nil puts every rack on the
+	// loop passed to New, with one shared buffer pool and in-drainer delay
+	// lines in place of per-rack pools and docks; the two wirings differ
+	// only in what New constructs, every frame takes the same path.
 	Cluster *sim.ShardedLoop
 
 	// DisableFramePool turns off wire-buffer recycling, making every frame
@@ -213,8 +215,8 @@ func (r *Rack) Uplink() *netem.Pipe { return r.uplink }
 // Cluster the loop is the rack's ShardedLoop lane, the tracer is the lane's
 // fork, and the pool / ledger / notification scratch are touched only by
 // that lane (or by the control plane at barriers, with workers parked).
-// Without a Cluster every rack shares Network.Loop and the wiring is the
-// classic single-loop one.
+// Without a Cluster every rack shares Network.Loop, its tracer and one pool;
+// the frame path is the same.
 type Rack struct {
 	net   *Network
 	ID    int
@@ -451,14 +453,11 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 		if cluster != nil {
 			rloop = cluster.RackLoop(r)
 		}
-		rack := &Rack{net: n, ID: r, loop: rloop}
-		if !cfg.DisableFramePool {
-			rack.pool = sharedPool
-			if cluster != nil {
+		rack := &Rack{net: n, ID: r, loop: rloop, pool: sharedPool}
+		if cluster != nil {
+			if !cfg.DisableFramePool {
 				rack.pool = &netem.BufPool{}
 			}
-		}
-		if cluster != nil {
 			rack.retBufs = make([][][]byte, cfg.Racks)
 			rack.retFlushFn = rack.flushReturns
 		}
@@ -485,25 +484,19 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 				Loop: rloop,
 				Q:    voq,
 				Path: pf,
-				Out:  func(f netem.Frame) { n.deliver(dst, f) },
+				Out:  func(f netem.Frame) { n.deliver(r, dst, f) },
 			}
 			if !cfg.DisableBatchDelivery {
 				d.Coalesce = true
-				d.OutBatch = func(fs []netem.Frame, tdn int) { n.deliverBatch(dst, fs, tdn) }
+				d.OutBatch = func(fs []netem.Frame, tdn int) { n.deliverBatch(r, dst, fs, tdn) }
 			}
 			if cluster != nil {
 				// Every drainer here crosses racks (qDst skips self), so its
 				// propagation stage becomes a dock: staged on this lane,
-				// flushed at barriers, delivered on the destination lane. The
-				// dock's sinks route through deliverFrom so the consumed
-				// buffers come home to this rack's pool.
-				src, ddst := r, dst
-				dk := netem.NewDock(src, ddst, rloop, cluster.RackLoop(ddst), cluster.Defer)
-				dk.Out = func(f netem.Frame) { n.deliverFrom(src, ddst, f) }
-				if !cfg.DisableBatchDelivery {
-					dk.OutBatch = func(fs []netem.Frame, tdn int) { n.deliverBatchFrom(src, ddst, fs, tdn) }
-				}
-				d.Dock = dk
+				// flushed at barriers, delivered on the destination lane
+				// through the same sinks.
+				d.Dock = netem.NewDock(r, dst, rloop, cluster.RackLoop(dst), cluster.Defer)
+				d.Dock.Out, d.Dock.OutBatch = d.Out, d.OutBatch
 			}
 			rack.voqs = append(rack.voqs, voq)
 			rack.drainers = append(rack.drainers, d)
@@ -604,7 +597,7 @@ func (r *Rack) ingress(f netem.Frame) {
 			return
 		}
 		if dst == r.ID {
-			n.deliver(r.ID, f)
+			n.deliver(r.ID, r.ID, f)
 			return
 		}
 		if !r.voqs[r.qIndex(dst)].Enqueue(f) {
@@ -621,24 +614,26 @@ func (r *Rack) ingress(f netem.Frame) {
 	}
 }
 
-// deliver hands a frame that crossed the fabric to the destination host in
-// rack dst, identified by the IPv4 destination address.
-// Delivery is a frame's terminal point: once Recv returns the wire buffer
-// goes back to the pool, so Recv hooks must parse (Parse copies) rather than
-// retain the wire.
-func (n *Network) deliver(dst int, f netem.Frame) {
+// deliver hands a frame sent from rack src to the destination host in rack
+// dst, identified by the IPv4 destination address. Delivery is a frame's
+// terminal point: once Recv returns the wire buffer goes home to rack src's
+// pool (see returnWire), so Recv hooks must parse (Parse copies) rather than
+// retain the wire. Runs on rack dst's lane.
+//
+//lint:hotpath runs once per delivered frame
+func (n *Network) deliver(src, dst int, f netem.Frame) {
 	rack := n.Racks[dst]
 	h := n.hostIn(rack, f)
 	if h == nil {
 		rack.misrouted++
-		f.Release(rack.pool) // misrouted; drop
+		rack.returnWire(src, &f) // misrouted; drop
 		return
 	}
 	rack.delivered++
 	if h.Recv != nil {
 		h.Recv(f)
 	}
-	f.Release(rack.pool)
+	rack.returnWire(src, &f)
 }
 
 // hostIn resolves a frame's destination host within rack by its IPv4
@@ -663,62 +658,7 @@ func (n *Network) hostIn(rack *Rack, f netem.Frame) *Host {
 // accounting, and buffer reclamation identical to the unbatched path.
 //
 //lint:hotpath runs once per (host, TDN) delivery batch
-func (n *Network) deliverBatch(dst int, fs []netem.Frame, tdn int) {
-	rack := n.Racks[dst]
-	for i := 0; i < len(fs); {
-		h := n.hostIn(rack, fs[i])
-		if h == nil {
-			rack.misrouted++
-			fs[i].Release(rack.pool)
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(fs) && n.hostIn(rack, fs[j]) == h {
-			j++
-		}
-		rack.delivered += uint64(j - i)
-		if h.RecvBatch != nil {
-			h.RecvBatch(fs[i:j], tdn)
-		} else if h.Recv != nil {
-			for k := i; k < j; k++ {
-				h.Recv(fs[k])
-			}
-		}
-		for k := i; k < j; k++ {
-			fs[k].Release(rack.pool)
-		}
-		i = j
-	}
-}
-
-// deliverFrom is deliver for frames that crossed the fabric between lanes
-// (the dock sinks): identical delivery, but the consumed wire buffer is
-// repatriated to rack src's pool at the next barrier instead of joining the
-// destination pool — under per-lane pools a one-way release would grow the
-// destination's free list and force the source to carve fresh blocks
-// forever.
-//
-//lint:hotpath runs once per cross-lane delivered frame
-func (n *Network) deliverFrom(src, dst int, f netem.Frame) {
-	rack := n.Racks[dst]
-	h := n.hostIn(rack, f)
-	if h == nil {
-		rack.misrouted++
-		rack.returnWire(src, &f)
-		return
-	}
-	rack.delivered++
-	if h.Recv != nil {
-		h.Recv(f)
-	}
-	rack.returnWire(src, &f)
-}
-
-// deliverBatchFrom is deliverBatch with deliverFrom's buffer repatriation.
-//
-//lint:hotpath runs once per cross-lane (host, TDN) delivery batch
-func (n *Network) deliverBatchFrom(src, dst int, fs []netem.Frame, tdn int) {
+func (n *Network) deliverBatch(src, dst int, fs []netem.Frame, tdn int) {
 	rack := n.Racks[dst]
 	for i := 0; i < len(fs); {
 		h := n.hostIn(rack, fs[i])
@@ -747,15 +687,16 @@ func (n *Network) deliverBatchFrom(src, dst int, fs []netem.Frame, tdn int) {
 	}
 }
 
-// returnWire stages a consumed frame's buffer for repatriation to rack src's
-// pool at the next barrier. Cluster wiring only (dock sinks); falls back to
-// a local release when pooling is off or the buffer is already home. Runs on
-// this rack's lane.
+// returnWire sends a consumed frame's buffer home to rack src's pool. When
+// that is this rack's own pool (a hairpinned frame, or the pool every rack
+// shares without a Cluster) or pooling is off, it is a plain release;
+// another lane's pool cannot be touched mid-window, so the buffer is staged
+// for the next barrier (see Rack.pool). Runs on this rack's lane.
 //
-//lint:hotpath runs once per cross-lane consumed frame
+//lint:hotpath runs once per consumed frame
 func (r *Rack) returnWire(src int, f *netem.Frame) {
 	home := r.net.Racks[src].pool
-	if home == nil || src == r.ID || cap(f.Wire) == 0 {
+	if home == nil || home == r.pool || cap(f.Wire) == 0 {
 		f.Release(r.pool)
 		return
 	}

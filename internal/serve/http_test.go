@@ -125,6 +125,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		`{not json`,
 		`{"kind": "nope"}`,
 		`{"unknown_field": 1}`,
+		`{"kind": "workload", "fault": "nloss=0.1"}`,
+		`{"kind": "workload", "fault_seed": 2}`,
+		`{"kind": "workload", "invariants": true}`,
 	} {
 		if code, _ := doJSON(t, "POST", ts.URL+"/jobs", body); code != http.StatusBadRequest {
 			t.Errorf("submit %q: code %d, want 400", body, code)

@@ -70,13 +70,39 @@ func TestSubmitInvalidSpecIsRejected(t *testing.T) {
 		{Kind: KindRun, Hosts: 3},
 		{Kind: KindRun, Racks: 4, Variant: "mptcp2f"},
 		{Seed: -0, Flows: -1},
+		{Kind: KindWorkload, Fault: "nloss=0.1"},
+		{Kind: KindWorkload, FaultSeed: 3},
+		{Kind: KindWorkload, Invariants: true},
 	} {
 		if _, _, err := s.Submit(spec); err == nil {
 			t.Errorf("spec %+v was admitted, want validation error", spec)
 		}
 	}
-	if got := s.Metrics().Counter("serve.rejected_invalid"); got != 9 {
-		t.Fatalf("serve.rejected_invalid = %d, want 9", got)
+	if got := s.Metrics().Counter("serve.rejected_invalid"); got != 12 {
+		t.Fatalf("serve.rejected_invalid = %d, want 12", got)
+	}
+}
+
+// TestNormalizeIsIdempotent: a normalized spec is what job views hand back,
+// so resubmitting one must be accepted and land on the same cache key.
+func TestNormalizeIsIdempotent(t *testing.T) {
+	for _, spec := range []*Spec{
+		{},
+		{Variant: "cubic", Fault: "drop=0.01,nloss=0.1", Invariants: true},
+		{Kind: KindWorkload},
+		{Variant: "dctcp", Racks: 4, Flows: 8},
+	} {
+		once, err := spec.Normalize()
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		twice, err := once.Normalize()
+		if err != nil {
+			t.Fatalf("normalized %+v rejected: %v", once, err)
+		}
+		if once.Key() != twice.Key() {
+			t.Errorf("%+v: key changed on re-normalization", spec)
+		}
 	}
 }
 

@@ -55,10 +55,10 @@ type Spec struct {
 	// MaxFlows caps kind=workload arrivals (default 256).
 	MaxFlows int `json:"max_flows,omitempty"`
 	// Fault optionally injects a fault plan, e.g. "nloss=0.1,drop=0.01";
-	// FaultSeed seeds it independently of Seed (default 1).
+	// FaultSeed seeds it independently of Seed (default 1). kind=run only.
 	Fault     string `json:"fault,omitempty"`
 	FaultSeed int64  `json:"fault_seed,omitempty"`
-	// Invariants turns on the post-event invariant checker.
+	// Invariants turns on the post-event invariant checker (kind=run only).
 	Invariants bool `json:"invariants,omitempty"`
 	// DeadlineMS caps the job's wall-clock run time in milliseconds; zero
 	// uses the server's default deadline. Excluded from the cache key.
@@ -119,6 +119,9 @@ func (s *Spec) Normalize() (*Spec, error) {
 		if n.Workload != "" || n.Load != 0 || n.MaxFlows != 0 {
 			return nil, fmt.Errorf("serve: workload/load/max_flows apply only to kind=workload")
 		}
+		if n.FaultSeed == 0 {
+			n.FaultSeed = 1
+		}
 	case KindWorkload:
 		if !workloadVariants[n.Variant] {
 			return nil, fmt.Errorf("serve: variant %q is not supported by kind=workload", n.Variant)
@@ -153,6 +156,12 @@ func (s *Spec) Normalize() (*Spec, error) {
 		if n.Flows != 0 {
 			return nil, fmt.Errorf("serve: flows applies only to kind=run; size workloads with hosts/load/max_flows")
 		}
+		if n.Fault != "" || n.FaultSeed != 0 || n.Invariants {
+			// RunWorkload has no injector or checker to hand them to; accepting
+			// them would file an unfaulted, unchecked run under a key that says
+			// otherwise.
+			return nil, fmt.Errorf("serve: fault/fault_seed/invariants apply only to kind=run")
+		}
 	default:
 		return nil, fmt.Errorf("serve: unknown kind %q (want %q or %q)", n.Kind, KindRun, KindWorkload)
 	}
@@ -178,9 +187,6 @@ func (s *Spec) Normalize() (*Spec, error) {
 		if _, err := fault.Parse(n.Fault); err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-	}
-	if n.FaultSeed == 0 {
-		n.FaultSeed = 1
 	}
 	return &n, nil
 }
