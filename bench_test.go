@@ -19,6 +19,7 @@ import (
 	"github.com/rdcn-net/tdtcp/internal/packet"
 	"github.com/rdcn-net/tdtcp/internal/sim"
 	"github.com/rdcn-net/tdtcp/internal/tcp"
+	"github.com/rdcn-net/tdtcp/internal/workload"
 )
 
 func benchFigure(b *testing.B, id string, metric func(*Figure) (string, float64)) {
@@ -200,6 +201,23 @@ func BenchmarkTDNStateSwitch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pol.OnNotify(i%2, 0)
 	}
+}
+
+// BenchmarkOptimalSeries512 computes the reference series of the documented
+// long run (Run's exact arguments for a 3+512-week hybrid window at the 5 µs
+// default cadence): 143 361 samples over ≈3 600 slots in one pass, a few
+// milliseconds. Under ci.sh's -benchtime 1x smoke it is the visible alarm for
+// the per-sample re-walk from t = 0, which takes seconds here.
+func BenchmarkOptimalSeries512(b *testing.B) {
+	sc := experiments.Hybrid()
+	from := sim.Time(3 * sc.Schedule.Week())
+	to := from.Add(512 * sc.Schedule.Week())
+	b.ReportAllocs()
+	samples := 0
+	for i := 0; i < b.N; i++ {
+		samples = workload.OptimalSeries(sc.Schedule, sc.TDNs, from, to, 5*sim.Microsecond).Normalize().Len()
+	}
+	b.ReportMetric(float64(samples), "samples")
 }
 
 // BenchmarkEventLoop measures raw simulator event throughput. The body lives

@@ -74,4 +74,5 @@ go run ./cmd/tdbench -gate
 go test -fuzz=FuzzConnDeliver -fuzztime=5s ./internal/tcp/
 go test -fuzz=FuzzScheduleParse -fuzztime=5s ./internal/rdcn/
 go test -fuzz=FuzzFlowSizeCDF -fuzztime=5s ./internal/workload/
+go test -fuzz=FuzzOptimalSeries -fuzztime=5s ./internal/workload/
 go test -fuzz=FuzzShardLookahead -fuzztime=5s ./internal/sim/

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/rdcn-net/tdtcp/internal/core"
 	"github.com/rdcn-net/tdtcp/internal/netem"
 	"github.com/rdcn-net/tdtcp/internal/obs"
 	"github.com/rdcn-net/tdtcp/internal/packet"
@@ -17,15 +18,24 @@ import (
 )
 
 // hostMux demultiplexes one host's frames to many connections by TCP
-// destination port, and fans TDN notifications out to every registered flow.
-// The two-rack experiments wire exactly one connection per host; multi-rack
-// workloads need several, so the mux owns the host's Recv/NotifyTDN upcalls.
+// destination port, and fans TDN notifications out to the host's live TDTCP
+// endpoints. The two-rack experiments wire exactly one connection per host;
+// multi-rack workloads need several, so the mux owns the host's
+// Recv/NotifyTDN upcalls.
 //
-// The map is looked up, never ranged over, so event order stays deterministic.
+// An endpoint's two memberships have different lifetimes. Its port is bound
+// in conns by muxNet.BuildFlow and stays bound for the rest of the run: a
+// receiver must still (D-)SACK a retransmission that arrives after the flow
+// completed. Its place in notify — the §3.2 "every TDTCP socket on the host"
+// set — begins at BuildFlow and ends at muxNet.leave, so what a TDN change
+// costs a host follows the flows open on it, not the flows it ever carried.
+//
+// The map is looked up, never ranged over, and notify keeps join order
+// (fan-out order is trace order), so event order stays deterministic.
 type hostMux struct {
 	seg    packet.Segment
 	conns  map[uint16]*tcp.Conn
-	notify []func(tdn int, epoch uint32)
+	notify []*tcp.Conn
 }
 
 func newHostMux() *hostMux {
@@ -52,8 +62,15 @@ func (m *hostMux) recvBatch(fs []netem.Frame, _ int) {
 }
 
 func (m *hostMux) notifyTDN(tdn int, epoch uint32) {
-	for _, fn := range m.notify {
-		fn(tdn, epoch)
+	for _, c := range m.notify {
+		c.Notify(tdn, epoch)
+	}
+}
+
+// leave takes c out of the notify set, keeping the others in join order.
+func (m *hostMux) leave(c *tcp.Conn) {
+	if i := slices.Index(m.notify, c); i >= 0 {
+		m.notify = slices.Delete(m.notify, i, i+1)
 	}
 }
 
@@ -61,17 +78,19 @@ func (m *hostMux) notifyTDN(tdn int, epoch uint32) {
 // between arbitrary rack/host pairs instead of the two-rack one-flow-per-host
 // layout of BuildFlow.
 type muxNet struct {
-	net   *rdcn.Network
-	muxes [][]*hostMux // [rack][host]
+	net    *rdcn.Network
+	muxes  [][]*hostMux        // [rack][host]
+	byAddr map[uint32]*hostMux // the same muxes by host address, for leave
 }
 
 func newMuxNet(net *rdcn.Network) *muxNet {
-	mn := &muxNet{net: net, muxes: make([][]*hostMux, len(net.Racks))}
+	mn := &muxNet{net: net, muxes: make([][]*hostMux, len(net.Racks)), byAddr: make(map[uint32]*hostMux)}
 	for r, rack := range net.Racks {
 		mn.muxes[r] = make([]*hostMux, len(rack.Hosts))
 		for h, host := range rack.Hosts {
 			m := newHostMux()
 			mn.muxes[r][h] = m
+			mn.byAddr[host.Addr] = m
 			host.Recv = m.recv
 			host.RecvBatch = m.recvBatch
 			host.NotifyTDN = m.notifyTDN
@@ -82,9 +101,10 @@ func newMuxNet(net *rdcn.Network) *muxNet {
 
 // BuildFlow wires one single-path flow from (srcRack, srcHost) to (dstRack,
 // dstHost). Both endpoints use the same port number, which must be unique
-// per endpoint host — it is the demux key on both sides. MPTCP and the reTCP
-// variants are two-rack constructs (subflow pinning and the circuit-up signal
-// have no rotor analogue) and are rejected.
+// per endpoint host — it is the demux key on both sides. A TDTCP flow's
+// endpoints join their hosts' notify sets here and leave them at leave. MPTCP
+// and the reTCP variants are two-rack constructs (subflow pinning and the
+// circuit-up signal have no rotor analogue) and are rejected.
 func (mn *muxNet) BuildFlow(loop *sim.Loop, srcRack, srcHost, dstRack, dstHost int,
 	port uint16, v Variant, opt FlowOptions) (*Flow, error) {
 	switch v {
@@ -133,10 +153,37 @@ func (mn *muxNet) BuildFlow(loop *sim.Loop, srcRack, srcHost, dstRack, dstHost i
 	sm.conns[port] = f.Snd
 	dm.conns[port] = f.Rcv
 	if v == TDTCP {
-		sm.notify = append(sm.notify, func(tdn int, epoch uint32) { f.Snd.Notify(tdn, epoch) })
-		dm.notify = append(dm.notify, func(tdn int, epoch uint32) { f.Rcv.Notify(tdn, epoch) })
+		sm.notify = append(sm.notify, f.Snd)
+		dm.notify = append(dm.notify, f.Rcv)
 	}
 	return f, nil
+}
+
+// leave retires a flow whose sender has seen its FIN acknowledged: both
+// endpoints stop receiving TDN notifications, and a notification deadman, if
+// armed, is stopped — with the notifications gone, silence would otherwise
+// engage it on a dead flow for the rest of the run. The ports stay bound (see
+// hostMux). It edits state the rack lanes read, so call it only at a control
+// instant (workers parked), where BuildFlow runs too.
+func (mn *muxNet) leave(f *Flow) {
+	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
+		mn.byAddr[c.LocalAddr].leave(c)
+		if p, ok := c.Config().Policy.(*core.TDTCP); ok {
+			p.StopDeadman()
+		}
+	}
+}
+
+// notifyWidth is the number of endpoints one TDN change is fanned out to,
+// summed over every host.
+func (mn *muxNet) notifyWidth() int {
+	n := 0
+	for _, rack := range mn.muxes {
+		for _, m := range rack {
+			n += len(m.notify)
+		}
+	}
+	return n
 }
 
 // WorkloadConfig specifies one open-loop flow-workload run: finite flows with
@@ -261,6 +308,10 @@ type WorkloadResult struct {
 	FramesSent, FramesDelivered, FramesMisrouted uint64
 	// Flight is the run's flight recorder (nil when disabled).
 	Flight *trace.Flight
+
+	// The mux lifecycle at the horizon, for this package's tests: flows that
+	// have left the notify sets, and the endpoints still in them.
+	flowsRetired, notifyWidth int
 }
 
 // RunWorkload executes one open-loop workload experiment. Flow arrivals are a
@@ -280,8 +331,12 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 			cfg.MaxFlows, maxWorkloadFlows)
 	}
 	// The harness reads what the two configs share off a RunConfig. Slabs are
-	// one per rack per run; completed flows' rows are not recycled (they are
-	// few and small), matching the retained result objects.
+	// one per rack per run. A flow joins its hosts' muxes at arrival and leaves
+	// their notify sets at the first arrival after its FIN-ack; its ports stay
+	// bound and its slab rows stay allocated to the horizon, because the
+	// receiver must still answer a late retransmission. So memory grows with
+	// the flows started (thousands in a long run), while the per-event and
+	// per-notification work follows the flows open.
 	rc := RunConfig{
 		Variant: cfg.Variant, Scenario: cfg.Scenario,
 		WarmupWeeks: cfg.WarmupWeeks, MeasureWeeks: cfg.MeasureWeeks,
@@ -315,13 +370,27 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	// (completion time, rack) order after the horizon. The FCT histogram and
 	// the meter are atomic and order-independent, so those record inline.
 	type doneRec struct {
+		f     *Flow
 		size  int64
 		start sim.Time
 		done  sim.Time
 	}
 	perRack := make([][]doneRec, racks)
+	// retired[r] counts the entries of perRack[r] whose flows have left the
+	// muxes. Arrivals run on the control lane with every rack lane parked at
+	// the same instant whatever the shard count, so each one retires what the
+	// lanes have completed since the one before: a shard-count-invariant
+	// instant at O(1) amortised per flow, with no timer of its own.
+	retired := make([]int, racks)
 	var spawn func()
 	spawn = func() {
+		for r, list := range perRack {
+			for _, d := range list[retired[r]:] {
+				mn.leave(d.f)
+				res.flowsRetired++
+			}
+			retired[r] = len(list)
+		}
 		if buildErr != nil || res.FlowsStarted >= cfg.MaxFlows {
 			return // stop the arrival process; pending flows run out
 		}
@@ -352,7 +421,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		f.Snd.OnDone = func(now sim.Time) {
 			cfg.Meter.FlowDone()
 			rt.EndSpan(trace.CatTCP, int64(now), "flow", id, -1, sp, float64(size), 0)
-			perRack[src] = append(perRack[src], doneRec{size: size, start: start, done: now})
+			perRack[src] = append(perRack[src], doneRec{f: f, size: size, start: start, done: now})
 			if start >= measureStart {
 				fctHist.Record(int64(now.Sub(start)))
 			}
@@ -395,6 +464,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	}
 	res.GoodputGbps = h.goodputGbps()
 	res.MeanVOQ = voq.Series.Mean()
+	res.notifyWidth = mn.notifyWidth()
 	res.FramesSent, res.FramesDelivered, res.FramesMisrouted, err = h.finish()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: workload run %s: %w", cfg.Scenario.Name, err)

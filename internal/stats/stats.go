@@ -20,6 +20,19 @@ type Series struct {
 	V     []float64
 }
 
+// NewSeries returns an empty series with room for exactly the samples a
+// fixed cadence produces on [from, to]: from, from+step, ... while ≤ to, that
+// is (to−from)/step + 1 of them (none when from > to). Filling it with Add
+// never reallocates, so a producer that knows its window costs one
+// allocation per slice. step must be positive.
+func NewSeries(label string, from, to sim.Time, step sim.Dur) *Series {
+	n := 0
+	if from <= to {
+		n = int(to.Sub(from)/step) + 1
+	}
+	return &Series{Label: label, T: make([]float64, 0, n), V: make([]float64, 0, n)}
+}
+
 // Add appends one sample.
 func (s *Series) Add(t sim.Time, v float64) {
 	s.T = append(s.T, t.Microseconds())
@@ -29,20 +42,20 @@ func (s *Series) Add(t sim.Time, v float64) {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.T) }
 
-// Normalize returns a copy shifted so the first sample sits at (0, 0) — the
-// paper normalizes both axes of its sequence graphs to the plotted window's
-// start.
+// Normalize shifts the series so its first sample sits at (0, 0) — the paper
+// normalizes both axes of its sequence graphs to the plotted window's start.
+// It rebases in place and returns its receiver: one pass, no allocation. A
+// caller that still needs the unshifted samples must copy them first.
 func (s *Series) Normalize() *Series {
-	out := &Series{Label: s.Label, T: make([]float64, len(s.T)), V: make([]float64, len(s.V))}
 	if len(s.T) == 0 {
-		return out
+		return s
 	}
 	t0, v0 := s.T[0], s.V[0]
 	for i := range s.T {
-		out.T[i] = s.T[i] - t0
-		out.V[i] = s.V[i] - v0
+		s.T[i] -= t0
+		s.V[i] -= v0
 	}
-	return out
+	return s
 }
 
 // Window returns the sub-series with from ≤ T < to (microseconds).
@@ -130,9 +143,12 @@ type Sampler struct {
 }
 
 // NewSampler arms a periodic sampler on loop from the current time until
-// until (inclusive of the start point).
+// until (inclusive of the start point). The window fixes the sample count, so
+// the series is sized once here and a full window ends with len == cap: the
+// sampler's cost is one allocation per slice plus one timer per tick.
 func NewSampler(loop *sim.Loop, label string, interval sim.Dur, until sim.Time, value func() float64) *Sampler {
-	s := &Sampler{Series: &Series{Label: label}, loop: loop, interval: interval, value: value, until: until}
+	s := &Sampler{Series: NewSeries(label, loop.Now(), until, interval),
+		loop: loop, interval: interval, value: value, until: until}
 	s.tickFn = s.tick
 	s.tick()
 	return s

@@ -20,16 +20,19 @@ func TestSeriesBasics(t *testing.T) {
 	if s.Mean() != 7 {
 		t.Fatalf("mean = %v", s.Mean())
 	}
-	n := s.Normalize()
-	if n.T[0] != 0 || n.V[0] != 0 || n.T[1] != 10 || n.V[1] != 4 {
-		t.Fatalf("normalize: %+v", n)
-	}
 	w := s.Window(15, 25)
 	if w.Len() != 1 || w.V[0] != 9 {
 		t.Fatalf("window: %+v", w)
 	}
 	if !strings.Contains(s.CSV(), "10.000,5.000") {
 		t.Fatalf("csv: %s", s.CSV())
+	}
+	// Normalize rebases in place and hands back its receiver.
+	if n := s.Normalize(); n != s {
+		t.Fatalf("normalize returned %p, want the receiver %p", n, s)
+	}
+	if s.T[0] != 0 || s.V[0] != 0 || s.T[1] != 10 || s.V[1] != 4 {
+		t.Fatalf("normalize: %+v", s)
 	}
 }
 
@@ -150,6 +153,38 @@ func TestSeriesMaxMinAllNegative(t *testing.T) {
 	}
 	if (&Series{}).Min() != 0 {
 		t.Fatal("empty Min should be 0")
+	}
+}
+
+// TestSamplerSizedOnce: the window fixes the sample count, so the series is
+// allocated once and ends exactly full — for an interval that divides the
+// window and for one that does not — and ticking never reallocates it.
+func TestSamplerSizedOnce(t *testing.T) {
+	for _, interval := range []sim.Dur{5 * sim.Microsecond, 7 * sim.Microsecond} {
+		loop := sim.NewLoop(1)
+		loop.RunUntil(sim.Time(13 * sim.Microsecond)) // a window that does not start at 0
+		until := sim.Time(1413 * sim.Microsecond)
+		sampler := NewSampler(loop, "test", interval, until, func() float64 { return 1 })
+		loop.RunUntil(until.Add(sim.Millisecond))
+		s := sampler.Series
+		want := int(until.Sub(sim.Time(13*sim.Microsecond))/interval) + 1
+		if len(s.T) != want || len(s.V) != want || cap(s.T) != want || cap(s.V) != want {
+			t.Errorf("interval %v: len %d/%d cap %d/%d, want %d and full",
+				interval, len(s.T), len(s.V), cap(s.T), cap(s.V), want)
+		}
+	}
+	// One timer is live at a time and the series never grows, so a window
+	// 64 times longer allocates exactly what a short one does.
+	allocs := func(weeks int) float64 {
+		until := sim.Time(weeks * 1400 * int(sim.Microsecond))
+		return testing.AllocsPerRun(5, func() {
+			loop := sim.NewLoop(1)
+			NewSampler(loop, "test", 5*sim.Microsecond, until, func() float64 { return 1 })
+			loop.RunUntil(until)
+		})
+	}
+	if short, long := allocs(1), allocs(64); long != short {
+		t.Errorf("a 64-week window allocates %v times, a 1-week window %v: sampling reallocates as it goes", long, short)
 	}
 }
 

@@ -1,11 +1,13 @@
 package tcp
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/rdcn-net/tdtcp/internal/cc"
 	"github.com/rdcn-net/tdtcp/internal/packet"
 	"github.com/rdcn-net/tdtcp/internal/sim"
+	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
 // wire is a test transport between two Conns: serializes, optionally drops
@@ -407,6 +409,55 @@ func TestFINTeardown(t *testing.T) {
 	}
 	if b.state != stCloseWait {
 		t.Fatalf("receiver state = %v, want close-wait", b.state)
+	}
+}
+
+// TestNoTailLossProbeAfterDone: the FIN-ack leaves the sender in stDone with
+// nothing outstanding, and the retransmission timer must be quiesced with it.
+// The probe deadline armed for the last flight used to survive the
+// transition (trySend returns at its state guard before re-arming), so a
+// finished sender counted and traced one more tail-loss probe.
+func TestNoTailLossProbeAfterDone(t *testing.T) {
+	loop, a, b, _, _ := newPair(t, pairOpt{})
+	var buf bytes.Buffer
+	tr := trace.New(&buf, trace.CatTCP)
+	a.SetTracer(tr, 0)
+	b.Listen()
+	doneAt, stale := sim.Time(-1), sim.Time(-1)
+	var probes uint64
+	a.OnDone = func(now sim.Time) {
+		doneAt, probes = now, a.Stats.TLPProbes
+		if a.timer.Active() {
+			stale = a.timer.When()
+		}
+	}
+	a.Connect(10 * 8960)
+	a.Close()
+	runFor(loop, 5*sim.Millisecond)
+	if doneAt < 0 {
+		t.Fatal("transfer did not finish")
+	}
+	if stale <= doneAt || stale >= loop.Now() {
+		t.Fatalf("timer armed for %v at the FIN-ack (%v), now %v: the run does not pass a stale deadline", stale, doneAt, loop.Now())
+	}
+	if a.Stats.TLPProbes != probes || a.tlpInFlight {
+		t.Errorf("TLPProbes went %d -> %d after OnDone (tlpInFlight=%v), want no probe on a finished sender",
+			probes, a.Stats.TLPProbes, a.tlpInFlight)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var ev trace.Event
+	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		if err := trace.ParseLine(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Name == "tlp" && sim.Time(ev.TS) > doneAt {
+			t.Errorf("tlp record at %v, after the flow finished at %v", sim.Time(ev.TS), doneAt)
+		}
 	}
 }
 
