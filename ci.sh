@@ -55,18 +55,12 @@ go build ./...
 go test -race -coverprofile=artifacts/cover.out ./...
 go tool cover -func=artifacts/cover.out | tee artifacts/coverage.txt
 
-# Bench smoke: one iteration of every benchmark, so the harness itself (and
-# the alloc-free fast paths it pins down) cannot silently rot. Numbers from
-# -benchtime=1x are meaningless; tracked measurements come from cmd/tdbench.
-go test -run '^$' -bench . -benchmem -benchtime 1x .
-
-# Benchmark regression gate: check the *committed* BENCH_simcore.json against
-# the thresholds in cmd/tdbench (SimulatedWeek allocation ceiling and <=20%
-# events/sec drop vs its "previous" entry; SimulatedWeekSteady must record
-# 0 allocs/op). No benchmarks run here — a single CI run's wall time is
-# exactly the noise the tracked -count medians filter out, so the gate holds
-# the reviewed artifact, not the machine of the day.
-go run ./cmd/tdbench -gate
+# Bench smoke: one iteration of every benchmark in every package (the root's
+# figure and mechanism benches, internal/packet's two codec benches), so none
+# can silently rot. Numbers from -benchtime=1x are meaningless; tracked
+# measurements come from `go run ./benchmark`, and the allocation-free steady
+# state is a test (TestSteadyStateDoesNotAllocate), not a recorded number.
+go test -run '^$' -bench . -benchmem -benchtime 1x ./...
 
 # Fuzz smoke: a few seconds of each native fuzz target. Regression corpus
 # entries under testdata/fuzz always run as part of `go test` above; this
@@ -76,3 +70,4 @@ go test -fuzz=FuzzScheduleParse -fuzztime=5s ./internal/rdcn/
 go test -fuzz=FuzzFlowSizeCDF -fuzztime=5s ./internal/workload/
 go test -fuzz=FuzzOptimalSeries -fuzztime=5s ./internal/workload/
 go test -fuzz=FuzzShardLookahead -fuzztime=5s ./internal/sim/
+go test -fuzz=FuzzSpecNormalize -fuzztime=5s ./internal/serve/

@@ -254,48 +254,13 @@ var ErrCancelled = errors.New("run cancelled")
 // Run executes one experiment and returns its measurements.
 func Run(cfg RunConfig) (*Result, error) {
 	cfg.fillDefaults()
-	hostsPerRack := cfg.Flows
-	if racks := cfg.Scenario.Racks; racks > 2 {
-		switch cfg.Variant {
-		case MPTCP, ReTCP, ReTCPDyn:
-			// Subflow pinning and the circuit-up/down signal are defined
-			// against the two-rack hybrid; the rotor fabric has no single
-			// "circuit" for a host to react to.
-			return nil, fmt.Errorf("experiments: variant %s supports only 2 racks", cfg.Variant)
-		default:
-			// Cubic, DCTCP, Reno, TDTCP run on any rack count.
-		}
-		// Ring placement: flow i runs rack i%racks -> rack (i%racks)+1,
-		// host i/racks on both sides.
-		hostsPerRack = (cfg.Flows + racks - 1) / racks
-	}
-	h, err := newHarness(&cfg, fmt.Sprintf("%s on %s", cfg.Variant, cfg.Scenario.Name), hostsPerRack, 2*cfg.Flows)
+	h, err := newRunHarness(&cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer h.dumpOnPanic()
-	loop, net, tracer, racks := h.loop, h.net, h.tracer, h.racks
+	loop, net, tracer := h.loop, h.net, h.tracer
 	measureStart, end := h.measureStart, h.end
-
-	var mn *muxNet
-	if racks > 2 {
-		mn = newMuxNet(net)
-	}
-	for i := 0; i < cfg.Flows; i++ {
-		var f *Flow
-		src := 0
-		if mn != nil {
-			src = i % racks
-			f, err = mn.BuildFlow(loop, src, i/racks, (src+1)%racks, i/racks,
-				uint16(40000+i), cfg.Variant, cfg.Flow)
-		} else {
-			f, err = BuildFlow(loop, net, i, cfg.Variant, cfg.Flow)
-		}
-		if err != nil {
-			return nil, err
-		}
-		h.addFlow(f, src, i)
-	}
 	flows := h.flows
 	h.start()
 
@@ -389,6 +354,54 @@ func Run(cfg RunConfig) (*Result, error) {
 	res.VOQ.Label = string(cfg.Variant)
 	populateMetrics(cfg, res, h)
 	return res, nil
+}
+
+// newRunHarness is the set-up half of Run: the harness for cfg (defaults
+// already filled) with Run's cfg.Flows long-running flows wired and
+// registered, none started — host pair i of the two-rack testbed, or ring
+// placement through a mux on a rotor fabric.
+func newRunHarness(cfg *RunConfig) (*harness, error) {
+	hostsPerRack := cfg.Flows
+	racks := cfg.Scenario.Racks
+	if racks > 2 {
+		switch cfg.Variant {
+		case MPTCP, ReTCP, ReTCPDyn:
+			// Subflow pinning and the circuit-up/down signal are defined
+			// against the two-rack hybrid; the rotor fabric has no single
+			// "circuit" for a host to react to.
+			return nil, fmt.Errorf("experiments: variant %s supports only 2 racks", cfg.Variant)
+		default:
+			// Cubic, DCTCP, Reno, TDTCP run on any rack count.
+		}
+		// Ring placement: flow i runs rack i%racks -> rack (i%racks)+1,
+		// host i/racks on both sides.
+		hostsPerRack = (cfg.Flows + racks - 1) / racks
+	}
+	h, err := newHarness(cfg, fmt.Sprintf("%s on %s", cfg.Variant, cfg.Scenario.Name), hostsPerRack, 2*cfg.Flows)
+	if err != nil {
+		return nil, err
+	}
+	defer h.dumpOnPanic()
+	var mn *muxNet
+	if racks > 2 {
+		mn = newMuxNet(h.net, h.slabs)
+	}
+	for i := 0; i < cfg.Flows; i++ {
+		var f *Flow
+		src := 0
+		if mn != nil {
+			src = i % racks
+			f, err = mn.BuildFlow(src, i/racks, (src+1)%racks, i/racks,
+				uint16(40000+i), cfg.Variant, cfg.Flow)
+		} else {
+			f, err = buildFlow(h.net, i, cfg.Variant, cfg.Flow, h.slabs[0], h.slabs[1])
+		}
+		if err != nil {
+			return nil, err
+		}
+		h.addFlow(f, src, i)
+	}
+	return h, nil
 }
 
 // populateMetrics fills cfg.Metrics (when set) with the run's counters and

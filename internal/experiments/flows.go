@@ -152,25 +152,6 @@ type FlowOptions struct {
 	// RcvBuf overrides the 4 MiB receive buffer (raise it for large-BDP
 	// paths such as the satellite scenario).
 	RcvBuf int
-	// Slab, when non-nil, is the shared struct-of-arrays store for hot
-	// connection state; pass one slab to every BuildFlow of an experiment
-	// so the flows' columns pack densely (see tcp.Slab).
-	Slab *tcp.Slab
-	// Slabs, when non-empty, overrides Slab per rack: the connection endpoint
-	// living on rack r allocates from Slabs[r]. The sharded engine requires
-	// this for workloads whose flows complete at runtime — ReleaseSlab
-	// mutates the slab's free lists on the owning rack's lane, so lanes must
-	// not share one.
-	Slabs []*tcp.Slab
-}
-
-// slabFor resolves the slab for a connection endpoint on the given rack: the
-// per-rack Slabs entry when present, the shared Slab otherwise.
-func (opt *FlowOptions) slabFor(rack int) *tcp.Slab {
-	if rack < len(opt.Slabs) && opt.Slabs[rack] != nil {
-		return opt.Slabs[rack]
-	}
-	return opt.Slab
 }
 
 func ccFactoryFor(v Variant, opt FlowOptions) cc.Factory {
@@ -246,8 +227,16 @@ func singlePathConfigs(net *rdcn.Network, v Variant, opt FlowOptions) (sndCfg, r
 // notification upcalls on both hosts. Each endpoint's connection lives on
 // its own rack's loop (Rack.Loop; identical to the loop argument on a
 // classic single-loop network), so under the sharded engine a connection's
-// timers fire on the lane that owns its host.
+// timers fire on the lane that owns its host. Each connection keeps its hot
+// state in a private one-row tcp.Slab.
 func BuildFlow(loop *sim.Loop, net *rdcn.Network, i int, v Variant, opt FlowOptions) (*Flow, error) {
+	return buildFlow(net, i, v, opt, nil, nil)
+}
+
+// buildFlow is BuildFlow with the slabs the two endpoints allocate their hot
+// state from: the harness passes rack 0's and rack 1's (see harness.slabs),
+// nil gives a connection its private slab.
+func buildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions, slab0, slab1 *tcp.Slab) (*Flow, error) {
 	if i < 0 || i >= net.Cfg.HostsPerRack {
 		return nil, fmt.Errorf("experiments: host index %d out of range", i)
 	}
@@ -257,7 +246,7 @@ func BuildFlow(loop *sim.Loop, net *rdcn.Network, i int, v Variant, opt FlowOpti
 	f := &Flow{Variant: v}
 
 	if v == MPTCP {
-		buildMPTCP(f, h0, h1, ntdns, opt)
+		buildMPTCP(f, h0, h1, ntdns, opt, slab0, slab1)
 		return f, nil
 	}
 
@@ -265,7 +254,7 @@ func BuildFlow(loop *sim.Loop, net *rdcn.Network, i int, v Variant, opt FlowOpti
 	if err != nil {
 		return nil, err
 	}
-	sndCfg.Slab, rcvCfg.Slab = opt.slabFor(0), opt.slabFor(1)
+	sndCfg.Slab, rcvCfg.Slab = slab0, slab1
 
 	f.Snd = tcp.NewConn(l0, sndCfg, func(s *packet.Segment) { h0.Send(s) })
 	f.Rcv = tcp.NewConn(l1, rcvCfg, func(s *packet.Segment) { h1.Send(s) })
@@ -378,7 +367,7 @@ func (g *subflowGate) flush() {
 	g.held = nil
 }
 
-func buildMPTCP(f *Flow, h0, h1 *rdcn.Host, ntdns int, opt FlowOptions) {
+func buildMPTCP(f *Flow, h0, h1 *rdcn.Host, ntdns int, opt FlowOptions, slab0, slab1 *tcp.Slab) {
 	minRTO := opt.MinRTO
 	if minRTO == 0 {
 		// Stranded subflows must not melt down in RTO storms between their
@@ -389,7 +378,7 @@ func buildMPTCP(f *Flow, h0, h1 *rdcn.Host, ntdns int, opt FlowOptions) {
 	sub := tcp.Config{CC: ccFactoryFor(MPTCP, opt), MinRTO: minRTO, MaxRTO: opt.MaxRTO,
 		Pacing: opt.Pacing, MSS: opt.MSS, RcvBuf: opt.RcvBuf}
 	sub0, sub1 := sub, sub
-	sub0.Slab, sub1.Slab = opt.slabFor(0), opt.slabFor(1)
+	sub0.Slab, sub1.Slab = slab0, slab1
 	mcfg0 := mptcp.Config{NumSubflows: ntdns, Sub: sub0, ReinjectDelay: opt.ReinjectDelay, SendBuf: opt.MPTCPSendBuf}
 	mcfg1 := mptcp.Config{NumSubflows: ntdns, Sub: sub1, ReinjectDelay: opt.ReinjectDelay, SendBuf: opt.MPTCPSendBuf}
 

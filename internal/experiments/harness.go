@@ -38,6 +38,11 @@ type harness struct {
 	inj    *fault.Injector    // nil unless cfg.Fault is enabled
 	chk    *invariant.Checker // nil unless cfg.Invariants
 	racks  int
+	// slabs holds one struct-of-arrays tcp.Slab per rack: the endpoint living
+	// on rack r allocates its hot state from slabs[r], so a flow's columns
+	// pack densely with its lane's other flows and no two lanes ever share a
+	// free list (ReleaseSlab mutates it on the owning rack's lane).
+	slabs []*tcp.Slab
 
 	measureStart, end sim.Time
 	flows             []*Flow
@@ -46,8 +51,7 @@ type harness struct {
 
 // newHarness builds the run's engine and network from the fields RunConfig
 // and WorkloadConfig share (RunWorkload copies its own into a RunConfig).
-// hostsPerRack sizes the network; slabConns sizes each rack's tcp.Slab when
-// the caller supplied none, and the slabs are written back to cfg.Flow.
+// hostsPerRack sizes the network; slabConns sizes each rack's tcp.Slab.
 func newHarness(cfg *RunConfig, what string, hostsPerRack, slabConns int) (*harness, error) {
 	h := &harness{cfg: cfg, what: what, flight: cfg.Flight, racks: cfg.Scenario.Racks}
 	if h.flight == nil && !cfg.DisableFlight {
@@ -131,14 +135,9 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack, slabConns int) (*harn
 		h.chk.WatchNetwork(net)
 	}
 
-	if cfg.Flow.Slab == nil && cfg.Flow.Slabs == nil {
-		// One struct-of-arrays slab per rack: a flow's hot state packs into
-		// its own lane's dense columns (see tcp.Slab), so no two lanes ever
-		// share a free list.
-		cfg.Flow.Slabs = make([]*tcp.Slab, h.racks)
-		for r := range cfg.Flow.Slabs {
-			cfg.Flow.Slabs[r] = tcp.NewSlab(slabConns, 2*slabConns)
-		}
+	h.slabs = make([]*tcp.Slab, h.racks)
+	for r := range h.slabs {
+		h.slabs[r] = tcp.NewSlab(slabConns, 2*slabConns)
 	}
 
 	week := cfg.Scenario.Schedule.Week()

@@ -115,9 +115,9 @@ func TestRetiredFlowKeepsPortDropsDeadman(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn := newMuxNet(h.net)
+	mn := newMuxNet(h.net, h.slabs)
 	const port = 1024
-	f, err := mn.BuildFlow(h.loop, 0, 0, 1, 1, port, TDTCP, rc.Flow)
+	f, err := mn.BuildFlow(0, 0, 1, 1, port, TDTCP, rc.Flow)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,12 +79,13 @@ func (m *hostMux) leave(c *tcp.Conn) {
 // layout of BuildFlow.
 type muxNet struct {
 	net    *rdcn.Network
+	slabs  []*tcp.Slab         // per rack, from the harness
 	muxes  [][]*hostMux        // [rack][host]
 	byAddr map[uint32]*hostMux // the same muxes by host address, for leave
 }
 
-func newMuxNet(net *rdcn.Network) *muxNet {
-	mn := &muxNet{net: net, muxes: make([][]*hostMux, len(net.Racks)), byAddr: make(map[uint32]*hostMux)}
+func newMuxNet(net *rdcn.Network, slabs []*tcp.Slab) *muxNet {
+	mn := &muxNet{net: net, slabs: slabs, muxes: make([][]*hostMux, len(net.Racks)), byAddr: make(map[uint32]*hostMux)}
 	for r, rack := range net.Racks {
 		mn.muxes[r] = make([]*hostMux, len(rack.Hosts))
 		for h, host := range rack.Hosts {
@@ -105,7 +106,7 @@ func newMuxNet(net *rdcn.Network) *muxNet {
 // endpoints join their hosts' notify sets here and leave them at leave. MPTCP
 // and the reTCP variants are two-rack constructs (subflow pinning and the
 // circuit-up signal have no rotor analogue) and are rejected.
-func (mn *muxNet) BuildFlow(loop *sim.Loop, srcRack, srcHost, dstRack, dstHost int,
+func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int,
 	port uint16, v Variant, opt FlowOptions) (*Flow, error) {
 	switch v {
 	case MPTCP, ReTCP, ReTCPDyn:
@@ -136,7 +137,7 @@ func (mn *muxNet) BuildFlow(loop *sim.Loop, srcRack, srcHost, dstRack, dstHost i
 	if err != nil {
 		return nil, err
 	}
-	sndCfg.Slab, rcvCfg.Slab = opt.slabFor(srcRack), opt.slabFor(dstRack)
+	sndCfg.Slab, rcvCfg.Slab = mn.slabs[srcRack], mn.slabs[dstRack]
 	hs := mn.net.Racks[srcRack].Hosts[srcHost]
 	hr := mn.net.Racks[dstRack].Hosts[dstHost]
 	f := &Flow{Variant: v}
@@ -350,12 +351,11 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		return nil, err
 	}
 	defer h.dumpOnPanic()
-	cfg.Flow = rc.Flow
 	loop, net, tracer, racks := h.loop, h.net, h.tracer, h.racks
 	measureStart, end := h.measureStart, h.end
 
 	fctHist := cfg.Metrics.Hist("fct.ns")
-	mn := newMuxNet(net)
+	mn := newMuxNet(net, h.slabs)
 	h.start()
 
 	// Aggregate capacity = per-rack schedule-weighted uplink rate × racks.
@@ -401,7 +401,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		size := cfg.Dist.Sample(rng)
 		port := uint16(nextPort)
 		nextPort++
-		f, err := mn.BuildFlow(loop, src, sh, dst, dh, port, cfg.Variant, cfg.Flow)
+		f, err := mn.BuildFlow(src, sh, dst, dh, port, cfg.Variant, cfg.Flow)
 		if err != nil {
 			buildErr = err
 			return

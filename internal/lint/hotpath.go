@@ -33,9 +33,10 @@ type hotFunc struct {
 	declPos   token.Position
 }
 
-// HotPathCheck turns the zero-allocation claims of BENCH_simcore.json into a
-// compile-time contract: a //lint:hotpath function containing a statement
-// the escape analysis says allocates is a finding. Run requires a
+// HotPathCheck is the compile-time half of the zero-allocation contract that
+// internal/experiments' TestSteadyStateDoesNotAllocate holds at run time: a
+// //lint:hotpath function containing a statement the escape analysis says
+// allocates is a finding. Run requires a
 // module-mode load (Load, not LoadDirs) because it shells out to the
 // compiler for escape data; the build is cache-replayed, so re-linting a
 // clean tree costs no compile time.

@@ -83,11 +83,37 @@ var (
 	workloadVariants = map[string]bool{"tdtcp": true, "cubic": true, "dctcp": true, "reno": true}
 )
 
+// Size ceilings. Building a run costs time and memory in racks × hosts ×
+// TDNs before the first simulation event, and the stop seam that enforces a
+// job's deadline is polled only between events, so a spec must be refused
+// here or not at all: {"racks":20000} once held a worker for 1 m 42 s and
+// 3.1 GB before rdcn.New's own range check could fail it. The ceilings are
+// fixed, not configurable: each is far above what the paper's experiments
+// and this repository's figures use (16 flows, 8 racks, 4 hosts per rack,
+// tens of weeks), and the costliest admitted spec (512 flows over 254 racks)
+// spends about a second and 250 MB before its first stop poll.
+const (
+	// maxRacks is rdcn.New's own range: rack ids are one byte on the wire.
+	maxRacks = 255
+	// maxRunFlows and maxHosts bound the hosts built per rack (kind=run
+	// places flows/racks on each, at least one; kind=workload places hosts).
+	maxRunFlows = 512
+	maxHosts    = 256
+	// maxWarmupWeeks bounds simulated time that holds no growing state and
+	// that the deadline can cut; maxMeasureWeeks bounds the window whose
+	// 5 µs sample series a run keeps (about 18 kB per hybrid week).
+	maxWarmupWeeks  = 100_000
+	maxMeasureWeeks = 10_000
+	// maxWorkloadFlows is experiments.RunWorkload's limit: every arrival
+	// takes a port from 1024 up and ports are never recycled.
+	maxWorkloadFlows = 0xFFFF - 1024 + 1
+)
+
 // Normalize fills service defaults and validates everything checkable
 // without running: kind, variant, distribution name, schedule and fault-plan
-// syntax, and numeric sanity. It returns a new Spec; the receiver is not
-// modified. Submitting a spec that fails Normalize is a client error (HTTP
-// 400), never a job.
+// syntax, and that every size is inside its range. It returns a new Spec;
+// the receiver is not modified. Submitting a spec that fails Normalize is a
+// client error (HTTP 400), never a job.
 func (s *Spec) Normalize() (*Spec, error) {
 	n := *s
 	if n.Kind == "" {
@@ -106,6 +132,9 @@ func (s *Spec) Normalize() (*Spec, error) {
 		}
 		if n.Hosts != 0 {
 			return nil, fmt.Errorf("serve: hosts applies only to kind=workload")
+		}
+		if n.Racks != 0 && (n.Racks < 2 || n.Racks > maxRacks) {
+			return nil, fmt.Errorf("serve: kind=run needs racks in [2, %d] (or 0 for the two-rack hybrid), got %d", maxRacks, n.Racks)
 		}
 		if n.Racks > 2 {
 			switch n.Variant {
@@ -129,8 +158,8 @@ func (s *Spec) Normalize() (*Spec, error) {
 		if n.Racks == 0 {
 			n.Racks = 4
 		}
-		if n.Racks < 3 {
-			return nil, fmt.Errorf("serve: kind=workload needs racks >= 3, got %d", n.Racks)
+		if n.Racks < 3 || n.Racks > maxRacks {
+			return nil, fmt.Errorf("serve: kind=workload needs racks in [3, %d], got %d", maxRacks, n.Racks)
 		}
 		if n.Hosts == 0 {
 			n.Hosts = 2
@@ -165,9 +194,20 @@ func (s *Spec) Normalize() (*Spec, error) {
 	default:
 		return nil, fmt.Errorf("serve: unknown kind %q (want %q or %q)", n.Kind, KindRun, KindWorkload)
 	}
-	if n.Flows < 0 || n.Racks < 0 || n.Hosts < 0 || n.WarmupWeeks < 0 ||
-		n.MeasureWeeks < 0 || n.MaxFlows < 0 || n.DeadlineMS < 0 {
-		return nil, fmt.Errorf("serve: negative sizes in spec")
+	for _, f := range [...]struct {
+		name   string
+		v, max int
+	}{
+		{"flows", n.Flows, maxRunFlows}, {"hosts", n.Hosts, maxHosts},
+		{"warmup_weeks", n.WarmupWeeks, maxWarmupWeeks}, {"measure_weeks", n.MeasureWeeks, maxMeasureWeeks},
+		{"max_flows", n.MaxFlows, maxWorkloadFlows},
+	} {
+		if f.v < 0 || f.v > f.max {
+			return nil, fmt.Errorf("serve: %s must be in [0, %d], got %d", f.name, f.max, f.v)
+		}
+	}
+	if n.DeadlineMS < 0 {
+		return nil, fmt.Errorf("serve: negative deadline_ms")
 	}
 	if n.WarmupWeeks == 0 {
 		n.WarmupWeeks = 1

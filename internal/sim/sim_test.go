@@ -362,21 +362,21 @@ func TestSameInstantAfterCompaction(t *testing.T) {
 
 func TestLoopTracerEmitsFireEvents(t *testing.T) {
 	l := NewLoop(1)
-	// A nil tracer must be safe (the default); then attach a ring tracer
-	// and count fire events.
+	// A nil tracer must be safe (the default); then attach a flight-only
+	// tracer and count fire events.
 	l.SetTracer(nil)
 	l.After(1, func() {})
 	l.Run()
 
-	tr := trace.NewRing(8, trace.CatSim)
-	l.SetTracer(tr)
+	flight := trace.NewFlight(8, trace.CatSim)
+	l.SetTracer((*trace.Tracer)(nil).WithFlight(flight))
 	l.After(1, func() {})
 	l.After(2, func() {})
 	l.Run()
-	if got := len(tr.Events()); got != 2 {
+	if got := flight.Len(); got != 2 {
 		t.Fatalf("fire events = %d, want 2", got)
 	}
-	for _, ev := range tr.Events() {
+	for _, ev := range flight.Events() {
 		if ev.Cat != "sim" || ev.Name != "fire" {
 			t.Fatalf("unexpected event %+v", ev)
 		}

@@ -7,9 +7,10 @@
 // kernel tracepoints, tcpdump captures, a modified Wireshark dissector —
 // and this package plays that role for the reproduction: every event
 // carries a virtual timestamp and flow/TDN labels, streams to an io.Writer
-// as JSONL (one JSON object per line) or into a fixed-size ring buffer,
-// and converts to Chrome trace-viewer JSON (chrome://tracing, Perfetto)
-// for visual inspection of a whole RDCN week.
+// as JSONL (one JSON object per line) and into the always-on flight
+// recorder's fixed-size ring (flight.go), and converts to Chrome
+// trace-viewer JSON (chrome://tracing, Perfetto) for visual inspection of a
+// whole RDCN week.
 //
 // # Determinism
 //
@@ -156,11 +157,12 @@ type SpanID int64
 // The deepest chain in the tree today is epoch -> notify -> cwnd_swap.
 const maxSpanDepth = 8
 
-// Tracer collects events. Construct with New (streaming JSONL) or NewRing
-// (in-memory ring buffer); a nil *Tracer is the disabled tracer and every
-// method on it is safe to call. Tracer is safe for concurrent use: the
-// simulation itself is single-goroutine, but analysis tools and tests may
-// emit from several goroutines at once.
+// Tracer collects events. Construct with New (streaming JSONL), or attach a
+// flight recorder to a nil tracer with WithFlight for in-memory recording
+// only; a nil *Tracer is the disabled tracer and every method on it is safe
+// to call. Tracer is safe for concurrent use: the simulation itself is
+// single-goroutine, but analysis tools and tests may emit from several
+// goroutines at once.
 type Tracer struct {
 	mask   Category
 	flight *Flight // always-on ring, bypasses mask; see flight.go
@@ -192,9 +194,6 @@ type Tracer struct {
 	mu    sync.Mutex
 	w     *bufio.Writer
 	buf   []byte // encode scratch, reused under mu
-	ring  []Event
-	next  int // ring cursor
-	wrap  bool
 	count uint64
 	err   error
 }
@@ -205,17 +204,8 @@ func New(w io.Writer, mask Category) *Tracer {
 	return &Tracer{mask: mask, w: bufio.NewWriterSize(w, 1<<16), buf: make([]byte, 0, 256)}
 }
 
-// NewRing returns a tracer that keeps the most recent n events in memory
-// (a flight recorder for post-mortem debugging). Dump serializes them.
-func NewRing(n int, mask Category) *Tracer {
-	if n < 1 {
-		n = 1
-	}
-	return &Tracer{mask: mask, ring: make([]Event, 0, n)}
-}
-
 // Enabled reports whether events in category c are being recorded — by the
-// mask (JSONL/ring output) or by an attached flight recorder. This is the
+// mask (JSONL output) or by an attached flight recorder. This is the
 // hot-path gate: on a nil (disabled) tracer it is a nil check and a branch,
 // nothing more.
 func (t *Tracer) Enabled(c Category) bool {
@@ -286,11 +276,9 @@ func (t *Tracer) SetSpanSource(fn func() int64) {
 }
 
 // WriteRaw appends pre-encoded JSONL lines (as produced by this package's
-// own encoder) to the tracer's output and counts them. On a streaming
-// tracer the bytes pass through verbatim; on a ring tracer each line is
-// decoded back into an Event (an allocation — rings are a debug surface,
-// not the parity path). The sharded engine uses WriteRaw to splice merged
-// spool chunks into the sequential output position.
+// own encoder) to the tracer's output and counts them; the bytes pass
+// through verbatim. The sharded engine uses WriteRaw to splice merged spool
+// chunks into the sequential output position.
 func (t *Tracer) WriteRaw(b []byte) {
 	if t == nil || len(b) == 0 {
 		return
@@ -298,43 +286,11 @@ func (t *Tracer) WriteRaw(b []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.count += uint64(bytes.Count(b, []byte("\n")))
-	if t.ring != nil {
-		for len(b) > 0 {
-			i := bytes.IndexByte(b, '\n')
-			if i < 0 {
-				i = len(b)
-			}
-			var ev Event
-			if err := ParseLine(b[:i], &ev); err == nil {
-				t.appendRingLocked(ev)
-			}
-			if i == len(b) {
-				break
-			}
-			b = b[i+1:]
-		}
-		return
-	}
 	if t.w == nil {
 		return // count-only tracer
 	}
 	if _, err := t.w.Write(b); err != nil && t.err == nil {
 		t.err = err
-	}
-}
-
-// appendRingLocked stores ev in the ring, overwriting the oldest. Caller
-// holds mu.
-func (t *Tracer) appendRingLocked(ev Event) {
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, ev)
-		return
-	}
-	t.ring[t.next] = ev
-	t.next++
-	t.wrap = true
-	if t.next == cap(t.ring) {
-		t.next = 0
 	}
 }
 
@@ -383,7 +339,7 @@ func (t *Tracer) Emit(c Category, ts int64, name string, flow, tdn int, a, b flo
 	t.record(c, ts, name, flow, tdn, "", 0, 0, a, b, s)
 }
 
-// record is the masked-output half of Emit: ring or JSONL, under the lock.
+// record is the masked-output half of Emit: JSONL, under the lock.
 // On a forked tracer it instead routes to the active sink: the lane spool
 // while spooling, or a direct relay into the parent otherwise (the fork is
 // single-writer, so the spool path needs no lock).
@@ -399,13 +355,8 @@ func (t *Tracer) record(c Category, ts int64, name string, flow, tdn int, ph str
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.count++
-	if t.ring != nil || t.w == nil {
-		if t.ring == nil {
-			return // mask set but no destination: count only
-		}
-		t.appendRingLocked(Event{TS: ts, Cat: c.String(), Name: name, Flow: flow, TDN: tdn,
-			A: a, B: b, S: s, Ph: ph, Span: int64(span), Parent: int64(parent)})
-		return
+	if t.w == nil {
+		return // mask set but no destination: count only
 	}
 	t.buf = appendEvent(t.buf[:0], c, ts, name, flow, tdn, ph, int64(span), int64(parent), a, b, s)
 	if _, err := t.w.Write(t.buf); err != nil && t.err == nil {
@@ -545,46 +496,6 @@ func appendFloat(b []byte, v float64) []byte {
 		return append(b, "-1"...)
 	}
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-// Events returns the ring buffer's contents in emission order. It returns
-// nil for streaming and nil tracers.
-func (t *Tracer) Events() []Event {
-	//lint:ignore concurrency ring is assigned once at construction; this reads only the immutable slice header
-	if t == nil || t.ring == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.ring))
-	if t.wrap {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	} else {
-		out = append(out, t.ring...)
-	}
-	return out
-}
-
-// Dump writes the ring buffer's contents as JSONL to w. On a streaming
-// tracer it is equivalent to Flush.
-func (t *Tracer) Dump(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	//lint:ignore concurrency ring is assigned once at construction; this reads only the immutable slice header
-	if t.ring == nil {
-		return t.Flush()
-	}
-	var buf []byte
-	for _, ev := range t.Events() {
-		mask, _ := ParseCategories(ev.Cat)
-		buf = appendEvent(buf[:0], mask, ev.TS, ev.Name, ev.Flow, ev.TDN, ev.Ph, ev.Span, ev.Parent, ev.A, ev.B, ev.S)
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Flush drains buffered output to the underlying writer.

@@ -18,23 +18,24 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Count() != 0 || tr.Err() != nil || tr.Flush() != nil {
 		t.Fatal("nil tracer not inert")
 	}
-	if tr.Events() != nil {
-		t.Fatal("nil tracer has events")
-	}
-	if err := tr.Dump(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
+}
+
+// flightTracer is the in-memory tracer of these tests: no JSONL output, every
+// event in mask recorded into an n-slot flight ring.
+func flightTracer(n int, mask Category) (*Tracer, *Flight) {
+	f := NewFlight(n, mask)
+	return (*Tracer)(nil).WithFlight(f), f
 }
 
 func TestCategoryMask(t *testing.T) {
-	tr := NewRing(8, CatTCP|CatVOQ)
+	tr, f := flightTracer(8, CatTCP|CatVOQ)
 	tr.Emit(CatTCP, 1, "a", 0, 0, 0, 0, "")
 	tr.Emit(CatCC, 2, "b", 0, 0, 0, 0, "") // masked out
 	tr.Emit(CatVOQ, 3, "c", 0, 0, 0, 0, "")
-	if got := tr.Count(); got != 2 {
+	if got := f.Count(); got != 2 {
 		t.Fatalf("Count = %d, want 2", got)
 	}
-	evs := tr.Events()
+	evs := f.Events()
 	if len(evs) != 2 || evs[0].Name != "a" || evs[1].Name != "c" {
 		t.Fatalf("unexpected events %+v", evs)
 	}
@@ -99,32 +100,6 @@ func TestDeterministicBytes(t *testing.T) {
 	}
 	if !bytes.Equal(run(), run()) {
 		t.Fatal("identical emission sequences produced different bytes")
-	}
-}
-
-func TestRingWrap(t *testing.T) {
-	tr := NewRing(4, CatAll)
-	for i := 0; i < 10; i++ {
-		tr.Emit(CatSim, int64(i), "fire", -1, -1, 0, 0, "")
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.TS != int64(6+i) {
-			t.Fatalf("ring order wrong: %+v", evs)
-		}
-	}
-	if tr.Count() != 10 {
-		t.Fatalf("Count = %d, want 10", tr.Count())
-	}
-	var buf bytes.Buffer
-	if err := tr.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if n := bytes.Count(buf.Bytes(), []byte("\n")); n != 4 {
-		t.Fatalf("Dump wrote %d lines, want 4", n)
 	}
 }
 
@@ -295,12 +270,12 @@ func TestSpanDisabled(t *testing.T) {
 		t.Fatal("nil tracer has a parent span")
 	}
 
-	tr := NewRing(4, CatTCP)
+	tr, f := flightTracer(4, CatTCP)
 	if id := tr.BeginSpan(CatVOQ, 0, "x", 0, 0, 0); id != 0 {
 		t.Fatal("masked-out span allocated an id")
 	}
 	tr.EndSpan(CatVOQ, 1, "x", 0, 0, 0, 0, 0)
-	if tr.Count() != 0 {
+	if f.Count() != 0 {
 		t.Fatal("masked-out span recorded events")
 	}
 	// Masked-out spans must not consume ids: the next recorded span still
@@ -311,7 +286,7 @@ func TestSpanDisabled(t *testing.T) {
 }
 
 func TestParentStack(t *testing.T) {
-	tr := NewRing(4, CatAll)
+	tr, _ := flightTracer(4, CatAll)
 	if tr.Parent() != 0 {
 		t.Fatal("fresh tracer has a parent")
 	}

@@ -388,9 +388,6 @@ const (
 // NewTracer returns a tracer streaming JSONL events to w.
 func NewTracer(w io.Writer, mask TraceCategory) *Tracer { return trace.New(w, mask) }
 
-// NewRingTracer returns a tracer retaining the last n events in memory.
-func NewRingTracer(n int, mask TraceCategory) *Tracer { return trace.NewRing(n, mask) }
-
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return trace.NewRegistry() }
 
