@@ -13,6 +13,10 @@
 //	                                # results stay byte-identical to -shards 1
 //	tdsim -run tdtcp -deadline 5s   # wall-clock budget; cooperative cancel,
 //	                                # exit 3 (trace stays a valid prefix)
+//	tdsim -run tdtcp -workload websearch -racks 8 -metrics out.json
+//	                                # one open-loop flow-workload run on the
+//	                                # rotor fabric: FCTs and the flow life
+//	                                # cycle (released, late segments, ports)
 //	tdsim -sweep tdtcp,cubic -seeds 4 -parallel 8 -progress
 //	                                # variants x seeds matrix, 8 workers,
 //	                                # per-worker cell status on stderr
@@ -57,8 +61,8 @@ func main() {
 		csvDir = flag.String("csv", "", "directory to write plottable CSV series into (-fig only)")
 
 		shards   = flag.Int("shards", 1, "event-loop worker lanes (-run/-sweep; >= 1; traces and results are byte-identical for every value)")
-		racks    = flag.Int("racks", 0, "rack count for the multi-rack figures (rotor, multirack; 0 = default 4)")
-		workload = flag.String("workload", "", "flow-size distribution for the workload figures (websearch, datamining)")
+		racks    = flag.Int("racks", 0, "rack count for the multi-rack figures (rotor, multirack) and -run -workload (0 = default 4)")
+		workload = flag.String("workload", "", "flow-size distribution for the workload figures (websearch, datamining); with -run, runs that variant's open-loop flow workload on the rotor fabric instead of long-lived flows")
 
 		traceOut  = flag.String("trace", "", "write a JSONL event trace (point events and causal spans) to this file (-run only; '-' = stdout)")
 		traceCats = flag.String("tracecats", "tcp,cc,tdn,voq,rdcn,fault", "trace categories for -trace (comma-separated; 'all' adds the chatty sim loop; ignored without -trace)")
@@ -102,6 +106,32 @@ func main() {
 		}, *flightLen, *progress); err != nil {
 			fatal(err)
 		}
+	case *runVar != "" && *workload != "":
+		if *faultSpec != "" || *invariants || *schedSpec != "" {
+			fatal(fmt.Errorf("-fault, -invariants and -sched apply to long-lived -run only, not to -run -workload"))
+		}
+		dist, err := tdtcp.FlowSizeCDFByName(*workload)
+		if err != nil {
+			fatal(err)
+		}
+		n := *racks
+		if n == 0 {
+			n = 4
+		}
+		cfg := tdtcp.WorkloadConfig{
+			Variant: tdtcp.Variant(*runVar), Scenario: tdtcp.MultiRackScenario(n), Dist: dist,
+			WarmupWeeks: *warmup, MeasureWeeks: *weeks, Seed: *seed, Shards: *shards,
+			Stop: deadlineStop(*deadline),
+		}
+		cfg.Flight, cfg.DisableFlight = flightFor(*flightLen)
+		out, err := openOutputs(*traceOut, *traceCats, *metricsFn, *progress)
+		if err != nil {
+			fatal(err)
+		}
+		cfg.Tracer, cfg.Metrics, cfg.Meter = out.tracer, out.metrics, out.meter
+		res, err := tdtcp.RunWorkload(cfg)
+		exitOnRunError(out.finish(err), *deadline)
+		printWorkload(res)
 	case *runVar != "":
 		w, m := *warmup, *weeks
 		if w == 0 {
@@ -131,21 +161,16 @@ func main() {
 			cfg.Scenario = tdtcp.HybridScenario()
 			cfg.Scenario.Schedule = sched
 		}
-		configureFlight(&cfg, *flightLen)
-		if *deadline > 0 {
-			// The wall-clock budget rides the cooperative stop seam: polled
-			// between simulation events, so an interrupted run's trace is a
-			// byte-identical prefix of the full run's.
-			at := time.Now().Add(*deadline)
-			cfg.Stop = func() bool { return !time.Now().Before(at) }
-		}
-		if err := runOne(cfg, *traceOut, *traceCats, *metricsFn, *progress); err != nil {
-			if errors.Is(err, tdtcp.ErrRunCancelled) {
-				fmt.Fprintf(os.Stderr, "tdsim: deadline %v exceeded: %v\n", *deadline, err)
-				os.Exit(3)
-			}
+		cfg.Flight, cfg.DisableFlight = flightFor(*flightLen)
+		cfg.Stop = deadlineStop(*deadline)
+		out, err := openOutputs(*traceOut, *traceCats, *metricsFn, *progress)
+		if err != nil {
 			fatal(err)
 		}
+		cfg.Tracer, cfg.Metrics, cfg.Meter = out.tracer, out.metrics, out.meter
+		res, err := tdtcp.Run(cfg)
+		exitOnRunError(out.finish(err), *deadline)
+		printRun(cfg, res)
 	case *figID != "":
 		opts := tdtcp.FigureOptions{Flows: *flows, WarmupWeeks: *warmup, MeasureWeeks: *weeks, Seed: *seed,
 			Racks: *racks, Workload: *workload, Quick: *quick}
@@ -193,70 +218,136 @@ func outFile(path string) (w io.Writer, closeFn func() error, err error) {
 	return f, f.Close, nil
 }
 
-// configureFlight applies the -flightrec flag to one run configuration. Each
-// run gets its own ring (recorders are never shared across sweep cells); the
-// default length needs no explicit recorder — Run creates one.
-func configureFlight(cfg *tdtcp.RunConfig, n int) {
+// flightFor turns the -flightrec flag into a run configuration's Flight and
+// DisableFlight. Each run gets its own ring (recorders are never shared
+// across sweep cells); the default length needs no explicit recorder — the
+// run creates one.
+func flightFor(n int) (*tdtcp.FlightRecorder, bool) {
 	switch {
 	case n <= 0:
-		cfg.DisableFlight = true
+		return nil, true
 	case n != tdtcp.DefaultFlightLen:
-		cfg.Flight = tdtcp.NewFlightRecorder(n, tdtcp.DefaultFlightCats)
+		return tdtcp.NewFlightRecorder(n, tdtcp.DefaultFlightCats), false
+	}
+	return nil, false
+}
+
+// deadlineStop turns -deadline into a run's Stop hook (nil = no budget). The
+// wall-clock budget rides the cooperative stop seam: polled between
+// simulation events, so an interrupted run's trace is a byte-identical
+// prefix of the full run's.
+func deadlineStop(d time.Duration) func() bool {
+	if d <= 0 {
+		return nil
+	}
+	at := time.Now().Add(d)
+	return func() bool { return !time.Now().Before(at) }
+}
+
+// exitOnRunError ends the process on a failed -run: exit 3 when the deadline
+// cancelled it, 1 otherwise.
+func exitOnRunError(err error, deadline time.Duration) {
+	if errors.Is(err, tdtcp.ErrRunCancelled) {
+		fmt.Fprintf(os.Stderr, "tdsim: deadline %v exceeded: %v\n", deadline, err)
+		os.Exit(3)
+	}
+	if err != nil {
+		fatal(err)
 	}
 }
 
-func runOne(cfg tdtcp.RunConfig, traceOut, traceCats, metricsFn string, progress bool) error {
-	var closeTrace func() error
+// outputs are the observers -trace, -metrics and -progress attach to a -run,
+// whichever entry point executes it.
+type outputs struct {
+	tracer  *tdtcp.Tracer
+	metrics *tdtcp.MetricsRegistry
+	meter   *tdtcp.ProgressMeter
+
+	rep        *tdtcp.ProgressReporter
+	traceOut   string
+	closeTrace func() error
+	metricsFn  string
+}
+
+func openOutputs(traceOut, traceCats, metricsFn string, progress bool) (*outputs, error) {
+	o := &outputs{traceOut: traceOut, metricsFn: metricsFn}
 	if traceOut != "" {
 		mask, err := tdtcp.ParseTraceCategories(traceCats)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		w, closeFn, err := outFile(traceOut)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		closeTrace = closeFn
-		cfg.Tracer = tdtcp.NewTracer(w, mask)
+		o.closeTrace = closeFn
+		o.tracer = tdtcp.NewTracer(w, mask)
 	}
 	if metricsFn != "" {
-		cfg.Metrics = tdtcp.NewMetricsRegistry()
+		o.metrics = tdtcp.NewMetricsRegistry()
 	}
-	var rep *tdtcp.ProgressReporter
 	if progress {
-		meter := tdtcp.NewProgressMeter()
-		cfg.Meter = meter
-		rep = tdtcp.NewProgressReporter(os.Stderr, time.Second, meter.Line)
-		rep.Start()
+		o.meter = tdtcp.NewProgressMeter()
+		o.rep = tdtcp.NewProgressReporter(os.Stderr, time.Second, o.meter.Line)
+		o.rep.Start()
 	}
-	res, err := tdtcp.Run(cfg)
-	if rep != nil {
-		rep.Stop()
+	return o, nil
+}
+
+// finish stops the progress reporter and, unless the run failed with runErr
+// (returned as is), flushes the trace and writes the metrics.
+func (o *outputs) finish(runErr error) error {
+	if o.rep != nil {
+		o.rep.Stop()
 	}
-	if err != nil {
-		return err
+	if runErr != nil {
+		return runErr
 	}
-	if cfg.Tracer != nil {
-		if err := cfg.Tracer.Flush(); err != nil {
+	if o.tracer != nil {
+		if err := o.tracer.Flush(); err != nil {
 			return err
 		}
-		if err := closeTrace(); err != nil {
+		if err := o.closeTrace(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "tdsim: %d trace events -> %s\n", cfg.Tracer.Count(), traceOut)
+		fmt.Fprintf(os.Stderr, "tdsim: %d trace events -> %s\n", o.tracer.Count(), o.traceOut)
 	}
-	if cfg.Metrics != nil {
-		w, closeFn, err := outFile(metricsFn)
+	if o.metrics != nil {
+		w, closeFn, err := outFile(o.metricsFn)
 		if err != nil {
 			return err
 		}
-		if err := cfg.Metrics.WriteJSON(w); err != nil {
+		if err := o.metrics.WriteJSON(w); err != nil {
 			return err
 		}
 		if err := closeFn(); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// printWorkload reports one -run -workload: goodput, completion times, the
+// summed endpoint counters and the flow life cycle.
+func printWorkload(res *tdtcp.WorkloadResult) {
+	fmt.Printf("variant        %s on %s\n", res.Variant, res.Cfg.Scenario.Name)
+	fmt.Printf("goodput        %.2f Gbps, mean VOQ %.1f pkts\n", res.GoodputGbps, res.MeanVOQ)
+	fmt.Printf("flows          started=%d completed=%d released=%d ports-bound-max=%d late-segs=%d\n",
+		res.FlowsStarted, res.FlowsCompleted, res.FlowsReleased, res.PortsBoundMax, res.LateSegs)
+	for _, b := range res.FCT.Summaries() {
+		if b.N > 0 {
+			fmt.Printf("fct %-10s n=%d mean=%.1f us\n", b.Bucket, b.N, b.MeanUs)
+		}
+	}
+	s := res.Sender
+	fmt.Printf("sender         sent=%d acked=%dB retrans=%d (fast=%d rto=%d tlp=%d)\n",
+		s.SegsSent, s.BytesAcked, s.Retransmits, s.FastRetransmits, s.RTOFires, s.TLPProbes)
+	fmt.Printf("receiver       delivered=%dB spurious-rx=%d dsacks=%d\n",
+		res.Receiver.BytesDelivered, res.Receiver.DupSegsRcvd, res.Receiver.DSACKsSent)
+}
+
+// printRun reports one long-lived -run.
+func printRun(cfg tdtcp.RunConfig, res *tdtcp.Result) {
 	fmt.Printf("variant        %s\n", res.Variant)
 	fmt.Printf("goodput        %.2f Gbps (optimal %.2f, packet-only %.2f)\n",
 		res.GoodputGbps, res.OptimalGbps, res.PacketOnlyGbps)
@@ -292,7 +383,6 @@ func runOne(cfg tdtcp.RunConfig, traceOut, traceCats, metricsFn string, progress
 			fmt.Printf("  VIOLATION    %v\n", v)
 		}
 	}
-	return nil
 }
 
 // runSweep executes a variants x seeds matrix across workers and prints one
@@ -316,7 +406,7 @@ func runSweep(spec string, nseeds, workers int, base tdtcp.RunConfig, flightLen 
 	}
 	cfgs := tdtcp.SweepMatrix(base, variants, seeds)
 	for i := range cfgs {
-		configureFlight(&cfgs[i], flightLen)
+		cfgs[i].Flight, cfgs[i].DisableFlight = flightFor(flightLen)
 	}
 	fmt.Fprintf(os.Stderr, "tdsim: sweeping %d configs (%d variants x %d seeds) on %d workers\n",
 		len(cfgs), len(variants), nseeds, workers)

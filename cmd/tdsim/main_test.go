@@ -238,3 +238,33 @@ func TestDeadlineFlagGenerousBudgetExits0(t *testing.T) {
 		t.Errorf("report missing from stdout:\n%s", stdout)
 	}
 }
+
+// TestRunWorkloadReportsLifeCycle: -run with -workload is one open-loop
+// workload run, and -metrics shows the flow life cycle next to the arrival
+// counters: flows released, late segments, and the peak of bound ports.
+func TestRunWorkloadReportsLifeCycle(t *testing.T) {
+	bin := buildBinary(t)
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	stdout, stderr, code := runSim(t, bin,
+		"-run", "tdtcp", "-workload", "websearch", "-warmup", "1", "-weeks", "6", "-metrics", metrics)
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, stderr)
+	}
+	for _, want := range []string{"rotor-4", "released=", "late-segs=0", "fct all"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("report missing %q:\n%s", want, stdout)
+		}
+	}
+	js, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"workload.flows_released":`, `"workload.late_segs":0`, `"workload.ports_bound_max":`} {
+		if !strings.Contains(string(js), want) {
+			t.Errorf("metrics missing %s:\n%s", want, js)
+		}
+	}
+	if _, stderr, code := runSim(t, bin, "-run", "tdtcp", "-workload", "websearch", "-invariants"); code != 1 {
+		t.Errorf("-invariants with -run -workload: exit %d, want 1 (stderr: %s)", code, stderr)
+	}
+}

@@ -179,17 +179,30 @@ func TestBuildFlowValidation(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadRejectsUnservableMaxFlows: every arrival takes a fresh port,
-// so a cap above the port space cannot be honoured; it must be an error, not
-// an arrival process that quietly stops early.
-func TestRunWorkloadRejectsUnservableMaxFlows(t *testing.T) {
-	_, err := RunWorkload(WorkloadConfig{Variant: TDTCP, MaxFlows: maxWorkloadFlows + 1})
-	if err == nil || !strings.Contains(err.Error(), "MaxFlows") {
-		t.Fatalf("MaxFlows %d: err = %v, want a MaxFlows error", maxWorkloadFlows+1, err)
+// TestWorkloadPortsRecycle: the port sequence wraps past 65535 onto the ports
+// released flows gave back, so a run is not limited to one port space of
+// arrivals, and which port a flow gets changes nothing it does. The run that
+// starts four ports short of the wrap must be the default run, flow for flow.
+func TestWorkloadPortsRecycle(t *testing.T) {
+	base := WorkloadConfig{Variant: TDTCP, WarmupWeeks: 1, MeasureWeeks: 6, Load: 0.3}
+	want, err := RunWorkload(base)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunWorkload(WorkloadConfig{Variant: TDTCP, MaxFlows: maxWorkloadFlows,
-		WarmupWeeks: 1, MeasureWeeks: 1}); err != nil {
-		t.Fatalf("MaxFlows %d (the whole port space) rejected: %v", maxWorkloadFlows, err)
+	wrapped := base
+	wrapped.firstPort = maxPort - 3
+	got, err := RunWorkload(wrapped)
+	if err != nil {
+		t.Fatalf("run whose ports wrap after 4 arrivals: %v", err)
+	}
+	if want.FlowsStarted < 40 {
+		t.Fatalf("only %d arrivals: too few to wrap and go on", want.FlowsStarted)
+	}
+	if got.FlowsStarted != want.FlowsStarted || got.FlowsCompleted != want.FlowsCompleted ||
+		got.GoodputGbps != want.GoodputGbps || got.Sender != want.Sender || got.Receiver != want.Receiver {
+		t.Errorf("wrapped ports changed the run: started %d/%d completed %d/%d goodput %v/%v\nsender   %+v\n      vs %+v",
+			got.FlowsStarted, want.FlowsStarted, got.FlowsCompleted, want.FlowsCompleted,
+			got.GoodputGbps, want.GoodputGbps, got.Sender, want.Sender)
 	}
 }
 

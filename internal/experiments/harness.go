@@ -41,11 +41,13 @@ type harness struct {
 	// slabs holds one struct-of-arrays tcp.Slab per rack: the endpoint living
 	// on rack r allocates its hot state from slabs[r], so a flow's columns
 	// pack densely with its lane's other flows and no two lanes ever share a
-	// free list (ReleaseSlab mutates it on the owning rack's lane).
+	// free list (a lane recycles its own retransmission-queue entries;
+	// Conn.Release runs at control instants, with the lanes parked).
 	slabs []*tcp.Slab
 
 	measureStart, end sim.Time
 	flows             []*Flow
+	droppedBytes      int64 // delivered by the flows dropFlow has taken out of flows
 	baseline          int64 // bytes delivered when the measurement window opened
 }
 
@@ -189,9 +191,19 @@ func (h *harness) addFlow(f *Flow, srcRack, id int) {
 	h.flows = append(h.flows, f)
 }
 
-// delivered sums the bytes every registered flow has handed its application.
+// dropFlow forgets a flow addFlow registered and that will deliver nothing
+// more; what it delivered stays in the run's total.
+func (h *harness) dropFlow(f *Flow) {
+	if i := slices.Index(h.flows, f); i >= 0 {
+		h.droppedBytes += f.Delivered()
+		h.flows = slices.Delete(h.flows, i, i+1)
+	}
+}
+
+// delivered sums the bytes every flow registered so far has handed its
+// application.
 func (h *harness) delivered() int64 {
-	var sum int64
+	sum := h.droppedBytes
 	for _, f := range h.flows {
 		sum += f.Delivered()
 	}

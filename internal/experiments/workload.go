@@ -23,12 +23,16 @@ import (
 // multi-rack workloads need several, so the mux owns the host's
 // Recv/NotifyTDN upcalls.
 //
-// An endpoint's two memberships have different lifetimes. Its port is bound
-// in conns by muxNet.BuildFlow and stays bound for the rest of the run: a
-// receiver must still (D-)SACK a retransmission that arrives after the flow
-// completed. Its place in notify — the §3.2 "every TDTCP socket on the host"
-// set — begins at BuildFlow and ends at muxNet.leave, so what a TDN change
-// costs a host follows the flows open on it, not the flows it ever carried.
+// An endpoint's two memberships have different lifetimes. Its place in notify
+// — the §3.2 "every TDTCP socket on the host" set — begins at
+// muxNet.BuildFlow and ends at muxNet.leave, so what a TDN change costs a
+// host follows the flows open on it. Its port is bound in conns by BuildFlow
+// and outlives leave by a linger, TCP's TIME_WAIT: a receiver must still
+// (D-)SACK a retransmission that arrives after the flow completed. At
+// muxNet.release the port is unbound and the connection's state goes back to
+// its rack's slab, so what a host holds follows the flows open or lingering
+// on it, not the flows it ever carried. A segment for an unbound port is
+// dropped and counted, as a host does after TIME_WAIT.
 //
 // The map is looked up, never ranged over, and notify keeps join order
 // (fan-out order is trace order), so event order stays deterministic.
@@ -36,6 +40,7 @@ type hostMux struct {
 	seg    packet.Segment
 	conns  map[uint16]*tcp.Conn
 	notify []*tcp.Conn
+	late   uint64 // segments dropped for want of a bound port
 }
 
 func newHostMux() *hostMux {
@@ -48,9 +53,12 @@ func (m *hostMux) recv(fr netem.Frame) {
 	if err := packet.Parse(fr.Wire, &m.seg); err != nil {
 		return // corrupted frames are dropped silently, as on a real NIC
 	}
-	if c, ok := m.conns[m.seg.TCP.DstPort]; ok {
-		c.Input(&m.seg)
+	c, ok := m.conns[m.seg.TCP.DstPort]
+	if !ok {
+		m.late++
+		return
 	}
+	c.Input(&m.seg)
 }
 
 // recvBatch is the batched-delivery counterpart of recv: one upcall per
@@ -102,8 +110,9 @@ func newMuxNet(net *rdcn.Network, slabs []*tcp.Slab) *muxNet {
 
 // BuildFlow wires one single-path flow from (srcRack, srcHost) to (dstRack,
 // dstHost). Both endpoints use the same port number, which must be unique
-// per endpoint host — it is the demux key on both sides. A TDTCP flow's
-// endpoints join their hosts' notify sets here and leave them at leave. MPTCP
+// per endpoint host among the ports bound at the time — it is the demux key
+// on both sides. A TDTCP flow's endpoints join their hosts' notify sets here
+// and leave them at leave; the ports are unbound at release. MPTCP
 // and the reTCP variants are two-rack constructs (subflow pinning and the
 // circuit-up signal have no rotor analogue) and are rejected.
 func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int,
@@ -163,9 +172,9 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int,
 // leave retires a flow whose sender has seen its FIN acknowledged: both
 // endpoints stop receiving TDN notifications, and a notification deadman, if
 // armed, is stopped — with the notifications gone, silence would otherwise
-// engage it on a dead flow for the rest of the run. The ports stay bound (see
-// hostMux). It edits state the rack lanes read, so call it only at a control
-// instant (workers parked), where BuildFlow runs too.
+// engage it on a dead flow for the rest of the run. The ports stay bound until
+// release (see hostMux). Like BuildFlow and release it edits state the rack
+// lanes read, so call it only at a control instant (workers parked).
 func (mn *muxNet) leave(f *Flow) {
 	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
 		mn.byAddr[c.LocalAddr].leave(c)
@@ -175,16 +184,28 @@ func (mn *muxNet) leave(f *Flow) {
 	}
 }
 
-// notifyWidth is the number of endpoints one TDN change is fanned out to,
-// summed over every host.
-func (mn *muxNet) notifyWidth() int {
-	n := 0
+// release ends the linger of a flow that has left: both ports are unbound and
+// both connections return their rows, retransmission-queue entries and queue
+// arrays to their racks' slabs. The flow's armed timers still fire, as
+// no-ops, so the event sequence is what it would have been.
+func (mn *muxNet) release(f *Flow) {
+	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
+		delete(mn.byAddr[c.LocalAddr].conns, c.LocalPort)
+		c.Release()
+	}
+}
+
+// census sums the muxes over every host: the endpoints one TDN change is
+// fanned out to, the ports bound, and the segments dropped at unbound ports.
+func (mn *muxNet) census() (notifyWidth, portsBound int, lateSegs uint64) {
 	for _, rack := range mn.muxes {
 		for _, m := range rack {
-			n += len(m.notify)
+			notifyWidth += len(m.notify)
+			portsBound += len(m.conns)
+			lateSegs += m.late
 		}
 	}
-	return n
+	return notifyWidth, portsBound, lateSegs
 }
 
 // WorkloadConfig specifies one open-loop flow-workload run: finite flows with
@@ -210,7 +231,7 @@ type WorkloadConfig struct {
 	// traces are byte-identical for every value (see RunConfig.Shards).
 	Shards int
 	// MaxFlows caps total arrivals so a mis-set load cannot spawn unbounded
-	// state (default 512, at most 64512: one port per arrival).
+	// work (default 512).
 	MaxFlows int
 	// SampleEvery is the VOQ-occupancy sampling cadence (default 5 µs).
 	SampleEvery sim.Dur
@@ -243,12 +264,19 @@ type WorkloadConfig struct {
 
 	// tweakNet selects a reference data plane (see RunConfig.tweakNet).
 	tweakNet func(*rdcn.Config)
+	// firstPort is the port the first arrival takes (default minPort); a
+	// seam for testing the wrap without 64 512 arrivals.
+	firstPort int
 }
 
-// maxWorkloadFlows is the number of ports a workload run can hand out: every
-// arrival takes the next port from 1024 up as its demux key on both hosts,
-// and ports are never recycled.
-const maxWorkloadFlows = 0xFFFF - 1024 + 1
+// Every arrival takes the next port, from minPort up, as its demux key on
+// both hosts. Past maxPort the sequence wraps to the ports released flows
+// have given back; an arrival whose port is still bound on one of its hosts
+// fails the run.
+const (
+	minPort = 1024
+	maxPort = 0xFFFF
+)
 
 func (cfg *WorkloadConfig) fillDefaults() {
 	if cfg.Scenario.Name == "" {
@@ -284,6 +312,21 @@ func (cfg *WorkloadConfig) fillDefaults() {
 	if cfg.MarkThresh == 0 && cfg.Variant == DCTCP {
 		cfg.MarkThresh = 5
 	}
+	if cfg.firstPort == 0 {
+		cfg.firstPort = minPort
+	}
+}
+
+// linger is how long a finished flow keeps its ports bound: TCP's TIME_WAIT
+// of 2 x MSL, with the maximum segment lifetime taken from the scenario as
+// one schedule week (the longest a segment waits in a VOQ for its circuit)
+// plus the slowest TDN's one-way delay.
+func (cfg *WorkloadConfig) linger() sim.Dur {
+	var slowest sim.Dur
+	for _, t := range cfg.Scenario.TDNs {
+		slowest = max(slowest, t.Delay)
+	}
+	return 2 * (cfg.Scenario.Schedule.Week() + slowest)
 }
 
 // WorkloadResult carries the outcome of one workload run.
@@ -296,8 +339,17 @@ type WorkloadResult struct {
 	// open-loop censoring).
 	FCT stats.FCT
 	// FlowsStarted counts all arrivals; FlowsCompleted counts flows whose
-	// FIN was acknowledged before the horizon.
-	FlowsStarted, FlowsCompleted int
+	// FIN was acknowledged before the horizon; FlowsReleased counts those
+	// whose linger then ran out, so that their ports and state were given
+	// back (see RunWorkload).
+	FlowsStarted, FlowsCompleted, FlowsReleased int
+	// PortsBoundMax is the most ports bound at once, summed over every host
+	// (two per flow open or lingering); LateSegs counts segments dropped
+	// because they arrived for a port already unbound.
+	PortsBoundMax int
+	LateSegs      uint64
+	// Sender and Receiver sum the endpoint counters of every flow started.
+	Sender, Receiver tcp.Stats
 	// BytesOffered sums the sizes of all arrived flows.
 	BytesOffered int64
 	// GoodputGbps is aggregate application-delivered throughput over the
@@ -310,9 +362,18 @@ type WorkloadResult struct {
 	// Flight is the run's flight recorder (nil when disabled).
 	Flight *trace.Flight
 
-	// The mux lifecycle at the horizon, for this package's tests: flows that
-	// have left the notify sets, and the endpoints still in them.
-	flowsRetired, notifyWidth int
+	// The flow life cycle at the horizon, for this package's tests.
+	life lifeCensus
+}
+
+// lifeCensus counts what a workload run still holds at the horizon, each
+// taken from the structure itself rather than from the life-cycle counters.
+type lifeCensus struct {
+	retired     int // flows that have left the notify sets, lingering or released
+	notifyWidth int // endpoints in the notify sets, over every host
+	portsBound  int // ports bound, over every host
+	connRows    int // per-connection slab rows in use, over every rack
+	flows       int // flows the harness still tracks
 }
 
 // RunWorkload executes one open-loop workload experiment. Flow arrivals are a
@@ -327,17 +388,16 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	default:
 		return nil, fmt.Errorf("experiments: variant %s is not supported by RunWorkload", cfg.Variant)
 	}
-	if cfg.MaxFlows > maxWorkloadFlows {
-		return nil, fmt.Errorf("experiments: MaxFlows %d exceeds the %d ports a workload run can hand out",
-			cfg.MaxFlows, maxWorkloadFlows)
-	}
 	// The harness reads what the two configs share off a RunConfig. Slabs are
-	// one per rack per run. A flow joins its hosts' muxes at arrival and leaves
-	// their notify sets at the first arrival after its FIN-ack; its ports stay
-	// bound and its slab rows stay allocated to the horizon, because the
-	// receiver must still answer a late retransmission. So memory grows with
-	// the flows started (thousands in a long run), while the per-event and
-	// per-notification work follows the flows open.
+	// one per rack per run. A flow's life has three stages after its arrival:
+	// it is open until its FIN is acknowledged; at the first arrival after
+	// that it leaves its hosts' notify sets and lingers, ports still bound,
+	// because the receiver must still answer a late retransmission; at the
+	// first arrival at or after leave + linger it is released: ports unbound,
+	// connection state back in the slabs, the Flow dropped. What is kept of it
+	// is the result: its done-record and its share of the summed counters. So
+	// per-event work, per-notification work and memory all follow the flows
+	// open or lingering, and only the result grows with the flows started.
 	rc := RunConfig{
 		Variant: cfg.Variant, Scenario: cfg.Scenario,
 		WarmupWeeks: cfg.WarmupWeeks, MeasureWeeks: cfg.MeasureWeeks,
@@ -364,30 +424,51 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 
 	res := &WorkloadResult{Variant: cfg.Variant, Cfg: cfg}
 	var buildErr error
-	nextPort := 1024
+	nextPort := cfg.firstPort
 	// Completions fire on the sender's rack lane, so each lane gets a private
 	// done-list (single writer); they are merged into the result in canonical
 	// (completion time, rack) order after the horizon. The FCT histogram and
 	// the meter are atomic and order-independent, so those record inline.
 	type doneRec struct {
-		f     *Flow
+		f     *Flow // nil once the flow has left
 		size  int64
 		start sim.Time
 		done  sim.Time
 	}
 	perRack := make([][]doneRec, racks)
 	// retired[r] counts the entries of perRack[r] whose flows have left the
-	// muxes. Arrivals run on the control lane with every rack lane parked at
-	// the same instant whatever the shard count, so each one retires what the
-	// lanes have completed since the one before: a shard-count-invariant
-	// instant at O(1) amortised per flow, with no timer of its own.
+	// notify sets. Arrivals run on the control lane with every rack lane
+	// parked at the same instant whatever the shard count, so each one moves
+	// the life cycle on: it releases the flows whose linger has run out and
+	// retires what the lanes have completed since the arrival before. Both
+	// happen at a shard-count-invariant instant, at O(1) amortised per flow,
+	// with no timer of their own.
 	retired := make([]int, racks)
+	type lingerRec struct {
+		f    *Flow
+		left sim.Time
+	}
+	var lingering []lingerRec // in leave order
+	linger := cfg.linger()
 	var spawn func()
 	spawn = func() {
+		now := loop.Now()
+		due := 0
+		for ; due < len(lingering) && now.Sub(lingering[due].left) >= linger; due++ {
+			f := lingering[due].f
+			mn.release(f)
+			h.dropFlow(f)
+			addStats(&res.Sender, &f.Snd.Stats)
+			addStats(&res.Receiver, &f.Rcv.Stats)
+			res.FlowsReleased++
+		}
+		lingering = slices.Delete(lingering, 0, due)
 		for r, list := range perRack {
-			for _, d := range list[retired[r]:] {
-				mn.leave(d.f)
-				res.flowsRetired++
+			for i := retired[r]; i < len(list); i++ {
+				mn.leave(list[i].f)
+				lingering = append(lingering, lingerRec{f: list[i].f, left: now})
+				list[i].f = nil
+				res.life.retired++
 			}
 			retired[r] = len(list)
 		}
@@ -400,7 +481,9 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		sh, dh := rng.Intn(cfg.Hosts), rng.Intn(cfg.Hosts)
 		size := cfg.Dist.Sample(rng)
 		port := uint16(nextPort)
-		nextPort++
+		if nextPort++; nextPort > maxPort {
+			nextPort = minPort
+		}
 		f, err := mn.BuildFlow(src, sh, dst, dh, port, cfg.Variant, cfg.Flow)
 		if err != nil {
 			buildErr = err
@@ -411,6 +494,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		rt := net.Racks[src].Tracer()
 		start := loop.Now()
 		res.FlowsStarted++
+		res.PortsBoundMax = max(res.PortsBoundMax, 2*(res.FlowsStarted-res.FlowsReleased))
 		res.BytesOffered += size
 		cfg.Meter.FlowStarted()
 		// The flow's lifetime (arrival to FIN-ack) is a causal span; flows
@@ -464,7 +548,15 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	}
 	res.GoodputGbps = h.goodputGbps()
 	res.MeanVOQ = voq.Series.Mean()
-	res.notifyWidth = mn.notifyWidth()
+	for _, f := range h.flows { // open or lingering; the released are in already
+		addStats(&res.Sender, &f.Snd.Stats)
+		addStats(&res.Receiver, &f.Rcv.Stats)
+	}
+	res.life.notifyWidth, res.life.portsBound, res.LateSegs = mn.census()
+	res.life.flows = len(h.flows)
+	for _, slab := range h.slabs {
+		res.life.connRows += slab.LiveConns()
+	}
 	res.FramesSent, res.FramesDelivered, res.FramesMisrouted, err = h.finish()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: workload run %s: %w", cfg.Scenario.Name, err)
@@ -475,6 +567,9 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		m.Set("workload.mean_voq_pkts", res.MeanVOQ)
 		m.Add("workload.flows_started", int64(res.FlowsStarted))
 		m.Add("workload.flows_completed", int64(res.FlowsCompleted))
+		m.Add("workload.flows_released", int64(res.FlowsReleased))
+		m.Add("workload.late_segs", int64(res.LateSegs))
+		m.Set("workload.ports_bound_max", float64(res.PortsBoundMax))
 		m.Add("workload.bytes_offered", res.BytesOffered)
 	}
 	return res, nil

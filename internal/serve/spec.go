@@ -93,8 +93,11 @@ var (
 // tens of weeks), and the costliest admitted spec (512 flows over 254 racks)
 // spends about a second and 250 MB before its first stop poll.
 const (
-	// maxRacks is rdcn.New's own range: rack ids are one byte on the wire.
-	maxRacks = 255
+	// maxRacks is the largest fabric the simulator can build. rdcn.New takes
+	// rack ids up to 255 (one byte on the wire), but a rotor of an odd number
+	// of racks n has n matchings and so n+1 TDNs, TDN ids are one byte too,
+	// and 0xFF is packet.NoTDN: 255 racks would need a 256th TDN.
+	maxRacks = 254
 	// maxRunFlows and maxHosts bound the hosts built per rack (kind=run
 	// places flows/racks on each, at least one; kind=workload places hosts).
 	maxRunFlows = 512
@@ -104,9 +107,13 @@ const (
 	// 5 µs sample series a run keeps (about 18 kB per hybrid week).
 	maxWarmupWeeks  = 100_000
 	maxMeasureWeeks = 10_000
-	// maxWorkloadFlows is experiments.RunWorkload's limit: every arrival
-	// takes a port from 1024 up and ports are never recycled.
+	// maxWorkloadFlows bounds what a kind=workload job keeps per arrival: a
+	// done-record and an FCT sample. It is one port space of arrivals;
+	// RunWorkload itself recycles released ports and has no such limit.
 	maxWorkloadFlows = 0xFFFF - 1024 + 1
+	// maxDeadlineMS is a day: no admitted spec runs that long, and a budget
+	// beyond it is a typo or an overflow waiting for the ms-to-ns conversion.
+	maxDeadlineMS = 24 * 60 * 60 * 1000
 )
 
 // Normalize fills service defaults and validates everything checkable
@@ -206,8 +213,8 @@ func (s *Spec) Normalize() (*Spec, error) {
 			return nil, fmt.Errorf("serve: %s must be in [0, %d], got %d", f.name, f.max, f.v)
 		}
 	}
-	if n.DeadlineMS < 0 {
-		return nil, fmt.Errorf("serve: negative deadline_ms")
+	if n.DeadlineMS < 0 || n.DeadlineMS > maxDeadlineMS {
+		return nil, fmt.Errorf("serve: deadline_ms must be in [0, %d], got %d", maxDeadlineMS, n.DeadlineMS)
 	}
 	if n.WarmupWeeks == 0 {
 		n.WarmupWeeks = 1

@@ -39,6 +39,10 @@ func TestNormalizeSizeCeilings(t *testing.T) {
 		{"measure_weeks max+1", &Spec{Kind: KindWorkload, MeasureWeeks: maxMeasureWeeks + 1}, false},
 		{"max_flows max", &Spec{Kind: KindWorkload, MaxFlows: maxWorkloadFlows}, true},
 		{"max_flows max+1", &Spec{Kind: KindWorkload, MaxFlows: maxWorkloadFlows + 1}, false},
+		{"deadline_ms max", &Spec{DeadlineMS: maxDeadlineMS}, true},
+		{"deadline_ms max+1", &Spec{DeadlineMS: maxDeadlineMS + 1}, false},
+		{"deadline_ms overflowing", &Spec{DeadlineMS: 1 << 62}, false},
+		{"deadline_ms negative", &Spec{DeadlineMS: -1}, false},
 	} {
 		if _, err := tc.spec.Normalize(); (err == nil) != tc.ok {
 			t.Errorf("%s: Normalize error = %v, want admitted = %v", tc.name, err, tc.ok)
@@ -46,9 +50,9 @@ func TestNormalizeSizeCeilings(t *testing.T) {
 	}
 }
 
-// TestMaxFlowsCeilingIsTheSimulators: the max_flows ceiling restates a limit
-// that lives in experiments, so a spec at the ceiling must get past
-// RunWorkload's own check (and then stop at the first poll of the seam).
+// TestMaxFlowsCeilingIsTheSimulators: a spec at the max_flows ceiling is a run
+// the simulator takes: it gets past RunWorkload's own checks (and then stops
+// at the first poll of the seam).
 func TestMaxFlowsCeilingIsTheSimulators(t *testing.T) {
 	n, err := (&Spec{Kind: KindWorkload, MaxFlows: maxWorkloadFlows}).Normalize()
 	if err != nil {
@@ -58,6 +62,29 @@ func TestMaxFlowsCeilingIsTheSimulators(t *testing.T) {
 	cfg.Stop = func() bool { return true }
 	if _, err := experiments.RunWorkload(cfg); !errors.Is(err, experiments.ErrCancelled) {
 		t.Fatalf("RunWorkload at the max_flows ceiling: %v, want a cancelled run", err)
+	}
+}
+
+// TestRacksCeilingIsTheSimulators: the racks ceiling restates where the
+// simulator's one-byte TDN ids run out, so the largest admitted fabric must
+// build (and stop at the first poll of the seam), and one rack more, handed
+// to the simulator behind Normalize's back, must be what it refuses:
+// racks:255 used to pass Normalize and fail milliseconds into the job.
+func TestRacksCeilingIsTheSimulators(t *testing.T) {
+	n, err := (&Spec{Kind: KindWorkload, Racks: maxRacks, Hosts: 1}).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := n.workloadConfig()
+	cfg.Stop = func() bool { return true }
+	if _, err := experiments.RunWorkload(cfg); !errors.Is(err, experiments.ErrCancelled) {
+		t.Fatalf("RunWorkload at the racks ceiling: %v, want a cancelled run", err)
+	}
+	n.Racks = maxRacks + 1
+	cfg = n.workloadConfig()
+	cfg.Stop = func() bool { return true }
+	if _, err := experiments.RunWorkload(cfg); err == nil || errors.Is(err, experiments.ErrCancelled) {
+		t.Fatalf("RunWorkload one rack past the ceiling: %v, want the simulator's refusal", err)
 	}
 }
 
@@ -103,6 +130,10 @@ func FuzzSpecNormalize(f *testing.F) {
 		`{"kind":"run","schedule":"6x(0:180us,-:20us),1:180us,-:20us","deadline_ms":5000}`,
 		`{"flows":-1}`,
 		`{"kind":"nope"}`,
+		`{"racks":254}`,
+		`{"kind":"workload","racks":255}`,
+		`{"deadline_ms":86400000}`,
+		`{"deadline_ms":9223372036854775807}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -140,6 +171,9 @@ func FuzzSpecNormalize(f *testing.F) {
 			if v[0] < 0 || v[0] > v[1] {
 				t.Fatalf("admitted %s %d, ceiling %d", name, v[0], v[1])
 			}
+		}
+		if once.DeadlineMS < 0 || once.DeadlineMS > maxDeadlineMS {
+			t.Fatalf("admitted deadline_ms %d, ceiling %d", once.DeadlineMS, maxDeadlineMS)
 		}
 	})
 }

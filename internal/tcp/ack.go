@@ -27,7 +27,7 @@ func (c *Conn) Input(s *packet.Segment) {
 			c.completeHandshakeAck(s)
 		}
 		return
-	case stClosed, stDone:
+	case stClosed, stDone, stReleased:
 		return
 	default:
 		// stEstablished, stCloseWait, stFinWait: the data path below.
@@ -97,7 +97,7 @@ func (c *Conn) completeHandshakeAck(s *packet.Segment) {
 		if !seg.EverRetrans {
 			st.ObserveRTT(now.Sub(seg.SentAt), c.cfg.MinRTO, c.cfg.MaxRTO)
 		}
-		c.putTxSeg(seg)
+		c.slab.putTxSeg(seg)
 	})
 	c.setSndUna(c.iss + 1)
 	c.backoff = 0
@@ -222,7 +222,7 @@ func (c *Conn) processAck(s *packet.Segment) {
 				st.AddRetransOut(-1)
 			}
 			c.Stats.BytesAcked += int64(seg.Len)
-			c.putTxSeg(seg)
+			c.slab.putTxSeg(seg)
 		})
 		c.setSndUna(ack)
 		c.backoff = 0

@@ -99,6 +99,7 @@ const (
 	stFinWait   // our FIN sent, awaiting ACK
 	stCloseWait // peer FIN received
 	stDone
+	stReleased // Release was called: rows returned, every entry point a no-op
 )
 
 // Stats aggregates per-connection instrumentation counters.
@@ -220,13 +221,11 @@ type Conn struct {
 
 	// Scratch storage reused across the data path so steady-state operation
 	// allocates nothing: one outgoing segment (see the Out contract), the
-	// per-state delivery and RTO-touch tallies, and a retransmission-queue
-	// entry free list fed by popAcked.
+	// per-state delivery and RTO-touch tallies. Retransmission-queue entries
+	// come from and return to the slab.
 	outSeg     packet.Segment
 	delivered  []int
 	rtoTouched []bool
-	segFree    []*TxSeg
-	segChunk   []TxSeg
 
 	// notifySeen marks that at least one TDN notification was applied; the
 	// epoch of the latest one lives in the slab. It distinguishes "no epoch
@@ -306,57 +305,39 @@ func NewConn(loop *sim.Loop, cfg Config, out func(*packet.Segment)) *Conn {
 	c.rtoTouched = make([]bool, n)
 	c.mruBlock = make([]uint32, 0, maxMRU)
 	c.outSeg.TCP.SACK = make([]packet.SACKBlock, 0, 4)
-	c.rtx.segs = make([]*TxSeg, 0, 64)
-	c.segFree = make([]*TxSeg, 0, 64)
+	c.rtx.segs = c.slab.getQueue()
 	c.policy.Attach(c)
 	return c
 }
 
-// ReleaseSlab returns the connection's slab rows to the shared slab's free
-// lists. Call only when the connection is finished and will receive no
-// further events; the accessors index freed rows afterwards.
-func (c *Conn) ReleaseSlab() {
+// Release ends the connection's life: its slab rows, the retransmission-queue
+// entries still outstanding and the queue's backing array go back to the slab
+// for the next connection, and the connection becomes inert. Input, Notify and
+// the transmit engine ignore a released connection, and its lazily-armed
+// retransmission and pacing timers are not stopped: they fire as no-ops, so
+// releasing changes neither the event count nor any event's sequence number.
+// Stats stay readable; the path states do not. Timers a Policy armed on its
+// own (the TDTCP deadman) are the caller's to stop first.
+func (c *Conn) Release() {
+	if c.state == stReleased {
+		return
+	}
+	for _, seg := range c.rtx.segs[c.rtx.head:] {
+		c.slab.putTxSeg(seg)
+	}
+	c.slab.putQueue(c.rtx.segs)
+	c.rtx = rtxQueue{}
 	c.slab.releaseConn(c.idx)
 	c.slab.releasePaths(c.pathBase, len(c.states))
-}
-
-// getTxSeg returns a zeroed retransmission-queue entry, recycling one retired
-// by a cumulative ACK when available. Fresh entries are carved from
-// chunk-allocated blocks so the queue's working set sits in a handful of
-// contiguous arrays instead of one heap object per in-flight segment.
-//
-//lint:hotpath runs once per transmitted segment
-func (c *Conn) getTxSeg() *TxSeg {
-	if n := len(c.segFree); n > 0 {
-		s := c.segFree[n-1]
-		c.segFree[n-1] = nil
-		c.segFree = c.segFree[:n-1]
-		*s = TxSeg{}
-		return s
+	// A stale use of the rows would corrupt whichever connection holds them
+	// next; with the slab gone it faults instead.
+	for _, st := range c.states {
+		st.slab = nil
 	}
-	if len(c.segChunk) == 0 {
-		c.refillSegChunk()
-	}
-	s := &c.segChunk[0]
-	c.segChunk = c.segChunk[1:]
-	return s
+	c.slab = nil
+	c.state = stReleased
+	c.wantAt = 0
 }
-
-// refillSegChunk restocks the TxSeg carving block, 64 entries at a time.
-// getTxSeg's amortized cold path, kept in its own non-inlined function so
-// the //lint:hotpath contract on getTxSeg holds (allocations are charged to
-// the callee); once the free list covers the flight size, it never runs.
-//
-//go:noinline
-func (c *Conn) refillSegChunk() {
-	c.segChunk = make([]TxSeg, 64)
-}
-
-// putTxSeg recycles a retransmission-queue entry the queue no longer
-// references. Callers must not touch the entry afterwards.
-//
-//lint:hotpath runs once per cumulatively acked segment
-func (c *Conn) putTxSeg(s *TxSeg) { c.segFree = append(c.segFree, s) }
 
 // SetTracer attaches a tracer and flow label to the connection and hooks
 // every path state's congestion-control instance so CC decisions surface as
@@ -454,20 +435,16 @@ func (c *Conn) RelSeq(seq uint32) uint32 { return seq - c.iss - 1 }
 func (c *Conn) AbsSeq(off uint32) uint32 { return off + c.iss + 1 }
 
 // Established reports whether the handshake has completed.
-func (c *Conn) Established() bool { return c.state >= stEstablished && c.state != stDone }
+func (c *Conn) Established() bool { return c.state >= stEstablished && c.state < stDone }
 
 // TDEnabled reports whether the TD_CAPABLE handshake negotiated TDTCP
 // options on this connection.
 func (c *Conn) TDEnabled() bool { return c.tdEnabled }
 
-// totalPacketsOut is the §4.3 "all TDNs" sum used to validate ACKs.
-func (c *Conn) totalPacketsOut() int {
-	n := 0
-	for _, st := range c.states {
-		n += st.PacketsOut()
-	}
-	return n
-}
+// totalPacketsOut is the §4.3 "all TDNs" sum used to validate ACKs. Every
+// queue entry counts exactly once, in the packetsOut of the TDN it is tagged
+// with (CheckInvariants proves the equality), so the sum is the queue length.
+func (c *Conn) totalPacketsOut() int { return c.rtx.len() }
 
 // Listen places the connection in passive-open state.
 func (c *Conn) Listen() {
@@ -523,6 +500,9 @@ func (c *Conn) Close() {
 // wrapping past math.MaxUint32. Epoch 0 bypasses the gate (tests and direct
 // drivers that do not maintain epochs).
 func (c *Conn) Notify(tdn int, epoch uint32) {
+	if c.state == stReleased {
+		return
+	}
 	c.Stats.NotifiesRcvd++
 	if epoch != 0 {
 		if c.notifySeen {
@@ -557,6 +537,9 @@ func (c *Conn) Kick() { c.trySend() }
 // lost segment is plain packet conservation. MPTCP's scheduler calls this on
 // the subflow it activates.
 func (c *Conn) KickRecovery() {
+	if c.state == stReleased {
+		return
+	}
 	st := c.ActiveState()
 	if (st.CA() != CARecovery && st.CA() != CALoss) || st.InFlight() > 0 || st.LostOut() == 0 {
 		return
@@ -652,7 +635,7 @@ func (c *Conn) sendSYN(ack bool) {
 		// First transmission: the SYN occupies one sequence number and,
 		// per Appendix A.2, is always tracked under TDN 0.
 		c.setSndNxt(c.iss + 1)
-		seg := c.getTxSeg()
+		seg := c.slab.getTxSeg()
 		seg.Seq, seg.Len, seg.TDN = seq, 1, 0
 		seg.SentAt, seg.FirstSentAt = c.Loop.Now(), c.Loop.Now()
 		c.rtx.push(seg)
@@ -811,7 +794,7 @@ func (c *Conn) sendNewSegment() bool {
 		n = int(c.backlog)
 	}
 	now := c.Loop.Now()
-	seg := c.getTxSeg()
+	seg := c.slab.getTxSeg()
 	seg.Seq, seg.Len = c.sndNxt(), n
 	seg.SentAt, seg.FirstSentAt = now, now
 	c.setSndNxt(c.sndNxt() + uint32(n))
@@ -831,7 +814,7 @@ func (c *Conn) maybeSendFIN() {
 		return
 	}
 	now := c.Loop.Now()
-	seg := c.getTxSeg()
+	seg := c.slab.getTxSeg()
 	seg.Seq, seg.Len, seg.TDN = c.sndNxt(), 1, c.policy.DataTDN()
 	seg.SentAt, seg.FirstSentAt = now, now
 	c.setSndNxt(c.sndNxt() + 1)
@@ -1051,6 +1034,9 @@ func (c *Conn) fireRTO() {
 }
 
 func (c *Conn) String() string {
+	if c.state == stReleased {
+		return "conn(released)"
+	}
 	return fmt.Sprintf("conn(%s una=%d nxt=%d states=%d active=%d)",
 		[]string{"closed", "listen", "synsent", "synrcvd", "estab", "finwait", "closewait", "done"}[c.state],
 		c.sndUna()-c.iss, c.sndNxt()-c.iss, len(c.states), c.policy.Active())

@@ -45,6 +45,12 @@ type pairOpt struct {
 func newPair(t *testing.T, opt pairOpt) (loop *sim.Loop, a, b *Conn, wa, wb *wire) {
 	t.Helper()
 	loop = sim.NewLoop(7)
+	a, b, wa, wb = newPairOn(loop, opt)
+	return
+}
+
+// newPairOn is newPair on a loop that already exists.
+func newPairOn(loop *sim.Loop, opt pairOpt) (a, b *Conn, wa, wb *wire) {
 	if opt.delay == 0 {
 		opt.delay = 50 * sim.Microsecond
 	}

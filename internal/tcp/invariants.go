@@ -11,6 +11,9 @@ import "fmt"
 // on the first violation instead of panicking so the invariant checker can
 // attach trace context.
 func (c *Conn) CheckInvariants() error {
+	if c.state == stReleased {
+		return nil // nothing left to be inconsistent
+	}
 	// Sender cursors.
 	if seqGT(c.sndUna(), c.sndNxt()) {
 		return fmt.Errorf("tcp: snd_una %d beyond snd_nxt %d", c.sndUna()-c.iss, c.sndNxt()-c.iss)
@@ -94,7 +97,9 @@ func (c *Conn) CheckInvariants() error {
 		return fmt.Errorf("tcp: empty rtx queue with snd_una %d != snd_nxt %d",
 			c.sndUna()-c.iss, c.sndNxt()-c.iss)
 	}
+	out := 0
 	for tdn, st := range c.states {
+		out += st.PacketsOut()
 		if st.PacketsOut() != packets[tdn] || st.SackedOut() != sacked[tdn] ||
 			st.LostOut() != lost[tdn] || st.RetransOut() != retrans[tdn] {
 			return fmt.Errorf("tcp: TDN %d pipe counters out/sacked/lost/retrans = %d/%d/%d/%d, recount %d/%d/%d/%d",
@@ -104,6 +109,10 @@ func (c *Conn) CheckInvariants() error {
 		if st.PacketsOut() < 0 || st.SackedOut() < 0 || st.LostOut() < 0 || st.RetransOut() < 0 {
 			return fmt.Errorf("tcp: TDN %d negative pipe counter", tdn)
 		}
+	}
+	// totalPacketsOut answers with the queue length instead of this sum.
+	if out != c.rtx.len() {
+		return fmt.Errorf("tcp: packets out over all TDNs %d, rtx queue holds %d", out, c.rtx.len())
 	}
 
 	// Receiver ranges: sorted, disjoint, strictly above rcv_nxt.

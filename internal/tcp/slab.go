@@ -26,6 +26,11 @@ import (
 // existing tests need no wiring. Columns grow by doubling; ids are stable for
 // the life of the connection and recycled through free lists on Release.
 //
+// The slab is also the pool behind its connections' retransmission queues:
+// TxSeg entries and the queues' backing arrays are drawn from it and go back
+// to it (on cumulative ACK, and on Release), so what a connection holds
+// follows its flight size and what a rack holds follows its open connections.
+//
 // Layout (per 64-byte cache line, 8-byte columns):
 //
 //	srtt:    | c0p0 c0p1 c1p0 c1p1 c2p0 c2p1 c3p0 c3p1 |  8 paths/line
@@ -57,6 +62,12 @@ type Slab struct {
 	// run length (connections allocate NumStates contiguous rows at once).
 	connFree []int32
 	pathFree map[int][]int32
+
+	// Retransmission-queue storage: retired TxSeg entries, the block fresh
+	// ones are carved from, and the backing arrays of released queues.
+	segFree   []*TxSeg
+	segChunk  []TxSeg
+	queueFree [][]*TxSeg
 }
 
 // NewSlab returns a slab pre-sized for the given number of connections and
@@ -150,6 +161,10 @@ func NewPathState(alg cc.Algorithm) *PathState {
 	return &PathState{CC: alg, slab: s, idx: s.allocPaths(1)}
 }
 
+// LiveConns reports the per-connection rows in use: allocated and not yet
+// released.
+func (s *Slab) LiveConns() int { return len(s.sndUna) - len(s.connFree) }
+
 // releaseConn recycles a per-connection row.
 func (s *Slab) releaseConn(idx int32) { s.connFree = append(s.connFree, idx) }
 
@@ -159,6 +174,62 @@ func (s *Slab) releasePaths(base int32, n int) {
 		s.pathFree = make(map[int][]int32)
 	}
 	s.pathFree[n] = append(s.pathFree[n], base)
+}
+
+// getTxSeg returns a zeroed retransmission-queue entry, recycling a retired
+// one when available. Fresh entries are carved from chunk-allocated blocks so
+// the queues' working set sits in a handful of contiguous arrays instead of
+// one heap object per in-flight segment.
+//
+//lint:hotpath runs once per transmitted segment
+func (s *Slab) getTxSeg() *TxSeg {
+	if n := len(s.segFree); n > 0 {
+		seg := s.segFree[n-1]
+		s.segFree = s.segFree[:n-1]
+		*seg = TxSeg{}
+		return seg
+	}
+	if len(s.segChunk) == 0 {
+		s.refillSegChunk()
+	}
+	seg := &s.segChunk[0]
+	s.segChunk = s.segChunk[1:]
+	return seg
+}
+
+// refillSegChunk restocks the TxSeg carving block, 64 entries at a time.
+// getTxSeg's amortized cold path, kept in its own non-inlined function so
+// the //lint:hotpath contract on getTxSeg holds (allocations are charged to
+// the callee); once the free list covers the slab's flight size, it never
+// runs.
+//
+//go:noinline
+func (s *Slab) refillSegChunk() {
+	s.segChunk = make([]TxSeg, 64)
+}
+
+// putTxSeg recycles a retransmission-queue entry no queue references any
+// longer. Callers must not touch the entry afterwards.
+//
+//lint:hotpath runs once per cumulatively acked segment
+func (s *Slab) putTxSeg(seg *TxSeg) { s.segFree = append(s.segFree, seg) }
+
+// getQueue returns an empty backing array for a retransmission queue.
+func (s *Slab) getQueue() []*TxSeg {
+	if n := len(s.queueFree); n > 0 {
+		q := s.queueFree[n-1]
+		s.queueFree[n-1] = nil
+		s.queueFree = s.queueFree[:n-1]
+		return q
+	}
+	return make([]*TxSeg, 0, 64)
+}
+
+// putQueue recycles a released queue's backing array.
+func (s *Slab) putQueue(q []*TxSeg) {
+	q = q[:cap(q)]
+	clear(q)
+	s.queueFree = append(s.queueFree, q[:0])
 }
 
 // Per-path column accessors. These are the only way PathState's hot fields
