@@ -31,6 +31,25 @@ test "$hotpath_elapsed" -le 10
 
 go build ./...
 
+# Code size, counted one way: non-test Go lines outside benchmark/ and
+# testdata/, per package group and in total. This is the number a simplicity
+# PR is judged by, so the gate prints it instead of every PR recounting it
+# with its own excludes.
+find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 |
+	xargs -0 wc -l | awk '
+	$2 == "total" { next }
+	{
+		n = split($2, p, "/")
+		key = n == 2 ? "." : p[2] == "internal" ? p[2] "/" p[3] : p[2]
+		loc[key] += $1
+		total += $1
+	}
+	END {
+		for (k in loc) printf "%7d %s\n", loc[k], k | "sort -k2"
+		close("sort -k2")
+		printf "%7d total\n", total
+	}' | tee artifacts/loc.txt
+
 # Full suite under the race detector, with per-package coverage; the profile
 # and its per-package summary are CI artifacts (kept out of git via
 # .gitignore). This one line carries every gate that used to re-run a subset:

@@ -61,8 +61,8 @@ func main() {
 		csvDir = flag.String("csv", "", "directory to write plottable CSV series into (-fig only)")
 
 		shards   = flag.Int("shards", 1, "event-loop worker lanes (-run/-sweep; >= 1; traces and results are byte-identical for every value)")
-		racks    = flag.Int("racks", 0, "rack count for the multi-rack figures (rotor, multirack) and -run -workload (0 = default 4)")
-		workload = flag.String("workload", "", "flow-size distribution for the workload figures (websearch, datamining); with -run, runs that variant's open-loop flow workload on the rotor fabric instead of long-lived flows")
+		racks    = flag.Int("racks", 0, "rack count of the rotor fabric (-fig rotor/multirack and -run with -workload only; 0 = default 4; refused by -sweep and by a long-lived -run, which use the two-rack hybrid)")
+		workload = flag.String("workload", "", "flow-size distribution (websearch, datamining) for the workload figures (-fig); with -run, runs that variant's open-loop flow workload on the rotor fabric instead of long-lived flows; refused by -sweep")
 
 		traceOut  = flag.String("trace", "", "write a JSONL event trace (point events and causal spans) to this file (-run only; '-' = stdout)")
 		traceCats = flag.String("tracecats", "tcp,cc,tdn,voq,rdcn,fault", "trace categories for -trace (comma-separated; 'all' adds the chatty sim loop; ignored without -trace)")
@@ -91,6 +91,7 @@ func main() {
 
 	switch {
 	case *sweepSpec != "":
+		refuseFabricFlags("-sweep", *racks, *workload)
 		w, m := *warmup, *weeks
 		if w == 0 {
 			w = 3
@@ -133,6 +134,7 @@ func main() {
 		exitOnRunError(out.finish(err), *deadline)
 		printWorkload(res)
 	case *runVar != "":
+		refuseFabricFlags("a long-lived -run (the two-rack hybrid)", *racks, "")
 		w, m := *warmup, *weeks
 		if w == 0 {
 			w = 3
@@ -472,6 +474,17 @@ func sanitize(s string) string {
 			return '_'
 		}
 	}, s)
+}
+
+// refuseFabricFlags exits 1 when -racks or -workload was given to a mode that
+// would ignore it and print two-rack hybrid numbers as if it had not been.
+func refuseFabricFlags(mode string, racks int, workload string) {
+	switch {
+	case racks != 0:
+		fatal(fmt.Errorf("-racks applies to -fig and to -run with -workload, not to %s", mode))
+	case workload != "":
+		fatal(fmt.Errorf("-workload applies to -fig and to -run, not to %s", mode))
+	}
 }
 
 func fatal(err error) {

@@ -268,3 +268,29 @@ func TestRunWorkloadReportsLifeCycle(t *testing.T) {
 		t.Errorf("-invariants with -run -workload: exit %d, want 1 (stderr: %s)", code, stderr)
 	}
 }
+
+// TestFabricFlagsRefusedWhereIgnored: -racks and -workload size the rotor
+// fabric, which only -fig and -run -workload build. The other modes used to
+// drop them and print two-rack hybrid numbers with exit 0; they must refuse,
+// naming the flag and the modes that take it.
+func TestFabricFlagsRefusedWhereIgnored(t *testing.T) {
+	bin := buildBinary(t)
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-run", "tdtcp", "-racks", "8"}, []string{"-racks", "-fig", "-run with -workload"}},
+		{[]string{"-sweep", "tdtcp", "-racks", "8", "-quick"}, []string{"-racks", "-fig", "-run with -workload", "-sweep"}},
+		{[]string{"-sweep", "tdtcp", "-workload", "websearch", "-quick"}, []string{"-workload", "-fig", "-run", "-sweep"}},
+	} {
+		stdout, stderr, code := runSim(t, bin, tc.args...)
+		if code != 1 || stdout != "" {
+			t.Errorf("%v: exit %d, want 1 and no report\nstdout: %s\nstderr: %s", tc.args, code, stdout, stderr)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(stderr, want) {
+				t.Errorf("%v: stderr should name %s, got: %s", tc.args, want, stderr)
+			}
+		}
+	}
+}

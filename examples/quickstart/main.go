@@ -21,7 +21,7 @@ func main() {
 		panic(err)
 	}
 
-	flow, err := tdtcp.BuildFlow(loop, net, 0, tdtcp.TDTCP, tdtcp.FlowOptions{})
+	flow, err := tdtcp.BuildFlow(net, 0, tdtcp.TDTCP, tdtcp.FlowOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -43,7 +43,7 @@ func main() {
 	fmt.Println("\nper-TDN path state (the paper's §3.1 duplicated variables):")
 	for i, st := range flow.Snd.States() {
 		fmt.Printf("  TDN %d: cwnd=%5.1f pkts  ssthresh=%7.1f  srtt=%8v  rto=%8v  ca=%v\n",
-			i, st.Cwnd(), st.CC.Ssthresh(), st.SRTT(), st.RTO(), st.CA())
+			i, st.Cwnd(), st.CC.Ssthresh(), st.SRTT, st.RTO, st.CA)
 	}
 
 	s := flow.Snd.Stats

@@ -257,10 +257,10 @@ func (p *TDTCP) FilterLoss(seg *tcp.TxSeg, trigTDN uint8) bool {
 func (p *TDTCP) slowestRTTBound() sim.Dur {
 	var bound sim.Dur
 	for _, st := range p.c.States() {
-		if st.Samples() == 0 {
+		if st.Samples == 0 {
 			continue
 		}
-		if b := st.SRTT() + 4*st.RTTVar(); b > bound {
+		if b := st.SRTT + 4*st.RTTVar; b > bound {
 			bound = b
 		}
 	}
@@ -297,25 +297,25 @@ func (p *TDTCP) SegmentRTO(tdn uint8) sim.Dur {
 	}
 	own := states[tdn]
 	if p.opts.DisablePessimisticRTO {
-		return own.RTO()
+		return own.RTO
 	}
 	// Find the slowest TDN with an estimate.
 	var slow *tcp.PathState
 	for _, st := range states {
-		if st.Samples() == 0 {
+		if st.Samples == 0 {
 			continue
 		}
-		if slow == nil || st.SRTT() > slow.SRTT() {
+		if slow == nil || st.SRTT > slow.SRTT {
 			slow = st
 		}
 	}
-	if slow == nil || own.Samples() == 0 {
-		return own.RTO()
+	if slow == nil || own.Samples == 0 {
+		return own.RTO
 	}
-	synth := own.SRTT()/2 + slow.SRTT()/2
-	rttvar := own.RTTVar()
-	if slow.RTTVar() > rttvar {
-		rttvar = slow.RTTVar()
+	synth := own.SRTT/2 + slow.SRTT/2
+	rttvar := own.RTTVar
+	if slow.RTTVar > rttvar {
+		rttvar = slow.RTTVar
 	}
 	rto := synth + 4*rttvar
 	cfg := p.c.Config()

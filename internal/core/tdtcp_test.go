@@ -163,15 +163,15 @@ func TestPerTDNRTTSeparation(t *testing.T) {
 		e.switchTDN(1 - e.netTDN)
 	}
 	st := e.a.States()
-	if st[0].Samples() == 0 || st[1].Samples() == 0 {
-		t.Fatalf("missing samples: %d / %d", st[0].Samples(), st[1].Samples())
+	if st[0].Samples == 0 || st[1].Samples == 0 {
+		t.Fatalf("missing samples: %d / %d", st[0].Samples, st[1].Samples)
 	}
 	// TDN0 RTT = 100us; TDN1 RTT = 10us.
-	if st[0].SRTT() < 90*sim.Microsecond || st[0].SRTT() > 130*sim.Microsecond {
-		t.Fatalf("TDN0 srtt = %v, want ~100us", st[0].SRTT())
+	if st[0].SRTT < 90*sim.Microsecond || st[0].SRTT > 130*sim.Microsecond {
+		t.Fatalf("TDN0 srtt = %v, want ~100us", st[0].SRTT)
 	}
-	if st[1].SRTT() < 8*sim.Microsecond || st[1].SRTT() > 30*sim.Microsecond {
-		t.Fatalf("TDN1 srtt = %v, want ~10us", st[1].SRTT())
+	if st[1].SRTT < 8*sim.Microsecond || st[1].SRTT > 30*sim.Microsecond {
+		t.Fatalf("TDN1 srtt = %v, want ~10us", st[1].SRTT)
 	}
 	// Now switch while data is in flight on the slow TDN: the resulting
 	// mixed (type-3) samples must be discarded, leaving both estimators at
@@ -185,11 +185,11 @@ func TestPerTDNRTTSeparation(t *testing.T) {
 	if e.a.Stats.RTTSamplesDropped == 0 {
 		t.Fatal("no type-3 samples were dropped despite an in-flight switch")
 	}
-	if st[0].SRTT() < 90*sim.Microsecond || st[0].SRTT() > 130*sim.Microsecond {
-		t.Fatalf("TDN0 srtt polluted: %v", st[0].SRTT())
+	if st[0].SRTT < 90*sim.Microsecond || st[0].SRTT > 130*sim.Microsecond {
+		t.Fatalf("TDN0 srtt polluted: %v", st[0].SRTT)
 	}
-	if st[1].SRTT() < 8*sim.Microsecond || st[1].SRTT() > 30*sim.Microsecond {
-		t.Fatalf("TDN1 srtt polluted: %v", st[1].SRTT())
+	if st[1].SRTT < 8*sim.Microsecond || st[1].SRTT > 30*sim.Microsecond {
+		t.Fatalf("TDN1 srtt polluted: %v", st[1].SRTT)
 	}
 }
 
@@ -350,7 +350,7 @@ func TestPessimisticRTO(t *testing.T) {
 		e.switchTDN(1 - e.netTDN)
 	}
 	st := e.a.States()
-	if st[0].Samples() == 0 || st[1].Samples() == 0 {
+	if st[0].Samples == 0 || st[1].Samples == 0 {
 		t.Fatal("estimators not primed")
 	}
 	// RTO of a fast-TDN (1) segment must reflect the slow TDN's RTT:
@@ -363,7 +363,7 @@ func TestPessimisticRTO(t *testing.T) {
 	}
 	// Both should be clamped equal here due to the large MinRTO; verify the
 	// unclamped synthesis by lowering the floor via a direct computation.
-	synthFast := st[1].SRTT()/2 + st[0].SRTT()/2
+	synthFast := st[1].SRTT/2 + st[0].SRTT/2
 	if synthFast < 50*sim.Microsecond {
 		t.Fatalf("synthesized RTT %v too small — slow TDN ignored", synthFast)
 	}
@@ -372,8 +372,8 @@ func TestPessimisticRTO(t *testing.T) {
 	pAbl := New(2, Options{DisablePessimisticRTO: true})
 	cAbl := tcp.NewConn(e.loop, tcp.Config{NumTDNs: 2, Policy: pAbl}, func(*packet.Segment) {})
 	pAbl.Attach(cAbl)
-	if got := pAbl.SegmentRTO(1); got != cAbl.States()[1].RTO() {
-		t.Fatalf("ablated SegmentRTO = %v, want state RTO %v", got, cAbl.States()[1].RTO())
+	if got := pAbl.SegmentRTO(1); got != cAbl.States()[1].RTO {
+		t.Fatalf("ablated SegmentRTO = %v, want state RTO %v", got, cAbl.States()[1].RTO)
 	}
 }
 

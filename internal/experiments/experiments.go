@@ -377,14 +377,14 @@ func newRunHarness(cfg *RunConfig) (*harness, error) {
 		// host i/racks on both sides.
 		hostsPerRack = (cfg.Flows + racks - 1) / racks
 	}
-	h, err := newHarness(cfg, fmt.Sprintf("%s on %s", cfg.Variant, cfg.Scenario.Name), hostsPerRack, 2*cfg.Flows)
+	h, err := newHarness(cfg, fmt.Sprintf("%s on %s", cfg.Variant, cfg.Scenario.Name), hostsPerRack)
 	if err != nil {
 		return nil, err
 	}
 	defer h.dumpOnPanic()
 	var mn *muxNet
 	if racks > 2 {
-		mn = newMuxNet(h.net, h.slabs)
+		mn = newMuxNet(h.net, h.pools)
 	}
 	for i := 0; i < cfg.Flows; i++ {
 		var f *Flow
@@ -394,7 +394,7 @@ func newRunHarness(cfg *RunConfig) (*harness, error) {
 			f, err = mn.BuildFlow(src, i/racks, (src+1)%racks, i/racks,
 				uint16(40000+i), cfg.Variant, cfg.Flow)
 		} else {
-			f, err = buildFlow(h.net, i, cfg.Variant, cfg.Flow, h.slabs[0], h.slabs[1])
+			f, err = buildFlow(h.net, i, cfg.Variant, cfg.Flow, h.pools[0], h.pools[1])
 		}
 		if err != nil {
 			return nil, err

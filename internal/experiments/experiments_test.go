@@ -167,10 +167,10 @@ func TestBuildFlowValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildFlow(loop, net, 5, Cubic, FlowOptions{}); err == nil {
+	if _, err := BuildFlow(net, 5, Cubic, FlowOptions{}); err == nil {
 		t.Fatal("out-of-range host accepted")
 	}
-	f, err := BuildFlow(loop, net, 1, MPTCP, FlowOptions{})
+	f, err := BuildFlow(net, 1, MPTCP, FlowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestInvariantFailureDumpsFlight(t *testing.T) {
 	chk.SetFlight(flight, &dump)
 	chk.WatchNetwork(net)
 
-	f, err := BuildFlow(loop, net, 0, TDTCP, FlowOptions{})
+	f, err := BuildFlow(net, 0, TDTCP, FlowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

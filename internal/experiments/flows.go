@@ -225,18 +225,18 @@ func singlePathConfigs(net *rdcn.Network, v Variant, opt FlowOptions) (sndCfg, r
 // BuildFlow wires one flow of the given variant between host i of rack 0
 // (sender) and host i of rack 1 (receiver), registering receive and
 // notification upcalls on both hosts. Each endpoint's connection lives on
-// its own rack's loop (Rack.Loop; identical to the loop argument on a
-// classic single-loop network), so under the sharded engine a connection's
-// timers fire on the lane that owns its host. Each connection keeps its hot
-// state in a private one-row tcp.Slab.
-func BuildFlow(loop *sim.Loop, net *rdcn.Network, i int, v Variant, opt FlowOptions) (*Flow, error) {
+// its own rack's loop (Rack.Loop; the network's one loop on a classic
+// single-loop network), so under the sharded engine a connection's timers
+// fire on the lane that owns its host. Each connection gets a private
+// tcp.Pool.
+func BuildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions) (*Flow, error) {
 	return buildFlow(net, i, v, opt, nil, nil)
 }
 
-// buildFlow is BuildFlow with the slabs the two endpoints allocate their hot
-// state from: the harness passes rack 0's and rack 1's (see harness.slabs),
-// nil gives a connection its private slab.
-func buildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions, slab0, slab1 *tcp.Slab) (*Flow, error) {
+// buildFlow is BuildFlow with the pools the two endpoints draw their
+// retransmission-queue storage from: the harness passes rack 0's and rack 1's
+// (see harness.pools), nil gives a connection a private one.
+func buildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions, pool0, pool1 *tcp.Pool) (*Flow, error) {
 	if i < 0 || i >= net.Cfg.HostsPerRack {
 		return nil, fmt.Errorf("experiments: host index %d out of range", i)
 	}
@@ -246,7 +246,7 @@ func buildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions, slab0, slab
 	f := &Flow{Variant: v}
 
 	if v == MPTCP {
-		buildMPTCP(f, h0, h1, ntdns, opt, slab0, slab1)
+		buildMPTCP(f, h0, h1, ntdns, opt, pool0, pool1)
 		return f, nil
 	}
 
@@ -254,7 +254,7 @@ func buildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions, slab0, slab
 	if err != nil {
 		return nil, err
 	}
-	sndCfg.Slab, rcvCfg.Slab = slab0, slab1
+	sndCfg.Pool, rcvCfg.Pool = pool0, pool1
 
 	f.Snd = tcp.NewConn(l0, sndCfg, func(s *packet.Segment) { h0.Send(s) })
 	f.Rcv = tcp.NewConn(l1, rcvCfg, func(s *packet.Segment) { h1.Send(s) })
@@ -367,7 +367,7 @@ func (g *subflowGate) flush() {
 	g.held = nil
 }
 
-func buildMPTCP(f *Flow, h0, h1 *rdcn.Host, ntdns int, opt FlowOptions, slab0, slab1 *tcp.Slab) {
+func buildMPTCP(f *Flow, h0, h1 *rdcn.Host, ntdns int, opt FlowOptions, pool0, pool1 *tcp.Pool) {
 	minRTO := opt.MinRTO
 	if minRTO == 0 {
 		// Stranded subflows must not melt down in RTO storms between their
@@ -378,7 +378,7 @@ func buildMPTCP(f *Flow, h0, h1 *rdcn.Host, ntdns int, opt FlowOptions, slab0, s
 	sub := tcp.Config{CC: ccFactoryFor(MPTCP, opt), MinRTO: minRTO, MaxRTO: opt.MaxRTO,
 		Pacing: opt.Pacing, MSS: opt.MSS, RcvBuf: opt.RcvBuf}
 	sub0, sub1 := sub, sub
-	sub0.Slab, sub1.Slab = slab0, slab1
+	sub0.Pool, sub1.Pool = pool0, pool1
 	mcfg0 := mptcp.Config{NumSubflows: ntdns, Sub: sub0, ReinjectDelay: opt.ReinjectDelay, SendBuf: opt.MPTCPSendBuf}
 	mcfg1 := mptcp.Config{NumSubflows: ntdns, Sub: sub1, ReinjectDelay: opt.ReinjectDelay, SendBuf: opt.MPTCPSendBuf}
 

@@ -38,12 +38,11 @@ type harness struct {
 	inj    *fault.Injector    // nil unless cfg.Fault is enabled
 	chk    *invariant.Checker // nil unless cfg.Invariants
 	racks  int
-	// slabs holds one struct-of-arrays tcp.Slab per rack: the endpoint living
-	// on rack r allocates its hot state from slabs[r], so a flow's columns
-	// pack densely with its lane's other flows and no two lanes ever share a
-	// free list (a lane recycles its own retransmission-queue entries;
-	// Conn.Release runs at control instants, with the lanes parked).
-	slabs []*tcp.Slab
+	// pools holds one tcp.Pool per rack: the endpoint living on rack r draws
+	// its retransmission-queue storage from pools[r], so no two lanes ever
+	// share a free list (a lane recycles its own queue entries; Conn.Release
+	// runs at control instants, with the lanes parked).
+	pools []*tcp.Pool
 
 	measureStart, end sim.Time
 	flows             []*Flow
@@ -53,8 +52,8 @@ type harness struct {
 
 // newHarness builds the run's engine and network from the fields RunConfig
 // and WorkloadConfig share (RunWorkload copies its own into a RunConfig).
-// hostsPerRack sizes the network; slabConns sizes each rack's tcp.Slab.
-func newHarness(cfg *RunConfig, what string, hostsPerRack, slabConns int) (*harness, error) {
+// hostsPerRack sizes the network.
+func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error) {
 	h := &harness{cfg: cfg, what: what, flight: cfg.Flight, racks: cfg.Scenario.Racks}
 	if h.flight == nil && !cfg.DisableFlight {
 		h.flight = trace.NewFlight(trace.DefaultFlightLen, trace.DefaultFlightCats)
@@ -137,9 +136,9 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack, slabConns int) (*harn
 		h.chk.WatchNetwork(net)
 	}
 
-	h.slabs = make([]*tcp.Slab, h.racks)
-	for r := range h.slabs {
-		h.slabs[r] = tcp.NewSlab(slabConns, 2*slabConns)
+	h.pools = make([]*tcp.Pool, h.racks)
+	for r := range h.pools {
+		h.pools[r] = new(tcp.Pool)
 	}
 
 	week := cfg.Scenario.Schedule.Week()

@@ -17,7 +17,7 @@ import (
 // web-search run, a flow stops reacting to notifications at the first arrival
 // after its FIN-ack (it leaves), and is released at the first arrival at or
 // after that plus the linger; at the horizon the notify sets hold exactly the
-// endpoints of the flows that have not left, and the port maps, the slabs and
+// endpoints of the flows that have not left, and the port maps, the pools and
 // the harness exactly the flows not yet released.
 func TestWorkloadRetiresFinishedFlows(t *testing.T) {
 	var buf bytes.Buffer
@@ -123,9 +123,9 @@ func TestWorkloadRetiresFinishedFlows(t *testing.T) {
 		t.Errorf("%d flows released, the trace says %d", res.FlowsReleased, released)
 	}
 	held := res.FlowsStarted - res.FlowsReleased
-	if life.portsBound != 2*held || life.connRows != 2*held || life.flows != held {
-		t.Errorf("at the horizon: %d ports bound, %d slab rows in use, %d flows tracked; want %d, %d, %d for %d started - %d released",
-			life.portsBound, life.connRows, life.flows, 2*held, 2*held, held, res.FlowsStarted, res.FlowsReleased)
+	if life.portsBound != 2*held || life.liveConns != 2*held || life.flows != held {
+		t.Errorf("at the horizon: %d ports bound, %d connections on the pools, %d flows tracked; want %d, %d, %d for %d started - %d released",
+			life.portsBound, life.liveConns, life.flows, 2*held, 2*held, held, res.FlowsStarted, res.FlowsReleased)
 	}
 	if res.LateSegs != 0 {
 		t.Errorf("%d segments arrived after their port was unbound: the linger is too short", res.LateSegs)
@@ -140,11 +140,11 @@ func finishedMuxFlow(t *testing.T) (*harness, *muxNet, *Flow) {
 	rc := RunConfig{Variant: TDTCP, Scenario: MultiRack(4), WarmupWeeks: 1, MeasureWeeks: 40}
 	rc.fillDefaults()
 	rc.Flow.TDTCPOpts.DeadmanHorizon = defaultDeadmanHorizon(rc.Scenario.Schedule)
-	h, err := newHarness(&rc, "mux lifecycle", 2, 8)
+	h, err := newHarness(&rc, "mux lifecycle", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn := newMuxNet(h.net, h.slabs)
+	mn := newMuxNet(h.net, h.pools)
 	f, err := mn.BuildFlow(0, 0, 1, 1, muxTestPort, TDTCP, rc.Flow)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestRetiredFlowKeepsPortDropsDeadman(t *testing.T) {
 }
 
 // TestReleasedFlowDropsLateSegment: the third stage gives everything back.
-// After release the ports are unbound, the slabs hold no row of the flow, the
+// After release the ports are unbound, the pools count no connection of the flow, the
 // harness no longer tracks it, and its delivered bytes still count. A segment
 // that arrives then is dropped and counted, never answered and never a panic;
 // the flow's stale timers run out as no-ops; and the port can be bound again,
@@ -238,16 +238,16 @@ func TestReleasedFlowDropsLateSegment(t *testing.T) {
 		t.Fatal("a lingering flow's port was handed out again")
 	}
 	delivered, fired := h.delivered(), h.engine.Fired()
-	late := lateSegment(f) // built from sequence state release gives back
+	late := lateSegment(f)
 
 	mn.release(f)
 	h.dropFlow(f)
 	if _, bound, _ := mn.census(); bound != 0 {
 		t.Errorf("%d ports bound after release, want 0", bound)
 	}
-	for r, slab := range h.slabs {
-		if n := slab.LiveConns(); n != 0 {
-			t.Errorf("rack %d slab still has %d connection rows in use", r, n)
+	for r, pool := range h.pools {
+		if n := pool.LiveConns(); n != 0 {
+			t.Errorf("rack %d pool still counts %d live connections", r, n)
 		}
 	}
 	if len(h.flows) != 0 || h.delivered() != delivered || delivered != 200<<10 {
@@ -288,7 +288,7 @@ func TestReleasedFlowDropsLateSegment(t *testing.T) {
 // of the offered load, not of its length. At equal load a run four times as
 // long starts about four times the flows, yet binds no more ports at its peak
 // than twice the short run's peak; and at either horizon the ports bound, the
-// slab rows in use and the flows tracked are those of the flows open or
+// connections on the pools and the flows tracked are those of the flows open or
 // lingering, each within twice that count.
 func TestWorkloadMemoryFollowsOpenFlows(t *testing.T) {
 	run := func(weeks int) *WorkloadResult {
@@ -298,9 +298,9 @@ func TestWorkloadMemoryFollowsOpenFlows(t *testing.T) {
 			t.Fatal(err)
 		}
 		live := res.FlowsStarted - res.FlowsReleased // open + lingering
-		if l := res.life; l.portsBound > 2*live || l.connRows > 2*live || l.flows > 2*live {
-			t.Errorf("%d weeks: %d ports bound, %d slab rows, %d flows tracked at the horizon, with %d flows open or lingering",
-				weeks, l.portsBound, l.connRows, l.flows, live)
+		if l := res.life; l.portsBound > 2*live || l.liveConns > 2*live || l.flows > 2*live {
+			t.Errorf("%d weeks: %d ports bound, %d live connections, %d flows tracked at the horizon, with %d flows open or lingering",
+				weeks, l.portsBound, l.liveConns, l.flows, live)
 		}
 		if res.LateSegs != 0 {
 			t.Errorf("%d weeks: %d late segments", weeks, res.LateSegs)

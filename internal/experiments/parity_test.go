@@ -149,7 +149,7 @@ func shardLedgerRun(t *testing.T, shards int) (*rdcn.Network, *sim.ShardedLoop) 
 		t.Fatalf("rdcn.New: %v", err)
 	}
 	for i := 0; i < hosts; i++ {
-		f, err := BuildFlow(engine.Control(), net, i, TDTCP, FlowOptions{})
+		f, err := BuildFlow(net, i, TDTCP, FlowOptions{})
 		if err != nil {
 			t.Fatalf("BuildFlow: %v", err)
 		}

@@ -29,9 +29,9 @@ import (
 // host follows the flows open on it. Its port is bound in conns by BuildFlow
 // and outlives leave by a linger, TCP's TIME_WAIT: a receiver must still
 // (D-)SACK a retransmission that arrives after the flow completed. At
-// muxNet.release the port is unbound and the connection's state goes back to
-// its rack's slab, so what a host holds follows the flows open or lingering
-// on it, not the flows it ever carried. A segment for an unbound port is
+// muxNet.release the port is unbound and the connection's queue storage goes
+// back to its rack's pool, so what a host holds follows the flows open or
+// lingering on it, not the flows it ever carried. A segment for an unbound port is
 // dropped and counted, as a host does after TIME_WAIT.
 //
 // The map is looked up, never ranged over, and notify keeps join order
@@ -87,13 +87,13 @@ func (m *hostMux) leave(c *tcp.Conn) {
 // layout of BuildFlow.
 type muxNet struct {
 	net    *rdcn.Network
-	slabs  []*tcp.Slab         // per rack, from the harness
+	pools  []*tcp.Pool         // per rack, from the harness
 	muxes  [][]*hostMux        // [rack][host]
 	byAddr map[uint32]*hostMux // the same muxes by host address, for leave
 }
 
-func newMuxNet(net *rdcn.Network, slabs []*tcp.Slab) *muxNet {
-	mn := &muxNet{net: net, slabs: slabs, muxes: make([][]*hostMux, len(net.Racks)), byAddr: make(map[uint32]*hostMux)}
+func newMuxNet(net *rdcn.Network, pools []*tcp.Pool) *muxNet {
+	mn := &muxNet{net: net, pools: pools, muxes: make([][]*hostMux, len(net.Racks)), byAddr: make(map[uint32]*hostMux)}
 	for r, rack := range net.Racks {
 		mn.muxes[r] = make([]*hostMux, len(rack.Hosts))
 		for h, host := range rack.Hosts {
@@ -146,12 +146,12 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int,
 	if err != nil {
 		return nil, err
 	}
-	sndCfg.Slab, rcvCfg.Slab = mn.slabs[srcRack], mn.slabs[dstRack]
+	sndCfg.Pool, rcvCfg.Pool = mn.pools[srcRack], mn.pools[dstRack]
 	hs := mn.net.Racks[srcRack].Hosts[srcHost]
 	hr := mn.net.Racks[dstRack].Hosts[dstHost]
 	f := &Flow{Variant: v}
 	// Each endpoint lives on its own rack's lane so its timers, retransmits,
-	// and slab traffic stay shard-local under the sharded engine.
+	// and pool traffic stay shard-local under the sharded engine.
 	f.Snd = tcp.NewConn(hs.Rack.Loop(), sndCfg, func(s *packet.Segment) { hs.Send(s) })
 	f.Rcv = tcp.NewConn(hr.Rack.Loop(), rcvCfg, func(s *packet.Segment) { hr.Send(s) })
 	f.Snd.LocalAddr, f.Snd.RemoteAddr = hs.Addr, hr.Addr
@@ -185,8 +185,8 @@ func (mn *muxNet) leave(f *Flow) {
 }
 
 // release ends the linger of a flow that has left: both ports are unbound and
-// both connections return their rows, retransmission-queue entries and queue
-// arrays to their racks' slabs. The flow's armed timers still fire, as
+// both connections return their retransmission-queue entries and queue
+// arrays to their racks' pools. The flow's armed timers still fire, as
 // no-ops, so the event sequence is what it would have been.
 func (mn *muxNet) release(f *Flow) {
 	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
@@ -372,7 +372,7 @@ type lifeCensus struct {
 	retired     int // flows that have left the notify sets, lingering or released
 	notifyWidth int // endpoints in the notify sets, over every host
 	portsBound  int // ports bound, over every host
-	connRows    int // per-connection slab rows in use, over every rack
+	liveConns   int // connections attached to a pool and not released, over every rack
 	flows       int // flows the harness still tracks
 }
 
@@ -388,16 +388,16 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	default:
 		return nil, fmt.Errorf("experiments: variant %s is not supported by RunWorkload", cfg.Variant)
 	}
-	// The harness reads what the two configs share off a RunConfig. Slabs are
-	// one per rack per run. A flow's life has three stages after its arrival:
-	// it is open until its FIN is acknowledged; at the first arrival after
-	// that it leaves its hosts' notify sets and lingers, ports still bound,
-	// because the receiver must still answer a late retransmission; at the
-	// first arrival at or after leave + linger it is released: ports unbound,
-	// connection state back in the slabs, the Flow dropped. What is kept of it
-	// is the result: its done-record and its share of the summed counters. So
-	// per-event work, per-notification work and memory all follow the flows
-	// open or lingering, and only the result grows with the flows started.
+	// The harness reads what the two configs share off a RunConfig. A flow's
+	// life has three stages after its arrival: it is open until its FIN is
+	// acknowledged; at the first arrival after that it leaves its hosts'
+	// notify sets and lingers, ports still bound, because the receiver must
+	// still answer a late retransmission; at the first arrival at or after
+	// leave + linger it is released: ports unbound, queue storage back in the
+	// racks' pools, the Flow dropped. What is kept of it is the result: its
+	// done-record and its share of the summed counters. So per-event work,
+	// per-notification work and memory all follow the flows open or
+	// lingering, and only the result grows with the flows started.
 	rc := RunConfig{
 		Variant: cfg.Variant, Scenario: cfg.Scenario,
 		WarmupWeeks: cfg.WarmupWeeks, MeasureWeeks: cfg.MeasureWeeks,
@@ -406,7 +406,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		Flight: cfg.Flight, DisableFlight: cfg.DisableFlight, Meter: cfg.Meter,
 		Stop: cfg.Stop, StopEvery: cfg.StopEvery, tweakNet: cfg.tweakNet,
 	}
-	h, err := newHarness(&rc, fmt.Sprintf("workload %s on %s", cfg.Variant, cfg.Scenario.Name), cfg.Hosts, 256)
+	h, err := newHarness(&rc, fmt.Sprintf("workload %s on %s", cfg.Variant, cfg.Scenario.Name), cfg.Hosts)
 	if err != nil {
 		return nil, err
 	}
@@ -415,7 +415,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	measureStart, end := h.measureStart, h.end
 
 	fctHist := cfg.Metrics.Hist("fct.ns")
-	mn := newMuxNet(net, h.slabs)
+	mn := newMuxNet(net, h.pools)
 	h.start()
 
 	// Aggregate capacity = per-rack schedule-weighted uplink rate × racks.
@@ -554,8 +554,8 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	}
 	res.life.notifyWidth, res.life.portsBound, res.LateSegs = mn.census()
 	res.life.flows = len(h.flows)
-	for _, slab := range h.slabs {
-		res.life.connRows += slab.LiveConns()
+	for _, pool := range h.pools {
+		res.life.liveConns += pool.LiveConns()
 	}
 	res.FramesSent, res.FramesDelivered, res.FramesMisrouted, err = h.finish()
 	if err != nil {

@@ -51,13 +51,13 @@ func (c *Conn) handleSYN(s *packet.Segment) {
 	h := &s.TCP
 	c.RemoteAddr, c.RemotePort = s.Src, h.SrcPort
 	c.irs = h.Seq
-	c.setRcvNxt(h.Seq + 1)
+	c.rcvNxt = h.Seq + 1
 	c.peerTD = h.TDCapable
 	c.peerTDNs = int(h.NumTDNs)
 	c.tdEnabled = c.negotiateTD()
 	c.iss = c.Loop.Rand().Uint32()
-	c.setSndUna(c.iss)
-	c.setSndNxt(c.iss)
+	c.sndUna = c.iss
+	c.sndNxt = c.iss
 	c.highestSacked = c.iss
 	c.peerWnd = h.Window
 	c.state = stSynRcvd
@@ -70,7 +70,7 @@ func (c *Conn) handleSYNACK(s *packet.Segment) {
 		return
 	}
 	c.irs = h.Seq
-	c.setRcvNxt(h.Seq + 1)
+	c.rcvNxt = h.Seq + 1
 	c.peerTD = h.TDCapable
 	c.peerTDNs = int(h.NumTDNs)
 	c.tdEnabled = c.negotiateTD()
@@ -93,13 +93,13 @@ func (c *Conn) completeHandshakeAck(s *packet.Segment) {
 	now := c.Loop.Now()
 	c.rtx.popAcked(c.iss+1, func(seg *TxSeg) {
 		st := c.states[seg.TDN]
-		st.AddPacketsOut(-1)
+		st.PacketsOut--
 		if !seg.EverRetrans {
 			st.ObserveRTT(now.Sub(seg.SentAt), c.cfg.MinRTO, c.cfg.MaxRTO)
 		}
-		c.slab.putTxSeg(seg)
+		c.pool.putTxSeg(seg)
 	})
-	c.setSndUna(c.iss + 1)
+	c.sndUna = c.iss + 1
 	c.backoff = 0
 	c.armTimer()
 }
@@ -127,7 +127,7 @@ func (c *Conn) processAck(s *packet.Segment) {
 	h := &s.TCP
 	now := c.Loop.Now()
 	ack := h.Ack
-	if seqGT(ack, c.sndNxt()) {
+	if seqGT(ack, c.sndNxt) {
 		return // acks data never sent
 	}
 	c.peerWnd = h.Window
@@ -168,14 +168,14 @@ func (c *Conn) processAck(s *packet.Segment) {
 			if !seg.Sacked {
 				st := c.states[seg.TDN]
 				seg.Sacked = true
-				st.AddSackedOut(1)
+				st.SackedOut++
 				if seg.Lost {
 					seg.Lost = false
-					st.AddLostOut(-1)
+					st.LostOut--
 				}
 				if seg.Retrans {
 					seg.Retrans = false
-					st.AddRetransOut(-1)
+					st.RetransOut--
 				}
 				newlySacked++
 				delivered[seg.TDN]++
@@ -198,15 +198,15 @@ func (c *Conn) processAck(s *packet.Segment) {
 	}
 
 	// --- cumulative advance ----------------------------------------------
-	advanced := seqGT(ack, c.sndUna())
+	advanced := seqGT(ack, c.sndUna)
 	if advanced {
 		c.rtx.popAcked(ack, func(seg *TxSeg) {
 			st := c.states[seg.TDN]
-			st.AddPacketsOut(-1)
+			st.PacketsOut--
 			if seg.Sacked {
 				// Delivered (and RTT-sampled) when it was SACKed; its ACK
 				// time now reflects hole repair, not path latency.
-				st.AddSackedOut(-1)
+				st.SackedOut--
 			} else {
 				delivered[seg.TDN]++
 				c.rackAdvance(seg)
@@ -216,18 +216,18 @@ func (c *Conn) processAck(s *packet.Segment) {
 				}
 			}
 			if seg.Lost {
-				st.AddLostOut(-1)
+				st.LostOut--
 			}
 			if seg.Retrans {
-				st.AddRetransOut(-1)
+				st.RetransOut--
 			}
 			c.Stats.BytesAcked += int64(seg.Len)
-			c.slab.putTxSeg(seg)
+			c.pool.putTxSeg(seg)
 		})
-		c.setSndUna(ack)
+		c.sndUna = ack
 		c.backoff = 0
 		c.tlpInFlight = false
-		if c.state == stFinWait && c.sndUna() == c.sndNxt() && c.rtx.empty() {
+		if c.state == stFinWait && c.sndUna == c.sndNxt && c.rtx.empty() {
 			c.state = stDone
 			// Quiesce here: the trySend below returns at its state guard before
 			// its closing armTimer, and the deadline left behind would fire a
@@ -238,12 +238,12 @@ func (c *Conn) processAck(s *packet.Segment) {
 				c.OnDone(now)
 			}
 		}
-	} else if ack == c.sndUna() && h.PayloadLen == 0 && newlySacked == 0 {
+	} else if ack == c.sndUna && h.PayloadLen == 0 && newlySacked == 0 {
 		// Classic duplicate ACK.
 		if head := c.rtx.headSeg(); head != nil {
 			st := c.states[head.TDN]
-			st.AddDupAcks(1)
-			if st.DupAcks() >= c.cfg.DupThresh && !head.Sacked && !head.Lost {
+			st.DupAcks++
+			if int(st.DupAcks) >= c.cfg.DupThresh && !head.Sacked && !head.Lost {
 				if c.policy.FilterLoss(head, ackTDN) {
 					c.Stats.FilteredMarks++
 					c.emit("loss_filtered", int(head.TDN), float64(c.RelSeq(head.Seq)), float64(tdnLabel(ackTDN)), "")
@@ -256,11 +256,11 @@ func (c *Conn) processAck(s *packet.Segment) {
 
 	// --- RTT sampling (Karn + §4.4 TDN matching) ---------------------------
 	if rttCandOK {
-		if idx, ok := c.policy.RTTTarget(rttCand.TDN, ackTDN); ok {
+		if target, ok := c.policy.RTTTarget(rttCand.TDN, ackTDN); ok {
 			sample := now.Sub(rttCand.SentAt)
-			c.states[idx].ObserveRTT(sample, c.cfg.MinRTO, c.cfg.MaxRTO)
-			if idx < len(c.RTTHists) {
-				c.RTTHists[idx].Record(int64(sample))
+			c.states[target].ObserveRTT(sample, c.cfg.MinRTO, c.cfg.MaxRTO)
+			if target < len(c.RTTHists) {
+				c.RTTHists[target].Record(int64(sample))
 			}
 			c.Stats.RTTSamples++
 		} else {
@@ -307,24 +307,24 @@ func (c *Conn) processAck(s *packet.Segment) {
 
 	// --- congestion-state transitions --------------------------------------
 	for _, st := range c.states {
-		from := st.CA()
-		switch st.CA() {
+		from := st.CA
+		switch st.CA {
 		case CARecovery, CALoss:
-			if advanced && seqGEQ(c.sndUna(), st.RecoveryPoint()) {
-				st.SetCA(CAOpen)
-				st.SetDupAcks(0)
+			if advanced && seqGEQ(c.sndUna, st.RecoveryPoint) {
+				st.CA = CAOpen
+				st.DupAcks = 0
 				st.undoPossible = false
 				st.CC.OnRecoveryExit(now)
 				c.endRecoverySpan(st, false)
 			}
 		case CAOpen:
-			if st.SackedOut() > 0 {
-				st.SetCA(CADisorder)
+			if st.SackedOut > 0 {
+				st.CA = CADisorder
 			}
 		case CADisorder:
-			if st.SackedOut() == 0 && advanced {
-				st.SetCA(CAOpen)
-				st.SetDupAcks(0)
+			if st.SackedOut == 0 && advanced {
+				st.CA = CAOpen
+				st.DupAcks = 0
 			}
 		}
 		c.emitCA(st, from)
@@ -345,14 +345,14 @@ func (c *Conn) processAck(s *packet.Segment) {
 			continue
 		}
 		st := c.states[tdn]
-		if st.CA() == CARecovery {
+		if st.CA == CARecovery {
 			continue // PRR governs fast recovery; growth resumes on exit
 		}
 		ev := cc.AckEvent{
 			Now:      now,
 			Acked:    n,
 			InFlight: st.InFlight(),
-			SRTT:     st.SRTT(),
+			SRTT:     st.SRTT,
 		}
 		if ece {
 			ev.ECEMarked = n
@@ -374,17 +374,17 @@ func (c *Conn) markLost(seg *TxSeg, now sim.Time) {
 	}
 	st := c.states[seg.TDN]
 	seg.Lost = true
-	st.AddLostOut(1)
+	st.LostOut++
 	if seg.Retrans {
 		seg.Retrans = false
-		st.AddRetransOut(-1)
+		st.RetransOut--
 	}
 	c.Stats.LossMarks++
-	c.emit("loss_mark", int(seg.TDN), float64(c.RelSeq(seg.Seq)), float64(st.LostOut()), "")
-	if st.CA() == CAOpen || st.CA() == CADisorder {
-		from := st.CA()
-		st.SetCA(CARecovery)
-		st.SetRecoveryPoint(c.sndNxt())
+	c.emit("loss_mark", int(seg.TDN), float64(c.RelSeq(seg.Seq)), float64(st.LostOut), "")
+	if st.CA == CAOpen || st.CA == CADisorder {
+		from := st.CA
+		st.CA = CARecovery
+		st.RecoveryPoint = c.sndNxt
 		st.undoPossible = true
 		st.undoRetrans = 0
 		st.enterRecoveryPRR()
@@ -404,14 +404,14 @@ func (c *Conn) markLost(seg *TxSeg, now sim.Time) {
 // RACK-TLP — but with a reorder window widened to cover the cross-TDN ACK
 // delay (½RTT_own + ½RTT_slowest) instead of the same-path srtt/4.
 func (c *Conn) detectLosses(ackTDN uint8, now sim.Time) {
-	if seqLEQ(c.highestSacked, c.sndUna()) {
+	if seqLEQ(c.highestSacked, c.sndUna) {
 		return
 	}
 	thresh := uint32(c.cfg.DupThresh * c.cfg.MSS)
 	activeTDN := uint8(c.policy.Active())
 	var slowest *PathState
 	for _, st := range c.states {
-		if st.Samples() > 0 && (slowest == nil || st.SRTT() > slowest.SRTT()) {
+		if st.Samples > 0 && (slowest == nil || st.SRTT > slowest.SRTT) {
 			slowest = st
 		}
 	}
@@ -442,9 +442,9 @@ func (c *Conn) detectLosses(ackTDN uint8, now sim.Time) {
 			own := c.states[seg.TDN]
 			var reoWnd sim.Dur
 			if seg.TDN == activeTDN || slowest == nil {
-				reoWnd = own.SRTT() / 4
+				reoWnd = own.SRTT / 4
 			} else {
-				reoWnd = own.SRTT()/2 + slowest.SRTT()/2 + 4*slowest.RTTVar()
+				reoWnd = own.SRTT/2 + slowest.SRTT/2 + 4*slowest.RTTVar
 			}
 			if seg.SentAt.Add(reoWnd) < c.rackXmit {
 				c.markLost(seg, now)
@@ -477,10 +477,10 @@ func (c *Conn) onDSACK(now sim.Time) {
 			// proven spurious AND nothing is still presumed lost: a comb of
 			// genuine holes interleaved with spurious marks must not bounce
 			// the window back up mid-repair.
-			if st.undoRetrans == 0 && st.undoPossible && st.CA() == CARecovery && st.LostOut() == 0 {
+			if st.undoRetrans == 0 && st.undoPossible && st.CA == CARecovery && st.LostOut == 0 {
 				st.CC.Undo()
-				st.SetCA(CAOpen)
-				st.SetDupAcks(0)
+				st.CA = CAOpen
+				st.DupAcks = 0
 				st.undoPossible = false
 				c.Stats.Undos++
 				c.endRecoverySpan(st, true)

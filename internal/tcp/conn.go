@@ -50,11 +50,11 @@ type Config struct {
 	// RTT at the given gain instead of bursting (the §5.2 remedy for
 	// TDTCP's initial burst).
 	Pacing float64
-	// Slab, when non-nil, is the shared struct-of-arrays backing store for
-	// the connection's hot state (see slab.go). Connections of one
-	// experiment should share a slab so their columns interleave densely;
-	// when nil, NewConn creates a private one.
-	Slab *Slab
+	// Pool, when non-nil, is the shared store the connection draws its
+	// retransmission-queue entries and backing array from (see pool.go).
+	// Connections that run on one event loop may share a pool; when nil,
+	// NewConn creates a private one.
+	Pool *Pool
 }
 
 func (cfg *Config) fillDefaults() {
@@ -99,7 +99,7 @@ const (
 	stFinWait   // our FIN sent, awaiting ACK
 	stCloseWait // peer FIN received
 	stDone
-	stReleased // Release was called: rows returned, every entry point a no-op
+	stReleased // Release was called: queue storage returned, every entry point a no-op
 )
 
 // Stats aggregates per-connection instrumentation counters.
@@ -156,11 +156,7 @@ type Conn struct {
 	policy Policy
 	states []*PathState
 
-	// Slab row ids: idx indexes the per-connection columns, pathBase the
-	// first of NumStates contiguous per-path rows (see slab.go).
-	slab     *Slab
-	idx      int32
-	pathBase int32
+	pool *Pool // retransmission-queue storage; nil once released
 
 	LocalAddr, RemoteAddr uint32
 	LocalPort, RemotePort uint16
@@ -168,9 +164,10 @@ type Conn struct {
 	state     connState
 	tdEnabled bool
 
-	// Sender. The sndUna/sndNxt cursors live in the slab's per-connection
-	// columns (slab.go accessors).
+	// Sender.
 	iss           uint32
+	sndUna        uint32
+	sndNxt        uint32
 	rtx           rtxQueue
 	backlog       int64 // bytes the app still wants to send; <0 = unbounded
 	finQueued     bool
@@ -210,8 +207,9 @@ type Conn struct {
 	// lastTxAt anchors the TLP probe timer.
 	lastTxAt sim.Time
 
-	// Receiver. The rcvNxt cursor lives in the slab (slab.go accessors).
+	// Receiver.
 	irs        uint32
+	rcvNxt     uint32
 	ranges     []packet.SACKBlock // out-of-order received, sorted, disjoint
 	mruBlock   []uint32           // recently updated range starts, MRU first
 	dsack      packet.SACKBlock   // pending D-SACK block (dsackValid set)
@@ -222,15 +220,17 @@ type Conn struct {
 	// Scratch storage reused across the data path so steady-state operation
 	// allocates nothing: one outgoing segment (see the Out contract), the
 	// per-state delivery and RTO-touch tallies. Retransmission-queue entries
-	// come from and return to the slab.
+	// come from and return to the pool.
 	outSeg     packet.Segment
 	delivered  []int
 	rtoTouched []bool
 
-	// notifySeen marks that at least one TDN notification was applied; the
-	// epoch of the latest one lives in the slab. It distinguishes "no epoch
-	// yet" from epoch values near the uint32 wrap, where no sentinel exists.
-	notifySeen bool
+	// notifySeen marks that at least one TDN notification was applied, and
+	// notifyEpoch is the epoch of the latest one. The flag distinguishes "no
+	// epoch yet" from epoch values near the uint32 wrap, where no sentinel
+	// exists.
+	notifySeen  bool
+	notifyEpoch uint32
 
 	Stats Stats
 
@@ -278,14 +278,12 @@ func NewConn(loop *sim.Loop, cfg Config, out func(*packet.Segment)) *Conn {
 	if n < 1 {
 		n = 1
 	}
-	if cfg.Slab == nil {
-		cfg.Slab = NewSlab(1, n)
+	if cfg.Pool == nil {
+		cfg.Pool = new(Pool)
 	}
-	c.slab = cfg.Slab
-	c.idx = c.slab.allocConn()
-	c.pathBase = c.slab.allocPaths(n)
-	// One contiguous block backs all path states; the hot fields live in
-	// the slab columns at rows pathBase..pathBase+n-1.
+	c.pool = cfg.Pool
+	c.pool.live++
+	// One contiguous block backs all path states.
 	arr := make([]PathState, n)
 	c.states = make([]*PathState, n)
 	for i := 0; i < n; i++ {
@@ -296,45 +294,37 @@ func NewConn(loop *sim.Loop, cfg Config, out func(*packet.Segment)) *Conn {
 		st := &arr[i]
 		st.TDN = uint8(i)
 		st.CC = mk()
-		st.slab = c.slab
-		st.idx = c.pathBase + int32(i)
-		c.slab.rto[st.idx] = cfg.InitialRTO
+		st.RTO = cfg.InitialRTO
 		c.states[i] = st
 	}
 	c.delivered = make([]int, n)
 	c.rtoTouched = make([]bool, n)
 	c.mruBlock = make([]uint32, 0, maxMRU)
 	c.outSeg.TCP.SACK = make([]packet.SACKBlock, 0, 4)
-	c.rtx.segs = c.slab.getQueue()
+	c.rtx.segs = c.pool.getQueue()
 	c.policy.Attach(c)
 	return c
 }
 
-// Release ends the connection's life: its slab rows, the retransmission-queue
-// entries still outstanding and the queue's backing array go back to the slab
-// for the next connection, and the connection becomes inert. Input, Notify and
-// the transmit engine ignore a released connection, and its lazily-armed
-// retransmission and pacing timers are not stopped: they fire as no-ops, so
-// releasing changes neither the event count nor any event's sequence number.
-// Stats stay readable; the path states do not. Timers a Policy armed on its
-// own (the TDTCP deadman) are the caller's to stop first.
+// Release ends the connection's life: the retransmission-queue entries still
+// outstanding and the queue's backing array go back to the pool for the next
+// connection, and the connection becomes inert. Input, Notify and the transmit
+// engine ignore a released connection, and its lazily-armed retransmission and
+// pacing timers are not stopped: they fire as no-ops, so releasing changes
+// neither the event count nor any event's sequence number. Stats and path
+// states stay readable. Timers a Policy armed on its own (the TDTCP deadman)
+// are the caller's to stop first.
 func (c *Conn) Release() {
 	if c.state == stReleased {
 		return
 	}
 	for _, seg := range c.rtx.segs[c.rtx.head:] {
-		c.slab.putTxSeg(seg)
+		c.pool.putTxSeg(seg)
 	}
-	c.slab.putQueue(c.rtx.segs)
+	c.pool.putQueue(c.rtx.segs)
 	c.rtx = rtxQueue{}
-	c.slab.releaseConn(c.idx)
-	c.slab.releasePaths(c.pathBase, len(c.states))
-	// A stale use of the rows would corrupt whichever connection holds them
-	// next; with the slab gone it faults instead.
-	for _, st := range c.states {
-		st.slab = nil
-	}
-	c.slab = nil
+	c.pool.live--
+	c.pool = nil
 	c.state = stReleased
 	c.wantAt = 0
 }
@@ -377,9 +367,9 @@ func (c *Conn) emit(name string, tdn int, a, b float64, s string) {
 
 // emitCA reports a congestion-avoidance state transition on one path state.
 func (c *Conn) emitCA(st *PathState, from CAState) {
-	if c.Tracer.Enabled(trace.CatTCP) && from != st.CA() {
+	if c.Tracer.Enabled(trace.CatTCP) && from != st.CA {
 		c.Tracer.Emit(trace.CatTCP, int64(c.Loop.Now()), "ca_state",
-			c.FlowID, int(st.TDN), float64(from), float64(st.CA()), st.CA().String())
+			c.FlowID, int(st.TDN), float64(from), float64(st.CA), st.CA.String())
 	}
 }
 
@@ -405,7 +395,7 @@ func (c *Conn) endRecoverySpan(st *PathState, undo bool) {
 		b = 1.0
 	}
 	c.Tracer.EndSpan(trace.CatTCP, int64(c.Loop.Now()),
-		"recovery", c.FlowID, int(st.TDN), st.recSpan, float64(st.CA()), b)
+		"recovery", c.FlowID, int(st.TDN), st.recSpan, float64(st.CA), b)
 	st.recSpan = 0
 }
 
@@ -418,14 +408,14 @@ func (c *Conn) ActiveState() *PathState { return c.states[c.policy.Active()] }
 // Config returns the effective configuration.
 func (c *Conn) Config() Config { return c.cfg }
 
-// SndUna and SndNxt expose sender cursors (for policies and tests).
-func (c *Conn) SndUna() uint32 { return c.sndUna() }
+// SndUna returns the oldest unacknowledged sequence number.
+func (c *Conn) SndUna() uint32 { return c.sndUna }
 
 // SndNxt returns the next sequence number to be sent.
-func (c *Conn) SndNxt() uint32 { return c.sndNxt() }
+func (c *Conn) SndNxt() uint32 { return c.sndNxt }
 
 // RcvNxt returns the receiver's next expected sequence number.
-func (c *Conn) RcvNxt() uint32 { return c.rcvNxt() }
+func (c *Conn) RcvNxt() uint32 { return c.rcvNxt }
 
 // RelSeq translates an absolute data sequence number into a 0-based stream
 // offset (the SYN consumes one sequence number).
@@ -462,8 +452,8 @@ func (c *Conn) Connect(bytes int64) {
 	}
 	c.backlog = bytes
 	c.iss = c.Loop.Rand().Uint32()
-	c.setSndUna(c.iss)
-	c.setSndNxt(c.iss)
+	c.sndUna = c.iss
+	c.sndNxt = c.iss
 	c.highestSacked = c.iss
 	c.state = stSynSent
 	c.sendSYN(false)
@@ -506,19 +496,19 @@ func (c *Conn) Notify(tdn int, epoch uint32) {
 	c.Stats.NotifiesRcvd++
 	if epoch != 0 {
 		if c.notifySeen {
-			if epoch == c.notifyEpoch() {
+			if epoch == c.notifyEpoch {
 				c.Stats.NotifiesDup++
 				c.emit("notify_dup", tdn, float64(epoch), 0, "")
 				return
 			}
-			if seqLT(epoch, c.notifyEpoch()) {
+			if seqLT(epoch, c.notifyEpoch) {
 				c.Stats.NotifiesStale++
-				c.emit("notify_stale", tdn, float64(epoch), float64(c.notifyEpoch()), "")
+				c.emit("notify_stale", tdn, float64(epoch), float64(c.notifyEpoch), "")
 				return
 			}
 		}
 		c.notifySeen = true
-		c.setNotifyEpoch(epoch)
+		c.notifyEpoch = epoch
 	}
 	c.policy.OnNotify(tdn, epoch)
 	// A path switch may have opened the window: try to transmit.
@@ -541,7 +531,7 @@ func (c *Conn) KickRecovery() {
 		return
 	}
 	st := c.ActiveState()
-	if (st.CA() != CARecovery && st.CA() != CALoss) || st.InFlight() > 0 || st.LostOut() == 0 {
+	if (st.CA != CARecovery && st.CA != CALoss) || st.InFlight() > 0 || st.LostOut == 0 {
 		return
 	}
 	var victim *TxSeg
@@ -596,7 +586,7 @@ func (c *Conn) newSegment(flags uint8) *packet.Segment {
 			SrcPort: c.LocalPort, DstPort: c.RemotePort,
 			Flags:  flags,
 			Window: uint32(c.rcvWindow()),
-			Ack:    c.rcvNxt(),
+			Ack:    c.rcvNxt,
 			SACK:   sack,
 		},
 	}
@@ -631,15 +621,15 @@ func (c *Conn) sendSYN(ack bool) {
 		s.TCP.TDCapable = true
 		s.TCP.NumTDNs = uint8(c.cfg.NumTDNs)
 	}
-	if c.sndNxt() == c.iss {
+	if c.sndNxt == c.iss {
 		// First transmission: the SYN occupies one sequence number and,
 		// per Appendix A.2, is always tracked under TDN 0.
-		c.setSndNxt(c.iss + 1)
-		seg := c.slab.getTxSeg()
+		c.sndNxt = c.iss + 1
+		seg := c.pool.getTxSeg()
 		seg.Seq, seg.Len, seg.TDN = seq, 1, 0
 		seg.SentAt, seg.FirstSentAt = c.Loop.Now(), c.Loop.Now()
 		c.rtx.push(seg)
-		c.states[0].AddPacketsOut(1)
+		c.states[0].PacketsOut++
 	}
 	c.Stats.SegsSent++
 	c.Out(s)
@@ -656,17 +646,17 @@ func (c *Conn) transmitSeg(seg *TxSeg, isRetrans bool) {
 		// The retransmission moves the segment to the current TDN: its
 		// pipe accounting follows (§4.3 "any TDN" scheduling, with the
 		// copy in flight belonging to the TDN that carries it).
-		st.AddPacketsOut(-1)
+		st.PacketsOut--
 		if seg.Lost {
-			st.AddLostOut(-1)
+			st.LostOut--
 			seg.Lost = false
 		}
 		if seg.Retrans {
-			st.AddRetransOut(-1)
+			st.RetransOut--
 		}
 		nst := c.states[dataTDN]
-		nst.AddPacketsOut(1)
-		nst.AddRetransOut(1)
+		nst.PacketsOut++
+		nst.RetransOut++
 		seg.Retrans = true
 		seg.EverRetrans = true
 		seg.Retransmits++
@@ -734,7 +724,7 @@ func (c *Conn) trySend() {
 	// "any TDN": logical OR over states).
 	anyLost := false
 	for _, st := range c.states {
-		if st.LostOut() > 0 && (st.CA() == CARecovery || st.CA() == CALoss) {
+		if st.LostOut > 0 && (st.CA == CARecovery || st.CA == CALoss) {
 			anyLost = true
 			break
 		}
@@ -779,7 +769,7 @@ func (c *Conn) sendNewSegment() bool {
 		c.maybeSendFIN()
 		return false
 	}
-	inFlightBytes := c.sndNxt() - c.sndUna()
+	inFlightBytes := c.sndNxt - c.sndUna
 	if c.peerWnd > 0 && inFlightBytes+uint32(c.cfg.MSS) > c.peerWnd {
 		if c.OnSendBlocked != nil {
 			c.OnSendBlocked("rwnd")
@@ -794,16 +784,16 @@ func (c *Conn) sendNewSegment() bool {
 		n = int(c.backlog)
 	}
 	now := c.Loop.Now()
-	seg := c.slab.getTxSeg()
-	seg.Seq, seg.Len = c.sndNxt(), n
+	seg := c.pool.getTxSeg()
+	seg.Seq, seg.Len = c.sndNxt, n
 	seg.SentAt, seg.FirstSentAt = now, now
-	c.setSndNxt(c.sndNxt() + uint32(n))
+	c.sndNxt += uint32(n)
 	if c.backlog > 0 {
 		c.backlog -= int64(n)
 	}
 	c.rtx.push(seg)
 	st := c.states[c.policy.DataTDN()]
-	st.AddPacketsOut(1)
+	st.PacketsOut++
 	st.prrSpend()
 	c.transmitSeg(seg, false)
 	return true
@@ -814,12 +804,12 @@ func (c *Conn) maybeSendFIN() {
 		return
 	}
 	now := c.Loop.Now()
-	seg := c.slab.getTxSeg()
-	seg.Seq, seg.Len, seg.TDN = c.sndNxt(), 1, c.policy.DataTDN()
+	seg := c.pool.getTxSeg()
+	seg.Seq, seg.Len, seg.TDN = c.sndNxt, 1, c.policy.DataTDN()
 	seg.SentAt, seg.FirstSentAt = now, now
-	c.setSndNxt(c.sndNxt() + 1)
+	c.sndNxt++
 	c.rtx.push(seg)
-	c.states[seg.TDN].AddPacketsOut(1)
+	c.states[seg.TDN].PacketsOut++
 	s := c.newSegment(packet.FlagFIN | packet.FlagACK)
 	s.TCP.Seq = seg.Seq
 	c.attachTDOption(s, false)
@@ -846,8 +836,8 @@ func (c *Conn) paceGate() bool {
 		return false
 	}
 	st := c.ActiveState()
-	if st.SRTT() > 0 && st.Cwnd() > 0 {
-		gap := sim.Dur(float64(st.SRTT()) / (st.Cwnd() * c.cfg.Pacing))
+	if st.SRTT > 0 && st.Cwnd() > 0 {
+		gap := sim.Dur(float64(st.SRTT) / (st.Cwnd() * c.cfg.Pacing))
 		c.paceNext = now.Add(gap)
 	}
 	return true
@@ -875,9 +865,9 @@ func (c *Conn) armTimer() {
 	// anywhere; a recovery on an inactive TDN must not suppress tail probes
 	// for the path that is actually carrying traffic.
 	act := c.ActiveState()
-	healthy := act.CA() == CAOpen || act.CA() == CADisorder
+	healthy := act.CA == CAOpen || act.CA == CADisorder
 	for _, st := range c.states {
-		if st.LostOut() > 0 {
+		if st.LostOut > 0 {
 			healthy = false
 			break
 		}
@@ -885,7 +875,7 @@ func (c *Conn) armTimer() {
 	useTLP := c.cfg.TLP && healthy && !c.tlpInFlight && c.state >= stEstablished
 	var deadline sim.Time
 	if useTLP {
-		srtt := c.ActiveState().SRTT()
+		srtt := c.ActiveState().SRTT
 		if srtt == 0 {
 			srtt = c.cfg.InitialRTO / 2
 		}
@@ -988,10 +978,10 @@ func (c *Conn) fireRTO() {
 	c.rtx.forEach(func(seg *TxSeg) bool {
 		if !seg.Sacked && !seg.Lost {
 			st := c.states[seg.TDN]
-			st.AddLostOut(1)
+			st.LostOut++
 			seg.Lost = true
 			if seg.Retrans {
-				st.AddRetransOut(-1)
+				st.RetransOut--
 				seg.Retrans = false
 			}
 			touched[seg.TDN] = true
@@ -1003,10 +993,10 @@ func (c *Conn) fireRTO() {
 			continue
 		}
 		st := c.states[tdn]
-		if st.CA() != CALoss {
-			from := st.CA()
-			st.SetCA(CALoss)
-			st.SetRecoveryPoint(c.sndNxt())
+		if st.CA != CALoss {
+			from := st.CA
+			st.CA = CALoss
+			st.RecoveryPoint = c.sndNxt
 			st.undoPossible = false
 			st.enterRecoveryPRR()
 			st.CC.OnRTO(now, st.InFlight())
@@ -1039,7 +1029,7 @@ func (c *Conn) String() string {
 	}
 	return fmt.Sprintf("conn(%s una=%d nxt=%d states=%d active=%d)",
 		[]string{"closed", "listen", "synsent", "synrcvd", "estab", "finwait", "closewait", "done"}[c.state],
-		c.sndUna()-c.iss, c.sndNxt()-c.iss, len(c.states), c.policy.Active())
+		c.sndUna-c.iss, c.sndNxt-c.iss, len(c.states), c.policy.Active())
 }
 
 // cwndOf is a test helper exposing a state's cwnd rounded down.

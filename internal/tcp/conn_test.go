@@ -78,8 +78,8 @@ func TestHandshake(t *testing.T) {
 		t.Fatal("TD negotiated without TD_CAPABLE")
 	}
 	// Handshake RTT sample taken.
-	if a.States()[0].SRTT() != 100*sim.Microsecond {
-		t.Fatalf("SRTT = %v, want 100us", a.States()[0].SRTT())
+	if a.States()[0].SRTT != 100*sim.Microsecond {
+		t.Fatalf("SRTT = %v, want 100us", a.States()[0].SRTT)
 	}
 }
 
@@ -478,7 +478,7 @@ func TestStaleAckIgnored(t *testing.T) {
 	}
 	before := a.Stats
 	stale := &packet.Segment{Src: 2, Dst: 1, Proto: packet.ProtoTCP, TCP: packet.TCPHeader{
-		SrcPort: 2000, DstPort: 1000, Flags: packet.FlagACK, Ack: a.sndUna(), Window: 1 << 20,
+		SrcPort: 2000, DstPort: 1000, Flags: packet.FlagACK, Ack: a.sndUna, Window: 1 << 20,
 	}}
 	a.Input(stale)
 	if a.Stats.LossMarks != before.LossMarks || a.Stats.Retransmits != before.Retransmits {
@@ -500,14 +500,14 @@ func TestPipeAccountingInvariant(t *testing.T) {
 	a.Connect(200 * 8960)
 	check := func() {
 		st := a.States()[0]
-		if st.PacketsOut() < 0 || st.SackedOut() < 0 || st.LostOut() < 0 || st.RetransOut() < 0 {
+		if st.PacketsOut < 0 || st.SackedOut < 0 || st.LostOut < 0 || st.RetransOut < 0 {
 			t.Fatalf("negative pipe var: %+v", st)
 		}
-		if st.SackedOut()+st.LostOut() > st.PacketsOut() {
-			t.Fatalf("sacked+lost (%d+%d) > packetsOut %d", st.SackedOut(), st.LostOut(), st.PacketsOut())
+		if st.SackedOut+st.LostOut > st.PacketsOut {
+			t.Fatalf("sacked+lost (%d+%d) > packetsOut %d", st.SackedOut, st.LostOut, st.PacketsOut)
 		}
-		if st.PacketsOut() != a.rtx.len() {
-			t.Fatalf("packetsOut %d != rtx len %d", st.PacketsOut(), a.rtx.len())
+		if int(st.PacketsOut) != a.rtx.len() {
+			t.Fatalf("packetsOut %d != rtx len %d", st.PacketsOut, a.rtx.len())
 		}
 	}
 	for k := 0; k < 400; k++ {
@@ -582,26 +582,26 @@ func TestPacingSpreadsBurst(t *testing.T) {
 }
 
 func TestRTTEstimator(t *testing.T) {
-	ps := NewPathState(cc.NewReno())
+	ps := &PathState{CC: cc.NewReno()}
 	ps.ObserveRTT(100*sim.Microsecond, sim.Microsecond, sim.Second)
-	if ps.SRTT() != 100*sim.Microsecond || ps.RTTVar() != 50*sim.Microsecond {
-		t.Fatalf("first sample: srtt=%v var=%v", ps.SRTT(), ps.RTTVar())
+	if ps.SRTT != 100*sim.Microsecond || ps.RTTVar != 50*sim.Microsecond {
+		t.Fatalf("first sample: srtt=%v var=%v", ps.SRTT, ps.RTTVar)
 	}
 	for i := 0; i < 100; i++ {
 		ps.ObserveRTT(100*sim.Microsecond, sim.Microsecond, sim.Second)
 	}
-	if ps.SRTT() != 100*sim.Microsecond {
-		t.Fatalf("steady srtt = %v", ps.SRTT())
+	if ps.SRTT != 100*sim.Microsecond {
+		t.Fatalf("steady srtt = %v", ps.SRTT)
 	}
-	if ps.RTTVar() > 10*sim.Microsecond {
-		t.Fatalf("rttvar did not decay: %v", ps.RTTVar())
+	if ps.RTTVar > 10*sim.Microsecond {
+		t.Fatalf("rttvar did not decay: %v", ps.RTTVar)
 	}
-	if ps.RTO() < sim.Microsecond {
+	if ps.RTO < sim.Microsecond {
 		t.Fatal("RTO below floor")
 	}
 	ps.ObserveRTT(0, sim.Microsecond, sim.Second) // ignored
-	if ps.Samples() != 101 {
-		t.Fatalf("zero sample counted: %d", ps.Samples())
+	if ps.Samples != 101 {
+		t.Fatalf("zero sample counted: %d", ps.Samples)
 	}
 }
 

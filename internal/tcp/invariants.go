@@ -15,18 +15,18 @@ func (c *Conn) CheckInvariants() error {
 		return nil // nothing left to be inconsistent
 	}
 	// Sender cursors.
-	if seqGT(c.sndUna(), c.sndNxt()) {
-		return fmt.Errorf("tcp: snd_una %d beyond snd_nxt %d", c.sndUna()-c.iss, c.sndNxt()-c.iss)
+	if seqGT(c.sndUna, c.sndNxt) {
+		return fmt.Errorf("tcp: snd_una %d beyond snd_nxt %d", c.sndUna-c.iss, c.sndNxt-c.iss)
 	}
 	if c.backoff > 16 {
 		return fmt.Errorf("tcp: rto backoff %d beyond saturation", c.backoff)
 	}
 
 	// Retransmission-queue shape and the §4.3 pipe recount.
-	packets := make([]int, len(c.states))
-	sacked := make([]int, len(c.states))
-	lost := make([]int, len(c.states))
-	retrans := make([]int, len(c.states))
+	packets := make([]int32, len(c.states))
+	sacked := make([]int32, len(c.states))
+	lost := make([]int32, len(c.states))
+	retrans := make([]int32, len(c.states))
 	var prev *TxSeg
 	var walkErr error
 	c.rtx.forEach(func(seg *TxSeg) bool {
@@ -70,9 +70,9 @@ func (c *Conn) CheckInvariants() error {
 	c.rtx.forEach(func(seg *TxSeg) bool {
 		if seg.Sacked {
 			sackedBytes += int64(seg.Len)
-			if seqLT(seg.Seq, c.sndUna()) || seqGT(seg.End(), c.sndNxt()) {
+			if seqLT(seg.Seq, c.sndUna) || seqGT(seg.End(), c.sndNxt) {
 				walkErr = fmt.Errorf("tcp: SACKed segment [%d,%d) outside outstanding window [%d,%d)",
-					c.RelSeq(seg.Seq), c.RelSeq(seg.End()), c.sndUna()-c.iss, c.sndNxt()-c.iss)
+					c.RelSeq(seg.Seq), c.RelSeq(seg.End()), c.sndUna-c.iss, c.sndNxt-c.iss)
 				return false
 			}
 		}
@@ -81,33 +81,34 @@ func (c *Conn) CheckInvariants() error {
 	if walkErr != nil {
 		return walkErr
 	}
-	if outstanding := int64(seqDiff(c.sndNxt(), c.sndUna())); sackedBytes > outstanding {
+	if outstanding := int64(seqDiff(c.sndNxt, c.sndUna)); sackedBytes > outstanding {
 		return fmt.Errorf("tcp: SACK scoreboard covers %d bytes, only %d outstanding", sackedBytes, outstanding)
 	}
 	if head := c.rtx.headSeg(); head != nil {
-		if seqGT(head.Seq, c.sndUna()) || seqLEQ(head.End(), c.sndUna()) {
+		if seqGT(head.Seq, c.sndUna) || seqLEQ(head.End(), c.sndUna) {
 			return fmt.Errorf("tcp: snd_una %d outside head segment [%d,%d)",
-				c.sndUna()-c.iss, c.RelSeq(head.Seq)+1, c.RelSeq(head.End())+1)
+				c.sndUna-c.iss, c.RelSeq(head.Seq)+1, c.RelSeq(head.End())+1)
 		}
-		if tail := c.rtx.tailSeg(); tail.End() != c.sndNxt() {
+		if tail := c.rtx.tailSeg(); tail.End() != c.sndNxt {
 			return fmt.Errorf("tcp: tail segment ends at %d, snd_nxt at %d",
-				tail.End()-c.iss, c.sndNxt()-c.iss)
+				tail.End()-c.iss, c.sndNxt-c.iss)
 		}
-	} else if c.sndUna() != c.sndNxt() {
+	} else if c.sndUna != c.sndNxt {
 		return fmt.Errorf("tcp: empty rtx queue with snd_una %d != snd_nxt %d",
-			c.sndUna()-c.iss, c.sndNxt()-c.iss)
+			c.sndUna-c.iss, c.sndNxt-c.iss)
 	}
 	out := 0
 	for tdn, st := range c.states {
-		out += st.PacketsOut()
-		if st.PacketsOut() != packets[tdn] || st.SackedOut() != sacked[tdn] ||
-			st.LostOut() != lost[tdn] || st.RetransOut() != retrans[tdn] {
-			return fmt.Errorf("tcp: TDN %d pipe counters out/sacked/lost/retrans = %d/%d/%d/%d, recount %d/%d/%d/%d",
-				tdn, st.PacketsOut(), st.SackedOut(), st.LostOut(), st.RetransOut(),
-				packets[tdn], sacked[tdn], lost[tdn], retrans[tdn])
-		}
-		if st.PacketsOut() < 0 || st.SackedOut() < 0 || st.LostOut() < 0 || st.RetransOut() < 0 {
+		out += int(st.PacketsOut)
+		// Before the recount, which a negative counter can never equal.
+		if st.PacketsOut < 0 || st.SackedOut < 0 || st.LostOut < 0 || st.RetransOut < 0 {
 			return fmt.Errorf("tcp: TDN %d negative pipe counter", tdn)
+		}
+		if st.PacketsOut != packets[tdn] || st.SackedOut != sacked[tdn] ||
+			st.LostOut != lost[tdn] || st.RetransOut != retrans[tdn] {
+			return fmt.Errorf("tcp: TDN %d pipe counters out/sacked/lost/retrans = %d/%d/%d/%d, recount %d/%d/%d/%d",
+				tdn, st.PacketsOut, st.SackedOut, st.LostOut, st.RetransOut,
+				packets[tdn], sacked[tdn], lost[tdn], retrans[tdn])
 		}
 	}
 	// totalPacketsOut answers with the queue length instead of this sum.
@@ -120,8 +121,8 @@ func (c *Conn) CheckInvariants() error {
 		if seqGEQ(r.Start, r.End) {
 			return fmt.Errorf("tcp: receiver range %d is empty [%d,%d)", i, r.Start, r.End)
 		}
-		if seqLEQ(r.Start, c.rcvNxt()) {
-			return fmt.Errorf("tcp: receiver range %d starts at %d, at or below rcv_nxt %d", i, r.Start, c.rcvNxt())
+		if seqLEQ(r.Start, c.rcvNxt) {
+			return fmt.Errorf("tcp: receiver range %d starts at %d, at or below rcv_nxt %d", i, r.Start, c.rcvNxt)
 		}
 		if i > 0 && seqLT(r.Start, c.ranges[i-1].End) {
 			return fmt.Errorf("tcp: receiver ranges %d and %d overlap or are unsorted", i-1, i)

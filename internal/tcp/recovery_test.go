@@ -105,8 +105,8 @@ func TestRTTNotSampledFromHoleRepair(t *testing.T) {
 	st := a.States()[0]
 	// Path RTT is 100us; the hole repair took ≥ an RTO (1ms+). A polluted
 	// estimator would show srtt far above the path RTT.
-	if st.SRTT() > 300*sim.Microsecond {
-		t.Fatalf("srtt = %v polluted by hole-repair samples", st.SRTT())
+	if st.SRTT > 300*sim.Microsecond {
+		t.Fatalf("srtt = %v polluted by hole-repair samples", st.SRTT)
 	}
 }
 
@@ -147,7 +147,7 @@ func TestKickRecoveryRestartsStalledRecovery(t *testing.T) {
 	runFor(loop, 10*sim.Millisecond) // everything outstanding is black-holed
 	// Force the lost marks via a probe ACK cycle: wait for dupacks to mark.
 	st := a.States()[0]
-	if st.LostOut() == 0 {
+	if st.LostOut == 0 {
 		// Mark manually through the public-ish path: simulate RTO-scale
 		// stall by invoking fireRTO via its timer is not possible here; use
 		// KickRecovery's precondition directly.
@@ -248,10 +248,10 @@ func (f *fakeTwoState) NumStates() int { return 2 }
 // transmissions cannot exceed the allowance regardless of how often trySend
 // is invoked.
 func TestPRRAllowanceSpentPerAck(t *testing.T) {
-	ps := NewPathState(cc.NewCubic())
+	ps := &PathState{CC: cc.NewCubic()}
 	ps.CC.OnAck(cc.AckEvent{Acked: 90}) // grow cwnd to 100
-	ps.SetPacketsOut(100)
-	ps.SetCA(CARecovery)
+	ps.PacketsOut = 100
+	ps.CA = CARecovery
 	ps.CC.OnEnterRecovery(0, 100) // ssthresh = 70
 	ps.enterRecoveryPRR()
 	if got := ps.prrBudget(); got != 1 {
@@ -262,7 +262,7 @@ func TestPRRAllowanceSpentPerAck(t *testing.T) {
 		t.Fatalf("allowance after spend = %d, want 0", got)
 	}
 	// A delivery credit reopens it.
-	ps.SetLostOut(60) // pipe = 40 < ssthresh? ssthresh=70 -> slow-start branch
+	ps.LostOut = 60 // pipe = 40 < ssthresh? ssthresh=70 -> slow-start branch
 	ps.prrDelivered += 5
 	ps.updatePRR(5)
 	if got := ps.prrBudget(); got <= 0 {

@@ -37,16 +37,16 @@ func (c *Conn) processData(s *packet.Segment) {
 
 	if h.PayloadLen > 0 {
 		switch {
-		case seqLEQ(end, c.rcvNxt()):
+		case seqLEQ(end, c.rcvNxt):
 			// Entirely old: a spurious retransmission. Report via D-SACK
 			// (RFC 2883) so the sender can undo.
 			c.Stats.DupSegsRcvd++
 			c.dsack = packet.SACKBlock{Start: start, End: end}
 			c.dsackValid = true
 			c.Stats.DSACKsSent++
-		case seqLT(start, c.rcvNxt()):
+		case seqLT(start, c.rcvNxt):
 			// Partial overlap: trim the old part, deliver the rest.
-			c.acceptRange(c.rcvNxt(), end)
+			c.acceptRange(c.rcvNxt, end)
 		default:
 			if c.coveredByRanges(start, end) {
 				c.Stats.DupSegsRcvd++
@@ -59,8 +59,8 @@ func (c *Conn) processData(s *packet.Segment) {
 		}
 	}
 
-	if fin && end == c.rcvNxt() && len(c.ranges) == 0 {
-		c.setRcvNxt(c.rcvNxt() + 1)
+	if fin && end == c.rcvNxt && len(c.ranges) == 0 {
+		c.rcvNxt++
 		if c.state == stEstablished {
 			c.state = stCloseWait
 		}
@@ -86,7 +86,7 @@ func (c *Conn) acceptRange(start, end uint32) {
 	if seqLEQ(end, start) {
 		return
 	}
-	if start == c.rcvNxt() {
+	if start == c.rcvNxt {
 		c.advanceDelivery(end)
 		return
 	}
@@ -97,11 +97,11 @@ func (c *Conn) acceptRange(start, end uint32) {
 // advanceDelivery moves rcvNxt to at least end, absorbing any now-contiguous
 // buffered ranges, and notifies the delivery observer.
 func (c *Conn) advanceDelivery(end uint32) {
-	prev := c.rcvNxt()
-	c.setRcvNxt(end)
-	for len(c.ranges) > 0 && seqLEQ(c.ranges[0].Start, c.rcvNxt()) {
-		if seqGT(c.ranges[0].End, c.rcvNxt()) {
-			c.setRcvNxt(c.ranges[0].End)
+	prev := c.rcvNxt
+	c.rcvNxt = end
+	for len(c.ranges) > 0 && seqLEQ(c.ranges[0].Start, c.rcvNxt) {
+		if seqGT(c.ranges[0].End, c.rcvNxt) {
+			c.rcvNxt = c.ranges[0].End
 		}
 		c.dropMRU(c.ranges[0].Start)
 		// Pop by shifting down, not by reslicing forward: c.ranges[1:]
@@ -109,7 +109,7 @@ func (c *Conn) advanceDelivery(end uint32) {
 		// insertRange reallocate once the backing array "walks" forward.
 		c.ranges = c.ranges[:copy(c.ranges, c.ranges[1:])]
 	}
-	c.Stats.BytesDelivered += int64(c.rcvNxt() - prev)
+	c.Stats.BytesDelivered += int64(c.rcvNxt - prev)
 	if c.OnDelivered != nil {
 		c.OnDelivered(c.Loop.Now(), c.Stats.BytesDelivered)
 	}
@@ -198,7 +198,7 @@ func (c *Conn) fillSACK(h *packet.TCPHeader) {
 // sendAck emits an immediate pure ACK reflecting the current receive state.
 func (c *Conn) sendAck(ece bool) {
 	s := c.newSegment(packet.FlagACK)
-	s.TCP.Seq = c.sndNxt()
+	s.TCP.Seq = c.sndNxt
 	if ece {
 		s.TCP.Flags |= packet.FlagECE
 	}

@@ -58,26 +58,31 @@ func (s CAState) String() string {
 }
 
 // PathState is the per-path ("per-TDN" in TDTCP) state bundle of §3.1: pipe
-// variables, congestion-control variables, and delay/RTT variables.
-//
-// The hot fields — the RFC 6298 RTT estimator (SRTT, RTTVar, RTO, Samples),
-// the congestion state machine (CA, RecoveryPoint, DupAcks), and the §4.3
-// pipe counters (PacketsOut, SackedOut, LostOut, RetransOut) — live in the
-// struct-of-arrays Slab, indexed by idx, and are reached through the accessor
-// methods in slab.go. PathState itself keeps only the identity, the
-// congestion-control instance (which owns cwnd/ssthresh), and the cold
-// recovery-episode bookkeeping.
+// variables, congestion-control variables (cwnd/ssthresh belong to the CC
+// instance), and delay/RTT variables, one copy per TDN.
 type PathState struct {
 	TDN uint8
 	CC  cc.Algorithm
 
-	slab *Slab
-	idx  int32
+	// RTT estimator (RFC 6298); ObserveRTT maintains it.
+	SRTT, RTTVar, RTO sim.Dur
+	Samples           int32 // RTT samples incorporated
 
-	// Undo bookkeeping: retransmissions in the current recovery episode
+	// Congestion state machine (Figure 4): RecoveryPoint is snd_nxt at the
+	// last Recovery/Loss entry. undoPossible says the current episode may
+	// still be undone by D-SACKs.
+	CA            CAState
+	undoPossible  bool
+	RecoveryPoint uint32
+	DupAcks       int32
+
+	// Pipe counters (§4.3) over the queue entries tagged with this TDN:
+	// unacked, SACKed, marked lost, retransmitted and still outstanding.
+	PacketsOut, SackedOut, LostOut, RetransOut int32
+
+	// undoRetrans counts the retransmissions of the current recovery episode
 	// not yet proven spurious by D-SACKs.
-	undoRetrans  int
-	undoPossible bool
+	undoRetrans int
 
 	// Proportional Rate Reduction (RFC 6937) state for the current
 	// recovery episode: without it, a large pre-loss window lets the
@@ -105,7 +110,7 @@ type PathState struct {
 // PRR governs fast recovery only; after an RTO (CALoss) Linux repairs by
 // plain slow start from cwnd=1, and so do we.
 func (ps *PathState) updatePRR(deliveredNow int) {
-	if ps.CA() != CARecovery {
+	if ps.CA != CARecovery {
 		return
 	}
 	pipe := ps.InFlight()
@@ -135,7 +140,7 @@ func (ps *PathState) updatePRR(deliveredNow int) {
 
 // prrBudget returns the unspent portion of the current ACK's allowance.
 func (ps *PathState) prrBudget() int {
-	if ps.CA() != CARecovery {
+	if ps.CA != CARecovery {
 		return 1 << 30
 	}
 	return ps.prrAllowance
@@ -166,8 +171,7 @@ func (ps *PathState) enterRecoveryPRR() {
 //
 //lint:hotpath read on every ACK and send attempt
 func (ps *PathState) InFlight() int {
-	s, i := ps.slab, ps.idx
-	n := s.packetsOut[i] - s.sackedOut[i] - s.lostOut[i]
+	n := ps.PacketsOut - ps.SackedOut - ps.LostOut
 	if n < 0 {
 		n = 0
 	}
@@ -185,27 +189,26 @@ func (ps *PathState) ObserveRTT(sample sim.Dur, minRTO, maxRTO sim.Dur) {
 	if sample <= 0 {
 		return
 	}
-	s, i := ps.slab, ps.idx
-	if s.samples[i] == 0 {
-		s.srtt[i] = sample
-		s.rttvar[i] = sample / 2
+	if ps.Samples == 0 {
+		ps.SRTT = sample
+		ps.RTTVar = sample / 2
 	} else {
-		diff := s.srtt[i] - sample
+		diff := ps.SRTT - sample
 		if diff < 0 {
 			diff = -diff
 		}
-		s.rttvar[i] = (3*s.rttvar[i] + diff) / 4
-		s.srtt[i] = (7*s.srtt[i] + sample) / 8
+		ps.RTTVar = (3*ps.RTTVar + diff) / 4
+		ps.SRTT = (7*ps.SRTT + sample) / 8
 	}
-	s.samples[i]++
-	rto := s.srtt[i] + 4*s.rttvar[i]
+	ps.Samples++
+	rto := ps.SRTT + 4*ps.RTTVar
 	if rto < minRTO {
 		rto = minRTO
 	}
 	if rto > maxRTO {
 		rto = maxRTO
 	}
-	s.rto[i] = rto
+	ps.RTO = rto
 }
 
 // Policy abstracts how a connection manages its path state(s). The
@@ -233,7 +236,7 @@ type Policy interface {
 	// RTTTarget maps an RTT sample measured from a segment sent on dataTDN
 	// and acknowledged on ackTDN to the state index that should absorb it;
 	// ok=false discards the sample (type-3 mixed samples, §4.4).
-	RTTTarget(dataTDN, ackTDN uint8) (idx int, ok bool)
+	RTTTarget(dataTDN, ackTDN uint8) (state int, ok bool)
 	// SegmentRTO returns the retransmission timeout for a segment sent on
 	// tdn (§4.4's pessimistic cross-TDN synthesis for TDTCP).
 	SegmentRTO(tdn uint8) sim.Dur
@@ -273,4 +276,4 @@ func (p *SinglePath) FilterLoss(seg *TxSeg, trigTDN uint8) bool { return false }
 func (p *SinglePath) RTTTarget(dataTDN, ackTDN uint8) (int, bool) { return 0, true }
 
 // SegmentRTO implements Policy.
-func (p *SinglePath) SegmentRTO(tdn uint8) sim.Dur { return p.c.states[0].RTO() }
+func (p *SinglePath) SegmentRTO(tdn uint8) sim.Dur { return p.c.states[0].RTO }

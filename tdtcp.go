@@ -9,7 +9,7 @@
 //
 //	loop := tdtcp.NewLoop(1)
 //	net, _ := tdtcp.NewNetwork(loop, tdtcp.DefaultNetworkConfig())
-//	flow, _ := tdtcp.BuildFlow(loop, net, 0, tdtcp.TDTCP, tdtcp.FlowOptions{})
+//	flow, _ := tdtcp.BuildFlow(net, 0, tdtcp.TDTCP, tdtcp.FlowOptions{})
 //	net.Start(tdtcp.Time(10 * tdtcp.Millisecond))
 //	flow.Start(-1) // stream forever
 //	loop.RunUntil(tdtcp.Time(10 * tdtcp.Millisecond))
@@ -217,8 +217,8 @@ var AllVariants = experiments.AllVariants
 
 // BuildFlow wires one flow of the given variant between host i of rack 0
 // and host i of rack 1.
-func BuildFlow(loop *Loop, net *Network, i int, v Variant, opt FlowOptions) (*Flow, error) {
-	return experiments.BuildFlow(loop, net, i, v, opt)
+func BuildFlow(net *Network, i int, v Variant, opt FlowOptions) (*Flow, error) {
+	return experiments.BuildFlow(net, i, v, opt)
 }
 
 // Run executes one fully-specified experiment.

@@ -11,7 +11,7 @@ func TestQuickstartFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow, err := BuildFlow(loop, net, 0, TDTCP, FlowOptions{})
+	flow, err := BuildFlow(net, 0, TDTCP, FlowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
