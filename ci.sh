@@ -50,6 +50,15 @@ find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testd
 		printf "%7d total\n", total
 	}' | tee artifacts/loc.txt
 
+# The two allocation contracts, printed: the bytes each further flow of an
+# open-loop run costs (TestWorkloadChurnAllocatesForItsResultOnly; endpoint
+# reuse is judged by this number) and the allocations of a steady-state week
+# on the hybrid and the 8-rack rotor (TestSteadyStateDoesNotAllocate). Both
+# skip under -race, so the race run below does not cover them.
+go test -count=1 -v -run 'TestWorkloadChurnAllocatesForItsResultOnly|TestSteadyStateDoesNotAllocate' \
+	./internal/experiments > artifacts/alloc.txt || { cat artifacts/alloc.txt; exit 1; }
+cat artifacts/alloc.txt
+
 # Full suite under the race detector, with per-package coverage; the profile
 # and its per-package summary are CI artifacts (kept out of git via
 # .gitignore). This one line carries every gate that used to re-run a subset:

@@ -45,6 +45,11 @@ type AckEvent struct {
 // stateful and belong to exactly one path state.
 type Algorithm interface {
 	Name() string
+	// Reset returns the instance to the state its constructor left it in,
+	// keeping only the constructor's arguments, so a connection that is
+	// reopened for a new flow reuses the instance instead of building
+	// another. Every constructor in this package is new + Reset.
+	Reset()
 	// Cwnd returns the congestion window in packets.
 	Cwnd() float64
 	// Ssthresh returns the slow-start threshold in packets.
@@ -86,21 +91,26 @@ type TraceFunc func(event string, a, b float64)
 // call per path state.
 type Factory func() Algorithm
 
+// algorithms is every algorithm NewFactory knows, by name.
+var algorithms = []struct {
+	name string
+	mk   Factory
+}{
+	{"reno", func() Algorithm { return NewReno() }},
+	{"cubic", func() Algorithm { return NewCubic() }},
+	{"dctcp", func() Algorithm { return NewDCTCP() }},
+	{"retcp", func() Algorithm { return NewReTCP(DefaultReTCPAlpha) }},
+}
+
 // NewFactory returns a factory for the named algorithm: "reno", "cubic",
 // "dctcp" or "retcp".
 func NewFactory(name string) (Factory, error) {
-	switch name {
-	case "reno":
-		return func() Algorithm { return NewReno() }, nil
-	case "cubic":
-		return func() Algorithm { return NewCubic() }, nil
-	case "dctcp":
-		return func() Algorithm { return NewDCTCP() }, nil
-	case "retcp":
-		return func() Algorithm { return NewReTCP(DefaultReTCPAlpha) }, nil
-	default:
-		return nil, fmt.Errorf("cc: unknown algorithm %q", name)
+	for _, a := range algorithms {
+		if a.name == name {
+			return a.mk, nil
+		}
 	}
+	return nil, fmt.Errorf("cc: unknown algorithm %q", name)
 }
 
 // common carries the Reno-style window core shared by all algorithms.
@@ -126,6 +136,9 @@ func (c *common) emitCwnd(event string) {
 	}
 }
 
+// newCommon is the window core of a fresh instance: every Reset assigns its
+// whole struct from a literal holding one of these, so a field added later
+// starts from zero without being listed.
 func newCommon() common {
 	return common{cwnd: InitialCwnd, ssthresh: math.Inf(1)}
 }
@@ -164,9 +177,16 @@ func clampMin(v float64) float64 { return math.Max(v, MinCwnd) }
 type Reno struct{ common }
 
 // NewReno returns a NewReno instance.
-func NewReno() *Reno { return &Reno{newCommon()} }
+func NewReno() *Reno {
+	r := new(Reno)
+	r.Reset()
+	return r
+}
 
 func (r *Reno) Name() string { return "reno" }
+
+// Reset implements Algorithm.
+func (r *Reno) Reset() { *r = Reno{newCommon()} }
 
 func (r *Reno) OnAck(ev AckEvent) {
 	r.renoGrow(ev.Acked)

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -308,5 +309,58 @@ func TestAllAlgorithmsInvariants(t *testing.T) {
 		if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestResetEqualsNew: for every algorithm NewFactory knows, an instance driven
+// through growth, recovery, an RTO, an undo and (reTCP) a circuit ramp, with a
+// trace hook attached, is after Reset field for field what the factory
+// returns — the comparison walks the struct, so a field added later and not
+// covered by Reset fails here — and behaves as a fresh instance from there.
+func TestResetEqualsNew(t *testing.T) {
+	drive := func(a Algorithm) {
+		now := us(1)
+		a.OnAck(AckEvent{Now: now, Acked: 30, ECEMarked: 4, SRTT: 40 * sim.Microsecond})
+		if ca, ok := a.(CircuitAware); ok {
+			ca.OnCircuitUp(now.Add(sim.Microsecond))
+		}
+		a.OnEnterRecovery(now.Add(2*sim.Microsecond), int(a.Cwnd()))
+		a.OnRecoveryExit(now.Add(3 * sim.Microsecond))
+		for i := 0; i < 50; i++ { // well into congestion avoidance (CUBIC's epoch, DCTCP's windows)
+			a.OnAck(AckEvent{Now: now.Add(sim.Dur(10+i) * sim.Microsecond), Acked: 3, ECEMarked: i % 2, SRTT: 40 * sim.Microsecond})
+		}
+		a.OnRTO(now.Add(100*sim.Microsecond), int(a.Cwnd()))
+		a.Undo()
+		if ca, ok := a.(CircuitAware); ok {
+			ca.OnCircuitUp(now.Add(101 * sim.Microsecond))
+			ca.OnCircuitDown(now.Add(102 * sim.Microsecond))
+			ca.OnCircuitUp(now.Add(103 * sim.Microsecond))
+		}
+	}
+	for _, alg := range algorithms {
+		t.Run(alg.name, func(t *testing.T) {
+			a, fresh := alg.mk(), alg.mk()
+			a.(interface{ SetTrace(TraceFunc) }).SetTrace(func(string, float64, float64) {})
+			drive(a)
+			if reflect.DeepEqual(a, fresh) {
+				t.Fatal("driving the instance left it as constructed: the test shows nothing")
+			}
+			a.Reset()
+			if !reflect.DeepEqual(a, fresh) {
+				t.Fatalf("after Reset:\n got %+v\nwant %+v", a, fresh)
+			}
+			drive(a)
+			drive(fresh)
+			if !reflect.DeepEqual(a, fresh) {
+				t.Errorf("a reset instance diverged from a fresh one:\n got %+v\nwant %+v", a, fresh)
+			}
+		})
+	}
+	// The constructor's argument survives: a non-default ramp factor.
+	r := NewReTCP(5)
+	drive(r)
+	r.Reset()
+	if !reflect.DeepEqual(r, NewReTCP(5)) {
+		t.Errorf("after Reset: %+v, want %+v", r, NewReTCP(5))
 	}
 }

@@ -25,10 +25,15 @@ type Cubic struct {
 
 // NewCubic returns a CUBIC instance with standard constants.
 func NewCubic() *Cubic {
-	return &Cubic{common: newCommon(), beta: 0.7, c: 0.4}
+	cu := new(Cubic)
+	cu.Reset()
+	return cu
 }
 
 func (cu *Cubic) Name() string { return "cubic" }
+
+// Reset implements Algorithm.
+func (cu *Cubic) Reset() { *cu = Cubic{common: newCommon(), beta: 0.7, c: 0.4} }
 
 func (cu *Cubic) resetEpoch() {
 	cu.hasEpoch = false

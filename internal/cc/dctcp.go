@@ -24,10 +24,15 @@ type DCTCP struct {
 // NewDCTCP returns a DCTCP instance with Linux defaults (g = 1/16, α
 // initialized to 1 so a new flow backs off hard on first congestion).
 func NewDCTCP() *DCTCP {
-	return &DCTCP{common: newCommon(), g: 1.0 / 16, alpha: 1}
+	d := new(DCTCP)
+	d.Reset()
+	return d
 }
 
 func (d *DCTCP) Name() string { return "dctcp" }
+
+// Reset implements Algorithm.
+func (d *DCTCP) Reset() { *d = DCTCP{common: newCommon(), g: 1.0 / 16, alpha: 1} }
 
 // Alpha exposes the current mark-fraction estimate (for tests and traces).
 func (d *DCTCP) Alpha() float64 { return d.alpha }

@@ -36,10 +36,16 @@ func NewReTCP(alpha float64) *ReTCP {
 	if alpha < 1 {
 		alpha = 1
 	}
-	return &ReTCP{common: newCommon(), alpha: alpha}
+	r := &ReTCP{alpha: alpha}
+	r.Reset()
+	return r
 }
 
 func (r *ReTCP) Name() string { return "retcp" }
+
+// Reset implements Algorithm; the ramp factor is the constructor's argument
+// and stays.
+func (r *ReTCP) Reset() { *r = ReTCP{common: newCommon(), alpha: r.alpha} }
 
 // RampCount reports how many circuit-up ramps have been applied (for tests).
 func (r *ReTCP) RampCount() int { return r.rampCount }

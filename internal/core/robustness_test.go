@@ -2,9 +2,13 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"github.com/rdcn-net/tdtcp/internal/packet"
 	"github.com/rdcn-net/tdtcp/internal/sim"
+	"github.com/rdcn-net/tdtcp/internal/tcp"
+	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
 // TestEpochWraparoundSwitches drives the policy across the uint32 epoch wrap:
@@ -66,4 +70,74 @@ func TestDeadmanInfersTDNFromSchedule(t *testing.T) {
 	}
 	e.pa.StopDeadman()
 	e.pb.StopDeadman()
+}
+
+// TestResetEqualsNew: a policy that has switched TDNs on notifications and on
+// its deadman, counted stale ones and carries a lag histogram is, after Reset,
+// what New returns for the same arguments; and reopened with its connection
+// it is what a new policy is once attached: TDN 0, no change pointer, zero
+// counters, the connection's epoch gate open again, and exactly one deadman
+// armed a horizon ahead. The struct is compared whole (funcs, the connection
+// and the timer handle aside), so a field added later and not reset fails.
+func TestResetEqualsNew(t *testing.T) {
+	opts := Options{
+		DeadmanHorizon:  250 * sim.Microsecond,
+		DeadmanSchedule: func(tm sim.Time) (int, bool) { return int(tm/sim.Time(100*sim.Microsecond)) % 2, true },
+	}
+	e := newEnv(t, opts, nil)
+	e.pa.DeadmanLag = trace.NewRegistry().Hist("lag")
+	e.establish()
+	e.a.QueueBytes(40 * 8960)
+	e.runFor(2 * sim.Millisecond) // silence: the deadman engages
+	e.switchTDN(1 - e.pa.ActiveTDN())
+	e.a.Notify(7, e.epoch+1) // out of range
+	e.runFor(100 * sim.Microsecond)
+	used := e.pa.Stats()
+	if _, changed := e.pa.ChangePointer(); used.DeadmanEngaged == 0 || used.Switches < 2 || used.StaleNotifies == 0 || !changed {
+		t.Fatalf("set-up: %+v, change pointer %v", used, changed)
+	}
+
+	// same compares two policies field for field, less what is per instance.
+	same := func(what string, got, want *TDTCP) {
+		t.Helper()
+		g, w := *got, *want
+		for _, p := range []*TDTCP{&g, &w} {
+			p.c, p.deadmanFn, p.opts.DeadmanSchedule, p.deadmanTimer = nil, nil, nil, sim.Timer{}
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s:\n got %+v\nwant %+v", what, g, w)
+		}
+	}
+	e.pb.StopDeadman()
+	e.pb.Reset()
+	same("after Reset", e.pb, New(2, opts))
+
+	e.pa.StopDeadman()
+	e.a.Release()
+	e.runFor(200 * sim.Millisecond) // the connection's own timers fire, as no-ops
+	if !e.a.Reopen(func(*packet.Segment) {}) {
+		t.Fatal("Reopen refused")
+	}
+	fresh := New(2, opts)
+	tcp.NewConn(e.loop, tcp.Config{NumTDNs: 2, Policy: fresh}, func(*packet.Segment) {})
+	same("after Reopen", e.pa, fresh)
+	if !e.pa.deadmanTimer.Active() || e.pa.deadmanTimer.When() != e.loop.Now().Add(opts.DeadmanHorizon) {
+		t.Errorf("reopened policy's deadman: armed %v for %v, want armed for %v",
+			e.pa.deadmanTimer.Active(), e.pa.deadmanTimer.When(), e.loop.Now().Add(opts.DeadmanHorizon))
+	}
+	// The connection's gate is open again: epoch 1 is fresh, not stale.
+	e.a.Notify(1, 1)
+	if e.pa.ActiveTDN() != 1 || e.a.Stats.NotifiesStale != 0 {
+		t.Errorf("epoch 1 on the reopened connection: active TDN %d, %d stale", e.pa.ActiveTDN(), e.a.Stats.NotifiesStale)
+	}
+	// Reset without StopDeadman still leaves one deadman, not two.
+	e.pa.Reset()
+	e.pa.Attach(e.a)
+	before := e.loop.Fired()
+	e.runFor(10 * opts.DeadmanHorizon)
+	e.pa.StopDeadman()
+	fresh.StopDeadman()
+	if n := e.loop.Fired() - before; n > 2*12 { // this policy's and fresh's, ten horizons each, with slack
+		t.Errorf("%d events over ten horizons: more than one deadman per policy is running", n)
+	}
 }

@@ -108,7 +108,18 @@ func New(numTDNs int, opts Options) *TDTCP {
 	if numTDNs > packet.MaxTDNs {
 		panic(fmt.Sprintf("core: at most %d TDNs supported", packet.MaxTDNs))
 	}
-	return &TDTCP{opts: opts, numTDNs: numTDNs}
+	p := &TDTCP{opts: opts, numTDNs: numTDNs}
+	p.Reset()
+	return p
+}
+
+// Reset implements tcp.Policy: back to TDN 0 with no change pointer, no
+// notification seen and every counter zero, keeping New's arguments and the
+// bound deadman callback. A deadman timer still armed is stopped, so a policy
+// reset without StopDeadman does not end up with two.
+func (p *TDTCP) Reset() {
+	p.deadmanTimer.Stop()
+	*p = TDTCP{opts: p.opts, numTDNs: p.numTDNs, deadmanFn: p.deadmanFn}
 }
 
 // Stats returns the policy's counters.
@@ -128,7 +139,9 @@ func (p *TDTCP) Attach(c *tcp.Conn) {
 	p.c = c
 	if p.opts.DeadmanHorizon > 0 && p.opts.DeadmanSchedule != nil {
 		p.lastNotifyAt = c.Loop.Now()
-		p.deadmanFn = p.deadmanFire
+		if p.deadmanFn == nil {
+			p.deadmanFn = p.deadmanFire
+		}
 		p.deadmanTimer = c.Loop.After(p.opts.DeadmanHorizon, p.deadmanFn)
 	}
 }

@@ -384,15 +384,14 @@ func newRunHarness(cfg *RunConfig) (*harness, error) {
 	defer h.dumpOnPanic()
 	var mn *muxNet
 	if racks > 2 {
-		mn = newMuxNet(h.net, h.pools)
+		mn = newMuxNet(h.net, h.pools, cfg.Variant, cfg.Flow)
 	}
 	for i := 0; i < cfg.Flows; i++ {
 		var f *Flow
 		src := 0
 		if mn != nil {
 			src = i % racks
-			f, err = mn.BuildFlow(src, i/racks, (src+1)%racks, i/racks,
-				uint16(40000+i), cfg.Variant, cfg.Flow)
+			f, err = mn.BuildFlow(src, i/racks, (src+1)%racks, i/racks, uint16(40000+i))
 		} else {
 			f, err = buildFlow(h.net, i, cfg.Variant, cfg.Flow, h.pools[0], h.pools[1])
 		}

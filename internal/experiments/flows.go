@@ -171,10 +171,11 @@ func ccFactoryFor(v Variant, opt FlowOptions) cc.Factory {
 	}
 }
 
-// singlePathConfigs builds the sender and receiver tcp.Config of a non-MPTCP
-// variant: CC factory, pacing, ECN, and (for TDTCP) the per-TDN state policy.
-// Shared between the two-rack BuildFlow wiring and the multi-rack mux path.
-func singlePathConfigs(net *rdcn.Network, v Variant, opt FlowOptions) (sndCfg, rcvCfg tcp.Config, err error) {
+// endpointConfig builds the tcp.Config of one endpoint, sender or receiver
+// alike, of a non-MPTCP variant: CC factory, pacing, ECN, and (for TDTCP) the
+// endpoint's own per-TDN state policy. Shared between the two-rack BuildFlow
+// wiring and the multi-rack mux path.
+func endpointConfig(net *rdcn.Network, v Variant, opt FlowOptions, pool *tcp.Pool) (tcp.Config, error) {
 	ntdns := len(net.Cfg.TDNs)
 	pacing := opt.Pacing
 	if pacing < 0 {
@@ -186,40 +187,32 @@ func singlePathConfigs(net *rdcn.Network, v Variant, opt FlowOptions) (sndCfg, r
 		// on the paper's testbed, so TDTCP flows default to paced sending.
 		pacing = 2.0
 	}
-	cfg := tcp.Config{CC: ccFactoryFor(v, opt), Pacing: pacing,
+	cfg := tcp.Config{CC: ccFactoryFor(v, opt), Pacing: pacing, Pool: pool,
 		MinRTO: opt.MinRTO, MaxRTO: opt.MaxRTO, MSS: opt.MSS, RcvBuf: opt.RcvBuf}
-	if v == TDTCP {
-		cfg.NumTDNs = ntdns
-		if len(opt.PerTDNCC) > 0 {
-			for _, name := range opt.PerTDNCC {
-				f, err := cc.NewFactory(name)
-				if err != nil {
-					return tcp.Config{}, tcp.Config{}, err
-				}
-				cfg.CCPerState = append(cfg.CCPerState, f)
-			}
-		}
-	}
 	if v == DCTCP {
 		cfg.ECN = true
 	}
-	mkPolicy := func() tcp.Policy {
-		if v == TDTCP {
-			o := opt.TDTCPOpts
-			if o.DeadmanHorizon > 0 && o.DeadmanSchedule == nil {
-				sched := net.Cfg.Schedule
-				o.DeadmanSchedule = func(t sim.Time) (int, bool) {
-					tdn, ok, _ := sched.At(t)
-					return tdn, ok
-				}
-			}
-			return core.New(ntdns, o)
-		}
-		return nil
+	if v != TDTCP {
+		return cfg, nil
 	}
-	sndCfg, rcvCfg = cfg, cfg
-	sndCfg.Policy, rcvCfg.Policy = mkPolicy(), mkPolicy()
-	return sndCfg, rcvCfg, nil
+	cfg.NumTDNs = ntdns
+	for _, name := range opt.PerTDNCC {
+		f, err := cc.NewFactory(name)
+		if err != nil {
+			return tcp.Config{}, err
+		}
+		cfg.CCPerState = append(cfg.CCPerState, f)
+	}
+	o := opt.TDTCPOpts
+	if o.DeadmanHorizon > 0 && o.DeadmanSchedule == nil {
+		sched := net.Cfg.Schedule
+		o.DeadmanSchedule = func(t sim.Time) (int, bool) {
+			tdn, ok, _ := sched.At(t)
+			return tdn, ok
+		}
+	}
+	cfg.Policy = core.New(ntdns, o)
+	return cfg, nil
 }
 
 // BuildFlow wires one flow of the given variant between host i of rack 0
@@ -250,11 +243,14 @@ func buildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions, pool0, pool
 		return f, nil
 	}
 
-	sndCfg, rcvCfg, err := singlePathConfigs(net, v, opt)
+	sndCfg, err := endpointConfig(net, v, opt, pool0)
 	if err != nil {
 		return nil, err
 	}
-	sndCfg.Pool, rcvCfg.Pool = pool0, pool1
+	rcvCfg, err := endpointConfig(net, v, opt, pool1)
+	if err != nil {
+		return nil, err
+	}
 
 	f.Snd = tcp.NewConn(l0, sndCfg, func(s *packet.Segment) { h0.Send(s) })
 	f.Rcv = tcp.NewConn(l1, rcvCfg, func(s *packet.Segment) { h1.Send(s) })

@@ -43,6 +43,10 @@ type harness struct {
 	// share a free list (a lane recycles its own queue entries; Conn.Release
 	// runs at control instants, with the lanes parked).
 	pools []*tcp.Pool
+	// rtts and lag are the registry's per-TDN RTT and deadman-lag histograms
+	// on a metered run, resolved by the first addFlow for every flow after.
+	rtts []*trace.Histogram
+	lag  *trace.Histogram
 
 	measureStart, end sim.Time
 	flows             []*Flow
@@ -161,8 +165,8 @@ func (h *harness) dumpOnPanic() {
 // events from its rack's lane, so it records through that lane's tracer fork
 // (Rack.Tracer), never the shared parent; every connection (both directions,
 // every MPTCP subflow) gets the registry's per-TDN RTT and deadman-lag
-// histograms, resolved once here and recorded into lock-free, and is watched
-// by the invariant checker on checked runs.
+// histograms, resolved once per run and recorded into lock-free, and is
+// watched by the invariant checker on checked runs.
 func (h *harness) addFlow(f *Flow, srcRack, id int) {
 	f.SetTracer(h.net.Racks[srcRack].Tracer(), id)
 	conns := []*tcp.Conn{f.Snd, f.Rcv}
@@ -170,15 +174,17 @@ func (h *harness) addFlow(f *Flow, srcRack, id int) {
 		conns = slices.Concat(f.MSnd.Subflows(), f.MRcv.Subflows())
 	}
 	if m := h.cfg.Metrics; m != nil {
-		rtts := make([]*trace.Histogram, len(h.cfg.Scenario.TDNs))
-		for k := range rtts {
-			rtts[k] = m.Hist(fmt.Sprintf("tcp.rtt_tdn%d_ns", k))
+		if h.rtts == nil {
+			h.rtts = make([]*trace.Histogram, len(h.cfg.Scenario.TDNs))
+			for k := range h.rtts {
+				h.rtts[k] = m.Hist(fmt.Sprintf("tcp.rtt_tdn%d_ns", k))
+			}
+			h.lag = m.Hist("tdtcp.deadman_lag_ns")
 		}
-		lag := m.Hist("tdtcp.deadman_lag_ns")
 		for _, c := range conns {
-			c.RTTHists = rtts
+			c.RTTHists = h.rtts
 			if p, ok := c.Config().Policy.(*core.TDTCP); ok {
-				p.DeadmanLag = lag
+				p.DeadmanLag = h.lag
 			}
 		}
 	}

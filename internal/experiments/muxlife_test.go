@@ -18,7 +18,10 @@ import (
 // after its FIN-ack (it leaves), and is released at the first arrival at or
 // after that plus the linger; at the horizon the notify sets hold exactly the
 // endpoints of the flows that have not left, and the port maps, the pools and
-// the harness exactly the flows not yet released.
+// the harness exactly the flows not yet released. The endpoints of released
+// flows are parked for reuse: every endpoint ever constructed is either
+// attached to a pool or parked, and every flow's two endpoints were each
+// either constructed or reopened.
 func TestWorkloadRetiresFinishedFlows(t *testing.T) {
 	var buf bytes.Buffer
 	tr := trace.New(&buf, trace.CatTCP|trace.CatTDN)
@@ -130,6 +133,13 @@ func TestWorkloadRetiresFinishedFlows(t *testing.T) {
 	if res.LateSegs != 0 {
 		t.Errorf("%d segments arrived after their port was unbound: the linger is too short", res.LateSegs)
 	}
+	if life.built != life.liveConns+life.parked || life.built+life.reopened != 2*res.FlowsStarted {
+		t.Errorf("%d endpoints built and %d reopened for %d flows; at the horizon %d are live and %d parked",
+			life.built, life.reopened, res.FlowsStarted, life.liveConns, life.parked)
+	}
+	if life.reopened < released {
+		t.Errorf("%d endpoints reopened with %d flows released: released endpoints are not being reused", life.reopened, released)
+	}
 }
 
 // finishedMuxFlow runs one 200 kB TDTCP flow between two hosts of a 4-rack
@@ -144,8 +154,8 @@ func finishedMuxFlow(t *testing.T) (*harness, *muxNet, *Flow) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn := newMuxNet(h.net, h.pools)
-	f, err := mn.BuildFlow(0, 0, 1, 1, muxTestPort, TDTCP, rc.Flow)
+	mn := newMuxNet(h.net, h.pools, TDTCP, rc.Flow)
+	f, err := mn.BuildFlow(0, 0, 1, 1, muxTestPort)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +244,7 @@ func TestRetiredFlowKeepsPortDropsDeadman(t *testing.T) {
 func TestReleasedFlowDropsLateSegment(t *testing.T) {
 	h, mn, f := finishedMuxFlow(t)
 	mn.leave(f)
-	if _, err := mn.BuildFlow(0, 0, 2, 0, muxTestPort, TDTCP, FlowOptions{}); err == nil {
+	if _, err := mn.BuildFlow(0, 0, 2, 0, muxTestPort); err == nil {
 		t.Fatal("a lingering flow's port was handed out again")
 	}
 	delivered, fired := h.delivered(), h.engine.Fired()
@@ -279,7 +289,7 @@ func TestReleasedFlowDropsLateSegment(t *testing.T) {
 	if _, _, _, err := h.finish(); err != nil {
 		t.Errorf("conservation after release: %v", err)
 	}
-	if _, err := mn.BuildFlow(0, 0, 2, 0, muxTestPort, TDTCP, FlowOptions{}); err != nil {
+	if _, err := mn.BuildFlow(0, 0, 2, 0, muxTestPort); err != nil {
 		t.Errorf("binding a released port again: %v", err)
 	}
 }

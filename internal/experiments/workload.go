@@ -32,19 +32,22 @@ import (
 // muxNet.release the port is unbound and the connection's queue storage goes
 // back to its rack's pool, so what a host holds follows the flows open or
 // lingering on it, not the flows it ever carried. A segment for an unbound port is
-// dropped and counted, as a host does after TIME_WAIT.
+// dropped and counted, as a host does after TIME_WAIT. The released connection
+// itself is parked on its rack for a later arrival to reopen (muxNet.parked).
 //
 // The map is looked up, never ranged over, and notify keeps join order
 // (fan-out order is trace order), so event order stays deterministic.
 type hostMux struct {
+	host   *rdcn.Host
+	send   func(*packet.Segment) // host.Send, bound once: the Out of every endpoint here
 	seg    packet.Segment
 	conns  map[uint16]*tcp.Conn
 	notify []*tcp.Conn
 	late   uint64 // segments dropped for want of a bound port
 }
 
-func newHostMux() *hostMux {
-	m := &hostMux{conns: make(map[uint16]*tcp.Conn)}
+func newHostMux(host *rdcn.Host) *hostMux {
+	m := &hostMux{host: host, send: host.Send, conns: make(map[uint16]*tcp.Conn)}
 	m.seg.TCP.SACK = make([]packet.SACKBlock, 0, 4)
 	return m
 }
@@ -84,20 +87,39 @@ func (m *hostMux) leave(c *tcp.Conn) {
 
 // muxNet overlays a hostMux on every host of a network, so flows can be wired
 // between arbitrary rack/host pairs instead of the two-rack one-flow-per-host
-// layout of BuildFlow.
+// layout of BuildFlow. Every flow of one muxNet is of one variant with one set
+// of FlowOptions, which is what makes a released endpoint fit the next flow.
 type muxNet struct {
-	net    *rdcn.Network
-	pools  []*tcp.Pool         // per rack, from the harness
-	muxes  [][]*hostMux        // [rack][host]
-	byAddr map[uint32]*hostMux // the same muxes by host address, for leave
+	net     *rdcn.Network
+	variant Variant
+	opt     FlowOptions
+	pools   []*tcp.Pool         // per rack, from the harness
+	muxes   [][]*hostMux        // [rack][host]
+	byAddr  map[uint32]*hostMux // the same muxes by host address, for leave
+
+	// parked holds, per rack, the endpoints release has retired, oldest
+	// first, until an arrival on that rack reopens them (DESIGN.md §10
+	// "Endpoint reuse"). Like the pools it is per rack because an endpoint's
+	// timers live on its rack's lane; unlike them it is touched only by
+	// release and BuildFlow, at control instants with the lanes parked.
+	parked [][]*tcp.Conn
+	// built and reopened count the endpoints constructed and the times one
+	// was reopened: two per flow between them. refused counts the parked
+	// endpoints an arrival passed over because a timer of theirs was pending.
+	built, reopened, refused int
+	// noReuse makes every arrival construct its endpoints: the reference
+	// this package's tests hold reuse against.
+	noReuse bool
 }
 
-func newMuxNet(net *rdcn.Network, pools []*tcp.Pool) *muxNet {
-	mn := &muxNet{net: net, pools: pools, muxes: make([][]*hostMux, len(net.Racks)), byAddr: make(map[uint32]*hostMux)}
+func newMuxNet(net *rdcn.Network, pools []*tcp.Pool, v Variant, opt FlowOptions) *muxNet {
+	mn := &muxNet{net: net, variant: v, opt: opt, pools: pools,
+		muxes: make([][]*hostMux, len(net.Racks)), byAddr: make(map[uint32]*hostMux),
+		parked: make([][]*tcp.Conn, len(net.Racks))}
 	for r, rack := range net.Racks {
 		mn.muxes[r] = make([]*hostMux, len(rack.Hosts))
 		for h, host := range rack.Hosts {
-			m := newHostMux()
+			m := newHostMux(host)
 			mn.muxes[r][h] = m
 			mn.byAddr[host.Addr] = m
 			host.Recv = m.recv
@@ -108,18 +130,19 @@ func newMuxNet(net *rdcn.Network, pools []*tcp.Pool) *muxNet {
 	return mn
 }
 
-// BuildFlow wires one single-path flow from (srcRack, srcHost) to (dstRack,
-// dstHost). Both endpoints use the same port number, which must be unique
-// per endpoint host among the ports bound at the time — it is the demux key
-// on both sides. A TDTCP flow's endpoints join their hosts' notify sets here
-// and leave them at leave; the ports are unbound at release. MPTCP
-// and the reTCP variants are two-rack constructs (subflow pinning and the
-// circuit-up signal have no rotor analogue) and are rejected.
-func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int,
-	port uint16, v Variant, opt FlowOptions) (*Flow, error) {
-	switch v {
+// BuildFlow wires one single-path flow of the muxNet's variant from (srcRack,
+// srcHost) to (dstRack, dstHost). Both endpoints use the same port number,
+// which must be unique per endpoint host among the ports bound at the time —
+// it is the demux key on both sides. Each endpoint is the oldest one parked
+// on its rack that can be reopened, or else a new one. A TDTCP flow's
+// endpoints join their hosts' notify sets here and leave them at leave; the
+// ports are unbound at release. MPTCP and the reTCP variants are two-rack
+// constructs (subflow pinning and the circuit-up signal have no rotor
+// analogue) and are rejected.
+func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16) (*Flow, error) {
+	switch mn.variant {
 	case MPTCP, ReTCP, ReTCPDyn:
-		return nil, fmt.Errorf("experiments: variant %s is not supported on the multi-rack mux path", v)
+		return nil, fmt.Errorf("experiments: variant %s is not supported on the multi-rack mux path", mn.variant)
 	default:
 		// Cubic, DCTCP, Reno, TDTCP are single-path and rack-count-agnostic.
 	}
@@ -142,31 +165,58 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int,
 		return nil, fmt.Errorf("experiments: port %d already in use on rack %d host %d", port, dstRack, dstHost)
 	}
 
-	sndCfg, rcvCfg, err := singlePathConfigs(mn.net, v, opt)
-	if err != nil {
+	// Sender first, as always: a TDTCP policy may arm its deadman when it
+	// attaches, and arming order is trace order.
+	f := &Flow{Variant: mn.variant}
+	var err error
+	if f.Snd, err = mn.endpoint(sm); err != nil {
 		return nil, err
 	}
-	sndCfg.Pool, rcvCfg.Pool = mn.pools[srcRack], mn.pools[dstRack]
-	hs := mn.net.Racks[srcRack].Hosts[srcHost]
-	hr := mn.net.Racks[dstRack].Hosts[dstHost]
-	f := &Flow{Variant: v}
-	// Each endpoint lives on its own rack's lane so its timers, retransmits,
-	// and pool traffic stay shard-local under the sharded engine.
-	f.Snd = tcp.NewConn(hs.Rack.Loop(), sndCfg, func(s *packet.Segment) { hs.Send(s) })
-	f.Rcv = tcp.NewConn(hr.Rack.Loop(), rcvCfg, func(s *packet.Segment) { hr.Send(s) })
-	f.Snd.LocalAddr, f.Snd.RemoteAddr = hs.Addr, hr.Addr
+	if f.Rcv, err = mn.endpoint(dm); err != nil {
+		return nil, err
+	}
+	f.Snd.LocalAddr, f.Snd.RemoteAddr = sm.host.Addr, dm.host.Addr
 	f.Snd.LocalPort, f.Snd.RemotePort = port, port
-	f.Rcv.LocalAddr, f.Rcv.RemoteAddr = hr.Addr, hs.Addr
+	f.Rcv.LocalAddr, f.Rcv.RemoteAddr = dm.host.Addr, sm.host.Addr
 	f.Rcv.LocalPort, f.Rcv.RemotePort = port, port
 	f.Rcv.Listen()
 
 	sm.conns[port] = f.Snd
 	dm.conns[port] = f.Rcv
-	if v == TDTCP {
+	if mn.variant == TDTCP {
 		sm.notify = append(sm.notify, f.Snd)
 		dm.notify = append(dm.notify, f.Rcv)
 	}
 	return f, nil
+}
+
+// endpoint returns a connection for one end of a new flow on host m: the
+// oldest endpoint parked on m's rack whose timers have run out, reopened, or
+// failing that a new one. Either way it lives on its rack's lane, so its
+// timers, retransmits and pool traffic stay shard-local under the sharded
+// engine. An endpoint passed over stays parked for a later arrival: its
+// retransmission timer can be owed a fire for up to MaxRTO after the flow
+// ended, which the linger does not cover.
+func (mn *muxNet) endpoint(m *hostMux) (*tcp.Conn, error) {
+	rack := m.host.Rack
+	list := mn.parked[rack.ID]
+	if mn.noReuse {
+		list = nil
+	}
+	for i, c := range list {
+		if c.Reopen(m.send) {
+			mn.parked[rack.ID] = slices.Delete(list, i, i+1)
+			mn.reopened++
+			return c, nil
+		}
+		mn.refused++
+	}
+	cfg, err := endpointConfig(mn.net, mn.variant, mn.opt, mn.pools[rack.ID])
+	if err != nil {
+		return nil, err
+	}
+	mn.built++
+	return tcp.NewConn(rack.Loop(), cfg, m.send), nil
 }
 
 // leave retires a flow whose sender has seen its FIN acknowledged: both
@@ -184,14 +234,17 @@ func (mn *muxNet) leave(f *Flow) {
 	}
 }
 
-// release ends the linger of a flow that has left: both ports are unbound and
+// release ends the linger of a flow that has left: both ports are unbound,
 // both connections return their retransmission-queue entries and queue
-// arrays to their racks' pools. The flow's armed timers still fire, as
-// no-ops, so the event sequence is what it would have been.
+// arrays to their racks' pools, and each is parked on its rack. The flow's
+// armed timers still fire, as no-ops, so the event sequence is what it would
+// have been.
 func (mn *muxNet) release(f *Flow) {
 	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
-		delete(mn.byAddr[c.LocalAddr].conns, c.LocalPort)
+		m := mn.byAddr[c.LocalAddr]
+		delete(m.conns, c.LocalPort)
 		c.Release()
+		mn.parked[m.host.Rack.ID] = append(mn.parked[m.host.Rack.ID], c)
 	}
 }
 
@@ -267,6 +320,10 @@ type WorkloadConfig struct {
 	// firstPort is the port the first arrival takes (default minPort); a
 	// seam for testing the wrap without 64 512 arrivals.
 	firstPort int
+	// noReuse constructs both endpoints of every arrival instead of reopening
+	// released ones (see muxNet.noReuse): the test-only reference that shows
+	// reuse changes no output byte.
+	noReuse bool
 }
 
 // Every arrival takes the next port, from minPort up, as its demux key on
@@ -374,6 +431,10 @@ type lifeCensus struct {
 	portsBound  int // ports bound, over every host
 	liveConns   int // connections attached to a pool and not released, over every rack
 	flows       int // flows the harness still tracks
+	// Endpoint reuse (muxNet): released endpoints waiting on a rack's list,
+	// endpoints ever constructed, the times one was reopened, and the times
+	// an arrival passed one over because a timer of its was still pending.
+	parked, built, reopened, refused int
 }
 
 // RunWorkload executes one open-loop workload experiment. Flow arrivals are a
@@ -415,7 +476,8 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	measureStart, end := h.measureStart, h.end
 
 	fctHist := cfg.Metrics.Hist("fct.ns")
-	mn := newMuxNet(net, h.pools)
+	mn := newMuxNet(net, h.pools, cfg.Variant, cfg.Flow)
+	mn.noReuse = cfg.noReuse
 	h.start()
 
 	// Aggregate capacity = per-rack schedule-weighted uplink rate × racks.
@@ -484,7 +546,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		if nextPort++; nextPort > maxPort {
 			nextPort = minPort
 		}
-		f, err := mn.BuildFlow(src, sh, dst, dh, port, cfg.Variant, cfg.Flow)
+		f, err := mn.BuildFlow(src, sh, dst, dh, port)
 		if err != nil {
 			buildErr = err
 			return
@@ -557,6 +619,10 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	for _, pool := range h.pools {
 		res.life.liveConns += pool.LiveConns()
 	}
+	for _, list := range mn.parked {
+		res.life.parked += len(list)
+	}
+	res.life.built, res.life.reopened, res.life.refused = mn.built, mn.reopened, mn.refused
 	res.FramesSent, res.FramesDelivered, res.FramesMisrouted, err = h.finish()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: workload run %s: %w", cfg.Scenario.Name, err)

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"time"
 )
@@ -70,11 +72,39 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Cache hits and joins refer to existing work: 200. Fresh jobs: 202.
+	if disp == DispCacheHit {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(s.hitReply(job))
+		return
+	}
 	code := http.StatusAccepted
 	if disp != DispAccepted {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, submitResponse{Disposition: disp, Job: s.View(job, disp == DispCacheHit)})
+	writeJSON(w, code, submitResponse{Disposition: disp, Job: s.View(job, false)})
+}
+
+// hitReply returns the body of the POST /jobs reply for a cache hit on j, the
+// bytes writeJSON would produce, encoded once per cached job: a hit returns a
+// terminal job, whose view can no longer change, and rendering it (reflection
+// over the view, re-validating and indenting the metrics dump) is most of
+// what a hit costs. The bytes go with the job when it is evicted.
+func (s *Server) hitReply(j *Job) []byte {
+	s.mu.Lock()
+	b := j.hitReply
+	s.mu.Unlock()
+	if b != nil {
+		return b
+	}
+	var buf bytes.Buffer
+	_ = newEncoder(&buf).Encode(submitResponse{Disposition: DispCacheHit, Job: s.View(j, true)})
+	s.mu.Lock()
+	if s.cache[j.Key] == j { // not evicted since Submit found it
+		j.hitReply = buf.Bytes()
+	}
+	s.mu.Unlock()
+	return buf.Bytes()
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -136,9 +166,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	_ = newEncoder(w).Encode(v)
+}
+
+// newEncoder is the one JSON rendering every reply uses.
+func newEncoder(w io.Writer) *json.Encoder {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	return enc
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

@@ -249,3 +249,86 @@ func terminalState(v any) bool {
 	s, _ := v.(string)
 	return terminal(State(s))
 }
+
+// TestCacheHitReplyIsEncodedOnce: a cache hit is answered from bytes encoded
+// at the job's first hit. They are exactly what rendering the reply afresh
+// through writeJSON gives; they are dropped when the job is evicted; and after
+// eviction and a re-run the hit carries the new job, not the old bytes.
+func TestCacheHitReplyIsEncodedOnce(t *testing.T) {
+	s, ts := httpServer(t, Config{Runner: func(req *Request) (*Outcome, error) {
+		out, _ := okRunner(req)
+		out.Metrics = json.RawMessage(`{"counters":{"a.b":1,"<&>":2}}`)
+		return out, nil
+	}, CacheCap: 1})
+	post := func(spec string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("Content-Type %q", ct)
+		}
+		return resp.StatusCode, raw
+	}
+	// runToDone submits spec as a miss and returns the finished job.
+	runToDone := func(spec string) *Job {
+		t.Helper()
+		code, raw := post(spec)
+		var reply struct {
+			Disposition string
+			Job         struct{ ID string }
+		}
+		if err := json.Unmarshal(raw, &reply); err != nil || code != http.StatusAccepted || reply.Disposition != DispAccepted {
+			t.Fatalf("submit %s: %d %s (%v)", spec, code, raw, err)
+		}
+		j, _ := s.Job(reply.Job.ID)
+		waitTerminal(t, j)
+		return j
+	}
+	fresh := func(j *Job) []byte {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, submitResponse{Disposition: DispCacheHit, Job: s.View(j, true)})
+		return rec.Body.Bytes()
+	}
+
+	memo := func(j *Job) []byte {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return j.hitReply
+	}
+
+	first := runToDone(`{"seed": 1}`)
+	if memo(first) != nil {
+		t.Fatal("a reply was encoded before any hit")
+	}
+	for i := 0; i < 3; i++ {
+		code, raw := post(`{"seed": 1}`)
+		if code != http.StatusOK || !bytes.Equal(raw, fresh(first)) {
+			t.Fatalf("hit %d: status %d, body\n%s\nwant\n%s", i, code, raw, fresh(first))
+		}
+	}
+	if b := memo(first); !bytes.Contains(b, []byte(`"id": "`+first.ID+`"`)) || !bytes.Contains(b, []byte(`\u003c\u0026\u003e`)) {
+		t.Fatalf("memoised reply: %s", b)
+	}
+
+	// Another spec evicts the first job (CacheCap 1) and its bytes with it.
+	runToDone(`{"seed": 2}`)
+	if memo(first) != nil {
+		t.Error("an evicted job kept its encoded reply")
+	}
+	// The first spec runs again as a new job; hits are answered with that one.
+	again := runToDone(`{"seed": 1}`)
+	if again.ID == first.ID {
+		t.Fatalf("re-run after eviction reused job %s", first.ID)
+	}
+	code, raw := post(`{"seed": 1}`)
+	if code != http.StatusOK || !bytes.Equal(raw, fresh(again)) || !bytes.Contains(raw, []byte(`"id": "`+again.ID+`"`)) {
+		t.Errorf("hit after eviction and re-run: status %d, body\n%s\nwant job %s:\n%s", code, raw, again.ID, fresh(again))
+	}
+}

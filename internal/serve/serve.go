@@ -171,6 +171,11 @@ type Job struct {
 	panicStack  string
 	panicFlight []trace.Event
 
+	// hitReply is the POST /jobs reply a cache hit on this job gets, encoded
+	// at the first hit: the view of a terminal job no longer changes. Held
+	// only while the job is in the result cache.
+	hitReply []byte
+
 	cancelled atomic.Bool
 	// done closes when the job reaches a terminal state.
 	done chan struct{}
@@ -577,6 +582,7 @@ func (s *Server) cacheAddLocked(j *Job) {
 	for len(s.cacheFifo) > s.cfg.CacheCap {
 		evict := s.cacheFifo[0]
 		s.cacheFifo = s.cacheFifo[1:]
+		s.cache[evict].hitReply = nil
 		delete(s.cache, evict)
 		s.cfg.Metrics.Add("serve.cache_evictions", 1)
 	}

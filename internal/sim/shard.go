@@ -185,18 +185,18 @@ func (e *ShardedLoop) SetLookahead(d Dur) {
 }
 
 // SetTracer attaches the shared tracer to the control lane and a private
-// fork (with its own spool, flight ring, and deterministic span-id source)
-// to every rack lane. Call once, before the run starts.
+// fork (with its own flight ring, deterministic span-id source and, when the
+// tracer streams anything, spool) to every rack lane. Call once, before the
+// run starts.
 func (e *ShardedLoop) SetTracer(t *trace.Tracer) {
 	e.tracer = t
 	e.ctl.SetTracer(t)
 	for r, rk := range e.racks {
-		sp := &trace.Spool{}
-		f := t.Fork(sp)
+		f, sp := t.Fork()
 		e.forks[r], e.spools[r] = f, sp
+		rk.SetTracer(f)
+		rk.spool = sp
 		if f == nil {
-			rk.SetTracer(nil)
-			rk.spool = nil
 			continue
 		}
 		lane := uint64(r+1) << laneShift
@@ -205,10 +205,13 @@ func (e *ShardedLoop) SetTracer(t *trace.Tracer) {
 			*ctr++
 			return int64(lane | uint64(*ctr))
 		})
-		rk.SetTracer(f)
-		rk.spool = sp
 	}
 }
+
+// spooling reports whether the lanes' forks have spools to fill: false
+// without a tracer and under a flight-only one (see trace.Tracer.Fork), when
+// windows run with no per-event marks, no sink switching and no merge.
+func (e *ShardedLoop) spooling() bool { return e.spools[0] != nil }
 
 // RackTracer returns rack r's fork of the shared tracer (nil when tracing
 // is disabled). Per-rack components emit through it; its flight recorder
@@ -391,7 +394,6 @@ func (e *ShardedLoop) RunUntil(end Time) {
 			w = lw
 		}
 		e.runRacks(w)
-		e.mergeSpools()
 	}
 	if !e.stopped {
 		e.ctl.setNowAtLeast(end)
@@ -402,11 +404,14 @@ func (e *ShardedLoop) RunUntil(end Time) {
 }
 
 // runRacks executes every rack lane over the window [its head, w): inline
-// with one shard, on the worker pool otherwise. Forks spool for the
-// duration so workers never touch the shared stream.
+// with one shard, on the worker pool otherwise. Forks that stream spool for
+// the duration so workers never touch the shared stream.
 func (e *ShardedLoop) runRacks(w Time) {
-	for _, f := range e.forks {
-		f.SetSpooling(true)
+	spooling := e.spooling()
+	if spooling {
+		for _, f := range e.forks {
+			f.SetSpooling(true)
+		}
 	}
 	if e.shards <= 1 {
 		for _, rk := range e.racks {
@@ -419,8 +424,11 @@ func (e *ShardedLoop) runRacks(w Time) {
 		}
 		e.wg.Wait()
 	}
-	for _, f := range e.forks {
-		f.SetSpooling(false)
+	if spooling {
+		for _, f := range e.forks {
+			f.SetSpooling(false)
+		}
+		e.mergeSpools()
 	}
 }
 
@@ -429,9 +437,6 @@ func (e *ShardedLoop) runRacks(w Time) {
 // spools. Scratch buffers are reused, so the steady state allocates
 // nothing.
 func (e *ShardedLoop) mergeSpools() {
-	if e.tracer == nil {
-		return
-	}
 	e.merged = e.merged[:0]
 	for i := range e.cursor {
 		e.cursor[i] = 0

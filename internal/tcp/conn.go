@@ -268,42 +268,85 @@ type Conn struct {
 }
 
 // NewConn constructs a connection. out transmits serialized segments toward
-// the peer.
+// the peer. It allocates the connection's storage — the Conn, one contiguous
+// block of path states with a congestion-control instance each, the scratch
+// slices, the two bound timer callbacks — and leaves every starting value to
+// init, the path Reopen takes over the same storage.
 func NewConn(loop *sim.Loop, cfg Config, out func(*packet.Segment)) *Conn {
 	cfg.fillDefaults()
-	c := &Conn{Loop: loop, Out: out, cfg: cfg, policy: cfg.Policy, state: stClosed, FlowID: -1}
-	c.onTimerFn = c.onTimer
-	c.paceFn = func() { c.trySend() }
-	n := c.policy.NumStates()
-	if n < 1 {
-		n = 1
-	}
 	if cfg.Pool == nil {
 		cfg.Pool = new(Pool)
 	}
-	c.pool = cfg.Pool
-	c.pool.live++
-	// One contiguous block backs all path states.
+	c := &Conn{Loop: loop, cfg: cfg}
+	c.onTimerFn = c.onTimer
+	c.paceFn = func() { c.trySend() }
+	n := max(cfg.Policy.NumStates(), 1)
 	arr := make([]PathState, n)
 	c.states = make([]*PathState, n)
-	for i := 0; i < n; i++ {
+	for i := range arr {
 		mk := cfg.CC
 		if i < len(cfg.CCPerState) && cfg.CCPerState[i] != nil {
 			mk = cfg.CCPerState[i]
 		}
-		st := &arr[i]
-		st.TDN = uint8(i)
-		st.CC = mk()
-		st.RTO = cfg.InitialRTO
-		c.states[i] = st
+		arr[i].CC = mk()
+		c.states[i] = &arr[i]
 	}
 	c.delivered = make([]int, n)
 	c.rtoTouched = make([]bool, n)
 	c.mruBlock = make([]uint32, 0, maxMRU)
 	c.outSeg.TCP.SACK = make([]packet.SACKBlock, 0, 4)
-	c.rtx.segs = c.pool.getQueue()
-	c.policy.Attach(c)
+	c.init(out)
 	return c
+}
+
+// init puts the connection in its starting state over the storage it holds:
+// NewConn's, just allocated, or Reopen's, left by the flow before. It is the
+// one place a connection's starting values are written. The struct is
+// assigned whole from a literal that names only what carries over (the loop,
+// the configuration, the storage), so every other field, one added later
+// included, starts a reopened connection from its zero value exactly as it
+// starts a new one; the congestion-control instances and the policy are
+// returned to their constructors' state by their own Reset.
+func (c *Conn) init(out func(*packet.Segment)) {
+	sack := c.outSeg.TCP.SACK[:0]
+	*c = Conn{
+		Loop: c.Loop, Out: out, cfg: c.cfg, policy: c.cfg.Policy, pool: c.cfg.Pool,
+		state: stClosed, FlowID: -1,
+		states: c.states, delivered: c.delivered, rtoTouched: c.rtoTouched,
+		ranges: c.ranges[:0], mruBlock: c.mruBlock[:0],
+		onTimerFn: c.onTimerFn, paceFn: c.paceFn,
+	}
+	c.outSeg.TCP.SACK = sack
+	clear(c.delivered)
+	clear(c.rtoTouched)
+	for i, st := range c.states {
+		st.CC.Reset()
+		*st = PathState{TDN: uint8(i), CC: st.CC, RTO: c.cfg.InitialRTO}
+	}
+	c.pool.live++
+	c.rtx.segs = c.pool.getQueue()
+	c.policy.Reset()
+	c.policy.Attach(c)
+}
+
+// Reopen starts a released connection's next life: the same initialisation
+// NewConn performs, over the storage Release left it holding, with its
+// configuration, congestion-control instances and policy, so the result is
+// what NewConn would return for that Config and differs only in address. out
+// replaces Out; addresses, ports, hooks and tracer are the caller's to set
+// again, as after NewConn.
+//
+// Release leaves the retransmission and pacing timers armed to fire as
+// no-ops. One reaching the connection in its next life would act on it, and
+// re-arm, so Reopen reports false and changes nothing while either is still
+// pending, or when the connection was not released; the caller tries again
+// later (a backed-off RTO can be MaxRTO away).
+func (c *Conn) Reopen(out func(*packet.Segment)) bool {
+	if c.state != stReleased || c.timer.Active() || c.paceTimer.Active() {
+		return false
+	}
+	c.init(out)
+	return true
 }
 
 // Release ends the connection's life: the retransmission-queue entries still
@@ -312,7 +355,8 @@ func NewConn(loop *sim.Loop, cfg Config, out func(*packet.Segment)) *Conn {
 // engine ignore a released connection, and its lazily-armed retransmission and
 // pacing timers are not stopped: they fire as no-ops, so releasing changes
 // neither the event count nor any event's sequence number. Stats and path
-// states stay readable. Timers a Policy armed on its own (the TDTCP deadman)
+// states stay readable until Reopen, for which the connection keeps the rest
+// of what it allocated. Timers a Policy armed on its own (the TDTCP deadman)
 // are the caller's to stop first.
 func (c *Conn) Release() {
 	if c.state == stReleased {

@@ -7,9 +7,10 @@ import "fmt"
 // sender's sequence cursors against the queue's shape, the receiver's
 // out-of-order ranges, and the timer backoff bound. It is the runtime
 // analogue of Linux's tcp_verify_left_out: cheap enough to run after every
-// simulation event during faulted runs, and it returns a descriptive error
-// on the first violation instead of panicking so the invariant checker can
-// attach trace context.
+// simulation event during faulted runs (no allocation on a consistent
+// connection of up to 32 path states: the recount tallies are on the stack),
+// and it returns a descriptive error on the first violation instead of
+// panicking so the invariant checker can attach trace context.
 func (c *Conn) CheckInvariants() error {
 	if c.state == stReleased {
 		return nil // nothing left to be inconsistent
@@ -23,10 +24,14 @@ func (c *Conn) CheckInvariants() error {
 	}
 
 	// Retransmission-queue shape and the §4.3 pipe recount.
-	packets := make([]int32, len(c.states))
-	sacked := make([]int32, len(c.states))
-	lost := make([]int32, len(c.states))
-	retrans := make([]int32, len(c.states))
+	// One stack array, not [packet.MaxTDNs] of them: zeroing 4 kB per call
+	// cost a checked run more than the four small slices it replaced.
+	type pipe struct{ packets, sacked, lost, retrans int32 }
+	var few [32]pipe
+	recount := few[:]
+	if len(c.states) > len(recount) {
+		recount = make([]pipe, len(c.states))
+	}
 	var prev *TxSeg
 	var walkErr error
 	c.rtx.forEach(func(seg *TxSeg) bool {
@@ -47,15 +52,16 @@ func (c *Conn) CheckInvariants() error {
 			walkErr = fmt.Errorf("tcp: rtx segment %d both SACKed and lost", c.RelSeq(seg.Seq))
 			return false
 		}
-		packets[seg.TDN]++
+		n := &recount[seg.TDN]
+		n.packets++
 		if seg.Sacked {
-			sacked[seg.TDN]++
+			n.sacked++
 		}
 		if seg.Lost {
-			lost[seg.TDN]++
+			n.lost++
 		}
 		if seg.Retrans {
-			retrans[seg.TDN]++
+			n.retrans++
 		}
 		prev = seg
 		return true
@@ -104,11 +110,11 @@ func (c *Conn) CheckInvariants() error {
 		if st.PacketsOut < 0 || st.SackedOut < 0 || st.LostOut < 0 || st.RetransOut < 0 {
 			return fmt.Errorf("tcp: TDN %d negative pipe counter", tdn)
 		}
-		if st.PacketsOut != packets[tdn] || st.SackedOut != sacked[tdn] ||
-			st.LostOut != lost[tdn] || st.RetransOut != retrans[tdn] {
+		if n := recount[tdn]; st.PacketsOut != n.packets || st.SackedOut != n.sacked ||
+			st.LostOut != n.lost || st.RetransOut != n.retrans {
 			return fmt.Errorf("tcp: TDN %d pipe counters out/sacked/lost/retrans = %d/%d/%d/%d, recount %d/%d/%d/%d",
 				tdn, st.PacketsOut, st.SackedOut, st.LostOut, st.RetransOut,
-				packets[tdn], sacked[tdn], lost[tdn], retrans[tdn])
+				n.packets, n.sacked, n.lost, n.retrans)
 		}
 	}
 	// totalPacketsOut answers with the queue length instead of this sum.

@@ -86,3 +86,43 @@ func TestCheckInvariantsNamesTheBrokenRule(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckInvariantsDoesNotAllocate: the checker runs after every simulation
+// event of a checked run, so on a consistent connection — here both ends of a
+// transfer caught with segments outstanding, SACKed and out of order — it
+// must cost no allocation.
+func TestCheckInvariantsDoesNotAllocate(t *testing.T) {
+	a, b := midTransferPair(t)
+	for _, c := range []*Conn{a, b} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("CheckInvariants on %v costs %v allocations, want 0", c, allocs)
+		}
+	}
+}
+
+// manyStates is SinglePath with n path states: more than CheckInvariants
+// tallies on the stack.
+type manyStates struct {
+	SinglePath
+	n int
+}
+
+func (p *manyStates) NumStates() int { return p.n }
+
+// TestCheckInvariantsBeyondTheStackTally: past 32 path states the recount
+// moves to the heap and still checks every state.
+func TestCheckInvariantsBeyondTheStackTally(t *testing.T) {
+	c := NewConn(sim.NewLoop(1), Config{Policy: &manyStates{n: 40}}, func(*packet.Segment) {})
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	c.states[39].LostOut++
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "TDN 39 pipe counters") {
+		t.Fatalf("got %v, want the pipe-counter error for TDN 39", err)
+	}
+}

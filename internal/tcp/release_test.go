@@ -113,3 +113,67 @@ func TestReleaseReturnsEverythingToThePool(t *testing.T) {
 		}
 	}
 }
+
+// TestReopenWaitsForPendingTimers: Release leaves the retransmission and pace
+// timers to fire as no-ops, and one that fired on the connection's next life
+// would act on it, so Reopen refuses, and changes nothing, while either is
+// pending, and accepts once both have fired. A backed-off sender is owed its
+// RTO for up to MaxRTO; its peer, whose timers are long spent, reopens at
+// once.
+func TestReopenWaitsForPendingTimers(t *testing.T) {
+	pool := new(Pool)
+	cfg := Config{Pool: pool, Pacing: 2}
+	loop, a, b, wa, _ := newPair(t, pairOpt{cfgA: cfg, cfgB: cfg})
+	b.Listen()
+	a.Connect(4000 * 8960)
+	for i := 0; !a.paceTimer.Active(); i++ {
+		if i == 1000 {
+			t.Fatal("set-up: the sender never waited on its pace timer")
+		}
+		runFor(loop, 5*sim.Microsecond)
+	}
+	// Total loss from here: the RTO backs off to MaxRTO.
+	wa.drop = func(*packet.Segment) bool { return true }
+	runFor(loop, 150*sim.Millisecond)
+	if !a.timer.Active() || a.timer.When().Sub(loop.Now()) < 50*sim.Millisecond {
+		t.Fatalf("set-up: retransmission timer armed %v, %v out; want one at least 50 ms out",
+			a.timer.Active(), a.timer.When().Sub(loop.Now()))
+	}
+	a.Release()
+	b.Release()
+
+	out := func(*packet.Segment) {}
+	refuses := func(why string) {
+		t.Helper()
+		before := fmt.Sprintf("%+v", *a)
+		if a.Reopen(out) {
+			t.Fatalf("Reopen accepted a connection with %s", why)
+		}
+		if after := fmt.Sprintf("%+v", *a); after != before {
+			t.Errorf("a refused Reopen changed the connection:\n%s\n%s", before, after)
+		}
+	}
+	refuses("its retransmission timer 100 ms out")
+	if !b.Reopen(out) {
+		t.Error("Reopen refused the peer, whose timers have all fired")
+	}
+	if b.Reopen(out) {
+		t.Error("Reopen accepted a connection that is open")
+	}
+	// A pace wake-up alone is reason enough.
+	loop.RunUntil(a.timer.When())
+	a.paceTimer = loop.After(sim.Millisecond, a.paceFn)
+	refuses("a pace wake-up pending")
+	runFor(loop, sim.Millisecond)
+	if a.timer.Active() || a.paceTimer.Active() {
+		t.Fatal("a timer is still pending")
+	}
+	sent := wa.sent
+	if !a.Reopen(out) {
+		t.Fatal("Reopen refused a released connection whose timers have fired")
+	}
+	if wa.sent != sent || pool.LiveConns() != 2 {
+		t.Errorf("after both reopened: %d segments sent by stale timers, %d live connections; want 0 and 2",
+			wa.sent-sent, pool.LiveConns())
+	}
+}

@@ -70,7 +70,12 @@ func (q *rtxQueue) popAcked(upTo uint32, fn func(*TxSeg)) {
 		q.segs[q.head] = nil
 		q.head++
 	}
-	if q.head > 256 && q.head*2 >= len(q.segs) {
+	// Compact once the popped prefix is at least half the array: one pointer
+	// moved per pop, amortised, whatever the floor. The floor spares short
+	// queues the call and is low so that the array follows the flight, not
+	// the flow: at 256 a flow that never had ten segments in flight still
+	// grew its array, which is the pool's afterwards, from 64 entries to 512.
+	if q.head > 32 && q.head*2 >= len(q.segs) {
 		q.segs = append(q.segs[:0], q.segs[q.head:]...)
 		q.head = 0
 	}

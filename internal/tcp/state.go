@@ -216,8 +216,13 @@ func (ps *PathState) ObserveRTT(sample sim.Dur, minRTO, maxRTO sim.Dur) {
 // policy in internal/core multiplexes one state per TDN and implements the
 // paper's reordering and RTT heuristics.
 type Policy interface {
-	// Attach binds the policy to its connection; called once from NewConn,
-	// after states are constructed.
+	// Reset returns the policy to the state its constructor left it in,
+	// keeping only the constructor's arguments: a reopened connection reuses
+	// its policy (see Conn.Reopen). Every policy constructor is new + Reset.
+	Reset()
+	// Attach binds the policy to its connection; called after Reset each
+	// time the connection is initialised (NewConn, Reopen), once the path
+	// states are in their initial state.
 	Attach(c *Conn)
 	// NumStates is the number of PathStates the connection must allocate.
 	NumStates() int
@@ -249,7 +254,14 @@ type SinglePath struct {
 }
 
 // NewSinglePath returns the conventional single-state policy.
-func NewSinglePath() *SinglePath { return &SinglePath{} }
+func NewSinglePath() *SinglePath {
+	p := new(SinglePath)
+	p.Reset()
+	return p
+}
+
+// Reset implements Policy.
+func (p *SinglePath) Reset() { *p = SinglePath{} }
 
 // Attach implements Policy.
 func (p *SinglePath) Attach(c *Conn) { p.c = c }

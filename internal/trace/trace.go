@@ -235,24 +235,33 @@ func (t *Tracer) WithFlight(f *Flight) *Tracer {
 	return t
 }
 
-// Fork returns a per-lane child tracer for the sharded engine: it carries
-// the parent's category mask, its own flight recorder (same size and mask
-// as the parent's, so recording stays lock-free single-writer per lane),
-// and two switchable sinks. While not spooling (control phases), every
-// record relays directly into the parent — under the parent's lock, in call
-// order, interleaving correctly with the parent's own output. While
-// spooling (parallel windows), records encode into spool, and the engine
-// splices them into the parent at the next barrier in merged key order.
-// Fork on a nil tracer returns nil (the disabled tracer).
-func (t *Tracer) Fork(spool *Spool) *Tracer {
+// Fork returns a per-lane child tracer for the sharded engine, and the spool
+// it encodes into during parallel windows. The child carries the parent's
+// category mask, its own flight recorder (same size and mask as the
+// parent's, so recording stays lock-free single-writer per lane), and two
+// switchable sinks. While not spooling (control phases), every record relays
+// directly into the parent — under the parent's lock, in call order,
+// interleaving correctly with the parent's own output. While spooling
+// (parallel windows), records encode into the spool, and the engine splices
+// them into the parent at the next barrier in merged key order.
+//
+// The spool is nil when the parent's own mask is empty (a flight-only
+// tracer, which is what every untraced run carries): no record of such a
+// tracer gets past its flight ring, so its forks have nothing to spool and
+// the engine nothing to mark, switch or merge. Fork on a nil tracer returns
+// nil, nil (the disabled tracer).
+func (t *Tracer) Fork() (*Tracer, *Spool) {
 	if t == nil {
-		return nil
+		return nil, nil
 	}
-	f := &Tracer{mask: t.mask, parent: t, spool: spool}
+	f := &Tracer{mask: t.mask, parent: t}
+	if t.mask != 0 {
+		f.spool = &Spool{}
+	}
 	if t.flight != nil {
 		f.flight = NewFlight(len(t.flight.recs), t.flight.mask)
 	}
-	return f
+	return f, f.spool
 }
 
 // SetSpooling switches a forked tracer's sink: true routes records into the
