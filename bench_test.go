@@ -5,7 +5,7 @@ package tdtcp
 // reporting its key metric, plus a handful of microbenchmarks that ci.sh's
 // -benchtime 1x smoke keeps alive as alarms: the per-TDN state switch the
 // paper's §4 performance claim rests on, the long run's reference series, the
-// tracer's per-site cost, and the sequential/sharded engine pair.
+// tracer's per-site cost, and one simulated week on the 8-rack rotor.
 //
 // Tracked numbers do not come from here. The event heap, pipes and VOQs, the
 // wire codec, tcp input, an rdcn week, Run and RunWorkload, tdserve round
@@ -183,13 +183,9 @@ func BenchmarkOptimalSeries512(b *testing.B) {
 	b.ReportMetric(float64(samples), "samples")
 }
 
-// benchEngineWeek runs one 1+1-week TDTCP experiment on the 8-rack rotor
-// fabric through Run at the given worker count and reports events/op. The two
-// benchmarks below share this body, so their ratio isolates exactly one
-// variable: how many workers the engine spreads the per-rack lanes across.
-// The parity suite proves the two outputs byte-identical; ROADMAP item 2's
-// keep-or-delete decision rests on what the workers buy in wall time.
-func benchEngineWeek(b *testing.B, shards int) {
+// BenchmarkSimulatedWeekRotor8 runs one 1+1-week TDTCP experiment on the
+// 8-rack rotor fabric through Run and reports events/op.
+func BenchmarkSimulatedWeekRotor8(b *testing.B) {
 	b.ReportAllocs()
 	var fired int64
 	for i := 0; i < b.N; i++ {
@@ -197,7 +193,7 @@ func benchEngineWeek(b *testing.B, shards int) {
 		_, err := Run(RunConfig{
 			Variant: TDTCP, Scenario: MultiRackScenario(8),
 			Flows: 16, WarmupWeeks: 1, MeasureWeeks: 1, Seed: int64(i + 1),
-			Shards: shards, Metrics: m,
+			Metrics: m,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -206,12 +202,6 @@ func benchEngineWeek(b *testing.B, shards int) {
 	}
 	b.ReportMetric(float64(fired)/float64(b.N), "events/op")
 }
-
-// BenchmarkSimulatedWeekSequential runs every lane inline on one goroutine.
-func BenchmarkSimulatedWeekSequential(b *testing.B) { benchEngineWeek(b, 1) }
-
-// BenchmarkSimulatedWeekSharded runs the lanes on four event-loop workers.
-func BenchmarkSimulatedWeekSharded(b *testing.B) { benchEngineWeek(b, 4) }
 
 // BenchmarkTracerDisabled measures the per-event-site cost with tracing off:
 // a nil *Tracer receiver, where Enabled is a nil check plus a mask test.

@@ -9,8 +9,9 @@
 //	tdsim -run tdtcp -trace out.jsonl -metrics out.json
 //	                                # + JSONL event trace and metrics JSON
 //	tdsim -run tdtcp -progress      # live events/sec + sim/wall on stderr
-//	tdsim -run tdtcp -shards 4      # 4 event-loop worker lanes; traces and
-//	                                # results stay byte-identical to -shards 1
+//	tdsim -run tdtcp -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
+//	                                # runtime/pprof over the whole process
+//	                                # (any mode), written on every exit path
 //	tdsim -run tdtcp -deadline 5s   # wall-clock budget; cooperative cancel,
 //	                                # exit 3 (trace stays a valid prefix)
 //	tdsim -run tdtcp -workload websearch -racks 8 -metrics out.json
@@ -41,6 +42,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -60,7 +62,6 @@ func main() {
 		quick  = flag.Bool("quick", false, "shrink runs for a fast smoke pass (-fig and -sweep; -run sizes via -warmup/-weeks)")
 		csvDir = flag.String("csv", "", "directory to write plottable CSV series into (-fig only)")
 
-		shards   = flag.Int("shards", 1, "event-loop worker lanes (-run/-sweep; >= 1; traces and results are byte-identical for every value)")
 		racks    = flag.Int("racks", 0, "rack count of the rotor fabric (-fig rotor/multirack and -run with -workload only; 0 = default 4; refused by -sweep and by a long-lived -run, which use the two-rack hybrid)")
 		workload = flag.String("workload", "", "flow-size distribution (websearch, datamining) for the workload figures (-fig); with -run, runs that variant's open-loop flow workload on the rotor fabric instead of long-lived flows; refused by -sweep")
 
@@ -74,7 +75,7 @@ func main() {
 
 		faultSpec  = flag.String("fault", "", "fault-injection plan, e.g. 'nloss=0.1,drop=0.01,flaps=2' (-run only; seeded by -faultseed)")
 		faultSeed  = flag.Int64("faultseed", 1, "fault-injection seed, independent of -seed (-run only)")
-		invariants = flag.Bool("invariants", false, "check connection/network invariants after every event and dump the flight recorder on violation (-run only)")
+		invariants = flag.Bool("invariants", false, "check connection/network invariants between events (after every eighth) and dump the flight recorder on violation (-run only)")
 		schedSpec  = flag.String("sched", "", "override the optical schedule, e.g. '6x(0:180us,-:20us),1:180us,-:20us' (-run only)")
 
 		deadline = flag.Duration("deadline", 0, "wall-clock budget for the run; on expiry the run is cancelled through the cooperative stop seam and tdsim exits 3 (-run only; 0 = none)")
@@ -82,12 +83,16 @@ func main() {
 		progress  = flag.Bool("progress", false, "print live progress to stderr: events/sec and sim/wall ratio (-run), per-worker cell status (-sweep)")
 		flightLen = flag.Int("flightrec", tdtcp.DefaultFlightLen,
 			"flight-recorder ring length: recent events kept for failure dumps (-run/-sweep; 0 = disable)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole process to this file (any mode)")
+		memProfile = flag.String("memprofile", "", "write an allocation profile of the whole process to this file at exit (any mode)")
 	)
 	flag.Parse()
 
-	if *shards < 1 {
-		fatal(fmt.Errorf("-shards %d: worker count must be >= 1", *shards))
+	if err := startProfiles(*cpuProfile, *memProfile); err != nil {
+		fatal(err)
 	}
+	defer func() { stopProfiles() }()
 
 	switch {
 	case *sweepSpec != "":
@@ -103,7 +108,7 @@ func main() {
 			w, m = 1, 2
 		}
 		if err := runSweep(*sweepSpec, *seeds, *parallel, tdtcp.RunConfig{
-			Flows: *flows, WarmupWeeks: w, MeasureWeeks: m, Shards: *shards,
+			Flows: *flows, WarmupWeeks: w, MeasureWeeks: m,
 		}, *flightLen, *progress); err != nil {
 			fatal(err)
 		}
@@ -121,7 +126,7 @@ func main() {
 		}
 		cfg := tdtcp.WorkloadConfig{
 			Variant: tdtcp.Variant(*runVar), Scenario: tdtcp.MultiRackScenario(n), Dist: dist,
-			WarmupWeeks: *warmup, MeasureWeeks: *weeks, Seed: *seed, Shards: *shards,
+			WarmupWeeks: *warmup, MeasureWeeks: *weeks, Seed: *seed,
 			Stop: deadlineStop(*deadline),
 		}
 		cfg.Flight, cfg.DisableFlight = flightFor(*flightLen)
@@ -145,7 +150,7 @@ func main() {
 		cfg := tdtcp.RunConfig{
 			Variant: tdtcp.Variant(*runVar), Flows: *flows,
 			WarmupWeeks: w, MeasureWeeks: m, Seed: *seed,
-			Invariants: *invariants, Shards: *shards,
+			Invariants: *invariants,
 		}
 		if *faultSpec != "" {
 			plan, err := tdtcp.ParseFaultPlan(*faultSpec)
@@ -203,7 +208,7 @@ func main() {
 		}
 	default:
 		flag.Usage()
-		os.Exit(2)
+		exit(2)
 	}
 }
 
@@ -251,7 +256,7 @@ func deadlineStop(d time.Duration) func() bool {
 func exitOnRunError(err error, deadline time.Duration) {
 	if errors.Is(err, tdtcp.ErrRunCancelled) {
 		fmt.Fprintf(os.Stderr, "tdsim: deadline %v exceeded: %v\n", deadline, err)
-		os.Exit(3)
+		exit(3)
 	}
 	if err != nil {
 		fatal(err)
@@ -489,5 +494,53 @@ func refuseFabricFlags(mode string, racks int, workload string) {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tdsim:", err)
-	os.Exit(1)
+	exit(1)
+}
+
+// stopProfiles finishes -cpuprofile and writes -memprofile; it runs on every
+// way out of the process (main's return, exit) and does nothing when neither
+// flag was given.
+var stopProfiles = func() {}
+
+// exit is os.Exit behind stopProfiles.
+func exit(code int) {
+	stopProfiles()
+	os.Exit(code)
+}
+
+// startProfiles begins the CPU profile and arms stopProfiles. The profiles
+// observe the process, never the simulation: a profiled run's output is
+// byte-identical to an unprofiled one's.
+func startProfiles(cpu, mem string) error {
+	var cpuFile *os.File
+	if cpu != "" {
+		f, err := os.Create(cpu)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		cpuFile = f
+	}
+	stopProfiles = func() {
+		stopProfiles = func() {}
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if mem == "" {
+			return
+		}
+		f, err := os.Create(mem)
+		if err == nil {
+			err = pprof.Lookup("allocs").WriteTo(f, 0)
+			f.Close()
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tdsim: -memprofile:", err)
+		}
+	}
+	return nil
 }

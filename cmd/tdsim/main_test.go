@@ -148,28 +148,11 @@ func TestBadWorkloadExitsNonZero(t *testing.T) {
 	}
 }
 
-// TestShardsFlagInvalidExits1 pins the -shards validation contract: a
-// non-positive worker count is a hard configuration error (exit 1, named on
-// stderr), for every mode.
-func TestShardsFlagInvalidExits1(t *testing.T) {
-	bin := buildBinary(t)
-	for _, n := range []string{"0", "-3"} {
-		stdout, stderr, code := runSim(t, bin,
-			"-run", "tdtcp", "-flows", "2", "-warmup", "1", "-weeks", "1", "-shards", n)
-		if code != 1 {
-			t.Fatalf("-shards %s: exit %d, want 1\nstdout: %s\nstderr: %s", n, code, stdout, stderr)
-		}
-		if !strings.Contains(stderr, "shards") {
-			t.Errorf("-shards %s: stderr should name the flag, got: %s", n, stderr)
-		}
-	}
-}
-
-// TestShardsFlagByteIdentical is the CLI face of the parity suite: the trace
-// and the stdout report from -shards 1 must be byte-identical to a run with
-// no -shards flag at all, and to a multi-worker run — the worker count is
-// configuration for the machine, never for the experiment.
-func TestShardsFlagByteIdentical(t *testing.T) {
+// TestProfileFlagsDoNotPerturb: -cpuprofile and -memprofile observe the
+// process, never the simulation. A profiled -run writes the same trace and the
+// same report as an unprofiled one and leaves both profiles behind; and a
+// failing invocation still writes them on its way out (exit 1).
+func TestProfileFlagsDoNotPerturb(t *testing.T) {
 	bin := buildBinary(t)
 	dir := t.TempDir()
 	run := func(name string, extra ...string) (trace []byte, report string) {
@@ -191,16 +174,39 @@ func TestShardsFlagByteIdentical(t *testing.T) {
 		}
 		return data, stdout
 	}
-	baseTrace, baseReport := run("noflag")
-	for _, n := range []string{"1", "4"} {
-		tr, rep := run("shards"+n, "-shards", n)
-		if !bytes.Equal(tr, baseTrace) {
-			t.Errorf("-shards %s: trace diverges from the unflagged run (%d vs %d bytes)",
-				n, len(tr), len(baseTrace))
+	written := func(path string) {
+		t.Helper()
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty (%v)", path, err)
 		}
-		if rep != baseReport {
-			t.Errorf("-shards %s: report diverges:\n%s\nvs:\n%s", n, rep, baseReport)
-		}
+	}
+	cpu, mem := filepath.Join(dir, "cpu.pb.gz"), filepath.Join(dir, "mem.pb.gz")
+	baseTrace, baseReport := run("plain")
+	tr, rep := run("profiled", "-cpuprofile", cpu, "-memprofile", mem)
+	if !bytes.Equal(tr, baseTrace) {
+		t.Errorf("profiled trace diverges from the unprofiled run (%d vs %d bytes)", len(tr), len(baseTrace))
+	}
+	if rep != baseReport {
+		t.Errorf("profiled report diverges:\n%s\nvs:\n%s", rep, baseReport)
+	}
+	written(cpu)
+	written(mem)
+
+	cpu, mem = filepath.Join(dir, "fail-cpu.pb.gz"), filepath.Join(dir, "fail-mem.pb.gz")
+	if _, stderr, code := runSim(t, bin, "-fig", "fig99", "-cpuprofile", cpu, "-memprofile", mem); code != 1 {
+		t.Fatalf("unknown figure under profiling: exit %d, want 1 (stderr: %s)", code, stderr)
+	}
+	written(cpu)
+	written(mem)
+}
+
+// TestShardsFlagIsGone: every run executes on one loop, so -shards is no
+// longer a flag; passing it is a usage error (exit 2), not a silent no-op.
+func TestShardsFlagIsGone(t *testing.T) {
+	bin := buildBinary(t)
+	_, stderr, code := runSim(t, bin, "-run", "tdtcp", "-shards", "1")
+	if code != 2 || !strings.Contains(stderr, "shards") {
+		t.Fatalf("-shards: exit %d, want 2 naming the flag (stderr: %s)", code, stderr)
 	}
 }
 

@@ -9,11 +9,19 @@
 //	tdtrace -spans out.jsonl                # duration stats per span name
 //	tdtrace -timeline -flow 3 out.jsonl     # flow 3's causal span timeline
 //	tdtrace -hist metrics.json              # histogram summary table
+//	tdtrace diff a.jsonl b.jsonl            # where two traces first diverge
 //
 // Exactly one of -summary, -chrome, -filter, -spans, -timeline, -hist must be
 // chosen. The input is a file path or "-" for stdin; output goes to -o
 // (default stdout). Chrome exports load in chrome://tracing or
 // https://ui.perfetto.dev.
+//
+// diff takes two trace files and no flags. It compares records ignoring span
+// and parent ids, takes the records of one timestamp as a multiset, prints the
+// first divergent record with five records of context either side in each
+// file, and ends with one summary line: identical (exit 0), permutation within
+// equal timestamps only (exit 0), or diverges at t (exit 1); exit 2 when a
+// file cannot be read.
 package main
 
 import (
@@ -36,8 +44,17 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
 // run is the whole command behind main: 0 on success, 1 when the input
-// cannot be read or parsed, 2 on a usage error.
+// cannot be read or parsed, 2 on a usage error (diff: see diffTraces).
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	if len(args) > 0 && args[0] == "diff" {
+		if len(args) != 3 {
+			fmt.Fprintln(stderr, "usage: tdtrace diff a.jsonl b.jsonl")
+			return 2
+		}
+		w := bufio.NewWriter(stdout)
+		defer w.Flush()
+		return diffTraces(args[1], args[2], w, stderr)
+	}
 	fs := flag.NewFlagSet("tdtrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -221,11 +238,17 @@ func (f *filter) match(ev *trace.Event) bool {
 	return ev.TS >= f.from && ev.TS < f.to
 }
 
+// lineScanner scans r by lines of up to 1 MiB, far beyond any trace record.
+func lineScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	return sc
+}
+
 // forEachEvent streams JSONL lines through fn; malformed lines abort with a
 // line-numbered error.
 func forEachEvent(r io.Reader, fn func(line []byte, ev *trace.Event) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc := lineScanner(r)
 	var ev trace.Event
 	lineNo := 0
 	for sc.Scan() {

@@ -238,10 +238,11 @@ func TestBatchParityUnderFaults(t *testing.T) {
 // them in a different (still deterministic) order than the legacy per-frame
 // timers — same-instant ACK responses from one host then serialize onto its
 // uplink in that order, shifting downstream timestamps by nanoseconds (the
-// documented tie-order artifact, DESIGN.md §10). At this load the run is
-// collision-free (verified: parity also holds at load 0.1 across seeds), so
-// any divergence here isolates a real teardown bug rather than that artifact.
-// If schedule or timing changes ever re-introduce a collision, the failure
+// documented tie-order artifact, DESIGN.md §10). At this load and seed the run
+// is collision-free, so any divergence here isolates a real teardown bug
+// rather than that artifact. Collisions are common: of seeds 1-12 only 4, 9
+// and 12 are free of one at this load (4, 9, 11 and 12 at load 0.1). If
+// schedule or timing changes ever re-introduce a collision, the failure
 // context shows paired voq churn swaps at instants a few ns apart — re-seed
 // rather than weaken the comparison.
 func TestBatchParityWithClosingConnections(t *testing.T) {
@@ -250,7 +251,7 @@ func TestBatchParityWithClosingConnections(t *testing.T) {
 		tr := trace.New(&buf, batchABCats)
 		res, err := RunWorkload(WorkloadConfig{
 			Variant: TDTCP, Scenario: MultiRack(4), Load: 0.2,
-			WarmupWeeks: 1, MeasureWeeks: 2, Seed: 2,
+			WarmupWeeks: 1, MeasureWeeks: 2, Seed: 4,
 			Tracer:   tr,
 			tweakNet: refPlane(false, disableBatch),
 		})

@@ -118,3 +118,29 @@ func TestConservationFaultedRotor(t *testing.T) {
 		}
 	}
 }
+
+// TestPerRackLedger checks the conservation ledger at both granularities, on
+// the two-rack hybrid and the 4-rack rotor: each rack's slice (frames its
+// hosts sent, frames terminating at it) sums to the network ledger, and the
+// global conservation equation holds.
+func TestPerRackLedger(t *testing.T) {
+	for _, sc := range []Scenario{Hybrid(), MultiRack(4)} {
+		h := startedRunHarness(t, RunConfig{Variant: TDTCP, Scenario: sc, Flows: 4, WarmupWeeks: 1, MeasureWeeks: 1, Seed: 3})
+		h.loop.RunUntil(h.end)
+		var sent, delivered, misrouted uint64
+		for _, rack := range h.net.Racks {
+			s, d, m := rack.FrameLedger()
+			if s == 0 || d == 0 {
+				t.Errorf("%s: rack %d sent %d frames and received %d", sc.Name, rack.ID, s, d)
+			}
+			sent, delivered, misrouted = sent+s, delivered+d, misrouted+m
+		}
+		if gs, gd, gm := h.net.FrameLedger(); sent != gs || delivered != gd || misrouted != gm {
+			t.Errorf("%s: per-rack ledgers sum to (%d,%d,%d), the network's is (%d,%d,%d)",
+				sc.Name, sent, delivered, misrouted, gs, gd, gm)
+		}
+		if err := h.net.CheckConservation(); err != nil {
+			t.Errorf("%s: %v", sc.Name, err)
+		}
+	}
+}

@@ -88,13 +88,8 @@ type RunConfig struct {
 	// is the measurement window (default 10).
 	WarmupWeeks, MeasureWeeks int
 	Seed                      int64
-	// Shards is the worker count for the sharded engine (default 1). Every
-	// run partitions its event population by rack onto sim.ShardedLoop
-	// lanes; Shards only selects how many OS workers execute those lanes.
-	// Lane assignment, lookahead windows, and the canonical merge order are
-	// all shard-count-independent, so the observable trace is byte-identical
-	// for every value of Shards (the parity suite proves it). 1 runs the
-	// lanes inline with zero goroutines.
+	// Shards is a refused stub, kept one PR for a caller that still writes
+	// Shards: 1. 0 and 1 mean nothing; any other value is an error.
 	Shards int
 	// Notify is the TDN-change notification profile (default optimized).
 	Notify *rdcn.NotifyProfile
@@ -142,8 +137,8 @@ type RunConfig struct {
 	Fault     *fault.Plan
 	FaultSeed int64
 	// Invariants attaches the runtime invariant checker to every connection
-	// and the network, validating scoreboard/sequence/VOQ accounting after
-	// every simulation event (see Result.Violations).
+	// and the network, validating scoreboard/sequence/VOQ accounting between
+	// simulation events, after every eighth one (see Result.Violations).
 	Invariants bool
 
 	// Stop, when non-nil, is the cooperative cancellation seam: it is polled
@@ -178,9 +173,6 @@ func (cfg *RunConfig) fillDefaults() {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
 	}
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 5 * sim.Microsecond
@@ -290,8 +282,6 @@ func Run(cfg RunConfig) (*Result, error) {
 
 	var seq, voq *stats.Sampler
 	err = h.run(func() {
-		// Samplers live on the control lane: their reads of flow state are
-		// barrier-synchronized (control instants run with every worker parked).
 		seq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end,
 			func() float64 { return float64(h.delivered() - h.baseline) })
 		voq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end,
@@ -384,21 +374,20 @@ func newRunHarness(cfg *RunConfig) (*harness, error) {
 	defer h.dumpOnPanic()
 	var mn *muxNet
 	if racks > 2 {
-		mn = newMuxNet(h.net, h.pools, cfg.Variant, cfg.Flow)
+		mn = newMuxNet(h.net, h.pool, cfg.Variant, cfg.Flow)
 	}
 	for i := 0; i < cfg.Flows; i++ {
 		var f *Flow
-		src := 0
 		if mn != nil {
-			src = i % racks
+			src := i % racks
 			f, err = mn.BuildFlow(src, i/racks, (src+1)%racks, i/racks, uint16(40000+i))
 		} else {
-			f, err = buildFlow(h.net, i, cfg.Variant, cfg.Flow, h.pools[0], h.pools[1])
+			f, err = buildFlow(h.net, i, cfg.Variant, cfg.Flow, h.pool)
 		}
 		if err != nil {
 			return nil, err
 		}
-		h.addFlow(f, src, i)
+		h.addFlow(f, i)
 	}
 	return h, nil
 }
@@ -466,7 +455,7 @@ func populateMetrics(cfg RunConfig, res *Result, h *harness) {
 
 	// Live (not Pending) so stopped-but-unpopped timers don't inflate the
 	// reported queue depth.
-	m.Set("sim.live_timers", float64(h.engine.Live()))
+	m.Set("sim.live_timers", float64(h.loop.Live()))
 	if cfg.Tracer != nil {
 		m.Add("trace.events", int64(cfg.Tracer.Count()))
 	}

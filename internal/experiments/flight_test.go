@@ -130,34 +130,19 @@ func TestWorkloadFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestFlightRingsIgnoreTheWriter: an untraced run's tracer is flight-only and
-// its lanes do not spool (sim.ShardedLoop.SetTracer); a run with a JSONL
-// writer attached spools every window and merges at every barrier. What the
-// run does must not depend on which: the shared ring, every lane's ring and
-// the event count are the same with and without a writer streaming the
-// recorder's own categories.
+// TestFlightRingsIgnoreTheWriter: an untraced run's tracer is flight-only; a
+// run with a JSONL writer attached also streams every record. What the run
+// does must not depend on which: the ring and the event count are the same
+// with and without a writer streaming the recorder's own categories.
 func TestFlightRingsIgnoreTheWriter(t *testing.T) {
-	run := func(tr *trace.Tracer) (rings [][]trace.Event, fired uint64) {
-		cfg := RunConfig{Variant: TDTCP, Scenario: MultiRack(4), Flows: 8,
-			WarmupWeeks: 1, MeasureWeeks: 2, Tracer: tr}
-		cfg.fillDefaults()
-		h, err := newRunHarness(&cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.start()
-		for _, f := range h.flows {
-			f.Start(-1)
-		}
-		h.engine.RunUntil(h.end)
+	run := func(tr *trace.Tracer) (ring []trace.Event, fired uint64) {
+		h := startedRunHarness(t, RunConfig{Variant: TDTCP, Scenario: MultiRack(4), Flows: 8,
+			WarmupWeeks: 1, MeasureWeeks: 2, Tracer: tr})
+		h.loop.RunUntil(h.end)
 		if _, _, _, err := h.finish(); err != nil {
 			t.Fatal(err)
 		}
-		rings = append(rings, h.flight.Events())
-		for r := 0; r < h.racks; r++ {
-			rings = append(rings, h.engine.RackTracer(r).FlightRecorder().Events())
-		}
-		return rings, h.engine.Fired()
+		return h.flight.Events(), h.loop.Fired()
 	}
 	var out bytes.Buffer
 	tr := trace.New(&out, trace.DefaultFlightCats)
@@ -166,16 +151,14 @@ func TestFlightRingsIgnoreTheWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain, plainFired := run(nil)
-	if out.Len() == 0 || len(plain[0]) == 0 || len(plain[1]) == 0 {
-		t.Fatalf("nothing to compare: %d trace bytes, %d shared and %d lane records", out.Len(), len(plain[0]), len(plain[1]))
+	if out.Len() == 0 || len(plain) == 0 {
+		t.Fatalf("nothing to compare: %d trace bytes, %d ring records", out.Len(), len(plain))
 	}
 	if plainFired != tracedFired {
 		t.Errorf("%d events fired untraced, %d with a writer attached", plainFired, tracedFired)
 	}
-	for i := range plain {
-		if !reflect.DeepEqual(plain[i], traced[i]) {
-			t.Errorf("ring %d (0 = shared, then one per lane) differs with a writer attached", i)
-		}
+	if !reflect.DeepEqual(plain, traced) {
+		t.Error("the ring differs with a writer attached")
 	}
 }
 

@@ -217,43 +217,40 @@ func endpointConfig(net *rdcn.Network, v Variant, opt FlowOptions, pool *tcp.Poo
 
 // BuildFlow wires one flow of the given variant between host i of rack 0
 // (sender) and host i of rack 1 (receiver), registering receive and
-// notification upcalls on both hosts. Each endpoint's connection lives on
-// its own rack's loop (Rack.Loop; the network's one loop on a classic
-// single-loop network), so under the sharded engine a connection's timers
-// fire on the lane that owns its host. Each connection gets a private
+// notification upcalls on both hosts. Each connection gets a private
 // tcp.Pool.
 func BuildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions) (*Flow, error) {
-	return buildFlow(net, i, v, opt, nil, nil)
+	return buildFlow(net, i, v, opt, nil)
 }
 
-// buildFlow is BuildFlow with the pools the two endpoints draw their
-// retransmission-queue storage from: the harness passes rack 0's and rack 1's
-// (see harness.pools), nil gives a connection a private one.
-func buildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions, pool0, pool1 *tcp.Pool) (*Flow, error) {
+// buildFlow is BuildFlow with the pool both endpoints draw their
+// retransmission-queue storage from: the harness passes the run's (see
+// harness.pool), nil gives each connection a private one.
+func buildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions, pool *tcp.Pool) (*Flow, error) {
 	if i < 0 || i >= net.Cfg.HostsPerRack {
 		return nil, fmt.Errorf("experiments: host index %d out of range", i)
 	}
 	h0, h1 := net.Racks[0].Hosts[i], net.Racks[1].Hosts[i]
-	l0, l1 := h0.Rack.Loop(), h1.Rack.Loop()
+	loop := net.Loop
 	ntdns := len(net.Cfg.TDNs)
 	f := &Flow{Variant: v}
 
 	if v == MPTCP {
-		buildMPTCP(f, h0, h1, ntdns, opt, pool0, pool1)
+		buildMPTCP(f, loop, h0, h1, ntdns, opt, pool)
 		return f, nil
 	}
 
-	sndCfg, err := endpointConfig(net, v, opt, pool0)
+	sndCfg, err := endpointConfig(net, v, opt, pool)
 	if err != nil {
 		return nil, err
 	}
-	rcvCfg, err := endpointConfig(net, v, opt, pool1)
+	rcvCfg, err := endpointConfig(net, v, opt, pool)
 	if err != nil {
 		return nil, err
 	}
 
-	f.Snd = tcp.NewConn(l0, sndCfg, func(s *packet.Segment) { h0.Send(s) })
-	f.Rcv = tcp.NewConn(l1, rcvCfg, func(s *packet.Segment) { h1.Send(s) })
+	f.Snd = tcp.NewConn(loop, sndCfg, func(s *packet.Segment) { h0.Send(s) })
+	f.Rcv = tcp.NewConn(loop, rcvCfg, func(s *packet.Segment) { h1.Send(s) })
 	f.Snd.LocalAddr, f.Snd.RemoteAddr = h0.Addr, h1.Addr
 	f.Snd.LocalPort, f.Snd.RemotePort = 40000, 5000
 	f.Rcv.LocalAddr, f.Rcv.RemoteAddr = h1.Addr, h0.Addr
@@ -283,17 +280,15 @@ func buildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions, pool0, pool
 		// into the packet network. retcpdyn gets explicit advance signals.
 		downDelay := 2 * react
 		h0.NotifyTDN = func(tdn int, epoch uint32) {
-			// The notification fires on h0's rack lane, so the reaction
-			// timer is armed there too.
 			if tdn == 1 {
 				if react > 0 {
-					l0.After(react, func() { f.Snd.CircuitUp() })
+					loop.After(react, func() { f.Snd.CircuitUp() })
 				} else {
 					f.Snd.CircuitUp()
 				}
 			} else {
 				if downDelay > 0 {
-					l0.After(downDelay, func() { f.Snd.CircuitDown() })
+					loop.After(downDelay, func() { f.Snd.CircuitDown() })
 				} else {
 					f.Snd.CircuitDown()
 				}
@@ -363,7 +358,7 @@ func (g *subflowGate) flush() {
 	g.held = nil
 }
 
-func buildMPTCP(f *Flow, h0, h1 *rdcn.Host, ntdns int, opt FlowOptions, pool0, pool1 *tcp.Pool) {
+func buildMPTCP(f *Flow, loop *sim.Loop, h0, h1 *rdcn.Host, ntdns int, opt FlowOptions, pool *tcp.Pool) {
 	minRTO := opt.MinRTO
 	if minRTO == 0 {
 		// Stranded subflows must not melt down in RTO storms between their
@@ -372,11 +367,8 @@ func buildMPTCP(f *Flow, h0, h1 *rdcn.Host, ntdns int, opt FlowOptions, pool0, p
 		minRTO = 10 * sim.Millisecond
 	}
 	sub := tcp.Config{CC: ccFactoryFor(MPTCP, opt), MinRTO: minRTO, MaxRTO: opt.MaxRTO,
-		Pacing: opt.Pacing, MSS: opt.MSS, RcvBuf: opt.RcvBuf}
-	sub0, sub1 := sub, sub
-	sub0.Pool, sub1.Pool = pool0, pool1
-	mcfg0 := mptcp.Config{NumSubflows: ntdns, Sub: sub0, ReinjectDelay: opt.ReinjectDelay, SendBuf: opt.MPTCPSendBuf}
-	mcfg1 := mptcp.Config{NumSubflows: ntdns, Sub: sub1, ReinjectDelay: opt.ReinjectDelay, SendBuf: opt.MPTCPSendBuf}
+		Pacing: opt.Pacing, MSS: opt.MSS, RcvBuf: opt.RcvBuf, Pool: pool}
+	mcfg := mptcp.Config{NumSubflows: ntdns, Sub: sub, ReinjectDelay: opt.ReinjectDelay, SendBuf: opt.MPTCPSendBuf}
 
 	cur0, cur1 := 0, 0
 	outs0 := make([]func(*packet.Segment), ntdns)
@@ -389,8 +381,8 @@ func buildMPTCP(f *Flow, h0, h1 *rdcn.Host, ntdns int, opt FlowOptions, pool0, p
 		outs0[k] = gates0[k].send
 		outs1[k] = gates1[k].send
 	}
-	f.MSnd = mptcp.New(h0.Rack.Loop(), mcfg0, outs0)
-	f.MRcv = mptcp.New(h1.Rack.Loop(), mcfg1, outs1)
+	f.MSnd = mptcp.New(loop, mcfg, outs0)
+	f.MRcv = mptcp.New(loop, mcfg, outs1)
 	for k := 0; k < ntdns; k++ {
 		s, r := f.MSnd.Subflows()[k], f.MRcv.Subflows()[k]
 		s.LocalAddr, s.RemoteAddr = h0.Addr, h1.Addr

@@ -114,12 +114,10 @@ func TestGoldenFig8(t *testing.T) {
 
 // TestGoldenRotor8 is the multi-rack gate: on an 8-rack rotor fabric TDTCP
 // must beat CUBIC on goodput while holding lower mean VOQ occupancy, with
-// both comfortably above the packet-only floor. Four measurement weeks: the
-// engine's canonical instant ordering (control-plane events precede
-// same-instant data events, where the pre-engine loop interleaved them by
-// arming order) shifts which day boundary a boundary-aligned burst lands on,
-// and over only two weeks that sampling effect is larger than the VOQ gap
-// the claim pins; by four weeks it averages out.
+// both comfortably above the packet-only floor. Four measurement weeks: which
+// day boundary a boundary-aligned burst lands on is a sampling effect that
+// over only two weeks is larger than the VOQ gap the claim pins; by four
+// weeks it averages out.
 func TestGoldenRotor8(t *testing.T) {
 	run := func(v Variant) *Result {
 		res, err := Run(RunConfig{Variant: v, Scenario: MultiRack(8), WarmupWeeks: 1, MeasureWeeks: 4})

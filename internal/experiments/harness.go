@@ -32,17 +32,14 @@ type harness struct {
 	what   string // names the run in errors: "<variant> on <scenario>"
 	flight *trace.Flight
 	tracer *trace.Tracer // cfg.Tracer plus the flight recorder; what every layer is wired with
-	engine *sim.ShardedLoop
-	loop   *sim.Loop // the engine's control lane
+	loop   *sim.Loop
 	net    *rdcn.Network
 	inj    *fault.Injector    // nil unless cfg.Fault is enabled
 	chk    *invariant.Checker // nil unless cfg.Invariants
 	racks  int
-	// pools holds one tcp.Pool per rack: the endpoint living on rack r draws
-	// its retransmission-queue storage from pools[r], so no two lanes ever
-	// share a free list (a lane recycles its own queue entries; Conn.Release
-	// runs at control instants, with the lanes parked).
-	pools []*tcp.Pool
+	// pool is the run's one tcp.Pool: every endpoint draws its
+	// retransmission-queue storage from it.
+	pool *tcp.Pool
 	// rtts and lag are the registry's per-TDN RTT and deadman-lag histograms
 	// on a metered run, resolved by the first addFlow for every flow after.
 	rtts []*trace.Histogram
@@ -54,10 +51,24 @@ type harness struct {
 	baseline          int64 // bytes delivered when the measurement window opened
 }
 
-// newHarness builds the run's engine and network from the fields RunConfig
-// and WorkloadConfig share (RunWorkload copies its own into a RunConfig).
+// invariantSweepEvery is the cadence of a checked run's invariant sweeps: one
+// after every eighth event. A sweep recounts every watched connection's
+// retransmission queue, so sweeping after each event doubles the cost of the
+// run it checks (6.7 ms against 3.2 for a 4-flow faulted hybrid), and what a
+// sweep looks for does not heal — a broken counter stays broken, which is why
+// the checker latches a failed site — so a sparser sweep reports the same
+// violation at most seven events later, with the guilty event still in the
+// flight snapshot. One in eight is what checked runs have in fact paid since
+// PR 10, when the checker's hook sat on a loop that saw one event in 7.6.
+const invariantSweepEvery = 8
+
+// newHarness builds the run's loop and network from the fields RunConfig and
+// WorkloadConfig share (RunWorkload copies its own into a RunConfig).
 // hostsPerRack sizes the network.
 func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error) {
+	if cfg.Shards != 0 && cfg.Shards != 1 {
+		return nil, fmt.Errorf("experiments: Shards = %d: every run executes on one loop; leave Shards at 0 or 1", cfg.Shards)
+	}
 	h := &harness{cfg: cfg, what: what, flight: cfg.Flight, racks: cfg.Scenario.Racks}
 	if h.flight == nil && !cfg.DisableFlight {
 		h.flight = trace.NewFlight(trace.DefaultFlightLen, trace.DefaultFlightCats)
@@ -68,21 +79,13 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error)
 	if h.racks == 0 {
 		h.racks = 2
 	}
-	// Every run executes on the sharded engine: one lane per rack plus the
-	// control lane, regardless of Shards. Shards only picks the worker
-	// count, which the engine guarantees is unobservable.
-	h.engine = sim.NewSharded(cfg.Seed, h.racks, cfg.Shards)
-	h.loop = h.engine.Control()
+	// The same wiring the facade's NewNetwork uses: one loop, every rack on it.
+	h.loop = sim.NewLoop(cfg.Seed)
 	if cfg.Meter != nil {
-		// The meter is all-atomic, so every lane can feed it: attach to the
-		// control loop and each rack lane for true whole-run event counts.
 		cfg.Meter.Attach(h.loop)
-		for r := 0; r < h.racks; r++ {
-			cfg.Meter.Attach(h.engine.RackLoop(r))
-		}
 	}
 	if cfg.Stop != nil {
-		h.engine.SetStopCheck(cfg.StopEvery, cfg.Stop)
+		h.loop.SetStopCheck(cfg.StopEvery, cfg.Stop)
 	}
 
 	ncfg := rdcn.DefaultConfig()
@@ -98,7 +101,6 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error)
 	if cfg.Variant == ReTCPDyn {
 		ncfg.PreChange = &rdcn.PreChange{TDN: 1, Lead: 150 * sim.Microsecond, Cap: 50}
 	}
-	ncfg.Cluster = h.engine
 	if cfg.tweakNet != nil {
 		cfg.tweakNet(&ncfg)
 	}
@@ -107,9 +109,7 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error)
 		return nil, err
 	}
 	h.net = net
-	// Engine first: it creates the per-rack tracer forks that Network's
-	// SetTracer then hands to each rack's components.
-	h.engine.SetTracer(h.tracer)
+	h.loop.SetTracer(h.tracer)
 	net.SetTracer(h.tracer)
 	if m := cfg.Metrics; m != nil {
 		// Histogram handles resolve here, at setup; the hot-path Record is
@@ -134,16 +134,14 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error)
 	}
 	if cfg.Invariants {
 		h.chk = invariant.New(h.loop)
+		h.chk.Every = invariantSweepEvery
 		h.chk.SetTracer(h.tracer)
 		h.chk.SetMetrics(cfg.Metrics)
 		h.chk.SetFlight(h.flight, os.Stderr)
 		h.chk.WatchNetwork(net)
 	}
 
-	h.pools = make([]*tcp.Pool, h.racks)
-	for r := range h.pools {
-		h.pools[r] = new(tcp.Pool)
-	}
+	h.pool = new(tcp.Pool)
 
 	week := cfg.Scenario.Schedule.Week()
 	h.measureStart = sim.Time(sim.Dur(cfg.WarmupWeeks) * week)
@@ -161,14 +159,13 @@ func (h *harness) dumpOnPanic() {
 	}
 }
 
-// addFlow registers a flow the entry point built. Its sender emits trace
-// events from its rack's lane, so it records through that lane's tracer fork
-// (Rack.Tracer), never the shared parent; every connection (both directions,
-// every MPTCP subflow) gets the registry's per-TDN RTT and deadman-lag
-// histograms, resolved once per run and recorded into lock-free, and is
-// watched by the invariant checker on checked runs.
-func (h *harness) addFlow(f *Flow, srcRack, id int) {
-	f.SetTracer(h.net.Racks[srcRack].Tracer(), id)
+// addFlow registers a flow the entry point built. Its sender records through
+// the run's tracer; every connection (both directions, every MPTCP subflow)
+// gets the registry's per-TDN RTT and deadman-lag histograms, resolved once per
+// run and recorded into lock-free, and is watched by the invariant checker on
+// checked runs.
+func (h *harness) addFlow(f *Flow, id int) {
+	f.SetTracer(h.tracer, id)
 	conns := []*tcp.Conn{f.Snd, f.Rcv}
 	if f.MSnd != nil {
 		conns = slices.Concat(f.MSnd.Subflows(), f.MRcv.Subflows())
@@ -245,31 +242,25 @@ func (h *harness) run(atMeasureStart func()) error {
 }
 
 func (h *harness) leg(until sim.Time) error {
-	h.engine.RunUntil(until)
-	if h.engine.Stopped() {
+	h.loop.RunUntil(until)
+	if h.loop.Stopped() {
 		return fmt.Errorf("experiments: %s after %d events at %v: %w",
-			h.what, h.engine.Fired(), h.engine.Now(), ErrCancelled)
+			h.what, h.loop.Fired(), h.loop.Now(), ErrCancelled)
 	}
 	return nil
 }
 
-// finish audits frame conservation at the horizon, dumping every flight
+// finish audits frame conservation at the horizon, dumping the flight
 // recorder when it fails, and on success returns the ledger and records the
-// engine metrics both entry points report.
+// loop metrics both entry points report.
 func (h *harness) finish() (sent, delivered, misrouted uint64, err error) {
 	if err := h.net.CheckConservation(); err != nil {
-		reason := fmt.Sprintf("conservation failure: %v", err)
-		dumpFlight(os.Stderr, h.flight, reason)
-		// The rack lanes keep private rings alongside the shared one.
-		for r := 0; r < h.racks; r++ {
-			dumpFlight(os.Stderr, h.engine.RackTracer(r).FlightRecorder(),
-				fmt.Sprintf("%s, rack %d lane", reason, r))
-		}
+		dumpFlight(os.Stderr, h.flight, fmt.Sprintf("conservation failure: %v", err))
 		return 0, 0, 0, err
 	}
 	if m := h.cfg.Metrics; m != nil {
-		m.Add("sim.events_fired", int64(h.engine.Fired()))
-		m.Set("sim.virtual_seconds", float64(h.engine.Now())/1e9)
+		m.Add("sim.events_fired", int64(h.loop.Fired()))
+		m.Set("sim.virtual_seconds", float64(h.loop.Now())/1e9)
 	}
 	sent, delivered, misrouted = h.net.FrameLedger()
 	return sent, delivered, misrouted, nil

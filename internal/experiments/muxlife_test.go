@@ -17,7 +17,7 @@ import (
 // web-search run, a flow stops reacting to notifications at the first arrival
 // after its FIN-ack (it leaves), and is released at the first arrival at or
 // after that plus the linger; at the horizon the notify sets hold exactly the
-// endpoints of the flows that have not left, and the port maps, the pools and
+// endpoints of the flows that have not left, and the port maps, the pool and
 // the harness exactly the flows not yet released. The endpoints of released
 // flows are parked for reuse: every endpoint ever constructed is either
 // attached to a pool or parked, and every flow's two endpoints were each
@@ -127,7 +127,7 @@ func TestWorkloadRetiresFinishedFlows(t *testing.T) {
 	}
 	held := res.FlowsStarted - res.FlowsReleased
 	if life.portsBound != 2*held || life.liveConns != 2*held || life.flows != held {
-		t.Errorf("at the horizon: %d ports bound, %d connections on the pools, %d flows tracked; want %d, %d, %d for %d started - %d released",
+		t.Errorf("at the horizon: %d ports bound, %d connections on the pool, %d flows tracked; want %d, %d, %d for %d started - %d released",
 			life.portsBound, life.liveConns, life.flows, 2*held, 2*held, held, res.FlowsStarted, res.FlowsReleased)
 	}
 	if res.LateSegs != 0 {
@@ -154,12 +154,12 @@ func finishedMuxFlow(t *testing.T) (*harness, *muxNet, *Flow) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn := newMuxNet(h.net, h.pools, TDTCP, rc.Flow)
+	mn := newMuxNet(h.net, h.pool, TDTCP, rc.Flow)
 	f, err := mn.BuildFlow(0, 0, 1, 1, muxTestPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.addFlow(f, 0, 0)
+	h.addFlow(f, 0)
 	h.start()
 	if got, _, _ := mn.census(); got != 2 {
 		t.Fatalf("one TDTCP flow joined %d notify slots, want 2", got)
@@ -168,7 +168,7 @@ func finishedMuxFlow(t *testing.T) (*harness, *muxNet, *Flow) {
 	f.Snd.OnDone = func(sim.Time) { done = true }
 	f.Start(200 << 10)
 	f.Snd.Close()
-	h.engine.RunUntil(sim.Time(10 * rc.Scenario.Schedule.Week()))
+	h.loop.RunUntil(sim.Time(10 * rc.Scenario.Schedule.Week()))
 	if !done {
 		t.Fatal("flow did not finish in 10 weeks")
 	}
@@ -218,7 +218,7 @@ func TestRetiredFlowKeepsPortDropsDeadman(t *testing.T) {
 	// Thirty more weeks of silence on both endpoints: notifications no longer
 	// reach them, and the stopped deadman must not stand in.
 	sndRcvd, rcvRcvd := f.Snd.Stats.NotifiesRcvd, f.Rcv.Stats.NotifiesRcvd
-	h.engine.RunUntil(h.end)
+	h.loop.RunUntil(h.end)
 	if f.Snd.Stats.NotifiesRcvd != sndRcvd || f.Rcv.Stats.NotifiesRcvd != rcvRcvd {
 		t.Error("a retired endpoint was still notified")
 	}
@@ -236,7 +236,7 @@ func TestRetiredFlowKeepsPortDropsDeadman(t *testing.T) {
 }
 
 // TestReleasedFlowDropsLateSegment: the third stage gives everything back.
-// After release the ports are unbound, the pools count no connection of the flow, the
+// After release the ports are unbound, the pool counts no connection of the flow, the
 // harness no longer tracks it, and its delivered bytes still count. A segment
 // that arrives then is dropped and counted, never answered and never a panic;
 // the flow's stale timers run out as no-ops; and the port can be bound again,
@@ -247,7 +247,7 @@ func TestReleasedFlowDropsLateSegment(t *testing.T) {
 	if _, err := mn.BuildFlow(0, 0, 2, 0, muxTestPort); err == nil {
 		t.Fatal("a lingering flow's port was handed out again")
 	}
-	delivered, fired := h.delivered(), h.engine.Fired()
+	delivered, fired := h.delivered(), h.loop.Fired()
 	late := lateSegment(f)
 
 	mn.release(f)
@@ -255,10 +255,8 @@ func TestReleasedFlowDropsLateSegment(t *testing.T) {
 	if _, bound, _ := mn.census(); bound != 0 {
 		t.Errorf("%d ports bound after release, want 0", bound)
 	}
-	for r, pool := range h.pools {
-		if n := pool.LiveConns(); n != 0 {
-			t.Errorf("rack %d pool still counts %d live connections", r, n)
-		}
+	if n := h.pool.LiveConns(); n != 0 {
+		t.Errorf("the pool still counts %d live connections", n)
 	}
 	if len(h.flows) != 0 || h.delivered() != delivered || delivered != 200<<10 {
 		t.Errorf("after release the harness tracks %d flows and %d delivered bytes, want 0 and %d",
@@ -279,8 +277,8 @@ func TestReleasedFlowDropsLateSegment(t *testing.T) {
 
 	// The rest of the run: whatever timers the two connections left armed
 	// fire on released state.
-	h.engine.RunUntil(h.end)
-	if h.engine.Fired() == fired {
+	h.loop.RunUntil(h.end)
+	if h.loop.Fired() == fired {
 		t.Fatal("no event fired after release: the stale timers were not exercised")
 	}
 	if f.Snd.Stats.SegsSent+f.Rcv.Stats.SegsSent != before.SegsSent+f.Snd.Stats.SegsSent {
@@ -298,7 +296,7 @@ func TestReleasedFlowDropsLateSegment(t *testing.T) {
 // of the offered load, not of its length. At equal load a run four times as
 // long starts about four times the flows, yet binds no more ports at its peak
 // than twice the short run's peak; and at either horizon the ports bound, the
-// connections on the pools and the flows tracked are those of the flows open or
+// connections on the pool and the flows tracked are those of the flows open or
 // lingering, each within twice that count.
 func TestWorkloadMemoryFollowsOpenFlows(t *testing.T) {
 	run := func(weeks int) *WorkloadResult {

@@ -15,19 +15,15 @@ import (
 // of the run path: three small scenarios covering both entry points, the
 // fault injector and the invariant checker, each hashed over its JSONL trace
 // (everything but the per-event-loop CatSim chatter) followed by its metrics
-// JSON. The two hybrid constants were generated at the commit before the run
-// harness was extracted. The rotor constant was regenerated when completed
-// flows began leaving the mux notify sets and a finished sender stopped
-// probing: against the bytes before, that trace only loses records — the
-// tdn_switch/cwnd_swap of flows already retired and the tlp of flows already
-// done — and the metrics lose the events that re-armed those probes. A change
-// that moves any constant changed what a run emits, and has to say why.
+// JSON. All three constants were regenerated when every run moved onto one
+// plain sim.Loop (CHANGES.md, PR 21, says where each trace first diverged from
+// the bytes before: a notification's jitter, a notification verdict, a
+// notification's jitter). A change that moves any constant changed what a run
+// emits, and has to say why.
 //
-// A metric added since a constant was generated is listed in its case's
+// A metric added after a constant was generated is listed in its case's
 // added and cut out of the metrics JSON before hashing, so the constant keeps
-// vouching for every byte that existed when it was taken: the rotor case
-// shows that releasing finished flows changed no trace record and no other
-// metric.
+// vouching for every byte that existed when it was taken.
 func TestPinnedBytes(t *testing.T) {
 	plan, err := fault.Parse("drop=0.01,nloss=0.1")
 	if err != nil {
@@ -39,22 +35,21 @@ func TestPinnedBytes(t *testing.T) {
 		added []string
 		run   func(tr *trace.Tracer, reg *trace.Registry) error
 	}{
-		{"hybrid_tdtcp", "20c9c1d9e9e66eed35e72b84061e176086b721ef799ccbfdd05ac2699c198022", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
+		{"hybrid_tdtcp", "17a951af53d164403daa2256ab5495387fb0c7533ea5b400584969fcb7eaa01d", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
 			_, err := Run(RunConfig{Variant: TDTCP, Flows: 4, WarmupWeeks: 1, MeasureWeeks: 2,
 				Tracer: tr, Metrics: reg})
 			return err
 		}},
-		{"hybrid_cubic_faulted", "7936d23b9a444546a645b464297a6cc71a0c328c78ba8c58a79d63b602ef8e15", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
+		{"hybrid_cubic_faulted", "303f8b0ce830d08926df3126e6b776a4c651ebb00ee9fa0161e1a5be28edd65e", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
 			_, err := Run(RunConfig{Variant: Cubic, Flows: 4, WarmupWeeks: 1, MeasureWeeks: 2,
 				Fault: &plan, Invariants: true, Tracer: tr, Metrics: reg})
 			return err
 		}},
-		{"rotor4_websearch", "2e409c81f629646ef9077a50824cd94811a950b49189490e7592047fafc50cb5",
-			[]string{"workload.flows_released", "workload.late_segs", "workload.ports_bound_max"}, func(tr *trace.Tracer, reg *trace.Registry) error {
-				_, err := RunWorkload(WorkloadConfig{Variant: TDTCP, Scenario: MultiRack(4), Load: 0.3,
-					WarmupWeeks: 1, MeasureWeeks: 2, Tracer: tr, Metrics: reg})
-				return err
-			}},
+		{"rotor4_websearch", "8ed02e96935f3f1bde26a1fbc9d70406ccdfbadc321ed19ee84490d3c48f04b8", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
+			_, err := RunWorkload(WorkloadConfig{Variant: TDTCP, Scenario: MultiRack(4), Load: 0.3,
+				WarmupWeeks: 1, MeasureWeeks: 2, Tracer: tr, Metrics: reg})
+			return err
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer

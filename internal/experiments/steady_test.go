@@ -8,8 +8,8 @@ import (
 
 // TestSteadyStateDoesNotAllocate is the allocation contract of the hot path
 // (DESIGN.md §10), checked on what Run executes: newRunHarness is Run's own
-// set-up — the sharded engine at Shards=1 with the default flight recorder
-// attached and the 16 TDTCP flows — so only the measurement-window samplers
+// set-up — the loop and network with the default flight recorder attached
+// and the 16 TDTCP flows — so only the measurement-window samplers
 // are missing (their series grow by design). Once the pools, slabs, chunk lists and scratch buffers
 // have filled — 16 optical weeks is several times what that takes — advancing
 // the simulation by one more week must not allocate at all: every per-frame,
@@ -19,6 +19,22 @@ import (
 // tolerates the rare amortised growth of a heap or chunk list (none seen on
 // the hybrid, about 15 mallocs in all on the rotor) and fails on anything
 // paid per event, per frame or per week.
+// startedRunHarness is Run up to the point where its event loop would start:
+// the harness for cfg with the control plane armed and every flow started.
+func startedRunHarness(t *testing.T, cfg RunConfig) *harness {
+	t.Helper()
+	cfg.fillDefaults()
+	h, err := newRunHarness(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.start()
+	for _, f := range h.flows {
+		f.Start(-1)
+	}
+	return h
+}
+
 func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on this path (thousands of mallocs per week)")
@@ -27,31 +43,22 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	for _, scenario := range []Scenario{Hybrid(), MultiRack(8)} {
 		t.Run(scenario.Name, func(t *testing.T) {
 			// AllocsPerRun calls the function runs+1 times.
-			cfg := RunConfig{Variant: TDTCP, Scenario: scenario,
-				WarmupWeeks: warmWeeks, MeasureWeeks: runs + 1}
-			cfg.fillDefaults()
-			h, err := newRunHarness(&cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.start()
-			for _, f := range h.flows {
-				f.Start(-1)
-			}
+			h := startedRunHarness(t, RunConfig{Variant: TDTCP, Scenario: scenario,
+				WarmupWeeks: warmWeeks, MeasureWeeks: runs + 1})
 			week := scenario.Schedule.Week()
 			now := sim.Time(warmWeeks * week)
-			h.engine.RunUntil(now)
-			fired, base := h.engine.Fired(), h.delivered()
+			h.loop.RunUntil(now)
+			fired, base := h.loop.Fired(), h.delivered()
 
 			allocs := testing.AllocsPerRun(runs, func() {
 				now = now.Add(week)
-				h.engine.RunUntil(now)
+				h.loop.RunUntil(now)
 			})
 			if allocs != 0 {
 				t.Errorf("one steady-state week costs %v allocations, want 0", allocs)
 			}
 			// The pin means nothing on an idle network.
-			perWeek := (h.engine.Fired() - fired) / (runs + 1)
+			perWeek := (h.loop.Fired() - fired) / (runs + 1)
 			if perWeek < 1000 {
 				t.Errorf("only %d events per week: the flows are not running", perWeek)
 			}

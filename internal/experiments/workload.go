@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"cmp"
 	"fmt"
+	"math/rand"
 	"slices"
 
 	"github.com/rdcn-net/tdtcp/internal/core"
@@ -30,10 +30,10 @@ import (
 // and outlives leave by a linger, TCP's TIME_WAIT: a receiver must still
 // (D-)SACK a retransmission that arrives after the flow completed. At
 // muxNet.release the port is unbound and the connection's queue storage goes
-// back to its rack's pool, so what a host holds follows the flows open or
+// back to the run's pool, so what a host holds follows the flows open or
 // lingering on it, not the flows it ever carried. A segment for an unbound port is
 // dropped and counted, as a host does after TIME_WAIT. The released connection
-// itself is parked on its rack for a later arrival to reopen (muxNet.parked).
+// itself is parked for a later arrival to reopen (muxNet.parked).
 //
 // The map is looked up, never ranged over, and notify keeps join order
 // (fan-out order is trace order), so event order stays deterministic.
@@ -93,16 +93,13 @@ type muxNet struct {
 	net     *rdcn.Network
 	variant Variant
 	opt     FlowOptions
-	pools   []*tcp.Pool         // per rack, from the harness
+	pool    *tcp.Pool           // the harness's
 	muxes   [][]*hostMux        // [rack][host]
 	byAddr  map[uint32]*hostMux // the same muxes by host address, for leave
 
-	// parked holds, per rack, the endpoints release has retired, oldest
-	// first, until an arrival on that rack reopens them (DESIGN.md §10
-	// "Endpoint reuse"). Like the pools it is per rack because an endpoint's
-	// timers live on its rack's lane; unlike them it is touched only by
-	// release and BuildFlow, at control instants with the lanes parked.
-	parked [][]*tcp.Conn
+	// parked holds the endpoints release has retired, oldest first, until an
+	// arrival reopens them (DESIGN.md §10 "Endpoint reuse").
+	parked []*tcp.Conn
 	// built and reopened count the endpoints constructed and the times one
 	// was reopened: two per flow between them. refused counts the parked
 	// endpoints an arrival passed over because a timer of theirs was pending.
@@ -112,10 +109,9 @@ type muxNet struct {
 	noReuse bool
 }
 
-func newMuxNet(net *rdcn.Network, pools []*tcp.Pool, v Variant, opt FlowOptions) *muxNet {
-	mn := &muxNet{net: net, variant: v, opt: opt, pools: pools,
-		muxes: make([][]*hostMux, len(net.Racks)), byAddr: make(map[uint32]*hostMux),
-		parked: make([][]*tcp.Conn, len(net.Racks))}
+func newMuxNet(net *rdcn.Network, pool *tcp.Pool, v Variant, opt FlowOptions) *muxNet {
+	mn := &muxNet{net: net, variant: v, opt: opt, pool: pool,
+		muxes: make([][]*hostMux, len(net.Racks)), byAddr: make(map[uint32]*hostMux)}
 	for r, rack := range net.Racks {
 		mn.muxes[r] = make([]*hostMux, len(rack.Hosts))
 		for h, host := range rack.Hosts {
@@ -133,8 +129,8 @@ func newMuxNet(net *rdcn.Network, pools []*tcp.Pool, v Variant, opt FlowOptions)
 // BuildFlow wires one single-path flow of the muxNet's variant from (srcRack,
 // srcHost) to (dstRack, dstHost). Both endpoints use the same port number,
 // which must be unique per endpoint host among the ports bound at the time —
-// it is the demux key on both sides. Each endpoint is the oldest one parked
-// on its rack that can be reopened, or else a new one. A TDTCP flow's
+// it is the demux key on both sides. Each endpoint is the oldest parked one
+// that can be reopened, or else a new one. A TDTCP flow's
 // endpoints join their hosts' notify sets here and leave them at leave; the
 // ports are unbound at release. MPTCP and the reTCP variants are two-rack
 // constructs (subflow pinning and the circuit-up signal have no rotor
@@ -191,40 +187,36 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 }
 
 // endpoint returns a connection for one end of a new flow on host m: the
-// oldest endpoint parked on m's rack whose timers have run out, reopened, or
-// failing that a new one. Either way it lives on its rack's lane, so its
-// timers, retransmits and pool traffic stay shard-local under the sharded
-// engine. An endpoint passed over stays parked for a later arrival: its
+// oldest parked endpoint whose timers have run out, reopened, or failing that
+// a new one. An endpoint passed over stays parked for a later arrival: its
 // retransmission timer can be owed a fire for up to MaxRTO after the flow
 // ended, which the linger does not cover.
 func (mn *muxNet) endpoint(m *hostMux) (*tcp.Conn, error) {
-	rack := m.host.Rack
-	list := mn.parked[rack.ID]
+	list := mn.parked
 	if mn.noReuse {
 		list = nil
 	}
 	for i, c := range list {
 		if c.Reopen(m.send) {
-			mn.parked[rack.ID] = slices.Delete(list, i, i+1)
+			mn.parked = slices.Delete(list, i, i+1)
 			mn.reopened++
 			return c, nil
 		}
 		mn.refused++
 	}
-	cfg, err := endpointConfig(mn.net, mn.variant, mn.opt, mn.pools[rack.ID])
+	cfg, err := endpointConfig(mn.net, mn.variant, mn.opt, mn.pool)
 	if err != nil {
 		return nil, err
 	}
 	mn.built++
-	return tcp.NewConn(rack.Loop(), cfg, m.send), nil
+	return tcp.NewConn(mn.net.Loop, cfg, m.send), nil
 }
 
 // leave retires a flow whose sender has seen its FIN acknowledged: both
 // endpoints stop receiving TDN notifications, and a notification deadman, if
 // armed, is stopped — with the notifications gone, silence would otherwise
 // engage it on a dead flow for the rest of the run. The ports stay bound until
-// release (see hostMux). Like BuildFlow and release it edits state the rack
-// lanes read, so call it only at a control instant (workers parked).
+// release (see hostMux).
 func (mn *muxNet) leave(f *Flow) {
 	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
 		mn.byAddr[c.LocalAddr].leave(c)
@@ -236,15 +228,13 @@ func (mn *muxNet) leave(f *Flow) {
 
 // release ends the linger of a flow that has left: both ports are unbound,
 // both connections return their retransmission-queue entries and queue
-// arrays to their racks' pools, and each is parked on its rack. The flow's
-// armed timers still fire, as no-ops, so the event sequence is what it would
-// have been.
+// arrays to the pool, and each is parked. The flow's armed timers still fire,
+// as no-ops, so the event sequence is what it would have been.
 func (mn *muxNet) release(f *Flow) {
 	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
-		m := mn.byAddr[c.LocalAddr]
-		delete(m.conns, c.LocalPort)
+		delete(mn.byAddr[c.LocalAddr].conns, c.LocalPort)
 		c.Release()
-		mn.parked[m.host.Rack.ID] = append(mn.parked[m.host.Rack.ID], c)
+		mn.parked = append(mn.parked, c)
 	}
 }
 
@@ -280,8 +270,7 @@ type WorkloadConfig struct {
 	// flows arriving inside the window.
 	WarmupWeeks, MeasureWeeks int
 	Seed                      int64
-	// Shards is the sharded engine's worker count (default 1); results and
-	// traces are byte-identical for every value (see RunConfig.Shards).
+	// Shards is a refused stub (see RunConfig.Shards): 0 or 1, else an error.
 	Shards int
 	// MaxFlows caps total arrivals so a mis-set load cannot spawn unbounded
 	// work (default 512).
@@ -360,9 +349,6 @@ func (cfg *WorkloadConfig) fillDefaults() {
 	if cfg.MaxFlows == 0 {
 		cfg.MaxFlows = 512
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 5 * sim.Microsecond
 	}
@@ -429,9 +415,9 @@ type lifeCensus struct {
 	retired     int // flows that have left the notify sets, lingering or released
 	notifyWidth int // endpoints in the notify sets, over every host
 	portsBound  int // ports bound, over every host
-	liveConns   int // connections attached to a pool and not released, over every rack
+	liveConns   int // connections attached to the pool and not released
 	flows       int // flows the harness still tracks
-	// Endpoint reuse (muxNet): released endpoints waiting on a rack's list,
+	// Endpoint reuse (muxNet): released endpoints waiting on the parked list,
 	// endpoints ever constructed, the times one was reopened, and the times
 	// an arrival passed one over because a timer of its was still pending.
 	parked, built, reopened, refused int
@@ -440,8 +426,10 @@ type lifeCensus struct {
 // RunWorkload executes one open-loop workload experiment. Flow arrivals are a
 // Poisson process whose mean rate offers cfg.Load of the fabric's aggregate
 // capacity; each arrival picks uniform source and destination (distinct racks)
-// and a size from cfg.Dist, all from the loop's seeded RNG, so runs are fully
-// deterministic. Frame conservation is checked at the horizon.
+// and a size from cfg.Dist. The arrival process draws from its own generator
+// seeded with cfg.Seed, not the loop's (which connections draw their initial
+// sequence numbers from, as their SYNs arrive), so every variant is offered the
+// same flows for a seed. Frame conservation is checked at the horizon.
 func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	cfg.fillDefaults()
 	switch cfg.Variant {
@@ -455,8 +443,8 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	// notify sets and lingers, ports still bound, because the receiver must
 	// still answer a late retransmission; at the first arrival at or after
 	// leave + linger it is released: ports unbound, queue storage back in the
-	// racks' pools, the Flow dropped. What is kept of it is the result: its
-	// done-record and its share of the summed counters. So per-event work,
+	// pool, the Flow dropped. What is kept of it is the result: its FCT sample
+	// and its share of the summed counters. So per-event work,
 	// per-notification work and memory all follow the flows open or
 	// lingering, and only the result grows with the flows started.
 	rc := RunConfig{
@@ -476,7 +464,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	measureStart, end := h.measureStart, h.end
 
 	fctHist := cfg.Metrics.Hist("fct.ns")
-	mn := newMuxNet(net, h.pools, cfg.Variant, cfg.Flow)
+	mn := newMuxNet(net, h.pool, cfg.Variant, cfg.Flow)
 	mn.noReuse = cfg.noReuse
 	h.start()
 
@@ -486,26 +474,13 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 
 	res := &WorkloadResult{Variant: cfg.Variant, Cfg: cfg}
 	var buildErr error
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	nextPort := cfg.firstPort
-	// Completions fire on the sender's rack lane, so each lane gets a private
-	// done-list (single writer); they are merged into the result in canonical
-	// (completion time, rack) order after the horizon. The FCT histogram and
-	// the meter are atomic and order-independent, so those record inline.
-	type doneRec struct {
-		f     *Flow // nil once the flow has left
-		size  int64
-		start sim.Time
-		done  sim.Time
-	}
-	perRack := make([][]doneRec, racks)
-	// retired[r] counts the entries of perRack[r] whose flows have left the
-	// notify sets. Arrivals run on the control lane with every rack lane
-	// parked at the same instant whatever the shard count, so each one moves
-	// the life cycle on: it releases the flows whose linger has run out and
-	// retires what the lanes have completed since the arrival before. Both
-	// happen at a shard-count-invariant instant, at O(1) amortised per flow,
-	// with no timer of their own.
-	retired := make([]int, racks)
+	// finished holds, in completion order, the flows whose FIN was acknowledged
+	// since the last arrival. Each arrival moves the life cycle on: it releases
+	// the flows whose linger has run out and retires the finished ones, at O(1)
+	// amortised per flow, with no timer of their own.
+	var finished []*Flow
 	type lingerRec struct {
 		f    *Flow
 		left sim.Time
@@ -525,19 +500,16 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 			res.FlowsReleased++
 		}
 		lingering = slices.Delete(lingering, 0, due)
-		for r, list := range perRack {
-			for i := retired[r]; i < len(list); i++ {
-				mn.leave(list[i].f)
-				lingering = append(lingering, lingerRec{f: list[i].f, left: now})
-				list[i].f = nil
-				res.life.retired++
-			}
-			retired[r] = len(list)
+		for i, f := range finished {
+			mn.leave(f)
+			lingering = append(lingering, lingerRec{f: f, left: now})
+			finished[i] = nil
+			res.life.retired++
 		}
+		finished = finished[:0]
 		if buildErr != nil || res.FlowsStarted >= cfg.MaxFlows {
 			return // stop the arrival process; pending flows run out
 		}
-		rng := loop.Rand()
 		src := rng.Intn(racks)
 		dst := (src + 1 + rng.Intn(racks-1)) % racks
 		sh, dh := rng.Intn(cfg.Hosts), rng.Intn(cfg.Hosts)
@@ -552,23 +524,22 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 			return
 		}
 		id := res.FlowsStarted
-		h.addFlow(f, src, id)
-		rt := net.Racks[src].Tracer()
-		start := loop.Now()
+		h.addFlow(f, id)
+		start := now
 		res.FlowsStarted++
 		res.PortsBoundMax = max(res.PortsBoundMax, 2*(res.FlowsStarted-res.FlowsReleased))
 		res.BytesOffered += size
 		cfg.Meter.FlowStarted()
 		// The flow's lifetime (arrival to FIN-ack) is a causal span; flows
-		// still open at the horizon leave theirs unclosed. The span opens on
-		// the shared tracer (arrivals run at control instants) and closes on
-		// the sender lane's fork; the ids pair up regardless.
+		// still open at the horizon leave theirs unclosed.
 		sp := tracer.BeginSpan(trace.CatTCP, int64(start), "flow", id, -1, 0)
 		f.Snd.OnDone = func(now sim.Time) {
 			cfg.Meter.FlowDone()
-			rt.EndSpan(trace.CatTCP, int64(now), "flow", id, -1, sp, float64(size), 0)
-			perRack[src] = append(perRack[src], doneRec{f: f, size: size, start: start, done: now})
+			tracer.EndSpan(trace.CatTCP, int64(now), "flow", id, -1, sp, float64(size), 0)
+			finished = append(finished, f)
+			res.FlowsCompleted++
 			if start >= measureStart {
+				res.FCT.Record(size, start, now)
 				fctHist.Record(int64(now.Sub(start)))
 			}
 		}
@@ -576,8 +547,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		f.Snd.Close() // queue the FIN behind the data; its ACK is the FCT instant
 		loop.After(workload.Interarrival(rng, meanGap), spawn)
 	}
-	// Arrivals run on the control lane.
-	loop.After(workload.Interarrival(loop.Rand(), meanGap), spawn)
+	loop.After(workload.Interarrival(rng, meanGap), spawn)
 
 	var voq *stats.Sampler
 	err = h.run(func() {
@@ -596,18 +566,6 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	if buildErr != nil {
 		return nil, buildErr
 	}
-	// Merge the per-lane done-lists in canonical (done, rack) order — the
-	// order a sequential execution completes them in. Each list is already in
-	// lane execution order, so a stable sort of their concatenation is that
-	// merge.
-	done := slices.Concat(perRack...)
-	slices.SortStableFunc(done, func(a, b doneRec) int { return cmp.Compare(a.done, b.done) })
-	for _, d := range done {
-		res.FlowsCompleted++
-		if d.start >= measureStart {
-			res.FCT.Record(d.size, d.start, d.done)
-		}
-	}
 	res.GoodputGbps = h.goodputGbps()
 	res.MeanVOQ = voq.Series.Mean()
 	for _, f := range h.flows { // open or lingering; the released are in already
@@ -616,12 +574,8 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	}
 	res.life.notifyWidth, res.life.portsBound, res.LateSegs = mn.census()
 	res.life.flows = len(h.flows)
-	for _, pool := range h.pools {
-		res.life.liveConns += pool.LiveConns()
-	}
-	for _, list := range mn.parked {
-		res.life.parked += len(list)
-	}
+	res.life.liveConns = h.pool.LiveConns()
+	res.life.parked = len(mn.parked)
 	res.life.built, res.life.reopened, res.life.refused = mn.built, mn.reopened, mn.refused
 	res.FramesSent, res.FramesDelivered, res.FramesMisrouted, err = h.finish()
 	if err != nil {

@@ -176,14 +176,12 @@ type flapWindow struct {
 type Injector struct {
 	loop *sim.Loop
 	plan Plan
-	seed int64
 	rng  *rand.Rand
 
 	tracer  *trace.Tracer
 	metrics *trace.Registry
 
 	net       *rdcn.Network
-	subs      []*frameInj // per-rack data-plane streams (Cluster mode only)
 	flaps     []flapWindow
 	drift     []sim.Dur // per-week data-plane offsets
 	week      sim.Dur
@@ -196,22 +194,11 @@ type Injector struct {
 // independently of the simulation seed, so the same workload can be swept
 // across fault realizations (and vice versa).
 func New(loop *sim.Loop, plan Plan, seed int64) *Injector {
-	return &Injector{loop: loop, plan: plan, seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Injector{loop: loop, plan: plan, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Stats returns the counts of faults injected so far, summing the per-rack
-// data-plane streams when the network runs on the sharded engine. Under a
-// Cluster, read at barriers only (the run's natural read points — result
-// assembly, conservation checks — all are).
-func (inj *Injector) Stats() Stats {
-	s := inj.stats
-	for _, fi := range inj.subs {
-		s.FramesDropped += fi.stats.FramesDropped
-		s.FramesCorrupted += fi.stats.FramesCorrupted
-		s.FramesDelayed += fi.stats.FramesDelayed
-	}
-	return s
-}
+// Stats returns the counts of faults injected so far.
+func (inj *Injector) Stats() Stats { return inj.stats }
 
 // Plan returns the injector's plan.
 func (inj *Injector) Plan() Plan { return inj.plan }
@@ -245,23 +232,8 @@ func (inj *Injector) Install(n *rdcn.Network) {
 		n.Cfg.NotifyFault = inj.notifyFault
 	}
 	if p.Drop > 0 || p.Corrupt > 0 || p.Reorder > 0 {
-		if n.Cfg.Cluster != nil {
-			// Frame faults fire on rack lanes: give every rack its own
-			// substream, burst state, and stats so verdicts are a function
-			// of (seed, rack, frame index) — never of the shard count.
-			for _, rack := range n.Racks {
-				fi := &frameInj{
-					inj:  inj,
-					rack: rack,
-					rng:  rand.New(rand.NewSource(int64(mix64(uint64(inj.seed) + uint64(rack.ID) + 1)))),
-				}
-				inj.subs = append(inj.subs, fi)
-				rack.Uplink().Fault = fi.frameFault
-			}
-		} else {
-			for _, rack := range n.Racks {
-				rack.Uplink().Fault = inj.frameFault
-			}
+		for _, rack := range n.Racks {
+			rack.Uplink().Fault = inj.frameFault
 		}
 	}
 	if p.Flaps > 0 {
@@ -368,78 +340,6 @@ func (inj *Injector) frameFault(f netem.Frame) netem.FrameFate {
 		inj.stats.FramesDelayed++
 		inj.count("frames_delayed")
 		inj.emit("frame_delay", -1, float64(f.Len), float64(fate.Extra))
-	}
-	return fate
-}
-
-// frameInj is one rack's data-plane fault stream under the sharded engine:
-// frame verdicts are decided on the rack's lane, so the RNG, burst state,
-// and stats are private to the rack, and fault events emit through the
-// rack's lane tracer at the rack's clock. The legacy single-loop wiring
-// keeps the Injector's shared stream byte for byte; this split exists so
-// engine-mode verdict sequences are per-rack — identical for every shard
-// count — and lanes never contend.
-type frameInj struct {
-	inj       *Injector
-	rack      *rdcn.Rack
-	rng       *rand.Rand
-	burstLeft int
-	stats     Stats
-}
-
-// mix64 is the splitmix64 finalizer, used to derive statistically
-// independent per-rack fault seeds from adjacent (seed, rack) inputs.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// emit reports a CatFault event on the rack's lane tracer.
-func (fi *frameInj) emit(name string, a, b float64) {
-	tr := fi.rack.Tracer()
-	if tr.Enabled(trace.CatFault) {
-		tr.Emit(trace.CatFault, int64(fi.rack.Loop().Now()), name, -1, -1, a, b, "")
-	}
-}
-
-// frameFault mirrors Injector.frameFault decision for decision, against the
-// rack's private stream.
-func (fi *frameInj) frameFault(f netem.Frame) netem.FrameFate {
-	p := &fi.inj.plan
-	var fate netem.FrameFate
-	switch {
-	case fi.burstLeft > 0:
-		fi.burstLeft--
-		fate.Drop = true
-	case p.Drop > 0 && fi.rng.Float64() < p.Drop:
-		fate.Drop = true
-		if p.Burst > 1 {
-			fi.burstLeft = p.Burst - 1
-		}
-	case p.Corrupt > 0 && fi.rng.Float64() < p.Corrupt:
-		fate.Corrupt = true
-	case p.Reorder > 0 && fi.rng.Float64() < p.Reorder:
-		bound := p.ReorderDelay
-		if bound <= 0 {
-			bound = 20 * sim.Microsecond
-		}
-		fate.Extra = sim.Dur(1 + fi.rng.Int63n(int64(bound)))
-	}
-	switch {
-	case fate.Drop:
-		fi.stats.FramesDropped++
-		fi.inj.count("frames_dropped")
-		fi.emit("frame_drop", float64(f.Len), float64(fi.burstLeft))
-	case fate.Corrupt:
-		fi.stats.FramesCorrupted++
-		fi.inj.count("frames_corrupted")
-		fi.emit("frame_corrupt", float64(f.Len), 0)
-	case fate.Extra > 0:
-		fi.stats.FramesDelayed++
-		fi.inj.count("frames_delayed")
-		fi.emit("frame_delay", float64(f.Len), float64(fate.Extra))
 	}
 	return fate
 }

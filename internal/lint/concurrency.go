@@ -13,9 +13,7 @@ import (
 // OUTSIDE the determinism boundary, where goroutines, wall clocks, and shared
 // mutable state legitimately meet. The deterministic core is single-goroutine
 // by construction (the determinism check enforces that), so mutex discipline
-// is only a question out here — and it is the pre-flight gate for sharding
-// the event loop: when shard workers arrive, their state crosses this same
-// line.
+// is only a question out here.
 var concurrencyPkgs = []string{
 	"internal/serve",
 	"internal/obs",

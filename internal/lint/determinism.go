@@ -39,35 +39,10 @@ var wallClockFuncs = map[string]bool{
 	"NewTicker": true, "NewTimer": true,
 }
 
-// shardRuntimeDirective marks a file (in internal/sim only) as hosting the
-// sharded engine's worker pool: the single sanctioned concurrency seam inside
-// the determinism boundary. The directive carves out the go-statement rule
-// for that file alone — every other determinism rule still applies — and is
-// inert anywhere outside internal/sim, so a netem or tcp file cannot buy
-// itself goroutines by pasting the comment.
-const shardRuntimeDirective = "//lint:shardruntime"
-
-// hasShardRuntimeDirective reports whether the file carries the
-// //lint:shardruntime directive (as a directive comment, which
-// CommentGroup.Text would strip, so individual comments are inspected).
-func hasShardRuntimeDirective(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if strings.HasPrefix(c.Text, shardRuntimeDirective) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // DeterminismCheck forbids the constructs that make a simulation run diverge
 // between replays of the same seed: wall-clock reads, the process-global
 // math/rand generator, goroutines, iteration over map order, and sync.Pool
-// (whose reuse schedule depends on GC timing). One carve-out: internal/sim
-// files marked //lint:shardruntime may use go statements, because the sharded
-// engine's bounded worker pool is proven unobservable (byte-identical traces
-// for every shard count) by the parity suite.
+// (whose reuse schedule depends on GC timing).
 func DeterminismCheck() *Check {
 	c := &Check{
 		Name: "determinism",
@@ -80,7 +55,6 @@ func DeterminismCheck() *Check {
 				continue
 			}
 			for _, f := range pkg.Syntax {
-				shardRuntime := pathMatches(pkg.Path, "internal/sim") && hasShardRuntimeDirective(f)
 				for _, spec := range f.Imports {
 					ip, _ := strconv.Unquote(spec.Path.Value)
 					if pathMatches(ip, nondeterministicPkgs...) {
@@ -94,13 +68,10 @@ func DeterminismCheck() *Check {
 				ast.Inspect(f, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.GoStmt:
-						if shardRuntime {
-							break
-						}
 						diags = append(diags, Diagnostic{
 							Pos:     prog.Fset.Position(n.Pos()),
 							Check:   c.Name,
-							Message: "go statement in a deterministic package: goroutine interleaving is not replayable; schedule work on the event loop (or, for the shard runtime only, mark the internal/sim file //lint:shardruntime)",
+							Message: "go statement in a deterministic package: goroutine interleaving is not replayable; schedule work on the event loop",
 						})
 					case *ast.RangeStmt:
 						if _, ok := pkg.Info.TypeOf(n.X).Underlying().(*types.Map); ok {

@@ -114,14 +114,6 @@ func TestDeterminismBoundaryFixture(t *testing.T) {
 	checkFixture(t, selectChecks(t, "determinism"), "g/internal/sim", "g/internal/serve")
 }
 
-// TestShardRuntimeCarveOutFixture proves the //lint:shardruntime directive
-// carves the go-statement ban out only for the marked internal/sim file: an
-// ad-hoc goroutine in an unmarked sibling file, and a marked file outside
-// internal/sim, both stay findings.
-func TestShardRuntimeCarveOutFixture(t *testing.T) {
-	checkFixture(t, selectChecks(t, "determinism"), "l/internal/sim", "l/internal/netem")
-}
-
 func TestSeqArithFixture(t *testing.T) {
 	checkFixture(t, selectChecks(t, "seqarith"), "b/internal/tcp")
 }

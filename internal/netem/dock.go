@@ -4,20 +4,21 @@ import (
 	"github.com/rdcn-net/tdtcp/internal/sim"
 )
 
-// Dock is the cross-shard propagation-delay stage: the sharded engine's
+// Dock is the cross-lane propagation-delay stage: the lane engine's
 // replacement for a Drainer's delayLine when source and destination rack
 // live on different simulation lanes (internal/sim's ShardedLoop).
+//
+// Reachable from benchmark/ only, through rdcn.Config.Cluster: no run builds
+// one. It goes with sim/shard.go when ROADMAP item 6 drops the names from
+// benchmark/ladder.go.
 //
 // A frame leaving rack src's uplink toward rack dst is staged on the SOURCE
 // lane with an absolute due time (src clock + propagation delay). The
 // conservative lookahead guarantees due lands at or beyond the current
 // window's end, so the frame cannot be owed to the destination before the
-// next barrier; at that barrier the engine runs the dock's deferred flush —
-// with every worker parked — moving the staged frames into the
-// DESTINATION-owned due-ordered ring and arming a single timer on the
-// destination lane. Ownership therefore alternates with the engine's phases
-// (stage: src worker; ring: dst worker; handoff: coordinator), so no field
-// is ever touched by two goroutines without a barrier between them.
+// next barrier; at that barrier the engine runs the dock's deferred flush,
+// moving the staged frames into the due-ordered ring and arming a single
+// timer on the destination lane.
 //
 // Delivery behaviour matches the delayLine byte for byte: frames whose due
 // expires at one instant are handed downstream in (due, insertion) order,
@@ -43,9 +44,7 @@ type Dock struct {
 	out    []pending // scratch batch, reused across fires
 	scr    []Frame   // OutBatch scratch, reused
 
-	// Conservation ledger: armed is written by the source lane, delivered
-	// by the destination lane; both are read only at barriers (per-shard
-	// and global conservation checks), where every worker is parked.
+	// Conservation ledger: frames staged and frames delivered.
 	armed     uint64
 	delivered uint64
 }
@@ -60,10 +59,9 @@ func NewDock(src, dst int, srcLoop, dstLoop *sim.Loop, deferFn func(src, dst int
 	return k
 }
 
-// Add stages a frame due delay after the source lane's clock. Source lane
-// only.
+// Add stages a frame due delay after the source lane's clock.
 //
-//lint:hotpath runs once per cross-shard frame
+//lint:hotpath runs once per cross-lane frame
 func (k *Dock) Add(f Frame, delay sim.Dur, tdn int) {
 	if len(k.stage) == 0 {
 		k.deferFn(k.src, k.dst, k.flushFn)
@@ -75,8 +73,7 @@ func (k *Dock) Add(f Frame, delay sim.Dur, tdn int) {
 // flush moves the staged frames into the destination ring, keeping it
 // due-ordered (stable: equal dues keep arrival order, and staged dues are
 // nondecreasing, so the backward scan is almost always a no-op), then arms
-// the destination timer at the head due. Runs on the coordinator at a
-// barrier.
+// the destination timer at the head due. Runs at a barrier.
 func (k *Dock) flush() {
 	for _, p := range k.stage {
 		k.ring = append(k.ring, p)
@@ -97,10 +94,9 @@ func (k *Dock) flush() {
 
 // fire delivers every frame whose due has arrived, exactly like the
 // delayLine: copied out first (so synchronous downstream sends cannot alias
-// the ring), split into maximal same-TDN runs for OutBatch. Destination
-// lane only.
+// the ring), split into maximal same-TDN runs for OutBatch.
 //
-//lint:hotpath runs once per distinct cross-shard delivery instant
+//lint:hotpath runs once per distinct cross-lane delivery instant
 func (k *Dock) fire() {
 	now := k.dstLoop.Now()
 	out := k.out[:0]
@@ -139,10 +135,5 @@ func (k *Dock) fire() {
 }
 
 // InFlight reports the number of frames the dock currently owns (staged,
-// ringed, or awaiting their due). Barrier-only: it reads both lanes'
-// counters.
+// ringed, or awaiting their due).
 func (k *Dock) InFlight() int { return int(k.armed - k.delivered) }
-
-// Stats reports the conservation ledger: frames staged by the source lane
-// and frames delivered by the destination lane.
-func (k *Dock) Stats() (armed, delivered uint64) { return k.armed, k.delivered }

@@ -636,11 +636,11 @@ type Drainer struct {
 	// timer (see delayLine) instead of one loop event per frame.
 	Coalesce bool
 
-	// Dock, when non-nil, replaces the propagation-delay stage entirely:
-	// the destination ToR lives on a different simulation lane (sharded
-	// engine), so finished frames are staged in the cross-shard dock
-	// instead of a same-loop timer. The dock carries the in-flight ledger
-	// for this stage (see Dock.InFlight).
+	// Dock is nil in every run (see dock.go: benchmark-only). Non-nil, it
+	// replaces the propagation-delay stage entirely: the destination ToR
+	// lives on a different lane of the lane engine, so finished frames are
+	// staged in the dock instead of a same-loop timer. The dock carries the
+	// in-flight ledger for this stage (see Dock.InFlight).
 	Dock *Dock
 
 	busy bool
@@ -704,7 +704,7 @@ func (d *Drainer) serialized() {
 	d.cur = Frame{}
 	d.busy = false
 	if d.Dock != nil {
-		// Cross-shard: the dock owns the frame (and its ledger) from here.
+		// The dock owns the frame (and its ledger) from here.
 		d.Dock.Add(f, d.curDelay, d.curTDN)
 		d.Kick()
 		return
@@ -752,8 +752,8 @@ func (d *Drainer) lineSink(batch []pending) {
 
 // InFlight reports every frame currently owned by the drainer: being
 // serialized or in the propagation-delay stage (queued frames belong to the
-// VOQ). With a cross-shard dock attached, the propagation stage's ledger
-// lives in the dock; call only at barriers then.
+// VOQ). With a dock attached, the propagation stage's ledger lives in the
+// dock.
 func (d *Drainer) InFlight() int {
 	n := d.propagating
 	if d.Dock != nil {

@@ -88,16 +88,18 @@ type Config struct {
 	Notify       NotifyProfile
 	PreChange    *PreChange // optional retcpdyn switch support
 
-	// Cluster, when non-nil, places the network on the sharded engine: rack
-	// r's entire data plane (host NIC pipe, VOQs, drainers, delivery) lives
-	// on Cluster.RackLoop(r), cross-rack propagation travels through
-	// per-(src,dst) docks applied at engine barriers, and the control plane
-	// runs on Cluster.Control() — which must be the loop passed to New. The
-	// engine's tracer (ShardedLoop.SetTracer) must be attached before
-	// Network.SetTracer so per-rack forks exist. nil puts every rack on the
-	// loop passed to New, with one shared buffer pool and in-drainer delay
-	// lines in place of per-rack pools and docks; the two wirings differ
-	// only in what New constructs, every frame takes the same path.
+	// Cluster is nil in every run: every rack lives on the loop passed to
+	// New, with one shared buffer pool and in-drainer delay lines. It is
+	// reachable from benchmark/ only (the 8-rack forward rung of
+	// benchmark/ladder.go) and goes, with sim/shard.go and netem/dock.go,
+	// when ROADMAP item 6 drops the name there. Non-nil, it places the
+	// network on the lane engine: rack r's data plane (host NIC pipe, VOQs,
+	// drainers, delivery) lives on Cluster.RackLoop(r) with its own buffer
+	// pool, cross-rack propagation travels through per-(src,dst) docks
+	// applied at engine barriers, and the control plane runs on
+	// Cluster.Control() — which must be the loop passed to New. Such a
+	// network is untraced. The two wirings differ only in what New
+	// constructs; every frame takes the same path.
 	Cluster *sim.ShardedLoop
 
 	// DisableFramePool turns off wire-buffer recycling, making every frame
@@ -211,68 +213,51 @@ func (r *Rack) Uplink() *netem.Pipe { return r.uplink }
 // Rack is a ToR switch plus its attached hosts. Each rack has one VOQ per
 // destination rack (or one per TDN with PinnedVOQs on a two-rack network).
 //
-// Everything below the hosts is owned by the rack's home lane: with a
-// Cluster the loop is the rack's ShardedLoop lane, the tracer is the lane's
-// fork, and the pool / ledger / notification scratch are touched only by
-// that lane (or by the control plane at barriers, with workers parked).
-// Without a Cluster every rack shares Network.Loop, its tracer and one pool;
-// the frame path is the same.
+// Every rack shares Network.Loop and one buffer pool. (Under the
+// benchmark-only Config.Cluster the loop is the rack's lane and the pool is
+// the rack's own; the frame path is the same.)
 type Rack struct {
 	net   *Network
 	ID    int
 	Hosts []*Host
 
-	loop     *sim.Loop     // the rack's home lane (Network.Loop when unsharded)
-	tracer   *trace.Tracer // the rack's trace sink (lane fork under Cluster)
-	uplink   *netem.Pipe   // shared host-side ingress NIC
+	loop     *sim.Loop   // Network.Loop (the rack's lane under Cluster)
+	uplink   *netem.Pipe // shared host-side ingress NIC
 	voqs     []*netem.VOQ
 	drainers []*netem.Drainer
 
-	// pool recycles wire buffers for frames this rack's hosts send. Without
-	// a Cluster every rack aliases one shared network-wide pool, so releases
-	// anywhere restock sends anywhere. Under a Cluster each lane owns its own
-	// pool, and a frame consumed on another rack's lane has its buffer
-	// repatriated at the next barrier (returnWire/flushReturns) — released
-	// straight into the destination pool, the source pool would never see a
-	// put again and both pools would allocate forever. Buffer identity is
-	// trace-invisible (the pooled/unpooled golden A/B proves it), so the
-	// barrier-delayed exchange cannot change results. Nil when
-	// Config.DisableFramePool.
+	// pool recycles wire buffers for frames this rack's hosts send: one
+	// network-wide pool every rack aliases, so releases anywhere restock
+	// sends anywhere. Under a Cluster each lane owns its own pool, and a frame
+	// consumed on another rack's lane has its buffer repatriated at the next
+	// barrier (returnWire/flushReturns) — released straight into the
+	// destination pool, the source pool would never see a put again and both
+	// pools would allocate forever. Nil when Config.DisableFramePool.
 	pool *netem.BufPool
 
-	// Barrier-return staging for foreign wire buffers: retBufs[src] holds
-	// buffers consumed on this lane whose home pool is rack src's. Touched
-	// only by this lane mid-window and by the coordinator at barriers.
+	// Barrier-return staging for foreign wire buffers (Cluster only):
+	// retBufs[src] holds buffers consumed on this lane whose home pool is
+	// rack src's.
 	retBufs    [][][]byte
 	retDirty   bool
 	retFlushFn func()
 
 	// Per-rack slice of the frame-conservation ledger: framesIn counts
-	// frames sent by this rack's hosts (source lane), delivered/misrouted
-	// count frames terminating at this rack (destination lane). Network's
-	// ledger methods sum them at barriers.
+	// frames sent by this rack's hosts, delivered/misrouted count frames
+	// terminating at this rack. Network's ledger methods sum them.
 	framesIn  uint64
 	delivered uint64
 	misrouted uint64
 
-	// Notification delivery scratch: deliveries fire on this rack's lane,
-	// so the parse segment and the cell free list are per-rack.
+	// Notification delivery scratch: the parse segment and the cell free
+	// list of deliveries to this rack's hosts.
 	notifyParse packet.Segment
 	notifyFree  []*notifyCell
 }
 
-// Loop returns the rack's home lane: the loop every component owned by this
-// rack (hosts, VOQs, drainers, transport connections) must arm timers on.
-func (r *Rack) Loop() *sim.Loop { return r.loop }
-
-// Tracer returns the rack's trace sink: the lane's fork of the shared
-// tracer under a Cluster, the shared tracer itself otherwise (nil when
-// tracing is off).
-func (r *Rack) Tracer() *trace.Tracer { return r.tracer }
-
 // FrameLedger reports this rack's slice of the conservation ledger: frames
 // sent by its hosts, and frames delivered to / misrouted at its hosts.
-// Summed over racks it equals Network.FrameLedger; read at barriers only.
+// Summed over racks it equals Network.FrameLedger.
 func (r *Rack) FrameLedger() (sent, delivered, misrouted uint64) {
 	return r.framesIn, r.delivered, r.misrouted
 }
@@ -338,8 +323,7 @@ type Network struct {
 	// steady-state control plane allocates nothing: one serialization
 	// segment and a scratch wire per host (see notifyWire for the
 	// recycling-horizon argument). The delivery-side scratch — parse
-	// segment and cell free list — lives on each Rack, because deliveries
-	// fire on the destination rack's lane.
+	// segment and cell free list — lives on each Rack.
 	notifySeg   packet.Segment
 	notifyWires [][]byte
 
@@ -354,13 +338,8 @@ type Network struct {
 func (n *Network) SetTracer(t *trace.Tracer) {
 	n.tracer = t
 	for _, rack := range n.Racks {
-		rt := t
-		if c := n.Cfg.Cluster; c != nil && t != nil {
-			rt = c.RackTracer(rack.ID)
-		}
-		rack.tracer = rt
 		for k, v := range rack.voqs {
-			v.Tracer = rt
+			v.Tracer = t
 			if n.Cfg.PinnedVOQs {
 				v.TDN = k
 			} else {
@@ -441,9 +420,9 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 		nvoq = len(cfg.TDNs)
 	}
 	n.Racks = make([]*Rack, cfg.Racks)
-	// Unsharded, every rack shares one pool (releases anywhere restock sends
-	// anywhere, so gets and puts balance by construction); under a Cluster
-	// each lane owns a pool and the barrier return path keeps them balanced.
+	// Every rack shares one pool (releases anywhere restock sends anywhere,
+	// so gets and puts balance by construction); under a Cluster each lane
+	// owns a pool and the barrier return path keeps them balanced.
 	var sharedPool *netem.BufPool
 	if !cfg.DisableFramePool && cluster == nil {
 		sharedPool = &netem.BufPool{}
@@ -535,8 +514,7 @@ func PortClassifier(wire []byte, ntdns int) int {
 // at its full rate (the paper's hybrid testbed). With more racks, TDN 0 is the
 // packet network fair-sharing the rack uplink across its Racks-1 VOQs, and an
 // optical TDN k serves only the rack pair of rotor matching k. The schedule
-// is evaluated on the owning rack's clock (identical to Network.Loop when
-// unsharded).
+// is evaluated on the owning rack's clock.
 func (n *Network) pathFunc(rloop *sim.Loop, rackID, dst int) netem.PathFunc {
 	return func() (netem.Path, bool) {
 		tdn, ok := n.dataPlaneTDN(rloop.Now())
@@ -618,7 +596,7 @@ func (r *Rack) ingress(f netem.Frame) {
 // dst, identified by the IPv4 destination address. Delivery is a frame's
 // terminal point: once Recv returns the wire buffer goes home to rack src's
 // pool (see returnWire), so Recv hooks must parse (Parse copies) rather than
-// retain the wire. Runs on rack dst's lane.
+// retain the wire.
 //
 //lint:hotpath runs once per delivered frame
 func (n *Network) deliver(src, dst int, f netem.Frame) {
@@ -687,11 +665,10 @@ func (n *Network) deliverBatch(src, dst int, fs []netem.Frame, tdn int) {
 	}
 }
 
-// returnWire sends a consumed frame's buffer home to rack src's pool. When
-// that is this rack's own pool (a hairpinned frame, or the pool every rack
-// shares without a Cluster) or pooling is off, it is a plain release;
-// another lane's pool cannot be touched mid-window, so the buffer is staged
-// for the next barrier (see Rack.pool). Runs on this rack's lane.
+// returnWire sends a consumed frame's buffer home to rack src's pool. That is
+// this rack's own pool — the one every rack shares — or pooling is off, and it
+// is a plain release; only under a Cluster can it be another lane's pool, and
+// then the buffer is staged for the next barrier (see Rack.pool).
 //
 //lint:hotpath runs once per consumed frame
 func (r *Rack) returnWire(src int, f *netem.Frame) {
@@ -709,8 +686,8 @@ func (r *Rack) returnWire(src int, f *netem.Frame) {
 }
 
 // flushReturns hands every staged foreign buffer back to its home rack's
-// pool, in source-rack order. Runs on the coordinator at a barrier with all
-// workers parked, registered through the engine's DeferLane once per window.
+// pool, in source-rack order. Runs at a barrier, registered through the lane
+// engine's DeferLane once per window (Cluster only).
 func (r *Rack) flushReturns() {
 	r.retDirty = false
 	for src, bufs := range r.retBufs {
@@ -957,9 +934,7 @@ type notifyCell struct {
 // deliverNotify schedules one ICMP notification delivery d from now, closing
 // span sp at the delivery instant and exposing it as the implicit parent of
 // whatever the host does in response (the TDTCP cwnd swap parents onto it).
-// The delivery timer is armed on the destination host's rack lane; the
-// control plane runs at barriers with every lane clock synced, so "d from
-// now" means the same instant on every clock.
+// The delivery timer is armed on the destination host's rack's loop.
 func (n *Network) deliverNotify(h *Host, wire []byte, d sim.Dur, sp trace.SpanID) {
 	r := h.Rack
 	var c *notifyCell
@@ -975,10 +950,7 @@ func (n *Network) deliverNotify(h *Host, wire []byte, d sim.Dur, sp trace.SpanID
 	r.loop.After(d, c.fn)
 }
 
-// fire parses and delivers one notification, then recycles the cell. It runs
-// on the destination rack's lane, so all scratch and tracing go through the
-// rack (the span id pairs with the control plane's BeginSpan regardless of
-// which tracer closes it).
+// fire parses and delivers one notification, then recycles the cell.
 //
 //lint:hotpath runs once per host per schedule transition
 func (c *notifyCell) fire() {
@@ -991,11 +963,11 @@ func (c *notifyCell) fire() {
 		return
 	}
 	now := r.loop.Now()
-	r.tracer.EndSpan(trace.CatRDCN, int64(now), "notify", -1, int(s.ICMP.ActiveTDN), sp, float64(s.ICMP.Epoch), float64(d))
+	n.tracer.EndSpan(trace.CatRDCN, int64(now), "notify", -1, int(s.ICMP.ActiveTDN), sp, float64(s.ICMP.Epoch), float64(d))
 	n.NotifyLat.Record(int64(d))
-	r.tracer.PushParent(sp)
+	n.tracer.PushParent(sp)
 	h.NotifyTDN(int(s.ICMP.ActiveTDN), s.ICMP.Epoch)
-	r.tracer.PopParent()
+	n.tracer.PopParent()
 }
 
 // ActiveTDN reports the TDN active right now (ok=false during a night).
@@ -1046,8 +1018,7 @@ func (n *Network) CheckConservation() error {
 
 // FrameLedger reports the cumulative conservation counters: frames sent by
 // hosts, delivered to a Recv hook, and dropped as misrouted — summed over
-// the per-rack ledgers (see Rack.FrameLedger). Barrier-only under a
-// Cluster.
+// the per-rack ledgers (see Rack.FrameLedger).
 func (n *Network) FrameLedger() (sent, delivered, misrouted uint64) {
 	for _, rack := range n.Racks {
 		sent += rack.framesIn

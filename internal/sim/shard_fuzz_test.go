@@ -1,11 +1,10 @@
 package sim_test
 
 import (
-	"bytes"
+	"slices"
 	"testing"
 
 	"github.com/rdcn-net/tdtcp/internal/sim"
-	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
 // fuzzMsg is one cross-lane message in the fuzz harness's miniature dock.
@@ -28,7 +27,7 @@ type fuzzDock struct {
 	onRecv   func(m fuzzMsg)
 }
 
-// add stages a message on the source lane (source lane only).
+// add stages a message on the source lane.
 func (d *fuzzDock) add(val int64, due sim.Time) {
 	if len(d.stage) == 0 {
 		d.e.Defer(d.src, d.dst, d.flushFn)
@@ -36,9 +35,9 @@ func (d *fuzzDock) add(val int64, due sim.Time) {
 	d.stage = append(d.stage, fuzzMsg{due: due, val: val})
 }
 
-// flush runs on the coordinator at a barrier. Every staged due must still be
-// ahead of the destination clock — the conservative-lookahead guarantee. A
-// violation here is exactly "some lane executed past its safe horizon".
+// flush runs at a barrier. Every staged due must still be ahead of the
+// destination clock — the conservative-lookahead guarantee. A violation here
+// is exactly "some lane executed past its safe horizon".
 func (d *fuzzDock) flush() {
 	dst := d.e.RackLoop(d.dst)
 	for _, m := range d.stage {
@@ -47,27 +46,29 @@ func (d *fuzzDock) flush() {
 				d.src, d.dst, m.due, dst.Now())
 			continue
 		}
-		m := m
 		dst.At(m.due, func() { d.onRecv(m) })
 	}
 	d.stage = d.stage[:0]
 }
 
+// fuzzRec is one executed event: lane 0 is the control lane, lane r+1 rack r.
+type fuzzRec struct {
+	at   sim.Time
+	lane int
+	val  int64
+}
+
 // runFuzzEngine drives one synthetic scenario: a control lane ticking with
 // drifting periods (the schedule stand-in), per-rack event chains with
 // seeded random gaps, and ring cross-lane messages through fuzz docks. It
-// returns the merged JSONL trace.
-func runFuzzEngine(t *testing.T, seed int64, racks, shards int, look, period sim.Dur, end sim.Time) []byte {
-	var buf bytes.Buffer
-	e := sim.NewSharded(seed, racks, shards)
+// returns every executed event in execution order.
+func runFuzzEngine(t *testing.T, seed int64, racks int, look, period sim.Dur, end sim.Time) []fuzzRec {
+	var log []fuzzRec
+	e := sim.NewSharded(seed, racks, 1)
 	e.SetLookahead(look)
-	look = e.Lookahead() // after clamping
-	tr := trace.New(&buf, trace.CatAll)
-	e.SetTracer(tr)
 
 	docks := make([]*fuzzDock, racks)
 	for r := 0; r < racks; r++ {
-		r := r
 		dst := (r + 1) % racks
 		d := &fuzzDock{t: t, e: e, src: r, dst: dst}
 		d.flushFn = d.flush
@@ -76,7 +77,7 @@ func runFuzzEngine(t *testing.T, seed int64, racks, shards int, look, period sim
 			if now := dl.Now(); now != m.due {
 				t.Errorf("message %d->%d due %d fired at %d", r, dst, m.due, now)
 			}
-			dl.Tracer().Emit(trace.CatSim, int64(dl.Now()), "fuzz.recv", r, dst, float64(m.val), 0, "")
+			log = append(log, fuzzRec{dl.Now(), dst + 1, -m.val})
 			// Couple the message into the destination's dynamics, so a
 			// horizon or ordering bug changes its whole downstream schedule.
 			dl.After(sim.Dur(m.val%int64(look))+1, func() {})
@@ -85,13 +86,12 @@ func runFuzzEngine(t *testing.T, seed int64, racks, shards int, look, period sim
 	}
 
 	for r := 0; r < racks; r++ {
-		r := r
 		rk := e.RackLoop(r)
 		n := int64(0)
 		var step func()
 		step = func() {
 			n++
-			rk.Tracer().Emit(trace.CatSim, int64(rk.Now()), "fuzz.step", r, 0, float64(n), 0, "")
+			log = append(log, fuzzRec{rk.Now(), r + 1, n})
 			if n%5 == 0 {
 				extra := sim.Dur(rk.Rand().Int63n(int64(look)))
 				docks[r].add(n, rk.Now().Add(look+extra))
@@ -113,58 +113,49 @@ func runFuzzEngine(t *testing.T, seed int64, racks, shards int, look, period sim
 				t.Errorf("barrier at %d: rack %d clock %d (lane ran past its horizon or was not synced)", now, r, rn)
 			}
 		}
-		ctl.Tracer().Emit(trace.CatSim, int64(now), "fuzz.tick", -1, 0, 0, 0, "")
+		log = append(log, fuzzRec{now, 0, 0})
 		ctl.After(period+sim.Dur(ctl.Rand().Int63n(int64(period))), tick)
 	}
 	ctl.After(period, tick)
 
 	e.RunUntil(end)
-	if err := tr.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	if uint64(len(log)) > e.Fired() {
+		t.Errorf("%d events logged, %d fired", len(log), e.Fired())
 	}
-	return buf.Bytes()
+	return log
 }
 
 // FuzzShardLookahead fuzzes the lookahead/barrier computation over rack
-// counts, propagation delays (the lookahead), control cadences with drift,
-// and worker counts, asserting that no lane ever executes past its safe
-// horizon (stale cross-lane dues, desynced barrier clocks) and that the
-// merged event order is total: nondecreasing timestamps with a deterministic
-// tie order, proven by byte-identity against the single-worker execution.
+// counts, propagation delays (the lookahead) and control cadences with drift,
+// asserting that no lane ever executes past its safe horizon (stale
+// cross-lane dues, desynced barrier clocks), that every message fires at its
+// due, that every lane's events and the control lane's ticks each execute in
+// time order, and that the execution is a function of its inputs: the same
+// scenario run again executes the same events in the same order.
 func FuzzShardLookahead(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(2), uint16(19), uint16(50))
-	f.Add(int64(7), uint8(8), uint8(4), uint16(19), uint16(200))
-	f.Add(int64(3), uint8(3), uint8(8), uint16(1), uint16(7))
-	f.Add(int64(42), uint8(5), uint8(3), uint16(100), uint16(13))
-	f.Fuzz(func(t *testing.T, seed int64, racks, shards uint8, lookUs, periodUs uint16) {
-		nr := 2 + int(racks%7)  // 2..8 racks
-		ns := 1 + int(shards%8) // 1..8 workers
+	f.Add(int64(1), uint8(2), uint16(19), uint16(50))
+	f.Add(int64(7), uint8(8), uint16(19), uint16(200))
+	f.Add(int64(3), uint8(3), uint16(1), uint16(7))
+	f.Add(int64(42), uint8(5), uint16(100), uint16(13))
+	f.Fuzz(func(t *testing.T, seed int64, racks uint8, lookUs, periodUs uint16) {
+		nr := 2 + int(racks%7) // 2..8 racks
 		look := sim.Dur(1+int(lookUs%100)) * sim.Microsecond
 		period := sim.Dur(1+int(periodUs%200)) * sim.Microsecond
 		end := sim.Time(40 * period)
 
-		seq := runFuzzEngine(t, seed, nr, 1, look, period, end)
-		got := runFuzzEngine(t, seed, nr, ns, look, period, end)
-		if len(seq) == 0 {
-			t.Fatal("no trace events")
+		got := runFuzzEngine(t, seed, nr, look, period, end)
+		if len(got) == 0 {
+			t.Fatal("nothing executed")
 		}
-		if !bytes.Equal(seq, got) {
-			t.Fatalf("merge order not total: %d-worker trace diverges from sequential (%d vs %d bytes)",
-				ns, len(got), len(seq))
+		if again := runFuzzEngine(t, seed, nr, look, period, end); !slices.Equal(got, again) {
+			t.Fatalf("two executions of one scenario differ (%d vs %d events)", len(got), len(again))
 		}
-		// The merged stream must be globally time-ordered: the engine merges
-		// window output in (time, key) order and control records sit exactly
-		// at barriers.
-		var ev trace.Event
-		last := int64(-1)
-		for _, line := range bytes.Split(bytes.TrimSpace(seq), []byte("\n")) {
-			if err := trace.ParseLine(line, &ev); err != nil {
-				t.Fatalf("bad trace line %q: %v", line, err)
+		last := make([]sim.Time, nr+1)
+		for _, r := range got {
+			if r.at < last[r.lane] || r.at > end {
+				t.Fatalf("lane %d executed an event at %d after one at %d (horizon %d)", r.lane, r.at, last[r.lane], end)
 			}
-			if ev.TS < last {
-				t.Fatalf("merge order regressed: event at ts=%d after ts=%d", ev.TS, last)
-			}
-			last = ev.TS
+			last[r.lane] = r.at
 		}
 	})
 }

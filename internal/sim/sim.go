@@ -152,17 +152,6 @@ type Loop struct {
 	fired    uint64
 	tracer   *trace.Tracer
 
-	// laneKey is the loop's home-lane tag, pre-shifted so every scheduling
-	// key is laneKey|seq. A standalone loop keeps lane 0, making its keys
-	// exactly the legacy sequence numbers; sub-loops of a ShardedLoop each
-	// get a distinct lane so keys are globally unique and same-instant
-	// events merge in a fixed lane-major order (see shard.go).
-	laneKey uint64
-	// spool, when non-nil, collects this loop's trace bytes during a
-	// sharded window; runWindow marks it with each event's (at, key) so the
-	// engine can splice per-lane output back into one total order.
-	spool *trace.Spool
-
 	// PostEvent, when non-nil, runs after every executed event, once the
 	// event's own callbacks (and anything they scheduled synchronously) have
 	// returned. The invariant checker (internal/invariant) installs itself
@@ -358,7 +347,7 @@ func (l *Loop) At(at Time, fn func()) Timer {
 		l.schedulePastPanic(at)
 	}
 	si := l.allocSlot(fn)
-	l.events = append(l.events, event{at: at, seq: l.laneKey | l.seq, slot: si})
+	l.events = append(l.events, event{at: at, seq: l.seq, slot: si})
 	l.seq++
 	l.siftUp(len(l.events) - 1)
 	return Timer{l: l, at: at, slot: si, gen: l.slots[si].gen}

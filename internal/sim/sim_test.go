@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -382,52 +380,6 @@ func TestLoopTracerEmitsFireEvents(t *testing.T) {
 		if ev.Cat != "sim" || ev.Name != "fire" {
 			t.Fatalf("unexpected event %+v", ev)
 		}
-	}
-}
-
-// TestFlightOnlyTracerDoesNotSpool: every untraced run carries a flight-only
-// tracer, whose own mask is empty, so no record of it can reach a spool. The
-// engine then gives the lanes forks with their own rings but no spool to mark
-// per event, switch per window or merge per barrier, and the rings fill as
-// they do under a tracer that streams the same categories.
-func TestFlightOnlyTracerDoesNotSpool(t *testing.T) {
-	run := func(tr *trace.Tracer) (*ShardedLoop, [][]trace.Event) {
-		e := NewSharded(1, 2, 1)
-		e.SetTracer(tr.WithFlight(trace.NewFlight(16, trace.CatTCP)))
-		for r := 0; r < e.Racks(); r++ {
-			rk := e.RackLoop(r)
-			var step func()
-			step = func() {
-				sp := rk.Tracer().BeginSpan(trace.CatTCP, int64(rk.Now()), "span", r, -1, 0)
-				rk.Tracer().Emit(trace.CatTCP, int64(rk.Now()), "step", r, -1, 0, 0, "")
-				rk.Tracer().EndSpan(trace.CatTCP, int64(rk.Now()), "span", r, -1, sp, 0, 0)
-				rk.After(3, step)
-			}
-			rk.After(Dur(r+1), step)
-		}
-		e.Control().After(10, func() {})
-		e.RunUntil(30)
-		rings := [][]trace.Event{e.tracer.FlightRecorder().Events()}
-		for r := 0; r < e.Racks(); r++ {
-			rings = append(rings, e.RackTracer(r).FlightRecorder().Events())
-		}
-		return e, rings
-	}
-	var out bytes.Buffer
-	streaming, want := run(trace.New(&out, trace.CatTCP))
-	flightOnly, got := run(nil)
-	if err := streaming.tracer.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !streaming.spooling() || streaming.RackLoop(0).spool == nil || out.Len() == 0 {
-		t.Fatalf("a streaming tracer's lanes have no spools, or wrote nothing through them (%d bytes)", out.Len())
-	}
-	if flightOnly.spooling() || flightOnly.RackLoop(0).spool != nil || flightOnly.RackLoop(1).spool != nil {
-		t.Error("a flight-only tracer's lanes were given spools")
-	}
-	if flightOnly.Fired() != streaming.Fired() || len(got[1]) == 0 || !reflect.DeepEqual(got, want) {
-		t.Errorf("flight-only: %d events fired, rings %v\nstreaming:   %d events fired, rings %v",
-			flightOnly.Fired(), got, streaming.Fired(), want)
 	}
 }
 

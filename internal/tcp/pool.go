@@ -3,13 +3,12 @@ package tcp
 // Pool recycles the storage behind its connections' retransmission queues:
 // TxSeg entries and the queues' backing arrays are drawn from it and go back
 // to it (on cumulative ACK, and on Release), so what a connection holds
-// follows its flight size and what a rack holds follows its open connections.
+// follows its flight size and what a run holds follows its open connections.
 // Everything else a connection knows lives in the Conn and its PathStates.
 //
 // The zero value is ready to use. Connections constructed with the same
-// Config.Pool share it (the experiments harness keeps one per rack, because
-// rack lanes may run on separate workers and a pool is not synchronised);
-// NewConn falls back to a private pool so standalone use needs no wiring.
+// Config.Pool share it (the experiments harness keeps one per run); NewConn
+// falls back to a private pool so standalone use needs no wiring.
 type Pool struct {
 	live int // connections attached and not yet released
 

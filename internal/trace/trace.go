@@ -29,7 +29,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -179,18 +178,6 @@ type Tracer struct {
 	parents  [maxSpanDepth]SpanID
 	nparents int
 
-	// Fork state (see Fork): a forked tracer is a per-lane front end for the
-	// sharded engine. parent is the tracer whose output it feeds; spool is
-	// the lane's byte buffer; spooling selects the sink (false: relay each
-	// record straight into parent, true: encode into spool for a barrier
-	// merge). spanSrc, when set, replaces the atomic span-id allocator with
-	// a lane-deterministic source. All four are engine-managed: they change
-	// only while the lane's worker is parked.
-	parent   *Tracer
-	spool    *Spool
-	spooling bool
-	spanSrc  func() int64
-
 	mu    sync.Mutex
 	w     *bufio.Writer
 	buf   []byte // encode scratch, reused under mu
@@ -233,74 +220,6 @@ func (t *Tracer) WithFlight(f *Flight) *Tracer {
 	}
 	t.flight = f
 	return t
-}
-
-// Fork returns a per-lane child tracer for the sharded engine, and the spool
-// it encodes into during parallel windows. The child carries the parent's
-// category mask, its own flight recorder (same size and mask as the
-// parent's, so recording stays lock-free single-writer per lane), and two
-// switchable sinks. While not spooling (control phases), every record relays
-// directly into the parent — under the parent's lock, in call order,
-// interleaving correctly with the parent's own output. While spooling
-// (parallel windows), records encode into the spool, and the engine splices
-// them into the parent at the next barrier in merged key order.
-//
-// The spool is nil when the parent's own mask is empty (a flight-only
-// tracer, which is what every untraced run carries): no record of such a
-// tracer gets past its flight ring, so its forks have nothing to spool and
-// the engine nothing to mark, switch or merge. Fork on a nil tracer returns
-// nil, nil (the disabled tracer).
-func (t *Tracer) Fork() (*Tracer, *Spool) {
-	if t == nil {
-		return nil, nil
-	}
-	f := &Tracer{mask: t.mask, parent: t}
-	if t.mask != 0 {
-		f.spool = &Spool{}
-	}
-	if t.flight != nil {
-		f.flight = NewFlight(len(t.flight.recs), t.flight.mask)
-	}
-	return f, f.spool
-}
-
-// SetSpooling switches a forked tracer's sink: true routes records into the
-// fork's spool, false relays them into the parent. Only the sharded engine
-// calls this, and only while the lane's worker is parked.
-func (t *Tracer) SetSpooling(on bool) {
-	if t != nil {
-		t.spooling = on
-	}
-}
-
-// SetSpanSource replaces the tracer's span-id allocator with fn. The
-// sharded engine installs a per-lane counter so span ids are deterministic
-// regardless of worker interleaving; fn must return ids that never collide
-// with any other lane's (the engine tags them with the lane number). A nil
-// fn restores the default atomic allocator.
-func (t *Tracer) SetSpanSource(fn func() int64) {
-	if t != nil {
-		t.spanSrc = fn
-	}
-}
-
-// WriteRaw appends pre-encoded JSONL lines (as produced by this package's
-// own encoder) to the tracer's output and counts them; the bytes pass
-// through verbatim. The sharded engine uses WriteRaw to splice merged spool
-// chunks into the sequential output position.
-func (t *Tracer) WriteRaw(b []byte) {
-	if t == nil || len(b) == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.count += uint64(bytes.Count(b, []byte("\n")))
-	if t.w == nil {
-		return // count-only tracer
-	}
-	if _, err := t.w.Write(b); err != nil && t.err == nil {
-		t.err = err
-	}
 }
 
 // FlightRecorder returns the attached flight recorder, if any.
@@ -349,18 +268,7 @@ func (t *Tracer) Emit(c Category, ts int64, name string, flow, tdn int, a, b flo
 }
 
 // record is the masked-output half of Emit: JSONL, under the lock.
-// On a forked tracer it instead routes to the active sink: the lane spool
-// while spooling, or a direct relay into the parent otherwise (the fork is
-// single-writer, so the spool path needs no lock).
 func (t *Tracer) record(c Category, ts int64, name string, flow, tdn int, ph string, span, parent SpanID, a, b float64, s string) {
-	if t.parent != nil {
-		if t.spooling {
-			t.spool.buf = appendEvent(t.spool.buf, c, ts, name, flow, tdn, ph, int64(span), int64(parent), a, b, s)
-			return
-		}
-		t.parent.record(c, ts, name, flow, tdn, ph, span, parent, a, b, s)
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.count++
@@ -387,12 +295,7 @@ func (t *Tracer) BeginSpan(c Category, ts int64, name string, flow, tdn int, par
 	if !toFlight && !toMask {
 		return 0
 	}
-	var id SpanID
-	if t.spanSrc != nil {
-		id = SpanID(t.spanSrc())
-	} else {
-		id = SpanID(atomic.AddInt64(&t.spanSeq, 1))
-	}
+	id := SpanID(atomic.AddInt64(&t.spanSeq, 1))
 	if toFlight {
 		t.flight.record(c, ts, name, flow, tdn, 'B', int64(id), int64(parent), 0, 0, "")
 	}
@@ -443,19 +346,8 @@ func (t *Tracer) PopParent() {
 }
 
 // Parent returns the innermost implicit parent span, or 0 when none is set.
-// A forked tracer with an empty stack falls back to its parent tracer's
-// stack: control-plane code pushes its span on the shared tracer before
-// calling into per-lane components, and the fallback preserves that causal
-// link. The read is safe during parallel windows because the parent stack
-// is mutated only from control phases, while every worker is parked.
 func (t *Tracer) Parent() SpanID {
-	if t == nil {
-		return 0
-	}
-	if t.nparents == 0 && t.parent != nil {
-		return t.parent.Parent()
-	}
-	if t.nparents == 0 || t.nparents > maxSpanDepth {
+	if t == nil || t.nparents == 0 || t.nparents > maxSpanDepth {
 		return 0
 	}
 	return t.parents[t.nparents-1]

@@ -81,3 +81,47 @@ func TestAnalyticReferences(t *testing.T) {
 		t.Fatalf("optimal Gbps = %v", g)
 	}
 }
+
+// TestFacadeMatchesRun: the library path and Run are one wiring. A network
+// built by hand through the facade — NewLoop, NewNetwork with the hybrid
+// scenario's parameters, 16 BuildFlow, Start — delivers, byte for byte, what
+// Run delivers for the same seed and horizon.
+func TestFacadeMatchesRun(t *testing.T) {
+	const warmup, measure, flows = 3, 20, 16
+	for _, v := range []Variant{TDTCP, Cubic} {
+		res, err := Run(RunConfig{Variant: v, Flows: flows, WarmupWeeks: warmup, MeasureWeeks: measure, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		sc := HybridScenario()
+		loop := NewLoop(1)
+		cfg := DefaultNetworkConfig()
+		cfg.HostsPerRack = flows
+		cfg.TDNs, cfg.Schedule, cfg.VOQCap = sc.TDNs, sc.Schedule, sc.VOQCap
+		cfg.MarkThresh = res.Cfg.MarkThresh
+		net, err := NewNetwork(loop, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := make([]*Flow, flows)
+		for i := range built {
+			if built[i], err = BuildFlow(net, i, v, FlowOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		end := Time((warmup + measure) * sc.Schedule.Week())
+		net.Start(end)
+		var delivered int64
+		for _, f := range built {
+			f.Start(-1)
+		}
+		loop.RunUntil(end)
+		for _, f := range built {
+			delivered += f.Delivered()
+		}
+		if delivered == 0 || delivered != res.Receiver.BytesDelivered {
+			t.Errorf("%s: the facade delivered %d bytes, Run %d", v, delivered, res.Receiver.BytesDelivered)
+		}
+	}
+}
