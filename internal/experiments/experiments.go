@@ -188,19 +188,33 @@ func (cfg *RunConfig) fillDefaults() {
 	}
 }
 
+// PlotWeeks is the span of the paper's sequence and occupancy graphs in
+// optical weeks: the part of the measurement window whose samples a Result
+// keeps, so that a result does not grow with MeasureWeeks.
+const PlotWeeks = 3
+
 // Result carries everything a figure needs from one run.
 type Result struct {
 	Variant Variant
 	Cfg     RunConfig
 
-	// Seq is the aggregate delivered-bytes series over the measurement
-	// window, normalized to its start (the paper's sequence graphs).
+	// The four series cover the first PlotWeeks weeks of the measurement
+	// window (all of it when MeasureWeeks is shorter), sampled every
+	// SampleEvery, both ends included; for more, attach a Tracer or read the
+	// "voq.r<k>.occ_pkts" histogram of Metrics.
+	//
+	// Seq is the aggregate delivered-bytes series, normalized to the window's
+	// start (the paper's sequence graphs).
 	Seq *stats.Series
-	// VOQ is rack 0's uplink occupancy in packets over the same window.
+	// VOQ is rack 0's uplink occupancy in packets.
 	VOQ *stats.Series
-	// Optimal and PacketOnly are the §2.2 analytic references on the same
-	// window (aggregate bytes).
+	// Optimal and PacketOnly are the §2.2 analytic references (aggregate
+	// bytes), normalized like Seq.
 	Optimal, PacketOnly *stats.Series
+	// VOQMean and VOQMax summarize rack 0's uplink occupancy over the whole
+	// measurement window, past the end of the VOQ series: what VOQ.Mean() and
+	// VOQ.Max() would read had every sample been kept.
+	VOQMean, VOQMax float64
 
 	GoodputGbps    float64
 	OptimalGbps    float64
@@ -280,11 +294,14 @@ func Run(cfg RunConfig) (*Result, error) {
 		f.Start(-1)
 	}
 
+	// Nobody plots past plotEnd, so the Seq sampler stops there and the VOQ
+	// sampler goes on to the horizon for its mean and max alone.
+	plotEnd := min(end, measureStart.Add(PlotWeeks*cfg.Scenario.Schedule.Week()))
 	var seq, voq *stats.Sampler
 	err = h.run(func() {
-		seq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end,
+		seq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, plotEnd, plotEnd,
 			func() float64 { return float64(h.delivered() - h.baseline) })
-		voq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end,
+		voq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end, plotEnd,
 			func() float64 { return float64(net.Racks[0].QueueLen()) })
 	})
 	if err != nil {
@@ -300,11 +317,13 @@ func Run(cfg RunConfig) (*Result, error) {
 		Cfg:         cfg,
 		Seq:         seq.Series.Normalize(),
 		VOQ:         voq.Series, // occupancy needs no normalization
+		VOQMean:     voq.Mean(),
+		VOQMax:      voq.Max(),
 		GoodputGbps: h.goodputGbps(),
 		Optimal: workload.OptimalSeries(cfg.Scenario.Schedule, cfg.Scenario.TDNs,
-			measureStart, end, cfg.SampleEvery).Normalize(),
+			measureStart, plotEnd, cfg.SampleEvery).Normalize(),
 		PacketOnly: workload.PacketOnlySeries(cfg.Scenario.TDNs[0].Rate,
-			measureStart, end, cfg.SampleEvery).Normalize(),
+			measureStart, plotEnd, cfg.SampleEvery).Normalize(),
 		OptimalGbps:         workload.OptimalGbps(cfg.Scenario.Schedule, cfg.Scenario.TDNs),
 		PacketOnlyGbps:      float64(cfg.Scenario.TDNs[0].Rate) / 1e9,
 		ReorderEventsPerDay: evBuckets.CDF(),

@@ -112,11 +112,11 @@ func (f *Figure) Render() string {
 	return b.String()
 }
 
-// plotWindow truncates a series to the paper's ~3-optical-week plotting
-// span, rebasing its time axis to the window start (series may begin at 0 if
-// already normalized, or at the measurement start time otherwise).
+// plotWindow truncates a series to the paper's PlotWeeks-optical-week
+// plotting span, rebasing its time axis to the window start (series may begin
+// at 0 if already normalized, or at the measurement start time otherwise).
 func plotWindow(sch *rdcn.Schedule, s *stats.Series) *stats.Series {
-	span := 3 * float64(sim.Dur(sch.Week())) / float64(sim.Microsecond)
+	span := PlotWeeks * float64(sim.Dur(sch.Week())) / float64(sim.Microsecond)
 	base := 0.0
 	if s.Len() > 0 {
 		base = s.T[0]
@@ -160,8 +160,8 @@ func seqFigure(id, title string, o Options, scenario Scenario, variants []Varian
 		fig.Summary = append(fig.Summary, SummaryRow{
 			Label: string(r.Variant), GoodputGbps: r.GoodputGbps,
 			Extra: map[string]float64{
-				"voq_mean": r.VOQ.Mean(),
-				"voq_max":  r.VOQ.Max(),
+				"voq_mean": r.VOQMean,
+				"voq_max":  r.VOQMax,
 			},
 		})
 	}
@@ -305,7 +305,7 @@ func Fig13(o Options) (*Figure, error) {
 		fig.VOQ = append(fig.VOQ, plotWindow(Hybrid().Schedule, r.VOQ))
 		fig.Summary = append(fig.Summary, SummaryRow{
 			Label: string(r.Variant), GoodputGbps: r.GoodputGbps,
-			Extra: map[string]float64{"voq_mean": r.VOQ.Mean(), "voq_max": r.VOQ.Max()},
+			Extra: map[string]float64{"voq_mean": r.VOQMean, "voq_max": r.VOQMax},
 		})
 	}
 	return fig, nil
@@ -327,7 +327,7 @@ func Fig14(o Options) (*Figure, error) {
 			fig.VOQ = append(fig.VOQ, s)
 			fig.Summary = append(fig.Summary, SummaryRow{
 				Label: s.Label, GoodputGbps: r.GoodputGbps,
-				Extra: map[string]float64{"voq_mean": r.VOQ.Mean(), "voq_max": r.VOQ.Max()},
+				Extra: map[string]float64{"voq_mean": r.VOQMean, "voq_max": r.VOQMax},
 			})
 		}
 	}

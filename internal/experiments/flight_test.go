@@ -220,10 +220,3 @@ func TestWorkloadPopulatesFCTHistogram(t *testing.T) {
 			reg.Counter("workload.flows_completed"), res.FlowsCompleted)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

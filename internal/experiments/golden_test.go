@@ -130,8 +130,8 @@ func TestGoldenRotor8(t *testing.T) {
 	if td.GoodputGbps < cu.GoodputGbps {
 		t.Errorf("rotor8: tdtcp goodput %.2f < cubic %.2f", td.GoodputGbps, cu.GoodputGbps)
 	}
-	if td.VOQ.Mean() >= cu.VOQ.Mean() {
-		t.Errorf("rotor8: tdtcp mean VOQ %.2f >= cubic %.2f", td.VOQ.Mean(), cu.VOQ.Mean())
+	if td.VOQMean >= cu.VOQMean {
+		t.Errorf("rotor8: tdtcp mean VOQ %.2f >= cubic %.2f", td.VOQMean, cu.VOQMean)
 	}
 	for _, r := range []*Result{td, cu} {
 		if r.GoodputGbps <= r.PacketOnlyGbps {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/rdcn-net/tdtcp/internal/fault"
+	"github.com/rdcn-net/tdtcp/internal/stats"
 	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
@@ -89,4 +90,61 @@ func withoutMetrics(t *testing.T, js []byte, names []string) []byte {
 		js = re.ReplaceAll(js, nil)
 	}
 	return bytes.ReplaceAll(js, []byte("{,"), []byte("{"))
+}
+
+// figureBytes is everything a figure hands a reader: the rendered summary,
+// then every plottable series as tdsim -csv writes it.
+func figureBytes(fig *Figure) []byte {
+	var b bytes.Buffer
+	b.WriteString(fig.Render())
+	for _, group := range [][]*stats.Series{fig.Seq, fig.VOQ, fig.CDF} {
+		for _, s := range group {
+			b.WriteString(s.CSV())
+		}
+	}
+	return b.Bytes()
+}
+
+// TestFigureBytesPinned is TestPinnedBytes for what a reader of a result sees:
+// the figures that plot a Run's series and print its VOQ mean/max at their
+// default size (3+20 weeks, so the series Run keeps are a strict prefix of the
+// measurement window and the means run past them), the two rotor figures at
+// -quick size, and the one scalar RunWorkload takes from its sampler. The
+// constants were taken while Run still returned whole-window series and the
+// figures windowed them afterwards; a change that moves one changed a plotted
+// point or a printed number.
+func TestFigureBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		id, want string
+		opts     Options
+	}{
+		{"fig2", "f28bca66c721f948be652560f1c447a700e020080a121a749c8440377e681afa", Options{}},
+		{"fig7", "d73fa23fffe2be48f4c657820c20514a9da0f15dd1f138f294382a6094566659", Options{}},
+		{"fig13", "41fa1d717ee94ef428fc7b682ce27298cb58747bc037be0e9dde60a7c620e1bd", Options{}},
+		{"fig14", "dc3f0748fda1a903bcb04820536b480cc1a45f12bd15305a660eb6317165a743", Options{}},
+		{"rotor", "0b2d76a036f059bbb8b8247d542f735bcf63681e61387d52cc91027c42aaef24", Options{Quick: true}},
+		{"multirack", "8d8a095326f75ff35494c5ce0a46be96271f5a742972688a0246ea736dd13850", Options{Quick: true}},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			fig, err := Figures[tc.id](tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := figureBytes(fig)
+			sum := sha256.Sum256(out)
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("figure bytes changed (%d bytes):\n got %s\nwant %s", len(out), got, tc.want)
+			}
+		})
+	}
+	t.Run("workload_mean_voq", func(t *testing.T) {
+		res, err := RunWorkload(rotorChurn(20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const want = 326.18425550368613
+		if res.MeanVOQ != want {
+			t.Errorf("MeanVOQ = %v, want %v", res.MeanVOQ, want)
+		}
+	})
 }

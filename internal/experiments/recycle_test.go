@@ -16,10 +16,21 @@ func rotorChurn(weeks int) WorkloadConfig {
 		WarmupWeeks: 1, MeasureWeeks: weeks, MaxFlows: 8192, Seed: 1001}
 }
 
+// allocatedBy reports what fn allocates: the runtime.MemStats TotalAlloc and
+// Mallocs deltas around it, after a forced collection.
+func allocatedBy(fn func()) (bytes, mallocs uint64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
 // TestWorkloadChurnAllocatesForItsResultOnly is the allocation contract of
 // flow churn (DESIGN.md §10 "Endpoint reuse"): what an open-loop run
-// allocates beyond its first weeks is its result — FCT samples, done-records,
-// the VOQ series — not the endpoints of the flows it starts, because an
+// allocates beyond its first weeks is its result — FCT samples and
+// done-records — not the endpoints of the flows it starts, because an
 // arrival reopens what a released flow parked. The same configuration is run
 // to 21 and to 61 weeks; the bytes each further flow costs are the difference
 // in runtime.MemStats.TotalAlloc over the difference in arrivals. Constructing
@@ -29,11 +40,9 @@ func TestWorkloadChurnAllocatesForItsResultOnly(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates on this path")
 	}
 	measure := func(weeks int) (bytes, mallocs uint64, flows int) {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		res, err := RunWorkload(rotorChurn(weeks))
-		runtime.ReadMemStats(&after)
+		var res *WorkloadResult
+		var err error
+		bytes, mallocs = allocatedBy(func() { res, err = RunWorkload(rotorChurn(weeks)) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +55,7 @@ func TestWorkloadChurnAllocatesForItsResultOnly(t *testing.T) {
 			t.Errorf("%d weeks: %d endpoints built for %d flows, %d refusals: reuse or its timer rule is not being exercised",
 				1+weeks, life.built, res.FlowsStarted, life.refused)
 		}
-		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, res.FlowsStarted
+		return bytes, mallocs, res.FlowsStarted
 	}
 	shortBytes, shortMallocs, shortFlows := measure(20)
 	longBytes, longMallocs, longFlows := measure(60)
@@ -57,8 +66,8 @@ func TestWorkloadChurnAllocatesForItsResultOnly(t *testing.T) {
 	perFlow := (longBytes - shortBytes) / further
 	t.Logf("%d B for %d flows, %d B for %d flows: %d B and %.1f mallocs per further flow",
 		shortBytes, shortFlows, longBytes, longFlows, perFlow, float64(longMallocs-shortMallocs)/float64(further))
-	if perFlow > 2048 {
-		t.Errorf("a further flow costs %d B of allocation, want at most 2048", perFlow)
+	if perFlow > 1024 {
+		t.Errorf("a further flow costs %d B of allocation, want at most 1024", perFlow)
 	}
 }
 

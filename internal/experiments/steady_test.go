@@ -10,7 +10,7 @@ import (
 // (DESIGN.md §10), checked on what Run executes: newRunHarness is Run's own
 // set-up — the loop and network with the default flight recorder attached
 // and the 16 TDTCP flows — so only the measurement-window samplers
-// are missing (their series grow by design). Once the pools, slabs, chunk lists and scratch buffers
+// are missing (TestRunAllocationIsFlatInHorizon has them). Once the pools, slabs, chunk lists and scratch buffers
 // have filled — 16 optical weeks is several times what that takes — advancing
 // the simulation by one more week must not allocate at all: every per-frame,
 // per-ACK and per-notification object is recycled.
@@ -73,5 +73,42 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestRunAllocationIsFlatInHorizon is the allocation contract of a Run's
+// result (DESIGN.md §10 "Costs that must scale with live state, not history"):
+// the series a Result carries stop at PlotWeeks and the VOQ mean and max are
+// running sums, so measuring 80 weeks longer allocates nothing to speak of.
+// The same run is taken to 3+20 and to 3+100 weeks; the bytes a further week
+// costs are the difference in runtime.MemStats.TotalAlloc over the 80 weeks.
+// Keeping every sample read 18 082 B here (280 samples a week, 16 B each, four
+// series).
+func TestRunAllocationIsFlatInHorizon(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on this path")
+	}
+	measure := func(weeks int) uint64 {
+		var res *Result
+		var err error
+		bytes, _ := allocatedBy(func() {
+			res, err = Run(RunConfig{Variant: TDTCP, Scenario: Hybrid(), Flows: 16,
+				WarmupWeeks: 3, MeasureWeeks: weeks, Seed: 1001})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := PlotWeeks*280 + 1; res.Seq.Len() != want || res.VOQ.Len() != want ||
+			res.Optimal.Len() != want || res.PacketOnly.Len() != want {
+			t.Errorf("%d weeks: series of %d, %d, %d and %d points, want %d each", weeks,
+				res.Seq.Len(), res.VOQ.Len(), res.Optimal.Len(), res.PacketOnly.Len(), want)
+		}
+		return bytes
+	}
+	short, long := measure(20), measure(100)
+	perWeek := (int64(long) - int64(short)) / 80
+	t.Logf("%d B for 3+20 weeks, %d B for 3+100: %d B per further week", short, long, perWeek)
+	if perWeek > 256 {
+		t.Errorf("a further measured week costs %d B of allocation, want at most 256", perWeek)
 	}
 }

@@ -549,9 +549,11 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	}
 	loop.After(workload.Interarrival(rng, meanGap), spawn)
 
+	// Only the mean is reported, so the sampler's keep bound precedes its first
+	// tick and it stores no points.
 	var voq *stats.Sampler
 	err = h.run(func() {
-		voq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end, func() float64 {
+		voq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end, measureStart.Add(-cfg.SampleEvery), func() float64 {
 			n := 0
 			for _, rack := range net.Racks {
 				n += rack.QueueLen()
@@ -567,7 +569,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		return nil, buildErr
 	}
 	res.GoodputGbps = h.goodputGbps()
-	res.MeanVOQ = voq.Series.Mean()
+	res.MeanVOQ = voq.Mean()
 	for _, f := range h.flows { // open or lingering; the released are in already
 		addStats(&res.Sender, &f.Snd.Stats)
 		addStats(&res.Receiver, &f.Rcv.Stats)

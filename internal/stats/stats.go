@@ -130,46 +130,75 @@ func (s *Series) CSV() string {
 	return b.String()
 }
 
-// Sampler polls a value function on a fixed cadence into a Series.
+// Sampler polls a value function on a fixed cadence. It always keeps the
+// count, sum and maximum of what it samples, accumulated in tick order, so
+// Mean and Max are bit-equal to those of a Series holding every sample; the
+// points themselves go into Series only up to the keep bound, so what a
+// sampler holds follows the window someone will plot, not the run.
 type Sampler struct {
-	Series   *Series
-	loop     *sim.Loop
-	interval sim.Dur
-	value    func() float64
-	until    sim.Time
-	timer    sim.Timer
-	tickFn   func()
-	stopped  bool
+	Series      *Series
+	loop        *sim.Loop
+	interval    sim.Dur
+	value       func() float64
+	until, keep sim.Time
+	n           int
+	sum, max    float64
+	timer       sim.Timer
+	tickFn      func()
+	stopped     bool
 }
 
 // NewSampler arms a periodic sampler on loop from the current time until
-// until (inclusive of the start point). The window fixes the sample count, so
-// the series is sized once here and a full window ends with len == cap: the
-// sampler's cost is one allocation per slice plus one timer per tick.
-func NewSampler(loop *sim.Loop, label string, interval sim.Dur, until sim.Time, value func() float64) *Sampler {
-	s := &Sampler{Series: NewSeries(label, loop.Now(), until, interval),
-		loop: loop, interval: interval, value: value, until: until}
+// until (inclusive of the start point), storing the points sampled at or
+// before keep (none when keep precedes the current time; all when it is until
+// or later). The bounds fix the stored count, so the series is sized once here
+// and ends with len == cap: the sampler's cost is one allocation per slice
+// plus one timer per tick.
+func NewSampler(loop *sim.Loop, label string, interval sim.Dur, until, keep sim.Time, value func() float64) *Sampler {
+	keep = min(keep, until)
+	s := &Sampler{Series: NewSeries(label, loop.Now(), keep, interval),
+		loop: loop, interval: interval, value: value, until: until, keep: keep}
 	s.tickFn = s.tick
 	s.tick()
 	return s
 }
 
-// Stop cancels the sampler before its window ends; the collected series is
-// kept. Stopping an already-finished sampler is a no-op.
+// Stop cancels the sampler before its window ends; the collected series and
+// summary are kept. Stopping an already-finished sampler is a no-op.
 func (s *Sampler) Stop() {
 	s.stopped = true
 	s.timer.Stop()
 }
 
+// Mean returns the arithmetic mean of every value sampled (0 if none).
+func (s *Sampler) Mean() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.sum / float64(s.n)
+}
+
+// Max returns the largest value sampled (0 if none).
+func (s *Sampler) Max() float64 { return s.max }
+
 func (s *Sampler) tick() {
-	if s.stopped || s.loop.Now() > s.until {
+	now := s.loop.Now()
+	if s.stopped || now > s.until {
 		return
 	}
-	s.Series.Add(s.loop.Now(), s.value())
+	v := s.value()
+	if s.n == 0 || v > s.max {
+		s.max = v
+	}
+	s.n++
+	s.sum += v
+	if now <= s.keep {
+		s.Series.Add(now, v)
+	}
 	// Reschedule only while the next tick still lands inside the window —
 	// the final past-the-end wake-up would sample nothing anyway, and not
 	// arming it keeps the loop's timer queue clean after the window closes.
-	if s.loop.Now().Add(s.interval) <= s.until {
+	if now.Add(s.interval) <= s.until {
 		s.timer = s.loop.After(s.interval, s.tickFn)
 	}
 }

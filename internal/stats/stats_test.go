@@ -50,7 +50,7 @@ func TestSampler(t *testing.T) {
 	loop := sim.NewLoop(1)
 	v := 0.0
 	loop.At(sim.Time(25*sim.Microsecond), func() { v = 3 })
-	sampler := NewSampler(loop, "test", 10*sim.Microsecond, sim.Time(50*sim.Microsecond), func() float64 { return v })
+	sampler := NewSampler(loop, "test", 10*sim.Microsecond, sim.Time(50*sim.Microsecond), sim.Time(50*sim.Microsecond), func() float64 { return v })
 	loop.RunUntil(sim.Time(100 * sim.Microsecond))
 	// Samples at 0,10,20,30,40,50.
 	if sampler.Series.Len() != 6 {
@@ -156,21 +156,30 @@ func TestSeriesMaxMinAllNegative(t *testing.T) {
 	}
 }
 
-// TestSamplerSizedOnce: the window fixes the sample count, so the series is
-// allocated once and ends exactly full — for an interval that divides the
-// window and for one that does not — and ticking never reallocates it.
+// TestSamplerSizedOnce: the window and the keep bound fix the stored count, so
+// the series is allocated once and ends exactly full — for an interval that
+// divides the window and for one that does not, keeping everything, a prefix,
+// the first point or nothing — and ticking never reallocates it.
 func TestSamplerSizedOnce(t *testing.T) {
+	start, until := sim.Time(13*sim.Microsecond), sim.Time(1413*sim.Microsecond)
 	for _, interval := range []sim.Dur{5 * sim.Microsecond, 7 * sim.Microsecond} {
-		loop := sim.NewLoop(1)
-		loop.RunUntil(sim.Time(13 * sim.Microsecond)) // a window that does not start at 0
-		until := sim.Time(1413 * sim.Microsecond)
-		sampler := NewSampler(loop, "test", interval, until, func() float64 { return 1 })
-		loop.RunUntil(until.Add(sim.Millisecond))
-		s := sampler.Series
-		want := int(until.Sub(sim.Time(13*sim.Microsecond))/interval) + 1
-		if len(s.T) != want || len(s.V) != want || cap(s.T) != want || cap(s.V) != want {
-			t.Errorf("interval %v: len %d/%d cap %d/%d, want %d and full",
-				interval, len(s.T), len(s.V), cap(s.T), cap(s.V), want)
+		for _, keep := range []sim.Time{until, until.Add(sim.Millisecond), sim.Time(500 * sim.Microsecond), start, 0} {
+			loop := sim.NewLoop(1)
+			loop.RunUntil(start) // a window that does not start at 0
+			sampler := NewSampler(loop, "test", interval, until, keep, func() float64 { return 1 })
+			loop.RunUntil(until.Add(sim.Millisecond))
+			s := sampler.Series
+			want := 0
+			if keep >= start {
+				want = int(min(keep, until).Sub(start)/interval) + 1
+			}
+			if len(s.T) != want || len(s.V) != want || cap(s.T) != want || cap(s.V) != want {
+				t.Errorf("interval %v, keep %v: len %d/%d cap %d/%d, want %d and full",
+					interval, keep, len(s.T), len(s.V), cap(s.T), cap(s.V), want)
+			}
+			if want > 0 && s.T[want-1] > keep.Microseconds() {
+				t.Errorf("interval %v, keep %v: last stored point at %v µs", interval, keep, s.T[want-1])
+			}
 		}
 	}
 	// One timer is live at a time and the series never grows, so a window
@@ -179,7 +188,7 @@ func TestSamplerSizedOnce(t *testing.T) {
 		until := sim.Time(weeks * 1400 * int(sim.Microsecond))
 		return testing.AllocsPerRun(5, func() {
 			loop := sim.NewLoop(1)
-			NewSampler(loop, "test", 5*sim.Microsecond, until, func() float64 { return 1 })
+			NewSampler(loop, "test", 5*sim.Microsecond, until, sim.Time(1400*sim.Microsecond), func() float64 { return 1 })
 			loop.RunUntil(until)
 		})
 	}
@@ -188,9 +197,58 @@ func TestSamplerSizedOnce(t *testing.T) {
 	}
 }
 
+// TestSamplerSummaryMatchesFullSeries: Mean and Max are accumulated in tick
+// order over every sample, stored or not, so whatever the keep bound they are
+// the very floats Series.Mean and Series.Max give over a sampler that stored
+// everything — equal with ==, not within a tolerance.
+func TestSamplerSummaryMatchesFullSeries(t *testing.T) {
+	// Values whose sum depends on the order of addition.
+	wobble := func(sign float64) func(int) float64 {
+		return func(i int) float64 { return sign * (0.1 + 1e16*float64(i%3) + float64(i)/7) }
+	}
+	for _, tc := range []struct {
+		name   string
+		until  sim.Time
+		stopAt sim.Time // 0 = run the window out
+		signal func(int) float64
+	}{
+		{"mixed", sim.Time(1413 * sim.Microsecond), 0, func(i int) float64 { return wobble(1)(i) - 1e16 }},
+		{"all_negative", sim.Time(1413 * sim.Microsecond), 0, wobble(-1)},
+		{"one_sample", sim.Time(13 * sim.Microsecond), 0, wobble(-1)},
+		{"stopped", sim.Time(1413 * sim.Microsecond), sim.Time(702 * sim.Microsecond), wobble(1)},
+	} {
+		start := sim.Time(13 * sim.Microsecond)
+		run := func(keep sim.Time) *Sampler {
+			loop := sim.NewLoop(1)
+			loop.RunUntil(start)
+			i := 0
+			s := NewSampler(loop, "test", 5*sim.Microsecond, tc.until, keep, func() float64 { i++; return tc.signal(i) })
+			if tc.stopAt != 0 {
+				loop.At(tc.stopAt, s.Stop)
+			}
+			loop.RunUntil(tc.until.Add(sim.Millisecond))
+			return s
+		}
+		full := run(tc.until).Series
+		if full.Len() == 0 || (tc.name == "one_sample") != (full.Len() == 1) {
+			t.Fatalf("%s: the full-keep reference stored %d points", tc.name, full.Len())
+		}
+		for _, keep := range []sim.Time{sim.Time(500 * sim.Microsecond), tc.until, start, 0} {
+			s := run(keep)
+			if s.Mean() != full.Mean() || s.Max() != full.Max() {
+				t.Errorf("%s, keep %v: mean %v max %v, the full series gives %v and %v",
+					tc.name, keep, s.Mean(), s.Max(), full.Mean(), full.Max())
+			}
+			if n := s.Series.Len(); n > full.Len() || (n > 0 && s.Series.T[n-1] > keep.Microseconds()) {
+				t.Errorf("%s, keep %v: stored %d points, the last past the bound", tc.name, keep, n)
+			}
+		}
+	}
+}
+
 func TestSamplerStop(t *testing.T) {
 	loop := sim.NewLoop(1)
-	sampler := NewSampler(loop, "test", 10*sim.Microsecond, sim.Time(100*sim.Microsecond), func() float64 { return 1 })
+	sampler := NewSampler(loop, "test", 10*sim.Microsecond, sim.Time(100*sim.Microsecond), sim.Time(100*sim.Microsecond), func() float64 { return 1 })
 	loop.At(sim.Time(35*sim.Microsecond), func() { sampler.Stop() })
 	loop.RunUntil(sim.Time(200 * sim.Microsecond))
 	// Samples at 0,10,20,30; the 40 µs tick is cancelled.
@@ -202,7 +260,7 @@ func TestSamplerStop(t *testing.T) {
 
 func TestSamplerStopsReschedulingAtWindowEnd(t *testing.T) {
 	loop := sim.NewLoop(1)
-	NewSampler(loop, "test", 10*sim.Microsecond, sim.Time(50*sim.Microsecond), func() float64 { return 0 })
+	NewSampler(loop, "test", 10*sim.Microsecond, sim.Time(50*sim.Microsecond), sim.Time(50*sim.Microsecond), func() float64 { return 0 })
 	loop.RunUntil(sim.Time(50 * sim.Microsecond))
 	// The 50 µs tick is the last in-window one; no 60 µs timer may remain.
 	if live := loop.Live(); live != 0 {

@@ -187,7 +187,8 @@ type (
 	RunConfig = experiments.RunConfig
 	// Scenario selects network conditions (Hybrid, BandwidthOnly, …).
 	Scenario = experiments.Scenario
-	// Result carries one run's measurements.
+	// Result carries one run's measurements. Its series cover the first
+	// PlotWeeks weeks of the measurement window; VOQMean and VOQMax the whole.
 	Result = experiments.Result
 	// SweepResult pairs one sweep cell's config with its outcome.
 	SweepResult = experiments.SweepResult
@@ -211,6 +212,10 @@ const (
 	MPTCP    = experiments.MPTCP
 	TDTCP    = experiments.TDTCP
 )
+
+// PlotWeeks is how many optical weeks of the measurement window a Result's
+// series cover: the span the paper's sequence and occupancy graphs plot.
+const PlotWeeks = experiments.PlotWeeks
 
 // AllVariants lists every transport in the paper's Fig. 7 legend order.
 var AllVariants = experiments.AllVariants

@@ -38,6 +38,11 @@ func TestFacadeRun(t *testing.T) {
 	if res.OptimalGbps <= res.PacketOnlyGbps {
 		t.Fatal("reference rates inverted")
 	}
+	// Two measured weeks fit inside PlotWeeks, so the series is every sample
+	// and the running summary must be its mean and max to the bit.
+	if res.VOQMean != res.VOQ.Mean() || res.VOQMax != res.VOQ.Max() || res.VOQMax == 0 {
+		t.Fatalf("VOQMean/VOQMax = %v/%v, the series gives %v/%v", res.VOQMean, res.VOQMax, res.VOQ.Mean(), res.VOQ.Max())
+	}
 }
 
 func TestFacadeVariantsComplete(t *testing.T) {
