@@ -80,6 +80,11 @@ func run() int {
 	})
 	hs := &http.Server{Handler: serve.Handler(s)}
 
+	// Catch signals before the address is announced: a client that has seen
+	// it may send SIGTERM at once, and it must start a drain, not kill us.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
+
 	// The address line is the startup handshake: tests (and scripts) listen
 	// on :0 and parse the actual port from here.
 	fmt.Printf("tdserve listening on %s\n", ln.Addr())
@@ -87,8 +92,6 @@ func run() int {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigs:
 		fmt.Fprintf(os.Stderr, "tdserve: %v: draining (budget %v)\n", sig, *drain)

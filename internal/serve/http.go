@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"time"
 )
@@ -88,8 +87,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // hitReply returns the body of the POST /jobs reply for a cache hit on j, the
 // bytes writeJSON would produce, encoded once per cached job: a hit returns a
 // terminal job, whose view can no longer change, and rendering it (reflection
-// over the view, re-validating and indenting the metrics dump) is most of
-// what a hit costs. The bytes go with the job when it is evicted.
+// over the view, re-validating the metrics dump) is most of what a hit
+// costs. The bytes go with the job when it is evicted.
 func (s *Server) hitReply(j *Job) []byte {
 	s.mu.Lock()
 	b := j.hitReply
@@ -98,7 +97,7 @@ func (s *Server) hitReply(j *Job) []byte {
 		return b
 	}
 	var buf bytes.Buffer
-	_ = newEncoder(&buf).Encode(submitResponse{Disposition: DispCacheHit, Job: s.View(j, true)})
+	_ = json.NewEncoder(&buf).Encode(submitResponse{Disposition: DispCacheHit, Job: s.View(j, true)})
 	s.mu.Lock()
 	if s.cache[j.Key] == j { // not evicted since Submit found it
 		j.hitReply = buf.Bytes()
@@ -163,17 +162,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, http.StatusNotFound, errors.New("serve: no such job"))
 }
 
+// writeJSON is the one rendering every reply uses: compact JSON and a newline.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = newEncoder(w).Encode(v)
-}
-
-// newEncoder is the one JSON rendering every reply uses.
-func newEncoder(w io.Writer) *json.Encoder {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -313,7 +314,7 @@ func TestCacheHitReplyIsEncodedOnce(t *testing.T) {
 			t.Fatalf("hit %d: status %d, body\n%s\nwant\n%s", i, code, raw, fresh(first))
 		}
 	}
-	if b := memo(first); !bytes.Contains(b, []byte(`"id": "`+first.ID+`"`)) || !bytes.Contains(b, []byte(`\u003c\u0026\u003e`)) {
+	if b := memo(first); !bytes.Contains(b, []byte(`"id":"`+first.ID+`"`)) || !bytes.Contains(b, []byte(`\u003c\u0026\u003e`)) {
 		t.Fatalf("memoised reply: %s", b)
 	}
 
@@ -328,7 +329,155 @@ func TestCacheHitReplyIsEncodedOnce(t *testing.T) {
 		t.Fatalf("re-run after eviction reused job %s", first.ID)
 	}
 	code, raw := post(`{"seed": 1}`)
-	if code != http.StatusOK || !bytes.Equal(raw, fresh(again)) || !bytes.Contains(raw, []byte(`"id": "`+again.ID+`"`)) {
+	if code != http.StatusOK || !bytes.Equal(raw, fresh(again)) || !bytes.Contains(raw, []byte(`"id":"`+again.ID+`"`)) {
 		t.Errorf("hit after eviction and re-run: status %d, body\n%s\nwant job %s:\n%s", code, raw, again.ID, fresh(again))
 	}
+}
+
+// TestRepliesAreCompactJSON: every handler's body is one line of compact JSON
+// (valid, and equal to its own json.Compact plus the trailing newline), and
+// what it carries decodes to what the same value rendered indented, as
+// replies once were, decodes to. Each view is compared while the job cannot
+// move: the one worker is held on a gate until the terminal cases.
+func TestRepliesAreCompactJSON(t *testing.T) {
+	gate := make(chan struct{})
+	held := gateRunner(gate)
+	s, ts := httpServer(t, Config{Workers: 1, QueueDepth: 2, Runner: func(req *Request) (*Outcome, error) {
+		if req.Spec.Seed == 99 {
+			return held(req)
+		}
+		out, _ := okRunner(req)
+		out.Metrics = json.RawMessage("{\n  \"counters\": {\"a.b\": 1, \"<&>\": 2}\n}\n")
+		return out, nil
+	}})
+	// reply makes one request and checks its status and that its body is
+	// compact JSON.
+	reply := func(name string, wantCode int, method, path, body string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c bytes.Buffer
+		if resp.StatusCode != wantCode || !json.Valid(raw) || json.Compact(&c, raw) != nil || !bytes.Equal(raw, append(c.Bytes(), '\n')) {
+			t.Errorf("%s: status %d (want %d), body is not one line of compact JSON:\n%s", name, resp.StatusCode, wantCode, raw)
+		}
+		return raw
+	}
+	submit := func(name string, wantCode int, spec string) (*Job, []byte) {
+		t.Helper()
+		raw := reply(name, wantCode, "POST", "/jobs", spec)
+		var r submitResponse
+		if err := json.Unmarshal(raw, &r); err != nil || r.Job == nil {
+			t.Fatalf("%s: %v\n%s", name, err, raw)
+		}
+		j, _ := s.Job(r.Job.ID)
+		return j, raw
+	}
+
+	blocker, _ := submit("submit blocker", http.StatusAccepted, `{"seed": 99}`)
+	for deadline := time.Now().Add(5 * time.Second); s.View(blocker, false).State != StateRunning; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the blocking job never started")
+		}
+	}
+	j1, raw := submit("202 submit", http.StatusAccepted, `{"seed": 1}`)
+	sameAsIndented(t, "202 submit", raw, submitResponse{Disposition: DispAccepted, Job: s.View(j1, false)})
+	_, raw = submit("joined", http.StatusOK, `{"seed": 1}`)
+	sameAsIndented(t, "joined", raw, submitResponse{Disposition: DispJoined, Job: s.View(j1, false)})
+	raw = reply("status", http.StatusOK, "GET", "/jobs/"+j1.ID, "")
+	sameAsIndented(t, "status", raw, s.View(j1, false))
+	raw = reply("202 result", http.StatusAccepted, "GET", "/jobs/"+j1.ID+"/result?wait=1ms", "")
+	sameAsIndented(t, "202 result", raw, s.View(j1, true))
+	j2, _ := submit("second 202 submit", http.StatusAccepted, `{"seed": 2}`)
+	raw = reply("cancel", http.StatusOK, "POST", "/jobs/"+j2.ID+"/cancel", "")
+	sameAsIndented(t, "cancel", raw, s.View(j2, false))
+	raw = reply("429", http.StatusTooManyRequests, "POST", "/jobs", `{"seed": 3}`)
+	sameAsIndented(t, "429", raw, map[string]string{"error": ErrQueueFull.Error()})
+	raw = reply("list", http.StatusOK, "GET", "/jobs", "")
+	sameAsIndented(t, "list", raw, s.Jobs())
+
+	close(gate)
+	for _, j := range []*Job{blocker, j1, j2} {
+		waitTerminal(t, j)
+	}
+	raw = reply("result", http.StatusOK, "GET", "/jobs/"+j1.ID+"/result", "")
+	sameAsIndented(t, "result", raw, s.View(j1, true))
+	for i := 0; i < 2; i++ { // the first hit encodes the reply, the second replays it
+		_, raw = submit("cache hit", http.StatusOK, `{"seed": 1}`)
+		sameAsIndented(t, "cache hit", raw, submitResponse{Disposition: DispCacheHit, Job: s.View(j1, true)})
+	}
+	raw = reply("409 cancel", http.StatusConflict, "POST", "/jobs/"+j1.ID+"/cancel", "")
+	sameAsIndented(t, "409 cancel", raw, s.View(j1, false))
+	_, invalid := (&Spec{Kind: "nope"}).Normalize()
+	raw = reply("400", http.StatusBadRequest, "POST", "/jobs", `{"kind": "nope"}`)
+	sameAsIndented(t, "400", raw, map[string]string{"error": invalid.Error()})
+	reply("400 malformed", http.StatusBadRequest, "POST", "/jobs", `{not json`)
+	raw = reply("404", http.StatusNotFound, "GET", "/jobs/j-999999", "")
+	sameAsIndented(t, "404", raw, map[string]string{"error": "serve: no such job"})
+	raw = reply("healthz", http.StatusOK, "GET", "/healthz", "")
+	sameAsIndented(t, "healthz", raw, map[string]string{"status": "ok"})
+	raw = reply("readyz", http.StatusOK, "GET", "/readyz", "")
+	sameAsIndented(t, "readyz", raw, map[string]string{"status": "ready"})
+	raw = reply("metrics", http.StatusOK, "GET", "/metrics", "")
+	var dump bytes.Buffer
+	_ = s.Metrics().WriteJSON(&dump)
+	if !bytes.Equal(raw, dump.Bytes()) {
+		t.Errorf("/metrics is not the registry dump:\n%s\nwant\n%s", raw, dump.Bytes())
+	}
+}
+
+// sameAsIndented decodes body, and want rendered the way replies were before
+// they became compact, into T, and requires the two to be equal. An outcome's
+// Metrics is raw JSON that keeps the whitespace it was rendered with, so it
+// is compared compacted.
+func sameAsIndented[T any](t *testing.T, name string, body []byte, want T) {
+	t.Helper()
+	var indented bytes.Buffer
+	enc := json.NewEncoder(&indented)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	var got, old T
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatalf("%s: %v\n%s", name, err, body)
+	}
+	if err := json.Unmarshal(indented.Bytes(), &old); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range append(jobViews(&got), jobViews(&old)...) {
+		if v != nil && v.Outcome != nil && v.Outcome.Metrics != nil {
+			var c bytes.Buffer
+			if err := json.Compact(&c, v.Outcome.Metrics); err != nil {
+				t.Fatal(err)
+			}
+			v.Outcome.Metrics = c.Bytes()
+		}
+	}
+	if !reflect.DeepEqual(got, old) {
+		t.Errorf("%s: the compact reply decodes differently from the indented one:\n%s\nindented:\n%s", name, body, indented.Bytes())
+	}
+}
+
+// jobViews returns the job views a decoded reply holds.
+func jobViews(v any) []*JobView {
+	switch v := v.(type) {
+	case *submitResponse:
+		return []*JobView{v.Job}
+	case **JobView:
+		return []*JobView{*v}
+	case *[]*JobView:
+		return *v
+	}
+	return nil
 }

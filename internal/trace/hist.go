@@ -5,14 +5,17 @@ import (
 	"sync/atomic"
 )
 
-// Log-linear histogram (HDR-style): a fixed array of buckets whose widths
-// grow geometrically, giving a bounded relative error (~1/histSub ≈ 3%)
-// across the full non-negative int64 range with no allocation on Record and
-// no map in sight. Values are dimensionless int64s; by convention the
-// metric name carries the unit suffix ("…_ns", "…_pkts").
+// Log-linear histogram (HDR-style): buckets whose widths grow
+// geometrically, giving a bounded relative error (~1/histSub ≈ 3%) across
+// the full non-negative int64 range with no map in sight. Values are
+// dimensionless int64s; by convention the metric name carries the unit
+// suffix ("…_ns", "…_pkts").
 //
 // Layout: values below histSub land in one-wide linear buckets; above
 // that, each power-of-two octave is split into histSub linear sub-buckets.
+// Bucket idx lives in octave idx>>histSubBits, whose histSub counters are
+// allocated by the first Record that lands there: a histogram costs the
+// octaves it records, and Record allocates nothing after that.
 
 const (
 	histSubBits = 5
@@ -45,15 +48,16 @@ func histValue(idx int) int64 {
 
 // Histogram is one named log-linear latency/size distribution. Obtain
 // handles from Registry.Hist at setup time and Record into them on the hot
-// path: Record is a few atomic adds, allocation-free and safe for
-// concurrent use. A nil *Histogram is the disabled histogram; Record and
-// all accessors are no-ops on it, matching the nil-Tracer contract.
+// path: Record is a pointer load and a few atomic adds, allocation-free
+// once its octave exists, and safe for concurrent use. A nil *Histogram is
+// the disabled histogram; Record and all accessors are no-ops on it,
+// matching the nil-Tracer contract.
 type Histogram struct {
 	name    string
 	count   uint64
 	sum     int64
 	max     int64
-	buckets [histBuckets]uint64
+	octaves [histBuckets / histSub]atomic.Pointer[[histSub]uint64]
 }
 
 // Name returns the histogram's registry name.
@@ -65,6 +69,8 @@ func (h *Histogram) Name() string {
 }
 
 // Record adds one observation. Negative values clamp to zero.
+//
+//lint:hotpath runs once per RTT sample, VOQ tick and notification
 func (h *Histogram) Record(v int64) {
 	if h == nil {
 		return
@@ -72,7 +78,12 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	atomic.AddUint64(&h.buckets[histIndex(v)], 1)
+	i := histIndex(v)
+	oct := h.octaves[i>>histSubBits].Load()
+	if oct == nil {
+		oct = h.octave(i >> histSubBits)
+	}
+	atomic.AddUint64(&oct[i&(histSub-1)], 1)
 	atomic.AddUint64(&h.count, 1)
 	atomic.AddInt64(&h.sum, v)
 	for {
@@ -81,6 +92,25 @@ func (h *Histogram) Record(v int64) {
 			return
 		}
 	}
+}
+
+// octave returns octave o's counters, installing them on its first record.
+// CompareAndSwap makes racing first records agree on one array, so none
+// loses its count. Kept out of line so Record's steady state stays small.
+//
+//go:noinline
+func (h *Histogram) octave(o int) *[histSub]uint64 {
+	h.octaves[o].CompareAndSwap(nil, new([histSub]uint64))
+	return h.octaves[o].Load()
+}
+
+// bucket reads bucket i's count; an octave no Record reached reads 0.
+func (h *Histogram) bucket(i int) uint64 {
+	oct := h.octaves[i>>histSubBits].Load()
+	if oct == nil {
+		return 0
+	}
+	return atomic.LoadUint64(&oct[i&(histSub-1)])
 }
 
 // Count returns the number of recorded observations.
@@ -112,10 +142,11 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Quantile returns the value at quantile q in [0, 1]: the lower bound of
-// the bucket holding the ⌈q·count⌉-th observation, clamped to Max for the
-// top bucket so Quantile(1) is exact. Returns 0 when empty. The walk reads
-// buckets without a snapshot; for the single-goroutine simulation this is
-// exact, under concurrent recording it is approximate.
+// the bucket holding the observation of rank q·count rounded half-up (at
+// least 1), clamped to Max for the top bucket so Quantile(1) is exact. Of
+// 70 observations, Quantile(0.99) is the 69th. Returns 0 when empty. The
+// walk reads buckets without a snapshot; for the single-goroutine
+// simulation this is exact, under concurrent recording it is approximate.
 func (h *Histogram) Quantile(q float64) int64 {
 	if h == nil {
 		return 0
@@ -138,7 +169,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	}
 	var seen uint64
 	for i := 0; i < histBuckets; i++ {
-		c := atomic.LoadUint64(&h.buckets[i])
+		c := h.bucket(i)
 		if c == 0 {
 			continue
 		}

@@ -30,7 +30,7 @@ func NewRegistry() *Registry {
 
 // Hist returns the histogram registered under name, creating it on first
 // use. Call at setup time and keep the handle: Record on the handle is the
-// allocation-free hot path.
+// hot path, allocation-free after each octave's first record.
 func (r *Registry) Hist(name string) *Histogram {
 	if r == nil {
 		return nil
