@@ -680,7 +680,7 @@ func (c *Conn) sendSYN(ack bool) {
 	c.armTimer()
 }
 
-// sendData transmits (or retransmits) the given range as one segment.
+// transmitSeg transmits (or retransmits) the given range as one segment.
 func (c *Conn) transmitSeg(seg *TxSeg, isRetrans bool) {
 	now := c.Loop.Now()
 	dataTDN := c.policy.DataTDN()
@@ -711,6 +711,16 @@ func (c *Conn) transmitSeg(seg *TxSeg, isRetrans bool) {
 	seg.SentAt = now
 	c.lastTxAt = now
 
+	if seg.fin {
+		// The FIN goes out again as it first did in maybeSendFIN, as sendSYN
+		// resends the SYN: a flag on an empty segment, not a byte of data.
+		s := c.newSegment(packet.FlagFIN | packet.FlagACK)
+		s.TCP.Seq = seg.Seq
+		c.attachTDOption(s, false)
+		c.Stats.SegsSent++
+		c.Out(s)
+		return
+	}
 	s := c.newSegment(packet.FlagACK | packet.FlagPSH)
 	s.TCP.Seq = seg.Seq
 	s.TCP.PayloadLen = seg.Len
@@ -851,6 +861,7 @@ func (c *Conn) maybeSendFIN() {
 	seg := c.pool.getTxSeg()
 	seg.Seq, seg.Len, seg.TDN = c.sndNxt, 1, c.policy.DataTDN()
 	seg.SentAt, seg.FirstSentAt = now, now
+	seg.fin = true
 	c.sndNxt++
 	c.rtx.push(seg)
 	c.states[seg.TDN].PacketsOut++

@@ -418,6 +418,94 @@ func TestFINTeardown(t *testing.T) {
 	}
 }
 
+// TestRetransmittedFINIsAFIN: a 200-segment DCTCP transfer ending in Close,
+// under twelve loss patterns, several of which lose the FIN or its ACK. Every
+// copy of the FIN the sender puts on the wire, first or resent by TLP, RTO or
+// fast retransmit, must be a FIN without payload: a FIN resent as one byte of
+// data would be delivered to the receiver's application as a byte nobody wrote,
+// and the receiver would never see the close.
+func TestRetransmittedFINIsAFIN(t *testing.T) {
+	const segs, size = 200, 200 * 8960
+	type pattern struct {
+		name string
+		// dropData sees the n-th data segment (1-based, retransmissions
+		// counted) and dropFIN the n-th FIN; dropAck the n-th pure ACK from
+		// the receiver and, for the k-th ACK of the FIN, k (0 for others).
+		dropData func(n int) bool
+		dropFIN  func(n int) bool
+		dropAck  func(n, k int) bool
+	}
+	first := func(k int) func(int) bool { return func(n int) bool { return n <= k } }
+	every := func(k int) func(int) bool { return func(n int) bool { return n%k == 0 } }
+	for _, p := range []pattern{
+		{name: "clean"},
+		{name: "fin_once", dropFIN: first(1)},
+		{name: "fin_twice", dropFIN: first(2)},
+		{name: "fin_thrice", dropFIN: first(3)},
+		{name: "data_every_13", dropData: every(13)},
+		{name: "data_every_13_and_fin", dropData: every(13), dropFIN: first(1)},
+		{name: "last_data", dropData: func(n int) bool { return n == segs }},
+		{name: "last_data_and_fin", dropData: func(n int) bool { return n == segs }, dropFIN: first(1)},
+		{name: "fin_ack", dropAck: func(_, k int) bool { return k == 1 }},
+		{name: "fin_and_fin_ack", dropFIN: first(1), dropAck: func(_, k int) bool { return k == 1 }},
+		{name: "data_burst", dropData: func(n int) bool { return n > 100 && n <= 110 }},
+		{name: "acks_every_5", dropAck: func(n, _ int) bool { return n%5 == 0 }},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			dctcp := func() cc.Algorithm { return cc.NewDCTCP() }
+			loop, a, b, wa, wb := newPair(t, pairOpt{
+				cfgA: Config{ECN: true, CC: dctcp}, cfgB: Config{ECN: true, CC: dctcp},
+			})
+			finSeq := func() uint32 { return a.iss + 1 + size }
+			var data, fins, acks, finAcks int
+			wa.drop = func(s *packet.Segment) bool {
+				h := &s.TCP
+				if h.Seq == finSeq() {
+					fins++
+					if h.Flags&packet.FlagFIN == 0 || h.PayloadLen != 0 {
+						t.Errorf("copy %d of the FIN: flags %#x, payload %d; want FIN and no payload",
+							fins, h.Flags, h.PayloadLen)
+					}
+					return p.dropFIN != nil && p.dropFIN(fins)
+				}
+				if h.PayloadLen > 0 {
+					data++
+					return p.dropData != nil && p.dropData(data)
+				}
+				return false
+			}
+			wb.drop = func(s *packet.Segment) bool {
+				if s.TCP.PayloadLen > 0 || s.TCP.Flags&packet.FlagSYN != 0 || p.dropAck == nil {
+					return false
+				}
+				acks++
+				k := 0
+				if s.TCP.Ack == finSeq()+1 {
+					finAcks++
+					k = finAcks
+				}
+				return p.dropAck(acks, k)
+			}
+			b.Listen()
+			a.Connect(size)
+			a.Close()
+			runFor(loop, 2*sim.Second)
+			if b.Stats.BytesDelivered != size {
+				t.Errorf("receiver delivered %d bytes, want %d", b.Stats.BytesDelivered, size)
+			}
+			if a.state != stDone || b.state != stCloseWait {
+				t.Errorf("states: sender %v, receiver %v; want done and close-wait", a, b)
+			}
+			if a.Stats.BytesSent < size || a.Stats.BytesSent%8960 != 0 {
+				t.Errorf("sender counted %d bytes sent, a FIN among them", a.Stats.BytesSent)
+			}
+			if fins == 0 {
+				t.Fatal("no FIN was sent")
+			}
+		})
+	}
+}
+
 // TestNoTailLossProbeAfterDone: the FIN-ack leaves the sender in stDone with
 // nothing outstanding, and the retransmission timer must be quiesced with it.
 // The probe deadline armed for the last flight used to survive the

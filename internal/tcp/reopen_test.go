@@ -211,10 +211,13 @@ func TestReopenEqualsFresh(t *testing.T) {
 			b.LocalAddr, b.RemoteAddr, b.LocalPort, b.RemotePort = 2, 1, 2001, 1001
 			b.Listen()
 			a.Connect(200 * 8960)
+			a.Close()
+			done := false
+			a.OnDone = func(sim.Time) { done = true }
 			loop.RunUntil(loop.Now().Add(300 * sim.Millisecond))
-			if b.Stats.BytesDelivered != 200*8960 || a.SndUna() != a.SndNxt() {
-				t.Fatalf("transfer on the reopened pair: delivered %d of %d, %d bytes unacknowledged",
-					b.Stats.BytesDelivered, 200*8960, a.SndNxt()-a.SndUna())
+			if b.Stats.BytesDelivered != 200*8960 || a.SndUna() != a.SndNxt() || !done {
+				t.Fatalf("transfer on the reopened pair: delivered %d of %d, %d sequence numbers unacknowledged, FIN acknowledged %v",
+					b.Stats.BytesDelivered, 200*8960, a.SndNxt()-a.SndUna(), done)
 			}
 			for _, c := range []*tcp.Conn{a, b} {
 				if err := c.CheckInvariants(); err != nil {

@@ -19,6 +19,8 @@ type TxSeg struct {
 	Retrans     bool // retransmitted and still outstanding
 	EverRetrans bool // Karn's rule: never RTT-sample retransmitted segments
 	Retransmits int
+
+	fin bool // the FIN's one sequence number: resent as a FIN, never as data
 }
 
 // End returns the sequence number just past this segment.
