@@ -259,8 +259,6 @@ func buildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions, pool *tcp.P
 
 	h0.Recv = inputAdapter(f.Snd)
 	h1.Recv = inputAdapter(f.Rcv)
-	h0.RecvBatch = batchRecv(h0.Recv)
-	h1.RecvBatch = batchRecv(h1.Recv)
 
 	switch v {
 	case TDTCP:
@@ -315,17 +313,6 @@ func inputAdapter(c *tcp.Conn) func(netem.Frame) {
 			return // corrupted frames are dropped silently, as on a real NIC
 		}
 		c.Input(seg)
-	}
-}
-
-// batchRecv adapts a per-frame receive hook to the batched delivery upcall:
-// one call from the fabric per (host, TDN) batch, one Input per segment
-// inside, so the protocol sees the exact frame-at-a-time order.
-func batchRecv(recv func(netem.Frame)) func([]netem.Frame, int) {
-	return func(fs []netem.Frame, _ int) {
-		for _, fr := range fs {
-			recv(fr)
-		}
 	}
 }
 
@@ -394,8 +381,6 @@ func buildMPTCP(f *Flow, loop *sim.Loop, h0, h1 *rdcn.Host, ntdns int, opt FlowO
 
 	h0.Recv = mptcpInputAdapter(f.MSnd, 40000, ntdns)
 	h1.Recv = mptcpInputAdapter(f.MRcv, 5000, ntdns)
-	h0.RecvBatch = batchRecv(h0.Recv)
-	h1.RecvBatch = batchRecv(h1.Recv)
 	h0.NotifyTDN = func(tdn int, epoch uint32) {
 		cur0 = tdn
 		if tdn >= 0 && tdn < ntdns {

@@ -266,7 +266,7 @@ func TestReleasedFlowDropsLateSegment(t *testing.T) {
 	dm := mn.muxes[1][1]
 	before := f.Rcv.Stats
 	dm.recv(late)
-	dm.recvBatch([]netem.Frame{late}, 0)
+	dm.recv(late)
 	if dm.late != 2 || f.Rcv.Stats != before {
 		t.Errorf("two segments after release: %d counted late, receiver stats %+v -> %+v; want 2 and no change",
 			dm.late, before, f.Rcv.Stats)

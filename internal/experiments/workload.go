@@ -64,14 +64,6 @@ func (m *hostMux) recv(fr netem.Frame) {
 	c.Input(&m.seg)
 }
 
-// recvBatch is the batched-delivery counterpart of recv: one upcall per
-// (host, TDN) batch, one demuxed Input per frame inside.
-func (m *hostMux) recvBatch(fs []netem.Frame, _ int) {
-	for _, fr := range fs {
-		m.recv(fr)
-	}
-}
-
 func (m *hostMux) notifyTDN(tdn int, epoch uint32) {
 	for _, c := range m.notify {
 		c.Notify(tdn, epoch)
@@ -119,7 +111,6 @@ func newMuxNet(net *rdcn.Network, pool *tcp.Pool, v Variant, opt FlowOptions) *m
 			mn.muxes[r][h] = m
 			mn.byAddr[host.Addr] = m
 			host.Recv = m.recv
-			host.RecvBatch = m.recvBatch
 			host.NotifyTDN = m.notifyTDN
 		}
 	}

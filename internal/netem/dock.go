@@ -21,18 +21,15 @@ import (
 // timer on the destination lane.
 //
 // Delivery behaviour matches the delayLine byte for byte: frames whose due
-// expires at one instant are handed downstream in (due, insertion) order,
-// grouped into maximal consecutive same-TDN runs through OutBatch, or
-// frame-at-a-time through Out when batching is disabled.
+// expires at one instant are handed to Out in (due, insertion) order.
 type Dock struct {
 	src, dst int
 	srcLoop  *sim.Loop
 	dstLoop  *sim.Loop
 	deferFn  func(src, dst int, fn func())
 
-	// Out / OutBatch: destination-side sinks, same contract as Drainer's.
-	Out      Sink
-	OutBatch func(fs []Frame, tdn int)
+	// Out is the destination-side sink, same contract as Drainer's.
+	Out Sink
 
 	stage   []pending // src-owned: frames docked this window
 	flushFn func()    // bound once; registered with deferFn on first stage
@@ -42,7 +39,6 @@ type Dock struct {
 	timer  sim.Timer
 	fireFn func()
 	out    []pending // scratch batch, reused across fires
-	scr    []Frame   // OutBatch scratch, reused
 
 	// Conservation ledger: frames staged and frames delivered.
 	armed     uint64
@@ -62,11 +58,11 @@ func NewDock(src, dst int, srcLoop, dstLoop *sim.Loop, deferFn func(src, dst int
 // Add stages a frame due delay after the source lane's clock.
 //
 //lint:hotpath runs once per cross-lane frame
-func (k *Dock) Add(f Frame, delay sim.Dur, tdn int) {
+func (k *Dock) Add(f Frame, delay sim.Dur) {
 	if len(k.stage) == 0 {
 		k.deferFn(k.src, k.dst, k.flushFn)
 	}
-	k.stage = append(k.stage, pending{f: f, due: k.srcLoop.Now().Add(delay), tdn: tdn})
+	k.stage = append(k.stage, pending{f: f, due: k.srcLoop.Now().Add(delay)})
 	k.armed++
 }
 
@@ -93,8 +89,8 @@ func (k *Dock) flush() {
 }
 
 // fire delivers every frame whose due has arrived, exactly like the
-// delayLine: copied out first (so synchronous downstream sends cannot alias
-// the ring), split into maximal same-TDN runs for OutBatch.
+// delayLine: copied out first, so synchronous downstream sends cannot alias
+// the ring.
 //
 //lint:hotpath runs once per distinct cross-lane delivery instant
 func (k *Dock) fire() {
@@ -113,24 +109,8 @@ func (k *Dock) fire() {
 	}
 	k.out = out
 	k.delivered += uint64(len(out))
-	for i := 0; i < len(out); {
-		j := i + 1
-		for j < len(out) && out[j].tdn == out[i].tdn {
-			j++
-		}
-		if k.OutBatch != nil {
-			fs := k.scr[:0]
-			for m := i; m < j; m++ {
-				fs = append(fs, out[m].f)
-			}
-			k.scr = fs
-			k.OutBatch(fs, out[i].tdn)
-		} else {
-			for m := i; m < j; m++ {
-				k.Out(out[m].f)
-			}
-		}
-		i = j
+	for i := range out {
+		k.Out(out[i].f)
 	}
 }
 

@@ -180,15 +180,13 @@ type Sink func(Frame)
 type pending struct {
 	f   Frame
 	due sim.Time
-	tdn int
 }
 
 // delayLine coalesces a link's propagation-delay stage. The legacy path arms
 // one loop event per frame in flight, so the event heap holds an entry for
 // every frame crossing the fabric; the delayLine instead keeps a due-ordered
 // ring served by a single re-armed timer, shrinking the heap to one entry per
-// link and handing every frame whose delay expires at the same instant
-// downstream in one batch. Entries stay in (due, insertion) order: dues are
+// link. Entries stay in (due, insertion) order: dues are
 // nondecreasing while one path is active and only invert across a path change
 // or an injected extra delay, so the backward scan in add is almost always a
 // no-op and delivery order matches the legacy frame-at-a-time schedule.
@@ -216,9 +214,9 @@ func (dl *delayLine) len() int { return len(dl.q) - dl.head }
 // due. The timer is only re-armed when the head due moves earlier.
 //
 //lint:hotpath runs once per frame entering the propagation-delay stage
-func (dl *delayLine) add(f Frame, delay sim.Dur, tdn int) {
+func (dl *delayLine) add(f Frame, delay sim.Dur) {
 	due := dl.loop.Now().Add(delay)
-	dl.q = append(dl.q, pending{f: f, due: due, tdn: tdn})
+	dl.q = append(dl.q, pending{f: f, due: due})
 	for i := len(dl.q) - 1; i > dl.head && dl.q[i-1].due > due; i-- {
 		dl.q[i], dl.q[i-1] = dl.q[i-1], dl.q[i]
 	}
@@ -388,7 +386,7 @@ func (p *Pipe) serialized() {
 			if p.line.fireFn == nil {
 				p.line.init(p.Loop, p.lineSink)
 			}
-			p.line.add(f, delay, 0)
+			p.line.add(f, delay)
 		} else {
 			d := p.getDelivery()
 			d.f = f
@@ -398,8 +396,8 @@ func (p *Pipe) serialized() {
 	p.kick()
 }
 
-// lineSink delivers a coalesced batch of frames whose propagation delay
-// expired at one instant, in due order.
+// lineSink delivers the frames whose propagation delay expired at one
+// instant, in due order.
 func (p *Pipe) lineSink(batch []pending) {
 	for i := range batch {
 		p.propagating--
@@ -607,7 +605,6 @@ func (v *VOQ) CheckInvariants() error {
 type Path struct {
 	Rate  sim.Rate
 	Delay sim.Dur
-	TDN   int
 }
 
 // PathFunc reports the currently active path. ok is false during a night
@@ -623,14 +620,6 @@ type Drainer struct {
 	Q    *VOQ
 	Path PathFunc
 	Out  Sink
-
-	// OutBatch, when non-nil and Coalesce is set, receives every frame whose
-	// propagation delay expired at the same instant and that crossed the
-	// same TDN, in delivery order, in one call — the batched alternative to
-	// the per-frame Out sink. Frames are grouped into maximal consecutive
-	// same-TDN runs, so a batch never mixes networks and never reorders
-	// relative to the frame-at-a-time schedule.
-	OutBatch func(fs []Frame, tdn int)
 
 	// Coalesce routes the propagation-delay stage through a single re-armed
 	// timer (see delayLine) instead of one loop event per frame.
@@ -650,11 +639,9 @@ type Drainer struct {
 	// deliveries overlap on free-listed cells (legacy) or in the delayLine.
 	cur          Frame
 	curDelay     sim.Dur
-	curTDN       int
 	serializedFn func()
 	deliveryFree []*drainDelivery
 	line         delayLine
-	batchScratch []Frame
 
 	propagating int // frames in the propagation-delay stage
 }
@@ -690,7 +677,6 @@ func (d *Drainer) Kick() {
 	d.busy = true
 	d.cur = f
 	d.curDelay = path.Delay
-	d.curTDN = path.TDN
 	if d.serializedFn == nil {
 		d.serializedFn = d.serialized
 	}
@@ -705,7 +691,7 @@ func (d *Drainer) serialized() {
 	d.busy = false
 	if d.Dock != nil {
 		// The dock owns the frame (and its ledger) from here.
-		d.Dock.Add(f, d.curDelay, d.curTDN)
+		d.Dock.Add(f, d.curDelay)
 		d.Kick()
 		return
 	}
@@ -714,7 +700,7 @@ func (d *Drainer) serialized() {
 		if d.line.fireFn == nil {
 			d.line.init(d.Loop, d.lineSink)
 		}
-		d.line.add(f, d.curDelay, d.curTDN)
+		d.line.add(f, d.curDelay)
 	} else {
 		dd := d.getDelivery()
 		dd.f = f
@@ -723,30 +709,12 @@ func (d *Drainer) serialized() {
 	d.Kick()
 }
 
-// lineSink hands a coalesced delivery batch downstream: maximal consecutive
-// same-TDN runs go to OutBatch in one call each (runs are never merged across
-// an intervening frame, so due order is preserved exactly), or frame-by-frame
-// to Out when no batch sink is wired.
+// lineSink delivers the frames whose propagation delay expired at one
+// instant, in due order.
 func (d *Drainer) lineSink(batch []pending) {
-	for i := 0; i < len(batch); {
-		j := i + 1
-		for j < len(batch) && batch[j].tdn == batch[i].tdn {
-			j++
-		}
-		d.propagating -= j - i
-		if d.OutBatch != nil {
-			fs := d.batchScratch[:0]
-			for k := i; k < j; k++ {
-				fs = append(fs, batch[k].f)
-			}
-			d.batchScratch = fs
-			d.OutBatch(fs, batch[i].tdn)
-		} else {
-			for k := i; k < j; k++ {
-				d.Out(batch[k].f)
-			}
-		}
-		i = j
+	for i := range batch {
+		d.propagating--
+		d.Out(batch[i].f)
 	}
 }
 

@@ -217,7 +217,7 @@ func TestDrainerRespectsSchedule(t *testing.T) {
 	d := &Drainer{
 		Loop: loop, Q: v,
 		Path: func() (Path, bool) {
-			return Path{Rate: 10 * sim.Gbps, Delay: 10 * sim.Microsecond, TDN: 0}, active
+			return Path{Rate: 10 * sim.Gbps, Delay: 10 * sim.Microsecond}, active
 		},
 		Out: func(Frame) { arrivals = append(arrivals, loop.Now()) },
 	}

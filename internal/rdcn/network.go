@@ -109,11 +109,9 @@ type Config struct {
 	DisableFramePool bool
 
 	// DisableBatchDelivery reverts the fabric to the legacy frame-at-a-time
-	// delivery path: one loop event per frame in the propagation-delay
-	// stage and one Recv upcall per frame. The default (batched) path
-	// coalesces each link's delay stage behind a single re-armed timer and
-	// hands same-instant same-(host,TDN) frames to RecvBatch in one call.
-	// Both paths must produce identical protocol-visible traces (the
+	// propagation stage: one loop event per frame in flight. The default path
+	// coalesces each link's delay stage behind a single re-armed timer. Both
+	// paths must produce identical protocol-visible traces (the
 	// batch-delivery A/B tests enforce this); the knob exists for that
 	// check and for debugging suspected ordering drift.
 	DisableBatchDelivery bool
@@ -175,13 +173,6 @@ type Host struct {
 
 	// Recv receives every data/ACK frame addressed to this host.
 	Recv func(netem.Frame)
-	// RecvBatch, when non-nil, receives every frame addressed to this host
-	// whose fabric propagation delay expired at the same simulated instant
-	// over the same TDN, in delivery order, in one call. Hosts without a
-	// batch hook get the same frames as one Recv call each. The wire
-	// buffers are reclaimed when RecvBatch returns, so hooks must parse
-	// (Parse copies) rather than retain.
-	RecvBatch func(fs []netem.Frame, tdn int)
 	// NotifyTDN receives the parsed ICMP TDN-change notification.
 	NotifyTDN func(tdn int, epoch uint32)
 	// NotifyPreChange, if set, receives the retcpdyn advance circuit-up
@@ -454,7 +445,7 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 						return netem.Path{}, false
 					}
 					p := n.Cfg.TDNs[kk]
-					return netem.Path{Rate: p.Rate, Delay: p.Delay, TDN: kk}, true
+					return netem.Path{Rate: p.Rate, Delay: p.Delay}, true
 				}
 			} else {
 				pf = n.pathFunc(rloop, r, dst)
@@ -465,17 +456,14 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 				Path: pf,
 				Out:  func(f netem.Frame) { n.deliver(r, dst, f) },
 			}
-			if !cfg.DisableBatchDelivery {
-				d.Coalesce = true
-				d.OutBatch = func(fs []netem.Frame, tdn int) { n.deliverBatch(r, dst, fs, tdn) }
-			}
+			d.Coalesce = !cfg.DisableBatchDelivery
 			if cluster != nil {
 				// Every drainer here crosses racks (qDst skips self), so its
 				// propagation stage becomes a dock: staged on this lane,
 				// flushed at barriers, delivered on the destination lane
-				// through the same sinks.
+				// through the same sink.
 				d.Dock = netem.NewDock(r, dst, rloop, cluster.RackLoop(dst), cluster.Defer)
-				d.Dock.Out, d.Dock.OutBatch = d.Out, d.OutBatch
+				d.Dock.Out = d.Out
 			}
 			rack.voqs = append(rack.voqs, voq)
 			rack.drainers = append(rack.drainers, d)
@@ -524,13 +512,13 @@ func (n *Network) pathFunc(rloop *sim.Loop, rackID, dst int) netem.PathFunc {
 		p := n.Cfg.TDNs[tdn]
 		if n.Cfg.Racks > 2 {
 			if tdn == 0 {
-				return netem.Path{Rate: p.Rate / sim.Rate(n.Cfg.Racks-1), Delay: p.Delay, TDN: 0}, true
+				return netem.Path{Rate: p.Rate / sim.Rate(n.Cfg.Racks-1), Delay: p.Delay}, true
 			}
 			if RotorPeer(n.Cfg.Racks, tdn, rackID) != dst {
 				return netem.Path{}, false
 			}
 		}
-		return netem.Path{Rate: p.Rate, Delay: p.Delay, TDN: tdn}, true
+		return netem.Path{Rate: p.Rate, Delay: p.Delay}, true
 	}
 }
 
@@ -628,41 +616,6 @@ func (n *Network) hostIn(rack *Rack, f netem.Frame) *Host {
 		return nil
 	}
 	return rack.Hosts[id]
-}
-
-// deliverBatch is deliver for a whole same-TDN delivery batch: maximal runs
-// of consecutive frames addressed to the same host go to its RecvBatch hook
-// in one call (falling back to per-frame Recv), with per-frame order, ledger
-// accounting, and buffer reclamation identical to the unbatched path.
-//
-//lint:hotpath runs once per (host, TDN) delivery batch
-func (n *Network) deliverBatch(src, dst int, fs []netem.Frame, tdn int) {
-	rack := n.Racks[dst]
-	for i := 0; i < len(fs); {
-		h := n.hostIn(rack, fs[i])
-		if h == nil {
-			rack.misrouted++
-			rack.returnWire(src, &fs[i])
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(fs) && n.hostIn(rack, fs[j]) == h {
-			j++
-		}
-		rack.delivered += uint64(j - i)
-		if h.RecvBatch != nil {
-			h.RecvBatch(fs[i:j], tdn)
-		} else if h.Recv != nil {
-			for k := i; k < j; k++ {
-				h.Recv(fs[k])
-			}
-		}
-		for k := i; k < j; k++ {
-			rack.returnWire(src, &fs[k])
-		}
-		i = j
-	}
 }
 
 // returnWire sends a consumed frame's buffer home to rack src's pool. That is
