@@ -24,13 +24,18 @@ import (
 // checked 2+8-week runs print invariant-checks, the checker sweeps after every
 // eighth event, and the Seq sampler's 1 400 ticks past week 3 are no longer
 // events (4835 -> 4660 and 4947 -> 4772 sweeps); no other byte of it differs.
+// quickstart and satellite were re-taken when each frame in a propagation
+// stage became its own loop event: quickstart prints two more events (40087
+// -> 40089) and nothing else moves; satellite's TDTCP run reorders
+// same-instant deliveries from different links (DESIGN.md §10) and its row
+// moves (0.473 -> 0.467 Gbps).
 func TestExamplesOutputPinned(t *testing.T) {
 	for _, ex := range []struct{ name, want string }{
 		{"faults", "0fdbdeb3ce40b9ee8689358e7caf7e04fcd17441b4a5cb49acbdd39bf27d44f3"},
 		{"hybrid-rdcn", "8c080612c91bed400c05bd710e8b83d44989d9d88195ea35cd46dad5a796adf3"},
-		{"quickstart", "f661ddd6f77f886124512100d79dfc22684881778f526d8ea88b001567c17db6"},
+		{"quickstart", "cba545887417c65036a5abc40fc1948d0c58e3a22c1c037ddec8c42cb1ed296b"},
 		{"reordering", "e5a0b6995640bc5962904f14413dbe6592064522be5c2c8d05036d9c14601733"},
-		{"satellite", "2b71e2a455aa3be848145a08ab36a3a41c2ea1d11f2d88125a53fd97e0688b41"},
+		{"satellite", "b6e16e8413489dabf01028d895d00e91e163d9a154a18ed6474c1911ff5edfdd"},
 	} {
 		t.Run(ex.name, func(t *testing.T) {
 			cmd := exec.Command("go", "run", "./examples/"+ex.name)

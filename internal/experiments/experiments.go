@@ -155,9 +155,9 @@ type RunConfig struct {
 	StopEvery int
 
 	// tweakNet, when non-nil, edits the rdcn.Config just before the network
-	// is built. It is how this package's A/B suites reach the unpooled and
-	// unbatched reference data planes (rdcn.Config.DisableFramePool,
-	// DisableBatchDelivery) without those being run options.
+	// is built. It is how this package's A/B tests reach the unpooled
+	// reference data plane (rdcn.Config.DisableFramePool) without it being a
+	// run option.
 	tweakNet func(*rdcn.Config)
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/rdcn-net/tdtcp/internal/rdcn"
 	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
@@ -17,6 +18,13 @@ import (
 // intentional and understood.
 
 const goldenTol = 0.10 // relative goodput tolerance
+
+// refPlane returns the harness hook that switches a run onto rdcn's unpooled
+// reference data plane (every wire buffer a fresh allocation) when unpooled is
+// set. The pooled/unpooled A/B tests compare the default plane against it.
+func refPlane(unpooled bool) func(*rdcn.Config) {
+	return func(c *rdcn.Config) { c.DisableFramePool = unpooled }
+}
 
 // goldenGoodput holds the committed goodputs (Gbps) at seed 1, warmup 2,
 // measure 4, 16 flows.
@@ -150,7 +158,7 @@ func rotorTraceRun(t *testing.T, disablePool bool) []byte {
 	_, err := Run(RunConfig{
 		Variant: TDTCP, Scenario: MultiRack(8), Flows: 8,
 		WarmupWeeks: 1, MeasureWeeks: 1, Seed: 7,
-		Tracer: tr, tweakNet: refPlane(disablePool, false),
+		Tracer: tr, tweakNet: refPlane(disablePool),
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -170,7 +178,7 @@ func workloadTraceRun(t *testing.T, disablePool bool) []byte {
 	_, err := RunWorkload(WorkloadConfig{
 		Variant: TDTCP, Scenario: MultiRack(8),
 		WarmupWeeks: 1, MeasureWeeks: 1, Seed: 7,
-		Tracer: tr, tweakNet: refPlane(disablePool, false),
+		Tracer: tr, tweakNet: refPlane(disablePool),
 	})
 	if err != nil {
 		t.Fatalf("RunWorkload: %v", err)

@@ -20,9 +20,14 @@ import (
 // plain sim.Loop (CHANGES.md, PR 21, says where each trace first diverged from
 // the bytes before: a notification's jitter, a notification verdict, a
 // notification's jitter). rotor4_websearch moved again when a resent FIN
-// stopped going out as one byte of data (CHANGES.md: its first divergence is a
-// voq_enq 3 ns earlier, behind a TLP that resent a FIN). A change that moves
-// any constant changed what a run emits, and has to say why.
+// stopped going out as one byte of data (its first divergence is a voq_enq 3
+// ns earlier, behind a TLP that resent a FIN), and it and hybrid_cubic_faulted
+// moved when every frame in a propagation stage became its own loop event:
+// same-instant deliveries from different links now fire in arming order
+// (DESIGN.md §10). CUBIC's trace is a permutation within equal timestamps;
+// the rotor's first diverges at t = 1 871 622 ns, two frames entering rack 2's
+// NIC in the other order. A change that moves any constant changed what a run
+// emits, and has to say why.
 //
 // A metric added after a constant was generated is listed in its case's
 // added and cut out of the metrics JSON before hashing, so the constant keeps
@@ -43,12 +48,12 @@ func TestPinnedBytes(t *testing.T) {
 				Tracer: tr, Metrics: reg})
 			return err
 		}},
-		{"hybrid_cubic_faulted", "303f8b0ce830d08926df3126e6b776a4c651ebb00ee9fa0161e1a5be28edd65e", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
+		{"hybrid_cubic_faulted", "35537f871e351b579b5a197cb50f719c1a10b7532421edf81fb1f203ca835c59", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
 			_, err := Run(RunConfig{Variant: Cubic, Flows: 4, WarmupWeeks: 1, MeasureWeeks: 2,
 				Fault: &plan, Invariants: true, Tracer: tr, Metrics: reg})
 			return err
 		}},
-		{"rotor4_websearch", "4c52a7cb4df5e1cc7809e0169a2424892570d25fe044e9df7ff3b57002182bb8", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
+		{"rotor4_websearch", "7a52c0c7fa541fc1de87e6510b4ce12cda225d0aa1f3b7893378025ec16a235a", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
 			_, err := RunWorkload(WorkloadConfig{Variant: TDTCP, Scenario: MultiRack(4), Load: 0.3,
 				WarmupWeeks: 1, MeasureWeeks: 2, Tracer: tr, Metrics: reg})
 			return err
@@ -113,19 +118,22 @@ func figureBytes(fig *Figure) []byte {
 // measurement window and the means run past them), the two rotor figures at
 // -quick size, and the one scalar RunWorkload takes from its sampler. The
 // constants were taken while Run still returned whole-window series and the
-// figures windowed them afterwards (multirack and workload_mean_voq were
-// re-taken when a resent FIN stopped carrying a byte of data); a change that
-// moves one changed a plotted point or a printed number.
+// figures windowed them afterwards. multirack and workload_mean_voq were
+// re-taken when a resent FIN stopped carrying a byte of data, and every one
+// but fig13 and multirack when each frame in a propagation stage became its own
+// loop event, which reorders same-instant deliveries from different links
+// (DESIGN.md §10). A change that moves one changed a plotted point or a
+// printed number.
 func TestFigureBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		id, want string
 		opts     Options
 	}{
-		{"fig2", "f28bca66c721f948be652560f1c447a700e020080a121a749c8440377e681afa", Options{}},
-		{"fig7", "d73fa23fffe2be48f4c657820c20514a9da0f15dd1f138f294382a6094566659", Options{}},
+		{"fig2", "bb4d970dd2421a8b20ccd162240a6e50b45542af22f1f17cfcda1454067179d3", Options{}},
+		{"fig7", "ddedd4753cef40df3038e1a2f18b960c764514ed0162f5c4aa8135018916e778", Options{}},
 		{"fig13", "41fa1d717ee94ef428fc7b682ce27298cb58747bc037be0e9dde60a7c620e1bd", Options{}},
-		{"fig14", "dc3f0748fda1a903bcb04820536b480cc1a45f12bd15305a660eb6317165a743", Options{}},
-		{"rotor", "0b2d76a036f059bbb8b8247d542f735bcf63681e61387d52cc91027c42aaef24", Options{Quick: true}},
+		{"fig14", "fb1b3e397de255adc0df4176c04cc98ec698a17565a42793327ad2bf644b4c25", Options{}},
+		{"rotor", "584070a4cd6ac70ffe23f8e1e72bec2c50e43314def38e1f4268692be09731b6", Options{Quick: true}},
 		{"multirack", "e69e027d01b5b3bc7d68b9bb91306db903d5c76a04887a3708557b8bb411ea3e", Options{Quick: true}},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
@@ -145,7 +153,7 @@ func TestFigureBytesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const want = 326.6098824009592
+		const want = 324.4508303359608
 		if res.MeanVOQ != want {
 			t.Errorf("MeanVOQ = %v, want %v", res.MeanVOQ, want)
 		}

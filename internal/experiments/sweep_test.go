@@ -80,7 +80,7 @@ func goldenTraceRun(t *testing.T, seed int64, disablePool bool) []byte {
 		MeasureWeeks: 1,
 		Seed:         seed,
 		Tracer:       tr,
-		tweakNet:     refPlane(disablePool, false),
+		tweakNet:     refPlane(disablePool),
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -5,11 +5,12 @@ import (
 )
 
 // Dock is the cross-lane propagation-delay stage: the lane engine's
-// replacement for a Drainer's delayLine when source and destination rack
-// live on different simulation lanes (internal/sim's ShardedLoop).
+// replacement for a Drainer's per-frame delivery events when source and
+// destination rack live on different simulation lanes (internal/sim's
+// ShardedLoop).
 //
 // Reachable from benchmark/ only, through rdcn.Config.Cluster: no run builds
-// one. It goes with sim/shard.go when ROADMAP item 6 drops the names from
+// one. It goes with sim/shard.go when ROADMAP item 2 drops the names from
 // benchmark/ladder.go.
 //
 // A frame leaving rack src's uplink toward rack dst is staged on the SOURCE
@@ -20,8 +21,8 @@ import (
 // moving the staged frames into the due-ordered ring and arming a single
 // timer on the destination lane.
 //
-// Delivery behaviour matches the delayLine byte for byte: frames whose due
-// expires at one instant are handed to Out in (due, insertion) order.
+// Frames whose due expires at one instant are handed to Out in (due,
+// insertion) order.
 type Dock struct {
 	src, dst int
 	srcLoop  *sim.Loop
@@ -88,9 +89,8 @@ func (k *Dock) flush() {
 	k.timer = k.dstLoop.At(headDue, k.fireFn)
 }
 
-// fire delivers every frame whose due has arrived, exactly like the
-// delayLine: copied out first, so synchronous downstream sends cannot alias
-// the ring.
+// fire delivers every frame whose due has arrived, copied out first, so
+// synchronous downstream sends cannot alias the ring.
 //
 //lint:hotpath runs once per distinct cross-lane delivery instant
 func (k *Dock) fire() {
@@ -117,3 +117,9 @@ func (k *Dock) fire() {
 // InFlight reports the number of frames the dock currently owns (staged,
 // ringed, or awaiting their due).
 func (k *Dock) InFlight() int { return int(k.armed - k.delivered) }
+
+// pending is one frame waiting out its propagation delay in a dock.
+type pending struct {
+	f   Frame
+	due sim.Time
+}

@@ -176,90 +176,6 @@ func (f Frame) MarkCE() {
 // Sink consumes frames that exit a network element.
 type Sink func(Frame)
 
-// pending is one frame waiting out its propagation delay in a delayLine.
-type pending struct {
-	f   Frame
-	due sim.Time
-}
-
-// delayLine coalesces a link's propagation-delay stage. The legacy path arms
-// one loop event per frame in flight, so the event heap holds an entry for
-// every frame crossing the fabric; the delayLine instead keeps a due-ordered
-// ring served by a single re-armed timer, shrinking the heap to one entry per
-// link. Entries stay in (due, insertion) order: dues are
-// nondecreasing while one path is active and only invert across a path change
-// or an injected extra delay, so the backward scan in add is almost always a
-// no-op and delivery order matches the legacy frame-at-a-time schedule.
-type delayLine struct {
-	loop *sim.Loop
-	sink func(batch []pending)
-
-	q      []pending
-	head   int
-	timer  sim.Timer
-	fireFn func()
-	out    []pending // scratch batch, reused across fires
-}
-
-func (dl *delayLine) init(loop *sim.Loop, sink func([]pending)) {
-	dl.loop = loop
-	dl.sink = sink
-	dl.fireFn = dl.fire
-}
-
-func (dl *delayLine) len() int { return len(dl.q) - dl.head }
-
-// add inserts a frame due delay from now, keeping the ring due-ordered
-// (stable: equal dues keep insertion order) and the timer armed at the head
-// due. The timer is only re-armed when the head due moves earlier.
-//
-//lint:hotpath runs once per frame entering the propagation-delay stage
-func (dl *delayLine) add(f Frame, delay sim.Dur) {
-	due := dl.loop.Now().Add(delay)
-	dl.q = append(dl.q, pending{f: f, due: due})
-	for i := len(dl.q) - 1; i > dl.head && dl.q[i-1].due > due; i-- {
-		dl.q[i], dl.q[i-1] = dl.q[i-1], dl.q[i]
-	}
-	headDue := dl.q[dl.head].due
-	if dl.timer.Active() {
-		if dl.timer.When() <= headDue {
-			return
-		}
-		dl.timer.Stop()
-	}
-	dl.timer = dl.loop.At(headDue, dl.fireFn)
-}
-
-// fire copies every entry whose due has arrived into the scratch batch, in
-// (due, insertion) order, re-arms for the next head, and hands the batch to
-// the sink. Copying out first means downstream code that synchronously sends
-// new frames can never alias the ring.
-//
-//lint:hotpath runs once per distinct delivery instant
-func (dl *delayLine) fire() {
-	now := dl.loop.Now()
-	out := dl.out[:0]
-	for dl.head < len(dl.q) && dl.q[dl.head].due <= now {
-		out = append(out, dl.q[dl.head])
-		dl.head++
-	}
-	if dl.head*2 >= len(dl.q) {
-		dl.q = dl.q[:copy(dl.q, dl.q[dl.head:])]
-		dl.head = 0
-	}
-	if dl.head < len(dl.q) {
-		dl.timer = dl.loop.At(dl.q[dl.head].due, dl.fireFn)
-	}
-	// Drained ring slots and the scratch batch are NOT zeroed: the stale
-	// Frame references they hold are dead weight until the next add/fire
-	// overwrites them (bounded by the ring capacity), and skipping the
-	// clears keeps GC write barriers out of the per-instant path.
-	dl.out = out
-	if len(out) > 0 {
-		dl.sink(out)
-	}
-}
-
 // FrameFate is a fault-injection verdict for one frame about to leave a
 // Pipe: the frame may be dropped, have a byte corrupted in place (so the
 // receiver's checksum validation discards it, as on a real NIC), and/or be
@@ -300,9 +216,9 @@ type Pipe struct {
 	// hook drops — the only point where a frame dies inside the pipe.
 	Pool *BufPool
 
-	// Coalesce routes the propagation-delay stage through a single re-armed
-	// timer (see delayLine) instead of one loop event per frame. rdcn turns
-	// this on unless Config.DisableBatchDelivery asks for the legacy path.
+	// Coalesce is ignored: every frame in the propagation-delay stage is one
+	// loop event. It is set only under benchmark/ and goes with the
+	// lane-engine names there (ROADMAP item 2).
 	Coalesce bool
 
 	q    []Frame
@@ -317,7 +233,6 @@ type Pipe struct {
 	cur          Frame
 	serializedFn func()
 	deliveryFree []*pipeDelivery
-	line         delayLine
 
 	propagating int    // frames in the propagation-delay stage
 	faultDrops  uint64 // frames killed by the Fault hook
@@ -382,27 +297,11 @@ func (p *Pipe) serialized() {
 		f.Release(p.Pool)
 	} else {
 		p.propagating++
-		if p.Coalesce {
-			if p.line.fireFn == nil {
-				p.line.init(p.Loop, p.lineSink)
-			}
-			p.line.add(f, delay)
-		} else {
-			d := p.getDelivery()
-			d.f = f
-			p.Loop.After(delay, d.fn)
-		}
+		d := p.getDelivery()
+		d.f = f
+		p.Loop.After(delay, d.fn)
 	}
 	p.kick()
-}
-
-// lineSink delivers the frames whose propagation delay expired at one
-// instant, in due order.
-func (p *Pipe) lineSink(batch []pending) {
-	for i := range batch {
-		p.propagating--
-		p.Out(batch[i].f)
-	}
 }
 
 // InFlight reports every frame currently inside the pipe: queued, being
@@ -621,10 +520,6 @@ type Drainer struct {
 	Path PathFunc
 	Out  Sink
 
-	// Coalesce routes the propagation-delay stage through a single re-armed
-	// timer (see delayLine) instead of one loop event per frame.
-	Coalesce bool
-
 	// Dock is nil in every run (see dock.go: benchmark-only). Non-nil, it
 	// replaces the propagation-delay stage entirely: the destination ToR
 	// lives on a different lane of the lane engine, so finished frames are
@@ -636,12 +531,11 @@ type Drainer struct {
 
 	// Same state-machine shape as Pipe: one frame serializes at a time
 	// (cur, curDelay, one bound serializedFn), while propagation-delay
-	// deliveries overlap on free-listed cells (legacy) or in the delayLine.
+	// deliveries overlap on free-listed cells.
 	cur          Frame
 	curDelay     sim.Dur
 	serializedFn func()
 	deliveryFree []*drainDelivery
-	line         delayLine
 
 	propagating int // frames in the propagation-delay stage
 }
@@ -696,26 +590,10 @@ func (d *Drainer) serialized() {
 		return
 	}
 	d.propagating++
-	if d.Coalesce {
-		if d.line.fireFn == nil {
-			d.line.init(d.Loop, d.lineSink)
-		}
-		d.line.add(f, d.curDelay)
-	} else {
-		dd := d.getDelivery()
-		dd.f = f
-		d.Loop.After(d.curDelay, dd.fn)
-	}
+	dd := d.getDelivery()
+	dd.f = f
+	d.Loop.After(d.curDelay, dd.fn)
 	d.Kick()
-}
-
-// lineSink delivers the frames whose propagation delay expired at one
-// instant, in due order.
-func (d *Drainer) lineSink(batch []pending) {
-	for i := range batch {
-		d.propagating--
-		d.Out(batch[i].f)
-	}
 }
 
 // InFlight reports every frame currently owned by the drainer: being

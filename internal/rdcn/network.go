@@ -89,10 +89,10 @@ type Config struct {
 	PreChange    *PreChange // optional retcpdyn switch support
 
 	// Cluster is nil in every run: every rack lives on the loop passed to
-	// New, with one shared buffer pool and in-drainer delay lines. It is
-	// reachable from benchmark/ only (the 8-rack forward rung of
-	// benchmark/ladder.go) and goes, with sim/shard.go and netem/dock.go,
-	// when ROADMAP item 6 drops the name there. Non-nil, it places the
+	// New, with one shared buffer pool and one delivery event per frame in
+	// flight. It is reachable from benchmark/ only (the 8-rack forward rung
+	// of benchmark/ladder.go) and goes, with sim/shard.go and netem/dock.go,
+	// when ROADMAP item 2 drops the name there. Non-nil, it places the
 	// network on the lane engine: rack r's data plane (host NIC pipe, VOQs,
 	// drainers, delivery) lives on Cluster.RackLoop(r) with its own buffer
 	// pool, cross-rack propagation travels through per-(src,dst) docks
@@ -107,14 +107,6 @@ type Config struct {
 	// byte-identical traces (the golden-trace test enforces this); the knob
 	// exists for that A/B check and for debugging suspected aliasing.
 	DisableFramePool bool
-
-	// DisableBatchDelivery reverts the fabric to the legacy frame-at-a-time
-	// propagation stage: one loop event per frame in flight. The default path
-	// coalesces each link's delay stage behind a single re-armed timer. Both
-	// paths must produce identical protocol-visible traces (the
-	// batch-delivery A/B tests enforce this); the knob exists for that
-	// check and for debugging suspected ordering drift.
-	DisableBatchDelivery bool
 
 	// PinnedVOQs gives each rack one VOQ per TDN, each draining only
 	// during its own TDN's days. This models MPTCP subflow pinning: a
@@ -456,7 +448,6 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 				Path: pf,
 				Out:  func(f netem.Frame) { n.deliver(r, dst, f) },
 			}
-			d.Coalesce = !cfg.DisableBatchDelivery
 			if cluster != nil {
 				// Every drainer here crosses racks (qDst skips self), so its
 				// propagation stage becomes a dock: staged on this lane,
@@ -469,12 +460,11 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 			rack.drainers = append(rack.drainers, d)
 		}
 		rack.uplink = &netem.Pipe{
-			Loop:     rloop,
-			Rate:     cfg.HostRate,
-			Delay:    cfg.HostDelay,
-			Out:      func(f netem.Frame) { rack.ingress(f) },
-			Pool:     rack.pool,
-			Coalesce: !cfg.DisableBatchDelivery,
+			Loop:  rloop,
+			Rate:  cfg.HostRate,
+			Delay: cfg.HostDelay,
+			Out:   func(f netem.Frame) { rack.ingress(f) },
+			Pool:  rack.pool,
 		}
 		for h := 0; h < cfg.HostsPerRack; h++ {
 			rack.Hosts = append(rack.Hosts, &Host{Rack: rack, ID: h, Addr: HostAddr(r, h)})

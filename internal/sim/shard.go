@@ -6,7 +6,7 @@
 // benchmark/ladder.go (rungSharded, the 8-rack rungForward) are this file's
 // last callers. It is kept, untraced and single-threaded, exactly as those
 // rungs exercise it, and goes — with netem/dock.go and rdcn.Config.Cluster —
-// when ROADMAP item 6 drops the names from benchmark/.
+// when ROADMAP item 2 drops the names from benchmark/.
 //
 // Each lane is a Loop and fires its own events in (time, arming order). A lane
 // executes events in [tb, W) where tb is the global minimum pending time and
