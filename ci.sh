@@ -31,12 +31,14 @@ test "$hotpath_elapsed" -le 10
 
 go build ./...
 
-# One engine (ROADMAP item 1): every run executes on a plain sim.Loop, and the
+# One engine (ROADMAP item 2): every run executes on a plain sim.Loop, and the
 # lane engine survives only for benchmark/ladder.go's two rungs. Its names may
 # appear in benchmark/, in the two packages that still define it and in
 # rdcn/network.go's Cluster wiring, and nowhere else in non-test code — so the
-# last step of item 1 is a pure file deletion. The allow-list goes with it.
-if grep -rnE --include='*.go' --exclude='*_test.go' 'NewSharded|ShardedLoop|Cluster|NewDock' . |
+# last step of item 2 is a pure file deletion. netem.Pipe.Coalesce, an ignored
+# field benchmark/ladder.go still sets, is held to the same allow-list. The
+# allow-list goes with them.
+if grep -rnE --include='*.go' --exclude='*_test.go' 'NewSharded|ShardedLoop|Cluster|NewDock|Coalesce' . |
 	grep -vE '^\./(benchmark|internal/sim|internal/netem)/|^\./internal/rdcn/network\.go:|/testdata/'; then
 	echo "ci.sh: lane-engine names outside benchmark/, internal/sim, internal/netem and rdcn/network.go" >&2
 	exit 1

@@ -480,15 +480,13 @@ func (v *VOQ) sample() {
 }
 
 // CheckInvariants validates the queue's internal accounting: head stays
-// within the backing slice, occupancy is non-negative, and the cumulative
-// enqueue/dequeue/drop counters reconcile with the current occupancy
-// (enq - deq == Len). It returns a descriptive error on the first violation.
+// within the backing slice, and the cumulative enqueue/dequeue counters
+// reconcile with the current occupancy (enq - deq == Len). It returns a
+// descriptive error on the first violation. (Occupancy cannot be negative:
+// Len is len(q) - head, and the head bound is checked first.)
 func (v *VOQ) CheckInvariants() error {
 	if v.head < 0 || v.head > len(v.q) {
 		return fmt.Errorf("netem: voq %s head %d outside backing slice [0,%d]", v.Label, v.head, len(v.q))
-	}
-	if n := v.Len(); n < 0 {
-		return fmt.Errorf("netem: voq %s negative occupancy %d", v.Label, n)
 	}
 	if v.deq > v.enq {
 		return fmt.Errorf("netem: voq %s dequeued %d > enqueued %d", v.Label, v.deq, v.enq)

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -306,5 +307,45 @@ func TestDrainerDeliversInOrderAcrossDelayDrop(t *testing.T) {
 	}
 	if arrivals[0].seq != 2 || arrivals[1].seq != 1 {
 		t.Fatalf("expected cross-TDN reordering, got %+v", arrivals)
+	}
+}
+
+// TestVOQCheckInvariantsNamesTheBrokenRule: every rule of VOQ.CheckInvariants
+// fails when, and only when, the state it guards is corrupted. Each row
+// corrupts one field of a queue that has enqueued, dequeued and dropped, and
+// expects the error naming that rule and the queue.
+func TestVOQCheckInvariantsNamesTheBrokenRule(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(v *VOQ)
+		want    string // "" = no violation
+	}{
+		{"uncorrupted", func(v *VOQ) {}, ""},
+		{"head below the slice", func(v *VOQ) { v.head = -1 }, "head -1 outside backing slice [0,4]"},
+		{"head past the slice", func(v *VOQ) { v.head = len(v.q) + 1 }, "head 5 outside backing slice [0,4]"},
+		{"more dequeued than enqueued", func(v *VOQ) { v.deq = v.enq + 1 }, "dequeued 5 > enqueued 4"},
+		{"enqueue not counted", func(v *VOQ) { v.enq-- }, "occupancy 2 != enq-deq 1"},
+		{"dequeue not counted", func(v *VOQ) { v.deq-- }, "occupancy 2 != enq-deq 3"},
+		{"frame lost from the ring", func(v *VOQ) { v.q = v.q[:len(v.q)-1] }, "occupancy 1 != enq-deq 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			loop := sim.NewLoop(1)
+			v := NewVOQ(loop, 4, 0)
+			v.Label = "r0q1"
+			for i := 0; i < 6; i++ {
+				v.Enqueue(testFrame(loop, 100)) // the fifth and sixth are dropped
+			}
+			v.Dequeue()
+			v.Dequeue()
+			tc.corrupt(v)
+			err := v.CheckInvariants()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("live queue: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), "voq r0q1 "+tc.want)):
+				t.Fatalf("got %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }
