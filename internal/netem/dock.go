@@ -4,6 +4,12 @@ import (
 	"github.com/rdcn-net/tdtcp/internal/sim"
 )
 
+// pending is one frame waiting out its propagation delay in a dock.
+type pending struct {
+	f   Frame
+	due sim.Time
+}
+
 // Dock is the cross-lane propagation-delay stage: the lane engine's
 // replacement for a Drainer's per-frame delivery events when source and
 // destination rack live on different simulation lanes (internal/sim's
@@ -117,9 +123,3 @@ func (k *Dock) fire() {
 // InFlight reports the number of frames the dock currently owns (staged,
 // ringed, or awaiting their due).
 func (k *Dock) InFlight() int { return int(k.armed - k.delivered) }
-
-// pending is one frame waiting out its propagation delay in a dock.
-type pending struct {
-	f   Frame
-	due sim.Time
-}

@@ -712,13 +712,7 @@ func (c *Conn) transmitSeg(seg *TxSeg, isRetrans bool) {
 	c.lastTxAt = now
 
 	if seg.fin {
-		// The FIN goes out again as it first did in maybeSendFIN, as sendSYN
-		// resends the SYN: a flag on an empty segment, not a byte of data.
-		s := c.newSegment(packet.FlagFIN | packet.FlagACK)
-		s.TCP.Seq = seg.Seq
-		c.attachTDOption(s, false)
-		c.Stats.SegsSent++
-		c.Out(s)
+		c.sendFIN(seg.Seq)
 		return
 	}
 	s := c.newSegment(packet.FlagACK | packet.FlagPSH)
@@ -865,13 +859,21 @@ func (c *Conn) maybeSendFIN() {
 	c.sndNxt++
 	c.rtx.push(seg)
 	c.states[seg.TDN].PacketsOut++
-	s := c.newSegment(packet.FlagFIN | packet.FlagACK)
-	s.TCP.Seq = seg.Seq
-	c.attachTDOption(s, false)
 	c.state = stFinWait
+	c.sendFIN(seg.Seq)
+	c.armTimer()
+}
+
+// sendFIN puts the FIN that occupies seq on the wire. Its retransmission
+// queue entry is marked (TxSeg.fin), so transmitSeg resends it here too, the
+// way fireRTO resends the SYN through sendSYN: a flag on an empty segment,
+// never a byte of data.
+func (c *Conn) sendFIN(seq uint32) {
+	s := c.newSegment(packet.FlagFIN | packet.FlagACK)
+	s.TCP.Seq = seq
+	c.attachTDOption(s, false)
 	c.Stats.SegsSent++
 	c.Out(s)
-	c.armTimer()
 }
 
 // paceGate enforces optional packet pacing: returns false when the next
