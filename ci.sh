@@ -120,4 +120,5 @@ go test -fuzz=FuzzScheduleParse -fuzztime=5s ./internal/rdcn/
 go test -fuzz=FuzzFlowSizeCDF -fuzztime=5s ./internal/workload/
 go test -fuzz=FuzzOptimalSeries -fuzztime=5s ./internal/workload/
 go test -fuzz=FuzzShardLookahead -fuzztime=5s ./internal/sim/
+go test -fuzz=FuzzLoopMatchesReference -fuzztime=5s ./internal/sim/
 go test -fuzz=FuzzSpecNormalize -fuzztime=5s ./internal/serve/
