@@ -472,8 +472,7 @@ func populateMetrics(cfg RunConfig, res *Result, h *harness) {
 		m.Add(fmt.Sprintf("voq.r%d.marks", rack.ID), int64(marks))
 	}
 
-	// Live (not Pending) so stopped-but-unpopped timers don't inflate the
-	// reported queue depth.
+	// Timers still armed at the horizon: the queue holds no stopped ones.
 	m.Set("sim.live_timers", float64(h.loop.Live()))
 	if cfg.Tracer != nil {
 		m.Add("trace.events", int64(cfg.Tracer.Count()))

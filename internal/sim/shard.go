@@ -207,8 +207,7 @@ func (e *ShardedLoop) RunUntil(end Time) {
 
 // --- Loop engine hooks -------------------------------------------------
 
-// head reports the firing time of the loop's earliest live event,
-// discarding stopped entries.
+// head reports the firing time of the loop's earliest pending event.
 func (l *Loop) head() (Time, bool) { return l.peek() }
 
 // setNowAtLeast advances the clock to t without executing anything. The

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -243,41 +244,34 @@ func TestTimeHelpers(t *testing.T) {
 	}
 }
 
-func TestLiveAndStopCompaction(t *testing.T) {
+// TestStopRemovesAtOnce checks that a stopped timer leaves the queue at the
+// Stop: Live and the heap length both drop by one, and the slot is free for
+// the very next timer.
+func TestStopRemovesAtOnce(t *testing.T) {
 	l := NewLoop(1)
+	var fired []Time
 	var keep []Timer
 	for i := 0; i < 10; i++ {
-		keep = append(keep, l.At(Time(100+i), func() {}))
+		keep = append(keep, l.At(Time(100+i), func() { fired = append(fired, l.Now()) }))
 	}
-	// Stop 5 of 10: cancelled timers do not yet outnumber live ones, so the
-	// queue keeps the lazy-deleted entries and Live discounts them in O(1).
-	for i := 0; i < 5; i++ {
-		keep[i].Stop()
+	for n, i := range []int{4, 0, 8, 2, 6, 1} {
+		if !keep[i].Stop() {
+			t.Fatalf("Stop of pending timer %d reported false", i)
+		}
+		if live := 9 - n; l.Live() != live || len(l.events) != live {
+			t.Fatalf("after %d stops: Live = %d, heap length %d, want %d", n+1, l.Live(), len(l.events), live)
+		}
+		checkHeap(t, l)
+		if got := l.free[len(l.free)-1]; got != keep[i].slot {
+			t.Fatalf("after %d stops: next free slot %d, want the stopped timer's %d", n+1, got, keep[i].slot)
+		}
 	}
-	if p := l.Pending(); p != 10 {
-		t.Fatalf("Pending = %d, want 10", p)
-	}
-	if live := l.Live(); live != 5 {
-		t.Fatalf("Live = %d, want 5", live)
-	}
-	// The sixth Stop tips cancelled past half the queue and triggers the
-	// compaction sweep: Pending drops to the live count.
-	keep[5].Stop()
-	if p := l.Pending(); p != 4 {
-		t.Fatalf("Pending after compaction = %d, want 4", p)
-	}
-	if live := l.Live(); live != 4 {
-		t.Fatalf("Live after compaction = %d, want 4", live)
-	}
-	// The surviving timers still fire in order.
-	fired := 0
-	l.At(99, func() { fired++ })
 	l.Run()
-	if fired != 1 || l.Now() != 109 {
-		t.Fatalf("fired=%d now=%v", fired, l.Now())
+	if want := []Time{103, 105, 107, 109}; !slices.Equal(fired, want) {
+		t.Fatalf("survivors fired at %v, want %v", fired, want)
 	}
-	if l.Live() != 0 {
-		t.Fatalf("Live after drain = %d", l.Live())
+	if l.Live() != 0 || len(l.events) != 0 {
+		t.Fatalf("after drain: Live = %d, heap length %d", l.Live(), len(l.events))
 	}
 }
 
@@ -309,22 +303,25 @@ func TestStaleTimerHandle(t *testing.T) {
 		t.Fatal("recycled timer did not fire")
 	}
 
-	// Same for a stopped-and-compacted timer: force compaction by stopping
-	// past half the queue, then check the stale handles stay inert.
+	// Same for a stopped timer: its slot is recycled at the Stop, and the
+	// stale handle stays inert against the timer that reuses it.
 	var old []Timer
 	for i := 0; i < 8; i++ {
 		old = append(old, l.At(l.Now()+Time(100+i), func() {}))
 	}
 	for i := 0; i < 5; i++ {
-		old[i].Stop() // the 5th Stop compacts (5*2 > 8)
+		old[i].Stop()
 	}
 	refill := make([]Timer, 5)
 	for i := range refill {
 		refill[i] = l.At(l.Now()+Time(200+i), func() {})
 	}
 	for i := 0; i < 5; i++ {
+		if refill[i].slot != old[4-i].slot {
+			t.Fatalf("refill %d took slot %d, want the stopped timer's %d", i, refill[i].slot, old[4-i].slot)
+		}
 		if old[i].Stop() || old[i].Active() {
-			t.Fatalf("stale handle %d still bites after compaction", i)
+			t.Fatalf("stale handle %d still bites after its slot was recycled", i)
 		}
 	}
 	for i, tm := range refill {
@@ -335,9 +332,10 @@ func TestStaleTimerHandle(t *testing.T) {
 	l.Run()
 }
 
-// TestSameInstantAfterCompaction checks the (at, seq) ordering survives the
-// compaction rebuild: same-instant events still fire in scheduling order.
-func TestSameInstantAfterCompaction(t *testing.T) {
+// TestSameInstantAfterRemovals checks the (at, seq) ordering survives
+// removals from the middle of the heap: same-instant events still fire in
+// scheduling order.
+func TestSameInstantAfterRemovals(t *testing.T) {
 	l := NewLoop(1)
 	var order []int
 	var cancel []Timer
@@ -345,9 +343,11 @@ func TestSameInstantAfterCompaction(t *testing.T) {
 		i := i
 		cancel = append(cancel, l.At(50, func() { order = append(order, i) }))
 	}
-	// Cancel all odd timers; the sweep triggers partway through.
-	for i := 1; i < 32; i += 2 {
+	// Cancel all odd timers, from the middle of the heap outwards.
+	for i := 15; i >= 1; i -= 2 {
 		cancel[i].Stop()
+		cancel[32-i].Stop()
+		checkHeap(t, l)
 	}
 	l.Run()
 	if len(order) != 16 {
@@ -355,7 +355,7 @@ func TestSameInstantAfterCompaction(t *testing.T) {
 	}
 	for j, v := range order {
 		if v != 2*j {
-			t.Fatalf("order[%d] = %d, want %d (FIFO broken by compaction)", j, v, 2*j)
+			t.Fatalf("order[%d] = %d, want %d (FIFO broken by removal)", j, v, 2*j)
 		}
 	}
 }
@@ -368,17 +368,27 @@ func TestLoopTracerEmitsFireEvents(t *testing.T) {
 	l.After(1, func() {})
 	l.Run()
 
+	// Payload: the number of events still to fire after this one, and the
+	// fired count. A stopped timer is not among them.
 	flight := trace.NewFlight(8, trace.CatSim)
 	l.SetTracer((*trace.Tracer)(nil).WithFlight(flight))
 	l.After(1, func() {})
-	l.After(2, func() {})
+	l.After(2, func() {}).Stop()
+	l.After(3, func() { l.After(1, func() {}) })
+	l.After(4, func() {})
 	l.Run()
-	if got := flight.Len(); got != 2 {
-		t.Fatalf("fire events = %d, want 2", got)
+	want := []struct {
+		ts    int64
+		depth float64
+		fired float64
+	}{{2, 2, 2}, {4, 1, 3}, {5, 1, 4}, {5, 0, 5}}
+	evs := flight.Events()
+	if len(evs) != len(want) {
+		t.Fatalf("fire events = %d, want %d", len(evs), len(want))
 	}
-	for _, ev := range flight.Events() {
-		if ev.Cat != "sim" || ev.Name != "fire" {
-			t.Fatalf("unexpected event %+v", ev)
+	for i, ev := range evs {
+		if ev.Cat != "sim" || ev.Name != "fire" || ev.TS != want[i].ts || ev.A != want[i].depth || ev.B != want[i].fired {
+			t.Fatalf("event %d = %+v, want fire at %d with payload (%v, %v)", i, ev, want[i].ts, want[i].depth, want[i].fired)
 		}
 	}
 }
