@@ -44,6 +44,21 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'NewSharded|ShardedLoop|Clus
 	exit 1
 fi
 
+# One flow builder (ROADMAP item 7): every flow of every variant is wired
+# through the host muxes, and newMuxNet is what installs a host's upcalls.
+# Outside internal/rdcn/ and benchmark/, non-test Go may assign a Host's Recv,
+# NotifyTDN or NotifyPreChange in that function only, so a second wiring
+# cannot come back.
+if find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/rdcn/*' ! -path '*/testdata/*' -print0 |
+	xargs -0 awk '
+	FNR == 1 { fn = "" }
+	/^func / { fn = $0 }
+	/\.(Recv|NotifyTDN|NotifyPreChange)[ \t]*(,[^=]*)?=[^=]/ && fn !~ /^func newMuxNet\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+	END { exit !found }'; then
+	echo "ci.sh: host upcalls assigned outside newMuxNet" >&2
+	exit 1
+fi
+
 # Code size, counted one way: non-test Go lines outside benchmark/ and
 # testdata/, per package group and in total. This is the number a simplicity
 # PR is judged by, so the gate prints it instead of every PR recounting it

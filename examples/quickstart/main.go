@@ -21,10 +21,11 @@ func main() {
 		panic(err)
 	}
 
-	flow, err := tdtcp.BuildFlow(net, 0, tdtcp.TDTCP, tdtcp.FlowOptions{})
+	flows, err := tdtcp.BuildFlows(net, 1, tdtcp.TDTCP, tdtcp.FlowOptions{})
 	if err != nil {
 		panic(err)
 	}
+	flow := flows[0]
 
 	weeks := 20
 	end := tdtcp.Time(tdtcp.Duration(weeks) * cfg.Schedule.Week())

@@ -366,43 +366,19 @@ func Run(cfg RunConfig) (*Result, error) {
 }
 
 // newRunHarness is the set-up half of Run: the harness for cfg (defaults
-// already filled) with Run's cfg.Flows long-running flows wired and
-// registered, none started — host pair i of the two-rack testbed, or ring
-// placement through a mux on a rotor fabric.
+// already filled) with Run's cfg.Flows long-running flows placed (see place),
+// wired through one muxNet and registered, none started. The network has just
+// the hosts the placement uses.
 func newRunHarness(cfg *RunConfig) (*harness, error) {
-	hostsPerRack := cfg.Flows
-	racks := cfg.Scenario.Racks
-	if racks > 2 {
-		switch cfg.Variant {
-		case MPTCP, ReTCP, ReTCPDyn:
-			// Subflow pinning and the circuit-up/down signal are defined
-			// against the two-rack hybrid; the rotor fabric has no single
-			// "circuit" for a host to react to.
-			return nil, fmt.Errorf("experiments: variant %s supports only 2 racks", cfg.Variant)
-		default:
-			// Cubic, DCTCP, Reno, TDTCP run on any rack count.
-		}
-		// Ring placement: flow i runs rack i%racks -> rack (i%racks)+1,
-		// host i/racks on both sides.
-		hostsPerRack = (cfg.Flows + racks - 1) / racks
-	}
-	h, err := newHarness(cfg, fmt.Sprintf("%s on %s", cfg.Variant, cfg.Scenario.Name), hostsPerRack)
+	_, _, lastHost := place(cfg.Scenario.Racks, cfg.Flows-1)
+	h, err := newHarness(cfg, fmt.Sprintf("%s on %s", cfg.Variant, cfg.Scenario.Name), lastHost+1)
 	if err != nil {
 		return nil, err
 	}
 	defer h.dumpOnPanic()
-	var mn *muxNet
-	if racks > 2 {
-		mn = newMuxNet(h.net, h.pool, cfg.Variant, cfg.Flow)
-	}
+	mn := newMuxNet(h.net, h.pool, cfg.Variant, cfg.Flow)
 	for i := 0; i < cfg.Flows; i++ {
-		var f *Flow
-		if mn != nil {
-			src := i % racks
-			f, err = mn.BuildFlow(src, i/racks, (src+1)%racks, i/racks, uint16(40000+i))
-		} else {
-			f, err = buildFlow(h.net, i, cfg.Variant, cfg.Flow, h.pool)
-		}
+		f, err := mn.runFlow(i)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"github.com/rdcn-net/tdtcp/internal/core"
 	"github.com/rdcn-net/tdtcp/internal/rdcn"
 	"github.com/rdcn-net/tdtcp/internal/sim"
+	"github.com/rdcn-net/tdtcp/internal/tcp"
 )
 
 // TestPaperOrdering is the repository's core integration assertion: with the
@@ -159,23 +160,56 @@ func TestFigureRunnersQuick(t *testing.T) {
 	}
 }
 
-func TestBuildFlowValidation(t *testing.T) {
-	loop := sim.NewLoop(1)
-	cfg := rdcn.DefaultConfig()
-	cfg.HostsPerRack = 2
-	net, err := rdcn.New(loop, cfg)
+// TestBuildFlowsValidation: BuildFlows refuses more flows than the network has
+// hosts for and the two-rack constructs on a rotor, the latter with the one
+// error; and an MPTCP flow binds one port per TDN on each of its hosts, each
+// port demultiplexed to its own subflow.
+func TestBuildFlowsValidation(t *testing.T) {
+	newNet := func(sc Scenario) *rdcn.Network {
+		cfg := rdcn.DefaultConfig()
+		cfg.Racks, cfg.HostsPerRack = sc.Racks, 2
+		cfg.TDNs, cfg.Schedule = sc.TDNs, sc.Schedule
+		net, err := rdcn.New(sim.NewLoop(1), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	if _, err := BuildFlows(newNet(Hybrid()), 3, Cubic, FlowOptions{}); err == nil {
+		t.Error("3 flows accepted on 2 hosts per rack")
+	}
+	var msgs []string
+	for _, v := range []Variant{MPTCP, ReTCP, ReTCPDyn} {
+		_, err := BuildFlows(newNet(MultiRack(4)), 1, v, FlowOptions{})
+		if err == nil {
+			t.Fatalf("%s accepted on 4 racks", v)
+		}
+		msgs = append(msgs, strings.ReplaceAll(err.Error(), string(v), "V"))
+	}
+	if msgs[0] != msgs[1] || msgs[1] != msgs[2] {
+		t.Errorf("the two-rack constructs are refused with different errors: %q", msgs)
+	}
+
+	// BuildFlows is newMuxNet and runFlow; the mux is needed to see the ports.
+	net := newNet(Hybrid())
+	mn := newMuxNet(net, nil, MPTCP, FlowOptions{})
+	f, err := mn.runFlow(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildFlow(net, 5, Cubic, FlowOptions{}); err == nil {
-		t.Fatal("out-of-range host accepted")
-	}
-	f, err := BuildFlow(net, 1, MPTCP, FlowOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.MSnd == nil || len(f.MSnd.Subflows()) != 2 {
-		t.Fatal("mptcp flow not built with 2 subflows")
+	ntdns := len(net.Cfg.TDNs)
+	for _, end := range []struct {
+		m    *hostMux
+		subs []*tcp.Conn
+	}{{mn.muxes[0][1], f.MSnd.Subflows()}, {mn.muxes[1][1], f.MRcv.Subflows()}} {
+		if len(end.m.conns) != ntdns || len(end.subs) != ntdns {
+			t.Fatalf("host %x binds %d ports for %d subflows, want %d of each", end.m.host.Addr, len(end.m.conns), len(end.subs), ntdns)
+		}
+		for k, sub := range end.subs {
+			if port := sub.LocalPort; end.m.conns[port] != sub || port != uint16(40001+k) {
+				t.Errorf("host %x: subflow %d is on port %d, which maps to %p, not to it", end.m.host.Addr, k, port, end.m.conns[port])
+			}
+		}
 	}
 }
 

@@ -66,10 +66,11 @@ func TestInvariantFailureDumpsFlight(t *testing.T) {
 	chk.SetFlight(flight, &dump)
 	chk.WatchNetwork(net)
 
-	f, err := BuildFlow(net, 0, TDTCP, FlowOptions{})
+	flows, err := BuildFlows(net, 1, TDTCP, FlowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := flows[0]
 	f.SetTracer(tracer, 0)
 	chk.WatchConn(f.Snd, 0)
 	chk.WatchConn(f.Rcv, 0)

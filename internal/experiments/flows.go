@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/rdcn-net/tdtcp/internal/cc"
 	"github.com/rdcn-net/tdtcp/internal/core"
@@ -35,8 +36,8 @@ const (
 // AllVariants lists every transport in the Fig. 7 legend order.
 var AllVariants = []Variant{ReTCPDyn, TDTCP, ReTCP, DCTCP, Cubic, MPTCP}
 
-// Flow is one sender/receiver pair between corresponding hosts of the two
-// racks.
+// Flow is one sender/receiver pair between two hosts of a network, wired
+// through the hosts' muxes (see muxNet.BuildFlow).
 type Flow struct {
 	Variant Variant
 
@@ -173,8 +174,7 @@ func ccFactoryFor(v Variant, opt FlowOptions) cc.Factory {
 
 // endpointConfig builds the tcp.Config of one endpoint, sender or receiver
 // alike, of a non-MPTCP variant: CC factory, pacing, ECN, and (for TDTCP) the
-// endpoint's own per-TDN state policy. Shared between the two-rack BuildFlow
-// wiring and the multi-rack mux path.
+// endpoint's own per-TDN state policy.
 func endpointConfig(net *rdcn.Network, v Variant, opt FlowOptions, pool *tcp.Pool) (tcp.Config, error) {
 	ntdns := len(net.Cfg.TDNs)
 	pacing := opt.Pacing
@@ -215,137 +215,272 @@ func endpointConfig(net *rdcn.Network, v Variant, opt FlowOptions, pool *tcp.Poo
 	return cfg, nil
 }
 
-// BuildFlow wires one flow of the given variant between host i of rack 0
-// (sender) and host i of rack 1 (receiver), registering receive and
-// notification upcalls on both hosts. Each connection gets a private
-// tcp.Pool.
-func BuildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions) (*Flow, error) {
-	return buildFlow(net, i, v, opt, nil)
+// listener is what a host's TDN-change notification is fanned out to: a
+// TDTCP endpoint (*tcp.Conn), one end of an MPTCP flow (*mptcpEnd) or a reTCP
+// sender (*retcpSender).
+type listener interface {
+	Notify(tdn int, epoch uint32)
 }
 
-// buildFlow is BuildFlow with the pool both endpoints draw their
-// retransmission-queue storage from: the harness passes the run's (see
-// harness.pool), nil gives each connection a private one.
-func buildFlow(net *rdcn.Network, i int, v Variant, opt FlowOptions, pool *tcp.Pool) (*Flow, error) {
-	if i < 0 || i >= net.Cfg.HostsPerRack {
-		return nil, fmt.Errorf("experiments: host index %d out of range", i)
+// hostMux is one host's transport stack: it demultiplexes the host's frames
+// to its connections by TCP destination port, and fans TDN-change
+// notifications out to the host's listeners. Every flow is wired through the
+// muxes of its two hosts, whether a host carries one connection (a Run on the
+// two-rack testbed) or many (a workload).
+//
+// An endpoint's two memberships have different lifetimes. Its place in notify
+// — the §3.2 "every TDTCP socket on the host" set — begins at
+// muxNet.BuildFlow and ends at muxNet.leave, so what a TDN change costs a
+// host follows the flows open on it. Its port is bound in conns by BuildFlow
+// and outlives leave by a linger, TCP's TIME_WAIT: a receiver must still
+// (D-)SACK a retransmission that arrives after the flow completed. At
+// muxNet.release the port is unbound and the connection's queue storage goes
+// back to the run's pool, so what a host holds follows the flows open or
+// lingering on it, not the flows it ever carried. A segment for an unbound port is
+// dropped and counted, as a host does after TIME_WAIT. The released connection
+// itself is parked for a later arrival to reopen (muxNet.parked).
+//
+// The map is looked up, never ranged over, and notify keeps join order
+// (fan-out order is trace order), so event order stays deterministic.
+type hostMux struct {
+	host   *rdcn.Host
+	send   func(*packet.Segment) // host.Send, bound once: the Out of every endpoint here
+	seg    packet.Segment
+	conns  map[uint16]*tcp.Conn
+	notify []listener
+	cur    int    // the TDN last notified; MPTCP subflow gates hold to it
+	late   uint64 // segments dropped for want of a bound port
+}
+
+func newHostMux(host *rdcn.Host) *hostMux {
+	m := &hostMux{host: host, send: host.Send, conns: make(map[uint16]*tcp.Conn)}
+	m.seg.TCP.SACK = make([]packet.SACKBlock, 0, 4)
+	return m
+}
+
+func (m *hostMux) recv(fr netem.Frame) {
+	if err := packet.Parse(fr.Wire, &m.seg); err != nil {
+		return // corrupted frames are dropped silently, as on a real NIC
 	}
-	h0, h1 := net.Racks[0].Hosts[i], net.Racks[1].Hosts[i]
-	loop := net.Loop
-	ntdns := len(net.Cfg.TDNs)
-	f := &Flow{Variant: v}
-
-	if v == MPTCP {
-		buildMPTCP(f, loop, h0, h1, ntdns, opt, pool)
-		return f, nil
+	c, ok := m.conns[m.seg.TCP.DstPort]
+	if !ok {
+		m.late++
+		return
 	}
+	c.Input(&m.seg)
+}
 
-	sndCfg, err := endpointConfig(net, v, opt, pool)
-	if err != nil {
-		return nil, err
+func (m *hostMux) notifyTDN(tdn int, epoch uint32) {
+	m.cur = tdn
+	for _, l := range m.notify {
+		l.Notify(tdn, epoch)
 	}
-	rcvCfg, err := endpointConfig(net, v, opt, pool)
-	if err != nil {
-		return nil, err
-	}
+}
 
-	f.Snd = tcp.NewConn(loop, sndCfg, func(s *packet.Segment) { h0.Send(s) })
-	f.Rcv = tcp.NewConn(loop, rcvCfg, func(s *packet.Segment) { h1.Send(s) })
-	f.Snd.LocalAddr, f.Snd.RemoteAddr = h0.Addr, h1.Addr
-	f.Snd.LocalPort, f.Snd.RemotePort = 40000, 5000
-	f.Rcv.LocalAddr, f.Rcv.RemoteAddr = h1.Addr, h0.Addr
-	f.Rcv.LocalPort, f.Rcv.RemotePort = 5000, 40000
-	f.Rcv.Listen()
-
-	h0.Recv = inputAdapter(f.Snd)
-	h1.Recv = inputAdapter(f.Rcv)
-
-	switch v {
-	case TDTCP:
-		h0.NotifyTDN = func(tdn int, epoch uint32) { f.Snd.Notify(tdn, epoch) }
-		h1.NotifyTDN = func(tdn int, epoch uint32) { f.Rcv.Notify(tdn, epoch) }
-	case ReTCP, ReTCPDyn:
-		react := opt.ReTCPReactDelay
-		if react == 0 {
-			react = 40 * sim.Microsecond
+// notifyPreChange passes the retcpdyn advance circuit-up signal to the host's
+// reTCP senders.
+func (m *hostMux) notifyPreChange(tdn int) {
+	for _, l := range m.notify {
+		if s, ok := l.(*retcpSender); ok {
+			s.preChange(tdn)
 		}
-		if v == ReTCPDyn {
-			react = 0 // the switch notifies explicitly ahead of time
+	}
+}
+
+// leave takes c out of the notify set, keeping the others in join order.
+func (m *hostMux) leave(c *tcp.Conn) {
+	if i := slices.Index(m.notify, listener(c)); i >= 0 {
+		m.notify = slices.Delete(m.notify, i, i+1)
+	}
+}
+
+// muxNet overlays a hostMux on every host of a network and is the one way
+// flows are wired onto it, between arbitrary rack/host pairs. Every flow of
+// one muxNet is of one variant with one set of FlowOptions, which is what
+// makes a released endpoint fit the next flow.
+type muxNet struct {
+	net     *rdcn.Network
+	variant Variant
+	opt     FlowOptions
+	pool    *tcp.Pool           // every endpoint's queue storage: the harness's in a run
+	muxes   [][]*hostMux        // [rack][host]
+	byAddr  map[uint32]*hostMux // the same muxes by host address, for leave
+
+	// parked holds the endpoints release has retired, oldest first, until an
+	// arrival reopens them (DESIGN.md §10 "Endpoint reuse").
+	parked []*tcp.Conn
+	// built and reopened count the endpoints constructed and the times one
+	// was reopened: two per flow between them. refused counts the parked
+	// endpoints an arrival passed over because a timer of theirs was pending.
+	built, reopened, refused int
+	// noReuse makes every arrival construct its endpoints: the reference
+	// this package's tests hold reuse against.
+	noReuse bool
+}
+
+// newMuxNet takes over every host's upcalls: frames, TDN-change
+// notifications and the retcpdyn advance signal all go through the host's mux.
+func newMuxNet(net *rdcn.Network, pool *tcp.Pool, v Variant, opt FlowOptions) *muxNet {
+	mn := &muxNet{net: net, variant: v, opt: opt, pool: pool,
+		muxes: make([][]*hostMux, len(net.Racks)), byAddr: make(map[uint32]*hostMux)}
+	for r, rack := range net.Racks {
+		mn.muxes[r] = make([]*hostMux, len(rack.Hosts))
+		for h, host := range rack.Hosts {
+			m := newHostMux(host)
+			mn.muxes[r][h] = m
+			mn.byAddr[host.Addr] = m
+			host.Recv = m.recv
+			host.NotifyTDN = m.notifyTDN
+			host.NotifyPreChange = m.notifyPreChange
 		}
-		// Plain reTCP discovers circuit state from in-band packet marks:
-		// roughly one optical RTT late on establishment and one packet RTT
-		// late on teardown — during which it keeps sending at circuit rate
-		// into the packet network. retcpdyn gets explicit advance signals.
-		downDelay := 2 * react
-		h0.NotifyTDN = func(tdn int, epoch uint32) {
-			if tdn == 1 {
-				if react > 0 {
-					loop.After(react, func() { f.Snd.CircuitUp() })
-				} else {
-					f.Snd.CircuitUp()
-				}
-			} else {
-				if downDelay > 0 {
-					loop.After(downDelay, func() { f.Snd.CircuitDown() })
-				} else {
-					f.Snd.CircuitDown()
-				}
-			}
+	}
+	return mn
+}
+
+// place is Run's placement of flow i on a fabric of the given rack count. On
+// the two-rack testbed host i of rack 0 sends to host i of rack 1; on a rotor
+// the flows go round the ring, flow i from rack i%racks to the next rack, host
+// i/racks on both sides.
+func place(racks, i int) (src, dst, host int) {
+	if racks <= 2 {
+		return 0, 1, i
+	}
+	return i % racks, (i%racks + 1) % racks, i / racks
+}
+
+// runFlow wires flow i of a Run: placed by place, on port 40000+i.
+func (mn *muxNet) runFlow(i int) (*Flow, error) {
+	src, dst, host := place(len(mn.net.Racks), i)
+	return mn.BuildFlow(src, host, dst, host, uint16(40000+i))
+}
+
+// BuildFlows wires n flows of variant v onto net, placed and wired exactly as
+// Run places and wires its flows, none started. The flows' mux takes over every
+// host's upcalls, so call it once per network.
+func BuildFlows(net *rdcn.Network, n int, v Variant, opt FlowOptions) ([]*Flow, error) {
+	mn := newMuxNet(net, new(tcp.Pool), v, opt)
+	var flows []*Flow
+	for i := 0; i < n; i++ {
+		f, err := mn.runFlow(i)
+		if err != nil {
+			return nil, err
 		}
-		h0.NotifyPreChange = func(tdn int) {
-			if tdn == 1 {
-				f.Snd.CircuitUp() // retcpdyn: advance ramp with the buffer resize
-			}
+		flows = append(flows, f)
+	}
+	return flows, nil
+}
+
+// BuildFlow wires one flow of the muxNet's variant from (srcRack, srcHost) to
+// (dstRack, dstHost). Both endpoints use the same port number, which must be
+// unique per endpoint host among the ports bound at the time — it is the demux
+// key on both sides; subflow k of an MPTCP flow takes port+k. A single-path
+// endpoint is the oldest parked one that can be reopened, or else a new one.
+// The flow's listeners join their hosts' notify sets here — both endpoints of
+// a TDTCP or MPTCP flow, the sender of a reTCP one — and a TDTCP flow's leave
+// them at leave; the ports are unbound at release. MPTCP and the reTCP
+// variants are two-rack constructs and are refused on more racks.
+func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16) (*Flow, error) {
+	ports := 1
+	switch mn.variant {
+	case MPTCP, ReTCP, ReTCPDyn:
+		if len(mn.net.Racks) > 2 {
+			// Subflow pinning and the circuit-up/down signal are defined
+			// against the two-rack hybrid; the rotor fabric has no single
+			// "circuit" for a host to react to.
+			return nil, fmt.Errorf("experiments: variant %s supports only 2 racks", mn.variant)
+		}
+		if mn.variant == MPTCP {
+			ports = len(mn.net.Cfg.TDNs)
 		}
 	default:
-		// Cubic, DCTCP, Reno, MPTCP: loss/ECN-driven variants take no
-		// explicit TDN signal (MPTCP flows are built by BuildMPTCPFlow).
+		// Cubic, DCTCP, Reno, TDTCP are single-path and rack-count-agnostic.
+	}
+	for _, ep := range [...]struct{ rack, host int }{{srcRack, srcHost}, {dstRack, dstHost}} {
+		if ep.rack < 0 || ep.rack >= len(mn.net.Racks) {
+			return nil, fmt.Errorf("experiments: rack %d out of range", ep.rack)
+		}
+		if ep.host < 0 || ep.host >= len(mn.net.Racks[ep.rack].Hosts) {
+			return nil, fmt.Errorf("experiments: host %d out of range", ep.host)
+		}
+	}
+	if srcRack == dstRack && srcHost == dstHost {
+		return nil, fmt.Errorf("experiments: flow endpoints coincide (rack %d host %d)", srcRack, srcHost)
+	}
+	sm, dm := mn.muxes[srcRack][srcHost], mn.muxes[dstRack][dstHost]
+	for k := 0; k < ports; k++ {
+		p := port + uint16(k)
+		for _, m := range [...]*hostMux{sm, dm} {
+			if _, dup := m.conns[p]; dup {
+				return nil, fmt.Errorf("experiments: port %d already in use on rack %d host %d", p, m.host.Rack.ID, m.host.ID)
+			}
+		}
+	}
+	if mn.variant == MPTCP {
+		return mn.buildMPTCP(sm, dm, port), nil
+	}
+
+	// Sender first, as always: a TDTCP policy may arm its deadman when it
+	// attaches, and arming order is trace order.
+	f := &Flow{Variant: mn.variant}
+	var err error
+	if f.Snd, err = mn.endpoint(sm); err != nil {
+		return nil, err
+	}
+	if f.Rcv, err = mn.endpoint(dm); err != nil {
+		return nil, err
+	}
+	f.Snd.LocalAddr, f.Snd.RemoteAddr = sm.host.Addr, dm.host.Addr
+	f.Snd.LocalPort, f.Snd.RemotePort = port, port
+	f.Rcv.LocalAddr, f.Rcv.RemoteAddr = dm.host.Addr, sm.host.Addr
+	f.Rcv.LocalPort, f.Rcv.RemotePort = port, port
+	f.Rcv.Listen()
+
+	sm.conns[port] = f.Snd
+	dm.conns[port] = f.Rcv
+	switch mn.variant {
+	case TDTCP:
+		sm.notify = append(sm.notify, f.Snd)
+		dm.notify = append(dm.notify, f.Rcv)
+	case ReTCP, ReTCPDyn:
+		sm.notify = append(sm.notify, mn.newRetcpSender(f.Snd))
+	default:
+		// Cubic, DCTCP, Reno: loss/ECN-driven variants take no explicit TDN
+		// signal.
 	}
 	return f, nil
 }
 
-// inputAdapter parses frames into a reusable segment and feeds the conn.
-func inputAdapter(c *tcp.Conn) func(netem.Frame) {
-	seg := &packet.Segment{}
-	seg.TCP.SACK = make([]packet.SACKBlock, 0, 4)
-	return func(fr netem.Frame) {
-		if err := packet.Parse(fr.Wire, seg); err != nil {
-			return // corrupted frames are dropped silently, as on a real NIC
+// endpoint returns a connection for one end of a new flow on host m: the
+// oldest parked endpoint whose timers have run out, reopened, or failing that
+// a new one. An endpoint passed over stays parked for a later arrival: its
+// retransmission timer can be owed a fire for up to MaxRTO after the flow
+// ended, which the linger does not cover.
+func (mn *muxNet) endpoint(m *hostMux) (*tcp.Conn, error) {
+	list := mn.parked
+	if mn.noReuse {
+		list = nil
+	}
+	for i, c := range list {
+		if c.Reopen(m.send) {
+			mn.parked = slices.Delete(list, i, i+1)
+			mn.reopened++
+			return c, nil
 		}
-		c.Input(seg)
+		mn.refused++
 	}
-}
-
-// subflowGate holds a subflow's outgoing segments at the host while the
-// subflow's TDN is inactive: the paper's MPTCP "pins" subflows via the
-// tdm_schd scheduler at both endpoints, so data AND acknowledgments of an
-// inactive subflow wait in the host's send queue until that TDN returns
-// (§2.2, §3.3 — the cause of MPTCP's flow-control stalls).
-type subflowGate struct {
-	host *rdcn.Host
-	tdn  int
-	cur  *int // host's current notified TDN
-	held []*packet.Segment
-}
-
-func (g *subflowGate) send(s *packet.Segment) {
-	if *g.cur != g.tdn {
-		// The connection reuses the segment's storage after send returns
-		// (the Conn.Out contract), so a held segment must be a deep copy.
-		g.held = append(g.held, s.Clone())
-		return
+	cfg, err := endpointConfig(mn.net, mn.variant, mn.opt, mn.pool)
+	if err != nil {
+		return nil, err
 	}
-	g.host.Send(s)
+	mn.built++
+	return tcp.NewConn(mn.net.Loop, cfg, m.send), nil
 }
 
-func (g *subflowGate) flush() {
-	for _, s := range g.held {
-		g.host.Send(s)
-	}
-	g.held = nil
-}
-
-func buildMPTCP(f *Flow, loop *sim.Loop, h0, h1 *rdcn.Host, ntdns int, opt FlowOptions, pool *tcp.Pool) {
+// buildMPTCP wires an MPTCP flow from sm's host to dm's: one subflow per TDN,
+// subflow k on port port+k at both ends, and each end in its host's notify
+// set.
+func (mn *muxNet) buildMPTCP(sm, dm *hostMux, port uint16) *Flow {
+	opt := mn.opt
 	minRTO := opt.MinRTO
 	if minRTO == 0 {
 		// Stranded subflows must not melt down in RTO storms between their
@@ -354,62 +489,162 @@ func buildMPTCP(f *Flow, loop *sim.Loop, h0, h1 *rdcn.Host, ntdns int, opt FlowO
 		minRTO = 10 * sim.Millisecond
 	}
 	sub := tcp.Config{CC: ccFactoryFor(MPTCP, opt), MinRTO: minRTO, MaxRTO: opt.MaxRTO,
-		Pacing: opt.Pacing, MSS: opt.MSS, RcvBuf: opt.RcvBuf, Pool: pool}
-	mcfg := mptcp.Config{NumSubflows: ntdns, Sub: sub, ReinjectDelay: opt.ReinjectDelay, SendBuf: opt.MPTCPSendBuf}
+		Pacing: opt.Pacing, MSS: opt.MSS, RcvBuf: opt.RcvBuf, Pool: mn.pool}
+	cfg := mptcp.Config{NumSubflows: len(mn.net.Cfg.TDNs), Sub: sub, ReinjectDelay: opt.ReinjectDelay, SendBuf: opt.MPTCPSendBuf}
+	snd, rcv := newMPTCPEnd(mn.net.Loop, sm, cfg), newMPTCPEnd(mn.net.Loop, dm, cfg)
+	for k, s := range snd.conn.Subflows() {
+		r, p := rcv.conn.Subflows()[k], port+uint16(k)
+		s.LocalAddr, s.RemoteAddr = sm.host.Addr, dm.host.Addr
+		s.LocalPort, s.RemotePort = p, p
+		r.LocalAddr, r.RemoteAddr = dm.host.Addr, sm.host.Addr
+		r.LocalPort, r.RemotePort = p, p
+		sm.conns[p], dm.conns[p] = s, r
+	}
+	rcv.conn.Listen()
+	sm.notify = append(sm.notify, snd)
+	dm.notify = append(dm.notify, rcv)
+	return &Flow{Variant: MPTCP, MSnd: snd.conn, MRcv: rcv.conn}
+}
 
-	cur0, cur1 := 0, 0
-	outs0 := make([]func(*packet.Segment), ntdns)
-	outs1 := make([]func(*packet.Segment), ntdns)
-	gates0 := make([]*subflowGate, ntdns)
-	gates1 := make([]*subflowGate, ntdns)
-	for k := 0; k < ntdns; k++ {
-		gates0[k] = &subflowGate{host: h0, tdn: k, cur: &cur0}
-		gates1[k] = &subflowGate{host: h1, tdn: k, cur: &cur1}
-		outs0[k] = gates0[k].send
-		outs1[k] = gates1[k].send
-	}
-	f.MSnd = mptcp.New(loop, mcfg, outs0)
-	f.MRcv = mptcp.New(loop, mcfg, outs1)
-	for k := 0; k < ntdns; k++ {
-		s, r := f.MSnd.Subflows()[k], f.MRcv.Subflows()[k]
-		s.LocalAddr, s.RemoteAddr = h0.Addr, h1.Addr
-		s.LocalPort, s.RemotePort = uint16(40000+k), uint16(5000+k)
-		r.LocalAddr, r.RemoteAddr = h1.Addr, h0.Addr
-		r.LocalPort, r.RemotePort = uint16(5000+k), uint16(40000+k)
-	}
-	f.MRcv.Listen()
-
-	h0.Recv = mptcpInputAdapter(f.MSnd, 40000, ntdns)
-	h1.Recv = mptcpInputAdapter(f.MRcv, 5000, ntdns)
-	h0.NotifyTDN = func(tdn int, epoch uint32) {
-		cur0 = tdn
-		if tdn >= 0 && tdn < ntdns {
-			gates0[tdn].flush()
+// leave retires a flow whose sender has seen its FIN acknowledged: both
+// endpoints stop receiving TDN notifications, and a notification deadman, if
+// armed, is stopped — with the notifications gone, silence would otherwise
+// engage it on a dead flow for the rest of the run. The ports stay bound until
+// release (see hostMux).
+func (mn *muxNet) leave(f *Flow) {
+	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
+		mn.byAddr[c.LocalAddr].leave(c)
+		if p, ok := c.Config().Policy.(*core.TDTCP); ok {
+			p.StopDeadman()
 		}
-		f.MSnd.Notify(tdn, epoch)
-	}
-	h1.NotifyTDN = func(tdn int, epoch uint32) {
-		cur1 = tdn
-		if tdn >= 0 && tdn < ntdns {
-			gates1[tdn].flush()
-		}
-		f.MRcv.Notify(tdn, epoch)
 	}
 }
 
-// mptcpInputAdapter dispatches frames to the right subflow by destination
-// port.
-func mptcpInputAdapter(m *mptcp.Conn, basePort, ntdns int) func(netem.Frame) {
-	seg := &packet.Segment{}
-	seg.TCP.SACK = make([]packet.SACKBlock, 0, 4)
-	return func(fr netem.Frame) {
-		if err := packet.Parse(fr.Wire, seg); err != nil {
-			return
+// release ends the linger of a flow that has left: both ports are unbound,
+// both connections return their retransmission-queue entries and queue
+// arrays to the pool, and each is parked. The flow's armed timers still fire,
+// as no-ops, so the event sequence is what it would have been.
+func (mn *muxNet) release(f *Flow) {
+	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
+		delete(mn.byAddr[c.LocalAddr].conns, c.LocalPort)
+		c.Release()
+		mn.parked = append(mn.parked, c)
+	}
+}
+
+// census sums the muxes over every host: the listeners one TDN change is
+// fanned out to, the ports bound, and the segments dropped at unbound ports.
+func (mn *muxNet) census() (notifyWidth, portsBound int, lateSegs uint64) {
+	for _, rack := range mn.muxes {
+		for _, m := range rack {
+			notifyWidth += len(m.notify)
+			portsBound += len(m.conns)
+			lateSegs += m.late
 		}
-		k := int(seg.TCP.DstPort) - basePort
-		if k < 0 || k >= ntdns {
-			return
-		}
-		m.Subflows()[k].Input(seg)
+	}
+	return notifyWidth, portsBound, lateSegs
+}
+
+// mptcpEnd is one end of an MPTCP flow as its host's listener. The paper's
+// MPTCP "pins" subflows via the tdm_schd scheduler at both endpoints, so data
+// AND acknowledgments of an inactive subflow wait in the host's send queue
+// until that TDN returns (§2.2, §3.3 — the cause of MPTCP's flow-control
+// stalls): a TDN change first releases what the gate of the subflow pinned to
+// it held, then steers the scheduler.
+type mptcpEnd struct {
+	conn  *mptcp.Conn
+	gates []subflowGate // one per subflow; gate k passes only during TDN k
+}
+
+func newMPTCPEnd(loop *sim.Loop, m *hostMux, cfg mptcp.Config) *mptcpEnd {
+	e := &mptcpEnd{gates: make([]subflowGate, cfg.NumSubflows)}
+	outs := make([]func(*packet.Segment), cfg.NumSubflows)
+	for k := range e.gates {
+		e.gates[k] = subflowGate{mux: m, tdn: k}
+		outs[k] = e.gates[k].send
+	}
+	e.conn = mptcp.New(loop, cfg, outs)
+	return e
+}
+
+func (e *mptcpEnd) Notify(tdn int, epoch uint32) {
+	if tdn >= 0 && tdn < len(e.gates) {
+		e.gates[tdn].flush()
+	}
+	e.conn.Notify(tdn, epoch)
+}
+
+// subflowGate holds a subflow's outgoing segments at the host while the
+// subflow's TDN is not the one its host was last notified of.
+type subflowGate struct {
+	mux  *hostMux
+	tdn  int
+	held []*packet.Segment
+}
+
+func (g *subflowGate) send(s *packet.Segment) {
+	if g.mux.cur != g.tdn {
+		// The connection reuses the segment's storage after send returns
+		// (the Conn.Out contract), so a held segment must be a deep copy.
+		g.held = append(g.held, s.Clone())
+		return
+	}
+	g.mux.send(s)
+}
+
+func (g *subflowGate) flush() {
+	for _, s := range g.held {
+		g.mux.send(s)
+	}
+	g.held = nil
+}
+
+// retcpSender is a reTCP sender as its host's listener: it forwards circuit
+// establishment (TDN 1) and teardown (any other TDN) to the sender's
+// circuit-aware CC, each after its reaction delay. Plain reTCP discovers
+// circuit state from in-band packet marks: roughly one optical RTT late on
+// establishment and one packet RTT late on teardown — during which it keeps
+// sending at circuit rate into the packet network. retcpdyn gets explicit
+// advance signals and reacts at once.
+type retcpSender struct {
+	loop     *sim.Loop
+	up, down sim.Dur
+	// The sender's CircuitUp and CircuitDown, bound once for the delayed
+	// calls.
+	circuitUp, circuitDown func()
+}
+
+func (mn *muxNet) newRetcpSender(c *tcp.Conn) *retcpSender {
+	react := mn.opt.ReTCPReactDelay
+	if react == 0 {
+		react = 40 * sim.Microsecond
+	}
+	if mn.variant == ReTCPDyn {
+		react = 0 // the switch notifies explicitly ahead of time
+	}
+	return &retcpSender{loop: mn.net.Loop, up: react, down: 2 * react,
+		circuitUp: c.CircuitUp, circuitDown: c.CircuitDown}
+}
+
+func (s *retcpSender) Notify(tdn int, _ uint32) {
+	if tdn == 1 {
+		s.react(s.up, s.circuitUp)
+	} else {
+		s.react(s.down, s.circuitDown)
+	}
+}
+
+func (s *retcpSender) react(delay sim.Dur, fn func()) {
+	if delay > 0 {
+		s.loop.After(delay, fn)
+	} else {
+		fn()
+	}
+}
+
+// preChange is retcpdyn's advance ramp, taken with the ToR's buffer resize.
+func (s *retcpSender) preChange(tdn int) {
+	if tdn == 1 {
+		s.circuitUp()
 	}
 }

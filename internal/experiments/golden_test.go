@@ -223,9 +223,10 @@ func TestGoldenMultiRackDeterminism(t *testing.T) {
 }
 
 // TestGoldenWorkloadSweepParity runs the same workload matrix through the
-// sequential and parallel SweepWorkload paths and requires identical results
-// cell by cell (the multi-rack counterpart of the PR 4 sweep parity gate;
-// under -race this doubles as its data-race check).
+// sweep worker pool sequentially and on 4 workers and requires identical
+// results cell by cell (the multi-rack counterpart of
+// TestSweepParallelMatchesSequential; under -race this doubles as its
+// data-race check).
 func TestGoldenWorkloadSweepParity(t *testing.T) {
 	var cfgs []WorkloadConfig
 	for _, v := range RotorVariants {
@@ -236,21 +237,33 @@ func TestGoldenWorkloadSweepParity(t *testing.T) {
 			})
 		}
 	}
-	seq := SweepWorkload(cfgs, 1)
-	par := SweepWorkload(cfgs, 4)
+	sweep := func(workers int) []*WorkloadResult {
+		out := make([]*WorkloadResult, len(cfgs))
+		sweepCells(len(cfgs), workers, nil, func(i int) error {
+			res, err := RunWorkload(cfgs[i])
+			if err != nil {
+				t.Errorf("cell %d (%s seed %d): %v", i, cfgs[i].Variant, cfgs[i].Seed, err)
+				return err
+			}
+			out[i] = res
+			return nil
+		})
+		return out
+	}
+	seq, par := sweep(1), sweep(4)
+	if t.Failed() {
+		t.FailNow()
+	}
 	for i := range cfgs {
 		s, p := seq[i], par[i]
-		if s.Err != nil || p.Err != nil {
-			t.Fatalf("cell %d errored: seq=%v par=%v", i, s.Err, p.Err)
-		}
-		sk := fmt.Sprintf("%v|%d|%d|%.6f|%.6f", s.Res.Variant, s.Res.FlowsStarted,
-			s.Res.FlowsCompleted, s.Res.GoodputGbps, s.Res.MeanVOQ)
-		pk := fmt.Sprintf("%v|%d|%d|%.6f|%.6f", p.Res.Variant, p.Res.FlowsStarted,
-			p.Res.FlowsCompleted, p.Res.GoodputGbps, p.Res.MeanVOQ)
+		sk := fmt.Sprintf("%v|%d|%d|%.6f|%.6f", s.Variant, s.FlowsStarted,
+			s.FlowsCompleted, s.GoodputGbps, s.MeanVOQ)
+		pk := fmt.Sprintf("%v|%d|%d|%.6f|%.6f", p.Variant, p.FlowsStarted,
+			p.FlowsCompleted, p.GoodputGbps, p.MeanVOQ)
 		if sk != pk {
 			t.Errorf("cell %d diverges:\nseq: %s\npar: %s", i, sk, pk)
 		}
-		if s.Res.FlowsStarted == 0 {
+		if s.FlowsStarted == 0 {
 			t.Errorf("cell %d (%s seed %d): no flows arrived", i, cfgs[i].Variant, cfgs[i].Seed)
 		}
 	}

@@ -26,8 +26,12 @@ import (
 // same-instant deliveries from different links now fire in arming order
 // (DESIGN.md §10). CUBIC's trace is a permutation within equal timestamps;
 // the rotor's first diverges at t = 1 871 622 ns, two frames entering rack 2's
-// NIC in the other order. A change that moves any constant changed what a run
-// emits, and has to say why.
+// NIC in the other order. hybrid_cubic_faulted moved once more when every flow
+// came to be wired through the host muxes: a host without a TDTCP endpoint now
+// takes its notification too, so the trace gains the "notify" span ends such
+// hosts used to drop (146 records, nothing else moved) and the metrics gain
+// their rdcn.notify_lat_ns samples. A change that moves any constant changed
+// what a run emits, and has to say why.
 //
 // A metric added after a constant was generated is listed in its case's
 // added and cut out of the metrics JSON before hashing, so the constant keeps
@@ -48,7 +52,7 @@ func TestPinnedBytes(t *testing.T) {
 				Tracer: tr, Metrics: reg})
 			return err
 		}},
-		{"hybrid_cubic_faulted", "35537f871e351b579b5a197cb50f719c1a10b7532421edf81fb1f203ca835c59", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
+		{"hybrid_cubic_faulted", "4aa2f80bcebabf8a89bc01af5cac472cc24715e9d92c4c584f7964897e2ba43a", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
 			_, err := Run(RunConfig{Variant: Cubic, Flows: 4, WarmupWeeks: 1, MeasureWeeks: 2,
 				Fault: &plan, Invariants: true, Tracer: tr, Metrics: reg})
 			return err

@@ -5,10 +5,7 @@ import (
 	"math/rand"
 	"slices"
 
-	"github.com/rdcn-net/tdtcp/internal/core"
-	"github.com/rdcn-net/tdtcp/internal/netem"
 	"github.com/rdcn-net/tdtcp/internal/obs"
-	"github.com/rdcn-net/tdtcp/internal/packet"
 	"github.com/rdcn-net/tdtcp/internal/rdcn"
 	"github.com/rdcn-net/tdtcp/internal/sim"
 	"github.com/rdcn-net/tdtcp/internal/stats"
@@ -16,231 +13,6 @@ import (
 	"github.com/rdcn-net/tdtcp/internal/trace"
 	"github.com/rdcn-net/tdtcp/internal/workload"
 )
-
-// hostMux demultiplexes one host's frames to many connections by TCP
-// destination port, and fans TDN notifications out to the host's live TDTCP
-// endpoints. The two-rack experiments wire exactly one connection per host;
-// multi-rack workloads need several, so the mux owns the host's
-// Recv/NotifyTDN upcalls.
-//
-// An endpoint's two memberships have different lifetimes. Its place in notify
-// — the §3.2 "every TDTCP socket on the host" set — begins at
-// muxNet.BuildFlow and ends at muxNet.leave, so what a TDN change costs a
-// host follows the flows open on it. Its port is bound in conns by BuildFlow
-// and outlives leave by a linger, TCP's TIME_WAIT: a receiver must still
-// (D-)SACK a retransmission that arrives after the flow completed. At
-// muxNet.release the port is unbound and the connection's queue storage goes
-// back to the run's pool, so what a host holds follows the flows open or
-// lingering on it, not the flows it ever carried. A segment for an unbound port is
-// dropped and counted, as a host does after TIME_WAIT. The released connection
-// itself is parked for a later arrival to reopen (muxNet.parked).
-//
-// The map is looked up, never ranged over, and notify keeps join order
-// (fan-out order is trace order), so event order stays deterministic.
-type hostMux struct {
-	host   *rdcn.Host
-	send   func(*packet.Segment) // host.Send, bound once: the Out of every endpoint here
-	seg    packet.Segment
-	conns  map[uint16]*tcp.Conn
-	notify []*tcp.Conn
-	late   uint64 // segments dropped for want of a bound port
-}
-
-func newHostMux(host *rdcn.Host) *hostMux {
-	m := &hostMux{host: host, send: host.Send, conns: make(map[uint16]*tcp.Conn)}
-	m.seg.TCP.SACK = make([]packet.SACKBlock, 0, 4)
-	return m
-}
-
-func (m *hostMux) recv(fr netem.Frame) {
-	if err := packet.Parse(fr.Wire, &m.seg); err != nil {
-		return // corrupted frames are dropped silently, as on a real NIC
-	}
-	c, ok := m.conns[m.seg.TCP.DstPort]
-	if !ok {
-		m.late++
-		return
-	}
-	c.Input(&m.seg)
-}
-
-func (m *hostMux) notifyTDN(tdn int, epoch uint32) {
-	for _, c := range m.notify {
-		c.Notify(tdn, epoch)
-	}
-}
-
-// leave takes c out of the notify set, keeping the others in join order.
-func (m *hostMux) leave(c *tcp.Conn) {
-	if i := slices.Index(m.notify, c); i >= 0 {
-		m.notify = slices.Delete(m.notify, i, i+1)
-	}
-}
-
-// muxNet overlays a hostMux on every host of a network, so flows can be wired
-// between arbitrary rack/host pairs instead of the two-rack one-flow-per-host
-// layout of BuildFlow. Every flow of one muxNet is of one variant with one set
-// of FlowOptions, which is what makes a released endpoint fit the next flow.
-type muxNet struct {
-	net     *rdcn.Network
-	variant Variant
-	opt     FlowOptions
-	pool    *tcp.Pool           // the harness's
-	muxes   [][]*hostMux        // [rack][host]
-	byAddr  map[uint32]*hostMux // the same muxes by host address, for leave
-
-	// parked holds the endpoints release has retired, oldest first, until an
-	// arrival reopens them (DESIGN.md §10 "Endpoint reuse").
-	parked []*tcp.Conn
-	// built and reopened count the endpoints constructed and the times one
-	// was reopened: two per flow between them. refused counts the parked
-	// endpoints an arrival passed over because a timer of theirs was pending.
-	built, reopened, refused int
-	// noReuse makes every arrival construct its endpoints: the reference
-	// this package's tests hold reuse against.
-	noReuse bool
-}
-
-func newMuxNet(net *rdcn.Network, pool *tcp.Pool, v Variant, opt FlowOptions) *muxNet {
-	mn := &muxNet{net: net, variant: v, opt: opt, pool: pool,
-		muxes: make([][]*hostMux, len(net.Racks)), byAddr: make(map[uint32]*hostMux)}
-	for r, rack := range net.Racks {
-		mn.muxes[r] = make([]*hostMux, len(rack.Hosts))
-		for h, host := range rack.Hosts {
-			m := newHostMux(host)
-			mn.muxes[r][h] = m
-			mn.byAddr[host.Addr] = m
-			host.Recv = m.recv
-			host.NotifyTDN = m.notifyTDN
-		}
-	}
-	return mn
-}
-
-// BuildFlow wires one single-path flow of the muxNet's variant from (srcRack,
-// srcHost) to (dstRack, dstHost). Both endpoints use the same port number,
-// which must be unique per endpoint host among the ports bound at the time —
-// it is the demux key on both sides. Each endpoint is the oldest parked one
-// that can be reopened, or else a new one. A TDTCP flow's
-// endpoints join their hosts' notify sets here and leave them at leave; the
-// ports are unbound at release. MPTCP and the reTCP variants are two-rack
-// constructs (subflow pinning and the circuit-up signal have no rotor
-// analogue) and are rejected.
-func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16) (*Flow, error) {
-	switch mn.variant {
-	case MPTCP, ReTCP, ReTCPDyn:
-		return nil, fmt.Errorf("experiments: variant %s is not supported on the multi-rack mux path", mn.variant)
-	default:
-		// Cubic, DCTCP, Reno, TDTCP are single-path and rack-count-agnostic.
-	}
-	for _, ep := range [...]struct{ rack, host int }{{srcRack, srcHost}, {dstRack, dstHost}} {
-		if ep.rack < 0 || ep.rack >= len(mn.net.Racks) {
-			return nil, fmt.Errorf("experiments: rack %d out of range", ep.rack)
-		}
-		if ep.host < 0 || ep.host >= len(mn.net.Racks[ep.rack].Hosts) {
-			return nil, fmt.Errorf("experiments: host %d out of range", ep.host)
-		}
-	}
-	if srcRack == dstRack && srcHost == dstHost {
-		return nil, fmt.Errorf("experiments: flow endpoints coincide (rack %d host %d)", srcRack, srcHost)
-	}
-	sm, dm := mn.muxes[srcRack][srcHost], mn.muxes[dstRack][dstHost]
-	if _, dup := sm.conns[port]; dup {
-		return nil, fmt.Errorf("experiments: port %d already in use on rack %d host %d", port, srcRack, srcHost)
-	}
-	if _, dup := dm.conns[port]; dup {
-		return nil, fmt.Errorf("experiments: port %d already in use on rack %d host %d", port, dstRack, dstHost)
-	}
-
-	// Sender first, as always: a TDTCP policy may arm its deadman when it
-	// attaches, and arming order is trace order.
-	f := &Flow{Variant: mn.variant}
-	var err error
-	if f.Snd, err = mn.endpoint(sm); err != nil {
-		return nil, err
-	}
-	if f.Rcv, err = mn.endpoint(dm); err != nil {
-		return nil, err
-	}
-	f.Snd.LocalAddr, f.Snd.RemoteAddr = sm.host.Addr, dm.host.Addr
-	f.Snd.LocalPort, f.Snd.RemotePort = port, port
-	f.Rcv.LocalAddr, f.Rcv.RemoteAddr = dm.host.Addr, sm.host.Addr
-	f.Rcv.LocalPort, f.Rcv.RemotePort = port, port
-	f.Rcv.Listen()
-
-	sm.conns[port] = f.Snd
-	dm.conns[port] = f.Rcv
-	if mn.variant == TDTCP {
-		sm.notify = append(sm.notify, f.Snd)
-		dm.notify = append(dm.notify, f.Rcv)
-	}
-	return f, nil
-}
-
-// endpoint returns a connection for one end of a new flow on host m: the
-// oldest parked endpoint whose timers have run out, reopened, or failing that
-// a new one. An endpoint passed over stays parked for a later arrival: its
-// retransmission timer can be owed a fire for up to MaxRTO after the flow
-// ended, which the linger does not cover.
-func (mn *muxNet) endpoint(m *hostMux) (*tcp.Conn, error) {
-	list := mn.parked
-	if mn.noReuse {
-		list = nil
-	}
-	for i, c := range list {
-		if c.Reopen(m.send) {
-			mn.parked = slices.Delete(list, i, i+1)
-			mn.reopened++
-			return c, nil
-		}
-		mn.refused++
-	}
-	cfg, err := endpointConfig(mn.net, mn.variant, mn.opt, mn.pool)
-	if err != nil {
-		return nil, err
-	}
-	mn.built++
-	return tcp.NewConn(mn.net.Loop, cfg, m.send), nil
-}
-
-// leave retires a flow whose sender has seen its FIN acknowledged: both
-// endpoints stop receiving TDN notifications, and a notification deadman, if
-// armed, is stopped — with the notifications gone, silence would otherwise
-// engage it on a dead flow for the rest of the run. The ports stay bound until
-// release (see hostMux).
-func (mn *muxNet) leave(f *Flow) {
-	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
-		mn.byAddr[c.LocalAddr].leave(c)
-		if p, ok := c.Config().Policy.(*core.TDTCP); ok {
-			p.StopDeadman()
-		}
-	}
-}
-
-// release ends the linger of a flow that has left: both ports are unbound,
-// both connections return their retransmission-queue entries and queue
-// arrays to the pool, and each is parked. The flow's armed timers still fire,
-// as no-ops, so the event sequence is what it would have been.
-func (mn *muxNet) release(f *Flow) {
-	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
-		delete(mn.byAddr[c.LocalAddr].conns, c.LocalPort)
-		c.Release()
-		mn.parked = append(mn.parked, c)
-	}
-}
-
-// census sums the muxes over every host: the endpoints one TDN change is
-// fanned out to, the ports bound, and the segments dropped at unbound ports.
-func (mn *muxNet) census() (notifyWidth, portsBound int, lateSegs uint64) {
-	for _, rack := range mn.muxes {
-		for _, m := range rack {
-			notifyWidth += len(m.notify)
-			portsBound += len(m.conns)
-			lateSegs += m.late
-		}
-	}
-	return notifyWidth, portsBound, lateSegs
-}
 
 // WorkloadConfig specifies one open-loop flow-workload run: finite flows with
 // sizes drawn from a distribution arrive as a Poisson process and run to
@@ -586,32 +358,4 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		m.Add("workload.bytes_offered", res.BytesOffered)
 	}
 	return res, nil
-}
-
-// WorkloadSweepResult pairs one workload sweep cell with its outcome.
-type WorkloadSweepResult struct {
-	Cfg WorkloadConfig
-	Res *WorkloadResult
-	Err error
-}
-
-// SweepWorkload executes every configuration, workers at a time, with results
-// indexed by input position (see Sweep for the concurrency contract; runs
-// share no state, and configurations must not share a Tracer, Metrics
-// registry, or Flight recorder when workers exceeds 1 — the default
-// per-run flight recorder is always private).
-func SweepWorkload(cfgs []WorkloadConfig, workers int) []WorkloadSweepResult {
-	return SweepWorkloadWithObserver(cfgs, workers, nil)
-}
-
-// SweepWorkloadWithObserver is SweepWorkload with per-cell progress callbacks
-// (see SweepWithObserver; nil obs = plain SweepWorkload).
-func SweepWorkloadWithObserver(cfgs []WorkloadConfig, workers int, obs SweepObserver) []WorkloadSweepResult {
-	out := make([]WorkloadSweepResult, len(cfgs))
-	sweepCells(len(cfgs), workers, obs, func(i int) error {
-		res, err := RunWorkload(cfgs[i])
-		out[i] = WorkloadSweepResult{Cfg: cfgs[i], Res: res, Err: err}
-		return err
-	})
-	return out
 }

@@ -118,8 +118,8 @@ type Conn struct {
 }
 
 // New constructs an MPTCP endpoint. outs supplies one transmit function per
-// subflow (each typically bound to a distinct port so the ToR pins it to its
-// TDN).
+// subflow (each typically gated at the host so the subflow sends only while
+// its TDN is active).
 func New(loop *sim.Loop, cfg Config, outs []func(*packet.Segment)) *Conn {
 	cfg.fillDefaults()
 	if len(outs) != cfg.NumSubflows {

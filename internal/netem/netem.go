@@ -364,11 +364,10 @@ type VOQ struct {
 	OnEnqueue func()
 
 	// Tracer, when non-nil, receives CatVOQ events (enqueue/dequeue/drop/
-	// mark/resize); Label names this queue ("r0q1" = rack 0 → rack 1) and
-	// TDN tags events with the destination rack's logical TDN (-1 = none).
+	// mark/resize); Label names this queue ("r0q1" = rack 0 → rack 1).
+	// A VOQ serves whichever TDN is active, so its events carry tdn -1.
 	Tracer *trace.Tracer
 	Label  string
-	TDN    int
 
 	// OccHist, when non-nil, records the post-enqueue occupancy (packets)
 	// of every accepted frame — the distributional companion of the Monitor
@@ -385,15 +384,14 @@ func NewVOQ(loop *sim.Loop, capacity, markThresh int) *VOQ {
 		Loop:       loop,
 		cap:        capacity,
 		markThresh: markThresh,
-		TDN:        -1,
 		q:          make([]Frame, 0, capacity),
 	}
 }
 
-// emit reports a CatVOQ event labeled with the queue's name and TDN.
+// emit reports a CatVOQ event labeled with the queue's name.
 func (v *VOQ) emit(name string, a, b float64) {
 	if v.Tracer.Enabled(trace.CatVOQ) {
-		v.Tracer.Emit(trace.CatVOQ, int64(v.Loop.Now()), name, -1, v.TDN, a, b, v.Label)
+		v.Tracer.Emit(trace.CatVOQ, int64(v.Loop.Now()), name, -1, -1, a, b, v.Label)
 	}
 }
 

@@ -108,14 +108,6 @@ type Config struct {
 	// exists for that A/B check and for debugging suspected aliasing.
 	DisableFramePool bool
 
-	// PinnedVOQs gives each rack one VOQ per TDN, each draining only
-	// during its own TDN's days. This models MPTCP subflow pinning: a
-	// subflow's packets wait at the ToR until their network is active.
-	PinnedVOQs bool
-	// Classifier maps a frame to its pinned TDN when PinnedVOQs is set.
-	// Default: destination port modulo the TDN count.
-	Classifier func(wire []byte) int
-
 	// Fault-injection hooks, installed by internal/fault. All are optional
 	// and cost nothing when nil; rdcn never decides faults itself, it only
 	// applies the verdicts, so the injector owns all randomness and tracing.
@@ -194,7 +186,7 @@ func (h *Host) NICQueueLen() int { return h.Rack.uplink.QueueLen() }
 func (r *Rack) Uplink() *netem.Pipe { return r.uplink }
 
 // Rack is a ToR switch plus its attached hosts. Each rack has one VOQ per
-// destination rack (or one per TDN with PinnedVOQs on a two-rack network).
+// destination rack.
 //
 // Every rack shares Network.Loop and one buffer pool. (Under the
 // benchmark-only Config.Cluster the loop is the rack's lane and the pool is
@@ -264,7 +256,7 @@ func (r *Rack) qDst(q int) int {
 // VOQ exposes the rack's (first) uplink virtual output queue.
 func (r *Rack) VOQ() *netem.VOQ { return r.voqs[0] }
 
-// VOQs exposes all uplink queues (one per TDN with PinnedVOQs).
+// VOQs exposes all uplink queues, one per destination rack.
 func (r *Rack) VOQs() []*netem.VOQ { return r.voqs }
 
 // QueueLen reports the rack's total uplink occupancy in packets.
@@ -316,18 +308,13 @@ type Network struct {
 
 // SetTracer attaches a tracer to the network's control plane (CatRDCN
 // events: day/night transitions, notification fan-out, VOQ recapping) and to
-// every rack VOQ (CatVOQ events, labeled "r<rack>q<idx>"; pinned VOQs are
-// additionally tagged with their TDN). Pass nil to detach.
+// every rack VOQ (CatVOQ events, labeled "r<rack>q<idx>"). Pass nil to
+// detach.
 func (n *Network) SetTracer(t *trace.Tracer) {
 	n.tracer = t
 	for _, rack := range n.Racks {
-		for k, v := range rack.voqs {
+		for _, v := range rack.voqs {
 			v.Tracer = t
-			if n.Cfg.PinnedVOQs {
-				v.TDN = k
-			} else {
-				v.TDN = -1
-			}
 		}
 	}
 }
@@ -366,9 +353,6 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("rdcn: at most %d TDNs supported by the wire format", packet.MaxTDNs)
 	}
 	if cfg.Racks > 2 {
-		if cfg.PinnedVOQs {
-			return nil, fmt.Errorf("rdcn: PinnedVOQs (MPTCP subflow pinning) supports only 2 racks")
-		}
 		if err := validateRotor(cfg.Racks, cfg.Schedule); err != nil {
 			return nil, err
 		}
@@ -394,14 +378,7 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 		}
 	}
 	n := &Network{Loop: loop, Cfg: cfg, baseVOQ: cfg.VOQCap}
-	if cfg.PinnedVOQs && cfg.Classifier == nil {
-		ntdns := len(cfg.TDNs)
-		n.Cfg.Classifier = func(wire []byte) int { return PortClassifier(wire, ntdns) }
-	}
 	nvoq := cfg.Racks - 1 // one VOQ per destination rack
-	if cfg.PinnedVOQs {
-		nvoq = len(cfg.TDNs)
-	}
 	n.Racks = make([]*Rack, cfg.Racks)
 	// Every rack shares one pool (releases anywhere restock sends anywhere,
 	// so gets and puts balance by construction); under a Cluster each lane
@@ -426,26 +403,11 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 		for k := 0; k < nvoq; k++ {
 			voq := netem.NewVOQ(rloop, cfg.VOQCap, cfg.MarkThresh)
 			voq.Label = fmt.Sprintf("r%dq%d", rack.ID, k)
-			var pf netem.PathFunc
 			dst := rack.qDst(k)
-			if cfg.PinnedVOQs {
-				dst = 1 - r // pinned VOQs exist only on two-rack networks
-				kk := k
-				pf = func() (netem.Path, bool) {
-					tdn, ok := n.dataPlaneTDN(rloop.Now())
-					if !ok || tdn != kk {
-						return netem.Path{}, false
-					}
-					p := n.Cfg.TDNs[kk]
-					return netem.Path{Rate: p.Rate, Delay: p.Delay}, true
-				}
-			} else {
-				pf = n.pathFunc(rloop, r, dst)
-			}
 			d := &netem.Drainer{
 				Loop: rloop,
 				Q:    voq,
-				Path: pf,
+				Path: n.pathFunc(rloop, r, dst),
 				Out:  func(f netem.Frame) { n.deliver(r, dst, f) },
 			}
 			if cluster != nil {
@@ -475,16 +437,6 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 		}
 	}
 	return n, nil
-}
-
-// PortClassifier pins a frame to a TDN by its TCP destination port modulo
-// ntdns (subflow i of the MPTCP glue uses ports ≡ i).
-func PortClassifier(wire []byte, ntdns int) int {
-	if len(wire) < 24 || ntdns <= 0 {
-		return 0
-	}
-	port := int(wire[22])<<8 | int(wire[23])
-	return port % ntdns
 }
 
 // pathFunc adapts the schedule to the drainer interface for rack rackID's VOQ
@@ -532,8 +484,8 @@ func (n *Network) dataPlaneTDN(now sim.Time) (int, bool) {
 }
 
 // ingress accepts a frame from a host NIC and places it in the rack's uplink
-// VOQ: on a two-rack network the single cross-rack queue (or the classifier's
-// pinned queue), on a multi-rack network the queue of the destination rack
+// VOQ: on a two-rack network the single cross-rack queue, on a multi-rack
+// network the queue of the destination rack
 // parsed from the IPv4 header. Intra-rack frames hairpin at the ToR without
 // touching the fabric. Overflow is a drop-tail loss, exactly as in the Etalon
 // VOQs.
@@ -561,11 +513,7 @@ func (r *Rack) ingress(f netem.Frame) {
 		}
 		return
 	}
-	idx := 0
-	if n.Cfg.PinnedVOQs {
-		idx = n.Cfg.Classifier(f.Wire) % len(r.voqs)
-	}
-	if !r.voqs[idx].Enqueue(f) {
+	if !r.voqs[0].Enqueue(f) {
 		f.Release(r.pool)
 	}
 }

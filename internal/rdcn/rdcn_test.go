@@ -279,3 +279,29 @@ func TestActiveTDN(t *testing.T) {
 		t.Fatalf("ActiveTDN at 1250us = %d,%v", tdn, ok)
 	}
 }
+
+func TestNotifyJitterDeterministic(t *testing.T) {
+	run := func() []float64 {
+		loop := sim.NewLoop(99)
+		cfg := DefaultConfig()
+		cfg.HostsPerRack = 4
+		cfg.Notify = NotifyProfile{Gen: us(1), Net: us(1), Jitter: us(5)}
+		n, _ := New(loop, cfg)
+		var times []float64
+		for _, h := range n.Racks[0].Hosts {
+			h.NotifyTDN = func(int, uint32) { times = append(times, loop.Now().Microseconds()) }
+		}
+		n.Start(sim.Time(us(300)))
+		loop.RunUntil(sim.Time(us(300)))
+		return times
+	}
+	a, b := run(), run()
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("lengths: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("jittered notifications not deterministic at %d", i)
+		}
+	}
+}

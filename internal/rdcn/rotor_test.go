@@ -148,11 +148,6 @@ func TestNewRejectsBadMultiRack(t *testing.T) {
 		t.Fatal("New accepted a 6-rack schedule on a 4-rack fabric")
 	}
 	cfg.Schedule = RotorWeek(4, 2, 180*sim.Microsecond, 20*sim.Microsecond)
-	cfg.PinnedVOQs = true
-	if _, err := New(loop, cfg); err == nil {
-		t.Fatal("New accepted PinnedVOQs on a 4-rack fabric")
-	}
-	cfg.PinnedVOQs = false
 	if _, err := New(loop, cfg); err != nil {
 		t.Fatalf("valid 4-rack config rejected: %v", err)
 	}

@@ -9,11 +9,11 @@
 //
 //	loop := tdtcp.NewLoop(1)
 //	net, _ := tdtcp.NewNetwork(loop, tdtcp.DefaultNetworkConfig())
-//	flow, _ := tdtcp.BuildFlow(net, 0, tdtcp.TDTCP, tdtcp.FlowOptions{})
+//	flows, _ := tdtcp.BuildFlows(net, 1, tdtcp.TDTCP, tdtcp.FlowOptions{})
 //	net.Start(tdtcp.Time(10 * tdtcp.Millisecond))
-//	flow.Start(-1) // stream forever
+//	flows[0].Start(-1) // stream forever
 //	loop.RunUntil(tdtcp.Time(10 * tdtcp.Millisecond))
-//	fmt.Println(flow.Delivered(), "bytes delivered")
+//	fmt.Println(flows[0].Delivered(), "bytes delivered")
 //
 // Or reproduce a whole paper figure:
 //
@@ -74,7 +74,8 @@ func NewLoop(seed int64) *Loop { return sim.NewLoop(seed) }
 
 // Network model.
 type (
-	// Network is the two-rack hybrid RDCN.
+	// Network is the hybrid RDCN: the paper's two racks by default, a rotor
+	// fabric with NetworkConfig.Racks > 2.
 	Network = rdcn.Network
 	// NetworkConfig assembles a Network.
 	NetworkConfig = rdcn.Config
@@ -220,10 +221,14 @@ const PlotWeeks = experiments.PlotWeeks
 // AllVariants lists every transport in the paper's Fig. 7 legend order.
 var AllVariants = experiments.AllVariants
 
-// BuildFlow wires one flow of the given variant between host i of rack 0
-// and host i of rack 1.
-func BuildFlow(net *Network, i int, v Variant, opt FlowOptions) (*Flow, error) {
-	return experiments.BuildFlow(net, i, v, opt)
+// BuildFlows wires n flows of variant v onto net, placed and wired exactly as
+// Run places and wires its flows: on two racks, host i of rack 0 sends to
+// host i of rack 1; on more, flow i goes from rack i%racks to the next rack,
+// host i/racks on both. It takes over every host of net, so call it once per
+// network. retcpdyn also needs NetworkConfig.PreChange, which Run sets to
+// TDN 1, a 150 µs lead and a 50-packet cap.
+func BuildFlows(net *Network, n int, v Variant, opt FlowOptions) ([]*Flow, error) {
+	return experiments.BuildFlows(net, n, v, opt)
 }
 
 // Run executes one fully-specified experiment.
@@ -250,8 +255,6 @@ type (
 	WorkloadConfig = experiments.WorkloadConfig
 	// WorkloadResult carries one workload run's outcome.
 	WorkloadResult = experiments.WorkloadResult
-	// WorkloadSweepResult pairs one workload sweep cell with its outcome.
-	WorkloadSweepResult = experiments.WorkloadSweepResult
 	// FlowSizeCDF is an empirical flow-size distribution.
 	FlowSizeCDF = workload.FlowSizeCDF
 	// FCT collects flow completion times by size bucket.
@@ -262,12 +265,6 @@ type (
 
 // RunWorkload executes one open-loop flow-workload experiment.
 func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) { return experiments.RunWorkload(cfg) }
-
-// SweepWorkload executes every workload config (workers in parallel) and
-// returns results in input order.
-func SweepWorkload(cfgs []WorkloadConfig, workers int) []WorkloadSweepResult {
-	return experiments.SweepWorkload(cfgs, workers)
-}
 
 // WebSearchCDF is the web-search flow-size distribution (DCTCP paper).
 func WebSearchCDF() *FlowSizeCDF { return workload.WebSearch() }
@@ -430,11 +427,6 @@ func NewSweepProgressMeter(total, workers int) *SweepProgressMeter {
 // SweepWithObserver is Sweep with per-cell progress callbacks.
 func SweepWithObserver(cfgs []RunConfig, workers int, o SweepObserver) []SweepResult {
 	return experiments.SweepWithObserver(cfgs, workers, o)
-}
-
-// SweepWorkloadWithObserver is SweepWorkload with per-cell callbacks.
-func SweepWorkloadWithObserver(cfgs []WorkloadConfig, workers int, o SweepObserver) []WorkloadSweepResult {
-	return experiments.SweepWorkloadWithObserver(cfgs, workers, o)
 }
 
 // Fault injection and invariant checking (see DESIGN.md "Fault model &

@@ -11,10 +11,11 @@ func TestQuickstartFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow, err := BuildFlow(net, 0, TDTCP, FlowOptions{})
+	flows, err := BuildFlows(net, 1, TDTCP, FlowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	flow := flows[0]
 	end := Time(4 * Millisecond)
 	net.Start(end)
 	flow.Start(-1)
@@ -88,45 +89,65 @@ func TestAnalyticReferences(t *testing.T) {
 }
 
 // TestFacadeMatchesRun: the library path and Run are one wiring. A network
-// built by hand through the facade — NewLoop, NewNetwork with the hybrid
-// scenario's parameters, 16 BuildFlow, Start — delivers, byte for byte, what
-// Run delivers for the same seed and horizon.
+// built by hand through the facade — NewLoop, NewNetwork with the scenario's
+// parameters, BuildFlows, Start — delivers, byte for byte, what Run delivers
+// for the same seed and horizon: every variant on the hybrid, and the
+// rack-count-agnostic ones on a 4-rack rotor.
 func TestFacadeMatchesRun(t *testing.T) {
 	const warmup, measure, flows = 3, 20, 16
+	type tc struct {
+		sc Scenario
+		v  Variant
+	}
+	var cases []tc
+	for _, v := range AllVariants {
+		cases = append(cases, tc{HybridScenario(), v})
+	}
 	for _, v := range []Variant{TDTCP, Cubic} {
-		res, err := Run(RunConfig{Variant: v, Flows: flows, WarmupWeeks: warmup, MeasureWeeks: measure, Seed: 1})
+		cases = append(cases, tc{MultiRackScenario(4), v})
+	}
+	for _, c := range cases {
+		res, err := Run(RunConfig{Variant: c.v, Scenario: c.sc, Flows: flows, WarmupWeeks: warmup, MeasureWeeks: measure, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		sc := HybridScenario()
 		loop := NewLoop(1)
 		cfg := DefaultNetworkConfig()
+		cfg.Racks = c.sc.Racks
 		cfg.HostsPerRack = flows
-		cfg.TDNs, cfg.Schedule, cfg.VOQCap = sc.TDNs, sc.Schedule, sc.VOQCap
+		if c.sc.Racks > 2 {
+			cfg.HostsPerRack = flows / c.sc.Racks
+		}
+		cfg.TDNs, cfg.Schedule, cfg.VOQCap = c.sc.TDNs, c.sc.Schedule, c.sc.VOQCap
 		cfg.MarkThresh = res.Cfg.MarkThresh
+		if c.v == ReTCPDyn {
+			cfg.PreChange = &PreChange{TDN: 1, Lead: 150 * Microsecond, Cap: 50}
+		}
 		net, err := NewNetwork(loop, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		built := make([]*Flow, flows)
-		for i := range built {
-			if built[i], err = BuildFlow(net, i, v, FlowOptions{}); err != nil {
-				t.Fatal(err)
-			}
+		built, err := BuildFlows(net, flows, c.v, FlowOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		end := Time((warmup + measure) * sc.Schedule.Week())
+		end := Time((warmup + measure) * c.sc.Schedule.Week())
 		net.Start(end)
-		var delivered int64
 		for _, f := range built {
 			f.Start(-1)
 		}
 		loop.RunUntil(end)
+		// Summed over subflows for MPTCP, as Run's Sender and Receiver are.
+		var sent uint64
+		var delivered int64
 		for _, f := range built {
-			delivered += f.Delivered()
+			sent += f.SenderStats().SegsSent
+			delivered += f.ReceiverStats().BytesDelivered
 		}
-		if delivered == 0 || delivered != res.Receiver.BytesDelivered {
-			t.Errorf("%s: the facade delivered %d bytes, Run %d", v, delivered, res.Receiver.BytesDelivered)
+		if delivered == 0 || delivered != res.Receiver.BytesDelivered || sent != res.Sender.SegsSent {
+			t.Errorf("%s on %s: the facade sent %d segments and delivered %d bytes, Run %d and %d",
+				c.v, c.sc.Name, sent, delivered, res.Sender.SegsSent, res.Receiver.BytesDelivered)
 		}
 	}
 }
