@@ -1,8 +1,7 @@
 // Command tdlint runs the repository's static analyzer suite over Go package
-// patterns and reports contract violations the compiler cannot see:
-// determinism, RFC 1982 sequence arithmetic, hook nil-safety, trace
-// categories, metric naming, causal-span pairing, concurrency discipline,
-// hot-path allocation freedom, sim-time unit hygiene, and enum-switch
+// patterns and reports contract violations that neither the compiler, go vet
+// nor a test catches: determinism, RFC 1982 sequence arithmetic, metric
+// naming, concurrency discipline, sim-time unit hygiene, and enum-switch
 // exhaustiveness (see internal/lint).
 //
 // Usage:

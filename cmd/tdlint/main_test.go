@@ -110,7 +110,7 @@ func TestExitCodeContract(t *testing.T) {
 		}
 		// The error must name the valid set so the misspelling is a
 		// one-round-trip fix.
-		for _, name := range []string{"determinism", "concurrency", "hotpath", "simtime", "exhaustive"} {
+		for _, name := range []string{"determinism", "concurrency", "simtime", "exhaustive"} {
 			if !strings.Contains(stderr, name) {
 				t.Errorf("unknown-check error does not list %q: %s", name, stderr)
 			}
@@ -127,8 +127,7 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("-list: exit %d, stderr: %s", code, stderr)
 	}
 	for _, name := range []string{
-		"determinism", "seqarith", "nilhook", "tracecat", "metricname",
-		"spanpair", "concurrency", "hotpath", "simtime", "exhaustive",
+		"determinism", "seqarith", "metricname", "concurrency", "simtime", "exhaustive",
 	} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing %q:\n%s", name, stdout)

@@ -143,6 +143,8 @@ func TestDeadmanEngagesUnderNotificationLoss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
+	var buf bytes.Buffer
+	tr := trace.New(&buf, trace.CatTDN)
 	reg := trace.NewRegistry()
 	res, err := Run(RunConfig{
 		Variant:      TDTCP,
@@ -152,12 +154,16 @@ func TestDeadmanEngagesUnderNotificationLoss(t *testing.T) {
 		Seed:         1,
 		Fault:        &plan,
 		Invariants:   true,
+		Tracer:       tr,
 		Metrics:      reg,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	obs.DumpOnFailure(t, res.Flight)
+	if err := tr.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
 	if res.FaultStats.NotifyDropped == 0 {
 		t.Fatal("plan dropped no notifications")
 	}
@@ -166,6 +172,11 @@ func TestDeadmanEngagesUnderNotificationLoss(t *testing.T) {
 	}
 	if got := reg.Counter("tdtcp.deadman_engaged"); got != int64(res.DeadmanEngaged) {
 		t.Errorf("metrics tdtcp.deadman_engaged = %d, want %d", got, res.DeadmanEngaged)
+	}
+	// A sender's engagement is a tdn_deadman record in the tdn category, the
+	// one `tdtrace -filter -cat tdn` selects (receivers carry no tracer).
+	if got := bytes.Count(buf.Bytes(), []byte(`"cat":"tdn","name":"tdn_deadman"`)); got == 0 || uint64(got) > res.DeadmanEngaged {
+		t.Errorf("trace has %d tdn_deadman records in category tdn, want 1 to %d", got, res.DeadmanEngaged)
 	}
 	if reg.Counter("fault.notify_dropped") != int64(res.FaultStats.NotifyDropped) {
 		t.Errorf("metrics fault.notify_dropped = %d, want %d",

@@ -21,136 +21,34 @@ var concurrencyPkgs = []string{
 	"cmd/tdserve",
 }
 
-// ConcurrencyCheck statically enforces the locking discipline of the
-// concurrent layers with four dataflow rules:
+// concurrency statically enforces the locking discipline of the concurrent
+// layers with two rules:
 //
-//  1. mixed atomic/plain access — a variable passed to sync/atomic in one
-//     place and read or written plainly in another has no consistent memory
-//     ordering at all;
-//  2. inconsistent mutex guards — a struct field written under the struct's
+//   - inconsistent mutex guards: a struct field written under the struct's
 //     own mutex on some paths but touched without it on others (the guard
 //     set is derived from accesses inside Lock/Unlock windows; methods named
-//     *Locked are held-by-contract and trusted);
-//  3. locks copied by value — a Mutex/RWMutex/WaitGroup (or any struct
-//     containing one) passed, received, ranged, or assigned by value copies
-//     the lock state and silently splits the critical section;
-//  4. blocking while holding a mutex — channel operations without a default,
+//     *Locked are called with the mutex held, so every access in them counts
+//     as guarded);
+//   - blocking while holding a mutex: channel operations without a default,
 //     sync.WaitGroup/Cond Wait, time.Sleep, and net/http round trips inside
 //     a Lock/Unlock window stall every other goroutine contending the lock.
-func ConcurrencyCheck() *Check {
-	c := &Check{
-		Name: "concurrency",
-		Doc:  "serve/obs/trace: no mixed atomic+plain access, consistent mutex guards, no locks copied by value, no blocking calls under a mutex",
-	}
-	c.Run = func(prog *Program) []Diagnostic {
-		var diags []Diagnostic
-		for _, pkg := range prog.Pkgs {
-			if !pathMatches(pkg.Path, concurrencyPkgs...) {
-				continue
-			}
-			diags = append(diags, atomicMix(prog, pkg)...)
-			diags = append(diags, guardConsistency(prog, pkg)...)
-			diags = append(diags, lockCopies(prog, pkg)...)
-			diags = append(diags, lockBlocking(prog, pkg)...)
-		}
-		return diags
-	}
-	return c
-}
-
-// --- rule 1: mixed atomic/plain access --------------------------------------
-
-// atomicMix flags variables that are passed by address to sync/atomic
-// functions somewhere and accessed plainly somewhere else.
-func atomicMix(prog *Program, pkg *Package) []Diagnostic {
-	// Pass 1: every variable whose address reaches a sync/atomic call.
-	atomicVars := map[*types.Var]bool{}
-	for _, f := range pkg.Syntax {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(pkg, call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				u, ok := arg.(*ast.UnaryExpr)
-				if !ok || u.Op != token.AND {
-					continue
-				}
-				// Only direct &x / &x.f name a trackable variable; &x.f[i]
-				// names an element, whose siblings may legitimately be
-				// accessed plainly (len, range).
-				if v := baseVar(pkg, u.X); v != nil {
-					atomicVars[v] = true
-				}
-			}
-			return true
-		})
-	}
-	if len(atomicVars) == 0 {
-		return nil
-	}
-	// Pass 2: plain uses of those variables.
+//
+// Locks copied by value are go vet's copylocks check, and the state the
+// layers share through sync/atomic is held in typed atomics, which a plain
+// access does not compile against.
+func concurrency(prog *Program) []Diagnostic {
 	var diags []Diagnostic
-	for _, f := range pkg.Syntax {
-		walkWithStack(f, func(n ast.Node, stack []ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			v, _ := pkg.Info.Uses[id].(*types.Var)
-			if v == nil || !atomicVars[v] {
-				return true
-			}
-			if underAtomicCall(pkg, stack) {
-				return true
-			}
-			diags = append(diags, Diagnostic{
-				Pos: prog.Fset.Position(id.Pos()),
-				Message: fmt.Sprintf("%s is accessed via sync/atomic elsewhere but plainly here; "+
-					"a mixed-ordering access races with every atomic one", v.Name()),
-			})
-			return true
-		})
+	for _, pkg := range prog.Pkgs {
+		if !pathMatches(pkg.Path, concurrencyPkgs...) {
+			continue
+		}
+		diags = append(diags, guardConsistency(prog, pkg)...)
+		diags = append(diags, lockBlocking(prog, pkg)...)
 	}
 	return diags
 }
 
-// isAtomicCall reports whether call invokes a sync/atomic package function.
-func isAtomicCall(pkg *Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	obj := pkg.Info.Uses[sel.Sel]
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
-// baseVar resolves &x or &x.f to the variable it addresses (nil for indexed
-// or more deeply nested expressions).
-func baseVar(pkg *Package, e ast.Expr) *types.Var {
-	switch e := e.(type) {
-	case *ast.Ident:
-		v, _ := pkg.Info.Uses[e].(*types.Var)
-		return v
-	case *ast.SelectorExpr:
-		v, _ := pkg.Info.Uses[e.Sel].(*types.Var)
-		return v
-	}
-	return nil
-}
-
-// underAtomicCall reports whether the node whose ancestor stack is given sits
-// inside an argument of a sync/atomic call.
-func underAtomicCall(pkg *Package, stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if call, ok := stack[i].(*ast.CallExpr); ok && isAtomicCall(pkg, call) {
-			return true
-		}
-	}
-	return false
-}
-
-// --- rule 2: inconsistent mutex guards --------------------------------------
+// --- inconsistent mutex guards ----------------------------------------------
 
 // fieldAccess is one receiver-rooted field access inside a method.
 type fieldAccess struct {
@@ -179,10 +77,8 @@ func guardConsistency(prog *Program, pkg *Package) []Diagnostic {
 			if named == nil || structs[named] == nil {
 				continue
 			}
-			// *Locked methods hold the mutex by contract; constructors touch
-			// the struct before it is shared.
-			if strings.HasSuffix(fd.Name.Name, "Locked") || strings.HasSuffix(fd.Name.Name, "locked") ||
-				buildsValueOf(pkg, fd, named) {
+			// Constructors touch the struct before it is shared.
+			if buildsValueOf(pkg, fd, named) {
 				continue
 			}
 			recv := recvVar(pkg, fd)
@@ -192,7 +88,9 @@ func guardConsistency(prog *Program, pkg *Package) []Diagnostic {
 			if accesses[named] == nil {
 				accesses[named] = map[*types.Var][]fieldAccess{}
 			}
-			scanMethod(pkg, fd, named, structs[named], recv, accesses[named])
+			// *Locked methods run with the mutex held by contract.
+			held := strings.HasSuffix(fd.Name.Name, "Locked") || strings.HasSuffix(fd.Name.Name, "locked")
+			scanMethod(pkg, fd, named, structs[named], recv, held, accesses[named])
 		}
 	}
 	var diags []Diagnostic
@@ -215,23 +113,12 @@ func guardConsistency(prog *Program, pkg *Package) []Diagnostic {
 				diags = append(diags, Diagnostic{
 					Pos: prog.Fset.Position(a.pos),
 					Message: fmt.Sprintf("%s.%s is written under the mutex on other paths but accessed without it here; "+
-						"lock it or document the field as load-bearing unguarded", named.Obj().Name(), fv.Name()),
+						"take the lock", named.Obj().Name(), fv.Name()),
 				})
 			}
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool { return lessPos(diags[i].Pos, diags[j].Pos) })
 	return diags
-}
-
-func lessPos(a, b token.Position) bool {
-	if a.Filename != b.Filename {
-		return a.Filename < b.Filename
-	}
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	return a.Column < b.Column
 }
 
 // mutexStructs maps each package-local struct type to its mutex fields.
@@ -341,8 +228,9 @@ type lockEvent struct {
 // struct's own mutex fields. The linear approximation (an access is guarded
 // iff more Locks than Unlocks precede it textually) trades path sensitivity
 // for zero false "guarded" windows on straight-line code, which is the shape
-// of every critical section in this repository.
-func scanMethod(pkg *Package, fd *ast.FuncDecl, named *types.Named, mus []*types.Var, recv *types.Var, out map[*types.Var][]fieldAccess) {
+// of every critical section in this repository. held marks the whole body
+// as guarded.
+func scanMethod(pkg *Package, fd *ast.FuncDecl, named *types.Named, mus []*types.Var, recv *types.Var, held bool, out map[*types.Var][]fieldAccess) {
 	muSet := map[*types.Var]bool{}
 	for _, m := range mus {
 		muSet[m] = true
@@ -412,7 +300,7 @@ func scanMethod(pkg *Package, fd *ast.FuncDecl, named *types.Named, mus []*types
 		return d
 	}
 	for _, a := range raw {
-		out[a.v] = append(out[a.v], fieldAccess{pos: a.pos, guarded: depthAt(a.pos) > 0, write: a.write})
+		out[a.v] = append(out[a.v], fieldAccess{pos: a.pos, guarded: held || depthAt(a.pos) > 0, write: a.write})
 	}
 }
 
@@ -486,133 +374,7 @@ func isWriteContext(sel *ast.SelectorExpr, stack []ast.Node) bool {
 	return false
 }
 
-// --- rule 3: locks copied by value ------------------------------------------
-
-// lockCopies flags lock-containing values passed, received, returned,
-// assigned, or ranged by value.
-func lockCopies(prog *Program, pkg *Package) []Diagnostic {
-	var diags []Diagnostic
-	report := func(pos token.Pos, what string, t types.Type) {
-		diags = append(diags, Diagnostic{
-			Pos:     prog.Fset.Position(pos),
-			Message: fmt.Sprintf("%s copies %s by value; the lock state forks and the critical section silently splits — pass a pointer", what, t.String()),
-		})
-	}
-	for _, f := range pkg.Syntax {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Recv != nil {
-					for _, fl := range n.Recv.List {
-						if t := pkg.Info.TypeOf(fl.Type); t != nil && containsLock(t) {
-							report(fl.Pos(), "receiver", t)
-						}
-					}
-				}
-				if n.Type.Params != nil {
-					for _, fl := range n.Type.Params.List {
-						if t := pkg.Info.TypeOf(fl.Type); t != nil && containsLock(t) {
-							report(fl.Pos(), "parameter", t)
-						}
-					}
-				}
-				if n.Type.Results != nil {
-					for _, fl := range n.Type.Results.List {
-						if t := pkg.Info.TypeOf(fl.Type); t != nil && containsLock(t) {
-							report(fl.Pos(), "result", t)
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					if !copyableExpr(rhs) {
-						continue
-					}
-					// Assigning to the blank identifier discards the copy.
-					if i < len(n.Lhs) {
-						if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-							continue
-						}
-					}
-					if t := pkg.Info.TypeOf(rhs); t != nil && containsLock(t) {
-						pos := rhs.Pos()
-						if i < len(n.Lhs) {
-							pos = n.Lhs[i].Pos()
-						}
-						report(pos, "assignment", t)
-					}
-				}
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if t := pkg.Info.TypeOf(n.Value); t != nil && containsLock(t) {
-						report(n.Value.Pos(), "range value", t)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return diags
-}
-
-// copyableExpr reports expressions whose evaluation copies an existing value
-// (identifiers, field selections, derefs, indexing) as opposed to fresh
-// construction (composite literals, calls, conversions).
-func copyableExpr(e ast.Expr) bool {
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-		return true
-	}
-	return false
-}
-
-// containsLock reports whether t (not a pointer to t) transitively contains a
-// type with pointer-receiver Lock and Unlock methods — sync.Mutex, RWMutex,
-// and anything embedding a noCopy-style guard (sync.WaitGroup, sync.Once).
-func containsLock(t types.Type) bool {
-	return containsLockRec(t, map[types.Type]bool{})
-}
-
-func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if hasLockMethods(t) {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockRec(u.Elem(), seen)
-	}
-	return false
-}
-
-// hasLockMethods reports a Lock/Unlock pair on *t.
-func hasLockMethods(t types.Type) bool {
-	if _, ok := t.(*types.Named); !ok {
-		return false
-	}
-	ms := types.NewMethodSet(types.NewPointer(t))
-	var lock, unlock bool
-	for i := 0; i < ms.Len(); i++ {
-		switch ms.At(i).Obj().Name() {
-		case "Lock":
-			lock = true
-		case "Unlock":
-			unlock = true
-		}
-	}
-	return lock && unlock
-}
-
-// --- rule 4: blocking calls while holding a mutex ---------------------------
+// --- blocking calls while holding a mutex -----------------------------------
 
 // lockBlocking flags blocking operations positioned inside a Lock/Unlock
 // window of any mutex-typed expression. The window scan is position-linear

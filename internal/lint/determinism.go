@@ -39,62 +39,51 @@ var wallClockFuncs = map[string]bool{
 	"NewTicker": true, "NewTimer": true,
 }
 
-// DeterminismCheck forbids the constructs that make a simulation run diverge
+// determinism forbids the constructs that make a simulation run diverge
 // between replays of the same seed: wall-clock reads, the process-global
 // math/rand generator, goroutines, iteration over map order, and sync.Pool
 // (whose reuse schedule depends on GC timing).
-func DeterminismCheck() *Check {
-	c := &Check{
-		Name: "determinism",
-		Doc:  "forbid wall-clock time, global math/rand, goroutines, map iteration, and sync.Pool in simulation packages",
-	}
-	c.Run = func(prog *Program) []Diagnostic {
-		var diags []Diagnostic
-		for _, pkg := range prog.Pkgs {
-			if !pathMatches(pkg.Path, deterministicPkgs...) {
-				continue
-			}
-			for _, f := range pkg.Syntax {
-				for _, spec := range f.Imports {
-					ip, _ := strconv.Unquote(spec.Path.Value)
-					if pathMatches(ip, nondeterministicPkgs...) {
-						diags = append(diags, Diagnostic{
-							Pos:     prog.Fset.Position(spec.Pos()),
-							Check:   c.Name,
-							Message: "import of " + ip + " in a deterministic package: the serving/observability layer is outside the determinism boundary and may only import the simulation, never the reverse",
-						})
-					}
+func determinism(prog *Program) []Diagnostic {
+	var diags []Diagnostic
+	for _, pkg := range prog.Pkgs {
+		if !pathMatches(pkg.Path, deterministicPkgs...) {
+			continue
+		}
+		for _, f := range pkg.Syntax {
+			for _, spec := range f.Imports {
+				ip, _ := strconv.Unquote(spec.Path.Value)
+				if pathMatches(ip, nondeterministicPkgs...) {
+					diags = append(diags, Diagnostic{
+						Pos:     prog.Fset.Position(spec.Pos()),
+						Message: "import of " + ip + " in a deterministic package: the serving/observability layer is outside the determinism boundary and may only import the simulation, never the reverse",
+					})
 				}
-				ast.Inspect(f, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.GoStmt:
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					diags = append(diags, Diagnostic{
+						Pos:     prog.Fset.Position(n.Pos()),
+						Message: "go statement in a deterministic package: goroutine interleaving is not replayable; schedule work on the event loop",
+					})
+				case *ast.RangeStmt:
+					if _, ok := pkg.Info.TypeOf(n.X).Underlying().(*types.Map); ok {
 						diags = append(diags, Diagnostic{
 							Pos:     prog.Fset.Position(n.Pos()),
-							Check:   c.Name,
-							Message: "go statement in a deterministic package: goroutine interleaving is not replayable; schedule work on the event loop",
+							Message: "range over a map in a deterministic package: iteration order varies between runs; collect and sort the keys first",
 						})
-					case *ast.RangeStmt:
-						if _, ok := pkg.Info.TypeOf(n.X).Underlying().(*types.Map); ok {
-							diags = append(diags, Diagnostic{
-								Pos:     prog.Fset.Position(n.Pos()),
-								Check:   c.Name,
-								Message: "range over a map in a deterministic package: iteration order varies between runs; collect and sort the keys first",
-							})
-						}
-					case *ast.SelectorExpr:
-						if d, ok := flagTimeOrGlobalRand(pkg, n); ok {
-							d.Pos = prog.Fset.Position(n.Pos())
-							d.Check = c.Name
-							diags = append(diags, d)
-						}
 					}
-					return true
-				})
-			}
+				case *ast.SelectorExpr:
+					if d, ok := flagTimeOrGlobalRand(pkg, n); ok {
+						d.Pos = prog.Fset.Position(n.Pos())
+						diags = append(diags, d)
+					}
+				}
+				return true
+			})
 		}
-		return diags
 	}
-	return c
+	return diags
 }
 
 // flagTimeOrGlobalRand reports a use of a forbidden time function, of

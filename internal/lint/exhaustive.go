@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// ExhaustiveCheck enforces total handling of enum-like const groups: a switch
+// exhaustive enforces total handling of enum-like const groups: a switch
 // whose tag has a defined type with two or more package-level constants of
 // that exact type must either list every constant or carry a default clause.
 // The repository's enums — experiments.Variant, serve.State, serve.Kind — are
@@ -19,33 +19,25 @@ import (
 //
 // A default clause is the in-language acknowledgment that the switch
 // deliberately handles "everything else"; a switch that enumerates a strict
-// subset with no fallback is the bug this check exists for. Use
-// //lint:ignore exhaustive <why> for a switch that must stay partial.
-func ExhaustiveCheck() *Check {
-	c := &Check{
-		Name: "exhaustive",
-		Doc:  "switches over enum-like const groups must cover every constant or carry a default clause",
-	}
-	c.Run = func(prog *Program) []Diagnostic {
-		var diags []Diagnostic
-		for _, pkg := range prog.Pkgs {
-			for _, f := range pkg.Syntax {
-				ast.Inspect(f, func(n ast.Node) bool {
-					sw, ok := n.(*ast.SwitchStmt)
-					if !ok || sw.Tag == nil {
-						return true
-					}
-					if d, ok := checkSwitch(prog, pkg, sw); ok {
-						d.Check = c.Name
-						diags = append(diags, d)
-					}
+// subset with no fallback is the bug this check exists for; a switch that
+// must stay partial says so with an empty default.
+func exhaustive(prog *Program) []Diagnostic {
+	var diags []Diagnostic
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.Syntax {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sw, ok := n.(*ast.SwitchStmt)
+				if !ok || sw.Tag == nil {
 					return true
-				})
-			}
+				}
+				if d, ok := checkSwitch(prog, pkg, sw); ok {
+					diags = append(diags, d)
+				}
+				return true
+			})
 		}
-		return diags
 	}
-	return c
+	return diags
 }
 
 // checkSwitch analyzes one tagged switch statement against the const group

@@ -1,27 +1,17 @@
-// Package lint is a pure-stdlib static analyzer framework enforcing the
-// contracts this repository's correctness rests on but the compiler cannot
-// see: byte-identical replay from a seed (the paper's controlled-repetition
-// methodology), RFC 1982 serial-number arithmetic on wrapping 32-bit
-// sequence/epoch counters, nil-safety of the fault/trace hook fields, total
-// trace-category filtering, the pkg.snake_case metric-name convention, and
-// the Begin/End pairing discipline of causal spans.
+// Package lint is a pure-stdlib static analyzer for the contracts this
+// repository's correctness rests on that neither the compiler, go vet nor a
+// test guards: byte-identical replay from a seed (the paper's
+// controlled-repetition methodology), RFC 1982 serial-number arithmetic on
+// wrapping 32-bit sequence/epoch counters, enum-switch exhaustiveness, the
+// pkg.snake_case metric-name convention, sim-time unit hygiene, and the
+// mutex discipline of the concurrent layers. A check stays only while some
+// defect it exists for passes every test; DESIGN §9 has the mutation audit
+// that decided which.
 //
 // The framework is deliberately go/packages-free: packages are loaded by
 // shelling out to `go list -json -export -deps` (see loader.go) and
 // typechecked with go/types against the toolchain's export data, so tdlint
 // needs nothing outside the standard library and an installed go toolchain.
-//
-// # Suppression
-//
-// A finding is suppressed with a justified ignore comment on the flagged
-// line, or alone on the line directly above it:
-//
-//	//lint:ignore seqarith epoch distance is bounded by the handshake
-//
-// The first word after "ignore" is a comma-separated list of check names
-// ("*" matches every check); everything after it is the mandatory
-// justification. An ignore comment without a justification is itself
-// reported, so suppressions stay documented.
 package lint
 
 import (
@@ -39,8 +29,6 @@ import (
 type Package struct {
 	// Path is the package's import path.
 	Path string
-	// Fset positions every syntax node of the program.
-	Fset *token.FileSet
 	// Syntax holds the parsed files, comments included.
 	Syntax []*ast.File
 	// Types is the typechecked package.
@@ -49,17 +37,10 @@ type Package struct {
 	Info *types.Info
 }
 
-// Program is a set of loaded packages checked together. Checks run over the
-// whole program so they can correlate declarations in one package with uses
-// in another (the nilhook check needs this for cross-package hook fields,
-// the exhaustive check for const groups declared away from their switches).
+// Program is a set of loaded packages checked together.
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
-	// Dir is the absolute module directory the program was loaded from, or
-	// "" for GOPATH-style fixture loads (LoadDirs). The hotpath check needs
-	// it to run the compiler's escape analysis over the real build.
-	Dir string
 }
 
 // Diagnostic is one reported finding.
@@ -85,8 +66,8 @@ func (d Diagnostic) MarshalJSON() ([]byte, error) {
 	}{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message})
 }
 
-// Check is one analyzer: a name for -checks selection and ignore comments, a
-// one-line contract description, and the analysis itself.
+// Check is one analyzer: a name for -checks selection, a one-line contract
+// description, and the analysis itself.
 type Check struct {
 	Name string
 	Doc  string
@@ -96,16 +77,18 @@ type Check struct {
 // All returns every registered check, in stable order.
 func All() []*Check {
 	return []*Check{
-		DeterminismCheck(),
-		SeqArithCheck(),
-		NilHookCheck(),
-		TraceCatCheck(),
-		MetricNameCheck(),
-		SpanPairCheck(),
-		ConcurrencyCheck(),
-		HotPathCheck(),
-		SimTimeCheck(),
-		ExhaustiveCheck(),
+		{Name: "determinism", Run: determinism,
+			Doc: "forbid wall-clock time, global math/rand, goroutines, map iteration, sync.Pool and serve/obs imports in simulation packages"},
+		{Name: "seqarith", Run: seqArith,
+			Doc: "forbid raw ordering comparisons on wrapping uint32 sequence/epoch values; use the packet.SeqLT family"},
+		{Name: "metricname", Run: metricName,
+			Doc: "metric names passed to Registry.Add/Set/Hist must follow the pkg.snake_case convention with a constant prefix"},
+		{Name: "concurrency", Run: concurrency,
+			Doc: "serve/obs/trace: consistent mutex guards, no blocking calls under a mutex"},
+		{Name: "simtime", Run: simTime,
+			Doc: "sim-boundary packages must use sim.Time/sim.Dur: no time.Duration/time.Time, no unit-suffixed raw ints, no Time±Time arithmetic"},
+		{Name: "exhaustive", Run: exhaustive,
+			Doc: "switches over enum-like const groups must cover every constant or carry a default clause"},
 	}
 }
 
@@ -140,30 +123,19 @@ func checkNames(cs []*Check) []string {
 	return names
 }
 
-// Run executes the checks over the program, filters suppressed findings, and
-// returns the survivors sorted by position. Malformed ignore comments are
-// reported under the pseudo-check "ignore".
+// Run executes the checks over the program and returns their findings
+// sorted by position, each labelled with the check that reported it.
 func Run(prog *Program, checks []*Check) []Diagnostic {
 	var diags []Diagnostic
 	for _, c := range checks {
 		ds := c.Run(prog)
 		for i := range ds {
-			if ds[i].Check == "" {
-				ds[i].Check = c.Name
-			}
+			ds[i].Check = c.Name
 		}
 		diags = append(diags, ds...)
 	}
-	sup, bad := collectSuppressions(prog)
-	diags = append(diags, bad...)
-	out := diags[:0]
-	for _, d := range diags {
-		if !sup.matches(d) {
-			out = append(out, d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -175,7 +147,7 @@ func Run(prog *Program, checks []*Check) []Diagnostic {
 		}
 		return a.Check < b.Check
 	})
-	return out
+	return diags
 }
 
 // WriteText renders findings one per line.
@@ -192,66 +164,6 @@ func WriteJSON(w io.Writer, diags []Diagnostic) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(diags)
-}
-
-// suppression is one parsed //lint:ignore comment.
-type suppression struct {
-	checks []string // check names, or ["*"]
-	lines  [2]int   // lines it covers (comment line, and next line when standalone)
-}
-
-type suppressionIndex map[string][]suppression // filename → suppressions
-
-func (idx suppressionIndex) matches(d Diagnostic) bool {
-	for _, s := range idx[d.Pos.Filename] {
-		if d.Pos.Line != s.lines[0] && d.Pos.Line != s.lines[1] {
-			continue
-		}
-		for _, c := range s.checks {
-			if c == "*" || c == d.Check {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-const ignorePrefix = "//lint:ignore"
-
-// collectSuppressions scans every file's comments for //lint:ignore
-// directives. A directive on a code line covers that line; a directive alone
-// on its line covers the following line too. Directives missing a check list
-// or a justification are returned as findings.
-func collectSuppressions(prog *Program) (suppressionIndex, []Diagnostic) {
-	idx := suppressionIndex{}
-	var bad []Diagnostic
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Syntax {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if !strings.HasPrefix(c.Text, ignorePrefix) {
-						continue
-					}
-					pos := prog.Fset.Position(c.Pos())
-					rest := strings.TrimPrefix(c.Text, ignorePrefix)
-					fields := strings.Fields(rest)
-					if len(fields) < 2 {
-						bad = append(bad, Diagnostic{
-							Pos:     pos,
-							Check:   "ignore",
-							Message: "malformed ignore comment: want //lint:ignore <check>[,<check>] <justification>",
-						})
-						continue
-					}
-					idx[pos.Filename] = append(idx[pos.Filename], suppression{
-						checks: strings.Split(fields[0], ","),
-						lines:  [2]int{pos.Line, pos.Line + 1},
-					})
-				}
-			}
-		}
-	}
-	return idx, bad
 }
 
 // --- shared AST helpers ------------------------------------------------------

@@ -25,10 +25,9 @@ func selectChecks(t *testing.T, names string) []*Check {
 	return checks
 }
 
-// checkFixture loads the fixture packages, runs the checks through Run
-// (suppression included), and compares the findings against the fixtures'
-// want comments: every finding must match an expectation on its line, and
-// every expectation must be hit.
+// checkFixture loads the fixture packages, runs the checks through Run, and
+// compares the findings against the fixtures' want comments: every finding
+// must match an expectation on its line, and every expectation must be hit.
 func checkFixture(t *testing.T, checks []*Check, dirs ...string) {
 	t.Helper()
 	prog, err := LoadDirs(fixtureRoot, dirs...)
@@ -118,39 +117,8 @@ func TestSeqArithFixture(t *testing.T) {
 	checkFixture(t, selectChecks(t, "seqarith"), "b/internal/tcp")
 }
 
-func TestNilHookFixture(t *testing.T) {
-	checkFixture(t, selectChecks(t, "nilhook"), "c/hooks")
-}
-
-func TestTraceCatFixture(t *testing.T) {
-	checkFixture(t, selectChecks(t, "tracecat"), "d/trace", "d/emit")
-}
-
 func TestMetricNameFixture(t *testing.T) {
 	checkFixture(t, selectChecks(t, "metricname"), "d/trace", "d/metrics")
-}
-
-func TestSpanPairFixture(t *testing.T) {
-	checkFixture(t, selectChecks(t, "spanpair"), "d/trace", "d/spans")
-}
-
-func TestSuppressionFixture(t *testing.T) {
-	checkFixture(t, selectChecks(t, "seqarith"), "f/internal/tcp")
-}
-
-func TestMalformedIgnore(t *testing.T) {
-	prog, err := LoadDirs(fixtureRoot, "f/malformed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(prog, nil)
-	if len(diags) != 1 {
-		t.Fatalf("got %d findings, want 1: %v", len(diags), diags)
-	}
-	d := diags[0]
-	if d.Check != "ignore" || !strings.Contains(d.Message, "malformed ignore comment") {
-		t.Errorf("unexpected finding: %s", d)
-	}
 }
 
 func TestSelect(t *testing.T) {
@@ -158,9 +126,9 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("Select(\"\") = %d checks, err %v; want all %d", len(all), err, len(All()))
 	}
-	two, err := Select("seqarith, nilhook")
-	if err != nil || len(two) != 2 || two[0].Name != "seqarith" || two[1].Name != "nilhook" {
-		t.Fatalf("Select(\"seqarith, nilhook\") = %v, err %v", checkNames(two), err)
+	two, err := Select("seqarith, exhaustive")
+	if err != nil || len(two) != 2 || two[0].Name != "seqarith" || two[1].Name != "exhaustive" {
+		t.Fatalf("Select(\"seqarith, exhaustive\") = %v, err %v", checkNames(two), err)
 	}
 	if _, err := Select("nosuch"); err == nil {
 		t.Fatal("Select(\"nosuch\") should fail")

@@ -70,13 +70,9 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		return nil, err
 	}
 
-	absDir, err := filepath.Abs(dir)
-	if err != nil {
-		absDir = dir
-	}
 	fset := token.NewFileSet()
 	imp := exportImporter(fset, exports)
-	prog := &Program{Fset: fset, Dir: absDir}
+	prog := &Program{Fset: fset}
 	for _, t := range targets {
 		var files []*ast.File
 		for _, name := range t.GoFiles {
@@ -311,16 +307,14 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 // typecheck runs go/types over one package's files.
 func typecheck(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*Package, error) {
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, &LoadError{Stage: "typecheck", Err: err}
 	}
-	return &Package{Path: path, Fset: fset, Syntax: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Syntax: files, Types: tpkg, Info: info}, nil
 }

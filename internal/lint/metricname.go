@@ -23,42 +23,34 @@ var (
 	sprintfVerbRe = regexp.MustCompile(`%[-+ #0]*[0-9]*(\.[0-9]+)?[a-zA-Z]`)
 )
 
-// MetricNameCheck enforces the pkg.snake_case convention on names passed to
+// metricName enforces the pkg.snake_case convention on names passed to
 // the trace Registry's Add, Set and Hist. Names that do not parse as
 // "prefix.segment[.segment...]" fall out of every dashboard grouping, and
 // fully dynamic names make cardinality unbounded — doubly so for histograms,
 // where every name is a full bucket array.
-func MetricNameCheck() *Check {
-	c := &Check{
-		Name: "metricname",
-		Doc:  "metric names passed to Registry.Add/Set/Hist must follow the pkg.snake_case convention with a constant prefix",
-	}
-	c.Run = func(prog *Program) []Diagnostic {
-		var diags []Diagnostic
-		for _, pkg := range prog.Pkgs {
-			for _, f := range pkg.Syntax {
-				ast.Inspect(f, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if !isRegistryAddSet(pkg, call) || len(call.Args) == 0 {
-						return true
-					}
-					if msg, bad := badMetricName(pkg, call.Args[0]); bad {
-						diags = append(diags, Diagnostic{
-							Pos:     prog.Fset.Position(call.Args[0].Pos()),
-							Check:   c.Name,
-							Message: msg,
-						})
-					}
+func metricName(prog *Program) []Diagnostic {
+	var diags []Diagnostic
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.Syntax {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
 					return true
-				})
-			}
+				}
+				if !isRegistryAddSet(pkg, call) || len(call.Args) == 0 {
+					return true
+				}
+				if msg, bad := badMetricName(pkg, call.Args[0]); bad {
+					diags = append(diags, Diagnostic{
+						Pos:     prog.Fset.Position(call.Args[0].Pos()),
+						Message: msg,
+					})
+				}
+				return true
+			})
 		}
-		return diags
 	}
-	return c
+	return diags
 }
 
 // isRegistryAddSet reports whether call invokes method Add, Set or Hist on

@@ -22,155 +22,6 @@ func TestExhaustiveFixture(t *testing.T) {
 	checkFixture(t, selectChecks(t, "exhaustive"), "j/states")
 }
 
-// TestHotPathFixtureNeedsModule pins the failure mode of running the hotpath
-// check on a GOPATH-style load: a directive with no module to build against
-// is a finding, not a silent pass.
-func TestHotPathFixtureNeedsModule(t *testing.T) {
-	checkFixture(t, selectChecks(t, "hotpath"), "k/hot")
-}
-
-// hotModFiles is a minimal module with one escape-clean hot function and one
-// deliberately regressed one: Box returns its argument boxed in an
-// interface, which the escape analysis reports as a heap allocation.
-var hotModFiles = map[string]string{
-	"go.mod": "module hotfix.example/m\n\ngo 1.24\n",
-	"hot/clean.go": `package hot
-
-//lint:hotpath summing stays on the stack
-func Sum(xs []int) int {
-	total := 0
-	for _, x := range xs {
-		total += x
-	}
-	return total
-}
-`,
-	"hot/regressed.go": `package hot
-
-//lint:hotpath deliberately regressed: boxing allocates
-func Box(i int) any {
-	return i
-}
-`,
-	// batch.go mirrors the shape of the real per-(host,TDN) batch-delivery
-	// hot path (a value-struct frame slice walked in one call): the frame
-	// stays a stack value through the loop, but storing it into an interface
-	// field boxes a copy per frame — exactly the regression the annotation on
-	// the real batch functions exists to catch.
-	"hot/batch.go": `package hot
-
-type Frame struct {
-	Src, Dst, Len int
-	Payload       []byte
-}
-
-type Sink struct{ Last any }
-
-//lint:hotpath deliberately regressed: boxing a frame per batch entry
-func DeliverBatch(s *Sink, fs []Frame, tdn int) int {
-	n := 0
-	for _, f := range fs {
-		n += f.Len
-		s.Last = f
-	}
-	return n
-}
-`,
-}
-
-// TestHotPathModule runs the hotpath check against a real throwaway module:
-// each deliberately regressed function — scalar boxing in Box, per-frame
-// boxing inside the batch-delivery-shaped DeliverBatch loop — must produce a
-// finding attributed to it; the clean function must not.
-func TestHotPathModule(t *testing.T) {
-	dir := t.TempDir()
-	for path, content := range hotModFiles {
-		full := filepath.Join(dir, filepath.FromSlash(path))
-		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	prog, err := Load(dir, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(prog, selectChecks(t, "hotpath"))
-	if len(diags) == 0 {
-		t.Fatal("regressed hot functions produced no finding")
-	}
-	hit := map[string]bool{}
-	for _, d := range diags {
-		switch {
-		case strings.Contains(d.Message, "Box"):
-			hit["Box"] = true
-		case strings.Contains(d.Message, "DeliverBatch"):
-			hit["DeliverBatch"] = true
-		default:
-			t.Errorf("finding outside the regressed functions: %s", d)
-		}
-		if d.Check != "hotpath" {
-			t.Errorf("finding under wrong check: %s", d)
-		}
-	}
-	for _, want := range []string{"Box", "DeliverBatch"} {
-		if !hit[want] {
-			t.Errorf("regressed function %s produced no finding", want)
-		}
-	}
-}
-
-// TestParseEscapes pins the -m=1 output grammar the hotpath check depends
-// on: allocation messages in, inlining/param-leak noise out, relative paths
-// resolved against the build directory.
-func TestParseEscapes(t *testing.T) {
-	out := strings.Join([]string{
-		"# example.com/m/hot",
-		"hot/a.go:5:9: new(T) escapes to heap",
-		"hot/a.go:7:2: moved to heap: buf",
-		"hot/a.go:9:14: make([]byte, 0, n) does not escape",
-		"hot/a.go:11:6: can inline fire",
-		"hot/a.go:13:20: leaking param: fn",
-		"/abs/b.go:3:4: composite literal escapes to heap",
-		"not a diagnostic line",
-		"",
-	}, "\n")
-	allocs := parseEscapes("/work", out)
-	if len(allocs) != 3 {
-		t.Fatalf("got %d allocs, want 3: %+v", len(allocs), allocs)
-	}
-	if allocs[0].file != filepath.Join("/work", "hot", "a.go") || allocs[0].line != 5 || allocs[0].col != 9 {
-		t.Errorf("bad first alloc: %+v", allocs[0])
-	}
-	if allocs[1].msg != "moved to heap: buf" {
-		t.Errorf("bad second alloc: %+v", allocs[1])
-	}
-	if allocs[2].file != "/abs/b.go" {
-		t.Errorf("absolute path not preserved: %+v", allocs[2])
-	}
-}
-
-func TestIsAllocMsg(t *testing.T) {
-	cases := []struct {
-		msg  string
-		want bool
-	}{
-		{"new(T) escapes to heap", true},
-		{"&Loop{...} escapes to heap", true},
-		{"moved to heap: rng", true},
-		{"make([]byte, 0, n) does not escape", false},
-		{"leaking param: fn", false},
-		{"can inline (*Loop).Step", false},
-	}
-	for _, c := range cases {
-		if got := isAllocMsg(c.msg); got != c.want {
-			t.Errorf("isAllocMsg(%q) = %v, want %v", c.msg, got, c.want)
-		}
-	}
-}
-
 // TestParseGoListMalformed pins the loader's first failure stage: a truncated
 // or corrupt `go list` stream is a "go list" LoadError, never a panic.
 func TestParseGoListMalformed(t *testing.T) {

@@ -32,54 +32,46 @@ var seqNameFragments = []string{"seq", "ack", "epoch", "una", "nxt", "dsn", "sac
 // codebase without containing one of the fragments.
 var seqNameExact = map[string]bool{"start": true, "end": true}
 
-// SeqArithCheck flags raw <, >, <=, >= comparisons between uint32 values with
+// seqArith flags raw <, >, <=, >= comparisons between uint32 values with
 // sequence-space names. Such comparisons are wrong once the counter wraps;
 // the packet.SeqLT family implements the correct RFC 1982 signed-distance
 // comparison.
-func SeqArithCheck() *Check {
-	c := &Check{
-		Name: "seqarith",
-		Doc:  "forbid raw ordering comparisons on wrapping uint32 sequence/epoch values; use the packet.SeqLT family",
-	}
-	c.Run = func(prog *Program) []Diagnostic {
-		var diags []Diagnostic
-		for _, pkg := range prog.Pkgs {
-			if !pathMatches(pkg.Path, seqArithPkgs...) {
-				continue
-			}
-			for _, f := range pkg.Syntax {
-				walkWithStack(f, func(n ast.Node, stack []ast.Node) bool {
-					be, ok := n.(*ast.BinaryExpr)
-					if !ok {
-						return true
-					}
-					switch be.Op {
-					case token.LSS, token.GTR, token.LEQ, token.GEQ:
-					default:
-						return true
-					}
-					if seqHelperFuncs[enclosingFuncName(stack)] {
-						return true
-					}
-					if basicKind(pkg.Info.TypeOf(be.X)) != types.Uint32 ||
-						basicKind(pkg.Info.TypeOf(be.Y)) != types.Uint32 {
-						return true
-					}
-					if !hasSeqName(be.X) && !hasSeqName(be.Y) {
-						return true
-					}
-					diags = append(diags, Diagnostic{
-						Pos:     prog.Fset.Position(be.OpPos),
-						Check:   c.Name,
-						Message: "raw " + be.Op.String() + " on uint32 sequence-space values breaks at wraparound; use packet.Seq" + seqHelperFor(be.Op) + " (RFC 1982 arithmetic)",
-					})
-					return true
-				})
-			}
+func seqArith(prog *Program) []Diagnostic {
+	var diags []Diagnostic
+	for _, pkg := range prog.Pkgs {
+		if !pathMatches(pkg.Path, seqArithPkgs...) {
+			continue
 		}
-		return diags
+		for _, f := range pkg.Syntax {
+			walkWithStack(f, func(n ast.Node, stack []ast.Node) bool {
+				be, ok := n.(*ast.BinaryExpr)
+				if !ok {
+					return true
+				}
+				switch be.Op {
+				case token.LSS, token.GTR, token.LEQ, token.GEQ:
+				default:
+					return true
+				}
+				if seqHelperFuncs[enclosingFuncName(stack)] {
+					return true
+				}
+				if basicKind(pkg.Info.TypeOf(be.X)) != types.Uint32 ||
+					basicKind(pkg.Info.TypeOf(be.Y)) != types.Uint32 {
+					return true
+				}
+				if !hasSeqName(be.X) && !hasSeqName(be.Y) {
+					return true
+				}
+				diags = append(diags, Diagnostic{
+					Pos:     prog.Fset.Position(be.OpPos),
+					Message: "raw " + be.Op.String() + " on uint32 sequence-space values breaks at wraparound; use packet.Seq" + seqHelperFor(be.Op) + " (RFC 1982 arithmetic)",
+				})
+				return true
+			})
+		}
 	}
-	return c
+	return diags
 }
 
 func seqHelperFor(op token.Token) string {

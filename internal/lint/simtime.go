@@ -32,58 +32,48 @@ var unitSuffixRe = regexp.MustCompile(
 		`|[a-z0-9](Ms|Us|Ns|Sec|Msec|Usec|Nsec|Millis|Micros|Nanos)$` + // camelCase
 		`|^(msec|usec|nsec|millis|micros|nanos)$`) // bare unit name
 
-// SimTimeCheck keeps virtual time in sim.Time/sim.Dur inside the simulation
+// simTime keeps virtual time in sim.Time/sim.Dur inside the simulation
 // boundary: no time.Time/time.Duration in sim-boundary packages (a wall-clock
 // quantity there is a unit bug waiting to replay differently), no raw integer
 // declarations whose names carry a unit suffix (the unit belongs in the
 // type), and no adding or subtracting two sim.Time values directly (a point
 // plus a point is meaningless — use Add/Sub, which force the Time/Dur
 // distinction).
-func SimTimeCheck() *Check {
-	c := &Check{
-		Name: "simtime",
-		Doc:  "sim-boundary packages must use sim.Time/sim.Dur: no time.Duration/time.Time, no unit-suffixed raw ints, no Time±Time arithmetic",
-	}
-	c.Run = func(prog *Program) []Diagnostic {
-		var diags []Diagnostic
-		for _, pkg := range prog.Pkgs {
-			if !pathMatches(pkg.Path, simTimePkgs...) {
-				continue
-			}
-			for _, f := range pkg.Syntax {
-				ast.Inspect(f, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.SelectorExpr:
-						if d, ok := flagWallType(pkg, n); ok {
-							d.Pos = prog.Fset.Position(n.Pos())
-							d.Check = c.Name
-							diags = append(diags, d)
-						}
-					case *ast.Ident:
-						if d, ok := flagUnitName(pkg, n); ok {
-							d.Pos = prog.Fset.Position(n.Pos())
-							d.Check = c.Name
-							diags = append(diags, d)
-						}
-					case *ast.BinaryExpr:
-						// The sim package itself implements Add/Sub; its two
-						// conversions are the one legitimate site.
-						if pathMatches(pkg.Path, "internal/sim") {
-							return true
-						}
-						if d, ok := flagTimeArith(pkg, n); ok {
-							d.Pos = prog.Fset.Position(n.Pos())
-							d.Check = c.Name
-							diags = append(diags, d)
-						}
-					}
-					return true
-				})
-			}
+func simTime(prog *Program) []Diagnostic {
+	var diags []Diagnostic
+	for _, pkg := range prog.Pkgs {
+		if !pathMatches(pkg.Path, simTimePkgs...) {
+			continue
 		}
-		return diags
+		for _, f := range pkg.Syntax {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if d, ok := flagWallType(pkg, n); ok {
+						d.Pos = prog.Fset.Position(n.Pos())
+						diags = append(diags, d)
+					}
+				case *ast.Ident:
+					if d, ok := flagUnitName(pkg, n); ok {
+						d.Pos = prog.Fset.Position(n.Pos())
+						diags = append(diags, d)
+					}
+				case *ast.BinaryExpr:
+					// The sim package itself implements Add/Sub; its two
+					// conversions are the one legitimate site.
+					if pathMatches(pkg.Path, "internal/sim") {
+						return true
+					}
+					if d, ok := flagTimeArith(pkg, n); ok {
+						d.Pos = prog.Fset.Position(n.Pos())
+						diags = append(diags, d)
+					}
+				}
+				return true
+			})
+		}
 	}
-	return c
+	return diags
 }
 
 // flagWallType reports a reference to time.Duration or time.Time — as a

@@ -1,18 +1,7 @@
-// Package trace mirrors the real trace package's shape: the tracecat and
-// metricname checks key on the package name and the Category and Registry
-// type names, so fixtures exercise them without importing the real module.
+// Package trace mirrors the real trace package's shape: the metricname check
+// keys on the package name and the Registry type name, so fixtures exercise
+// it without importing the real module.
 package trace
-
-type Category uint32
-
-const (
-	CatSim Category = 1 << iota
-	CatTCP
-	CatRDCN
-)
-
-// Emit records one event under the given category.
-func Emit(c Category, name string) {}
 
 // Registry accumulates named metrics.
 type Registry struct{}
@@ -28,12 +17,3 @@ type Histogram struct{}
 
 // Hist returns a handle on the named histogram.
 func (r *Registry) Hist(name string) *Histogram { return nil }
-
-// SpanID names one causal span.
-type SpanID uint64
-
-// BeginSpan opens a causal span and returns its id.
-func BeginSpan(c Category, ts int64, name string, flow, tdn int, parent SpanID) SpanID { return 0 }
-
-// EndSpan closes span id opened by BeginSpan.
-func EndSpan(c Category, ts int64, name string, flow, tdn int, id SpanID, a, b float64) {}

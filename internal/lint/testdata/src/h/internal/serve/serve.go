@@ -1,31 +1,11 @@
 // Package serve is the concurrency-check fixture: each struct isolates one
-// of the four rules (atomic/plain mix, guard consistency, lock copies,
-// blocking under a mutex) with a positive and a negative shape.
+// of the two rules (guard consistency, blocking under a mutex) with a
+// positive and a negative shape.
 package serve
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// --- rule 1: mixed atomic/plain access --------------------------------------
-
-type Hits struct {
-	n     int64
-	other int64
-}
-
-func (h *Hits) Inc() { atomic.AddInt64(&h.n, 1) }
-
-func (h *Hits) Snapshot() int64 {
-	return h.n // want "n is accessed via sync/atomic elsewhere but plainly here"
-}
-
-// PlainOnly never touches the atomic field; plain access to a plain field is
-// not a finding.
-func (h *Hits) PlainOnly() int64 { return h.other }
-
-// --- rule 2: inconsistent mutex guards --------------------------------------
+// --- inconsistent mutex guards ----------------------------------------------
 
 type Store struct {
 	mu   sync.Mutex
@@ -59,30 +39,34 @@ func (s *Store) Reset() {
 // whole body as guarded.
 func (s *Store) bumpLocked() { s.n++ }
 
-// --- rule 3: locks copied by value ------------------------------------------
-
-type CopyMe struct {
-	mu sync.Mutex
-	n  int
+// Cache's entries are written only inside a *Locked method, which runs with
+// the mutex held: that write alone makes entries a guarded field.
+type Cache struct {
+	mu      sync.Mutex
+	entries map[string]int
 }
 
-func byValue(c CopyMe) int { // want "parameter copies .*CopyMe by value"
-	return c.n
+func (c *Cache) addLocked(k string, v int) { c.entries[k] = v }
+
+func (c *Cache) Add(k string, v int) {
+	c.mu.Lock()
+	c.addLocked(k, v)
+	c.mu.Unlock()
 }
 
-func (c CopyMe) get() int { // want "receiver copies .*CopyMe by value"
-	return c.n
+func (c *Cache) Get(k string) (int, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.entries[k]
+	return v, ok
 }
 
-func snapshot(c *CopyMe) {
-	cp := *c // want "assignment copies .*CopyMe by value"
-	_ = cp
+func (c *Cache) Has(k string) bool {
+	_, ok := c.entries[k] // want "Cache.entries is written under the mutex on other paths but accessed without it here"
+	return ok
 }
 
-// byPointer is the correct shape.
-func byPointer(c *CopyMe) int { return c.n }
-
-// --- rule 4: blocking calls while holding a mutex ---------------------------
+// --- blocking calls while holding a mutex -----------------------------------
 
 type Blocky struct {
 	mu sync.Mutex

@@ -64,7 +64,7 @@ func NewDock(src, dst int, srcLoop, dstLoop *sim.Loop, deferFn func(src, dst int
 
 // Add stages a frame due delay after the source lane's clock.
 //
-//lint:hotpath runs once per cross-lane frame
+// Hot path: runs once per cross-lane frame.
 func (k *Dock) Add(f Frame, delay sim.Dur) {
 	if len(k.stage) == 0 {
 		k.deferFn(k.src, k.dst, k.flushFn)
@@ -98,7 +98,7 @@ func (k *Dock) flush() {
 // fire delivers every frame whose due has arrived, copied out first, so
 // synchronous downstream sends cannot alias the ring.
 //
-//lint:hotpath runs once per distinct cross-lane delivery instant
+// Hot path: runs once per distinct cross-lane delivery instant.
 func (k *Dock) fire() {
 	now := k.dstLoop.Now()
 	out := k.out[:0]

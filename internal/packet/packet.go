@@ -175,7 +175,7 @@ var (
 
 // internet checksum (RFC 1071).
 //
-//lint:hotpath runs twice per frame (serialize and parse)
+// Hot path: runs twice per frame (serialize and parse).
 func checksum(b []byte) uint16 {
 	// Eight bytes per iteration: four 16-bit big-endian words extracted
 	// from one 64-bit load. The ones-complement sum is associative, so the

@@ -524,7 +524,7 @@ func (r *Rack) ingress(f netem.Frame) {
 // pool (see returnWire), so Recv hooks must parse (Parse copies) rather than
 // retain the wire.
 //
-//lint:hotpath runs once per delivered frame
+// Hot path: runs once per delivered frame.
 func (n *Network) deliver(src, dst int, f netem.Frame) {
 	rack := n.Racks[dst]
 	h := n.hostIn(rack, f)
@@ -543,7 +543,7 @@ func (n *Network) deliver(src, dst int, f netem.Frame) {
 // hostIn resolves a frame's destination host within rack by its IPv4
 // destination address, or nil when the frame is misrouted.
 //
-//lint:hotpath runs once per delivered frame
+// Hot path: runs once per delivered frame.
 func (n *Network) hostIn(rack *Rack, f netem.Frame) *Host {
 	if len(f.Wire) < 20 {
 		return nil
@@ -561,7 +561,7 @@ func (n *Network) hostIn(rack *Rack, f netem.Frame) *Host {
 // is a plain release; only under a Cluster can it be another lane's pool, and
 // then the buffer is staged for the next barrier (see Rack.pool).
 //
-//lint:hotpath runs once per consumed frame
+// Hot path: runs once per consumed frame.
 func (r *Rack) returnWire(src int, f *netem.Frame) {
 	home := r.net.Racks[src].pool
 	if home == nil || home == r.pool || cap(f.Wire) == 0 {
@@ -843,7 +843,7 @@ func (n *Network) deliverNotify(h *Host, wire []byte, d sim.Dur, sp trace.SpanID
 
 // fire parses and delivers one notification, then recycles the cell.
 //
-//lint:hotpath runs once per host per schedule transition
+// Hot path: runs once per host per schedule transition.
 func (c *notifyCell) fire() {
 	n, h, wire, d, sp := c.n, c.h, c.wire, c.d, c.sp
 	r := h.Rack

@@ -214,7 +214,7 @@ func (l *Loop) Fired() uint64 { return l.fired }
 // subtracting the sequence difference's sign bit gives a value whose sign is
 // the lexicographic answer: any nonzero time difference outweighs the one bit.
 //
-//lint:hotpath every sift compares through here
+// Hot path: every sift compares through here.
 func less(a, b event) int {
 	dt := int64(a.at - b.at)
 	ds := int64(a.seq - b.seq)
@@ -223,7 +223,7 @@ func less(a, b event) int {
 
 // siftUp restores heap order after appending the entry at index i.
 //
-//lint:hotpath runs on every event insertion
+// Hot path: runs on every event insertion.
 func (l *Loop) siftUp(i int) {
 	h, slots := l.events, l.slots
 	e := h[i]
@@ -246,7 +246,7 @@ func (l *Loop) siftUp(i int) {
 // exit; the last parent, which may have fewer than four children, scans them
 // the same way.
 //
-//lint:hotpath runs on every event pop
+// Hot path: runs on every event pop.
 func (l *Loop) siftDown(i int) {
 	h, slots := l.events, l.slots
 	n := len(h)
@@ -282,7 +282,7 @@ func (l *Loop) siftDown(i int) {
 // remove deletes the entry at heap index i: the last entry takes its place
 // and sifts whichever way restores order.
 //
-//lint:hotpath runs once per popped or stopped event
+// Hot path: runs once per popped or stopped event.
 func (l *Loop) remove(i int) {
 	h := l.events
 	n := len(h) - 1
@@ -302,7 +302,7 @@ func (l *Loop) remove(i int) {
 // callback scheduled nothing to take its place. peek and Stop call it before
 // they read the heap; Live counts a vacant root out instead.
 //
-//lint:hotpath runs before every heap read
+// Hot path: runs before every heap read.
 func (l *Loop) settle() {
 	if l.vacant {
 		l.vacant = false
@@ -314,7 +314,7 @@ func (l *Loop) settle() {
 // installs fn in it. Slab growth amortizes through append; the steady state
 // recycles cells without touching the allocator.
 //
-//lint:hotpath runs on every timer arm
+// Hot path: runs on every timer arm.
 func (l *Loop) allocSlot(fn func()) int32 {
 	if n := len(l.free); n > 0 {
 		i := l.free[n-1]
@@ -330,7 +330,7 @@ func (l *Loop) allocSlot(fn func()) int32 {
 // retains a dead closure) and the generation advances, invalidating every
 // outstanding handle to the old timer.
 //
-//lint:hotpath runs once per fired or stopped event
+// Hot path: runs once per fired or stopped event.
 func (l *Loop) freeSlot(i int32) {
 	s := &l.slots[i]
 	s.fn = nil
@@ -354,7 +354,7 @@ func (l *Loop) schedulePastPanic(at Time) {
 // sift-up. Keys are unique, so the heap holds the same set either way and
 // pops in the same order.
 //
-//lint:hotpath every timer arm goes through here
+// Hot path: every timer arm goes through here.
 func (l *Loop) At(at Time, fn func()) Timer {
 	if at < l.now {
 		l.schedulePastPanic(at)
@@ -376,7 +376,7 @@ func (l *Loop) At(at Time, fn func()) Timer {
 // After schedules fn to run d after the current time. Negative d is clamped
 // to zero.
 //
-//lint:hotpath the common timer-arm entry point
+// Hot path: the common timer-arm entry point.
 func (l *Loop) After(d Dur, fn func()) Timer {
 	if d < 0 {
 		d = 0
@@ -387,7 +387,7 @@ func (l *Loop) After(d Dur, fn func()) Timer {
 // peek reports the firing time of the earliest pending event, popping a
 // vacant root first. Step and RunUntil share it.
 //
-//lint:hotpath runs before every event fire
+// Hot path: runs before every event fire.
 func (l *Loop) peek() (Time, bool) {
 	l.settle()
 	if len(l.events) == 0 {
@@ -399,7 +399,7 @@ func (l *Loop) peek() (Time, bool) {
 // Step executes the next pending event, advancing the clock to its time.
 // It reports false when no events remain.
 //
-//lint:hotpath the event loop's inner iteration
+// Hot path: the event loop's inner iteration.
 func (l *Loop) Step() bool {
 	if _, ok := l.peek(); !ok {
 		return false

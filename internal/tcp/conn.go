@@ -620,7 +620,7 @@ func (c *Conn) CircuitDown() {
 // (the Out contract); the SACK backing array is preserved across resets so
 // fillSACK appends without allocating.
 //
-//lint:hotpath runs once per transmitted segment
+// Hot path: runs once per transmitted segment.
 func (c *Conn) newSegment(flags uint8) *packet.Segment {
 	s := &c.outSeg
 	sack := s.TCP.SACK[:0]
@@ -972,7 +972,7 @@ func (c *Conn) armTimer() {
 // onTimer validates the armed timer against the wanted deadline and either
 // re-arms (the deadline moved out or vanished since arming) or dispatches.
 //
-//lint:hotpath runs once per timer expiry, including lazy re-arms
+// Hot path: runs once per timer expiry, including lazy re-arms.
 func (c *Conn) onTimer() {
 	if c.wantAt == 0 {
 		return // quiesced: nothing outstanding when the stale timer fired

@@ -154,7 +154,7 @@ const maxMRU = 8
 // touchMRU moves (or inserts) a range start key to the front of the recency
 // list, shifting in place within the preallocated backing array.
 //
-//lint:hotpath runs once per out-of-order segment
+// Hot path: runs once per out-of-order segment.
 func (c *Conn) touchMRU(start uint32) {
 	c.dropMRU(start)
 	if len(c.mruBlock) < maxMRU {

@@ -99,7 +99,7 @@ func (q *rtxQueue) forEach(fn func(*TxSeg) bool) {
 // returning false stops the walk. Sequence-space comparisons are safe as long
 // as the outstanding window is below 2^31 bytes, the usual TCP constraint.
 //
-//lint:hotpath runs once per SACK block per ACK
+// Hot path: runs once per SACK block per ACK.
 func (q *rtxQueue) forRange(start, end uint32, fn func(*TxSeg) bool) {
 	lo, hi := q.head, len(q.segs)
 	for lo < hi {

@@ -169,7 +169,7 @@ func (ps *PathState) enterRecoveryPRR() {
 // InFlight estimates the packets of this state currently in the network:
 // sent and neither SACKed nor presumed lost.
 //
-//lint:hotpath read on every ACK and send attempt
+// Hot path: read on every ACK and send attempt.
 func (ps *PathState) InFlight() int {
 	n := ps.PacketsOut - ps.SackedOut - ps.LostOut
 	if n < 0 {
@@ -184,7 +184,7 @@ func (ps *PathState) Cwnd() float64 { return ps.CC.Cwnd() }
 // ObserveRTT folds a fresh RTT sample into the estimator (RFC 6298) and
 // recomputes RTO within [minRTO, maxRTO].
 //
-//lint:hotpath runs once per accepted RTT sample
+// Hot path: runs once per accepted RTT sample.
 func (ps *PathState) ObserveRTT(sample sim.Dur, minRTO, maxRTO sim.Dur) {
 	if sample <= 0 {
 		return

@@ -54,10 +54,10 @@ func histValue(idx int) int64 {
 // matching the nil-Tracer contract.
 type Histogram struct {
 	name    string
-	count   uint64
-	sum     int64
-	max     int64
-	octaves [histBuckets / histSub]atomic.Pointer[[histSub]uint64]
+	count   atomic.Uint64
+	sum     atomic.Int64
+	max     atomic.Int64
+	octaves [histBuckets / histSub]atomic.Pointer[[histSub]atomic.Uint64]
 }
 
 // Name returns the histogram's registry name.
@@ -68,9 +68,10 @@ func (h *Histogram) Name() string {
 	return h.name
 }
 
-// Record adds one observation. Negative values clamp to zero.
-//
-//lint:hotpath runs once per RTT sample, VOQ tick and notification
+// Record adds one observation. Negative values clamp to zero. It runs once
+// per RTT sample, VOQ tick and notification, so it must not allocate once
+// its octave exists; TestHistogramAllocatesTouchedOctavesOnly and
+// TestSteadyStateDoesNotAllocate hold it to that.
 func (h *Histogram) Record(v int64) {
 	if h == nil {
 		return
@@ -83,12 +84,12 @@ func (h *Histogram) Record(v int64) {
 	if oct == nil {
 		oct = h.octave(i >> histSubBits)
 	}
-	atomic.AddUint64(&oct[i&(histSub-1)], 1)
-	atomic.AddUint64(&h.count, 1)
-	atomic.AddInt64(&h.sum, v)
+	oct[i&(histSub-1)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
 	for {
-		old := atomic.LoadInt64(&h.max)
-		if v <= old || atomic.CompareAndSwapInt64(&h.max, old, v) {
+		old := h.max.Load()
+		if v <= old || h.max.CompareAndSwap(old, v) {
 			return
 		}
 	}
@@ -99,8 +100,8 @@ func (h *Histogram) Record(v int64) {
 // loses its count. Kept out of line so Record's steady state stays small.
 //
 //go:noinline
-func (h *Histogram) octave(o int) *[histSub]uint64 {
-	h.octaves[o].CompareAndSwap(nil, new([histSub]uint64))
+func (h *Histogram) octave(o int) *[histSub]atomic.Uint64 {
+	h.octaves[o].CompareAndSwap(nil, new([histSub]atomic.Uint64))
 	return h.octaves[o].Load()
 }
 
@@ -110,7 +111,7 @@ func (h *Histogram) bucket(i int) uint64 {
 	if oct == nil {
 		return 0
 	}
-	return atomic.LoadUint64(&oct[i&(histSub-1)])
+	return oct[i&(histSub-1)].Load()
 }
 
 // Count returns the number of recorded observations.
@@ -118,7 +119,7 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return atomic.LoadUint64(&h.count)
+	return h.count.Load()
 }
 
 // Max returns the largest recorded observation (0 when empty).
@@ -126,7 +127,7 @@ func (h *Histogram) Max() int64 {
 	if h == nil {
 		return 0
 	}
-	return atomic.LoadInt64(&h.max)
+	return h.max.Load()
 }
 
 // Mean returns the arithmetic mean of the observations (0 when empty).
@@ -134,11 +135,11 @@ func (h *Histogram) Mean() float64 {
 	if h == nil {
 		return 0
 	}
-	n := atomic.LoadUint64(&h.count)
+	n := h.count.Load()
 	if n == 0 {
 		return 0
 	}
-	return float64(atomic.LoadInt64(&h.sum)) / float64(n)
+	return float64(h.sum.Load()) / float64(n)
 }
 
 // Quantile returns the value at quantile q in [0, 1]: the lower bound of
@@ -151,7 +152,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if h == nil {
 		return 0
 	}
-	n := atomic.LoadUint64(&h.count)
+	n := h.count.Load()
 	if n == 0 {
 		return 0
 	}
@@ -176,11 +177,11 @@ func (h *Histogram) Quantile(q float64) int64 {
 		seen += c
 		if seen >= rank {
 			v := histValue(i)
-			if max := atomic.LoadInt64(&h.max); v > max {
+			if max := h.max.Load(); v > max {
 				v = max
 			}
 			return v
 		}
 	}
-	return atomic.LoadInt64(&h.max)
+	return h.max.Load()
 }

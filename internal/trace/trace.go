@@ -169,7 +169,7 @@ type Tracer struct {
 	// spanSeq is the span id allocator; atomic so concurrent emitters stay
 	// race-free. The sim itself is single-goroutine, so allocation order
 	// (and therefore every id) is deterministic for a given seed.
-	spanSeq int64
+	spanSeq atomic.Int64
 
 	// parents is the implicit parent-span stack for cross-layer causality:
 	// a caller that is about to hand control to a lower layer pushes its
@@ -295,7 +295,7 @@ func (t *Tracer) BeginSpan(c Category, ts int64, name string, flow, tdn int, par
 	if !toFlight && !toMask {
 		return 0
 	}
-	id := SpanID(atomic.AddInt64(&t.spanSeq, 1))
+	id := SpanID(t.spanSeq.Add(1))
 	if toFlight {
 		t.flight.record(c, ts, name, flow, tdn, 'B', int64(id), int64(parent), 0, 0, "")
 	}
