@@ -99,11 +99,16 @@ cat artifacts/alloc.txt
 #   the pinned trace+metrics bytes of the run path (TestPinnedBytes), and the
 #   observer-independence and common-random-numbers tests.
 # - Service lifecycle: internal/serve is the one place where goroutines,
-#   wall clocks, and shared mutable job state meet, so its admission / retry /
+#   wall clocks, and shared mutable job state meet, so its admission /
 #   panic-isolation / drain tests must stay race-clean; cmd/tdserve's drain
 #   tests are the smoke against the real binary: SIGTERM with a running job
 #   must cancel it through the stop seam and exit 0 inside the budget.
 go test -race ./...
+
+# Platforms: a result is a function of the seed, not of the word size. The
+# pinned trace, metrics and figure bytes must come out the same with a 32-bit
+# int (ROADMAP item 4).
+GOARCH=386 go test -count=1 -run 'TestPinnedBytes|TestFigureBytesPinned' ./internal/experiments
 
 # Coverage, counted over every package from every test (-coverpkg=./...), so a
 # 0 % line in artifacts/coverage.txt means "no test anywhere reaches this",

@@ -1,7 +1,7 @@
 // Command tdserve runs the simulator as a long-lived scenario service: an
 // HTTP daemon with a bounded worker pool, per-job deadlines, panic
-// isolation, retries, and a deterministic result cache keyed by (canonical
-// spec hash, seed).
+// isolation, and a deterministic result cache keyed by (canonical spec hash,
+// seed).
 //
 // Usage:
 //
@@ -50,7 +50,6 @@ func run() int {
 		workers  = flag.Int("workers", 0, "worker-pool size: max concurrent simulations (0 = default 2)")
 		queue    = flag.Int("queue", 0, "admission queue depth; beyond workers+queue, submits get 429 (0 = default 16)")
 		deadline = flag.Duration("deadline", 0, "default per-job wall-clock deadline when the spec sets none (0 = default 60s)")
-		retries  = flag.Int("retries", 0, "max retries of transiently-failed jobs (0 = default 2, -1 = none)")
 		cache    = flag.Int("cache", 0, "result-cache capacity in entries (0 = default 128, -1 = disable)")
 		drain    = flag.Duration("drain", 30*time.Second, "shutdown budget on SIGTERM: half for graceful finish, then cancel")
 	)
@@ -75,7 +74,6 @@ func run() int {
 		Workers:         *workers,
 		QueueDepth:      *queue,
 		DefaultDeadline: *deadline,
-		MaxRetries:      *retries,
 		CacheCap:        *cache,
 	})
 	hs := &http.Server{Handler: serve.Handler(s)}

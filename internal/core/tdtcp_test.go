@@ -36,7 +36,7 @@ func newEnv(t *testing.T, opts Options, ccf cc.Factory) *env {
 	e.pb = New(2, opts)
 	cfg := func(p *TDTCP) tcp.Config {
 		return tcp.Config{NumTDNs: 2, Policy: p, CC: ccf,
-			MinRTO: 500 * sim.Microsecond, InitialRTO: 1 * sim.Millisecond}
+			MinRTO: 500 * sim.Microsecond}
 	}
 	send := func(dst func() *tcp.Conn, isData bool) func(*packet.Segment) {
 		return func(s *packet.Segment) {

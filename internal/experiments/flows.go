@@ -127,20 +127,6 @@ func addStats(dst, src *tcp.Stats) {
 // FlowOptions tweaks flow construction.
 type FlowOptions struct {
 	TDTCPOpts core.Options
-	// Pacing sets the pacing gain; 0 keeps the per-variant default
-	// (TDTCP flows pace at 2.0), negative disables pacing entirely.
-	Pacing float64
-	// ReTCPAlpha overrides the circuit-up ramp (0 = default).
-	ReTCPAlpha float64
-	// ReTCPReactDelay delays the plain-reTCP circuit-up ramp: without the
-	// retcpdyn switch support, the sender learns the circuit state from
-	// in-band packet marks, roughly one optical RTT after the change.
-	// Default 40 µs. retcpdyn's advance notification is unaffected.
-	ReTCPReactDelay sim.Dur
-	// ReinjectDelay overrides the MPTCP scheduler's reinjection delay.
-	ReinjectDelay sim.Dur
-	// MPTCPSendBuf overrides the shared MPTCP send buffer size.
-	MPTCPSendBuf int64
 	// MinRTO and MaxRTO override the per-variant defaults (1 ms / 100 ms;
 	// WAN scenarios need both raised).
 	MinRTO, MaxRTO sim.Dur
@@ -155,18 +141,27 @@ type FlowOptions struct {
 	RcvBuf int
 }
 
-func ccFactoryFor(v Variant, opt FlowOptions) cc.Factory {
+// tdtcpPacing is the pacing gain of TDTCP endpoints; every other variant
+// sends unpaced. §5.2 notes sender pacing as the remedy for TDTCP's initial
+// burst when the resumed (wide-open) window meets an empty pipe; with 16
+// perfectly synchronized simulated flows the burst is harsher than on the
+// paper's testbed, so TDTCP flows pace.
+const tdtcpPacing = 2.0
+
+// retcpReactDelay delays the plain-reTCP circuit-up ramp: without the
+// retcpdyn switch support, the sender learns the circuit state from in-band
+// packet marks, roughly one optical RTT after the change. retcpdyn's advance
+// notification is unaffected.
+const retcpReactDelay = 40 * sim.Microsecond
+
+func ccFactoryFor(v Variant) cc.Factory {
 	switch v {
 	case DCTCP:
 		return func() cc.Algorithm { return cc.NewDCTCP() }
 	case Reno:
 		return func() cc.Algorithm { return cc.NewReno() }
 	case ReTCP, ReTCPDyn:
-		alpha := opt.ReTCPAlpha
-		if alpha == 0 {
-			alpha = cc.DefaultReTCPAlpha
-		}
-		return func() cc.Algorithm { return cc.NewReTCP(alpha) }
+		return func() cc.Algorithm { return cc.NewReTCP(cc.DefaultReTCPAlpha) }
 	default: // cubic, mptcp subflows, tdtcp (CUBIC in every TDN, §3.5)
 		return func() cc.Algorithm { return cc.NewCubic() }
 	}
@@ -177,17 +172,7 @@ func ccFactoryFor(v Variant, opt FlowOptions) cc.Factory {
 // endpoint's own per-TDN state policy.
 func endpointConfig(net *rdcn.Network, v Variant, opt FlowOptions, pool *tcp.Pool) (tcp.Config, error) {
 	ntdns := len(net.Cfg.TDNs)
-	pacing := opt.Pacing
-	if pacing < 0 {
-		pacing = 0 // explicit opt-out
-	} else if pacing == 0 && v == TDTCP {
-		// §5.2 notes sender pacing as the remedy for TDTCP's initial burst
-		// when the resumed (wide-open) window meets an empty pipe; with 16
-		// perfectly synchronized simulated flows the burst is harsher than
-		// on the paper's testbed, so TDTCP flows default to paced sending.
-		pacing = 2.0
-	}
-	cfg := tcp.Config{CC: ccFactoryFor(v, opt), Pacing: pacing, Pool: pool,
+	cfg := tcp.Config{CC: ccFactoryFor(v), Pool: pool,
 		MinRTO: opt.MinRTO, MaxRTO: opt.MaxRTO, MSS: opt.MSS, RcvBuf: opt.RcvBuf}
 	if v == DCTCP {
 		cfg.ECN = true
@@ -195,6 +180,7 @@ func endpointConfig(net *rdcn.Network, v Variant, opt FlowOptions, pool *tcp.Poo
 	if v != TDTCP {
 		return cfg, nil
 	}
+	cfg.Pacing = tdtcpPacing
 	cfg.NumTDNs = ntdns
 	for _, name := range opt.PerTDNCC {
 		f, err := cc.NewFactory(name)
@@ -488,9 +474,9 @@ func (mn *muxNet) buildMPTCP(sm, dm *hostMux, port uint16) *Flow {
 		// optical weeks).
 		minRTO = 10 * sim.Millisecond
 	}
-	sub := tcp.Config{CC: ccFactoryFor(MPTCP, opt), MinRTO: minRTO, MaxRTO: opt.MaxRTO,
-		Pacing: opt.Pacing, MSS: opt.MSS, RcvBuf: opt.RcvBuf, Pool: mn.pool}
-	cfg := mptcp.Config{NumSubflows: len(mn.net.Cfg.TDNs), Sub: sub, ReinjectDelay: opt.ReinjectDelay, SendBuf: opt.MPTCPSendBuf}
+	sub := tcp.Config{CC: ccFactoryFor(MPTCP), MinRTO: minRTO, MaxRTO: opt.MaxRTO,
+		MSS: opt.MSS, RcvBuf: opt.RcvBuf, Pool: mn.pool}
+	cfg := mptcp.Config{NumSubflows: len(mn.net.Cfg.TDNs), Sub: sub}
 	snd, rcv := newMPTCPEnd(mn.net.Loop, sm, cfg), newMPTCPEnd(mn.net.Loop, dm, cfg)
 	for k, s := range snd.conn.Subflows() {
 		r, p := rcv.conn.Subflows()[k], port+uint16(k)
@@ -615,10 +601,7 @@ type retcpSender struct {
 }
 
 func (mn *muxNet) newRetcpSender(c *tcp.Conn) *retcpSender {
-	react := mn.opt.ReTCPReactDelay
-	if react == 0 {
-		react = 40 * sim.Microsecond
-	}
+	react := retcpReactDelay
 	if mn.variant == ReTCPDyn {
 		react = 0 // the switch notifies explicitly ahead of time
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
 
 	"github.com/rdcn-net/tdtcp/internal/obs"
@@ -192,7 +193,9 @@ type lifeCensus struct {
 // and a size from cfg.Dist. The arrival process draws from its own generator
 // seeded with cfg.Seed, not the loop's (which connections draw their initial
 // sequence numbers from, as their SYNs arrive), so every variant is offered the
-// same flows for a seed. Frame conservation is checked at the horizon.
+// same flows for a seed. Frame conservation is checked at the horizon, and
+// the byte ledger at each flow's FIN-ack: a completed flow must have handed
+// its receiver exactly the bytes it was given.
 func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	cfg.fillDefaults()
 	switch cfg.Variant {
@@ -236,7 +239,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	meanGap := workload.MeanInterarrival(cfg.Dist, cfg.Load, aggRate)
 
 	res := &WorkloadResult{Variant: cfg.Variant, Cfg: cfg}
-	var buildErr error
+	var buildErr, ledgerErr error
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nextPort := cfg.firstPort
 	// finished holds, in completion order, the flows whose FIN was acknowledged
@@ -297,6 +300,12 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		// still open at the horizon leave theirs unclosed.
 		sp := tracer.BeginSpan(trace.CatTCP, int64(start), "flow", id, -1, 0)
 		f.Snd.OnDone = func(now sim.Time) {
+			if got := f.Delivered(); got != size && ledgerErr == nil {
+				// Dumped at the break, not at the horizon, so the ring holds
+				// the events that led to it.
+				ledgerErr = fmt.Errorf("byte ledger: flow %d delivered %d of %d bytes at FIN-ack (%v)", id, got, size, now)
+				dumpFlight(os.Stderr, h.flight, ledgerErr.Error())
+			}
 			cfg.Meter.FlowDone()
 			tracer.EndSpan(trace.CatTCP, int64(now), "flow", id, -1, sp, float64(size), 0)
 			finished = append(finished, f)
@@ -330,6 +339,9 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 
 	if buildErr != nil {
 		return nil, buildErr
+	}
+	if ledgerErr != nil {
+		return nil, fmt.Errorf("experiments: workload run %s: %w", cfg.Scenario.Name, ledgerErr)
 	}
 	res.GoodputGbps = h.goodputGbps()
 	res.MeanVOQ = voq.Mean()

@@ -20,8 +20,8 @@ var deterministicPkgs = []string{
 }
 
 // nondeterministicPkgs are the layers explicitly OUTSIDE the determinism
-// boundary: the serving daemon and live observability read wall clocks, spawn
-// goroutines, and jitter backoffs by design. The boundary is one-way — they
+// boundary: the serving daemon and live observability read wall clocks and
+// spawn goroutines by design. The boundary is one-way — they
 // may import the simulation, never the reverse — so a deterministic package
 // importing one of them is itself a finding.
 var nondeterministicPkgs = []string{

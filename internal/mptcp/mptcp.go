@@ -28,41 +28,31 @@ type Config struct {
 	// Sub is the per-subflow TCP configuration template. Policy must be
 	// nil (subflows are single-path by construction).
 	Sub tcp.Config
-	// ChunkSegs is how many MSS-sized segments are assigned to a subflow
-	// per scheduling decision. Default 8.
-	ChunkSegs int
-	// ReinjectDelay rate-limits connection-level reinjection: when the
+}
+
+const (
+	// chunkSegs is how many MSS-sized segments are assigned to a subflow
+	// per scheduling decision.
+	chunkSegs = 8
+	// reinjectDelay rate-limits connection-level reinjection: when the
 	// shared send buffer is exhausted by data stranded on an inactive
 	// subflow, the scheduler reinjects that data onto the active subflow at
-	// most once per ReinjectDelay (MPTCP's opportunistic retransmission is
+	// most once per reinjectDelay (MPTCP's opportunistic retransmission is
 	// lazy: it fires on window/buffer blockage, not on path switches).
-	// Default 100 µs.
-	ReinjectDelay sim.Dur
-	// PumpInterval is the scheduler's polling cadence. Default 20 µs.
-	PumpInterval sim.Dur
-	// SendBuf caps connection-level outstanding data (assigned to subflows
+	reinjectDelay = 100 * sim.Microsecond
+	// pumpInterval is the scheduler's polling cadence.
+	pumpInterval = 20 * sim.Microsecond
+	// sendBuf caps connection-level outstanding data (assigned to subflows
 	// but not yet acknowledged at the subflow level), modelling the shared
 	// MPTCP send buffer whose exhaustion causes the §2.2 flow-control
-	// stalls. Default 64 KiB (the kernel's un-autotuned wmem starting
-	// point, which short-lived scheduling windows never grow past).
-	SendBuf int64
-}
+	// stalls: 64 KiB, the kernel's un-autotuned wmem starting point, which
+	// short-lived scheduling windows never grow past.
+	sendBuf = 64 << 10
+)
 
 func (cfg *Config) fillDefaults() {
 	if cfg.NumSubflows == 0 {
 		cfg.NumSubflows = 2
-	}
-	if cfg.ChunkSegs == 0 {
-		cfg.ChunkSegs = 8
-	}
-	if cfg.ReinjectDelay == 0 {
-		cfg.ReinjectDelay = 100 * sim.Microsecond
-	}
-	if cfg.PumpInterval == 0 {
-		cfg.PumpInterval = 20 * sim.Microsecond
-	}
-	if cfg.SendBuf == 0 {
-		cfg.SendBuf = 64 << 10
 	}
 	if cfg.Sub.Policy != nil {
 		panic("mptcp: subflows must use the default single-path policy")
@@ -183,7 +173,7 @@ func (m *Conn) QueueBytes(n int64) {
 }
 
 // Notify implements the tdm_schd steering decision: all new data goes to
-// the subflow pinned to the newly active TDN, and after ReinjectDelay any
+// the subflow pinned to the newly active TDN, and after reinjectDelay any
 // data stranded on the other subflows is reinjected onto this one.
 func (m *Conn) Notify(tdn int, epoch uint32) {
 	if tdn < 0 || tdn >= len(m.subs) {
@@ -223,7 +213,7 @@ func (m *Conn) schedulePump() {
 			}
 		}
 	}
-	m.pumpTimer = m.Loop.After(m.cfg.PumpInterval, m.pumpFn)
+	m.pumpTimer = m.Loop.After(pumpInterval, m.pumpFn)
 }
 
 func (m *Conn) anyOutstanding() bool {
@@ -275,18 +265,18 @@ func (m *Conn) pump() {
 	sub.KickRecovery()
 	mss := sub.Config().MSS
 	for m.backlog != 0 && sub.Backlog() == 0 {
-		if m.Outstanding() >= m.cfg.SendBuf {
+		if m.Outstanding() >= sendBuf {
 			// Flow-control stall (§2.2): the shared send buffer is full of
 			// data unacknowledged on a (likely inactive) subflow. Reinject
 			// it onto the active subflow to resume, rate-limited.
 			m.Stats.BufferStalls++
 			if m.Loop.Now() >= m.nextReinject {
-				m.nextReinject = m.Loop.Now().Add(m.cfg.ReinjectDelay)
+				m.nextReinject = m.Loop.Now().Add(reinjectDelay)
 				m.reinject(m.active)
 			}
 			return
 		}
-		chunk := int64(m.cfg.ChunkSegs * mss)
+		chunk := int64(chunkSegs * mss)
 		if m.backlog > 0 && chunk > m.backlog {
 			chunk = m.backlog
 		}

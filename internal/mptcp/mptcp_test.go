@@ -141,9 +141,9 @@ func TestSchedulerSteersToActiveSubflow(t *testing.T) {
 
 func TestStrandedDataIsReinjected(t *testing.T) {
 	// Reinjection is lazy: it fires when the shared send buffer fills with
-	// data stranded on an inactive subflow (§2.2's flow-control stall). Use
-	// a small buffer so the stall is reached quickly.
-	e := newEnv(t, Config{SendBuf: 6 * 8960})
+	// data stranded on an inactive subflow (§2.2's flow-control stall). The
+	// 12 segments queued below overfill the 64 KiB send buffer.
+	e := newEnv(t, Config{})
 	e.rcv.Listen()
 	e.snd.Connect(0)
 	// Establish both subflows: bring TDN1 up once.

@@ -631,6 +631,3 @@ func (dd *drainDelivery) fire() {
 	d.deliveryFree = append(d.deliveryFree, dd)
 	d.Out(f)
 }
-
-// Busy reports whether a frame is currently being serialized.
-func (d *Drainer) Busy() bool { return d.busy }

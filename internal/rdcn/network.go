@@ -79,10 +79,8 @@ type Config struct {
 	// packet uplink of a rack is fair-shared across its Racks-1 VOQs.
 	Racks        int
 	HostsPerRack int
-	HostRate     sim.Rate // host NIC rate; bursts are shaped at this rate
-	HostDelay    sim.Dur  // host-to-ToR propagation (intra-rack, tiny)
-	VOQCap       int      // ToR VOQ capacity in packets
-	MarkThresh   int      // ECN marking threshold (0 = no marking)
+	VOQCap       int // ToR VOQ capacity in packets
+	MarkThresh   int // ECN marking threshold (0 = no marking)
 	TDNs         []TDNParams
 	Schedule     *Schedule
 	Notify       NotifyProfile
@@ -129,6 +127,12 @@ type Config struct {
 	ResizeFault func(rack, q, newCap int) bool
 }
 
+// The §5.1 testbed's host NIC, shared by every host of a rack.
+const (
+	hostRate  = 100 * sim.Gbps      // host NIC rate; bursts are shaped at this rate
+	hostDelay = 1 * sim.Microsecond // host-to-ToR propagation (intra-rack, tiny)
+)
+
 // DefaultConfig returns the §5.1 Etalon configuration: 16 hosts per rack,
 // TDN 0 = 10 Gbps / 100 µs RTT packet network, TDN 1 = 100 Gbps / 40 µs RTT
 // optical network, 180 µs days, 20 µs nights, 6:1 packet:optical ratio,
@@ -136,8 +140,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		HostsPerRack: 16,
-		HostRate:     100 * sim.Gbps,
-		HostDelay:    1 * sim.Microsecond,
 		VOQCap:       16,
 		TDNs: []TDNParams{
 			{Rate: 10 * sim.Gbps, Delay: 49 * sim.Microsecond},  // ~100us RTT
@@ -167,7 +169,7 @@ type Host struct {
 // Send serializes seg and transmits it through the rack's shared ingress
 // NIC toward the ToR. The destination is taken from seg.Dst.
 //
-// All hosts of a rack share one ingress pipe at HostRate, mirroring the
+// All hosts of a rack share one ingress pipe at hostRate, mirroring the
 // Etalon testbed where 16 containers share the emulated machine's data-plane
 // NIC: a synchronized burst from many flows reaches the ToR serialized at
 // fabric rate, not as an instantaneous impulse.
@@ -177,9 +179,6 @@ func (h *Host) Send(seg *packet.Segment) {
 	r.framesIn++
 	r.uplink.Send(netem.NewFrameIn(r.loop, r.pool, seg))
 }
-
-// NICQueueLen reports the shared ingress NIC backlog in frames.
-func (h *Host) NICQueueLen() int { return h.Rack.uplink.QueueLen() }
 
 // Uplink exposes the rack's shared host-side ingress NIC pipe. The fault
 // injector installs its data-path frame fault hook here.
@@ -423,8 +422,8 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 		}
 		rack.uplink = &netem.Pipe{
 			Loop:  rloop,
-			Rate:  cfg.HostRate,
-			Delay: cfg.HostDelay,
+			Rate:  hostRate,
+			Delay: hostDelay,
 			Out:   func(f netem.Frame) { rack.ingress(f) },
 			Pool:  rack.pool,
 		}

@@ -155,7 +155,6 @@ func TestEndToEndDelivery(t *testing.T) {
 func TestDeliveryPausedDuringNight(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HostsPerRack = 1
-	cfg.HostDelay = 0
 	// Short days so the test spans a night quickly.
 	cfg.Schedule = MustSchedule([]Slot{
 		{TDN: 0, Dur: us(50)}, {TDN: NightTDN, Dur: us(50)}, {TDN: 1, Dur: us(50)}, {TDN: NightTDN, Dur: us(50)},

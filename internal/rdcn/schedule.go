@@ -115,15 +115,6 @@ func ParseSchedule(s string) (*Schedule, error) {
 	return NewSchedule(slots)
 }
 
-// MustParseSchedule is ParseSchedule that panics on error, for literals.
-func MustParseSchedule(s string) *Schedule {
-	sched, err := ParseSchedule(s)
-	if err != nil {
-		panic(err)
-	}
-	return sched
-}
-
 type schedParser struct {
 	in  string
 	pos int

@@ -57,7 +57,7 @@ type Outcome struct {
 
 // Runner executes one normalized spec. The default is DefaultRunner, which
 // drives the real experiments package; tests substitute stubs to exercise
-// the pool's failure machinery (panics, transient errors, slow jobs) without
+// the pool's failure machinery (panics, errors, slow jobs) without
 // burning simulation time.
 type Runner func(req *Request) (*Outcome, error)
 

@@ -1,13 +1,14 @@
 // Package serve is the fault-tolerant scenario service behind cmd/tdserve:
 // a bounded worker pool running experiments-package scenarios submitted as
-// JSON specs, with per-job deadlines, panic isolation, retry with capped
-// backoff, graceful drain, and a deterministic result cache.
+// JSON specs, with per-job deadlines, panic isolation, graceful drain, and a
+// deterministic result cache.
 //
 // The package sits OUTSIDE the determinism boundary (like internal/obs): it
-// uses wall clocks, goroutines, and jittered backoff freely. Determinism is
-// what it serves, not what it is — because every run is a pure function of
-// its normalized spec, results are cached by (canonical spec hash, seed) and
-// concurrent submissions of the same spec are deduplicated onto one run.
+// uses wall clocks and goroutines freely. Determinism is what it serves, not
+// what it is — because every run is a pure function of its normalized spec,
+// results are cached by (canonical spec hash, seed) and concurrent
+// submissions of the same spec are deduplicated onto one run. For the same
+// reason a failed job is never retried: it would fail again.
 // Simulation packages must never import this one (enforced by tdlint's
 // determinism boundary check).
 package serve
@@ -15,7 +16,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -57,30 +57,6 @@ var (
 	ErrDraining = errors.New("serve: draining")
 )
 
-// errTransient wraps an error a Runner considers retryable.
-type errTransient struct{ err error }
-
-func (e errTransient) Error() string { return e.err.Error() }
-func (e errTransient) Unwrap() error { return e.err }
-
-// Transient marks an error as retryable: the worker pool will re-run the job
-// with capped exponential backoff instead of failing it. Deterministic
-// failures (bad spec, simulation errors, panics) must NOT be marked —
-// retrying a pure function of the spec would reproduce them exactly.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return errTransient{err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked with
-// Transient.
-func IsTransient(err error) bool {
-	var t errTransient
-	return errors.As(err, &t)
-}
-
 // Config parameterizes a Server. The zero value is usable: every field has
 // a sensible default.
 type Config struct {
@@ -93,22 +69,12 @@ type Config struct {
 	// DefaultDeadline caps a job's wall-clock run time when its spec does
 	// not set deadline_ms (default 60s).
 	DefaultDeadline time.Duration
-	// MaxRetries bounds re-runs of transiently-failed jobs (default 2, i.e.
-	// up to 3 attempts).
-	MaxRetries int
-	// BackoffBase and BackoffMax shape the capped exponential backoff
-	// between retry attempts: base·2^attempt plus up to 50% jitter, capped
-	// at max (defaults 50ms and 2s).
-	BackoffBase, BackoffMax time.Duration
 	// StopEvery is the cancellation-poll cadence in simulation events
 	// (default sim.DefaultStopEvery via the loop).
 	StopEvery int
 	// CacheCap bounds the result cache in entries, evicted FIFO (default
 	// 128; negative disables caching).
 	CacheCap int
-	// FlightLen is the per-job flight-recorder ring size (default
-	// trace.DefaultFlightLen).
-	FlightLen int
 	// Metrics receives the serve.* counters and histograms (one is created
 	// if nil).
 	Metrics *trace.Registry
@@ -127,22 +93,8 @@ func (c *Config) fillDefaults() {
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 60 * time.Second
 	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 50 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
-	}
 	if c.CacheCap == 0 {
 		c.CacheCap = 128
-	}
-	if c.FlightLen <= 0 {
-		c.FlightLen = trace.DefaultFlightLen
 	}
 	if c.Metrics == nil {
 		c.Metrics = trace.NewRegistry()
@@ -160,11 +112,10 @@ type Job struct {
 	Key  string
 	Spec *Spec
 
-	state    State
-	attempts int
-	err      error
-	outcome  *Outcome
-	// panicValue/panicStack/panicFlight capture a crashed attempt: the
+	state   State
+	err     error
+	outcome *Outcome
+	// panicValue/panicStack/panicFlight capture a crashed run: the
 	// recovered value, the goroutine stack, and the flight recorder's last
 	// events at the moment of the panic.
 	panicValue  string
@@ -197,7 +148,6 @@ type JobView struct {
 	ID        string     `json:"id"`
 	Key       string     `json:"key"`
 	State     State      `json:"state"`
-	Attempts  int        `json:"attempts"`
 	Spec      *Spec      `json:"spec"`
 	Error     string     `json:"error,omitempty"`
 	Panic     string     `json:"panic,omitempty"`
@@ -206,14 +156,14 @@ type JobView struct {
 	Finished  *time.Time `json:"finished,omitempty"`
 	Outcome   *Outcome   `json:"outcome,omitempty"`
 	// PanicStack and PanicFlight are included only on the result view of a
-	// crashed job: the stack of the panicking attempt and the flight
+	// crashed job: the stack of the panicking run and the flight
 	// recorder's last events before the crash.
 	PanicStack  string        `json:"panic_stack,omitempty"`
 	PanicFlight []trace.Event `json:"panic_flight,omitempty"`
 }
 
 // Server is the scenario service: a bounded worker pool with admission
-// control, deadlines, panic isolation, retries, single-flight deduplication
+// control, deadlines, panic isolation, single-flight deduplication
 // and a deterministic result cache.
 type Server struct {
 	cfg Config
@@ -231,12 +181,6 @@ type Server struct {
 	// hardStop flips when Shutdown escalates: every running job's stop seam
 	// reads it, so simulations abandon at the next poll.
 	hardStop atomic.Bool
-
-	// rng drives retry-backoff jitter only; guarded by rngMu. Jitter is the
-	// one intentionally nondeterministic thing here — it decorrelates
-	// retries, and never touches a simulation.
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // New builds and starts a Server: its workers are running on return.
@@ -248,7 +192,6 @@ func New(cfg Config) *Server {
 		inflight: make(map[string]*Job),
 		cache:    make(map[string]*Job),
 		queue:    make(chan *Job, cfg.QueueDepth),
-		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -363,7 +306,6 @@ func (s *Server) View(j *Job, withResult bool) *JobView {
 		ID:        j.ID,
 		Key:       j.Key,
 		State:     j.state,
-		Attempts:  j.attempts,
 		Spec:      j.Spec,
 		Panic:     j.panicValue,
 		Submitted: j.submitted,
@@ -429,8 +371,8 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob drives one job through its attempt loop: deadline-arm, run, and on
-// transient failure back off and retry until MaxRetries is exhausted.
+// runJob drives one job to a terminal state: deadline-arm, run once, and
+// finalize.
 func (s *Server) runJob(j *Job) {
 	m := s.cfg.Metrics
 	s.mu.Lock()
@@ -450,21 +392,7 @@ func (s *Server) runJob(j *Job) {
 		return j.cancelled.Load() || s.hardStop.Load() || !time.Now().Before(deadline)
 	}
 
-	var out *Outcome
-	var err error
-	for attempt := 0; ; attempt++ {
-		s.mu.Lock()
-		j.attempts = attempt + 1
-		s.mu.Unlock()
-		out, err = s.attempt(j, stop)
-		if err == nil || !IsTransient(err) || attempt >= s.cfg.MaxRetries || stop() {
-			break
-		}
-		m.Add("serve.retries", 1)
-		if !s.backoff(attempt, stop) {
-			break // cancelled or deadline hit while backing off
-		}
-	}
+	out, err := s.run(j, stop)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -485,17 +413,17 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// errStopped marks an attempt abandoned by the stop seam outside the
+// errStopped marks a run abandoned by the stop seam outside the
 // simulation (e.g. a stub runner honoring Cancelled).
 var errStopped = errors.New("serve: run stopped")
 
-// attempt executes one run of the job with panic isolation: a panic in the
+// run executes the job once with panic isolation: a panic in the
 // runner (or anywhere under it) is recovered, recorded with the goroutine
 // stack and a flight-recorder snapshot, and surfaced as a plain error so the
 // worker slot survives.
-func (s *Server) attempt(j *Job, stop func() bool) (out *Outcome, err error) {
+func (s *Server) run(j *Job, stop func() bool) (out *Outcome, err error) {
 	m := s.cfg.Metrics
-	flight := trace.NewFlight(s.cfg.FlightLen, trace.DefaultFlightCats)
+	flight := trace.NewFlight(trace.DefaultFlightLen, trace.DefaultFlightCats)
 	t0 := time.Now()
 	defer func() {
 		m.Hist("serve.run_ns").Record(int64(time.Since(t0)))
@@ -516,31 +444,6 @@ func (s *Server) attempt(j *Job, stop func() bool) (out *Outcome, err error) {
 		StopEvery: s.cfg.StopEvery,
 		Flight:    flight,
 	})
-}
-
-// backoff sleeps base·2^attempt plus up to 50% jitter, capped at BackoffMax,
-// interruptibly: it polls the stop seam so cancellation and shutdown are not
-// delayed by a sleeping retry. Returns false when interrupted.
-func (s *Server) backoff(attempt int, stop func() bool) bool {
-	d := s.cfg.BackoffBase << uint(attempt)
-	if d > s.cfg.BackoffMax || d <= 0 {
-		d = s.cfg.BackoffMax
-	}
-	s.rngMu.Lock()
-	d += time.Duration(s.rng.Int63n(int64(d)/2 + 1))
-	s.rngMu.Unlock()
-	if d > s.cfg.BackoffMax {
-		d = s.cfg.BackoffMax
-	}
-	deadline := time.Now().Add(d)
-	const tick = time.Millisecond
-	for time.Now().Before(deadline) {
-		if stop() {
-			return false
-		}
-		time.Sleep(tick)
-	}
-	return !stop()
 }
 
 // finalizeLocked moves a job to a terminal state, updates the single-flight

@@ -243,7 +243,7 @@ func (c *Conn) processAck(s *packet.Segment) {
 		if head := c.rtx.headSeg(); head != nil {
 			st := c.states[head.TDN]
 			st.DupAcks++
-			if int(st.DupAcks) >= c.cfg.DupThresh && !head.Sacked && !head.Lost {
+			if int(st.DupAcks) >= dupThresh && !head.Sacked && !head.Lost {
 				if c.policy.FilterLoss(head, ackTDN) {
 					c.Stats.FilteredMarks++
 					c.emit("loss_filtered", int(head.TDN), float64(c.RelSeq(head.Seq)), float64(tdnLabel(ackTDN)), "")
@@ -407,7 +407,7 @@ func (c *Conn) detectLosses(ackTDN uint8, now sim.Time) {
 	if seqLEQ(c.highestSacked, c.sndUna) {
 		return
 	}
-	thresh := uint32(c.cfg.DupThresh * c.cfg.MSS)
+	thresh := uint32(dupThresh * c.cfg.MSS)
 	activeTDN := uint8(c.policy.Active())
 	var slowest *PathState
 	for _, st := range c.states {
@@ -438,7 +438,7 @@ func (c *Conn) detectLosses(ackTDN uint8, now sim.Time) {
 			c.Stats.FilteredMarks++
 			c.emit("loss_filtered", int(seg.TDN), float64(c.RelSeq(seg.Seq)), float64(tdnLabel(ackTDN)), "")
 		}
-		if c.cfg.RACK && c.rackXmit > 0 {
+		if c.rackXmit > 0 {
 			own := c.states[seg.TDN]
 			var reoWnd sim.Dur
 			if seg.TDN == activeTDN || slowest == nil {

@@ -34,18 +34,10 @@ type Config struct {
 	NumTDNs int
 	// ECN enables ECT marking on data and ECE echo processing (DCTCP).
 	ECN bool
-	// DupThresh is the classic fast-retransmit duplicate threshold
-	// (default 3).
-	DupThresh int
-	// RACK enables time-based loss detection; TLP enables tail-loss
-	// probes. Both default on (RFC 8985), as in Linux 5.8.
-	RACK, TLP bool
-	// DisableRACK/DisableTLP turn the defaults off.
-	DisableRACK, DisableTLP bool
-	// MinRTO, MaxRTO, InitialRTO bound the retransmission timer. The
-	// defaults (1 ms, 100 ms, 2 ms) reflect a data-center tuned stack; the
+	// MinRTO and MaxRTO bound the retransmission timer. The defaults (1 ms,
+	// 100 ms, and initialRTO's 2 ms) reflect a data-center tuned stack; the
 	// Internet defaults would dwarf the microsecond schedule.
-	MinRTO, MaxRTO, InitialRTO sim.Dur
+	MinRTO, MaxRTO sim.Dur
 	// Pacing, when >0, spreads a window of segments over the estimated
 	// RTT at the given gain instead of bursting (the §5.2 remedy for
 	// TDTCP's initial burst).
@@ -56,6 +48,15 @@ type Config struct {
 	// NewConn creates a private one.
 	Pool *Pool
 }
+
+// Loss detection is RACK-TLP (RFC 8985), as in Linux 5.8: time-based loss
+// detection and tail-loss probes are always on.
+const (
+	// dupThresh is the classic fast-retransmit duplicate threshold.
+	dupThresh = 3
+	// initialRTO is the retransmission timeout before the first RTT sample.
+	initialRTO = 2 * sim.Millisecond
+)
 
 func (cfg *Config) fillDefaults() {
 	if cfg.MSS == 0 {
@@ -70,19 +71,11 @@ func (cfg *Config) fillDefaults() {
 	if cfg.Policy == nil {
 		cfg.Policy = NewSinglePath()
 	}
-	if cfg.DupThresh == 0 {
-		cfg.DupThresh = 3
-	}
-	cfg.RACK = !cfg.DisableRACK
-	cfg.TLP = !cfg.DisableTLP
 	if cfg.MinRTO == 0 {
 		cfg.MinRTO = 1 * sim.Millisecond
 	}
 	if cfg.MaxRTO == 0 {
 		cfg.MaxRTO = 100 * sim.Millisecond
-	}
-	if cfg.InitialRTO == 0 {
-		cfg.InitialRTO = 2 * sim.Millisecond
 	}
 }
 
@@ -321,7 +314,7 @@ func (c *Conn) init(out func(*packet.Segment)) {
 	clear(c.rtoTouched)
 	for i, st := range c.states {
 		st.CC.Reset()
-		*st = PathState{TDN: uint8(i), CC: st.CC, RTO: c.cfg.InitialRTO}
+		*st = PathState{TDN: uint8(i), CC: st.CC, RTO: initialRTO}
 	}
 	c.pool.live++
 	c.rtx.segs = c.pool.getQueue()
@@ -457,9 +450,6 @@ func (c *Conn) SndUna() uint32 { return c.sndUna }
 
 // SndNxt returns the next sequence number to be sent.
 func (c *Conn) SndNxt() uint32 { return c.sndNxt }
-
-// RcvNxt returns the receiver's next expected sequence number.
-func (c *Conn) RcvNxt() uint32 { return c.rcvNxt }
 
 // RelSeq translates an absolute data sequence number into a 0-based stream
 // offset (the SYN consumes one sequence number).
@@ -929,12 +919,12 @@ func (c *Conn) armTimer() {
 			break
 		}
 	}
-	useTLP := c.cfg.TLP && healthy && !c.tlpInFlight && c.state >= stEstablished
+	useTLP := healthy && !c.tlpInFlight && c.state >= stEstablished
 	var deadline sim.Time
 	if useTLP {
 		srtt := c.ActiveState().SRTT
 		if srtt == 0 {
-			srtt = c.cfg.InitialRTO / 2
+			srtt = initialRTO / 2
 		}
 		d := 2 * srtt
 		if c.totalPacketsOut() == 1 {

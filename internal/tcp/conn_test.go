@@ -275,7 +275,7 @@ func TestTailLossProbe(t *testing.T) {
 
 func TestRTOOnBlackout(t *testing.T) {
 	loop, a, b, wa, _ := newPair(t, pairOpt{cfgA: Config{
-		RcvBuf: 128 << 10, MinRTO: 500 * sim.Microsecond, InitialRTO: 1 * sim.Millisecond,
+		RcvBuf: 128 << 10, MinRTO: 500 * sim.Microsecond,
 	}, cfgB: Config{RcvBuf: 128 << 10}})
 	b.Listen()
 	blackout := false
@@ -324,7 +324,7 @@ func TestDSACKOnSpuriousRetransmit(t *testing.T) {
 	// Delay ACKs enough that the sender RTOs and retransmits spuriously;
 	// the receiver must emit D-SACKs and the sender must undo.
 	loop, a, b, wa, wb := newPair(t, pairOpt{cfgA: Config{
-		MinRTO: 500 * sim.Microsecond, InitialRTO: 600 * sim.Microsecond, DisableTLP: true,
+		MinRTO: 500 * sim.Microsecond,
 	}})
 	b.Listen()
 	a.Connect(0)
