@@ -71,19 +71,20 @@ find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testd
 		printf "%7d total\n", total
 	}' | tee artifacts/loc.txt
 
-# The four allocation contracts, printed: the bytes each further flow of an
+# The five allocation contracts, printed: the bytes each further flow of an
 # open-loop run costs (TestWorkloadChurnAllocatesForItsResultOnly; endpoint
 # reuse is judged by this number), the bytes each further measured week of a
 # Run costs (TestRunAllocationIsFlatInHorizon: its result stops at PlotWeeks),
 # the allocations of a steady-state week on the hybrid and the 8-rack rotor
-# (TestSteadyStateDoesNotAllocate) and the bytes a histogram holds for the
-# octaves it has recorded, 0 allocations per Record after an octave's first
-# (TestHistogramAllocatesTouchedOctavesOnly). These tests are now the only
-# guard of the functions that used to carry a //lint:hotpath directive: no lint
-# check looks at allocations. All skip under -race, so the race run below does
-# not cover them.
-go test -count=1 -v -run 'TestWorkloadChurnAllocatesForItsResultOnly|TestRunAllocationIsFlatInHorizon|TestSteadyStateDoesNotAllocate|TestHistogramAllocatesTouchedOctavesOnly' \
-	./internal/experiments ./internal/trace > artifacts/alloc.txt || { cat artifacts/alloc.txt; exit 1; }
+# (TestSteadyStateDoesNotAllocate), 0 allocations per VOQ enqueue and dequeue
+# after NewVOQ, across a grow/shrink cycle (TestVOQDoesNotAllocate), and the
+# bytes a histogram holds for the octaves it has recorded, 0 allocations per
+# Record after an octave's first (TestHistogramAllocatesTouchedOctavesOnly).
+# These tests are now the only guard of the functions that used to carry a
+# //lint:hotpath directive: no lint check looks at allocations. All but the
+# VOQ's skip under -race, so the race run below does not cover them.
+go test -count=1 -v -run 'TestWorkloadChurnAllocatesForItsResultOnly|TestRunAllocationIsFlatInHorizon|TestSteadyStateDoesNotAllocate|TestVOQDoesNotAllocate|TestHistogramAllocatesTouchedOctavesOnly' \
+	./internal/experiments ./internal/netem ./internal/trace > artifacts/alloc.txt || { cat artifacts/alloc.txt; exit 1; }
 cat artifacts/alloc.txt
 
 # Full suite under the race detector. This one line carries every gate that

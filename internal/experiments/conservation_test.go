@@ -144,3 +144,42 @@ func TestPerRackLedger(t *testing.T) {
 		}
 	}
 }
+
+// TestByteLedger: the horizon's byte ledger (harness.finish) holds
+// acked <= delivered <= written with each acknowledged FIN taken out of the
+// acked count once, and a count one byte off in any direction breaks it.
+func TestByteLedger(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		l    byteLedger
+		ok   bool
+	}{
+		{"complete", byteLedger{acked: 1001, fins: 1, delivered: 1000, written: 1000}, true},
+		{"open flows", byteLedger{acked: 700, fins: 1, delivered: 900, written: 1000}, true},
+		{"streams", byteLedger{acked: 500, delivered: 900, written: -1}, true},
+		{"FIN counted as data", byteLedger{acked: 1001, delivered: 1000, written: 1000}, false},
+		{"one byte acked undelivered", byteLedger{acked: 1002, fins: 1, delivered: 1000, written: 1000}, false},
+		{"one byte delivered unwritten", byteLedger{acked: 1001, fins: 1, delivered: 1001, written: 1000}, false},
+	} {
+		if err := tc.l.check(); (err == nil) != tc.ok {
+			t.Errorf("%s: %+v: check() = %v, want ok=%v", tc.name, tc.l, err, tc.ok)
+		}
+	}
+
+	// A workload whose every flow completes leaves no slack in the ledger:
+	// what RunWorkload hands finish is equal at both bounds, so an
+	// off-by-one anywhere in it fails the run.
+	res, err := RunWorkload(WorkloadConfig{Variant: TDTCP, Scenario: MultiRack(4), Load: 0.1,
+		WarmupWeeks: 1, MeasureWeeks: 40, MaxFlows: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FlowsCompleted != res.FlowsStarted {
+		t.Fatalf("%d of %d flows completed: the ledger has slack", res.FlowsCompleted, res.FlowsStarted)
+	}
+	acked := res.Sender.BytesAcked - int64(res.FlowsCompleted)
+	if acked != res.Receiver.BytesDelivered || res.Receiver.BytesDelivered != res.BytesOffered {
+		t.Errorf("%d bytes acked (less %d FINs), %d delivered, %d written: want all equal",
+			acked, res.FlowsCompleted, res.Receiver.BytesDelivered, res.BytesOffered)
+	}
+}

@@ -344,7 +344,8 @@ func Run(cfg RunConfig) (*Result, error) {
 			}
 		}
 	}
-	res.FramesSent, res.FramesDelivered, res.FramesMisrouted, err = h.finish()
+	res.FramesSent, res.FramesDelivered, res.FramesMisrouted, err = h.finish(byteLedger{
+		acked: res.Sender.BytesAcked, delivered: res.Receiver.BytesDelivered, written: -1})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", h.what, err)
 	}

@@ -206,8 +206,8 @@ func TestBuildFlowsValidation(t *testing.T) {
 			t.Fatalf("host %x binds %d ports for %d subflows, want %d of each", end.m.host.Addr, len(end.m.conns), len(end.subs), ntdns)
 		}
 		for k, sub := range end.subs {
-			if port := sub.LocalPort; end.m.conns[port] != sub || port != uint16(40001+k) {
-				t.Errorf("host %x: subflow %d is on port %d, which maps to %p, not to it", end.m.host.Addr, k, port, end.m.conns[port])
+			if port := sub.LocalPort; end.m.conn(port) != sub || port != uint16(40001+k) {
+				t.Errorf("host %x: subflow %d is on port %d, which maps to %p, not to it", end.m.host.Addr, k, port, end.m.conn(port))
 			}
 		}
 	}

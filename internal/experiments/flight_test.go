@@ -140,7 +140,7 @@ func TestFlightRingsIgnoreTheWriter(t *testing.T) {
 		h := startedRunHarness(t, RunConfig{Variant: TDTCP, Scenario: MultiRack(4), Flows: 8,
 			WarmupWeeks: 1, MeasureWeeks: 2, Tracer: tr})
 		h.loop.RunUntil(h.end)
-		if _, _, _, err := h.finish(); err != nil {
+		if _, _, _, err := h.finish(byteLedger{written: -1}); err != nil {
 			t.Fatal(err)
 		}
 		return h.flight.Events(), h.loop.Fired()

@@ -226,30 +226,70 @@ type listener interface {
 // dropped and counted, as a host does after TIME_WAIT. The released connection
 // itself is parked for a later arrival to reopen (muxNet.parked).
 //
-// The map is looked up, never ranged over, and notify keeps join order
-// (fan-out order is trace order), so event order stays deterministic.
+// The port table is looked up, never ranged over, and notify keeps join
+// order (fan-out order is trace order), so event order stays deterministic.
 type hostMux struct {
 	host   *rdcn.Host
 	send   func(*packet.Segment) // host.Send, bound once: the Out of every endpoint here
 	seg    packet.Segment
-	conns  map[uint16]*tcp.Conn
+	conns  []portConn // the bound ports, sorted by port: a binary search finds one
 	notify []listener
 	cur    int    // the TDN last notified; MPTCP subflow gates hold to it
 	late   uint64 // segments dropped for want of a bound port
 }
 
+// portConn is one bound port of a host and the connection it demultiplexes to.
+type portConn struct {
+	port uint16
+	c    *tcp.Conn
+}
+
 func newHostMux(host *rdcn.Host) *hostMux {
-	m := &hostMux{host: host, send: host.Send, conns: make(map[uint16]*tcp.Conn)}
+	m := &hostMux{host: host, send: host.Send}
 	m.seg.TCP.SACK = make([]packet.SACKBlock, 0, 4)
 	return m
+}
+
+// find returns the index in conns at which port is bound, or would be.
+func (m *hostMux) find(port uint16) (int, bool) {
+	lo, hi := 0, len(m.conns)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); m.conns[mid].port < port {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(m.conns) && m.conns[lo].port == port
+}
+
+// conn returns the connection bound to port, or nil.
+func (m *hostMux) conn(port uint16) *tcp.Conn {
+	if i, ok := m.find(port); ok {
+		return m.conns[i].c
+	}
+	return nil
+}
+
+// bind binds a free port to c.
+func (m *hostMux) bind(port uint16, c *tcp.Conn) {
+	i, _ := m.find(port)
+	m.conns = slices.Insert(m.conns, i, portConn{port, c})
+}
+
+// unbind frees a bound port.
+func (m *hostMux) unbind(port uint16) {
+	if i, ok := m.find(port); ok {
+		m.conns = slices.Delete(m.conns, i, i+1)
+	}
 }
 
 func (m *hostMux) recv(fr netem.Frame) {
 	if err := packet.Parse(fr.Wire, &m.seg); err != nil {
 		return // corrupted frames are dropped silently, as on a real NIC
 	}
-	c, ok := m.conns[m.seg.TCP.DstPort]
-	if !ok {
+	c := m.conn(m.seg.TCP.DstPort)
+	if c == nil {
 		m.late++
 		return
 	}
@@ -396,7 +436,7 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 	for k := 0; k < ports; k++ {
 		p := port + uint16(k)
 		for _, m := range [...]*hostMux{sm, dm} {
-			if _, dup := m.conns[p]; dup {
+			if m.conn(p) != nil {
 				return nil, fmt.Errorf("experiments: port %d already in use on rack %d host %d", p, m.host.Rack.ID, m.host.ID)
 			}
 		}
@@ -421,8 +461,8 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 	f.Rcv.LocalPort, f.Rcv.RemotePort = port, port
 	f.Rcv.Listen()
 
-	sm.conns[port] = f.Snd
-	dm.conns[port] = f.Rcv
+	sm.bind(port, f.Snd)
+	dm.bind(port, f.Rcv)
 	switch mn.variant {
 	case TDTCP:
 		sm.notify = append(sm.notify, f.Snd)
@@ -484,7 +524,8 @@ func (mn *muxNet) buildMPTCP(sm, dm *hostMux, port uint16) *Flow {
 		s.LocalPort, s.RemotePort = p, p
 		r.LocalAddr, r.RemoteAddr = dm.host.Addr, sm.host.Addr
 		r.LocalPort, r.RemotePort = p, p
-		sm.conns[p], dm.conns[p] = s, r
+		sm.bind(p, s)
+		dm.bind(p, r)
 	}
 	rcv.conn.Listen()
 	sm.notify = append(sm.notify, snd)
@@ -512,7 +553,7 @@ func (mn *muxNet) leave(f *Flow) {
 // as no-ops, so the event sequence is what it would have been.
 func (mn *muxNet) release(f *Flow) {
 	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
-		delete(mn.byAddr[c.LocalAddr].conns, c.LocalPort)
+		mn.byAddr[c.LocalAddr].unbind(c.LocalPort)
 		c.Release()
 		mn.parked = append(mn.parked, c)
 	}

@@ -250,12 +250,37 @@ func (h *harness) leg(until sim.Time) error {
 	return nil
 }
 
-// finish audits frame conservation at the horizon, dumping the flight
-// recorder when it fails, and on success returns the ledger and records the
-// loop metrics both entry points report.
-func (h *harness) finish() (sent, delivered, misrouted uint64, err error) {
+// byteLedger is the stream half of the horizon audit, summed over every flow
+// the run started, open ones included: the bytes the senders had
+// acknowledged, the FINs among them, the bytes the receivers delivered in
+// order, and the bytes the applications wrote (negative when the flows
+// stream without end).
+type byteLedger struct {
+	acked, delivered, written int64
+	fins                      int
+}
+
+// check holds acked <= delivered <= written. A FIN's segment has length 1, so
+// the senders' acked count holds each acknowledged FIN's sequence number,
+// which no receiver delivers; it is taken out once.
+func (l byteLedger) check() error {
+	data := l.acked - int64(l.fins)
+	if data > l.delivered || l.written >= 0 && l.delivered > l.written {
+		return fmt.Errorf("byte ledger: %d bytes acked (and %d FINs), %d delivered, %d written", data, l.fins, l.delivered, l.written)
+	}
+	return nil
+}
+
+// finish audits frame conservation and the byte ledger at the horizon,
+// dumping the flight recorder when either fails, and on success returns the
+// frame ledger and records the loop metrics both entry points report.
+func (h *harness) finish(ledger byteLedger) (sent, delivered, misrouted uint64, err error) {
 	if err := h.net.CheckConservation(); err != nil {
 		dumpFlight(os.Stderr, h.flight, fmt.Sprintf("conservation failure: %v", err))
+		return 0, 0, 0, err
+	}
+	if err := ledger.check(); err != nil {
+		dumpFlight(os.Stderr, h.flight, err.Error())
 		return 0, 0, 0, err
 	}
 	if m := h.cfg.Metrics; m != nil {

@@ -200,7 +200,7 @@ func TestRetiredFlowKeepsPortDropsDeadman(t *testing.T) {
 		t.Errorf("%d notify slots left after the flow retired, want 0", got)
 	}
 	sm, dm := mn.muxes[0][0], mn.muxes[1][1]
-	if sm.conns[muxTestPort] != f.Snd || dm.conns[muxTestPort] != f.Rcv {
+	if sm.conn(muxTestPort) != f.Snd || dm.conn(muxTestPort) != f.Rcv {
 		t.Fatal("retiring a flow unbound its ports")
 	}
 
@@ -230,7 +230,7 @@ func TestRetiredFlowKeepsPortDropsDeadman(t *testing.T) {
 			t.Errorf("%s deadman engaged %d times on a retired flow", c.name, n)
 		}
 	}
-	if _, _, _, err := h.finish(); err != nil {
+	if _, _, _, err := h.finish(byteLedger{written: -1}); err != nil {
 		t.Errorf("conservation after the late segment's D-SACK: %v", err)
 	}
 }
@@ -284,7 +284,7 @@ func TestReleasedFlowDropsLateSegment(t *testing.T) {
 	if f.Snd.Stats.SegsSent+f.Rcv.Stats.SegsSent != before.SegsSent+f.Snd.Stats.SegsSent {
 		t.Error("a released endpoint transmitted")
 	}
-	if _, _, _, err := h.finish(); err != nil {
+	if _, _, _, err := h.finish(byteLedger{written: -1}); err != nil {
 		t.Errorf("conservation after release: %v", err)
 	}
 	if _, err := mn.BuildFlow(0, 0, 2, 0, muxTestPort); err != nil {

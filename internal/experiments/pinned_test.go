@@ -12,32 +12,40 @@ import (
 	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
-// TestPinnedBytes is the "same behaviour, byte for byte" gate for refactors
-// of the run path: three small scenarios covering both entry points, the
-// fault injector and the invariant checker, each hashed over its JSONL trace
-// (everything but the per-event-loop CatSim chatter) followed by its metrics
-// JSON. All three constants were regenerated when every run moved onto one
-// plain sim.Loop (CHANGES.md, PR 21, says where each trace first diverged from
-// the bytes before: a notification's jitter, a notification verdict, a
-// notification's jitter). rotor4_websearch moved again when a resent FIN
-// stopped going out as one byte of data (its first divergence is a voq_enq 3
-// ns earlier, behind a TLP that resent a FIN), and it and hybrid_cubic_faulted
-// moved when every frame in a propagation stage became its own loop event:
-// same-instant deliveries from different links now fire in arming order
-// (DESIGN.md §10). CUBIC's trace is a permutation within equal timestamps;
-// the rotor's first diverges at t = 1 871 622 ns, two frames entering rack 2's
-// NIC in the other order. hybrid_cubic_faulted moved once more when every flow
-// came to be wired through the host muxes: a host without a TDTCP endpoint now
-// takes its notification too, so the trace gains the "notify" span ends such
-// hosts used to drop (146 records, nothing else moved) and the metrics gain
-// their rdcn.notify_lat_ns samples. A change that moves any constant changed
-// what a run emits, and has to say why.
+// TestPinnedBytes is the "same behaviour, byte for byte" gate for refactors of
+// the run path: four small scenarios covering both entry points, both fabrics,
+// the fault injector and the invariant checker, each hashed over its JSONL
+// trace (everything but the per-event-loop CatSim chatter) followed by its
+// metrics JSON. The first three constants were regenerated when every run moved
+// onto one plain sim.Loop (CHANGES.md, PR 21, says where each trace first
+// diverged from the bytes before: a notification's jitter, a notification
+// verdict, a notification's jitter). rotor4_websearch moved again when a resent
+// FIN stopped going out as one byte of data (its first divergence is a voq_enq
+// 3 ns earlier, behind a TLP that resent a FIN), and it and
+// hybrid_cubic_faulted moved when every frame in a propagation stage became its
+// own loop event: same-instant deliveries from different links now fire in
+// arming order (DESIGN.md §10). CUBIC's trace is a permutation within equal
+// timestamps; the rotor's first diverges at t = 1 871 622 ns, two frames
+// entering rack 2's NIC in the other order. hybrid_cubic_faulted moved once
+// more when every flow came to be wired through the host muxes: a host without
+// a TDTCP endpoint now takes its notification too, so the trace gains the
+// "notify" span ends such hosts used to drop (146 records, nothing else moved)
+// and the metrics gain their rdcn.notify_lat_ns samples.
+// rotor4_tdtcp_flap_drift was taken before the data plane kept its current slot
+// and its drainers' path tables: it holds them to the per-call schedule walk on
+// a rotor whose drift steps the evaluation time backwards at week boundaries
+// and whose flaps darken a day with no event of its own. A change that moves
+// any constant changed what a run emits, and has to say why.
 //
 // A metric added after a constant was generated is listed in its case's
 // added and cut out of the metrics JSON before hashing, so the constant keeps
 // vouching for every byte that existed when it was taken.
 func TestPinnedBytes(t *testing.T) {
 	plan, err := fault.Parse("drop=0.01,nloss=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric, err := fault.Parse("flaps=3,drift=7us")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +68,11 @@ func TestPinnedBytes(t *testing.T) {
 		{"rotor4_websearch", "7a52c0c7fa541fc1de87e6510b4ce12cda225d0aa1f3b7893378025ec16a235a", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
 			_, err := RunWorkload(WorkloadConfig{Variant: TDTCP, Scenario: MultiRack(4), Load: 0.3,
 				WarmupWeeks: 1, MeasureWeeks: 2, Tracer: tr, Metrics: reg})
+			return err
+		}},
+		{"rotor4_tdtcp_flap_drift", "ab53a176de23abc9eab07ee28e260e250ff3c3aad7650b10a0368e00e68f17cc", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
+			_, err := Run(RunConfig{Variant: TDTCP, Scenario: MultiRack(4), Flows: 8, WarmupWeeks: 1, MeasureWeeks: 3,
+				Fault: &fabric, Invariants: true, Tracer: tr, Metrics: reg})
 			return err
 		}},
 	} {

@@ -69,7 +69,7 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 			if now != h.end {
 				t.Fatalf("stopped at %v, horizon is %v", now, h.end)
 			}
-			if _, _, _, err := h.finish(); err != nil {
+			if _, _, _, err := h.finish(byteLedger{written: -1}); err != nil {
 				t.Error(err)
 			}
 		})

@@ -193,9 +193,9 @@ type lifeCensus struct {
 // and a size from cfg.Dist. The arrival process draws from its own generator
 // seeded with cfg.Seed, not the loop's (which connections draw their initial
 // sequence numbers from, as their SYNs arrive), so every variant is offered the
-// same flows for a seed. Frame conservation is checked at the horizon, and
-// the byte ledger at each flow's FIN-ack: a completed flow must have handed
-// its receiver exactly the bytes it was given.
+// same flows for a seed. Frame conservation and the byte ledger over every
+// flow are checked at the horizon, and each flow's bytes at its FIN-ack: a
+// completed flow must have handed its receiver exactly the bytes it was given.
 func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	cfg.fillDefaults()
 	switch cfg.Variant {
@@ -325,13 +325,8 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	// tick and it stores no points.
 	var voq *stats.Sampler
 	err = h.run(func() {
-		voq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end, measureStart.Add(-cfg.SampleEvery), func() float64 {
-			n := 0
-			for _, rack := range net.Racks {
-				n += rack.QueueLen()
-			}
-			return float64(n)
-		})
+		voq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, end, measureStart.Add(-cfg.SampleEvery),
+			func() float64 { return float64(net.QueueLen()) })
 	})
 	if err != nil {
 		return nil, err
@@ -354,7 +349,9 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	res.life.liveConns = h.pool.LiveConns()
 	res.life.parked = len(mn.parked)
 	res.life.built, res.life.reopened, res.life.refused = mn.built, mn.reopened, mn.refused
-	res.FramesSent, res.FramesDelivered, res.FramesMisrouted, err = h.finish()
+	res.FramesSent, res.FramesDelivered, res.FramesMisrouted, err = h.finish(byteLedger{
+		acked: res.Sender.BytesAcked, fins: res.FlowsCompleted,
+		delivered: res.Receiver.BytesDelivered, written: res.BytesOffered})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: workload run %s: %w", cfg.Scenario.Name, err)
 	}

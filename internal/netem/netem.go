@@ -352,8 +352,17 @@ type VOQ struct {
 	cap        int
 	markThresh int // mark CE when occupancy (pre-enqueue) >= threshold; 0 disables
 
-	q    []Frame
+	// The queued frames are the n entries of the ring from ring[head] on,
+	// wrapping at len(ring). The ring holds at least cap frames; only a
+	// growing SetCap reallocates it.
+	ring []Frame
 	head int
+	n    int
+
+	// Total, when non-nil, is a count shared with other queues: every
+	// accepted frame adds one to it and every dequeued frame takes one away,
+	// so it reads their summed occupancy without visiting them.
+	Total *int
 
 	// Monitor, when non-nil, is called with the occupancy after every
 	// enqueue, dequeue and drop. Used to produce the paper's VOQ-length
@@ -384,7 +393,7 @@ func NewVOQ(loop *sim.Loop, capacity, markThresh int) *VOQ {
 		Loop:       loop,
 		cap:        capacity,
 		markThresh: markThresh,
-		q:          make([]Frame, 0, capacity),
+		ring:       make([]Frame, capacity),
 	}
 }
 
@@ -396,25 +405,26 @@ func (v *VOQ) emit(name string, a, b float64) {
 }
 
 // Len reports current occupancy in packets.
-func (v *VOQ) Len() int { return len(v.q) - v.head }
+func (v *VOQ) Len() int { return v.n }
 
 // Cap reports the current capacity.
 func (v *VOQ) Cap() int { return v.cap }
 
 // SetCap resizes the queue at runtime. Shrinking below the current
-// occupancy does not drop queued frames; it only refuses new ones. Growing
-// re-sizes the backing slice eagerly so the enlarged queue fills without any
-// append re-growth on the hot path (the retcpdyn variant resizes ahead of
-// every circuit day).
+// occupancy does not drop queued frames; it only refuses new ones, and the
+// ring keeps its size. Growing past the ring reallocates it once, so the
+// enlarged queue fills without any re-growth on the hot path (the retcpdyn
+// variant resizes ahead of every circuit day).
 func (v *VOQ) SetCap(n int) {
 	if n != v.cap {
 		v.emit("voq_resize", float64(n), float64(v.cap))
 	}
 	v.cap = n
-	if n > cap(v.q) {
-		nq := make([]Frame, v.Len(), n)
-		copy(nq, v.q[v.head:])
-		v.q = nq
+	if n > len(v.ring) {
+		ring := make([]Frame, n)
+		k := copy(ring, v.ring[v.head:min(v.head+v.n, len(v.ring))])
+		copy(ring[k:v.n], v.ring)
+		v.ring = ring
 		v.head = 0
 	}
 }
@@ -440,7 +450,15 @@ func (v *VOQ) Enqueue(f Frame) bool {
 		v.marks++
 		v.emit("voq_mark", float64(v.Len()), float64(v.marks))
 	}
-	v.q = append(v.q, f)
+	i := v.head + v.n
+	if i >= len(v.ring) {
+		i -= len(v.ring)
+	}
+	v.ring[i] = f
+	v.n++
+	if v.Total != nil {
+		*v.Total++
+	}
 	v.enq++
 	v.OccHist.Record(int64(v.Len()))
 	v.emit("voq_enq", float64(v.Len()), float64(v.cap))
@@ -455,15 +473,17 @@ func (v *VOQ) Enqueue(f Frame) bool {
 //
 // Hot path: runs once per frame leaving a VOQ.
 func (v *VOQ) Dequeue() (Frame, bool) {
-	if v.Len() == 0 {
+	if v.n == 0 {
 		return Frame{}, false
 	}
-	f := v.q[v.head]
-	v.q[v.head] = Frame{}
-	v.head++
-	if v.head > 64 && v.head*2 >= len(v.q) {
-		v.q = append(v.q[:0], v.q[v.head:]...)
+	f := v.ring[v.head]
+	v.ring[v.head] = Frame{}
+	if v.head++; v.head == len(v.ring) {
 		v.head = 0
+	}
+	v.n--
+	if v.Total != nil {
+		*v.Total--
 	}
 	v.deq++
 	v.emit("voq_deq", float64(v.Len()), float64(v.cap))
@@ -477,14 +497,16 @@ func (v *VOQ) sample() {
 	}
 }
 
-// CheckInvariants validates the queue's internal accounting: head stays
-// within the backing slice, and the cumulative enqueue/dequeue counters
-// reconcile with the current occupancy (enq - deq == Len). It returns a
-// descriptive error on the first violation. (Occupancy cannot be negative:
-// Len is len(q) - head, and the head bound is checked first.)
+// CheckInvariants validates the queue's internal accounting: head indexes the
+// ring, the occupancy fits in it, and the cumulative enqueue/dequeue counters
+// reconcile with the occupancy (enq - deq == Len). It returns a descriptive
+// error on the first violation.
 func (v *VOQ) CheckInvariants() error {
-	if v.head < 0 || v.head > len(v.q) {
-		return fmt.Errorf("netem: voq %s head %d outside backing slice [0,%d]", v.Label, v.head, len(v.q))
+	if v.head < 0 || v.head >= max(len(v.ring), 1) {
+		return fmt.Errorf("netem: voq %s head %d outside ring [0,%d)", v.Label, v.head, len(v.ring))
+	}
+	if v.n < 0 || v.n > len(v.ring) {
+		return fmt.Errorf("netem: voq %s occupancy %d outside ring [0,%d]", v.Label, v.n, len(v.ring))
 	}
 	if v.deq > v.enq {
 		return fmt.Errorf("netem: voq %s dequeued %d > enqueued %d", v.Label, v.deq, v.enq)

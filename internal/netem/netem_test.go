@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -184,29 +185,88 @@ func TestVOQMonitor(t *testing.T) {
 	}
 }
 
-func TestVOQCompaction(t *testing.T) {
+// TestVOQRingIsFIFO drives queues with a random mix of enqueues, dequeues
+// and resizes against a plain slice: a queue accepts a frame exactly when the
+// slice holds fewer than its current capacity, every frame leaves in the
+// order it entered, and the accounting holds after each step. Small
+// capacities make head and tail wrap at every offset, so grows and shrinks
+// find frames straddling the wrap.
+func TestVOQRingIsFIFO(t *testing.T) {
 	loop := sim.NewLoop(1)
-	v := NewVOQ(loop, 1000, 0)
-	f := testFrame(loop, 100)
-	// Repeatedly cycle frames through to exercise the head-compaction path.
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 10; i++ {
-			if !v.Enqueue(f) {
-				t.Fatal("enqueue failed")
+	rng := rand.New(rand.NewSource(1))
+	next, straddled := 0, 0
+	for queue := 0; queue < 200; queue++ {
+		v := NewVOQ(loop, 1+rng.Intn(4), 0)
+		var model []int
+		for step := 0; step < 100; step++ {
+			switch r := rng.Intn(20); {
+			case r < 9:
+				next++
+				if ok := v.Enqueue(Frame{Len: next}); ok != (len(model) < v.Cap()) {
+					t.Fatalf("queue %d step %d: enqueue at %d/%d returned %v", queue, step, len(model), v.Cap(), ok)
+				} else if ok {
+					model = append(model, next)
+				}
+			case r < 19:
+				f, ok := v.Dequeue()
+				if ok != (len(model) > 0) || ok && f.Len != model[0] {
+					t.Fatalf("queue %d step %d: dequeued frame %d (ok=%v), want the oldest of %v", queue, step, f.Len, ok, model)
+				}
+				if ok {
+					model = model[1:]
+				}
+			default:
+				n := rng.Intn(13)
+				if n > len(v.ring) && v.head+v.n > len(v.ring) {
+					straddled++
+				}
+				v.SetCap(n)
 			}
-		}
-		for i := 0; i < 10; i++ {
-			if _, ok := v.Dequeue(); !ok {
-				t.Fatal("dequeue failed")
+			if v.Len() != len(model) {
+				t.Fatalf("queue %d step %d: len %d, want %d", queue, step, v.Len(), len(model))
+			}
+			if err := v.CheckInvariants(); err != nil {
+				t.Fatalf("queue %d step %d: %v", queue, step, err)
 			}
 		}
 	}
-	if v.Len() != 0 {
-		t.Fatalf("len = %d", v.Len())
+	if straddled == 0 {
+		t.Fatal("no grow found frames straddling the wrap")
 	}
-	enq, deq, _, _ := v.Stats()
-	if enq != 500 || deq != 500 {
-		t.Fatalf("enq=%d deq=%d", enq, deq)
+}
+
+// TestVOQDoesNotAllocate: after NewVOQ, enqueueing and dequeueing allocate
+// nothing, up to capacity and across a grow/shrink cycle once the grow has
+// sized the ring. CI prints it beside the run-level allocation contracts.
+func TestVOQDoesNotAllocate(t *testing.T) {
+	loop := sim.NewLoop(1)
+	v := NewVOQ(loop, 16, 0)
+	var total int
+	v.Total = &total
+	f := Frame{Len: 1500}
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			v.Enqueue(f)
+		}
+		for i := 0; i < n; i++ {
+			v.Dequeue()
+		}
+	}
+	v.SetCap(50)
+	fill(50)
+	v.SetCap(16)
+	if got := testing.AllocsPerRun(100, func() {
+		fill(16)
+		v.Enqueue(f) // drop-tail at cap 16
+		v.SetCap(50)
+		fill(50)
+		v.SetCap(16)
+		fill(20) // four of them dropped
+	}); got != 0 {
+		t.Fatalf("%v allocations per enqueue/dequeue cycle, want 0", got)
+	}
+	if v.Len() != 0 || total != 0 {
+		t.Fatalf("len %d, total %d after draining", v.Len(), total)
 	}
 }
 
@@ -321,12 +381,13 @@ func TestVOQCheckInvariantsNamesTheBrokenRule(t *testing.T) {
 		want    string // "" = no violation
 	}{
 		{"uncorrupted", func(v *VOQ) {}, ""},
-		{"head below the slice", func(v *VOQ) { v.head = -1 }, "head -1 outside backing slice [0,4]"},
-		{"head past the slice", func(v *VOQ) { v.head = len(v.q) + 1 }, "head 5 outside backing slice [0,4]"},
+		{"head below the slice", func(v *VOQ) { v.head = -1 }, "head -1 outside ring [0,4)"},
+		{"head past the slice", func(v *VOQ) { v.head = len(v.ring) }, "head 4 outside ring [0,4)"},
+		{"occupancy past the ring", func(v *VOQ) { v.n = len(v.ring) + 1 }, "occupancy 5 outside ring [0,4]"},
 		{"more dequeued than enqueued", func(v *VOQ) { v.deq = v.enq + 1 }, "dequeued 5 > enqueued 4"},
 		{"enqueue not counted", func(v *VOQ) { v.enq-- }, "occupancy 2 != enq-deq 1"},
 		{"dequeue not counted", func(v *VOQ) { v.deq-- }, "occupancy 2 != enq-deq 3"},
-		{"frame lost from the ring", func(v *VOQ) { v.q = v.q[:len(v.q)-1] }, "occupancy 1 != enq-deq 2"},
+		{"frame lost from the ring", func(v *VOQ) { v.n-- }, "occupancy 1 != enq-deq 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

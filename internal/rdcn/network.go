@@ -303,6 +303,28 @@ type Network struct {
 
 	// transitionFn is the slot-boundary callback, bound once.
 	transitionFn func()
+
+	// The data plane's current slot (see dataPlaneSlot): the schedule's
+	// answer for every evaluation time in [slotStart, slotEnd). Empty until
+	// the first lookup.
+	slotStart, slotEnd sim.Time
+	slotTDN            int
+	slotOK             bool
+
+	// paths holds every drainer's path on every TDN, built once in New:
+	// rack r's VOQ q on TDN k is paths[(r*(Racks-1)+q)*len(TDNs)+k].
+	paths []tdnPath
+
+	// queued counts the frames waiting in every VOQ of the network; each VOQ
+	// adds its enqueues and dequeues to it (netem.VOQ.Total).
+	queued int
+}
+
+// tdnPath is one drainer's path on one TDN; ok is false when the TDN gives
+// the drainer's rack pair no circuit.
+type tdnPath struct {
+	netem.Path
+	ok bool
 }
 
 // SetTracer attaches a tracer to the network's control plane (CatRDCN
@@ -376,9 +398,12 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 			cluster.SetLookahead(la)
 		}
 	}
-	n := &Network{Loop: loop, Cfg: cfg, baseVOQ: cfg.VOQCap}
+	// slotStart > slotEnd: the kept slot starts empty.
+	n := &Network{Loop: loop, Cfg: cfg, baseVOQ: cfg.VOQCap, slotStart: 1}
 	nvoq := cfg.Racks - 1 // one VOQ per destination rack
+	ntdn := len(cfg.TDNs)
 	n.Racks = make([]*Rack, cfg.Racks)
+	n.paths = make([]tdnPath, cfg.Racks*nvoq*ntdn)
 	// Every rack shares one pool (releases anywhere restock sends anywhere,
 	// so gets and puts balance by construction); under a Cluster each lane
 	// owns a pool and the barrier return path keeps them balanced.
@@ -402,11 +427,16 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 		for k := 0; k < nvoq; k++ {
 			voq := netem.NewVOQ(rloop, cfg.VOQCap, cfg.MarkThresh)
 			voq.Label = fmt.Sprintf("r%dq%d", rack.ID, k)
+			voq.Total = &n.queued
 			dst := rack.qDst(k)
+			row := n.paths[(r*nvoq+k)*ntdn:][:ntdn]
+			for tdn := range row {
+				row[tdn] = n.pathOn(r, dst, tdn)
+			}
 			d := &netem.Drainer{
 				Loop: rloop,
 				Q:    voq,
-				Path: n.pathFunc(rloop, r, dst),
+				Path: n.pathFunc(rloop, row),
 				Out:  func(f netem.Frame) { n.deliver(r, dst, f) },
 			}
 			if cluster != nil {
@@ -438,48 +468,61 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// pathFunc adapts the schedule to the drainer interface for rack rackID's VOQ
-// toward rack dst. On a two-rack network every scheduled TDN connects the pair
-// at its full rate (the paper's hybrid testbed). With more racks, TDN 0 is the
-// packet network fair-sharing the rack uplink across its Racks-1 VOQs, and an
-// optical TDN k serves only the rack pair of rotor matching k. The schedule
-// is evaluated on the owning rack's clock.
-func (n *Network) pathFunc(rloop *sim.Loop, rackID, dst int) netem.PathFunc {
+// pathOn is rack rackID's path toward rack dst on TDN tdn. On a two-rack
+// network every scheduled TDN connects the pair at its full rate (the paper's
+// hybrid testbed). With more racks, TDN 0 is the packet network fair-sharing
+// the rack uplink across its Racks-1 VOQs, and an optical TDN k serves only
+// the rack pair of rotor matching k.
+func (n *Network) pathOn(rackID, dst, tdn int) tdnPath {
+	p := n.Cfg.TDNs[tdn]
+	if n.Cfg.Racks > 2 {
+		if tdn == 0 {
+			return tdnPath{netem.Path{Rate: p.Rate / sim.Rate(n.Cfg.Racks-1), Delay: p.Delay}, true}
+		}
+		if RotorPeer(n.Cfg.Racks, tdn, rackID) != dst {
+			return tdnPath{}
+		}
+	}
+	return tdnPath{netem.Path{Rate: p.Rate, Delay: p.Delay}, true}
+}
+
+// pathFunc adapts the schedule to the drainer interface for the drainer whose
+// path table is row (indexed by TDN). The schedule is evaluated on the owning
+// rack's clock. A pair the TDN leaves dark returns before the circuit check;
+// CircuitOK is asked on every other call, because a flap has no event that
+// could invalidate a cached answer.
+func (n *Network) pathFunc(rloop *sim.Loop, row []tdnPath) netem.PathFunc {
 	return func() (netem.Path, bool) {
-		tdn, ok := n.dataPlaneTDN(rloop.Now())
+		now := rloop.Now()
+		tdn, ok := n.dataPlaneSlot(now)
 		if !ok {
 			return netem.Path{}, false
 		}
-		p := n.Cfg.TDNs[tdn]
-		if n.Cfg.Racks > 2 {
-			if tdn == 0 {
-				return netem.Path{Rate: p.Rate / sim.Rate(n.Cfg.Racks-1), Delay: p.Delay}, true
-			}
-			if RotorPeer(n.Cfg.Racks, tdn, rackID) != dst {
-				return netem.Path{}, false
-			}
+		p := row[tdn]
+		if !p.ok {
+			return netem.Path{}, false
 		}
-		return netem.Path{Rate: p.Rate, Delay: p.Delay}, true
+		if ck := n.Cfg.CircuitOK; ck != nil && !ck(tdn, now) {
+			return netem.Path{}, false // a flapped circuit reads as dark
+		}
+		return p.Path, true
 	}
 }
 
-// dataPlaneTDN reports the TDN the data plane is actually serving at now,
-// after fault adjustments: schedule drift shifts the evaluation time and a
-// flapped circuit reads as dark even though the nominal schedule (and the
-// control plane's notifications) says day.
-func (n *Network) dataPlaneTDN(now sim.Time) (int, bool) {
+// dataPlaneSlot reports the scheduled TDN the data plane serves at now (ok is
+// false during a night). Schedule drift shifts the evaluation time away from
+// now; the slot holding the last evaluation time is kept, and the schedule is
+// searched again only when the evaluation time leaves it. That is exact for
+// any sequence of times, so drift may step the evaluation time backwards.
+func (n *Network) dataPlaneSlot(now sim.Time) (int, bool) {
 	t := now
 	if off := n.Cfg.ScheduleOffset; off != nil {
 		t = t.Add(-off(now))
 	}
-	tdn, ok, _ := n.Cfg.Schedule.At(t)
-	if !ok {
-		return NightTDN, false
+	if t < n.slotStart || t >= n.slotEnd {
+		n.slotTDN, n.slotOK, n.slotStart, n.slotEnd = n.Cfg.Schedule.slot(t)
 	}
-	if ck := n.Cfg.CircuitOK; ck != nil && !ck(tdn, now) {
-		return tdn, false
-	}
-	return tdn, true
+	return n.slotTDN, n.slotOK
 }
 
 // ingress accepts a frame from a host NIC and places it in the rack's uplink
@@ -716,16 +759,22 @@ func (n *Network) KickAll() {
 // Epoch reports the control plane's current schedule-transition counter.
 func (n *Network) Epoch() uint32 { return n.epoch }
 
-// CheckInvariants validates the accounting of every rack VOQ. The runtime
-// invariant checker (internal/invariant) calls it after every simulation
-// event during faulted runs.
+// CheckInvariants validates the accounting of every rack VOQ and the running
+// occupancy count QueueLen reads. The runtime invariant checker
+// (internal/invariant) calls it after every simulation event during faulted
+// runs.
 func (n *Network) CheckInvariants() error {
+	queued := 0
 	for _, rack := range n.Racks {
 		for _, v := range rack.voqs {
 			if err := v.CheckInvariants(); err != nil {
 				return fmt.Errorf("rack %d: %w", rack.ID, err)
 			}
+			queued += v.Len()
 		}
+	}
+	if queued != n.queued {
+		return fmt.Errorf("rdcn: running VOQ occupancy %d != %d queued", n.queued, queued)
 	}
 	return nil
 }
@@ -865,6 +914,10 @@ func (n *Network) ActiveTDN() (int, bool) {
 	tdn, ok, _ := n.Cfg.Schedule.At(n.Loop.Now())
 	return tdn, ok
 }
+
+// QueueLen reports the frames waiting in every VOQ of the network, from a
+// running count: it costs the same on any rack count.
+func (n *Network) QueueLen() int { return n.queued }
 
 // InFlightFrames reports the number of data-plane frames currently inside the
 // network: queued in or serializing through a host NIC pipe, waiting in a

@@ -233,3 +233,76 @@ func TestMultiRackMisroute(t *testing.T) {
 		t.Fatalf("delivered %d, misrouted %d; want 0, 1", del, mis)
 	}
 }
+
+// TestDataPlanePathIsExact: every drainer's path, read through the network's
+// kept slot and its path table, equals the schedule asked afresh at
+// now - ScheduleOffset(now), filtered by CircuitOK and the rotor matching.
+// The offset steps from -7 µs to +7 µs at every odd week's start, so the
+// evaluation time runs 14 µs backwards there, and one circuit flaps for a
+// window that opens and closes inside its days.
+func TestDataPlanePathIsExact(t *testing.T) {
+	const racks = 4
+	cfg := DefaultConfig()
+	cfg.Racks, cfg.HostsPerRack = racks, 1
+	cfg.Schedule = RotorWeek(racks, 2, us(10), us(2)) // 18 slots, 108 µs
+	cfg.TDNs = RotorTDNs(racks, cfg.TDNs[0], cfg.TDNs[1])
+	week := sim.Time(cfg.Schedule.Week())
+	offset := func(now sim.Time) sim.Dur {
+		if now/week%2 == 1 {
+			return us(7)
+		}
+		return -us(7)
+	}
+	flapFrom, flapTo := week+sim.Time(us(3)), 2*week+sim.Time(us(50))
+	circuitOK := func(tdn int, now sim.Time) bool { return tdn != 2 || now < flapFrom || now >= flapTo }
+	cfg.ScheduleOffset, cfg.CircuitOK = offset, circuitOK
+	loop, n := buildNet(t, cfg)
+
+	want := func(rack, dst int, now sim.Time) (netem.Path, bool) {
+		tdn, ok, _ := cfg.Schedule.At(now.Add(-offset(now)))
+		if !ok || !circuitOK(tdn, now) {
+			return netem.Path{}, false
+		}
+		p := cfg.TDNs[tdn]
+		if tdn == 0 {
+			return netem.Path{Rate: p.Rate / (racks - 1), Delay: p.Delay}, true
+		}
+		if RotorPeer(racks, tdn, rack) != dst {
+			return netem.Path{}, false
+		}
+		return netem.Path{Rate: p.Rate, Delay: p.Delay}, true
+	}
+	var checks, up, flapped int
+	check := func() {
+		now := loop.Now()
+		for _, r := range n.Racks {
+			for q, d := range r.drainers {
+				got, gok := d.Path()
+				wp, wok := want(r.ID, r.qDst(q), now)
+				if got != wp || gok != wok {
+					t.Fatalf("rack %d -> %d at %v: path (%+v, %v), want (%+v, %v)", r.ID, r.qDst(q), now, got, gok, wp, wok)
+				}
+				checks++
+				if gok {
+					up++
+				}
+				if tdn, ok, _ := cfg.Schedule.At(now.Add(-offset(now))); ok && tdn == 2 && !circuitOK(tdn, now) {
+					flapped++
+				}
+			}
+		}
+	}
+	// Every half microsecond, and a nanosecond before every microsecond: the
+	// slot edges of both the nominal and the drifted schedule fall on whole
+	// microseconds.
+	for at := sim.Time(0); at < 4*week; at += sim.Time(us(1)) / 2 {
+		loop.At(at, check)
+		if at%sim.Time(us(1)) == 0 && at > 0 {
+			loop.At(at-1, check)
+		}
+	}
+	loop.RunUntil(4 * week)
+	if checks == 0 || up == 0 || up == checks || flapped == 0 {
+		t.Fatalf("%d checks, %d with a path, %d inside the flap: the test exercises nothing", checks, up, flapped)
+	}
+}

@@ -25,9 +25,12 @@ type Slot struct {
 
 // Schedule is a cyclic ("week", §2.1) sequence of days and nights. The
 // demand-oblivious schedules of RotorNet-style fabrics repeat indefinitely.
+//
+// A Schedule is immutable once built: sweep workers share one.
 type Schedule struct {
 	Slots []Slot
 	week  sim.Dur
+	ends  []sim.Dur // ends[i] is slot i's end offset in the week: At's search keys
 }
 
 // NewSchedule validates and returns a schedule cycling through slots.
@@ -41,6 +44,7 @@ func NewSchedule(slots []Slot) (*Schedule, error) {
 	// wraps. A cycle over a month is a misconfiguration, not a schedule.
 	const maxWeek = 30 * 24 * sim.Dur(3600) * sim.Second
 	var week sim.Dur
+	ends := make([]sim.Dur, len(slots))
 	for i, s := range slots {
 		if s.Dur <= 0 {
 			return nil, fmt.Errorf("rdcn: slot %d has non-positive duration", i)
@@ -52,8 +56,9 @@ func NewSchedule(slots []Slot) (*Schedule, error) {
 		if week <= 0 || week > maxWeek { // overflow folds to a negative sum
 			return nil, fmt.Errorf("rdcn: schedule week overflows %v cap", maxWeek)
 		}
+		ends[i] = week
 	}
-	return &Schedule{Slots: slots, week: week}, nil
+	return &Schedule{Slots: slots, week: week, ends: ends}, nil
 }
 
 // MustSchedule is NewSchedule that panics on error, for literals in tests
@@ -258,20 +263,30 @@ func (p *schedParser) expect(c byte) error {
 // schedule extends periodically in both directions): schedule-drift faults
 // evaluate At(now-offset), which goes negative early in a run.
 func (s *Schedule) At(t sim.Time) (tdn int, ok bool, slotEnd sim.Time) {
+	tdn, ok, _, slotEnd = s.slot(t)
+	return tdn, ok, slotEnd
+}
+
+// slot is At that also reports the absolute time the slot began: the slot
+// holding t is [start, end). It binary-searches the cumulative slot ends for
+// the first one past t's offset in the week.
+func (s *Schedule) slot(t sim.Time) (tdn int, ok bool, start, end sim.Time) {
 	off := sim.Dur(int64(t) % int64(s.week))
 	if off < 0 { // Go's % follows the dividend's sign; fold into [0, week)
 		off += s.week
 	}
 	base := t.Add(-off)
-	for _, sl := range s.Slots {
-		if off < sl.Dur {
-			return sl.TDN, sl.TDN != NightTDN, base.Add(sl.Dur)
+	lo, hi := 0, len(s.ends)-1 // off < week = ends[len-1], so the answer is in [lo, hi]
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s.ends[m] <= off {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		off -= sl.Dur
-		base = base.Add(sl.Dur)
 	}
-	// Unreachable: off < week by construction.
-	panic("rdcn: schedule walk overflow")
+	tdn = s.Slots[lo].TDN
+	end = base.Add(s.ends[lo])
+	return tdn, tdn != NightTDN, end.Add(-s.Slots[lo].Dur), end
 }
 
 // NextDayStart returns the first slot boundary strictly after t at which a
