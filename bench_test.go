@@ -162,7 +162,7 @@ func BenchmarkTDNStateSwitch(b *testing.B) {
 	NewConn(NewLoop(1), ConnConfig{NumTDNs: 2, Policy: pol}, func(*Segment) {})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pol.OnNotify(i%2, 0)
+		pol.OnNotify(i % 2)
 	}
 }
 

@@ -13,9 +13,10 @@ go vet ./...
 
 # tdlint enforces the contracts that neither the compiler, go vet nor a test
 # catches (DESIGN §9 has the mutation audit behind the list): determinism
-# inside the simulation boundary, RFC 1982 sequence arithmetic, metric
-# naming, mutex-guard consistency and no blocking under a mutex in the
-# concurrent layers, sim-time unit hygiene, and enum-switch exhaustiveness.
+# inside the simulation boundary, mutex-guard consistency and no blocking
+# under a mutex in the concurrent layers, sim-time unit hygiene, and
+# enum-switch exhaustiveness. Sequence arithmetic is the compiler's
+# (packet.Seq) and metric naming a test's (TestMetricNamesFollowConvention).
 # Exit 1 = findings, exit 2 = load failure; either fails the gate. The JSON
 # findings list is kept as a CI artifact so a red gate is diagnosable without
 # rerunning locally.

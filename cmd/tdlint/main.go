@@ -1,8 +1,7 @@
 // Command tdlint runs the repository's static analyzer suite over Go package
 // patterns and reports contract violations that neither the compiler, go vet
-// nor a test catches: determinism, RFC 1982 sequence arithmetic, metric
-// naming, concurrency discipline, sim-time unit hygiene, and enum-switch
-// exhaustiveness (see internal/lint).
+// nor a test catches: determinism, concurrency discipline, sim-time unit
+// hygiene, and enum-switch exhaustiveness (see internal/lint).
 //
 // Usage:
 //

@@ -55,6 +55,14 @@ func runLint(t *testing.T, bin string, args ...string) (string, string, int) {
 
 const goMod = "module lintcheck.example/m\n\ngo 1.24\n"
 
+// findingModule is a tree with exactly one finding, from the exhaustive
+// check, on line 7 of pkg/state.go: a switch over state that misses done.
+var findingModule = map[string]string{
+	"go.mod": goMod,
+	"pkg/state.go": "package pkg\n\ntype state int\n\nconst idle, done state = 0, 1\n\n" +
+		"func busy(s state) bool { switch s { case idle: return false }; return true }\n",
+}
+
 // TestExitCodeContract pins the CLI's documented contract: 0 clean, 1 with
 // findings, 2 on load failure.
 func TestExitCodeContract(t *testing.T) {
@@ -75,17 +83,13 @@ func TestExitCodeContract(t *testing.T) {
 	})
 
 	t.Run("findings", func(t *testing.T) {
-		dir := writeModule(t, map[string]string{
-			"go.mod": goMod,
-			"internal/tcp/conn.go": "package tcp\n\n" +
-				"func stale(seq, rcvNxt uint32) bool { return seq < rcvNxt }\n",
-		})
+		dir := writeModule(t, findingModule)
 		stdout, stderr, code := runLint(t, bin, "-C", dir, "./...")
 		if code != 1 {
 			t.Fatalf("tree with findings: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
 		}
-		if !strings.Contains(stdout, "[seqarith]") {
-			t.Errorf("expected a seqarith finding, got: %s", stdout)
+		if !strings.Contains(stdout, "[exhaustive]") {
+			t.Errorf("expected an exhaustive finding, got: %s", stdout)
 		}
 	})
 
@@ -127,7 +131,7 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("-list: exit %d, stderr: %s", code, stderr)
 	}
 	for _, name := range []string{
-		"determinism", "seqarith", "metricname", "concurrency", "simtime", "exhaustive",
+		"determinism", "concurrency", "simtime", "exhaustive",
 	} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing %q:\n%s", name, stdout)
@@ -139,11 +143,7 @@ func TestListFlag(t *testing.T) {
 // CI consumes.
 func TestJSONOutput(t *testing.T) {
 	bin := buildBinary(t)
-	dir := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"internal/tcp/conn.go": "package tcp\n\n" +
-			"func stale(seq, rcvNxt uint32) bool { return seq < rcvNxt }\n",
-	})
+	dir := writeModule(t, findingModule)
 	stdout, stderr, code := runLint(t, bin, "-json", "-C", dir, "./...")
 	if code != 1 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
@@ -158,20 +158,16 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(stdout), &findings); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, stdout)
 	}
-	if len(findings) != 1 || findings[0].Check != "seqarith" || findings[0].Line != 3 {
+	if len(findings) != 1 || findings[0].Check != "exhaustive" || findings[0].Line != 7 {
 		t.Errorf("unexpected findings: %+v", findings)
 	}
 }
 
-// TestChecksSubset asserts -checks limits the run: the seqarith violation is
+// TestChecksSubset asserts -checks limits the run: the exhaustive violation is
 // invisible to a determinism-only run.
 func TestChecksSubset(t *testing.T) {
 	bin := buildBinary(t)
-	dir := writeModule(t, map[string]string{
-		"go.mod": goMod,
-		"internal/tcp/conn.go": "package tcp\n\n" +
-			"func stale(seq, rcvNxt uint32) bool { return seq < rcvNxt }\n",
-	})
+	dir := writeModule(t, findingModule)
 	stdout, stderr, code := runLint(t, bin, "-checks", "determinism", "-C", dir, "./...")
 	if code != 0 {
 		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)

@@ -73,7 +73,7 @@ type TDTCP struct {
 
 	// changePtr is the TDN change pointer (§3.4): the first sequence
 	// number transmitted after the most recent TDN switch.
-	changePtr    uint32
+	changePtr    packet.Seq
 	haveChange   bool
 	lastSwitchAt sim.Time
 
@@ -132,7 +132,7 @@ func (p *TDTCP) ActiveTDN() int { return p.active }
 
 // ChangePointer returns the sequence number at the most recent TDN switch
 // and whether a switch has happened yet.
-func (p *TDTCP) ChangePointer() (uint32, bool) { return p.changePtr, p.haveChange }
+func (p *TDTCP) ChangePointer() (packet.Seq, bool) { return p.changePtr, p.haveChange }
 
 // Attach implements tcp.Policy.
 func (p *TDTCP) Attach(c *tcp.Conn) {
@@ -186,7 +186,7 @@ func (p *TDTCP) Active() int { return p.active }
 // OnNotify implements tcp.Policy: switch the active per-TDN state set.
 // Stale-epoch filtering happens in Conn.Notify; here an out-of-range TDN is
 // ignored (the §4.2 contract requires both ends to agree on the TDN count).
-func (p *TDTCP) OnNotify(tdn int, epoch uint32) {
+func (p *TDTCP) OnNotify(tdn int) {
 	p.lastNotifyAt = p.c.Loop.Now()
 	if tdn < 0 || tdn >= p.numTDNs {
 		p.staleNotifies++
@@ -252,7 +252,7 @@ func (p *TDTCP) FilterLoss(seg *tcp.TxSeg, trigTDN uint8) bool {
 		return false
 	}
 	// Only segments from before the switch qualify as cross-TDN stragglers.
-	if int32(seg.Seq-p.changePtr) >= 0 {
+	if seg.Seq.GEQ(p.changePtr) {
 		return false
 	}
 	// §3.4: true tail losses of a prior TDN are left to RACK-TLP. Once a

@@ -111,7 +111,7 @@ func TestSwitchAndChangePointer(t *testing.T) {
 	}
 	ptr, ok := e.pa.ChangePointer()
 	if !ok || ptr != nxt {
-		t.Fatalf("change pointer = %d,%v want %d", ptr, ok, nxt)
+		t.Fatalf("change pointer = %d,%v want %d", ptr.Uint32(), ok, nxt.Uint32())
 	}
 	if e.pa.Stats().Switches != 1 {
 		t.Fatalf("switches = %d", e.pa.Stats().Switches)
@@ -385,24 +385,24 @@ func TestFilterLossRules(t *testing.T) {
 	e.switchTDN(1)
 	ptr, _ := e.pa.ChangePointer()
 	now := e.loop.Now()
-	mk := func(seq uint32, tdn uint8, age sim.Dur) *tcp.TxSeg {
+	mk := func(seq packet.Seq, tdn uint8, age sim.Dur) *tcp.TxSeg {
 		return &tcp.TxSeg{Seq: seq, Len: 8960, TDN: tdn, SentAt: now.Add(-age)}
 	}
 	// Old-TDN segment below the pointer, triggered by new-TDN ACK: filter.
-	if !e.pa.FilterLoss(mk(ptr-8960, 0, 20*sim.Microsecond), 1) {
+	if !e.pa.FilterLoss(mk(ptr.Add(-8960), 0, 20*sim.Microsecond), 1) {
 		t.Fatal("cross-TDN straggler not filtered")
 	}
 	// Same-TDN segment: never filtered.
-	if e.pa.FilterLoss(mk(ptr-8960, 1, 20*sim.Microsecond), 1) {
+	if e.pa.FilterLoss(mk(ptr.Add(-8960), 1, 20*sim.Microsecond), 1) {
 		t.Fatal("same-TDN loss filtered")
 	}
 	// Above the change pointer: not filtered.
-	if e.pa.FilterLoss(mk(ptr+8960, 0, 20*sim.Microsecond), 1) {
+	if e.pa.FilterLoss(mk(ptr.Add(8960), 0, 20*sim.Microsecond), 1) {
 		t.Fatal("post-switch segment filtered")
 	}
 	// Outstanding far longer than the slowest RTT: must not be filtered
 	// (RACK-TLP handover).
-	if e.pa.FilterLoss(mk(ptr-8960, 0, 5*sim.Millisecond), 1) {
+	if e.pa.FilterLoss(mk(ptr.Add(-8960), 0, 5*sim.Millisecond), 1) {
 		t.Fatal("ancient segment still filtered")
 	}
 }

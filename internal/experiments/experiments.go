@@ -371,6 +371,9 @@ func Run(cfg RunConfig) (*Result, error) {
 // wired through one muxNet and registered, none started. The network has just
 // the hosts the placement uses.
 func newRunHarness(cfg *RunConfig) (*harness, error) {
+	if err := CheckVariant(cfg.Variant, cfg.Scenario.Racks, false); err != nil {
+		return nil, err
+	}
 	_, _, lastHost := place(cfg.Scenario.Racks, cfg.Flows-1)
 	h, err := newHarness(cfg, fmt.Sprintf("%s on %s", cfg.Variant, cfg.Scenario.Name), lastHost+1)
 	if err != nil {

@@ -105,6 +105,17 @@ func TestHeterogeneousCCAs(t *testing.T) {
 	}
 }
 
+// TestUnknownVariantRefused: a variant no transport answers to is an error
+// from every entry point, not a CUBIC run under its name.
+func TestUnknownVariantRefused(t *testing.T) {
+	if _, err := Run(RunConfig{Variant: "foo", WarmupWeeks: 1, MeasureWeeks: 1, Flows: 2}); err == nil || !strings.Contains(err.Error(), `unknown variant "foo"`) {
+		t.Errorf("Run: err %v, want unknown variant", err)
+	}
+	if _, err := RunWorkload(WorkloadConfig{Variant: "foo", Scenario: MultiRack(4), WarmupWeeks: 1, MeasureWeeks: 1}); err == nil || !strings.Contains(err.Error(), `unknown variant "foo"`) {
+		t.Errorf("RunWorkload: err %v, want unknown variant", err)
+	}
+}
+
 func TestTDTCPAblationOrdering(t *testing.T) {
 	full, err := Run(RunConfig{Variant: TDTCP, WarmupWeeks: 2, MeasureWeeks: 6})
 	if err != nil {

@@ -36,6 +36,31 @@ const (
 // AllVariants lists every transport in the Fig. 7 legend order.
 var AllVariants = []Variant{ReTCPDyn, TDTCP, ReTCP, DCTCP, Cubic, MPTCP}
 
+// CheckVariant is the one statement of which transport runs where: Run,
+// BuildFlows, RunWorkload and serve's Spec.Normalize all ask it before
+// building anything. racks is the fabric's rack count (0 is the two-rack
+// hybrid), and workload says the flows are RunWorkload's open-loop
+// arrivals. The single-path variants run anywhere. MPTCP and the reTCP
+// variants are two-rack constructs: subflow pinning and the
+// circuit-up/down signal are defined against the hybrid, and the rotor
+// fabric has no single "circuit" for a host to react to.
+func CheckVariant(v Variant, racks int, workload bool) error {
+	switch v {
+	case Cubic, DCTCP, Reno, TDTCP:
+		return nil
+	case MPTCP, ReTCP, ReTCPDyn:
+		if workload {
+			return fmt.Errorf("experiments: variant %s is not supported by RunWorkload", v)
+		}
+		if racks > 2 {
+			return fmt.Errorf("experiments: variant %s supports only 2 racks", v)
+		}
+		return nil
+	default:
+		return fmt.Errorf("experiments: unknown variant %q", v)
+	}
+}
+
 // Flow is one sender/receiver pair between two hosts of a network, wired
 // through the hosts' muxes (see muxNet.BuildFlow).
 type Flow struct {
@@ -384,6 +409,9 @@ func (mn *muxNet) runFlow(i int) (*Flow, error) {
 // Run places and wires its flows, none started. The flows' mux takes over every
 // host's upcalls, so call it once per network.
 func BuildFlows(net *rdcn.Network, n int, v Variant, opt FlowOptions) ([]*Flow, error) {
+	if err := CheckVariant(v, len(net.Racks), false); err != nil {
+		return nil, err
+	}
 	mn := newMuxNet(net, new(tcp.Pool), v, opt)
 	var flows []*Flow
 	for i := 0; i < n; i++ {
@@ -403,23 +431,12 @@ func BuildFlows(net *rdcn.Network, n int, v Variant, opt FlowOptions) ([]*Flow, 
 // endpoint is the oldest parked one that can be reopened, or else a new one.
 // The flow's listeners join their hosts' notify sets here — both endpoints of
 // a TDTCP or MPTCP flow, the sender of a reTCP one — and a TDTCP flow's leave
-// them at leave; the ports are unbound at release. MPTCP and the reTCP
-// variants are two-rack constructs and are refused on more racks.
+// them at leave; the ports are unbound at release. The variant is one
+// CheckVariant accepted for this fabric.
 func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16) (*Flow, error) {
 	ports := 1
-	switch mn.variant {
-	case MPTCP, ReTCP, ReTCPDyn:
-		if len(mn.net.Racks) > 2 {
-			// Subflow pinning and the circuit-up/down signal are defined
-			// against the two-rack hybrid; the rotor fabric has no single
-			// "circuit" for a host to react to.
-			return nil, fmt.Errorf("experiments: variant %s supports only 2 racks", mn.variant)
-		}
-		if mn.variant == MPTCP {
-			ports = len(mn.net.Cfg.TDNs)
-		}
-	default:
-		// Cubic, DCTCP, Reno, TDTCP are single-path and rack-count-agnostic.
+	if mn.variant == MPTCP {
+		ports = len(mn.net.Cfg.TDNs)
 	}
 	for _, ep := range [...]struct{ rack, host int }{{srcRack, srcHost}, {dstRack, dstHost}} {
 		if ep.rack < 0 || ep.rack >= len(mn.net.Racks) {

@@ -183,7 +183,7 @@ func lateSegment(f *Flow) netem.Frame {
 	late := packet.Segment{
 		Src: f.Snd.LocalAddr, Dst: f.Rcv.LocalAddr, TTL: 64, Proto: packet.ProtoTCP,
 		TCP: packet.TCPHeader{SrcPort: muxTestPort, DstPort: muxTestPort, Flags: packet.FlagACK | packet.FlagPSH,
-			Seq: f.Snd.AbsSeq(0), Ack: f.Rcv.SndNxt(), PayloadLen: 8960, Window: 4 << 20},
+			Seq: f.Snd.AbsSeq(0).Uint32(), Ack: f.Rcv.SndNxt().Uint32(), PayloadLen: 8960, Window: 4 << 20},
 	}
 	return netem.Frame{Wire: late.Serialize(nil)}
 }

@@ -198,10 +198,8 @@ type lifeCensus struct {
 // completed flow must have handed its receiver exactly the bytes it was given.
 func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	cfg.fillDefaults()
-	switch cfg.Variant {
-	case TDTCP, Cubic, DCTCP, Reno:
-	default:
-		return nil, fmt.Errorf("experiments: variant %s is not supported by RunWorkload", cfg.Variant)
+	if err := CheckVariant(cfg.Variant, cfg.Scenario.Racks, true); err != nil {
+		return nil, err
 	}
 	// The harness reads what the two configs share off a RunConfig. A flow's
 	// life has three stages after its arrival: it is open until its FIN is

@@ -1,12 +1,10 @@
 // Package lint is a pure-stdlib static analyzer for the contracts this
 // repository's correctness rests on that neither the compiler, go vet nor a
 // test guards: byte-identical replay from a seed (the paper's
-// controlled-repetition methodology), RFC 1982 serial-number arithmetic on
-// wrapping 32-bit sequence/epoch counters, enum-switch exhaustiveness, the
-// pkg.snake_case metric-name convention, sim-time unit hygiene, and the
-// mutex discipline of the concurrent layers. A check stays only while some
-// defect it exists for passes every test; DESIGN §9 has the mutation audit
-// that decided which.
+// controlled-repetition methodology), enum-switch exhaustiveness, sim-time
+// unit hygiene, and the mutex discipline of the concurrent layers. A check
+// stays only while some defect it exists for passes every test; DESIGN §9
+// has the mutation audit that decided which.
 //
 // The framework is deliberately go/packages-free: packages are loaded by
 // shelling out to `go list -json -export -deps` (see loader.go) and
@@ -79,10 +77,6 @@ func All() []*Check {
 	return []*Check{
 		{Name: "determinism", Run: determinism,
 			Doc: "forbid wall-clock time, global math/rand, goroutines, map iteration, sync.Pool and serve/obs imports in simulation packages"},
-		{Name: "seqarith", Run: seqArith,
-			Doc: "forbid raw ordering comparisons on wrapping uint32 sequence/epoch values; use the packet.SeqLT family"},
-		{Name: "metricname", Run: metricName,
-			Doc: "metric names passed to Registry.Add/Set/Hist must follow the pkg.snake_case convention with a constant prefix"},
 		{Name: "concurrency", Run: concurrency,
 			Doc: "serve/obs/trace: consistent mutex guards, no blocking calls under a mutex"},
 		{Name: "simtime", Run: simTime,
@@ -196,17 +190,6 @@ func walkWithStack(f ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 		}
 		return keep
 	})
-}
-
-// enclosingFuncName returns the name of the innermost enclosing function
-// declaration, or "" inside function literals and at file scope.
-func enclosingFuncName(stack []ast.Node) string {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			return fd.Name.Name
-		}
-	}
-	return ""
 }
 
 // basicKind returns the underlying basic kind of t (types.Invalid when t is

@@ -2,6 +2,10 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -113,22 +117,14 @@ func TestDeterminismBoundaryFixture(t *testing.T) {
 	checkFixture(t, selectChecks(t, "determinism"), "g/internal/sim", "g/internal/serve")
 }
 
-func TestSeqArithFixture(t *testing.T) {
-	checkFixture(t, selectChecks(t, "seqarith"), "b/internal/tcp")
-}
-
-func TestMetricNameFixture(t *testing.T) {
-	checkFixture(t, selectChecks(t, "metricname"), "d/trace", "d/metrics")
-}
-
 func TestSelect(t *testing.T) {
 	all, err := Select("")
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("Select(\"\") = %d checks, err %v; want all %d", len(all), err, len(All()))
 	}
-	two, err := Select("seqarith, exhaustive")
-	if err != nil || len(two) != 2 || two[0].Name != "seqarith" || two[1].Name != "exhaustive" {
-		t.Fatalf("Select(\"seqarith, exhaustive\") = %v, err %v", checkNames(two), err)
+	two, err := Select("exhaustive, determinism")
+	if err != nil || len(two) != 2 || two[0].Name != "exhaustive" || two[1].Name != "determinism" {
+		t.Fatalf("Select(\"exhaustive, determinism\") = %v, err %v", checkNames(two), err)
 	}
 	if _, err := Select("nosuch"); err == nil {
 		t.Fatal("Select(\"nosuch\") should fail")
@@ -147,5 +143,46 @@ func TestLoadModule(t *testing.T) {
 	}
 	if diags := Run(prog, All()); len(diags) != 0 {
 		t.Errorf("packet package should be clean, got: %v", diags)
+	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// TestSeqComparisonDoesNotCompile type-checks raw ordered comparisons of two
+// packet.Seq values against the real package and asserts each is a type
+// error. This is what replaced a lint check that guessed sequence values
+// from their names: if Seq ever became a plain integer type again, raw
+// comparisons would compile, and this test would fail.
+func TestSeqComparisonDoesNotCompile(t *testing.T) {
+	prog, err := Load("../..", "./internal/packet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := prog.Pkgs[0].Types
+	check := func(body string) error {
+		fset := token.NewFileSet()
+		src := fmt.Sprintf("package p\n\nimport %q\n\nfunc f(a, b packet.Seq) bool { return %s }\n", pkt.Path(), body)
+		f, err := parser.ParseFile(fset, "f.go", src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+			if path != pkt.Path() {
+				return nil, fmt.Errorf("unexpected import %q", path)
+			}
+			return pkt, nil
+		})}
+		_, err = conf.Check("p", fset, []*ast.File{f}, nil)
+		return err
+	}
+	if err := check("a.LT(b) || a == b"); err != nil {
+		t.Fatalf("the method form must compile: %v", err)
+	}
+	for _, op := range []string{"<", "<=", ">", ">="} {
+		if err := check("a " + op + " b"); err == nil || !strings.Contains(err.Error(), "operator "+op+" not defined") {
+			t.Errorf("a %s b on packet.Seq: got %v, want a type error", op, err)
+		}
 	}
 }

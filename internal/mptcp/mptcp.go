@@ -61,8 +61,8 @@ func (cfg *Config) fillDefaults() {
 
 // mapping is one DSS ledger entry: subflow stream range → DSN range.
 type mapping struct {
-	subSeq     uint32 // absolute subflow sequence of the first byte
-	dsn        uint32
+	subSeq     packet.Seq // absolute subflow sequence of the first byte
+	dsn        packet.Seq
 	len        int
 	reinjected bool
 }
@@ -86,14 +86,14 @@ type Conn struct {
 	queued  []uint32 // bytes ever queued per subflow (stream offsets)
 
 	active    int
-	dsnNxt    uint32
+	dsnNxt    packet.Seq
 	backlog   int64
-	epoch     uint32
+	epoch     packet.Seq
 	epochSeen bool
 
 	// Receiver: connection-level reassembly over DSN space.
-	dsnDelivered uint32
-	ranges       []packet.SACKBlock
+	dsnDelivered packet.Seq
+	ranges       []packet.SeqRange
 
 	pumpTimer    sim.Timer
 	pumpFn       func()
@@ -122,12 +122,12 @@ func New(loop *sim.Loop, cfg Config, outs []func(*packet.Segment)) *Conn {
 		sub.TxSegmentHook = func(seg *tcp.TxSeg, h *packet.TCPHeader) {
 			if dsn, ok := m.lookupDSN(i, seg.Seq); ok {
 				h.MPDSSPresent = true
-				h.DSN = dsn
+				h.DSN = dsn.Uint32()
 			}
 		}
 		sub.RxDataHook = func(h *packet.TCPHeader) {
 			if h.MPDSSPresent {
-				m.acceptDSN(h.DSN, h.PayloadLen)
+				m.acceptDSN(packet.SeqOf(h.DSN), h.PayloadLen)
 			}
 		}
 		m.subs = append(m.subs, sub)
@@ -180,17 +180,18 @@ func (m *Conn) Notify(tdn int, epoch uint32) {
 		return
 	}
 	// Stale/duplicate epochs are discarded with serial-number arithmetic
-	// (RFC 1982), the same gate as tcp.Conn.Notify: a raw <= would reject
-	// every notification after the epoch counter wraps past MaxUint32.
-	// Epoch 0 bypasses the gate (tests and direct drivers); epochSeen
-	// distinguishes "no epoch yet" from real epochs near the wrap.
+	// (RFC 1982), the same gate as tcp.Conn.Notify, so it survives the
+	// epoch counter wrapping past MaxUint32. Epoch 0 bypasses the gate
+	// (tests and direct drivers; the network's counter skips it);
+	// epochSeen distinguishes "no epoch yet" from real epochs near the wrap.
+	e := packet.SeqOf(epoch)
 	if epoch != 0 {
-		if m.epochSeen && packet.SeqLEQ(epoch, m.epoch) {
+		if m.epochSeen && e.LEQ(m.epoch) {
 			return
 		}
 		m.epochSeen = true
 	}
-	m.epoch = epoch
+	m.epoch = e
 	if tdn == m.active {
 		return
 	}
@@ -238,11 +239,11 @@ func (m *Conn) Outstanding() int64 {
 				// subflow ACKs return (real MPTCP frees on DATA_ACK).
 				continue
 			}
-			end := e.subSeq + uint32(e.len)
-			if packet.SeqLEQ(end, una) {
+			end := e.subSeq.Add(e.len)
+			if end.LEQ(una) {
 				continue
 			}
-			rem := int64(packet.SeqDiff(end, una))
+			rem := int64(end.Diff(una))
 			if rem > int64(e.len) {
 				rem = int64(e.len)
 			}
@@ -281,7 +282,7 @@ func (m *Conn) pump() {
 			chunk = m.backlog
 		}
 		m.assign(m.active, m.dsnNxt, int(chunk))
-		m.dsnNxt += uint32(chunk)
+		m.dsnNxt = m.dsnNxt.Add(int(chunk))
 		if m.backlog > 0 {
 			m.backlog -= chunk
 		}
@@ -290,7 +291,7 @@ func (m *Conn) pump() {
 
 // assign queues length bytes carrying DSN range [dsn, dsn+length) on
 // subflow i and records the mapping.
-func (m *Conn) assign(i int, dsn uint32, length int) {
+func (m *Conn) assign(i int, dsn packet.Seq, length int) {
 	sub := m.subs[i]
 	m.ledgers[i] = append(m.ledgers[i], mapping{
 		subSeq: sub.AbsSeq(m.queued[i]),
@@ -306,7 +307,7 @@ func (m *Conn) prune() {
 	for i, sub := range m.subs {
 		led := m.ledgers[i]
 		k := 0
-		for k < len(led) && packet.SeqLEQ(led[k].subSeq+uint32(led[k].len), sub.SndUna()) {
+		for k < len(led) && led[k].subSeq.Add(led[k].len).LEQ(sub.SndUna()) {
 			k++
 		}
 		if k > 0 {
@@ -316,14 +317,13 @@ func (m *Conn) prune() {
 }
 
 // lookupDSN maps an absolute subflow sequence to its DSN.
-func (m *Conn) lookupDSN(i int, seq uint32) (uint32, bool) {
+func (m *Conn) lookupDSN(i int, seq packet.Seq) (packet.Seq, bool) {
 	for _, e := range m.ledgers[i] {
-		off := seq - e.subSeq
-		if off < uint32(e.len) {
-			return e.dsn + off, true
+		if off := uint32(seq.Diff(e.subSeq)); off < uint32(e.len) {
+			return e.dsn.Add(int(off)), true
 		}
 	}
-	return 0, false
+	return packet.Seq{}, false
 }
 
 // reinject copies data stranded on inactive subflows onto subflow target:
@@ -348,14 +348,14 @@ func (m *Conn) reinject(target int) {
 			}
 			// Unacked portion of the entry.
 			start := una
-			if packet.SeqGT(e.subSeq, una) {
+			if e.subSeq.GT(una) {
 				start = e.subSeq
 			}
-			rem := int(e.subSeq + uint32(e.len) - start)
+			rem := int(e.subSeq.Add(e.len).Diff(start))
 			if rem <= 0 {
 				continue
 			}
-			dsn := e.dsn + (start - e.subSeq)
+			dsn := e.dsn.Add(int(start.Diff(e.subSeq)))
 			e.reinjected = true
 			m.assign(target, dsn, rem)
 			moved += rem
@@ -368,17 +368,17 @@ func (m *Conn) reinject(target int) {
 }
 
 // acceptDSN folds a received DSN range into connection-level reassembly.
-func (m *Conn) acceptDSN(dsn uint32, length int) {
+func (m *Conn) acceptDSN(dsn packet.Seq, length int) {
 	if length <= 0 {
 		return
 	}
-	start, end := dsn, dsn+uint32(length)
-	if packet.SeqLEQ(end, m.dsnDelivered) {
+	start, end := dsn, dsn.Add(length)
+	if end.LEQ(m.dsnDelivered) {
 		m.Stats.DupDSNBytes += int64(length)
 		return
 	}
-	if packet.SeqLT(start, m.dsnDelivered) {
-		m.Stats.DupDSNBytes += int64(m.dsnDelivered - start)
+	if start.LT(m.dsnDelivered) {
+		m.Stats.DupDSNBytes += int64(m.dsnDelivered.Diff(start))
 		start = m.dsnDelivered
 	}
 	if start == m.dsnDelivered {
@@ -388,38 +388,38 @@ func (m *Conn) acceptDSN(dsn uint32, length int) {
 	m.insertRange(start, end)
 }
 
-func (m *Conn) advance(end uint32) {
+func (m *Conn) advance(end packet.Seq) {
 	prev := m.dsnDelivered
 	m.dsnDelivered = end
-	for len(m.ranges) > 0 && packet.SeqLEQ(m.ranges[0].Start, m.dsnDelivered) {
-		if packet.SeqGT(m.ranges[0].End, m.dsnDelivered) {
+	for len(m.ranges) > 0 && m.ranges[0].Start.LEQ(m.dsnDelivered) {
+		if m.ranges[0].End.GT(m.dsnDelivered) {
 			m.dsnDelivered = m.ranges[0].End
 		}
 		m.ranges = m.ranges[1:]
 	}
-	m.DeliveredBytes += int64(m.dsnDelivered - prev)
+	m.DeliveredBytes += int64(m.dsnDelivered.Diff(prev))
 	if m.OnDelivered != nil {
 		m.OnDelivered(m.Loop.Now(), m.DeliveredBytes)
 	}
 }
 
-func (m *Conn) insertRange(start, end uint32) {
+func (m *Conn) insertRange(start, end packet.Seq) {
 	i := 0
-	for i < len(m.ranges) && packet.SeqLT(m.ranges[i].Start, start) {
+	for i < len(m.ranges) && m.ranges[i].Start.LT(start) {
 		i++
 	}
-	m.ranges = append(m.ranges, packet.SACKBlock{})
+	m.ranges = append(m.ranges, packet.SeqRange{})
 	copy(m.ranges[i+1:], m.ranges[i:])
-	m.ranges[i] = packet.SACKBlock{Start: start, End: end}
-	if i > 0 && packet.SeqGEQ(m.ranges[i-1].End, m.ranges[i].Start) {
-		if packet.SeqGT(m.ranges[i].End, m.ranges[i-1].End) {
+	m.ranges[i] = packet.SeqRange{Start: start, End: end}
+	if i > 0 && m.ranges[i-1].End.GEQ(m.ranges[i].Start) {
+		if m.ranges[i].End.GT(m.ranges[i-1].End) {
 			m.ranges[i-1].End = m.ranges[i].End
 		}
 		m.ranges = append(m.ranges[:i], m.ranges[i+1:]...)
 		i--
 	}
-	for i+1 < len(m.ranges) && packet.SeqGEQ(m.ranges[i].End, m.ranges[i+1].Start) {
-		if packet.SeqGT(m.ranges[i+1].End, m.ranges[i].End) {
+	for i+1 < len(m.ranges) && m.ranges[i].End.GEQ(m.ranges[i+1].Start) {
+		if m.ranges[i+1].End.GT(m.ranges[i].End) {
 			m.ranges[i].End = m.ranges[i+1].End
 		}
 		m.ranges = append(m.ranges[:i+1], m.ranges[i+2:]...)

@@ -19,9 +19,14 @@ type pinnedWire struct {
 	active *int // pointer to the fabric's active TDN
 	held   [][]byte
 	dst    func(*packet.Segment)
+	// drop, when non-nil, discards matching segments.
+	drop func(*packet.Segment) bool
 }
 
 func (w *pinnedWire) send(s *packet.Segment) {
+	if w.drop != nil && w.drop(s) {
+		return
+	}
 	b := s.Serialize(nil)
 	if *w.active != w.tdn {
 		w.held = append(w.held, b)
@@ -58,8 +63,11 @@ type env struct {
 	wires  []*pinnedWire // 0,1: snd->rcv per TDN; 2,3: rcv->snd per TDN
 }
 
-func newEnv(t *testing.T, cfg Config) *env {
-	e := &env{t: t, loop: sim.NewLoop(5)}
+func newEnv(t *testing.T, cfg Config) *env { return newEnvOn(t, cfg, sim.NewLoop(5)) }
+
+// newEnvOn is newEnv on a loop that already exists.
+func newEnvOn(t *testing.T, cfg Config, loop *sim.Loop) *env {
+	e := &env{t: t, loop: loop}
 	delays := []sim.Dur{50 * sim.Microsecond, 5 * sim.Microsecond}
 	mk := func(tdn int) *pinnedWire {
 		return &pinnedWire{loop: e.loop, tdn: tdn, delay: delays[tdn], active: &e.active}
@@ -206,34 +214,34 @@ func TestDeliveryMonotoneAcrossSwitches(t *testing.T) {
 func TestDSNReassembly(t *testing.T) {
 	m := &Conn{Loop: sim.NewLoop(1)}
 	// Out-of-order DSN arrival with overlaps and duplicates.
-	m.acceptDSN(100, 50) // ooo
+	m.acceptDSN(packet.SeqOf(100), 50) // ooo
 	if m.DeliveredBytes != 0 {
 		t.Fatal("ooo delivered early")
 	}
-	m.acceptDSN(0, 50) // prefix
+	m.acceptDSN(packet.SeqOf(0), 50) // prefix
 	if m.DeliveredBytes != 50 {
 		t.Fatalf("delivered %d, want 50", m.DeliveredBytes)
 	}
-	m.acceptDSN(50, 50) // bridges to 150
+	m.acceptDSN(packet.SeqOf(50), 50) // bridges to 150
 	if m.DeliveredBytes != 150 {
 		t.Fatalf("delivered %d, want 150", m.DeliveredBytes)
 	}
-	m.acceptDSN(0, 150) // full duplicate
+	m.acceptDSN(packet.SeqOf(0), 150) // full duplicate
 	if m.DeliveredBytes != 150 || m.Stats.DupDSNBytes != 150 {
 		t.Fatalf("dup handling wrong: delivered=%d dup=%d", m.DeliveredBytes, m.Stats.DupDSNBytes)
 	}
-	m.acceptDSN(140, 20) // partial overlap: 10 new
+	m.acceptDSN(packet.SeqOf(140), 20) // partial overlap: 10 new
 	if m.DeliveredBytes != 160 {
 		t.Fatalf("delivered %d, want 160", m.DeliveredBytes)
 	}
 	// Many interleaved ranges.
 	for _, r := range [][2]uint32{{300, 310}, {280, 290}, {320, 330}, {290, 300}, {310, 320}} {
-		m.acceptDSN(r[0], int(r[1]-r[0]))
+		m.acceptDSN(packet.SeqOf(r[0]), int(r[1]-r[0]))
 	}
 	if m.DeliveredBytes != 160 {
 		t.Fatal("disjoint ranges advanced the pointer")
 	}
-	m.acceptDSN(160, 120) // bridge everything: contiguous to 330
+	m.acceptDSN(packet.SeqOf(160), 120) // bridge everything: contiguous to 330
 	if m.DeliveredBytes != 330 {
 		t.Fatalf("delivered %d, want 330", m.DeliveredBytes)
 	}

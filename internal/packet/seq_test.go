@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestSeqWraparoundBoundaries pins the RFC 1982 helper family at the exact
+// TestSeqWraparoundBoundaries pins Seq's RFC 1982 comparisons at the exact
 // boundary values where raw uint32 comparisons go wrong: around zero, around
 // MaxUint32, and at the half-space distance MaxUint32/2±1 where the signed
 // interpretation flips.
@@ -17,7 +17,7 @@ func TestSeqWraparoundBoundaries(t *testing.T) {
 	cases := []struct {
 		name string
 		a, b uint32
-		lt   bool // SeqLT(a, b)
+		lt   bool // SeqOf(a).LT(SeqOf(b))
 	}{
 		// Around zero: max is one *before* zero, not 2^32-1 after it.
 		{"max precedes 0", max, 0, true},
@@ -41,37 +41,42 @@ func TestSeqWraparoundBoundaries(t *testing.T) {
 		{"midpoint reads as precedes either way", 0, half + 1, true},
 	}
 	for _, c := range cases {
-		if got := SeqLT(c.a, c.b); got != c.lt {
-			t.Errorf("%s: SeqLT(%#x,%#x)=%v want %v", c.name, c.a, c.b, got, c.lt)
+		a, b := SeqOf(c.a), SeqOf(c.b)
+		if got := a.LT(b); got != c.lt {
+			t.Errorf("%s: %#x.LT(%#x)=%v want %v", c.name, c.a, c.b, got, c.lt)
 		}
 		// The family must stay mutually consistent at every boundary pair:
 		// GT is LT reversed, LEQ/GEQ are their complements plus equality.
 		// The lone exception is the undefined midpoint, where the reversed
 		// comparison also reads "precedes" and symmetry does not hold.
 		if int32(c.a-c.b) != math.MinInt32 {
-			if got := SeqGT(c.b, c.a); got != c.lt {
-				t.Errorf("%s: SeqGT(%#x,%#x)=%v want %v", c.name, c.b, c.a, got, c.lt)
+			if got := b.GT(a); got != c.lt {
+				t.Errorf("%s: %#x.GT(%#x)=%v want %v", c.name, c.b, c.a, got, c.lt)
 			}
 		}
-		if got := SeqLEQ(c.a, c.b); got != (c.lt || c.a == c.b) {
-			t.Errorf("%s: SeqLEQ(%#x,%#x)=%v", c.name, c.a, c.b, got)
+		if got := a.LEQ(b); got != (c.lt || c.a == c.b) {
+			t.Errorf("%s: %#x.LEQ(%#x)=%v", c.name, c.a, c.b, got)
 		}
-		if got := SeqGEQ(c.a, c.b); got != (!c.lt || c.a == c.b) {
-			t.Errorf("%s: SeqGEQ(%#x,%#x)=%v", c.name, c.a, c.b, got)
+		if got := a.GEQ(b); got != (!c.lt || c.a == c.b) {
+			t.Errorf("%s: %#x.GEQ(%#x)=%v", c.name, c.a, c.b, got)
 		}
 	}
 }
 
 func TestSeqEquality(t *testing.T) {
 	for _, v := range []uint32{0, 1, math.MaxUint32/2 - 1, math.MaxUint32 / 2, math.MaxUint32/2 + 1, math.MaxUint32} {
-		if SeqLT(v, v) || SeqGT(v, v) {
-			t.Errorf("SeqLT/SeqGT(%#x,%#x) must be false", v, v)
+		s := SeqOf(v)
+		if s.LT(s) || s.GT(s) {
+			t.Errorf("%#x: LT/GT with itself must be false", v)
 		}
-		if !SeqLEQ(v, v) || !SeqGEQ(v, v) {
-			t.Errorf("SeqLEQ/SeqGEQ(%#x,%#x) must be true", v, v)
+		if !s.LEQ(s) || !s.GEQ(s) {
+			t.Errorf("%#x: LEQ/GEQ with itself must be true", v)
 		}
-		if SeqDiff(v, v) != 0 {
-			t.Errorf("SeqDiff(%#x,%#x) != 0", v, v)
+		if s.Diff(s) != 0 {
+			t.Errorf("%#x: Diff with itself != 0", v)
+		}
+		if s.Add(0) != s || s.Uint32() != v {
+			t.Errorf("%#x: Add(0) or Uint32 is not the identity", v)
 		}
 	}
 }
@@ -85,8 +90,8 @@ func TestSeqMax(t *testing.T) {
 		{math.MaxUint32, 0, 0},
 	}
 	for _, c := range cases {
-		if got := SeqMax(c.a, c.b); got != c.want {
-			t.Errorf("SeqMax(%#x,%#x)=%#x want %#x", c.a, c.b, got, c.want)
+		if got := SeqOf(c.a).Max(SeqOf(c.b)); got != SeqOf(c.want) {
+			t.Errorf("%#x.Max(%#x)=%#x want %#x", c.a, c.b, got.Uint32(), c.want)
 		}
 	}
 }
@@ -103,8 +108,13 @@ func TestSeqDiff(t *testing.T) {
 		{0x10, 0xFFFFFFF0, 0x20},
 	}
 	for _, c := range cases {
-		if got := SeqDiff(c.a, c.b); got != c.want {
-			t.Errorf("SeqDiff(%#x,%#x)=%d want %d", c.a, c.b, got, c.want)
+		a, b := SeqOf(c.a), SeqOf(c.b)
+		if got := a.Diff(b); got != c.want {
+			t.Errorf("%#x.Diff(%#x)=%d want %d", c.a, c.b, got, c.want)
+		}
+		// Add is Diff's inverse, across the wrap too.
+		if got := b.Add(int(c.want)); got != a {
+			t.Errorf("%#x.Add(%d)=%#x want %#x", c.b, c.want, got.Uint32(), c.a)
 		}
 	}
 }

@@ -665,12 +665,18 @@ func (n *Network) scheduleTransition(t sim.Time) {
 func (n *Network) transition() {
 	now := n.Loop.Now()
 	tdn, ok, slotEnd := n.Cfg.Schedule.At(now)
+	prev := n.epoch
 	n.epoch++
+	if n.epoch == 0 {
+		// Conn.Notify reads epoch 0 as "no epoch" and lets it past its
+		// stale/duplicate gate, so the counter skips it at the wrap.
+		n.epoch = 1
+	}
 	n.KickAll()
 	if n.epochSpan != 0 {
 		// Close the previous day's occupancy span; A carries the epoch
 		// counter that opened it.
-		n.tracer.EndSpan(trace.CatRDCN, int64(now), "epoch", -1, n.epochTDN, n.epochSpan, float64(n.epoch-1), 0)
+		n.tracer.EndSpan(trace.CatRDCN, int64(now), "epoch", -1, n.epochTDN, n.epochSpan, float64(prev), 0)
 		n.epochSpan = 0
 	}
 	if ok {

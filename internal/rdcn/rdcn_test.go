@@ -1,6 +1,7 @@
 package rdcn
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -226,6 +227,25 @@ func TestNotifications(t *testing.T) {
 		if perHost[0][i].epoch <= perHost[0][i-1].epoch {
 			t.Fatalf("epochs not increasing: %+v", perHost[0])
 		}
+	}
+}
+
+// TestEpochSkipsZero: the notification epoch goes from MaxUint32 to 1.
+// Conn.Notify reads epoch 0 as "no epoch" and skips its stale/duplicate gate
+// for it, so a delayed or duplicated copy of a notification carrying 0 would
+// be applied out of order.
+func TestEpochSkipsZero(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.HostsPerRack = 1
+	loop, n := buildNet(t, cfg)
+	var got []uint32
+	n.Racks[0].Hosts[0].NotifyTDN = func(_ int, epoch uint32) { got = append(got, epoch) }
+	n.epoch = math.MaxUint32
+	n.Start(sim.Time(us(400)))
+	loop.RunUntil(sim.Time(us(450)))
+	// The night between the two days takes epoch 2.
+	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("notified epochs %v after MaxUint32, want [1 3]", got)
 	}
 }
 

@@ -75,14 +75,6 @@ const (
 	KindWorkload Kind = "workload"
 )
 
-// runVariants and workloadVariants are the transports each kind accepts
-// (workload runs reject the two-rack-only constructs up front).
-var (
-	runVariants = map[string]bool{"tdtcp": true, "cubic": true, "dctcp": true,
-		"reno": true, "retcp": true, "retcpdyn": true, "mptcp2f": true}
-	workloadVariants = map[string]bool{"tdtcp": true, "cubic": true, "dctcp": true, "reno": true}
-)
-
 // Size ceilings. Building a run costs time and memory in racks × hosts ×
 // TDNs before the first simulation event, and the stop seam that enforces a
 // job's deadline is polled only between events, so a spec must be refused
@@ -131,9 +123,6 @@ func (s *Spec) Normalize() (*Spec, error) {
 	}
 	switch n.Kind {
 	case KindRun:
-		if !runVariants[n.Variant] {
-			return nil, fmt.Errorf("serve: unknown run variant %q", n.Variant)
-		}
 		if n.Flows == 0 {
 			n.Flows = 4
 		}
@@ -143,14 +132,8 @@ func (s *Spec) Normalize() (*Spec, error) {
 		if n.Racks != 0 && (n.Racks < 2 || n.Racks > maxRacks) {
 			return nil, fmt.Errorf("serve: kind=run needs racks in [2, %d] (or 0 for the two-rack hybrid), got %d", maxRacks, n.Racks)
 		}
-		if n.Racks > 2 {
-			switch n.Variant {
-			case "retcp", "retcpdyn", "mptcp2f":
-				return nil, fmt.Errorf("serve: variant %q supports only the two-rack hybrid", n.Variant)
-			}
-			if n.Schedule != "" {
-				return nil, fmt.Errorf("serve: schedule overrides apply only to the two-rack hybrid (racks <= 2)")
-			}
+		if n.Racks > 2 && n.Schedule != "" {
+			return nil, fmt.Errorf("serve: schedule overrides apply only to the two-rack hybrid (racks <= 2)")
 		}
 		if n.Workload != "" || n.Load != 0 || n.MaxFlows != 0 {
 			return nil, fmt.Errorf("serve: workload/load/max_flows apply only to kind=workload")
@@ -159,9 +142,6 @@ func (s *Spec) Normalize() (*Spec, error) {
 			n.FaultSeed = 1
 		}
 	case KindWorkload:
-		if !workloadVariants[n.Variant] {
-			return nil, fmt.Errorf("serve: variant %q is not supported by kind=workload", n.Variant)
-		}
 		if n.Racks == 0 {
 			n.Racks = 4
 		}
@@ -200,6 +180,9 @@ func (s *Spec) Normalize() (*Spec, error) {
 		}
 	default:
 		return nil, fmt.Errorf("serve: unknown kind %q (want %q or %q)", n.Kind, KindRun, KindWorkload)
+	}
+	if err := experiments.CheckVariant(experiments.Variant(n.Variant), n.Racks, n.Kind == KindWorkload); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	for _, f := range [...]struct {
 		name   string

@@ -22,7 +22,7 @@ func (c *Conn) Input(s *packet.Segment) {
 		}
 		return
 	case stSynRcvd:
-		if h.Flags&packet.FlagACK != 0 && h.Ack == c.iss+1 {
+		if h.Flags&packet.FlagACK != 0 && packet.SeqOf(h.Ack) == c.iss.Add(1) {
 			c.state = stEstablished
 			c.completeHandshakeAck(s)
 		}
@@ -50,12 +50,12 @@ func (c *Conn) Input(s *packet.Segment) {
 func (c *Conn) handleSYN(s *packet.Segment) {
 	h := &s.TCP
 	c.RemoteAddr, c.RemotePort = s.Src, h.SrcPort
-	c.irs = h.Seq
-	c.rcvNxt = h.Seq + 1
+	c.irs = packet.SeqOf(h.Seq)
+	c.rcvNxt = c.irs.Add(1)
 	c.peerTD = h.TDCapable
 	c.peerTDNs = int(h.NumTDNs)
 	c.tdEnabled = c.negotiateTD()
-	c.iss = c.Loop.Rand().Uint32()
+	c.iss = packet.SeqOf(c.Loop.Rand().Uint32())
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
 	c.highestSacked = c.iss
@@ -66,11 +66,11 @@ func (c *Conn) handleSYN(s *packet.Segment) {
 
 func (c *Conn) handleSYNACK(s *packet.Segment) {
 	h := &s.TCP
-	if h.Ack != c.iss+1 {
+	if packet.SeqOf(h.Ack) != c.iss.Add(1) {
 		return
 	}
-	c.irs = h.Seq
-	c.rcvNxt = h.Seq + 1
+	c.irs = packet.SeqOf(h.Seq)
+	c.rcvNxt = c.irs.Add(1)
 	c.peerTD = h.TDCapable
 	c.peerTDNs = int(h.NumTDNs)
 	c.tdEnabled = c.negotiateTD()
@@ -91,7 +91,7 @@ func (c *Conn) negotiateTD() bool {
 // Appendix A.2) and takes the handshake RTT sample.
 func (c *Conn) completeHandshakeAck(s *packet.Segment) {
 	now := c.Loop.Now()
-	c.rtx.popAcked(c.iss+1, func(seg *TxSeg) {
+	c.rtx.popAcked(c.iss.Add(1), func(seg *TxSeg) {
 		st := c.states[seg.TDN]
 		st.PacketsOut--
 		if !seg.EverRetrans {
@@ -99,7 +99,7 @@ func (c *Conn) completeHandshakeAck(s *packet.Segment) {
 		}
 		c.pool.putTxSeg(seg)
 	})
-	c.sndUna = c.iss + 1
+	c.sndUna = c.iss.Add(1)
 	c.backoff = 0
 	c.armTimer()
 }
@@ -126,8 +126,8 @@ func tdnLabel(tdn uint8) int {
 func (c *Conn) processAck(s *packet.Segment) {
 	h := &s.TCP
 	now := c.Loop.Now()
-	ack := h.Ack
-	if seqGT(ack, c.sndNxt) {
+	ack := packet.SeqOf(h.Ack)
+	if ack.GT(c.sndNxt) {
 		return // acks data never sent
 	}
 	c.peerWnd = h.Window
@@ -155,14 +155,15 @@ func (c *Conn) processAck(s *packet.Segment) {
 		if blk.Start == blk.End {
 			continue
 		}
-		isDSACK := i == 0 && (seqLEQ(blk.End, ack) ||
-			(len(h.SACK) > 1 && seqGEQ(blk.Start, h.SACK[1].Start) && seqLEQ(blk.End, h.SACK[1].End)))
+		start, end := packet.SeqOf(blk.Start), packet.SeqOf(blk.End)
+		isDSACK := i == 0 && (end.LEQ(ack) ||
+			(len(h.SACK) > 1 && start.GEQ(packet.SeqOf(h.SACK[1].Start)) && end.LEQ(packet.SeqOf(h.SACK[1].End))))
 		if isDSACK {
 			dsacked = true
 			continue
 		}
-		c.rtx.forRange(blk.Start, blk.End, func(seg *TxSeg) bool {
-			if seqGT(seg.End(), blk.End) {
+		c.rtx.forRange(start, end, func(seg *TxSeg) bool {
+			if seg.End().GT(end) {
 				return true // partially covered tail segment
 			}
 			if !seg.Sacked {
@@ -180,7 +181,7 @@ func (c *Conn) processAck(s *packet.Segment) {
 				newlySacked++
 				delivered[seg.TDN]++
 				c.rackAdvance(seg)
-				c.highestSacked = seqMax(c.highestSacked, seg.End())
+				c.highestSacked = c.highestSacked.Max(seg.End())
 				if !seg.EverRetrans && (!rttCandOK || seg.SentAt > rttCand.SentAt) {
 					rttCand = *seg // sample at SACK time (Linux sack_rtt_us)
 					rttCandOK = true
@@ -198,7 +199,7 @@ func (c *Conn) processAck(s *packet.Segment) {
 	}
 
 	// --- cumulative advance ----------------------------------------------
-	advanced := seqGT(ack, c.sndUna)
+	advanced := ack.GT(c.sndUna)
 	if advanced {
 		c.rtx.popAcked(ack, func(seg *TxSeg) {
 			st := c.states[seg.TDN]
@@ -277,7 +278,7 @@ func (c *Conn) processAck(s *packet.Segment) {
 	if newlySacked > 0 || c.gapOpen {
 		gap := 0
 		c.rtx.forEach(func(seg *TxSeg) bool {
-			if seqGEQ(seg.Seq, c.highestSacked) {
+			if seg.Seq.GEQ(c.highestSacked) {
 				return false
 			}
 			if !seg.Sacked && !seg.Lost {
@@ -310,7 +311,7 @@ func (c *Conn) processAck(s *packet.Segment) {
 		from := st.CA
 		switch st.CA {
 		case CARecovery, CALoss:
-			if advanced && seqGEQ(c.sndUna, st.RecoveryPoint) {
+			if advanced && c.sndUna.GEQ(st.RecoveryPoint) {
 				st.CA = CAOpen
 				st.DupAcks = 0
 				st.undoPossible = false
@@ -404,10 +405,10 @@ func (c *Conn) markLost(seg *TxSeg, now sim.Time) {
 // RACK-TLP — but with a reorder window widened to cover the cross-TDN ACK
 // delay (½RTT_own + ½RTT_slowest) instead of the same-path srtt/4.
 func (c *Conn) detectLosses(ackTDN uint8, now sim.Time) {
-	if seqLEQ(c.highestSacked, c.sndUna) {
+	if c.highestSacked.LEQ(c.sndUna) {
 		return
 	}
-	thresh := uint32(dupThresh * c.cfg.MSS)
+	thresh := int32(dupThresh * c.cfg.MSS)
 	activeTDN := uint8(c.policy.Active())
 	var slowest *PathState
 	for _, st := range c.states {
@@ -416,7 +417,7 @@ func (c *Conn) detectLosses(ackTDN uint8, now sim.Time) {
 		}
 	}
 	c.rtx.forEach(func(seg *TxSeg) bool {
-		if seqGEQ(seg.Seq, c.highestSacked) {
+		if seg.Seq.GEQ(c.highestSacked) {
 			return false
 		}
 		if seg.Sacked || seg.Lost {
@@ -427,10 +428,10 @@ func (c *Conn) detectLosses(ackTDN uint8, now sim.Time) {
 		// timer below (on the retransmission's own send time) or by the
 		// RTO, never by sequence counting — re-marking it on every ACK
 		// would retransmit it once per round trip forever.
-		// SeqDiff (not raw subtraction): a segment straddling highestSacked
+		// Diff (not raw subtraction): a segment straddling highestSacked
 		// would wrap the unsigned difference to a huge value and be marked
 		// lost spuriously; the signed distance is negative there instead.
-		if !seg.Retrans && seqDiff(c.highestSacked, seg.End()) >= int32(thresh) {
+		if !seg.Retrans && c.highestSacked.Diff(seg.End()) >= thresh {
 			if !c.policy.FilterLoss(seg, ackTDN) {
 				c.markLost(seg, now)
 				return true
@@ -460,7 +461,7 @@ func (c *Conn) rackAdvance(seg *TxSeg) {
 	if seg.EverRetrans {
 		return
 	}
-	if seg.SentAt > c.rackXmit || (seg.SentAt == c.rackXmit && seqGT(seg.End(), c.rackEndSeq)) {
+	if seg.SentAt > c.rackXmit || (seg.SentAt == c.rackXmit && seg.End().GT(c.rackEndSeq)) {
 		c.rackXmit = seg.SentAt
 		c.rackEndSeq = seg.End()
 	}

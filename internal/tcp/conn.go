@@ -158,19 +158,18 @@ type Conn struct {
 	tdEnabled bool
 
 	// Sender.
-	iss           uint32
-	sndUna        uint32
-	sndNxt        uint32
+	iss           packet.Seq
+	sndUna        packet.Seq
+	sndNxt        packet.Seq
 	rtx           rtxQueue
 	backlog       int64 // bytes the app still wants to send; <0 = unbounded
 	finQueued     bool
 	peerWnd       uint32
-	highestSacked uint32
-	lastAckSeen   uint32
+	highestSacked packet.Seq
 
 	// RACK state (RFC 8985).
 	rackXmit   sim.Time
-	rackEndSeq uint32
+	rackEndSeq packet.Seq
 
 	// Reordering-episode tracking (Fig. 10 instrumentation).
 	gapOpen bool
@@ -201,11 +200,11 @@ type Conn struct {
 	lastTxAt sim.Time
 
 	// Receiver.
-	irs        uint32
-	rcvNxt     uint32
-	ranges     []packet.SACKBlock // out-of-order received, sorted, disjoint
-	mruBlock   []uint32           // recently updated range starts, MRU first
-	dsack      packet.SACKBlock   // pending D-SACK block (dsackValid set)
+	irs        packet.Seq
+	rcvNxt     packet.Seq
+	ranges     []packet.SeqRange // out-of-order received, sorted, disjoint
+	mruBlock   []packet.Seq      // recently updated range starts, MRU first
+	dsack      packet.SeqRange   // pending D-SACK block (dsackValid set)
 	dsackValid bool
 	peerTD     bool
 	peerTDNs   int
@@ -223,7 +222,7 @@ type Conn struct {
 	// epoch yet" from epoch values near the uint32 wrap, where no sentinel
 	// exists.
 	notifySeen  bool
-	notifyEpoch uint32
+	notifyEpoch packet.Seq
 
 	Stats Stats
 
@@ -286,7 +285,7 @@ func NewConn(loop *sim.Loop, cfg Config, out func(*packet.Segment)) *Conn {
 	}
 	c.delivered = make([]int, n)
 	c.rtoTouched = make([]bool, n)
-	c.mruBlock = make([]uint32, 0, maxMRU)
+	c.mruBlock = make([]packet.Seq, 0, maxMRU)
 	c.outSeg.TCP.SACK = make([]packet.SACKBlock, 0, 4)
 	c.init(out)
 	return c
@@ -446,17 +445,17 @@ func (c *Conn) ActiveState() *PathState { return c.states[c.policy.Active()] }
 func (c *Conn) Config() Config { return c.cfg }
 
 // SndUna returns the oldest unacknowledged sequence number.
-func (c *Conn) SndUna() uint32 { return c.sndUna }
+func (c *Conn) SndUna() packet.Seq { return c.sndUna }
 
 // SndNxt returns the next sequence number to be sent.
-func (c *Conn) SndNxt() uint32 { return c.sndNxt }
+func (c *Conn) SndNxt() packet.Seq { return c.sndNxt }
 
 // RelSeq translates an absolute data sequence number into a 0-based stream
 // offset (the SYN consumes one sequence number).
-func (c *Conn) RelSeq(seq uint32) uint32 { return seq - c.iss - 1 }
+func (c *Conn) RelSeq(seq packet.Seq) uint32 { return uint32(seq.Diff(c.iss)) - 1 }
 
 // AbsSeq is the inverse of RelSeq.
-func (c *Conn) AbsSeq(off uint32) uint32 { return off + c.iss + 1 }
+func (c *Conn) AbsSeq(off uint32) packet.Seq { return c.iss.Add(int(off) + 1) }
 
 // Established reports whether the handshake has completed.
 func (c *Conn) Established() bool { return c.state >= stEstablished && c.state < stDone }
@@ -485,7 +484,7 @@ func (c *Conn) Connect(bytes int64) {
 		panic("tcp: Connect on non-closed conn")
 	}
 	c.backlog = bytes
-	c.iss = c.Loop.Rand().Uint32()
+	c.iss = packet.SeqOf(c.Loop.Rand().Uint32())
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
 	c.highestSacked = c.iss
@@ -522,29 +521,30 @@ func (c *Conn) Close() {
 // the connection's policy. Stale and duplicate epochs are discarded using
 // serial-number arithmetic (RFC 1982), so the gate survives the epoch counter
 // wrapping past math.MaxUint32. Epoch 0 bypasses the gate (tests and direct
-// drivers that do not maintain epochs).
+// drivers that do not maintain epochs; the network's counter skips it).
 func (c *Conn) Notify(tdn int, epoch uint32) {
 	if c.state == stReleased {
 		return
 	}
 	c.Stats.NotifiesRcvd++
 	if epoch != 0 {
+		e := packet.SeqOf(epoch)
 		if c.notifySeen {
-			if epoch == c.notifyEpoch {
+			if e == c.notifyEpoch {
 				c.Stats.NotifiesDup++
 				c.emit("notify_dup", tdn, float64(epoch), 0, "")
 				return
 			}
-			if seqLT(epoch, c.notifyEpoch) {
+			if e.LT(c.notifyEpoch) {
 				c.Stats.NotifiesStale++
-				c.emit("notify_stale", tdn, float64(epoch), float64(c.notifyEpoch), "")
+				c.emit("notify_stale", tdn, float64(epoch), float64(c.notifyEpoch.Uint32()), "")
 				return
 			}
 		}
 		c.notifySeen = true
-		c.notifyEpoch = epoch
+		c.notifyEpoch = e
 	}
-	c.policy.OnNotify(tdn, epoch)
+	c.policy.OnNotify(tdn)
 	// A path switch may have opened the window: try to transmit.
 	c.trySend()
 }
@@ -620,7 +620,7 @@ func (c *Conn) newSegment(flags uint8) *packet.Segment {
 			SrcPort: c.LocalPort, DstPort: c.RemotePort,
 			Flags:  flags,
 			Window: uint32(c.rcvWindow()),
-			Ack:    c.rcvNxt,
+			Ack:    c.rcvNxt.Uint32(),
 			SACK:   sack,
 		},
 	}
@@ -633,7 +633,7 @@ func (c *Conn) newSegment(flags uint8) *packet.Segment {
 func (c *Conn) rcvWindow() int {
 	held := 0
 	for _, r := range c.ranges {
-		held += int(r.End - r.Start)
+		held += int(r.End.Diff(r.Start))
 	}
 	w := c.cfg.RcvBuf - held
 	if w < 0 {
@@ -649,7 +649,7 @@ func (c *Conn) sendSYN(ack bool) {
 		flags |= packet.FlagACK
 	}
 	s := c.newSegment(flags)
-	s.TCP.Seq = seq
+	s.TCP.Seq = seq.Uint32()
 	s.TCP.SACKPermitted = true
 	if c.cfg.NumTDNs > 1 {
 		s.TCP.TDCapable = true
@@ -658,7 +658,7 @@ func (c *Conn) sendSYN(ack bool) {
 	if c.sndNxt == c.iss {
 		// First transmission: the SYN occupies one sequence number and,
 		// per Appendix A.2, is always tracked under TDN 0.
-		c.sndNxt = c.iss + 1
+		c.sndNxt = c.iss.Add(1)
 		seg := c.pool.getTxSeg()
 		seg.Seq, seg.Len, seg.TDN = seq, 1, 0
 		seg.SentAt, seg.FirstSentAt = c.Loop.Now(), c.Loop.Now()
@@ -706,7 +706,7 @@ func (c *Conn) transmitSeg(seg *TxSeg, isRetrans bool) {
 		return
 	}
 	s := c.newSegment(packet.FlagACK | packet.FlagPSH)
-	s.TCP.Seq = seg.Seq
+	s.TCP.Seq = seg.Seq.Uint32()
 	s.TCP.PayloadLen = seg.Len
 	c.attachTDOption(s, true)
 	if c.TxSegmentHook != nil {
@@ -807,7 +807,7 @@ func (c *Conn) sendNewSegment() bool {
 		c.maybeSendFIN()
 		return false
 	}
-	inFlightBytes := c.sndNxt - c.sndUna
+	inFlightBytes := uint32(c.sndNxt.Diff(c.sndUna))
 	if c.peerWnd > 0 && inFlightBytes+uint32(c.cfg.MSS) > c.peerWnd {
 		if c.OnSendBlocked != nil {
 			c.OnSendBlocked("rwnd")
@@ -825,7 +825,7 @@ func (c *Conn) sendNewSegment() bool {
 	seg := c.pool.getTxSeg()
 	seg.Seq, seg.Len = c.sndNxt, n
 	seg.SentAt, seg.FirstSentAt = now, now
-	c.sndNxt += uint32(n)
+	c.sndNxt = c.sndNxt.Add(n)
 	if c.backlog > 0 {
 		c.backlog -= int64(n)
 	}
@@ -846,7 +846,7 @@ func (c *Conn) maybeSendFIN() {
 	seg.Seq, seg.Len, seg.TDN = c.sndNxt, 1, c.policy.DataTDN()
 	seg.SentAt, seg.FirstSentAt = now, now
 	seg.fin = true
-	c.sndNxt++
+	c.sndNxt = c.sndNxt.Add(1)
 	c.rtx.push(seg)
 	c.states[seg.TDN].PacketsOut++
 	c.state = stFinWait
@@ -858,9 +858,9 @@ func (c *Conn) maybeSendFIN() {
 // queue entry is marked (TxSeg.fin), so transmitSeg resends it here too, the
 // way fireRTO resends the SYN through sendSYN: a flag on an empty segment,
 // never a byte of data.
-func (c *Conn) sendFIN(seq uint32) {
+func (c *Conn) sendFIN(seq packet.Seq) {
 	s := c.newSegment(packet.FlagFIN | packet.FlagACK)
-	s.TCP.Seq = seq
+	s.TCP.Seq = seq.Uint32()
 	c.attachTDOption(s, false)
 	c.Stats.SegsSent++
 	c.Out(s)
@@ -1076,7 +1076,7 @@ func (c *Conn) String() string {
 	}
 	return fmt.Sprintf("conn(%s una=%d nxt=%d states=%d active=%d)",
 		[]string{"closed", "listen", "synsent", "synrcvd", "estab", "finwait", "closewait", "done"}[c.state],
-		c.sndUna-c.iss, c.sndNxt-c.iss, len(c.states), c.policy.Active())
+		uint32(c.sndUna.Diff(c.iss)), uint32(c.sndNxt.Diff(c.iss)), len(c.states), c.policy.Active())
 }
 
 // cwndOf is a test helper exposing a state's cwnd rounded down.

@@ -184,7 +184,7 @@ func TestFastRetransmitOnLoss(t *testing.T) {
 	var dropSeq uint32
 	wa.drop = func(s *packet.Segment) bool {
 		// Drop the 20th data segment once.
-		if s.TCP.PayloadLen > 0 && !dropped && s.TCP.Seq-a.iss > 19*8960 && s.TCP.Seq-a.iss < 21*8960 {
+		if s.TCP.PayloadLen > 0 && !dropped && s.TCP.Seq-a.iss.Uint32() > 19*8960 && s.TCP.Seq-a.iss.Uint32() < 21*8960 {
 			dropped = true
 			dropSeq = s.TCP.Seq
 			return true
@@ -254,7 +254,7 @@ func TestTailLossProbe(t *testing.T) {
 	total := int64(50 * 8960)
 	dropped := false
 	wa.drop = func(s *packet.Segment) bool {
-		if s.TCP.PayloadLen > 0 && !dropped && s.TCP.Seq-a.iss == uint32(total)-8960+1 {
+		if s.TCP.PayloadLen > 0 && !dropped && s.TCP.Seq-a.iss.Uint32() == uint32(total)-8960+1 {
 			dropped = true
 			return true
 		}
@@ -456,7 +456,7 @@ func TestRetransmittedFINIsAFIN(t *testing.T) {
 			loop, a, b, wa, wb := newPair(t, pairOpt{
 				cfgA: Config{ECN: true, CC: dctcp}, cfgB: Config{ECN: true, CC: dctcp},
 			})
-			finSeq := func() uint32 { return a.iss + 1 + size }
+			finSeq := func() uint32 { return a.iss.Uint32() + 1 + size }
 			var data, fins, acks, finAcks int
 			wa.drop = func(s *packet.Segment) bool {
 				h := &s.TCP
@@ -566,7 +566,7 @@ func TestStaleAckIgnored(t *testing.T) {
 	}
 	before := a.Stats
 	stale := &packet.Segment{Src: 2, Dst: 1, Proto: packet.ProtoTCP, TCP: packet.TCPHeader{
-		SrcPort: 2000, DstPort: 1000, Flags: packet.FlagACK, Ack: a.sndUna, Window: 1 << 20,
+		SrcPort: 2000, DstPort: 1000, Flags: packet.FlagACK, Ack: a.sndUna.Uint32(), Window: 1 << 20,
 	}}
 	a.Input(stale)
 	if a.Stats.LossMarks != before.LossMarks || a.Stats.Retransmits != before.Retransmits {
@@ -690,21 +690,6 @@ func TestRTTEstimator(t *testing.T) {
 	ps.ObserveRTT(0, sim.Microsecond, sim.Second) // ignored
 	if ps.Samples != 101 {
 		t.Fatalf("zero sample counted: %d", ps.Samples)
-	}
-}
-
-func TestSeqArithmetic(t *testing.T) {
-	if !seqLT(0xFFFFFFF0, 0x10) {
-		t.Fatal("wraparound LT failed")
-	}
-	if seqGT(0xFFFFFFF0, 0x10) {
-		t.Fatal("wraparound GT failed")
-	}
-	if seqMax(0xFFFFFFF0, 0x10) != 0x10 {
-		t.Fatal("wraparound max failed")
-	}
-	if !seqLEQ(5, 5) || !seqGEQ(5, 5) {
-		t.Fatal("equality comparisons failed")
 	}
 }
 

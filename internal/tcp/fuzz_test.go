@@ -56,8 +56,8 @@ func FuzzConnDeliver(f *testing.F) {
 				}
 				h := &seg.TCP
 				h.SrcPort, h.DstPort = peer.LocalPort, target.LocalPort
-				h.Seq = target.rcvNxt + binary.LittleEndian.Uint32(rec[2:6])
-				h.Ack = target.sndUna + binary.LittleEndian.Uint32(rec[6:10])
+				h.Seq = target.rcvNxt.Uint32() + binary.LittleEndian.Uint32(rec[2:6])
+				h.Ack = target.sndUna.Uint32() + binary.LittleEndian.Uint32(rec[6:10])
 				h.Flags = packet.FlagACK | flagTable[(rec[0]>>2)&7]
 				h.Window = 1 << 20
 				h.PayloadLen = int(rec[1]) * 128
@@ -68,7 +68,7 @@ func FuzzConnDeliver(f *testing.F) {
 					h.AckTDN = rec[11]
 				}
 				if rec[0]&0x40 != 0 {
-					start := target.sndUna + binary.LittleEndian.Uint32(rec[12:16])
+					start := target.sndUna.Uint32() + binary.LittleEndian.Uint32(rec[12:16])
 					h.SACKPermitted = true
 					h.SACK = []packet.SACKBlock{
 						{Start: start, End: start + uint32(rec[10])*512 + 1},

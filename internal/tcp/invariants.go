@@ -16,8 +16,8 @@ func (c *Conn) CheckInvariants() error {
 		return nil // nothing left to be inconsistent
 	}
 	// Sender cursors.
-	if seqGT(c.sndUna, c.sndNxt) {
-		return fmt.Errorf("tcp: snd_una %d beyond snd_nxt %d", c.sndUna-c.iss, c.sndNxt-c.iss)
+	if c.sndUna.GT(c.sndNxt) {
+		return fmt.Errorf("tcp: snd_una %d beyond snd_nxt %d", uint32(c.sndUna.Diff(c.iss)), uint32(c.sndNxt.Diff(c.iss)))
 	}
 	if c.backoff > 16 {
 		return fmt.Errorf("tcp: rto backoff %d beyond saturation", c.backoff)
@@ -43,7 +43,7 @@ func (c *Conn) CheckInvariants() error {
 			walkErr = fmt.Errorf("tcp: rtx segment %d tagged with unknown TDN %d", c.RelSeq(seg.Seq), seg.TDN)
 			return false
 		}
-		if prev != nil && seqLT(seg.Seq, prev.End()) {
+		if prev != nil && seg.Seq.LT(prev.End()) {
 			walkErr = fmt.Errorf("tcp: rtx queue out of order: %d before end of %d",
 				c.RelSeq(seg.Seq), c.RelSeq(prev.Seq))
 			return false
@@ -76,9 +76,9 @@ func (c *Conn) CheckInvariants() error {
 	c.rtx.forEach(func(seg *TxSeg) bool {
 		if seg.Sacked {
 			sackedBytes += int64(seg.Len)
-			if seqLT(seg.Seq, c.sndUna) || seqGT(seg.End(), c.sndNxt) {
+			if seg.Seq.LT(c.sndUna) || seg.End().GT(c.sndNxt) {
 				walkErr = fmt.Errorf("tcp: SACKed segment [%d,%d) outside outstanding window [%d,%d)",
-					c.RelSeq(seg.Seq), c.RelSeq(seg.End()), c.sndUna-c.iss, c.sndNxt-c.iss)
+					c.RelSeq(seg.Seq), c.RelSeq(seg.End()), uint32(c.sndUna.Diff(c.iss)), uint32(c.sndNxt.Diff(c.iss)))
 				return false
 			}
 		}
@@ -87,21 +87,21 @@ func (c *Conn) CheckInvariants() error {
 	if walkErr != nil {
 		return walkErr
 	}
-	if outstanding := int64(seqDiff(c.sndNxt, c.sndUna)); sackedBytes > outstanding {
+	if outstanding := int64(c.sndNxt.Diff(c.sndUna)); sackedBytes > outstanding {
 		return fmt.Errorf("tcp: SACK scoreboard covers %d bytes, only %d outstanding", sackedBytes, outstanding)
 	}
 	if head := c.rtx.headSeg(); head != nil {
-		if seqGT(head.Seq, c.sndUna) || seqLEQ(head.End(), c.sndUna) {
+		if head.Seq.GT(c.sndUna) || head.End().LEQ(c.sndUna) {
 			return fmt.Errorf("tcp: snd_una %d outside head segment [%d,%d)",
-				c.sndUna-c.iss, c.RelSeq(head.Seq)+1, c.RelSeq(head.End())+1)
+				uint32(c.sndUna.Diff(c.iss)), c.RelSeq(head.Seq)+1, c.RelSeq(head.End())+1)
 		}
 		if tail := c.rtx.tailSeg(); tail.End() != c.sndNxt {
 			return fmt.Errorf("tcp: tail segment ends at %d, snd_nxt at %d",
-				tail.End()-c.iss, c.sndNxt-c.iss)
+				uint32(tail.End().Diff(c.iss)), uint32(c.sndNxt.Diff(c.iss)))
 		}
 	} else if c.sndUna != c.sndNxt {
 		return fmt.Errorf("tcp: empty rtx queue with snd_una %d != snd_nxt %d",
-			c.sndUna-c.iss, c.sndNxt-c.iss)
+			uint32(c.sndUna.Diff(c.iss)), uint32(c.sndNxt.Diff(c.iss)))
 	}
 	out := 0
 	for tdn, st := range c.states {
@@ -124,13 +124,13 @@ func (c *Conn) CheckInvariants() error {
 
 	// Receiver ranges: sorted, disjoint, strictly above rcv_nxt.
 	for i, r := range c.ranges {
-		if seqGEQ(r.Start, r.End) {
-			return fmt.Errorf("tcp: receiver range %d is empty [%d,%d)", i, r.Start, r.End)
+		if r.Start.GEQ(r.End) {
+			return fmt.Errorf("tcp: receiver range %d is empty [%d,%d)", i, r.Start.Uint32(), r.End.Uint32())
 		}
-		if seqLEQ(r.Start, c.rcvNxt) {
-			return fmt.Errorf("tcp: receiver range %d starts at %d, at or below rcv_nxt %d", i, r.Start, c.rcvNxt)
+		if r.Start.LEQ(c.rcvNxt) {
+			return fmt.Errorf("tcp: receiver range %d starts at %d, at or below rcv_nxt %d", i, r.Start.Uint32(), c.rcvNxt.Uint32())
 		}
-		if i > 0 && seqLT(r.Start, c.ranges[i-1].End) {
+		if i > 0 && r.Start.LT(c.ranges[i-1].End) {
 			return fmt.Errorf("tcp: receiver ranges %d and %d overlap or are unsorted", i-1, i)
 		}
 	}

@@ -18,7 +18,7 @@ func midTransferPair(t *testing.T) (a, b *Conn) {
 	var dropped [2]bool
 	wa.drop = func(s *packet.Segment) bool {
 		for i, off := range [...]uint32{4 * 8960, 6 * 8960} {
-			if s.TCP.PayloadLen > 0 && a.RelSeq(s.TCP.Seq) == off && !dropped[i] {
+			if s.TCP.PayloadLen > 0 && a.RelSeq(packet.SeqOf(s.TCP.Seq)) == off && !dropped[i] {
 				dropped[i] = true
 				return true
 			}
@@ -54,7 +54,7 @@ func TestCheckInvariantsNamesTheBrokenRule(t *testing.T) {
 		{"lostOut off by one", func(a, b *Conn) { a.states[0].LostOut++ }, "pipe counters"},
 		{"retransOut off by one", func(a, b *Conn) { a.states[0].RetransOut++ }, "pipe counters"},
 		{"negative counter", func(a, b *Conn) { a.states[0].RetransOut = -1 }, "negative pipe counter"},
-		{"sndUna past sndNxt", func(a, b *Conn) { a.sndUna = a.sndNxt + 1 }, "beyond snd_nxt"},
+		{"sndUna past sndNxt", func(a, b *Conn) { a.sndUna = a.sndNxt.Add(1) }, "beyond snd_nxt"},
 		{"sndUna past the head entry", func(a, b *Conn) { a.sndUna = a.rtx.at(0).End() }, "outside head segment"},
 		{"backoff 17", func(a, b *Conn) { a.backoff = 17 }, "backoff 17 beyond saturation"},
 		{"entry SACKed and lost", func(a, b *Conn) { a.rtx.at(1).Sacked, a.rtx.at(1).Lost = true, true }, "both SACKed and lost"},
@@ -64,10 +64,10 @@ func TestCheckInvariantsNamesTheBrokenRule(t *testing.T) {
 			q := a.rtx.segs[a.rtx.head:]
 			q[0], q[1] = q[1], q[0]
 		}, "out of order"},
-		{"tail short of sndNxt", func(a, b *Conn) { a.sndNxt++ }, "tail segment ends"},
+		{"tail short of sndNxt", func(a, b *Conn) { a.sndNxt = a.sndNxt.Add(1) }, "tail segment ends"},
 		{"range at rcvNxt", func(a, b *Conn) { b.ranges[0].Start = b.rcvNxt }, "at or below rcv_nxt"},
 		{"empty range", func(a, b *Conn) { b.ranges[0].End = b.ranges[0].Start }, "is empty"},
-		{"overlapping ranges", func(a, b *Conn) { b.ranges[1].Start = b.ranges[0].End - 1 }, "overlap"},
+		{"overlapping ranges", func(a, b *Conn) { b.ranges[1].Start = b.ranges[0].End.Add(-1) }, "overlap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

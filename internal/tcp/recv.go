@@ -23,8 +23,8 @@ func (c *Conn) processData(s *packet.Segment) {
 	if c.RxDataHook != nil && h.PayloadLen > 0 {
 		c.RxDataHook(h)
 	}
-	start := h.Seq
-	end := start + uint32(h.PayloadLen)
+	start := packet.SeqOf(h.Seq)
+	end := start.Add(h.PayloadLen)
 	fin := h.Flags&packet.FlagFIN != 0
 	ce := s.ECN == packet.ECNCE
 
@@ -37,20 +37,20 @@ func (c *Conn) processData(s *packet.Segment) {
 
 	if h.PayloadLen > 0 {
 		switch {
-		case seqLEQ(end, c.rcvNxt):
+		case end.LEQ(c.rcvNxt):
 			// Entirely old: a spurious retransmission. Report via D-SACK
 			// (RFC 2883) so the sender can undo.
 			c.Stats.DupSegsRcvd++
-			c.dsack = packet.SACKBlock{Start: start, End: end}
+			c.dsack = packet.SeqRange{Start: start, End: end}
 			c.dsackValid = true
 			c.Stats.DSACKsSent++
-		case seqLT(start, c.rcvNxt):
+		case start.LT(c.rcvNxt):
 			// Partial overlap: trim the old part, deliver the rest.
 			c.acceptRange(c.rcvNxt, end)
 		default:
 			if c.coveredByRanges(start, end) {
 				c.Stats.DupSegsRcvd++
-				c.dsack = packet.SACKBlock{Start: start, End: end}
+				c.dsack = packet.SeqRange{Start: start, End: end}
 				c.dsackValid = true
 				c.Stats.DSACKsSent++
 			} else {
@@ -60,7 +60,7 @@ func (c *Conn) processData(s *packet.Segment) {
 	}
 
 	if fin && end == c.rcvNxt && len(c.ranges) == 0 {
-		c.rcvNxt++
+		c.rcvNxt = c.rcvNxt.Add(1)
 		if c.state == stEstablished {
 			c.state = stCloseWait
 		}
@@ -71,9 +71,9 @@ func (c *Conn) processData(s *packet.Segment) {
 
 // coveredByRanges reports whether [start,end) lies entirely inside already
 // received out-of-order data.
-func (c *Conn) coveredByRanges(start, end uint32) bool {
+func (c *Conn) coveredByRanges(start, end packet.Seq) bool {
 	for _, r := range c.ranges {
-		if seqGEQ(start, r.Start) && seqLEQ(end, r.End) {
+		if start.GEQ(r.Start) && end.LEQ(r.End) {
 			return true
 		}
 	}
@@ -82,8 +82,8 @@ func (c *Conn) coveredByRanges(start, end uint32) bool {
 
 // acceptRange folds [start,end) into the receive state, advancing rcvNxt
 // and merging out-of-order ranges.
-func (c *Conn) acceptRange(start, end uint32) {
-	if seqLEQ(end, start) {
+func (c *Conn) acceptRange(start, end packet.Seq) {
+	if end.LEQ(start) {
 		return
 	}
 	if start == c.rcvNxt {
@@ -96,11 +96,11 @@ func (c *Conn) acceptRange(start, end uint32) {
 
 // advanceDelivery moves rcvNxt to at least end, absorbing any now-contiguous
 // buffered ranges, and notifies the delivery observer.
-func (c *Conn) advanceDelivery(end uint32) {
+func (c *Conn) advanceDelivery(end packet.Seq) {
 	prev := c.rcvNxt
 	c.rcvNxt = end
-	for len(c.ranges) > 0 && seqLEQ(c.ranges[0].Start, c.rcvNxt) {
-		if seqGT(c.ranges[0].End, c.rcvNxt) {
+	for len(c.ranges) > 0 && c.ranges[0].Start.LEQ(c.rcvNxt) {
+		if c.ranges[0].End.GT(c.rcvNxt) {
 			c.rcvNxt = c.ranges[0].End
 		}
 		c.dropMRU(c.ranges[0].Start)
@@ -109,7 +109,7 @@ func (c *Conn) advanceDelivery(end uint32) {
 		// insertRange reallocate once the backing array "walks" forward.
 		c.ranges = c.ranges[:copy(c.ranges, c.ranges[1:])]
 	}
-	c.Stats.BytesDelivered += int64(c.rcvNxt - prev)
+	c.Stats.BytesDelivered += int64(c.rcvNxt.Diff(prev))
 	if c.OnDelivered != nil {
 		c.OnDelivered(c.Loop.Now(), c.Stats.BytesDelivered)
 	}
@@ -118,18 +118,18 @@ func (c *Conn) advanceDelivery(end uint32) {
 // insertRange adds an out-of-order range, merging neighbours, and marks it
 // most recently updated for SACK generation (RFC 2018: first block reports
 // the most recently received data).
-func (c *Conn) insertRange(start, end uint32) {
+func (c *Conn) insertRange(start, end packet.Seq) {
 	// Find insertion point (ranges sorted by Start, disjoint).
 	i := 0
-	for i < len(c.ranges) && seqLT(c.ranges[i].Start, start) {
+	for i < len(c.ranges) && c.ranges[i].Start.LT(start) {
 		i++
 	}
-	c.ranges = append(c.ranges, packet.SACKBlock{})
+	c.ranges = append(c.ranges, packet.SeqRange{})
 	copy(c.ranges[i+1:], c.ranges[i:])
-	c.ranges[i] = packet.SACKBlock{Start: start, End: end}
+	c.ranges[i] = packet.SeqRange{Start: start, End: end}
 	// Merge left.
-	if i > 0 && seqGEQ(c.ranges[i-1].End, c.ranges[i].Start) {
-		if seqGT(c.ranges[i].End, c.ranges[i-1].End) {
+	if i > 0 && c.ranges[i-1].End.GEQ(c.ranges[i].Start) {
+		if c.ranges[i].End.GT(c.ranges[i-1].End) {
 			c.ranges[i-1].End = c.ranges[i].End
 		}
 		c.dropMRU(c.ranges[i].Start)
@@ -137,8 +137,8 @@ func (c *Conn) insertRange(start, end uint32) {
 		i--
 	}
 	// Merge right while overlapping.
-	for i+1 < len(c.ranges) && seqGEQ(c.ranges[i].End, c.ranges[i+1].Start) {
-		if seqGT(c.ranges[i+1].End, c.ranges[i].End) {
+	for i+1 < len(c.ranges) && c.ranges[i].End.GEQ(c.ranges[i+1].Start) {
+		if c.ranges[i+1].End.GT(c.ranges[i].End) {
 			c.ranges[i].End = c.ranges[i+1].End
 		}
 		c.dropMRU(c.ranges[i+1].Start)
@@ -155,7 +155,7 @@ const maxMRU = 8
 // list, shifting in place within the preallocated backing array.
 //
 // Hot path: runs once per out-of-order segment.
-func (c *Conn) touchMRU(start uint32) {
+func (c *Conn) touchMRU(start packet.Seq) {
 	c.dropMRU(start)
 	if len(c.mruBlock) < maxMRU {
 		c.mruBlock = c.mruBlock[:len(c.mruBlock)+1]
@@ -164,7 +164,7 @@ func (c *Conn) touchMRU(start uint32) {
 	c.mruBlock[0] = start
 }
 
-func (c *Conn) dropMRU(start uint32) {
+func (c *Conn) dropMRU(start packet.Seq) {
 	for i, v := range c.mruBlock {
 		if v == start {
 			c.mruBlock = append(c.mruBlock[:i], c.mruBlock[i+1:]...)
@@ -179,7 +179,7 @@ func (c *Conn) fillSACK(h *packet.TCPHeader) {
 	max := c.maxSACKBlocks()
 	h.SACK = h.SACK[:0]
 	if c.dsackValid {
-		h.SACK = append(h.SACK, c.dsack)
+		h.SACK = append(h.SACK, c.dsack.Block())
 		c.dsackValid = false
 	}
 	for _, start := range c.mruBlock {
@@ -188,7 +188,7 @@ func (c *Conn) fillSACK(h *packet.TCPHeader) {
 		}
 		for _, r := range c.ranges {
 			if r.Start == start {
-				h.SACK = append(h.SACK, r)
+				h.SACK = append(h.SACK, r.Block())
 				break
 			}
 		}
@@ -198,7 +198,7 @@ func (c *Conn) fillSACK(h *packet.TCPHeader) {
 // sendAck emits an immediate pure ACK reflecting the current receive state.
 func (c *Conn) sendAck(ece bool) {
 	s := c.newSegment(packet.FlagACK)
-	s.TCP.Seq = c.sndNxt
+	s.TCP.Seq = c.sndNxt.Uint32()
 	if ece {
 		s.TCP.Flags |= packet.FlagECE
 	}
@@ -209,4 +209,4 @@ func (c *Conn) sendAck(ece bool) {
 }
 
 // Ranges exposes the receiver's out-of-order ranges (tests).
-func (c *Conn) Ranges() []packet.SACKBlock { return c.ranges }
+func (c *Conn) Ranges() []packet.SeqRange { return c.ranges }

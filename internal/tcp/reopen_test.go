@@ -217,7 +217,7 @@ func TestReopenEqualsFresh(t *testing.T) {
 			loop.RunUntil(loop.Now().Add(300 * sim.Millisecond))
 			if b.Stats.BytesDelivered != 200*8960 || a.SndUna() != a.SndNxt() || !done {
 				t.Fatalf("transfer on the reopened pair: delivered %d of %d, %d sequence numbers unacknowledged, FIN acknowledged %v",
-					b.Stats.BytesDelivered, 200*8960, a.SndNxt()-a.SndUna(), done)
+					b.Stats.BytesDelivered, 200*8960, a.SndNxt().Diff(a.SndUna()), done)
 			}
 			for _, c := range []*tcp.Conn{a, b} {
 				if err := c.CheckInvariants(); err != nil {

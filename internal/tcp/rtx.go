@@ -1,13 +1,16 @@
 package tcp
 
-import "github.com/rdcn-net/tdtcp/internal/sim"
+import (
+	"github.com/rdcn-net/tdtcp/internal/packet"
+	"github.com/rdcn-net/tdtcp/internal/sim"
+)
 
 // TxSeg is one MSS-sized entry of the retransmission queue, the analogue of
 // a Linux skb with its TCP control block. Each segment carries the TDN tag
 // of its most recent transmission (§3.1: "TDTCP tags each packet ... and
 // keeps track of it throughout the lifetime of the packet").
 type TxSeg struct {
-	Seq uint32
+	Seq packet.Seq
 	Len int
 
 	TDN         uint8
@@ -24,7 +27,7 @@ type TxSeg struct {
 }
 
 // End returns the sequence number just past this segment.
-func (s *TxSeg) End() uint32 { return s.Seq + uint32(s.Len) }
+func (s *TxSeg) End() packet.Seq { return s.Seq.Add(s.Len) }
 
 // rtxQueue is the send-side retransmission queue: segments ordered by
 // sequence number, with an amortized-O(1) head pop as cumulative ACKs
@@ -62,10 +65,10 @@ func (q *rtxQueue) tailSeg() *TxSeg {
 
 // popAcked removes segments fully covered by cumulative ACK upTo, invoking
 // fn on each before removal.
-func (q *rtxQueue) popAcked(upTo uint32, fn func(*TxSeg)) {
+func (q *rtxQueue) popAcked(upTo packet.Seq, fn func(*TxSeg)) {
 	for !q.empty() {
 		s := q.segs[q.head]
-		if seqGT(s.End(), upTo) {
+		if s.End().GT(upTo) {
 			break
 		}
 		fn(s)
@@ -100,11 +103,11 @@ func (q *rtxQueue) forEach(fn func(*TxSeg) bool) {
 // as the outstanding window is below 2^31 bytes, the usual TCP constraint.
 //
 // Hot path: runs once per SACK block per ACK.
-func (q *rtxQueue) forRange(start, end uint32, fn func(*TxSeg) bool) {
+func (q *rtxQueue) forRange(start, end packet.Seq, fn func(*TxSeg) bool) {
 	lo, hi := q.head, len(q.segs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if seqLT(q.segs[mid].Seq, start) {
+		if q.segs[mid].Seq.LT(start) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -112,7 +115,7 @@ func (q *rtxQueue) forRange(start, end uint32, fn func(*TxSeg) bool) {
 	}
 	for i := lo; i < len(q.segs); i++ {
 		s := q.segs[i]
-		if seqGEQ(s.Seq, end) {
+		if s.Seq.GEQ(end) {
 			return
 		}
 		if !fn(s) {

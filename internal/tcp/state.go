@@ -20,16 +20,6 @@ import (
 	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
-// Sequence-number arithmetic on the wrapping 32-bit space: thin aliases of
-// the exported RFC 1982 family in internal/packet, kept for call-site
-// brevity on the data path.
-func seqLT(a, b uint32) bool    { return packet.SeqLT(a, b) }
-func seqLEQ(a, b uint32) bool   { return packet.SeqLEQ(a, b) }
-func seqGT(a, b uint32) bool    { return packet.SeqGT(a, b) }
-func seqGEQ(a, b uint32) bool   { return packet.SeqGEQ(a, b) }
-func seqMax(a, b uint32) uint32 { return packet.SeqMax(a, b) }
-func seqDiff(a, b uint32) int32 { return packet.SeqDiff(a, b) }
-
 // CAState mirrors Linux's tcp_ca_state machine. TDTCP keeps one per TDN
 // (Figure 4).
 type CAState uint8
@@ -73,7 +63,7 @@ type PathState struct {
 	// still be undone by D-SACKs.
 	CA            CAState
 	undoPossible  bool
-	RecoveryPoint uint32
+	RecoveryPoint packet.Seq
 	DupAcks       int32
 
 	// Pipe counters (§4.3) over the queue entries tagged with this TDN:
@@ -228,8 +218,9 @@ type Policy interface {
 	NumStates() int
 	// Active returns the index of the state governing new transmissions.
 	Active() int
-	// OnNotify delivers a network TDN-change notification.
-	OnNotify(tdn int, epoch uint32)
+	// OnNotify delivers a network TDN-change notification that passed
+	// Conn.Notify's epoch gate.
+	OnNotify(tdn int)
 	// DataTDN is the TDN tag for outgoing data segments.
 	DataTDN() uint8
 	// AckTDN is the TDN tag for outgoing ACKs.
@@ -273,7 +264,7 @@ func (p *SinglePath) NumStates() int { return 1 }
 func (p *SinglePath) Active() int { return 0 }
 
 // OnNotify implements Policy: single-path TCP ignores TDN notifications.
-func (p *SinglePath) OnNotify(tdn int, epoch uint32) {}
+func (p *SinglePath) OnNotify(tdn int) {}
 
 // DataTDN implements Policy.
 func (p *SinglePath) DataTDN() uint8 { return 0 }
