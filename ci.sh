@@ -112,6 +112,19 @@ go test -race ./...
 # int (ROADMAP item 4).
 GOARCH=386 go test -count=1 -run 'TestPinnedBytes|TestFigureBytesPinned' ./internal/experiments
 
+# arm64 fuses a multiply and an add into one instruction that rounds once,
+# where amd64 rounds twice, so a float expression could give another result
+# there. Scan the arm64 assembly of the packages inside the determinism
+# boundary, and of workload, stats and experiments, for fused instructions;
+# an explicit float64(...) conversion rounds and prevents the fusion
+# (DESIGN §5). The standard library's own fused sites are out of scope.
+if GOARCH=arm64 go build -gcflags=-S ./internal/sim ./internal/netem ./internal/rdcn ./internal/tcp \
+	./internal/core ./internal/cc ./internal/fault ./internal/workload ./internal/stats ./internal/experiments 2>&1 |
+	grep -E '[[:space:]]F(N)?M(ADD|SUB)[SD][[:space:]]'; then
+	echo "ci.sh: fused multiply-add in arm64 code of a result path" >&2
+	exit 1
+fi
+
 # Coverage, counted over every package from every test (-coverpkg=./...), so a
 # 0 % line in artifacts/coverage.txt means "no test anywhere reaches this",
 # not "its own package's tests do not"; the profile and its per-function

@@ -65,7 +65,7 @@ func (cu *Cubic) congestionAvoidance(ev AckEvent) {
 		cu.wEst = cu.cwnd
 	}
 	t := float64(ev.Now.Sub(cu.epochStart)) / float64(sim.Second)
-	target := cu.wMax + cu.c*math.Pow(t-cu.k, 3)
+	target := cu.wMax + float64(cu.c*math.Pow(t-cu.k, 3)) // float64(): no FMA (DESIGN §5)
 
 	// TCP-friendly region (RFC 8312 §4.2): emulate Reno's growth since the
 	// epoch started; CUBIC must not be slower than Reno.

@@ -55,13 +55,13 @@ func (d *DCTCP) OnAck(ev AckEvent) {
 		if d.windowAcked > 0 {
 			frac = float64(d.windowMarked) / float64(d.windowAcked)
 		}
-		d.alpha = (1-d.g)*d.alpha + d.g*frac
+		d.alpha = float64((1-d.g)*d.alpha) + float64(d.g*frac) // float64(): no FMA (DESIGN §5)
 		if d.trace != nil {
 			d.trace("alpha", d.alpha, frac)
 		}
 		if d.windowMarked > 0 {
 			d.saveForUndo()
-			d.cwnd = clampMin(d.cwnd * (1 - d.alpha/2))
+			d.cwnd = clampMin(d.cwnd * (1 - float64(d.alpha/2))) // float64(): no FMA (DESIGN §5)
 			d.ssthresh = d.cwnd
 			d.emitCwnd("md")
 		}

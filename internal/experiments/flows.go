@@ -357,13 +357,12 @@ type muxNet struct {
 	muxes   [][]*hostMux        // [rack][host]
 	byAddr  map[uint32]*hostMux // the same muxes by host address, for leave
 
-	// parked holds the endpoints release has retired, oldest first, until an
-	// arrival reopens them (DESIGN.md §10 "Endpoint reuse").
+	// parked holds the endpoints release has retired until an arrival
+	// reopens them (DESIGN.md §10 "Endpoint reuse").
 	parked []*tcp.Conn
 	// built and reopened count the endpoints constructed and the times one
-	// was reopened: two per flow between them. refused counts the parked
-	// endpoints an arrival passed over because a timer of theirs was pending.
-	built, reopened, refused int
+	// was reopened: two per flow between them.
+	built, reopened int
 	// noReuse makes every arrival construct its endpoints: the reference
 	// this package's tests hold reuse against.
 	noReuse bool
@@ -428,7 +427,7 @@ func BuildFlows(net *rdcn.Network, n int, v Variant, opt FlowOptions) ([]*Flow, 
 // (dstRack, dstHost). Both endpoints use the same port number, which must be
 // unique per endpoint host among the ports bound at the time — it is the demux
 // key on both sides; subflow k of an MPTCP flow takes port+k. A single-path
-// endpoint is the oldest parked one that can be reopened, or else a new one.
+// endpoint is a parked one, reopened, or else a new one.
 // The flow's listeners join their hosts' notify sets here — both endpoints of
 // a TDTCP or MPTCP flow, the sender of a reTCP one — and a TDTCP flow's leave
 // them at leave; the ports are unbound at release. The variant is one
@@ -494,22 +493,15 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 }
 
 // endpoint returns a connection for one end of a new flow on host m: the
-// oldest parked endpoint whose timers have run out, reopened, or failing that
-// a new one. An endpoint passed over stays parked for a later arrival: its
-// retransmission timer can be owed a fire for up to MaxRTO after the flow
-// ended, which the linger does not cover.
+// last endpoint parked, reopened, or else a new one.
 func (mn *muxNet) endpoint(m *hostMux) (*tcp.Conn, error) {
-	list := mn.parked
-	if mn.noReuse {
-		list = nil
-	}
-	for i, c := range list {
-		if c.Reopen(m.send) {
-			mn.parked = slices.Delete(list, i, i+1)
-			mn.reopened++
-			return c, nil
-		}
-		mn.refused++
+	if k := len(mn.parked); k > 0 && !mn.noReuse {
+		c := mn.parked[k-1]
+		mn.parked[k-1] = nil
+		mn.parked = mn.parked[:k-1]
+		c.Reopen(m.send)
+		mn.reopened++
+		return c, nil
 	}
 	cfg, err := endpointConfig(mn.net, mn.variant, mn.opt, mn.pool)
 	if err != nil {
@@ -565,9 +557,8 @@ func (mn *muxNet) leave(f *Flow) {
 }
 
 // release ends the linger of a flow that has left: both ports are unbound,
-// both connections return their retransmission-queue entries and queue
-// arrays to the pool, and each is parked. The flow's armed timers still fire,
-// as no-ops, so the event sequence is what it would have been.
+// both connections stop their timers and return their retransmission-queue
+// entries and queue arrays to the pool, and each is parked.
 func (mn *muxNet) release(f *Flow) {
 	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
 		mn.byAddr[c.LocalAddr].unbind(c.LocalPort)

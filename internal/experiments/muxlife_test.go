@@ -239,15 +239,15 @@ func TestRetiredFlowKeepsPortDropsDeadman(t *testing.T) {
 // After release the ports are unbound, the pool counts no connection of the flow, the
 // harness no longer tracks it, and its delivered bytes still count. A segment
 // that arrives then is dropped and counted, never answered and never a panic;
-// the flow's stale timers run out as no-ops; and the port can be bound again,
-// which it could not while the flow lingered.
+// the released endpoints send nothing for the rest of the run; and the port
+// can be bound again, which it could not while the flow lingered.
 func TestReleasedFlowDropsLateSegment(t *testing.T) {
 	h, mn, f := finishedMuxFlow(t)
 	mn.leave(f)
 	if _, err := mn.BuildFlow(0, 0, 2, 0, muxTestPort); err == nil {
 		t.Fatal("a lingering flow's port was handed out again")
 	}
-	delivered, fired := h.delivered(), h.loop.Fired()
+	delivered := h.delivered()
 	late := lateSegment(f)
 
 	mn.release(f)
@@ -275,12 +275,7 @@ func TestReleasedFlowDropsLateSegment(t *testing.T) {
 		t.Errorf("census counts %d late segments, want 2", late)
 	}
 
-	// The rest of the run: whatever timers the two connections left armed
-	// fire on released state.
 	h.loop.RunUntil(h.end)
-	if h.loop.Fired() == fired {
-		t.Fatal("no event fired after release: the stale timers were not exercised")
-	}
 	if f.Snd.Stats.SegsSent+f.Rcv.Stats.SegsSent != before.SegsSent+f.Snd.Stats.SegsSent {
 		t.Error("a released endpoint transmitted")
 	}

@@ -182,9 +182,8 @@ type lifeCensus struct {
 	liveConns   int // connections attached to the pool and not released
 	flows       int // flows the harness still tracks
 	// Endpoint reuse (muxNet): released endpoints waiting on the parked list,
-	// endpoints ever constructed, the times one was reopened, and the times
-	// an arrival passed one over because a timer of its was still pending.
-	parked, built, reopened, refused int
+	// endpoints ever constructed, and the times one was reopened.
+	parked, built, reopened int
 }
 
 // RunWorkload executes one open-loop workload experiment. Flow arrivals are a
@@ -346,7 +345,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	res.life.flows = len(h.flows)
 	res.life.liveConns = h.pool.LiveConns()
 	res.life.parked = len(mn.parked)
-	res.life.built, res.life.reopened, res.life.refused = mn.built, mn.reopened, mn.refused
+	res.life.built, res.life.reopened = mn.built, mn.reopened
 	res.FramesSent, res.FramesDelivered, res.FramesMisrouted, err = h.finish(byteLedger{
 		acked: res.Sender.BytesAcked, fins: res.FlowsCompleted,
 		delivered: res.Receiver.BytesDelivered, written: res.BytesOffered})

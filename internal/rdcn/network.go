@@ -159,7 +159,8 @@ type Host struct {
 
 	// Recv receives every data/ACK frame addressed to this host.
 	Recv func(netem.Frame)
-	// NotifyTDN receives the parsed ICMP TDN-change notification.
+	// NotifyTDN receives the TDN-change notification: the active TDN and
+	// the epoch the ICMP packet of Fig. 5a carries.
 	NotifyTDN func(tdn int, epoch uint32)
 	// NotifyPreChange, if set, receives the retcpdyn advance circuit-up
 	// signal Lead before a PreChange.TDN day begins.
@@ -223,10 +224,9 @@ type Rack struct {
 	delivered uint64
 	misrouted uint64
 
-	// Notification delivery scratch: the parse segment and the cell free
-	// list of deliveries to this rack's hosts.
-	notifyParse packet.Segment
-	notifyFree  []*notifyCell
+	// notifyFree recycles the cells of notification deliveries to this
+	// rack's hosts.
+	notifyFree []*notifyCell
 }
 
 // FrameLedger reports this rack's slice of the conservation ledger: frames
@@ -292,14 +292,6 @@ type Network struct {
 	// (0 during nights); epochTDN labels it for the closing record.
 	epochSpan trace.SpanID
 	epochTDN  int
-
-	// Notification fan-out scratch, reused across transitions so the
-	// steady-state control plane allocates nothing: one serialization
-	// segment and a scratch wire per host (see notifyWire for the
-	// recycling-horizon argument). The delivery-side scratch — parse
-	// segment and cell free list — lives on each Rack.
-	notifySeg   packet.Segment
-	notifyWires [][]byte
 
 	// transitionFn is the slot-boundary callback, bound once.
 	transitionFn func()
@@ -526,36 +518,28 @@ func (n *Network) dataPlaneSlot(now sim.Time) (int, bool) {
 }
 
 // ingress accepts a frame from a host NIC and places it in the rack's uplink
-// VOQ: on a two-rack network the single cross-rack queue, on a multi-rack
-// network the queue of the destination rack
-// parsed from the IPv4 header. Intra-rack frames hairpin at the ToR without
-// touching the fabric. Overflow is a drop-tail loss, exactly as in the Etalon
-// VOQs.
+// VOQ of the destination rack read from the IPv4 header. Intra-rack frames
+// hairpin at the ToR without touching the fabric. Overflow is a drop-tail
+// loss, exactly as in the Etalon VOQs.
 func (r *Rack) ingress(f netem.Frame) {
 	n := r.net
-	if n.Cfg.Racks > 2 {
-		if len(f.Wire) < 20 {
-			r.misrouted++
-			f.Release(r.pool)
-			return
-		}
-		addr := binary.BigEndian.Uint32(f.Wire[16:20])
-		dst := int(addr >> 16 & 0xFF)
-		if addr>>24 != 0x0A || dst >= n.Cfg.Racks {
-			r.misrouted++
-			f.Release(r.pool)
-			return
-		}
-		if dst == r.ID {
-			n.deliver(r.ID, r.ID, f)
-			return
-		}
-		if !r.voqs[r.qIndex(dst)].Enqueue(f) {
-			f.Release(r.pool)
-		}
+	if len(f.Wire) < 20 {
+		r.misrouted++
+		f.Release(r.pool)
 		return
 	}
-	if !r.voqs[0].Enqueue(f) {
+	addr := binary.BigEndian.Uint32(f.Wire[16:20])
+	dst := int(addr >> 16 & 0xFF)
+	if addr>>24 != 0x0A || dst >= n.Cfg.Racks {
+		r.misrouted++
+		f.Release(r.pool)
+		return
+	}
+	if dst == r.ID {
+		n.deliver(r.ID, r.ID, f)
+		return
+	}
+	if !r.voqs[r.qIndex(dst)].Enqueue(f) {
 		f.Release(r.pool)
 	}
 }
@@ -785,18 +769,13 @@ func (n *Network) CheckInvariants() error {
 	return nil
 }
 
-// notifyAll emits the ICMP TDN-change notification to every host, modelling
-// the configured NotifyProfile. The notification is a real serialized ICMP
-// packet parsed by the host, per Figure 5a. Each host's wire is serialized
-// into a per-network scratch buffer reused across transitions — a delivery
-// parses the wire at its own instant and the last parse of a buffer happens
-// before the next transition can rewrite it (Net latencies are far below a
-// slot), except when a dup fault stretches a stale copy past the next
-// transition, in which case that delivery gets a private wire.
+// notifyAll emits the TDN-change notification to every host. The
+// notification reaches a host as its (tdn, epoch) value, the content of the
+// ICMP packet of Fig. 5a; what the packet costs is its latency, which the
+// configured NotifyProfile models.
 func (n *Network) notifyAll(tdn int, epoch uint32) {
 	prof := n.Cfg.Notify
 	n.emit("notify", tdn, float64(epoch), float64(len(n.Racks)*n.Cfg.HostsPerRack))
-	n.notifyWires = n.notifyWires[:0]
 	for _, rack := range n.Racks {
 		for i, h := range rack.Hosts {
 			d := prof.Gen + sim.Dur(i)*prof.Stagger + prof.Net
@@ -807,80 +786,41 @@ func (n *Network) notifyAll(tdn int, epoch uint32) {
 			if nf := n.Cfg.NotifyFault; nf != nil {
 				fate = nf(rack.ID, i, tdn, epoch)
 			}
-			seg := &n.notifySeg
-			*seg = packet.Segment{
-				Src: HostAddr(rack.ID, 0xFFFF), Dst: h.Addr, TTL: 1,
-				Proto: packet.ProtoICMP,
-				ICMP:  packet.TDNNotification{ActiveTDN: uint8(tdn), Epoch: epoch},
-			}
-			wire := seg.Serialize(n.notifyWire(seg.HeaderLen()))
 			if !fate.Drop {
-				w := wire
-				if fate.Extra != 0 {
-					// A fault-delayed delivery may outlive the scratch pool's
-					// recycling horizon (the next day transition); it gets a
-					// private wire. Faults are rare, so this never allocates
-					// on the fault-free hot path.
-					w = append([]byte(nil), wire...)
-				}
-				n.deliverNotify(h, w, d+fate.Extra, n.beginNotifySpan(tdn, epoch))
+				n.deliverNotify(h, tdn, epoch, d+fate.Extra)
 			}
 			if fate.Dup {
-				// The stale copy carries the same bytes as the original, like
-				// a genuinely duplicated packet, but owns a private wire for
-				// the same recycling-horizon reason.
-				n.deliverNotify(h, append([]byte(nil), wire...), d+fate.DupExtra, n.beginNotifySpan(tdn, epoch))
+				// The stale copy carries the same value as the original, like
+				// a genuinely duplicated packet.
+				n.deliverNotify(h, tdn, epoch, d+fate.DupExtra)
 			}
 		}
 	}
 }
 
-// notifyWire returns this transition's next scratch wire buffer from the
-// per-network pool (steady state allocates nothing). Buffers are recycled at
-// the NEXT notifyAll, which only happens at a later day transition — at
-// least a day plus a night after this one — while fault-free deliveries
-// complete within the notification profile's latency, far inside that window,
-// so a recycled buffer can never be rewritten before its last parse.
-func (n *Network) notifyWire(capHint int) []byte {
-	if len(n.notifyWires) == cap(n.notifyWires) {
-		n.notifyWires = append(n.notifyWires, nil)
-	} else {
-		n.notifyWires = n.notifyWires[:len(n.notifyWires)+1]
-	}
-	i := len(n.notifyWires) - 1
-	if cap(n.notifyWires[i]) < capHint {
-		n.notifyWires[i] = make([]byte, 0, capHint)
-	}
-	return n.notifyWires[i][:0]
-}
-
-// beginNotifySpan opens one per-delivery "notify" span, parented on the
-// current epoch-occupancy span so the causal chain
-// epoch -> notify -> cwnd_swap is explicit in the trace. Each delivery
-// attempt (including a duplicated notification's stale copy) gets its own
-// span, so B/E records always pair one-to-one.
-func (n *Network) beginNotifySpan(tdn int, epoch uint32) trace.SpanID {
-	return n.tracer.BeginSpan(trace.CatRDCN, int64(n.Loop.Now()), "notify", -1, tdn, n.epochSpan)
-}
-
-// notifyCell carries one scheduled ICMP notification delivery, standing in
-// for a per-delivery closure: cells are recycled through Network.notifyFree
-// with their callback bound exactly once, so the steady-state notification
-// fan-out allocates nothing.
+// notifyCell carries one scheduled notification delivery, standing in for a
+// per-delivery closure: cells are recycled through Rack.notifyFree with their
+// callback bound exactly once, so the steady-state notification fan-out
+// allocates nothing.
 type notifyCell struct {
-	n    *Network
-	h    *Host
-	wire []byte
-	d    sim.Dur
-	sp   trace.SpanID
-	fn   func()
+	n     *Network
+	h     *Host
+	tdn   int
+	epoch uint32
+	d     sim.Dur
+	sp    trace.SpanID
+	fn    func()
 }
 
-// deliverNotify schedules one ICMP notification delivery d from now, closing
-// span sp at the delivery instant and exposing it as the implicit parent of
-// whatever the host does in response (the TDTCP cwnd swap parents onto it).
-// The delivery timer is armed on the destination host's rack's loop.
-func (n *Network) deliverNotify(h *Host, wire []byte, d sim.Dur, sp trace.SpanID) {
+// deliverNotify schedules the delivery of (tdn, epoch) to h d from now. Each
+// delivery, a duplicated notification's stale copy included, opens its own
+// "notify" span, parented on the current epoch-occupancy span so the causal
+// chain epoch -> notify -> cwnd_swap is explicit in the trace; the span
+// closes at the delivery instant and is the implicit parent of whatever the
+// host does in response (the TDTCP cwnd swap parents onto it). The delivery
+// timer is armed on the destination host's rack's loop.
+func (n *Network) deliverNotify(h *Host, tdn int, epoch uint32, d sim.Dur) {
+	sp := n.tracer.BeginSpan(trace.CatRDCN, int64(n.Loop.Now()), "notify", -1, tdn, n.epochSpan)
 	r := h.Rack
 	var c *notifyCell
 	if k := len(r.notifyFree); k > 0 {
@@ -891,27 +831,26 @@ func (n *Network) deliverNotify(h *Host, wire []byte, d sim.Dur, sp trace.SpanID
 		c = &notifyCell{n: n}
 		c.fn = c.fire
 	}
-	c.h, c.wire, c.d, c.sp = h, wire, d, sp
+	c.h, c.tdn, c.epoch, c.d, c.sp = h, tdn, epoch, d, sp
 	r.loop.After(d, c.fn)
 }
 
-// fire parses and delivers one notification, then recycles the cell.
+// fire delivers one notification, then recycles the cell.
 //
 // Hot path: runs once per host per schedule transition.
 func (c *notifyCell) fire() {
-	n, h, wire, d, sp := c.n, c.h, c.wire, c.d, c.sp
+	n, h, tdn, epoch, d, sp := c.n, c.h, c.tdn, c.epoch, c.d, c.sp
 	r := h.Rack
-	c.h, c.wire = nil, nil
+	c.h = nil
 	r.notifyFree = append(r.notifyFree, c)
-	s := &r.notifyParse
-	if err := packet.Parse(wire, s); err != nil || h.NotifyTDN == nil {
+	if h.NotifyTDN == nil {
 		return
 	}
 	now := r.loop.Now()
-	n.tracer.EndSpan(trace.CatRDCN, int64(now), "notify", -1, int(s.ICMP.ActiveTDN), sp, float64(s.ICMP.Epoch), float64(d))
+	n.tracer.EndSpan(trace.CatRDCN, int64(now), "notify", -1, tdn, sp, float64(epoch), float64(d))
 	n.NotifyLat.Record(int64(d))
 	n.tracer.PushParent(sp)
-	h.NotifyTDN(int(s.ICMP.ActiveTDN), s.ICMP.Epoch)
+	h.NotifyTDN(tdn, epoch)
 	n.tracer.PopParent()
 }
 

@@ -230,6 +230,56 @@ func TestNotifications(t *testing.T) {
 	}
 }
 
+// TestFaultedNotificationsKeepTheirValues: a notification delayed by a fault,
+// and the stale copy of a duplicated one, arrive after the next transition
+// (for every day but the last, after the next day's notifications were sent),
+// and each still carries the (tdn, epoch) of the transition that sent it,
+// once per copy.
+func TestFaultedNotificationsKeepTheirValues(t *testing.T) {
+	const extra, dupExtra = 300 * sim.Microsecond, 450 * sim.Microsecond // a slot is at most 180 µs
+	cfg := DefaultConfig()
+	cfg.HostsPerRack = 2
+	cfg.Notify = NotifyProfile{Gen: us(1), Net: us(1)}
+	type note struct {
+		rack, host, tdn int
+		epoch           uint32
+	}
+	sentAt := make(map[note]sim.Time)
+	var loop *sim.Loop
+	cfg.NotifyFault = func(rack, host, tdn int, epoch uint32) NotifyFate {
+		sentAt[note{rack, host, tdn, epoch}] = loop.Now()
+		return NotifyFate{Extra: extra, Dup: true, DupExtra: dupExtra}
+	}
+	loop, n := buildNet(t, cfg)
+	got := make(map[note][]sim.Time)
+	for _, rack := range n.Racks {
+		for _, h := range rack.Hosts {
+			h.NotifyTDN = func(tdn int, epoch uint32) {
+				if n.Epoch() == epoch {
+					t.Errorf("epoch %d delivered at %v, before the next transition", epoch, loop.Now())
+				}
+				k := note{h.Rack.ID, h.ID, tdn, epoch}
+				got[k] = append(got[k], loop.Now())
+			}
+		}
+	}
+	n.Start(sim.Time(us(1400))) // one full week: 7 days
+	loop.RunUntil(sim.Time(us(2000)))
+	if len(sentAt) != 7*2*2 {
+		t.Fatalf("%d notifications sent, want %d", len(sentAt), 7*2*2)
+	}
+	for k, at := range sentAt {
+		d := at.Add(us(2))
+		want := []sim.Time{d.Add(extra), d.Add(dupExtra)}
+		if g := got[k]; len(g) != 2 || g[0] != want[0] || g[1] != want[1] {
+			t.Errorf("%+v sent at %v: delivered at %v, want %v", k, at, g, want)
+		}
+	}
+	if len(got) != len(sentAt) {
+		t.Errorf("%d distinct notifications delivered, %d sent", len(got), len(sentAt))
+	}
+}
+
 // TestEpochSkipsZero: the notification epoch goes from MaxUint32 to 1.
 // Conn.Notify reads epoch 0 as "no epoch" and skips its stale/duplicate gate
 // for it, so a delayed or duplicated copy of a notification carrying 0 would

@@ -1,6 +1,7 @@
 package rdcn
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -153,60 +154,64 @@ func TestNewRejectsBadMultiRack(t *testing.T) {
 	}
 }
 
-// TestMultiRackDelivery runs real frames across a 4-rack rotor fabric and
-// checks routing (every frame reaches the addressed host, including the
-// intra-rack hairpin) plus the conservation ledger.
+// TestMultiRackDelivery runs real frames across a two-rack hybrid and a
+// 4-rack rotor fabric and checks routing (every frame reaches the addressed
+// host, including the intra-rack hairpin) plus the conservation ledger.
 func TestMultiRackDelivery(t *testing.T) {
-	loop := sim.NewLoop(7)
-	cfg := DefaultConfig()
-	cfg.Racks = 4
-	cfg.HostsPerRack = 2
-	cfg.TDNs = RotorTDNs(4, cfg.TDNs[0], cfg.TDNs[1])
-	cfg.Schedule = RotorWeek(4, 2, 180*sim.Microsecond, 20*sim.Microsecond)
-	n, err := New(loop, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(map[uint32]int)
-	for _, rack := range n.Racks {
-		for _, h := range rack.Hosts {
-			addr := h.Addr
-			h.Recv = func(f netem.Frame) { got[addr]++ }
-		}
-	}
-	n.Start(sim.Time(10 * sim.Millisecond))
-	// Every host sends one segment to every other host (including same-rack).
-	sent := 0
-	for _, rack := range n.Racks {
-		for _, h := range rack.Hosts {
-			for dr := 0; dr < cfg.Racks; dr++ {
-				for dh := 0; dh < cfg.HostsPerRack; dh++ {
-					dst := HostAddr(dr, dh)
-					if dst == h.Addr {
-						continue
-					}
-					h.Send(&packet.Segment{Dst: dst, TTL: 64, Proto: packet.ProtoTCP})
-					sent++
+	for _, racks := range []int{2, 4} {
+		t.Run(fmt.Sprintf("racks=%d", racks), func(t *testing.T) {
+			loop := sim.NewLoop(7)
+			cfg := DefaultConfig()
+			cfg.Racks = racks
+			cfg.HostsPerRack = 2
+			cfg.TDNs = RotorTDNs(racks, cfg.TDNs[0], cfg.TDNs[1])
+			cfg.Schedule = RotorWeek(racks, 2, 180*sim.Microsecond, 20*sim.Microsecond)
+			n, err := New(loop, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(map[uint32]int)
+			for _, rack := range n.Racks {
+				for _, h := range rack.Hosts {
+					addr := h.Addr
+					h.Recv = func(f netem.Frame) { got[addr]++ }
 				}
 			}
-		}
-	}
-	loop.RunUntil(sim.Time(10 * sim.Millisecond))
-	total := 0
-	for addr, c := range got {
-		if c != cfg.Racks*cfg.HostsPerRack-1 {
-			t.Errorf("host %08x received %d frames, want %d", addr, c, cfg.Racks*cfg.HostsPerRack-1)
-		}
-		total += c
-	}
-	if total != sent {
-		t.Fatalf("delivered %d frames, sent %d", total, sent)
-	}
-	if err := n.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-	if in, del, mis := n.FrameLedger(); in != uint64(sent) || del != uint64(sent) || mis != 0 {
-		t.Fatalf("ledger = (%d,%d,%d), want (%d,%d,0)", in, del, mis, sent, sent)
+			n.Start(sim.Time(10 * sim.Millisecond))
+			// Every host sends one segment to every other host (including same-rack).
+			sent := 0
+			for _, rack := range n.Racks {
+				for _, h := range rack.Hosts {
+					for dr := 0; dr < cfg.Racks; dr++ {
+						for dh := 0; dh < cfg.HostsPerRack; dh++ {
+							dst := HostAddr(dr, dh)
+							if dst == h.Addr {
+								continue
+							}
+							h.Send(&packet.Segment{Dst: dst, TTL: 64, Proto: packet.ProtoTCP})
+							sent++
+						}
+					}
+				}
+			}
+			loop.RunUntil(sim.Time(10 * sim.Millisecond))
+			total := 0
+			for addr, c := range got {
+				if c != cfg.Racks*cfg.HostsPerRack-1 {
+					t.Errorf("host %08x received %d frames, want %d", addr, c, cfg.Racks*cfg.HostsPerRack-1)
+				}
+				total += c
+			}
+			if total != sent {
+				t.Errorf("delivered %d frames, sent %d", total, sent)
+			}
+			if err := n.CheckConservation(); err != nil {
+				t.Fatal(err)
+			}
+			if in, del, mis := n.FrameLedger(); in != uint64(sent) || del != uint64(sent) || mis != 0 {
+				t.Fatalf("ledger = (%d,%d,%d), want (%d,%d,0)", in, del, mis, sent, sent)
+			}
+		})
 	}
 }
 

@@ -229,14 +229,14 @@ func (c *CDF) Percentile(p float64) float64 {
 	if p >= 100 {
 		return c.sorted[len(c.sorted)-1]
 	}
-	rank := p / 100 * float64(len(c.sorted)-1)
+	rank := float64(p / 100 * float64(len(c.sorted)-1)) // float64(): no FMA (DESIGN §5)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return c.sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return c.sorted[lo]*(1-frac) + c.sorted[hi]*frac
+	return float64(c.sorted[lo]*(1-frac)) + float64(c.sorted[hi]*frac) // float64(): no FMA (DESIGN §5)
 }
 
 // Min and Max return the extremes.

@@ -326,30 +326,18 @@ func (c *Conn) init(out func(*packet.Segment)) {
 // configuration, congestion-control instances and policy, so the result is
 // what NewConn would return for that Config and differs only in address. out
 // replaces Out; addresses, ports, hooks and tracer are the caller's to set
-// again, as after NewConn.
-//
-// Release leaves the retransmission and pacing timers armed to fire as
-// no-ops. One reaching the connection in its next life would act on it, and
-// re-arm, so Reopen reports false and changes nothing while either is still
-// pending, or when the connection was not released; the caller tries again
-// later (a backed-off RTO can be MaxRTO away).
-func (c *Conn) Reopen(out func(*packet.Segment)) bool {
-	if c.state != stReleased || c.timer.Active() || c.paceTimer.Active() {
-		return false
-	}
+// again, as after NewConn. The connection must have been released.
+func (c *Conn) Reopen(out func(*packet.Segment)) {
 	c.init(out)
-	return true
 }
 
 // Release ends the connection's life: the retransmission-queue entries still
 // outstanding and the queue's backing array go back to the pool for the next
-// connection, and the connection becomes inert. Input, Notify and the transmit
-// engine ignore a released connection, and its lazily-armed retransmission and
-// pacing timers are not stopped: they fire as no-ops, so releasing changes
-// neither the event count nor any event's sequence number. Stats and path
-// states stay readable until Reopen, for which the connection keeps the rest
-// of what it allocated. Timers a Policy armed on its own (the TDTCP deadman)
-// are the caller's to stop first.
+// connection, the retransmission and pacing timers are stopped, and the
+// connection becomes inert: Input, Notify and the transmit engine ignore it.
+// Stats and path states stay readable until Reopen, for which the connection
+// keeps the rest of what it allocated. Timers a Policy armed on its own (the
+// TDTCP deadman) are the caller's to stop first.
 func (c *Conn) Release() {
 	if c.state == stReleased {
 		return
@@ -362,7 +350,8 @@ func (c *Conn) Release() {
 	c.pool.live--
 	c.pool = nil
 	c.state = stReleased
-	c.wantAt = 0
+	c.timer.Stop()
+	c.paceTimer.Stop()
 }
 
 // SetTracer attaches a tracer and flow label to the connection and hooks

@@ -19,14 +19,19 @@ import (
 )
 
 // lossyLink carries one direction of a pair: 50 µs one way, every seventh
-// data segment dropped, every fifth of the rest CE-marked.
+// data segment dropped, every fifth of the rest CE-marked. A cut link drops
+// everything.
 type lossyLink struct {
 	loop *sim.Loop
 	dst  *tcp.Conn
 	data int
+	cut  bool
 }
 
 func (l *lossyLink) send(s *packet.Segment) {
+	if l.cut {
+		return
+	}
 	if s.TCP.PayloadLen > 0 {
 		l.data++
 		if l.data%7 == 0 {
@@ -123,24 +128,26 @@ func diffState(got, want any) []string {
 }
 
 // TestReopenEqualsFresh: a connection that carried a lossy transfer, was
-// released in the middle of it and reopened once its timers had fired is,
-// field for field, what NewConn returns for the same configuration: for plain
-// CUBIC, for DCTCP with ECN, and for TDTCP over 8 TDNs with a per-TDN
-// algorithm mix. The comparison walks the structs, so a field added later to
+// released in the middle of it and reopened is, field for field, what NewConn
+// returns for the same configuration: for plain CUBIC, for DCTCP with ECN,
+// for TDTCP over 8 TDNs with a per-TDN algorithm mix, and for CUBIC released
+// with a backed-off retransmission timer still pending and reopened at once. The comparison walks the structs, so a field added later to
 // Conn, PathState, a congestion-control algorithm or a policy, and not
 // returned to its starting value by init or Reset, fails here.
 func TestReopenEqualsFresh(t *testing.T) {
 	dctcp := func() cc.Algorithm { return cc.NewDCTCP() }
 	for _, tc := range []struct {
-		name string
-		cfg  func() tcp.Config
+		name       string
+		cfg        func() tcp.Config
+		rtoPending bool
 	}{
-		{"cubic", func() tcp.Config { return tcp.Config{} }},
-		{"dctcp", func() tcp.Config { return tcp.Config{ECN: true, CC: dctcp} }},
+		{"cubic", func() tcp.Config { return tcp.Config{} }, false},
+		{"dctcp", func() tcp.Config { return tcp.Config{ECN: true, CC: dctcp} }, false},
 		{"tdtcp8", func() tcp.Config {
 			return tcp.Config{NumTDNs: 8, Policy: core.New(8, core.Options{}), Pacing: 2,
 				CCPerState: []cc.Factory{nil, dctcp}}
-		}},
+		}, false},
+		{"cubic_rto_pending", func() tcp.Config { return tcp.Config{} }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			loop := sim.NewLoop(3)
@@ -188,16 +195,29 @@ func TestReopenEqualsFresh(t *testing.T) {
 				t.Fatalf("set-up: only %d fields of the used sender differ from a new one", n)
 			}
 
+			if tc.rtoPending {
+				// Total loss until the retransmission timer has backed off.
+				la.cut, lb.cut = true, true
+				loop.RunUntil(loop.Now().Add(150 * sim.Millisecond))
+				if a.Stats.RTOFires < 2 || loop.Live() == 0 {
+					t.Fatalf("set-up: %d RTO fires, %d events pending; want a backed-off timer", a.Stats.RTOFires, loop.Live())
+				}
+			}
 			a.Release()
 			b.Release()
-			loop.RunUntil(loop.Now().Add(300 * sim.Millisecond)) // past MaxRTO: every timer has fired
+			if tc.rtoPending {
+				if n := loop.Live(); n != 0 {
+					t.Fatalf("%d events pending after the pair's release, want 0", n)
+				}
+				la.cut, lb.cut = false, false
+			} else {
+				loop.RunUntil(loop.Now().Add(300 * sim.Millisecond)) // past MaxRTO: the links are drained
+			}
 			if pool.LiveConns() != made-2 {
 				t.Errorf("%d live connections on the pool after the pair's release, want %d", pool.LiveConns(), made-2)
 			}
 			for c, out := range map[*tcp.Conn]func(*packet.Segment){a: la.send, b: lb.send} {
-				if !c.Reopen(out) {
-					t.Fatal("Reopen refused a released connection whose timers have fired")
-				}
+				c.Reopen(out)
 				for _, d := range diffState(c, fresh()) {
 					t.Error(d)
 				}

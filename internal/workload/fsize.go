@@ -108,7 +108,7 @@ func MustFlowSizeCDF(name, text string) *FlowSizeCDF {
 // the sim loop's RNG so traffic is seed-reproducible). It is total: any
 // parsed table and any RNG output yields a size in [1, max].
 func (c *FlowSizeCDF) Sample(rng *rand.Rand) int64 {
-	u := rng.Float64()
+	u := float64(rng.Float64()) // float64(): no FMA (DESIGN §5)
 	if u <= c.fracs[0] {
 		return c.sizes[0]
 	}
@@ -135,7 +135,7 @@ func (c *FlowSizeCDF) MeanSize() float64 {
 	mean := float64(c.sizes[0]) * c.fracs[0]
 	for i := 1; i < len(c.sizes); i++ {
 		w := c.fracs[i] - c.fracs[i-1]
-		mean += w * (float64(c.sizes[i-1]) + float64(c.sizes[i])) / 2
+		mean += float64(w * (float64(c.sizes[i-1]) + float64(c.sizes[i])) / 2) // float64(): no FMA (DESIGN §5)
 	}
 	return mean
 }
