@@ -72,9 +72,10 @@ find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testd
 		printf "%7d total\n", total
 	}' | tee artifacts/loc.txt
 
-# The five allocation contracts, printed: the bytes each further flow of an
-# open-loop run costs (TestWorkloadChurnAllocatesForItsResultOnly; endpoint
-# reuse is judged by this number), the bytes each further measured week of a
+# The five allocation contracts, printed: the bytes and mallocs each further
+# flow of an open-loop run costs, at most 512 B in 2 mallocs
+# (TestWorkloadChurnAllocatesForItsResultOnly; flow reuse is judged by these
+# numbers), the bytes each further measured week of a
 # Run costs (TestRunAllocationIsFlatInHorizon: its result stops at PlotWeeks),
 # the allocations of a steady-state week on the hybrid and the 8-rack rotor
 # (TestSteadyStateDoesNotAllocate), 0 allocations per VOQ enqueue and dequeue

@@ -91,15 +91,30 @@ type TraceFunc func(event string, a, b float64)
 // call per path state.
 type Factory func() Algorithm
 
-// algorithms is every algorithm NewFactory knows, by name.
+// algorithms is every algorithm NewFactory knows, by name. needsECN marks
+// the ones whose congestion signal is the ECN echo, as Linux's
+// TCP_CONG_NEEDS_ECN does: an endpoint running one must negotiate ECN, and
+// the queues on its path must mark.
 var algorithms = []struct {
-	name string
-	mk   Factory
+	name     string
+	mk       Factory
+	needsECN bool
 }{
-	{"reno", func() Algorithm { return NewReno() }},
-	{"cubic", func() Algorithm { return NewCubic() }},
-	{"dctcp", func() Algorithm { return NewDCTCP() }},
-	{"retcp", func() Algorithm { return NewReTCP(DefaultReTCPAlpha) }},
+	{"reno", func() Algorithm { return NewReno() }, false},
+	{"cubic", func() Algorithm { return NewCubic() }, false},
+	{"dctcp", func() Algorithm { return NewDCTCP() }, true},
+	{"retcp", func() Algorithm { return NewReTCP(DefaultReTCPAlpha) }, false},
+}
+
+// NeedsECN reports whether the named algorithm needs ECN; false for a name
+// NewFactory does not know.
+func NeedsECN(name string) bool {
+	for _, a := range algorithms {
+		if a.name == name {
+			return a.needsECN
+		}
+	}
+	return false
 }
 
 // NewFactory returns a factory for the named algorithm: "reno", "cubic",

@@ -96,7 +96,8 @@ type RunConfig struct {
 	// SampleEvery is the series sampling cadence (default 5 µs).
 	SampleEvery sim.Dur
 	// MarkThresh is the ECN marking threshold; defaults to 5 packets when
-	// the variant is DCTCP, otherwise 0.
+	// the flows run a congestion control that needs ECN (DCTCP, or a DCTCP
+	// TDN of PerTDNCC), otherwise 0.
 	MarkThresh int
 	Flow       FlowOptions
 
@@ -177,7 +178,7 @@ func (cfg *RunConfig) fillDefaults() {
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = 5 * sim.Microsecond
 	}
-	if cfg.MarkThresh == 0 && cfg.Variant == DCTCP {
+	if cfg.MarkThresh == 0 && needsECN(cfg.Variant, cfg.Flow) {
 		cfg.MarkThresh = 5
 	}
 	if cfg.Scenario.Name == "" {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"github.com/rdcn-net/tdtcp/internal/rdcn"
 	"github.com/rdcn-net/tdtcp/internal/sim"
 	"github.com/rdcn-net/tdtcp/internal/tcp"
+	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
 // TestPaperOrdering is the repository's core integration assertion: with the
@@ -86,16 +88,45 @@ func TestRunResultShape(t *testing.T) {
 	}
 }
 
+// TestHeterogeneousCCAs: TDTCP with CUBIC on the packet TDN and DCTCP on the
+// circuit TDN (§3.5) keeps its goodput, and the DCTCP TDN gets its signal:
+// the run's queues mark and the DCTCP instance folds ECE-marked ACKs into its
+// α (a CatCC "alpha" event with a nonzero mark fraction on TDN 1).
 func TestHeterogeneousCCAs(t *testing.T) {
+	var buf bytes.Buffer
+	tr := trace.New(&buf, trace.CatCC)
 	res, err := Run(RunConfig{
-		Variant: TDTCP, WarmupWeeks: 1, MeasureWeeks: 3,
+		Variant: TDTCP, WarmupWeeks: 1, MeasureWeeks: 3, Tracer: tr,
 		Flow: FlowOptions{PerTDNCC: []string{"cubic", "dctcp"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if res.GoodputGbps < res.PacketOnlyGbps*0.8 {
 		t.Fatalf("heterogeneous TDTCP collapsed: %.2f", res.GoodputGbps)
+	}
+	var windows, marked int
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		var ev trace.Event
+		if err := trace.ParseLine(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Name != "alpha" {
+			continue
+		}
+		if ev.S != "dctcp" || ev.TDN != 1 {
+			t.Fatalf("an alpha event from %s on TDN %d; DCTCP runs on TDN 1 only", ev.S, ev.TDN)
+		}
+		windows++
+		if ev.B > 0 {
+			marked++
+		}
+	}
+	if marked == 0 {
+		t.Errorf("the DCTCP TDN closed %d observation windows and saw an ECE-marked ACK in none", windows)
 	}
 	if _, err := Run(RunConfig{
 		Variant: TDTCP, WarmupWeeks: 1, MeasureWeeks: 1,

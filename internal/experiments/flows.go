@@ -68,6 +68,8 @@ type Flow struct {
 
 	Snd, Rcv   *tcp.Conn   // single-path and TDTCP
 	MSnd, MRcv *mptcp.Conn // MPTCP
+
+	arrival arrival // RunWorkload's record of the flow's current life
 }
 
 // Delivered returns in-order bytes delivered to the receiving application.
@@ -179,17 +181,28 @@ const tdtcpPacing = 2.0
 // notification is unaffected.
 const retcpReactDelay = 40 * sim.Microsecond
 
-func ccFactoryFor(v Variant) cc.Factory {
+// ccName is the cc package's name for the congestion control of variant v's
+// endpoints: CUBIC for MPTCP subflows and for TDTCP in every TDN FlowOptions
+// does not give its own (§3.5).
+func ccName(v Variant) string {
 	switch v {
 	case DCTCP:
-		return func() cc.Algorithm { return cc.NewDCTCP() }
+		return "dctcp"
 	case Reno:
-		return func() cc.Algorithm { return cc.NewReno() }
+		return "reno"
 	case ReTCP, ReTCPDyn:
-		return func() cc.Algorithm { return cc.NewReTCP(cc.DefaultReTCPAlpha) }
-	default: // cubic, mptcp subflows, tdtcp (CUBIC in every TDN, §3.5)
-		return func() cc.Algorithm { return cc.NewCubic() }
+		return "retcp"
+	default:
+		return "cubic"
 	}
+}
+
+// needsECN reports whether an endpoint of variant v under opt runs a
+// congestion control that needs ECN (cc.NeedsECN), its own or, for TDTCP, a
+// per-TDN one: such an endpoint negotiates ECN, and its run's queues mark
+// (the MarkThresh default of Run and RunWorkload).
+func needsECN(v Variant, opt FlowOptions) bool {
+	return cc.NeedsECN(ccName(v)) || v == TDTCP && slices.ContainsFunc(opt.PerTDNCC, cc.NeedsECN)
 }
 
 // endpointConfig builds the tcp.Config of one endpoint, sender or receiver
@@ -197,11 +210,12 @@ func ccFactoryFor(v Variant) cc.Factory {
 // endpoint's own per-TDN state policy.
 func endpointConfig(net *rdcn.Network, v Variant, opt FlowOptions, pool *tcp.Pool) (tcp.Config, error) {
 	ntdns := len(net.Cfg.TDNs)
-	cfg := tcp.Config{CC: ccFactoryFor(v), Pool: pool,
-		MinRTO: opt.MinRTO, MaxRTO: opt.MaxRTO, MSS: opt.MSS, RcvBuf: opt.RcvBuf}
-	if v == DCTCP {
-		cfg.ECN = true
+	mk, err := cc.NewFactory(ccName(v))
+	if err != nil {
+		return tcp.Config{}, err
 	}
+	cfg := tcp.Config{CC: mk, ECN: needsECN(v, opt), Pool: pool,
+		MinRTO: opt.MinRTO, MaxRTO: opt.MaxRTO, MSS: opt.MSS, RcvBuf: opt.RcvBuf}
 	if v != TDTCP {
 		return cfg, nil
 	}
@@ -245,11 +259,11 @@ type listener interface {
 // host follows the flows open on it. Its port is bound in conns by BuildFlow
 // and outlives leave by a linger, TCP's TIME_WAIT: a receiver must still
 // (D-)SACK a retransmission that arrives after the flow completed. At
-// muxNet.release the port is unbound and the connection's queue storage goes
+// muxNet.release the port is unbound and the connection's queue entries go
 // back to the run's pool, so what a host holds follows the flows open or
 // lingering on it, not the flows it ever carried. A segment for an unbound port is
-// dropped and counted, as a host does after TIME_WAIT. The released connection
-// itself is parked for a later arrival to reopen (muxNet.parked).
+// dropped and counted, as a host does after TIME_WAIT. The released flow
+// itself is parked whole for a later arrival to reopen (muxNet.parked).
 //
 // The port table is looked up, never ranged over, and notify keeps join
 // order (fan-out order is trace order), so event order stays deterministic.
@@ -348,23 +362,23 @@ func (m *hostMux) leave(c *tcp.Conn) {
 // muxNet overlays a hostMux on every host of a network and is the one way
 // flows are wired onto it, between arbitrary rack/host pairs. Every flow of
 // one muxNet is of one variant with one set of FlowOptions, which is what
-// makes a released endpoint fit the next flow.
+// makes a released flow fit the next one.
 type muxNet struct {
 	net     *rdcn.Network
 	variant Variant
 	opt     FlowOptions
-	pool    *tcp.Pool           // every endpoint's queue storage: the harness's in a run
+	pool    *tcp.Pool           // every endpoint's queue entries: the harness's in a run
 	muxes   [][]*hostMux        // [rack][host]
 	byAddr  map[uint32]*hostMux // the same muxes by host address, for leave
 
-	// parked holds the endpoints release has retired until an arrival
-	// reopens them (DESIGN.md §10 "Endpoint reuse").
-	parked []*tcp.Conn
+	// parked holds the flows release has retired until an arrival reopens
+	// them (DESIGN.md §10 "Endpoint reuse").
+	parked []*Flow
 	// built and reopened count the endpoints constructed and the times one
 	// was reopened: two per flow between them.
 	built, reopened int
-	// noReuse makes every arrival construct its endpoints: the reference
-	// this package's tests hold reuse against.
+	// noReuse makes every arrival construct its flow: the reference this
+	// package's tests hold reuse against.
 	noReuse bool
 }
 
@@ -427,7 +441,7 @@ func BuildFlows(net *rdcn.Network, n int, v Variant, opt FlowOptions) ([]*Flow, 
 // (dstRack, dstHost). Both endpoints use the same port number, which must be
 // unique per endpoint host among the ports bound at the time — it is the demux
 // key on both sides; subflow k of an MPTCP flow takes port+k. A single-path
-// endpoint is a parked one, reopened, or else a new one.
+// flow is a parked one, both ends reopened, or else a new one.
 // The flow's listeners join their hosts' notify sets here — both endpoints of
 // a TDTCP or MPTCP flow, the sender of a reTCP one — and a TDTCP flow's leave
 // them at leave; the ports are unbound at release. The variant is one
@@ -461,14 +475,8 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 		return mn.buildMPTCP(sm, dm, port), nil
 	}
 
-	// Sender first, as always: a TDTCP policy may arm its deadman when it
-	// attaches, and arming order is trace order.
-	f := &Flow{Variant: mn.variant}
-	var err error
-	if f.Snd, err = mn.endpoint(sm); err != nil {
-		return nil, err
-	}
-	if f.Rcv, err = mn.endpoint(dm); err != nil {
+	f, err := mn.flow(sm, dm)
+	if err != nil {
 		return nil, err
 	}
 	f.Snd.LocalAddr, f.Snd.RemoteAddr = sm.host.Addr, dm.host.Addr
@@ -492,17 +500,33 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 	return f, nil
 }
 
-// endpoint returns a connection for one end of a new flow on host m: the
-// last endpoint parked, reopened, or else a new one.
-func (mn *muxNet) endpoint(m *hostMux) (*tcp.Conn, error) {
+// flow returns the endpoints of a new single-path flow from sm's host to
+// dm's: the last flow parked, each end reopened in the role it had, or else a
+// new pair. Sender first, as always: a TDTCP policy may arm its deadman when
+// it attaches, and arming order is trace order.
+func (mn *muxNet) flow(sm, dm *hostMux) (*Flow, error) {
 	if k := len(mn.parked); k > 0 && !mn.noReuse {
-		c := mn.parked[k-1]
+		f := mn.parked[k-1]
 		mn.parked[k-1] = nil
 		mn.parked = mn.parked[:k-1]
-		c.Reopen(m.send)
-		mn.reopened++
-		return c, nil
+		f.Snd.Reopen(sm.send)
+		f.Rcv.Reopen(dm.send)
+		mn.reopened += 2
+		return f, nil
 	}
+	f := &Flow{Variant: mn.variant}
+	var err error
+	if f.Snd, err = mn.endpoint(sm); err != nil {
+		return nil, err
+	}
+	if f.Rcv, err = mn.endpoint(dm); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// endpoint constructs a connection for one end of a new flow on host m.
+func (mn *muxNet) endpoint(m *hostMux) (*tcp.Conn, error) {
 	cfg, err := endpointConfig(mn.net, mn.variant, mn.opt, mn.pool)
 	if err != nil {
 		return nil, err
@@ -523,7 +547,7 @@ func (mn *muxNet) buildMPTCP(sm, dm *hostMux, port uint16) *Flow {
 		// optical weeks).
 		minRTO = 10 * sim.Millisecond
 	}
-	sub := tcp.Config{CC: ccFactoryFor(MPTCP), MinRTO: minRTO, MaxRTO: opt.MaxRTO,
+	sub := tcp.Config{CC: func() cc.Algorithm { return cc.NewCubic() }, MinRTO: minRTO, MaxRTO: opt.MaxRTO,
 		MSS: opt.MSS, RcvBuf: opt.RcvBuf, Pool: mn.pool}
 	cfg := mptcp.Config{NumSubflows: len(mn.net.Cfg.TDNs), Sub: sub}
 	snd, rcv := newMPTCPEnd(mn.net.Loop, sm, cfg), newMPTCPEnd(mn.net.Loop, dm, cfg)
@@ -558,13 +582,13 @@ func (mn *muxNet) leave(f *Flow) {
 
 // release ends the linger of a flow that has left: both ports are unbound,
 // both connections stop their timers and return their retransmission-queue
-// entries and queue arrays to the pool, and each is parked.
+// entries to the pool, and the flow is parked.
 func (mn *muxNet) release(f *Flow) {
 	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
 		mn.byAddr[c.LocalAddr].unbind(c.LocalPort)
 		c.Release()
-		mn.parked = append(mn.parked, c)
 	}
+	mn.parked = append(mn.parked, f)
 }
 
 // census sums the muxes over every host: the listeners one TDN change is

@@ -38,7 +38,7 @@ type harness struct {
 	chk    *invariant.Checker // nil unless cfg.Invariants
 	racks  int
 	// pool is the run's one tcp.Pool: every endpoint draws its
-	// retransmission-queue storage from it.
+	// retransmission-queue entries from it.
 	pool *tcp.Pool
 	// rtts and lag are the registry's per-TDN RTT and deadman-lag histograms
 	// on a metered run, resolved by the first addFlow for every flow after.

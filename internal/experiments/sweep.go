@@ -4,9 +4,10 @@ import "sync"
 
 // This file is the one place in the simulation stack where goroutines are
 // legal: every Run owns its loop, RNG, network and flows and shares nothing,
-// so independent runs are embarrassingly parallel. The deterministic core
-// (internal/{sim,netem,rdcn,tcp,core,cc,fault}) stays single-threaded and
-// tdlint enforces that; this package sits outside that boundary.
+// so independent runs are embarrassingly parallel. The deterministic packages
+// (internal/{sim,netem,rdcn,tcp,core,cc,fault,workload,stats}) stay
+// single-threaded and tdlint enforces that; this package sits outside that
+// boundary.
 
 // SweepResult pairs one sweep cell's configuration with its outcome.
 type SweepResult struct {

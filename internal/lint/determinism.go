@@ -8,7 +8,9 @@ import (
 )
 
 // deterministicPkgs are the packages whose behaviour must be a pure function
-// of the seed: the simulation core and everything scheduled on it.
+// of the seed: the simulation core, everything scheduled on it, and the two
+// result paths a run computes through (flow sizes and arrivals, statistics),
+// the same set ci.sh scans for fused multiply-adds.
 var deterministicPkgs = []string{
 	"internal/sim",
 	"internal/netem",
@@ -17,6 +19,8 @@ var deterministicPkgs = []string{
 	"internal/core",
 	"internal/cc",
 	"internal/fault",
+	"internal/workload",
+	"internal/stats",
 }
 
 // nondeterministicPkgs are the layers explicitly OUTSIDE the determinism

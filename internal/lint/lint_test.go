@@ -117,6 +117,13 @@ func TestDeterminismBoundaryFixture(t *testing.T) {
 	checkFixture(t, selectChecks(t, "determinism"), "g/internal/sim", "g/internal/serve")
 }
 
+// TestDeterminismResultPathFixture: the boundary covers the packages a run's
+// result is computed through, not only the simulation core; a map range in a
+// stats package is a finding.
+func TestDeterminismResultPathFixture(t *testing.T) {
+	checkFixture(t, selectChecks(t, "determinism"), "k/internal/stats")
+}
+
 func TestSelect(t *testing.T) {
 	all, err := Select("")
 	if err != nil || len(all) != len(All()) {

@@ -9,13 +9,11 @@ import (
 )
 
 // simTimePkgs are the packages whose every time quantity is virtual: the
-// deterministic core plus the layers that compute over its results with sim
-// units (experiments, workload generation, statistics). The serving and
+// deterministic packages (workload generation and statistics among them) plus
+// the layers that compute over their results with sim units. The serving and
 // observability layers deal in wall clocks by design and stay out of scope.
 var simTimePkgs = append([]string{
 	"internal/experiments",
-	"internal/workload",
-	"internal/stats",
 	"internal/mptcp",
 	"internal/invariant",
 	"internal/packet",

@@ -43,7 +43,7 @@ type Config struct {
 	// TDTCP's initial burst).
 	Pacing float64
 	// Pool, when non-nil, is the shared store the connection draws its
-	// retransmission-queue entries and backing array from (see pool.go).
+	// retransmission-queue entries from (see pool.go).
 	// Connections that run on one event loop may share a pool; when nil,
 	// NewConn creates a private one.
 	Pool *Pool
@@ -92,7 +92,7 @@ const (
 	stFinWait   // our FIN sent, awaiting ACK
 	stCloseWait // peer FIN received
 	stDone
-	stReleased // Release was called: queue storage returned, every entry point a no-op
+	stReleased // Release was called: queue entries returned, every entry point a no-op
 )
 
 // Stats aggregates per-connection instrumentation counters.
@@ -149,7 +149,7 @@ type Conn struct {
 	policy Policy
 	states []*PathState
 
-	pool *Pool // retransmission-queue storage; nil once released
+	pool *Pool // retransmission-queue entries; nil once released
 
 	LocalAddr, RemoteAddr uint32
 	LocalPort, RemotePort uint16
@@ -212,7 +212,8 @@ type Conn struct {
 	// Scratch storage reused across the data path so steady-state operation
 	// allocates nothing: one outgoing segment (see the Out contract), the
 	// per-state delivery and RTO-touch tallies. Retransmission-queue entries
-	// come from and return to the pool.
+	// come from and return to the pool; the queue's backing array is the
+	// connection's own, kept across Release and Reopen.
 	outSeg     packet.Segment
 	delivered  []int
 	rtoTouched []bool
@@ -261,8 +262,9 @@ type Conn struct {
 
 // NewConn constructs a connection. out transmits serialized segments toward
 // the peer. It allocates the connection's storage — the Conn, one contiguous
-// block of path states with a congestion-control instance each, the scratch
-// slices, the two bound timer callbacks — and leaves every starting value to
+// block of path states with a congestion-control instance each, the
+// retransmission queue's backing array, the scratch slices, the two bound
+// timer callbacks — and leaves every starting value to
 // init, the path Reopen takes over the same storage.
 func NewConn(loop *sim.Loop, cfg Config, out func(*packet.Segment)) *Conn {
 	cfg.fillDefaults()
@@ -287,6 +289,7 @@ func NewConn(loop *sim.Loop, cfg Config, out func(*packet.Segment)) *Conn {
 	c.rtoTouched = make([]bool, n)
 	c.mruBlock = make([]packet.Seq, 0, maxMRU)
 	c.outSeg.TCP.SACK = make([]packet.SACKBlock, 0, 4)
+	c.rtx.segs = make([]*TxSeg, 0, 64)
 	c.init(out)
 	return c
 }
@@ -305,7 +308,7 @@ func (c *Conn) init(out func(*packet.Segment)) {
 		Loop: c.Loop, Out: out, cfg: c.cfg, policy: c.cfg.Policy, pool: c.cfg.Pool,
 		state: stClosed, FlowID: -1,
 		states: c.states, delivered: c.delivered, rtoTouched: c.rtoTouched,
-		ranges: c.ranges[:0], mruBlock: c.mruBlock[:0],
+		ranges: c.ranges[:0], mruBlock: c.mruBlock[:0], rtx: rtxQueue{segs: c.rtx.segs[:0]},
 		onTimerFn: c.onTimerFn, paceFn: c.paceFn,
 	}
 	c.outSeg.TCP.SACK = sack
@@ -316,7 +319,6 @@ func (c *Conn) init(out func(*packet.Segment)) {
 		*st = PathState{TDN: uint8(i), CC: st.CC, RTO: initialRTO}
 	}
 	c.pool.live++
-	c.rtx.segs = c.pool.getQueue()
 	c.policy.Reset()
 	c.policy.Attach(c)
 }
@@ -332,11 +334,11 @@ func (c *Conn) Reopen(out func(*packet.Segment)) {
 }
 
 // Release ends the connection's life: the retransmission-queue entries still
-// outstanding and the queue's backing array go back to the pool for the next
-// connection, the retransmission and pacing timers are stopped, and the
-// connection becomes inert: Input, Notify and the transmit engine ignore it.
-// Stats and path states stay readable until Reopen, for which the connection
-// keeps the rest of what it allocated. Timers a Policy armed on its own (the
+// outstanding go back to the pool for the next connection, the retransmission
+// and pacing timers are stopped, and the connection becomes inert: Input,
+// Notify and the transmit engine ignore it. Stats and path states stay
+// readable until Reopen, for which the connection keeps what it allocated,
+// the queue's backing array included, cleared so it pins no entry. Timers a Policy armed on its own (the
 // TDTCP deadman) are the caller's to stop first.
 func (c *Conn) Release() {
 	if c.state == stReleased {
@@ -345,8 +347,11 @@ func (c *Conn) Release() {
 	for _, seg := range c.rtx.segs[c.rtx.head:] {
 		c.pool.putTxSeg(seg)
 	}
-	c.pool.putQueue(c.rtx.segs)
-	c.rtx = rtxQueue{}
+	// popAcked's compaction leaves copies past the queue's end, so the whole
+	// array is cleared.
+	segs := c.rtx.segs[:cap(c.rtx.segs)]
+	clear(segs)
+	c.rtx = rtxQueue{segs: segs[:0]}
 	c.pool.live--
 	c.pool = nil
 	c.state = stReleased

@@ -11,8 +11,11 @@ import (
 // FuzzConnDeliver crafts adversarial segment streams — hostile sequence and
 // ACK numbers, ghost SACKs, out-of-range TDN tags, flag soup, replayed
 // notifications — and delivers them into an established TD-capable pair with
-// data in flight. The connection must neither panic nor break a scoreboard
-// invariant, no matter what arrives off the wire.
+// data in flight. A record may instead release the target mid-transfer, then
+// its peer, and reopen both on the storage they kept for a fresh handshake and
+// transfer, with the old life's segments still on the wires. The connection
+// must neither panic nor break a scoreboard invariant, no matter what arrives
+// off the wire.
 func FuzzConnDeliver(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x10, 9, 0, 0, 0, 9, 0, 0, 0, 0, 1, 1, 0, 0, 0})
@@ -21,6 +24,10 @@ func FuzzConnDeliver(f *testing.F) {
 		0x81, 0x00, 0, 0, 0, 0x80, 0, 0, 0, 0x80, 9, 9, 0, 0, 0, 0,
 	})
 	f.Add([]byte{0xfe, 0x03, 0x34, 0x12, 0, 0, 0x78, 0x56, 0, 0, 3, 2, 1, 0xff, 0xff, 0xff})
+	f.Add([]byte{
+		0x03, 0xff, 60, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0x41, 0x10, 0, 0, 0, 0, 9, 0, 0, 0, 2, 0, 0, 0x40, 0, 0,
+	})
 
 	flagTable := [8]uint8{
 		0, packet.FlagFIN, packet.FlagRST, packet.FlagSYN,
@@ -28,15 +35,18 @@ func FuzzConnDeliver(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loop, a, b, _, _ := newPair(t, pairOpt{
+		loop, a, b, wa, wb := newPair(t, pairOpt{
 			cfgA: Config{NumTDNs: 2},
 			cfgB: Config{NumTDNs: 2},
 		})
-		b.Listen()
-		a.Connect(0)
-		runFor(loop, 10*sim.Millisecond)
-		a.QueueBytes(50 * 8960)
-		runFor(loop, 2*sim.Millisecond) // get data and SACK state in flight
+		transfer := func() {
+			b.Listen()
+			a.Connect(0)
+			runFor(loop, 10*sim.Millisecond)
+			a.QueueBytes(50 * 8960)
+			runFor(loop, 2*sim.Millisecond) // get data and SACK state in flight
+		}
+		transfer()
 
 		for len(data) >= 16 {
 			rec := data[:16]
@@ -46,7 +56,22 @@ func FuzzConnDeliver(f *testing.F) {
 			if rec[0]&1 != 0 {
 				target, peer = a, b
 			}
-			if rec[0]&2 != 0 {
+			if rec[0]&2 != 0 && rec[1] == 0xff {
+				// Put data in flight for rec[2] µs, release the target, then
+				// its peer, and reopen both.
+				a.QueueBytes(50 * 8960)
+				runFor(loop, sim.Dur(rec[2])*sim.Microsecond)
+				target.Release()
+				if err := target.CheckInvariants(); err != nil {
+					t.Fatalf("released mid-transfer: %v", err)
+				}
+				peer.Release()
+				a.Reopen(wa.send)
+				b.Reopen(wb.send)
+				a.LocalAddr, a.RemoteAddr, a.LocalPort, a.RemotePort = 1, 2, 1000, 2000
+				b.LocalAddr, b.RemoteAddr, b.LocalPort, b.RemotePort = 2, 1, 2000, 1000
+				transfer()
+			} else if rec[0]&2 != 0 {
 				// Replay a TDN notification with an arbitrary epoch.
 				target.Notify(int(rec[10]%3), binary.LittleEndian.Uint32(rec[2:6]))
 			} else {

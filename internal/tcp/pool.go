@@ -1,10 +1,11 @@
 package tcp
 
-// Pool recycles the storage behind its connections' retransmission queues:
-// TxSeg entries and the queues' backing arrays are drawn from it and go back
-// to it (on cumulative ACK, and on Release), so what a connection holds
-// follows its flight size and what a run holds follows its open connections.
-// Everything else a connection knows lives in the Conn and its PathStates.
+// Pool recycles the entries of its connections' retransmission queues: a
+// TxSeg is drawn from it per transmitted segment and goes back to it on
+// cumulative ACK and on Release, so what a run holds in entries follows its
+// flight size. A queue's backing array is not the pool's: it stays with its
+// connection, cleared at Release and reused at Reopen, like everything else
+// a connection knows (the Conn and its PathStates).
 //
 // The zero value is ready to use. Connections constructed with the same
 // Config.Pool share it (the experiments harness keeps one per run); NewConn
@@ -12,11 +13,9 @@ package tcp
 type Pool struct {
 	live int // connections attached and not yet released
 
-	// Retired TxSeg entries, the block fresh ones are carved from, and the
-	// backing arrays of released queues.
-	segFree   []*TxSeg
-	segChunk  []TxSeg
-	queueFree [][]*TxSeg
+	// Retired TxSeg entries and the block fresh ones are carved from.
+	segFree  []*TxSeg
+	segChunk []TxSeg
 }
 
 // LiveConns reports the connections attached to the pool and not yet
@@ -59,21 +58,3 @@ func (p *Pool) refillSegChunk() {
 //
 // Hot path: runs once per cumulatively acked segment.
 func (p *Pool) putTxSeg(seg *TxSeg) { p.segFree = append(p.segFree, seg) }
-
-// getQueue returns an empty backing array for a retransmission queue.
-func (p *Pool) getQueue() []*TxSeg {
-	if n := len(p.queueFree); n > 0 {
-		q := p.queueFree[n-1]
-		p.queueFree[n-1] = nil
-		p.queueFree = p.queueFree[:n-1]
-		return q
-	}
-	return make([]*TxSeg, 0, 64)
-}
-
-// putQueue recycles a released queue's backing array.
-func (p *Pool) putQueue(q []*TxSeg) {
-	q = q[:cap(q)]
-	clear(q)
-	p.queueFree = append(p.queueFree, q[:0])
-}

@@ -9,10 +9,11 @@ import (
 )
 
 // TestReleaseReturnsEverythingToThePool: Release gives back every
-// retransmission-queue entry still outstanding and the queue's backing array,
-// and takes its armed timers off the loop; a released connection ignores
-// what still reaches it; and the next connection on the pool gets the entries
-// and the array back zeroed, and works.
+// retransmission-queue entry still outstanding and takes its armed timers off
+// the loop; the queue's backing array stays with the connection, cleared so
+// it references no entry; a released connection ignores what still reaches
+// it; and Reopen takes the same array back, empty, with the pool's entries
+// recycled zeroed, and works.
 func TestReleaseReturnsEverythingToThePool(t *testing.T) {
 	pool := new(Pool)
 	cfg := Config{Pool: pool}
@@ -56,8 +57,9 @@ func TestReleaseReturnsEverythingToThePool(t *testing.T) {
 	if got := len(pool.segFree) - free; got != out {
 		t.Errorf("%d retransmission-queue entries came back, %d were outstanding", got, out)
 	}
-	if len(pool.queueFree) != 2 {
-		t.Errorf("%d queue arrays came back, want 2", len(pool.queueFree))
+	if a.rtx.len() != 0 || &a.rtx.segs[:1][0] != &aQueue[:1][0] {
+		t.Errorf("released queue holds %d entries, own array kept %v; want 0, true",
+			a.rtx.len(), &a.rtx.segs[:1][0] == &aQueue[:1][0])
 	}
 	for i, seg := range aQueue[:cap(aQueue)] {
 		if seg != nil {
@@ -89,15 +91,20 @@ func TestReleaseReturnsEverythingToThePool(t *testing.T) {
 	}
 	_ = a.String()
 
-	// The next pair takes the released queue arrays (LIFO: b's, then a's),
-	// empty, and a recycled entry is as a fresh one.
-	c, d, _, _ := newPairOn(loop, pairOpt{cfgA: cfg, cfgB: cfg})
-	if reused := &d.rtx.segs[:1][0] == &aQueue[:1][0]; !reused || c.rtx.len() != 0 || d.rtx.len() != 0 {
-		t.Errorf("second pair's queues hold %d and %d entries, a's array reused %v; want 0, 0, true",
+	// Reopened, the pair starts on the arrays it kept, empty, and a recycled
+	// entry is as a fresh one.
+	wa.drop = nil
+	c, d := a, b
+	c.Reopen(wa.send)
+	d.Reopen(wb.send)
+	c.LocalAddr, c.RemoteAddr, c.LocalPort, c.RemotePort = 1, 2, 1001, 2001
+	d.LocalAddr, d.RemoteAddr, d.LocalPort, d.RemotePort = 2, 1, 2001, 1001
+	if reused := &c.rtx.segs[:1][0] == &aQueue[:1][0]; !reused || c.rtx.len() != 0 || d.rtx.len() != 0 {
+		t.Errorf("reopened queues hold %d and %d entries, a's array reused %v; want 0, 0, true",
 			c.rtx.len(), d.rtx.len(), reused)
 	}
 	if c := pool.LiveConns(); c != 2 {
-		t.Errorf("%d live connections with the second pair attached, want 2", c)
+		t.Errorf("%d live connections with the pair reopened, want 2", c)
 	}
 	if seg := pool.getTxSeg(); *seg != (TxSeg{}) {
 		t.Errorf("recycled queue entry is not zeroed: %+v", *seg)
@@ -111,7 +118,7 @@ func TestReleaseReturnsEverythingToThePool(t *testing.T) {
 	c.Close()
 	runFor(loop, 50*sim.Millisecond)
 	if !done || d.Stats.BytesDelivered != 40*8960 {
-		t.Fatalf("transfer on recycled storage: done %v, delivered %d", done, d.Stats.BytesDelivered)
+		t.Fatalf("transfer on reopened storage: done %v, delivered %d", done, d.Stats.BytesDelivered)
 	}
 	for _, n := range []*Conn{c, d} {
 		if err := n.CheckInvariants(); err != nil {
