@@ -12,7 +12,8 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 go vet ./...
 
 # tdlint enforces the contracts that neither the compiler, go vet nor a test
-# catches (DESIGN §9 has the mutation audit behind the list): determinism
+# catches (DESIGN §9 names the commit whose DESIGN.md holds the mutation audit
+# behind the list): determinism
 # inside the simulation boundary, mutex-guard consistency and no blocking
 # under a mutex in the concurrent layers, sim-time unit hygiene, and
 # enum-switch exhaustiveness. Sequence arithmetic is the compiler's
@@ -109,9 +110,10 @@ cat artifacts/alloc.txt
 go test -race ./...
 
 # Platforms: a result is a function of the seed, not of the word size. The
-# pinned trace, metrics and figure bytes must come out the same with a 32-bit
-# int (ROADMAP item 4).
-GOARCH=386 go test -count=1 -run 'TestPinnedBytes|TestFigureBytesPinned' ./internal/experiments
+# pinned trace, metrics and figure bytes, and the pinned stdout of the
+# examples (whose `go run` inherits GOARCH), must come out the same with a
+# 32-bit int (ROADMAP item 4).
+GOARCH=386 go test -count=1 -run 'TestPinnedBytes|TestFigureBytesPinned|TestExamplesOutputPinned' . ./internal/experiments
 
 # arm64 fuses a multiply and an add into one instruction that rounds once,
 # where amd64 rounds twice, so a float expression could give another result

@@ -19,21 +19,12 @@ import (
 // `go test ./...`; ci.sh's own `go build ./...` only compiles the examples, so
 // this test is what makes ci.sh run them.
 //
-// Four constants were taken at the commit before Result's series stopped at
-// PlotWeeks and did not move with it. The faults one was re-taken: its two
-// checked 2+8-week runs print invariant-checks, the checker sweeps after every
-// eighth event, and the Seq sampler's 1 400 ticks past week 3 are no longer
-// events (4835 -> 4660 and 4947 -> 4772 sweeps); no other byte of it differs.
-// quickstart and satellite were re-taken when each frame in a propagation
-// stage became its own loop event: quickstart prints two more events (40087
-// -> 40089) and nothing else moves; satellite's TDTCP run reorders
-// same-instant deliveries from different links (DESIGN.md §10) and its row
-// moves (0.473 -> 0.467 Gbps).
+// CHANGES.md records every move of a constant.
 func TestExamplesOutputPinned(t *testing.T) {
 	for _, ex := range []struct{ name, want string }{
-		{"faults", "0fdbdeb3ce40b9ee8689358e7caf7e04fcd17441b4a5cb49acbdd39bf27d44f3"},
+		{"faults", "eba0b549891462336002d06f079ab5ddfed7895e49fc4ede5ca8930ea65f5c28"},
 		{"hybrid-rdcn", "8c080612c91bed400c05bd710e8b83d44989d9d88195ea35cd46dad5a796adf3"},
-		{"quickstart", "cba545887417c65036a5abc40fc1948d0c58e3a22c1c037ddec8c42cb1ed296b"},
+		{"quickstart", "24615df6d46eb12dbe31632885a8271aab575cd3a0c171d2e9d1778b9773ac09"},
 		{"reordering", "e5a0b6995640bc5962904f14413dbe6592064522be5c2c8d05036d9c14601733"},
 		{"satellite", "b6e16e8413489dabf01028d895d00e91e163d9a154a18ed6474c1911ff5edfdd"},
 	} {

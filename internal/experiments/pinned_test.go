@@ -13,29 +13,16 @@ import (
 )
 
 // TestPinnedBytes is the "same behaviour, byte for byte" gate for refactors of
-// the run path: four small scenarios covering both entry points, both fabrics,
-// the fault injector and the invariant checker, each hashed over its JSONL
-// trace (everything but the per-event-loop CatSim chatter) followed by its
-// metrics JSON. The first three constants were regenerated when every run moved
-// onto one plain sim.Loop (CHANGES.md, PR 21, says where each trace first
-// diverged from the bytes before: a notification's jitter, a notification
-// verdict, a notification's jitter). rotor4_websearch moved again when a resent
-// FIN stopped going out as one byte of data (its first divergence is a voq_enq
-// 3 ns earlier, behind a TLP that resent a FIN), and it and
-// hybrid_cubic_faulted moved when every frame in a propagation stage became its
-// own loop event: same-instant deliveries from different links now fire in
-// arming order (DESIGN.md §10). CUBIC's trace is a permutation within equal
-// timestamps; the rotor's first diverges at t = 1 871 622 ns, two frames
-// entering rack 2's NIC in the other order. hybrid_cubic_faulted moved once
-// more when every flow came to be wired through the host muxes: a host without
-// a TDTCP endpoint now takes its notification too, so the trace gains the
-// "notify" span ends such hosts used to drop (146 records, nothing else moved)
-// and the metrics gain their rdcn.notify_lat_ns samples.
-// rotor4_tdtcp_flap_drift was taken before the data plane kept its current slot
-// and its drainers' path tables: it holds them to the per-call schedule walk on
-// a rotor whose drift steps the evaluation time backwards at week boundaries
-// and whose flaps darken a day with no event of its own. A change that moves
-// any constant changed what a run emits, and has to say why.
+// the run path: four small scenarios, each hashed over its JSONL trace
+// (everything but the per-event-loop CatSim chatter) followed by its metrics
+// JSON. hybrid_tdtcp is a plain Run on the two-rack hybrid;
+// hybrid_cubic_faulted adds the fault injector (drops and notification loss)
+// and the invariant checker; rotor4_websearch is RunWorkload's open-loop flow
+// life cycle on a 4-rack rotor; rotor4_tdtcp_flap_drift is a checked Run on a
+// rotor whose drift steps the evaluation time backwards at week boundaries and
+// whose flaps darken a day with no event of its own. A change that moves any
+// constant changed what a run emits, and has to say why; CHANGES.md records
+// every move with its first divergent record.
 //
 // A metric added after a constant was generated is listed in its case's
 // added and cut out of the metrics JSON before hashing, so the constant keeps
@@ -55,22 +42,22 @@ func TestPinnedBytes(t *testing.T) {
 		added []string
 		run   func(tr *trace.Tracer, reg *trace.Registry) error
 	}{
-		{"hybrid_tdtcp", "17a951af53d164403daa2256ab5495387fb0c7533ea5b400584969fcb7eaa01d", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
+		{"hybrid_tdtcp", "8d9076e3a6c4e18d85a88968db6b78476b63607548d8418fbbedddc3c84d14e2", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
 			_, err := Run(RunConfig{Variant: TDTCP, Flows: 4, WarmupWeeks: 1, MeasureWeeks: 2,
 				Tracer: tr, Metrics: reg})
 			return err
 		}},
-		{"hybrid_cubic_faulted", "4aa2f80bcebabf8a89bc01af5cac472cc24715e9d92c4c584f7964897e2ba43a", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
+		{"hybrid_cubic_faulted", "b6e0ceb82b3d822990c3649cf2d7cb52d656d75db7b94c9f381541148b3bb198", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
 			_, err := Run(RunConfig{Variant: Cubic, Flows: 4, WarmupWeeks: 1, MeasureWeeks: 2,
 				Fault: &plan, Invariants: true, Tracer: tr, Metrics: reg})
 			return err
 		}},
-		{"rotor4_websearch", "7a52c0c7fa541fc1de87e6510b4ce12cda225d0aa1f3b7893378025ec16a235a", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
+		{"rotor4_websearch", "00e4c96560102ed0b3af99df3eb702c09eaab26e4e5042a46c8002e8d7ef973f", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
 			_, err := RunWorkload(WorkloadConfig{Variant: TDTCP, Scenario: MultiRack(4), Load: 0.3,
 				WarmupWeeks: 1, MeasureWeeks: 2, Tracer: tr, Metrics: reg})
 			return err
 		}},
-		{"rotor4_tdtcp_flap_drift", "ab53a176de23abc9eab07ee28e260e250ff3c3aad7650b10a0368e00e68f17cc", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
+		{"rotor4_tdtcp_flap_drift", "e2ea382c1c78ba5680bc98d3292a3b02f43878beedae65356436574040556c18", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
 			_, err := Run(RunConfig{Variant: TDTCP, Scenario: MultiRack(4), Flows: 8, WarmupWeeks: 1, MeasureWeeks: 3,
 				Fault: &fabric, Invariants: true, Tracer: tr, Metrics: reg})
 			return err
@@ -133,14 +120,9 @@ func figureBytes(fig *Figure) []byte {
 // the figures that plot a Run's series and print its VOQ mean/max at their
 // default size (3+20 weeks, so the series Run keeps are a strict prefix of the
 // measurement window and the means run past them), the two rotor figures at
-// -quick size, and the one scalar RunWorkload takes from its sampler. The
-// constants were taken while Run still returned whole-window series and the
-// figures windowed them afterwards. multirack and workload_mean_voq were
-// re-taken when a resent FIN stopped carrying a byte of data, and every one
-// but fig13 and multirack when each frame in a propagation stage became its own
-// loop event, which reorders same-instant deliveries from different links
-// (DESIGN.md §10). A change that moves one changed a plotted point or a
-// printed number.
+// -quick size, and the one scalar RunWorkload takes from its sampler. A change
+// that moves one changed a plotted point or a printed number; CHANGES.md
+// records every move.
 func TestFigureBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		id, want string
@@ -170,7 +152,7 @@ func TestFigureBytesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const want = 324.4508303359608
+		const want = 325.1050993597102
 		if res.MeanVOQ != want {
 			t.Errorf("MeanVOQ = %v, want %v", res.MeanVOQ, want)
 		}

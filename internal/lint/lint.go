@@ -4,7 +4,7 @@
 // controlled-repetition methodology), enum-switch exhaustiveness, sim-time
 // unit hygiene, and the mutex discipline of the concurrent layers. A check
 // stays only while some defect it exists for passes every test; DESIGN §9
-// has the mutation audit that decided which.
+// names the commit whose DESIGN.md holds the audit that decided which.
 //
 // The framework is deliberately go/packages-free: packages are loaded by
 // shelling out to `go list -json -export -deps` (see loader.go) and

@@ -230,11 +230,9 @@ func (c *Conn) processAck(s *packet.Segment) {
 		c.tlpInFlight = false
 		if c.state == stFinWait && c.sndUna == c.sndNxt && c.rtx.empty() {
 			c.state = stDone
-			// Quiesce here: the trySend below returns at its state guard before
-			// its closing armTimer, and the deadline left behind would fire a
-			// tail-loss probe on a finished sender. The armed timer is left to
-			// fire as a no-op, as in armTimer.
-			c.wantAt = 0
+			// The trySend below returns at its state guard before its closing
+			// armTimer, so the emptied queue stops the timer here.
+			c.armTimer()
 			if c.OnDone != nil {
 				c.OnDone(now)
 			}

@@ -176,19 +176,12 @@ type Conn struct {
 	gapMax  int
 
 	// Timer: a single retransmission timer that is either a TLP probe
-	// timer or an RTO, Linux-style. onTimerFn/paceFn are the callbacks,
-	// bound once at construction so (re)arming never allocates a closure.
-	//
-	// The armed loop timer is a lower bound, not the deadline itself: the
-	// deadline the connection actually wants lives in wantAt/wantTLP and is
-	// lazily revalidated when the timer fires (armTimer re-arms eagerly only
-	// when the wanted deadline moves EARLIER than the armed one). ACK-clock
-	// churn — every ACK pushing the RTO a little further out — therefore
-	// mutates two fields instead of a heap Stop+push pair.
+	// timer or an RTO, Linux-style, armed exactly while the retransmission
+	// queue is non-empty. onTimerFn/paceFn are the callbacks, bound once at
+	// construction so (re)arming never allocates a closure.
 	timer       sim.Timer
 	onTimerFn   func()
-	wantAt      sim.Time // deadline currently wanted; 0 = none (quiesced)
-	wantTLP     bool     // the wanted deadline is a TLP probe, not an RTO
+	timerTLP    bool // the armed timer is a TLP probe, not an RTO
 	backoff     uint
 	tlpInFlight bool
 
@@ -888,7 +881,9 @@ func (c *Conn) paceGate() bool {
 
 // armTimer (re)arms the retransmission timer: a TLP probe timer while the
 // active path is healthy (RFC 8985 §7.2), otherwise a conventional RTO for
-// the oldest outstanding segment via the policy (§4.4).
+// the oldest outstanding segment via the policy (§4.4). Like Linux's
+// tcp_rearm_rto it stops the timer when nothing is outstanding and re-arms it
+// only when the deadline moved.
 //
 // Deadlines are anchored to transmission times (head.SentAt for the RTO,
 // the most recent transmission for the TLP probe), NOT to the current time:
@@ -897,9 +892,7 @@ func (c *Conn) paceGate() bool {
 func (c *Conn) armTimer() {
 	head := c.rtx.headSeg()
 	if head == nil {
-		// Quiesce lazily: any armed timer is left to fire as a no-op rather
-		// than churning the heap on every send/ack quiescence boundary.
-		c.wantAt = 0
+		c.timer.Stop()
 		return
 	}
 	// TLP arms while the active path is healthy and nothing is marked lost
@@ -939,33 +932,20 @@ func (c *Conn) armTimer() {
 	if deadline <= c.Loop.Now() {
 		deadline = c.Loop.Now().Add(sim.Microsecond)
 	}
-	c.wantAt, c.wantTLP = deadline, useTLP
+	c.timerTLP = useTLP
 	if c.timer.Active() {
-		if c.timer.When() <= deadline {
-			// Lazy revalidation: the armed timer fires at or before the
-			// wanted deadline; onTimer pushes itself out to wantAt then.
+		if c.timer.When() == deadline {
 			return
 		}
-		// The deadline moved earlier than the armed timer (e.g. a TLP probe
-		// replacing a long RTO): firing late is not an option, so re-arm.
 		c.timer.Stop()
 	}
 	c.timer = c.Loop.At(deadline, c.onTimerFn)
 }
 
-// onTimer validates the armed timer against the wanted deadline and either
-// re-arms (the deadline moved out or vanished since arming) or dispatches.
-//
-// Hot path: runs once per timer expiry, including lazy re-arms.
+// onTimer dispatches the expired retransmission timer to the probe or the
+// timeout armTimer armed it for.
 func (c *Conn) onTimer() {
-	if c.wantAt == 0 {
-		return // quiesced: nothing outstanding when the stale timer fired
-	}
-	if now := c.Loop.Now(); now < c.wantAt {
-		c.timer = c.Loop.At(c.wantAt, c.onTimerFn)
-		return
-	}
-	if c.wantTLP {
+	if c.timerTLP {
 		c.fireTLP()
 		return
 	}

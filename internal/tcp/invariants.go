@@ -5,7 +5,8 @@ import "fmt"
 // CheckInvariants validates the connection's internal consistency: the
 // per-TDN pipe counters against a recount of the retransmission queue, the
 // sender's sequence cursors against the queue's shape, the receiver's
-// out-of-order ranges, and the timer backoff bound. It is the runtime
+// out-of-order ranges, the timer backoff bound, and the retransmission timer
+// armed exactly while the queue is non-empty. It is the runtime
 // analogue of Linux's tcp_verify_left_out: cheap enough to run after every
 // simulation event during faulted runs (no allocation on a consistent
 // connection of up to 32 path states: the recount tallies are on the stack),
@@ -21,6 +22,9 @@ func (c *Conn) CheckInvariants() error {
 	}
 	if c.backoff > 16 {
 		return fmt.Errorf("tcp: rto backoff %d beyond saturation", c.backoff)
+	}
+	if armed := c.timer.Active(); armed != !c.rtx.empty() {
+		return fmt.Errorf("tcp: retransmission timer armed=%t with %d segments outstanding", armed, c.rtx.len())
 	}
 
 	// Retransmission-queue shape and the §4.3 pipe recount.
