@@ -73,12 +73,14 @@ find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testd
 		printf "%7d total\n", total
 	}' | tee artifacts/loc.txt
 
-# The five allocation contracts, printed: the bytes and mallocs each further
+# The six allocation contracts, printed: the bytes and mallocs each further
 # flow of an open-loop run costs, at most 512 B in 2 mallocs
 # (TestWorkloadChurnAllocatesForItsResultOnly; flow reuse is judged by these
 # numbers), the bytes each further measured week of a
 # Run costs (TestRunAllocationIsFlatInHorizon: its result stops at PlotWeeks),
-# the allocations of a steady-state week on the hybrid and the 8-rack rotor
+# at most 75 % of a first Run's bytes for a second one on the memory the first
+# handed back (TestRunReusesItsMemory), the allocations of a steady-state week
+# of every variant on the hybrid and the 8-rack rotor
 # (TestSteadyStateDoesNotAllocate), 0 allocations per VOQ enqueue and dequeue
 # after NewVOQ, across a grow/shrink cycle (TestVOQDoesNotAllocate), and the
 # bytes a histogram holds for the octaves it has recorded, 0 allocations per
@@ -86,7 +88,7 @@ find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testd
 # These tests are now the only guard of the functions that used to carry a
 # //lint:hotpath directive: no lint check looks at allocations. All but the
 # VOQ's skip under -race, so the race run below does not cover them.
-go test -count=1 -v -run 'TestWorkloadChurnAllocatesForItsResultOnly|TestRunAllocationIsFlatInHorizon|TestSteadyStateDoesNotAllocate|TestVOQDoesNotAllocate|TestHistogramAllocatesTouchedOctavesOnly' \
+go test -count=1 -v -run 'TestWorkloadChurnAllocatesForItsResultOnly|TestRunAllocationIsFlatInHorizon|TestRunReusesItsMemory|TestSteadyStateDoesNotAllocate|TestVOQDoesNotAllocate|TestHistogramAllocatesTouchedOctavesOnly' \
 	./internal/experiments ./internal/netem ./internal/trace > artifacts/alloc.txt || { cat artifacts/alloc.txt; exit 1; }
 cat artifacts/alloc.txt
 

@@ -157,7 +157,7 @@ type RunConfig struct {
 
 	// tweakNet, when non-nil, edits the rdcn.Config just before the network
 	// is built. It is how this package's A/B tests reach the unpooled
-	// reference data plane (rdcn.Config.DisableFramePool) without it being a
+	// reference data plane (a nil rdcn.Config.FramePool) without it being a
 	// run option.
 	tweakNet func(*rdcn.Config)
 }
@@ -209,9 +209,6 @@ type Result struct {
 	Seq *stats.Series
 	// VOQ is rack 0's uplink occupancy in packets.
 	VOQ *stats.Series
-	// Optimal and PacketOnly are the §2.2 analytic references (aggregate
-	// bytes), normalized like Seq.
-	Optimal, PacketOnly *stats.Series
 	// VOQMean and VOQMax summarize rack 0's uplink occupancy over the whole
 	// measurement window, past the end of the VOQ series: what VOQ.Mean() and
 	// VOQ.Max() would read had every sample been kept.
@@ -250,6 +247,30 @@ type Result struct {
 	// FlightSnapshot holds the ring contents frozen at the first invariant
 	// violation (nil on clean or unchecked runs).
 	FlightSnapshot []trace.Event
+}
+
+// plotSpan is the span of a Result's series: the first PlotWeeks weeks of
+// the measurement window, or all of it when MeasureWeeks is shorter.
+func (cfg *RunConfig) plotSpan() (start, end sim.Time) {
+	week := cfg.Scenario.Schedule.Week()
+	start = sim.Time(sim.Dur(cfg.WarmupWeeks) * week)
+	return start, start.Add(sim.Dur(min(cfg.MeasureWeeks, PlotWeeks)) * week)
+}
+
+// Optimal is the §2.2 optimal reference (aggregate bytes) over the span of
+// Seq, sampled and normalized like it. It depends on the configuration alone,
+// not on the seed or the variant, so it is computed when asked for.
+func (r *Result) Optimal() *stats.Series {
+	c := &r.Cfg
+	start, end := c.plotSpan()
+	return workload.OptimalSeries(c.Scenario.Schedule, c.Scenario.TDNs, start, end, c.SampleEvery).Normalize()
+}
+
+// PacketOnly is the §2.2 packet-only reference, computed like Optimal.
+func (r *Result) PacketOnly() *stats.Series {
+	c := &r.Cfg
+	start, end := c.plotSpan()
+	return workload.PacketOnlySeries(c.Scenario.TDNs[0].Rate, start, end, c.SampleEvery).Normalize()
 }
 
 // ErrCancelled is the sentinel wrapped by Run and RunWorkload when the
@@ -297,7 +318,7 @@ func Run(cfg RunConfig) (*Result, error) {
 
 	// Nobody plots past plotEnd, so the Seq sampler stops there and the VOQ
 	// sampler goes on to the horizon for its mean and max alone.
-	plotEnd := min(end, measureStart.Add(PlotWeeks*cfg.Scenario.Schedule.Week()))
+	_, plotEnd := cfg.plotSpan()
 	var seq, voq *stats.Sampler
 	err = h.run(func() {
 		seq = stats.NewSampler(loop, string(cfg.Variant), cfg.SampleEvery, plotEnd, plotEnd,
@@ -314,17 +335,13 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 
 	res := &Result{
-		Variant:     cfg.Variant,
-		Cfg:         cfg,
-		Seq:         seq.Series.Normalize(),
-		VOQ:         voq.Series, // occupancy needs no normalization
-		VOQMean:     voq.Mean(),
-		VOQMax:      voq.Max(),
-		GoodputGbps: h.goodputGbps(),
-		Optimal: workload.OptimalSeries(cfg.Scenario.Schedule, cfg.Scenario.TDNs,
-			measureStart, plotEnd, cfg.SampleEvery).Normalize(),
-		PacketOnly: workload.PacketOnlySeries(cfg.Scenario.TDNs[0].Rate,
-			measureStart, plotEnd, cfg.SampleEvery).Normalize(),
+		Variant:             cfg.Variant,
+		Cfg:                 cfg,
+		Seq:                 seq.Series.Normalize(),
+		VOQ:                 voq.Series, // occupancy needs no normalization
+		VOQMean:             voq.Mean(),
+		VOQMax:              voq.Max(),
+		GoodputGbps:         h.goodputGbps(),
 		OptimalGbps:         workload.OptimalGbps(cfg.Scenario.Schedule, cfg.Scenario.TDNs),
 		PacketOnlyGbps:      float64(cfg.Scenario.TDNs[0].Rate) / 1e9,
 		ReorderEventsPerDay: evBuckets.CDF(),
@@ -364,6 +381,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	res.Seq.Label = string(cfg.Variant)
 	res.VOQ.Label = string(cfg.Variant)
 	populateMetrics(cfg, res, h)
+	h.release()
 	return res, nil
 }
 

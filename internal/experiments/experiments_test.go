@@ -69,7 +69,7 @@ func TestRunResultShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Seq.Len() == 0 || res.VOQ.Len() == 0 || res.Optimal.Len() == 0 {
+	if res.Seq.Len() == 0 || res.VOQ.Len() == 0 || res.Optimal().Len() == 0 {
 		t.Fatal("missing series")
 	}
 	if res.Seq.T[0] != 0 || res.Seq.V[0] != 0 {

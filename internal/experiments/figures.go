@@ -150,7 +150,7 @@ func seqFigure(id, title string, o Options, scenario Scenario, variants []Varian
 	}
 	fig := &Figure{ID: id, Title: title}
 	first := results[0]
-	opt := plotWindow(scenario.Schedule, first.Optimal)
+	opt := plotWindow(scenario.Schedule, first.Optimal())
 	opt.Label = "optimal"
 	fig.Seq = append(fig.Seq, opt)
 	fig.Summary = append(fig.Summary, SummaryRow{Label: "optimal", GoodputGbps: first.OptimalGbps})
@@ -165,7 +165,7 @@ func seqFigure(id, title string, o Options, scenario Scenario, variants []Varian
 			},
 		})
 	}
-	po := plotWindow(scenario.Schedule, first.PacketOnly)
+	po := plotWindow(scenario.Schedule, first.PacketOnly())
 	po.Label = "packet only"
 	fig.Seq = append(fig.Seq, po)
 	fig.Summary = append(fig.Summary, SummaryRow{Label: "packet only", GoodputGbps: first.PacketOnlyGbps})

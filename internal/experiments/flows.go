@@ -636,26 +636,62 @@ func (e *mptcpEnd) Notify(tdn int, epoch uint32) {
 // subflowGate holds a subflow's outgoing segments at the host while the
 // subflow's TDN is not the one its host was last notified of.
 type subflowGate struct {
-	mux  *hostMux
-	tdn  int
-	held []*packet.Segment
+	mux *hostMux
+	tdn int
+	// held are the segments waiting for the TDN, copied into value slots that
+	// the gate keeps from one day to the next, each with its SACK storage.
+	held []packet.Segment
 }
+
+// A gate makes gateSlots slots at first and doubles them when a day holds
+// more (the most seen in one day is 11); each slot is made with
+// gateSACKBlocks SACK blocks, the most a segment carries.
+const (
+	gateSlots      = 8
+	gateSACKBlocks = 4
+)
 
 func (g *subflowGate) send(s *packet.Segment) {
 	if g.mux.cur != g.tdn {
 		// The connection reuses the segment's storage after send returns
-		// (the Conn.Out contract), so a held segment must be a deep copy.
-		g.held = append(g.held, s.Clone())
+		// (the Conn.Out contract), so a held segment must be a deep copy:
+		// into the next slot, over the SACK array the slot already has.
+		n := len(g.held)
+		if n == cap(g.held) {
+			g.grow()
+		}
+		g.held = g.held[:n+1]
+		h := &g.held[n]
+		sack := h.TCP.SACK[:0]
+		*h = *s
+		h.TCP.SACK = append(sack, s.TCP.SACK...)
 		return
 	}
 	g.mux.send(s)
 }
 
-func (g *subflowGate) flush() {
-	for _, s := range g.held {
-		g.mux.send(s)
+// grow doubles the gate's slots (to gateSlots at first). The new slots get
+// their SACK storage at once, carved from one block, so that a slot, once
+// made, never allocates.
+func (g *subflowGate) grow() {
+	n, size := len(g.held), max(gateSlots, 2*cap(g.held))
+	held := make([]packet.Segment, size)
+	copy(held, g.held)
+	sacks := make([]packet.SACKBlock, (size-n)*gateSACKBlocks)
+	for i := n; i < size; i++ {
+		k := (i - n) * gateSACKBlocks
+		held[i].TCP.SACK = sacks[k : k : k+gateSACKBlocks]
 	}
-	g.held = nil
+	g.held = held[:n]
+}
+
+// flush sends what the gate held. Sending serializes a segment at once, so
+// the slots are free for the next day as soon as the loop is done.
+func (g *subflowGate) flush() {
+	for i := range g.held {
+		g.mux.send(&g.held[i])
+	}
+	g.held = g.held[:0]
 }
 
 // retcpSender is a reTCP sender as its host's listener: it forwards circuit

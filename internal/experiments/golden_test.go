@@ -23,7 +23,11 @@ const goldenTol = 0.10 // relative goodput tolerance
 // reference data plane (every wire buffer a fresh allocation) when unpooled is
 // set. The pooled/unpooled A/B tests compare the default plane against it.
 func refPlane(unpooled bool) func(*rdcn.Config) {
-	return func(c *rdcn.Config) { c.DisableFramePool = unpooled }
+	return func(c *rdcn.Config) {
+		if unpooled {
+			c.FramePool = nil
+		}
+	}
 }
 
 // goldenGoodput holds the committed goodputs (Gbps) at seed 1, warmup 2,

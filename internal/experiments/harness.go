@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"slices"
+	"sync"
 
 	"github.com/rdcn-net/tdtcp/internal/core"
 	"github.com/rdcn-net/tdtcp/internal/fault"
 	"github.com/rdcn-net/tdtcp/internal/invariant"
+	"github.com/rdcn-net/tdtcp/internal/netem"
 	"github.com/rdcn-net/tdtcp/internal/rdcn"
 	"github.com/rdcn-net/tdtcp/internal/sim"
 	"github.com/rdcn-net/tdtcp/internal/stats"
@@ -37,8 +40,10 @@ type harness struct {
 	inj    *fault.Injector    // nil unless cfg.Fault is enabled
 	chk    *invariant.Checker // nil unless cfg.Invariants
 	racks  int
-	// pool is the run's one tcp.Pool: every endpoint draws its
-	// retransmission-queue entries from it.
+	// mem is the working memory the run took from the spare list; loop and
+	// pool are its loop and tcp.Pool (every endpoint draws its
+	// retransmission-queue entries from it) and the network its frame pool.
+	mem  *runMem
 	pool *tcp.Pool
 	// rtts and lag are the registry's per-TDN RTT and deadman-lag histograms
 	// on a metered run, resolved by the first addFlow for every flow after.
@@ -80,7 +85,8 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error)
 		h.racks = 2
 	}
 	// The same wiring the facade's NewNetwork uses: one loop, every rack on it.
-	h.loop = sim.NewLoop(cfg.Seed)
+	h.mem = takeRunMem(cfg.Seed)
+	h.loop, h.pool = h.mem.loop, h.mem.segs
 	if cfg.Meter != nil {
 		cfg.Meter.Attach(h.loop)
 	}
@@ -95,6 +101,7 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error)
 	ncfg.Schedule = cfg.Scenario.Schedule
 	ncfg.VOQCap = cfg.Scenario.VOQCap
 	ncfg.MarkThresh = cfg.MarkThresh
+	ncfg.FramePool = h.mem.frames
 	if cfg.Notify != nil {
 		ncfg.Notify = *cfg.Notify
 	}
@@ -141,12 +148,65 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error)
 		h.chk.WatchNetwork(net)
 	}
 
-	h.pool = new(tcp.Pool)
-
 	week := cfg.Scenario.Schedule.Week()
 	h.measureStart = sim.Time(sim.Dur(cfg.WarmupWeeks) * week)
 	h.end = h.measureStart.Add(sim.Dur(cfg.MeasureWeeks) * week)
 	return h, nil
+}
+
+// runMem is the working memory a run grows and hands on to the next: the
+// event loop's heap, slab and random source, the network's frame-buffer pool
+// and the tcp.Pool of retransmission-queue entries. Nothing a run returns
+// points into it, so once a run has assembled its result, its memory can serve
+// another. A run that fails, is cancelled or panics drops its memory instead.
+type runMem struct {
+	loop   *sim.Loop
+	frames *netem.BufPool
+	segs   *tcp.Pool
+}
+
+// spareMem is the list of memory finished runs handed back: a LIFO under a
+// mutex, holding at most GOMAXPROCS entries, each the high-water mark of the
+// runs it served. Not a sync.Pool: reuse then follows the order of the calls
+// on a goroutine, not the collector's timing. Reuse changes no event either
+// way; buffer and slot identity never reach a trace.
+var spareMem struct {
+	mu   sync.Mutex
+	mems []*runMem
+}
+
+// takeRunMem returns the most recently handed-back memory, its loop reset to
+// seed, or fresh memory when none is spare.
+func takeRunMem(seed int64) *runMem {
+	spareMem.mu.Lock()
+	var m *runMem
+	if n := len(spareMem.mems); n > 0 {
+		m = spareMem.mems[n-1]
+		spareMem.mems[n-1] = nil
+		spareMem.mems = spareMem.mems[:n-1]
+	}
+	spareMem.mu.Unlock()
+	if m == nil {
+		return &runMem{loop: sim.NewLoop(seed), frames: new(netem.BufPool), segs: new(tcp.Pool)}
+	}
+	m.loop.Reset(seed)
+	return m
+}
+
+// release hands the run's memory to the next run. Call it last, once the
+// result is assembled and nothing reads the loop, the network or the flows
+// any more. The loop is reset at once, so a spare holds no callback of the
+// finished run and with it none of its network.
+func (h *harness) release() {
+	m := h.mem
+	h.mem = nil
+	m.loop.Reset(0)
+	m.segs.Reset()
+	spareMem.mu.Lock()
+	if len(spareMem.mems) < runtime.GOMAXPROCS(0) {
+		spareMem.mems = append(spareMem.mems, m)
+	}
+	spareMem.mu.Unlock()
 }
 
 // dumpOnPanic, deferred by newHarness and by each entry point, writes the

@@ -45,6 +45,7 @@ func TestWorkloadChurnAllocatesForItsResultOnly(t *testing.T) {
 	measure := func(weeks int) (bytes, mallocs uint64, flows int) {
 		var res *WorkloadResult
 		var err error
+		dropSpareMem() // both runs start on fresh memory, as a run of their own would
 		bytes, mallocs = allocatedBy(func() { res, err = RunWorkload(rotorChurn(weeks)) })
 		if err != nil {
 			t.Fatal(err)

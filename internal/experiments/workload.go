@@ -384,5 +384,6 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		m.Set("workload.ports_bound_max", float64(res.PortsBoundMax))
 		m.Add("workload.bytes_offered", res.BytesOffered)
 	}
+	h.release()
 	return res, nil
 }

@@ -395,7 +395,9 @@ func (m *Conn) advance(end packet.Seq) {
 		if m.ranges[0].End.GT(m.dsnDelivered) {
 			m.dsnDelivered = m.ranges[0].End
 		}
-		m.ranges = m.ranges[1:]
+		// Shift down rather than reslice forward, which would give up a
+		// capacity slot per pop (as tcp's advanceDelivery does).
+		m.ranges = m.ranges[:copy(m.ranges, m.ranges[1:])]
 	}
 	m.DeliveredBytes += int64(m.dsnDelivered.Diff(prev))
 	if m.OnDelivered != nil {

@@ -100,11 +100,14 @@ type Config struct {
 	// constructs; every frame takes the same path.
 	Cluster *sim.ShardedLoop
 
-	// DisableFramePool turns off wire-buffer recycling, making every frame
-	// a fresh allocation. The pooled and unpooled data planes must produce
-	// byte-identical traces (the golden-trace test enforces this); the knob
-	// exists for that A/B check and for debugging suspected aliasing.
-	DisableFramePool bool
+	// FramePool recycles the network's frame wire buffers (DefaultConfig
+	// supplies a fresh pool). A pool serves one network at a time; once that
+	// network is done with, the next may take the pool over warm. Nil turns
+	// recycling off, making every frame a fresh allocation: the unpooled
+	// reference data plane, whose traces the pooled plane must match byte for
+	// byte (the golden-trace test enforces this), kept for that A/B check and
+	// for debugging suspected aliasing.
+	FramePool *netem.BufPool
 
 	// Fault-injection hooks, installed by internal/fault. All are optional
 	// and cost nothing when nil; rdcn never decides faults itself, it only
@@ -145,8 +148,9 @@ func DefaultConfig() Config {
 			{Rate: 10 * sim.Gbps, Delay: 49 * sim.Microsecond},  // ~100us RTT
 			{Rate: 100 * sim.Gbps, Delay: 19 * sim.Microsecond}, // ~40us RTT
 		},
-		Schedule: HybridWeek(6, 180*sim.Microsecond, 20*sim.Microsecond),
-		Notify:   OptimizedNotify(),
+		Schedule:  HybridWeek(6, 180*sim.Microsecond, 20*sim.Microsecond),
+		Notify:    OptimizedNotify(),
+		FramePool: new(netem.BufPool),
 	}
 }
 
@@ -207,7 +211,7 @@ type Rack struct {
 	// consumed on another rack's lane has its buffer repatriated at the next
 	// barrier (returnWire/flushReturns) — released straight into the
 	// destination pool, the source pool would never see a put again and both
-	// pools would allocate forever. Nil when Config.DisableFramePool.
+	// pools would allocate forever. Nil when Config.FramePool is.
 	pool *netem.BufPool
 
 	// Barrier-return staging for foreign wire buffers (Cluster only):
@@ -293,8 +297,9 @@ type Network struct {
 	epochSpan trace.SpanID
 	epochTDN  int
 
-	// transitionFn is the slot-boundary callback, bound once.
-	transitionFn func()
+	// The control plane's callbacks, bound once by Start: the slot boundary,
+	// and retcpdyn's day-end VOQ restore and advance action.
+	transitionFn, restoreFn, preChangeFn func()
 
 	// The data plane's current slot (see dataPlaneSlot): the schedule's
 	// answer for every evaluation time in [slotStart, slotEnd). Empty until
@@ -400,8 +405,8 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 	// so gets and puts balance by construction); under a Cluster each lane
 	// owns a pool and the barrier return path keeps them balanced.
 	var sharedPool *netem.BufPool
-	if !cfg.DisableFramePool && cluster == nil {
-		sharedPool = &netem.BufPool{}
+	if cluster == nil {
+		sharedPool = cfg.FramePool
 	}
 	for r := 0; r < cfg.Racks; r++ {
 		rloop := loop
@@ -410,7 +415,7 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 		}
 		rack := &Rack{net: n, ID: r, loop: rloop, pool: sharedPool}
 		if cluster != nil {
-			if !cfg.DisableFramePool {
+			if cfg.FramePool != nil {
 				rack.pool = &netem.BufPool{}
 			}
 			rack.retBufs = make([][][]byte, cfg.Racks)
@@ -629,18 +634,17 @@ func (n *Network) Start(until sim.Time) {
 	}
 	n.started = true
 	n.stopAt = until
+	n.transitionFn, n.restoreFn, n.preChangeFn = n.transition, n.restoreVOQCaps, n.preChange
 	n.scheduleTransition(0)
 }
 
 // scheduleTransition arms the control-plane event for the slot boundary at
 // time t (t=0 is the initial day start) and, transitively, all following
-// ones until stopAt. The callback is bound once and reused for every slot.
+// ones until stopAt. The callback is bound once, by Start, and reused for
+// every slot.
 func (n *Network) scheduleTransition(t sim.Time) {
 	if t >= n.stopAt {
 		return
-	}
-	if n.transitionFn == nil {
-		n.transitionFn = n.transition
 	}
 	n.Loop.At(t, n.transitionFn)
 }
@@ -675,7 +679,7 @@ func (n *Network) transition() {
 			// Ensure the enlarged VOQ (idempotent if the lead-time resize
 			// already happened) and restore the base size at day end.
 			n.setVOQCaps(pc.Cap)
-			n.Loop.At(slotEnd, func() { n.setVOQCaps(n.baseVOQ) })
+			n.Loop.At(slotEnd, n.restoreFn)
 		}
 	} else {
 		n.emit("night", -1, float64(n.epoch), float64(slotEnd.Sub(now)))
@@ -707,18 +711,27 @@ func (n *Network) armPreChange(t, slotEnd sim.Time) {
 	} else if at < t || at >= slotEnd {
 		return // a different (earlier or later) slot owns this arming
 	}
-	n.Loop.At(at, func() {
-		n.emit("prechange", pc.TDN, float64(pc.Cap), float64(pc.Lead))
-		n.setVOQCaps(pc.Cap)
-		for _, rack := range n.Racks {
-			for _, h := range rack.Hosts {
-				if h.NotifyPreChange != nil {
-					h.NotifyPreChange(pc.TDN)
-				}
+	n.Loop.At(at, n.preChangeFn)
+}
+
+// preChange is the retcpdyn advance action: the VOQs grow to PreChange.Cap
+// and every host gets the advance circuit-up signal.
+func (n *Network) preChange() {
+	pc := n.Cfg.PreChange
+	n.emit("prechange", pc.TDN, float64(pc.Cap), float64(pc.Lead))
+	n.setVOQCaps(pc.Cap)
+	for _, rack := range n.Racks {
+		for _, h := range rack.Hosts {
+			if h.NotifyPreChange != nil {
+				h.NotifyPreChange(pc.TDN)
 			}
 		}
-	})
+	}
 }
+
+// restoreVOQCaps puts the VOQs back to their base capacity at the end of a
+// PreChange.TDN day.
+func (n *Network) restoreVOQCaps() { n.setVOQCaps(n.baseVOQ) }
 
 // setVOQCaps resizes every uplink VOQ on both racks (unless a resize fault
 // suppresses individual queues).

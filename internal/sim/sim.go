@@ -16,6 +16,12 @@
 // value entries (no interface boxing, no per-event pointers), and Timer
 // handles are plain values carrying a generation counter so a stale handle
 // to a recycled slot can never stop a later timer.
+//
+// A loop also outlives its run: Reset returns it to time zero under a new
+// seed and keeps the heap, the slab and the free list it grew, so a sweep of
+// runs handing one loop on grows that storage once. Reset advances every
+// slot's generation, so a handle kept from the last run stays inert in the
+// next.
 package sim
 
 import (
@@ -132,8 +138,8 @@ type slot struct {
 	pos int32
 }
 
-// Loop is a discrete-event simulation loop. The zero value is not usable;
-// construct with NewLoop.
+// Loop is a discrete-event simulation loop. The zero value is not usable
+// until Reset; NewLoop does both.
 type Loop struct {
 	now    Time
 	events []event // 4-ary min-heap ordered by (at, seq)
@@ -169,7 +175,33 @@ const DefaultStopEvery = 4096
 // NewLoop returns a loop positioned at time zero whose random source is
 // seeded with seed.
 func NewLoop(seed int64) *Loop {
-	return &Loop{rng: rand.New(rand.NewSource(seed))}
+	l := new(Loop)
+	l.Reset(seed)
+	return l
+}
+
+// Reset returns the loop to the state NewLoop(seed) builds: time zero, no
+// pending event, nothing fired, no tracer, PostEvent hook or stop check, and
+// the random source reseeded with seed (rand.Rand.Seed gives the stream of
+// rand.NewSource). It keeps the storage the loop has grown — the event heap,
+// the timer slab and its free list — so a loop handed from run to run stops
+// re-growing it. Every slot's generation advances, so a Timer kept from
+// before Reset reports inactive and cannot stop the timer that reuses its
+// slot. The callbacks of events still pending are dropped unrun.
+func (l *Loop) Reset(seed int64) {
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(seed))
+	} else {
+		l.rng.Seed(seed)
+	}
+	l.free = l.free[:0]
+	for i := len(l.slots) - 1; i >= 0; i-- {
+		s := &l.slots[i]
+		s.fn = nil
+		s.gen++
+		l.free = append(l.free, int32(i))
+	}
+	*l = Loop{rng: l.rng, events: l.events[:0], slots: l.slots, free: l.free}
 }
 
 // Now returns the current virtual time.

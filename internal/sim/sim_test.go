@@ -332,6 +332,74 @@ func TestStaleTimerHandle(t *testing.T) {
 	l.Run()
 }
 
+// TestResetTimerFromLastRun: Reset drops the pending events of the run before
+// it, and a Timer kept from that run — pending, fired or stopped at the Reset —
+// reports inactive and cannot stop the next run's timer in its slot.
+func TestResetTimerFromLastRun(t *testing.T) {
+	l := NewLoop(1)
+	fired := l.At(5, func() {})
+	stopped := l.At(7, func() {})
+	stopped.Stop()
+	ranStale := false
+	pending := l.At(50, func() { ranStale = true })
+	l.RunUntil(10)
+	kept := []Timer{fired, stopped, pending}
+
+	l.Reset(2)
+	if l.Now() != 0 || l.Live() != 0 || l.Fired() != 0 {
+		t.Fatalf("after Reset: now %v, %d live, %d fired; want a loop at time zero", l.Now(), l.Live(), l.Fired())
+	}
+	var next []Timer
+	firedNext := 0
+	for range kept {
+		next = append(next, l.At(20, func() { firedNext++ }))
+	}
+	for i, old := range kept {
+		if !slices.ContainsFunc(next, func(n Timer) bool { return n.slot == old.slot }) {
+			t.Fatalf("no timer of the next run reuses slot %d: the slab was not kept", old.slot)
+		}
+		if old.Active() {
+			t.Errorf("timer %d from before Reset reports active", i)
+		}
+		if old.Stop() {
+			t.Errorf("timer %d from before Reset stopped a timer of the next run", i)
+		}
+	}
+	l.Run()
+	if ranStale {
+		t.Error("an event pending at Reset fired in the next run")
+	}
+	if firedNext != len(next) {
+		t.Errorf("%d of the next run's %d timers fired", firedNext, len(next))
+	}
+}
+
+// TestResetEqualsNewLoop: a loop Reset after a run fires the same events at the
+// same times and draws the same random numbers as a fresh NewLoop of the seed.
+func TestResetEqualsNewLoop(t *testing.T) {
+	run := func(l *Loop) []int64 {
+		var out []int64
+		var tick func()
+		tick = func() {
+			out = append(out, int64(l.Now()), l.Rand().Int63n(1000))
+			if len(out) < 200 {
+				l.After(Dur(1+l.Rand().Int63n(50)), tick)
+				l.After(Dur(l.Rand().Int63n(80)), func() {}) // left pending at the horizon
+			}
+		}
+		l.After(0, tick)
+		l.RunUntil(2000)
+		return append(out, int64(l.Fired()), int64(l.Live()))
+	}
+	want := run(NewLoop(42))
+	l := NewLoop(7)
+	run(l)
+	l.Reset(42)
+	if got := run(l); !slices.Equal(got, want) {
+		t.Fatalf("a Reset loop diverges from a fresh one:\n got %v\nwant %v", got, want)
+	}
+}
+
 // TestSameInstantAfterRemovals checks the (at, seq) ordering survives
 // removals from the middle of the heap: same-instant events still fire in
 // scheduling order.

@@ -22,6 +22,12 @@ type Pool struct {
 // released.
 func (p *Pool) LiveConns() int { return p.live }
 
+// Reset hands the pool to a new run: the connections of the run before are
+// forgotten (LiveConns restarts at 0) and the entries they returned stay
+// pooled. What those connections still held goes with them; only a run that
+// is done with every one of them may call it.
+func (p *Pool) Reset() { p.live = 0 }
+
 // getTxSeg returns a zeroed retransmission-queue entry, recycling a retired
 // one when available. Fresh entries are carved from chunk-allocated blocks so
 // the queues' working set sits in a handful of contiguous arrays instead of
