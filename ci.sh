@@ -28,14 +28,14 @@ go build ./...
 
 # One engine (ROADMAP item 2): every run executes on a plain sim.Loop, and the
 # lane engine survives only for benchmark/ladder.go's two rungs. Its names may
-# appear in benchmark/, in the two packages that still define it and in
-# rdcn/network.go's Cluster wiring, and nowhere else in non-test code — so the
-# last step of item 2 is a pure file deletion. netem.Pipe.Coalesce, an ignored
-# field benchmark/ladder.go still sets, is held to the same allow-list. The
-# allow-list goes with them.
-if grep -rnE --include='*.go' --exclude='*_test.go' 'NewSharded|ShardedLoop|Cluster|NewDock|Coalesce' . |
-	grep -vE '^\./(benchmark|internal/sim|internal/netem)/|^\./internal/rdcn/network\.go:|/testdata/'; then
-	echo "ci.sh: lane-engine names outside benchmark/, internal/sim, internal/netem and rdcn/network.go" >&2
+# appear in benchmark/, in internal/sim, which still defines it, and on the
+# declaration line of rdcn.Config.Cluster, and nowhere else in non-test code.
+# Cluster and netem.Pipe.Coalesce are ignored fields benchmark/ladder.go still
+# sets: code outside benchmark/ and internal/sim may not read them, so a second
+# wiring cannot come back behind either. The allow-list goes with them.
+if grep -rnE --include='*.go' --exclude='*_test.go' 'NewSharded|ShardedLoop|\.Cluster|\.Coalesce' . |
+	grep -vE '^\./(benchmark|internal/sim)/|^\./internal/rdcn/network\.go:[0-9]+:	Cluster \*sim\.ShardedLoop$|/testdata/'; then
+	echo "ci.sh: lane-engine names or reads of Cluster/Coalesce outside benchmark/ and internal/sim" >&2
 	exit 1
 fi
 

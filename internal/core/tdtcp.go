@@ -218,9 +218,6 @@ func (p *TDTCP) switchTo(tdn int) {
 		sp := tr.BeginSpan(trace.CatTDN, now, "cwnd_swap", p.c.FlowID, tdn, tr.Parent())
 		tr.EndSpan(trace.CatTDN, now, "cwnd_swap", p.c.FlowID, tdn, sp, float64(from), float64(p.c.RelSeq(p.changePtr)))
 	}
-	if p.c.OnStateSwitch != nil {
-		p.c.OnStateSwitch(p.c.Loop.Now(), from, tdn)
-	}
 }
 
 // DataTDN implements tcp.Policy.

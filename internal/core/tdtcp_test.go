@@ -140,18 +140,6 @@ func TestStaleEpochIgnored(t *testing.T) {
 	}
 }
 
-func TestOnStateSwitchCallback(t *testing.T) {
-	e := newEnv(t, Options{}, nil)
-	e.establish()
-	var from, to int
-	calls := 0
-	e.a.OnStateSwitch = func(_ sim.Time, f, tn int) { from, to, calls = f, tn, calls+1 }
-	e.switchTDN(1)
-	if calls != 1 || from != 0 || to != 1 {
-		t.Fatalf("callback got from=%d to=%d calls=%d", from, to, calls)
-	}
-}
-
 func TestPerTDNRTTSeparation(t *testing.T) {
 	// Alternate TDNs; each TDN's SRTT must converge to its own path RTT
 	// rather than an average (§3.1's motivating example).

@@ -222,8 +222,8 @@ func (inj *Injector) count(name string) {
 }
 
 // Install wires the plan's hooks into the network: notification faults and
-// resize failures into the control plane, frame faults onto both racks'
-// ingress pipes, flaps and drift into the data plane's schedule view. Hooks
+// resize failures into the control plane, frame faults onto every rack's
+// ingress pipe, flaps and drift into the data plane's schedule view. Hooks
 // for disabled fault classes are left nil, so they cost nothing.
 func (inj *Injector) Install(n *rdcn.Network) {
 	inj.net = n

@@ -364,10 +364,6 @@ type VOQ struct {
 	// so it reads their summed occupancy without visiting them.
 	Total *int
 
-	// Monitor, when non-nil, is called with the occupancy after every
-	// enqueue, dequeue and drop. Used to produce the paper's VOQ-length
-	// traces (Figs. 7b, 8b, 13, 14).
-	Monitor func(t sim.Time, occupancy int)
 	// OnEnqueue, when non-nil, is called when a frame is accepted; the
 	// drainer uses it to wake up.
 	OnEnqueue func()
@@ -379,8 +375,7 @@ type VOQ struct {
 	Label  string
 
 	// OccHist, when non-nil, records the post-enqueue occupancy (packets)
-	// of every accepted frame — the distributional companion of the Monitor
-	// point samples, at zero allocation per enqueue.
+	// of every accepted frame, at zero allocation per enqueue.
 	OccHist *trace.Histogram
 
 	enq, deq, drops, marks uint64
@@ -442,7 +437,6 @@ func (v *VOQ) Enqueue(f Frame) bool {
 	if v.Len() >= v.cap {
 		v.drops++
 		v.emit("voq_drop", float64(v.Len()), float64(v.drops))
-		v.sample()
 		return false
 	}
 	if v.markThresh > 0 && v.Len() >= v.markThresh {
@@ -462,7 +456,6 @@ func (v *VOQ) Enqueue(f Frame) bool {
 	v.enq++
 	v.OccHist.Record(int64(v.Len()))
 	v.emit("voq_enq", float64(v.Len()), float64(v.cap))
-	v.sample()
 	if v.OnEnqueue != nil {
 		v.OnEnqueue()
 	}
@@ -487,14 +480,7 @@ func (v *VOQ) Dequeue() (Frame, bool) {
 	}
 	v.deq++
 	v.emit("voq_deq", float64(v.Len()), float64(v.cap))
-	v.sample()
 	return f, true
-}
-
-func (v *VOQ) sample() {
-	if v.Monitor != nil {
-		v.Monitor(v.Loop.Now(), v.Len())
-	}
 }
 
 // CheckInvariants validates the queue's internal accounting: head indexes the
@@ -537,13 +523,6 @@ type Drainer struct {
 	Q    *VOQ
 	Path PathFunc
 	Out  Sink
-
-	// Dock is nil in every run (see dock.go: benchmark-only). Non-nil, it
-	// replaces the propagation-delay stage entirely: the destination ToR
-	// lives on a different lane of the lane engine, so finished frames are
-	// staged in the dock instead of a same-loop timer. The dock carries the
-	// in-flight ledger for this stage (see Dock.InFlight).
-	Dock *Dock
 
 	busy bool
 
@@ -601,12 +580,6 @@ func (d *Drainer) serialized() {
 	f := d.cur
 	d.cur = Frame{}
 	d.busy = false
-	if d.Dock != nil {
-		// The dock owns the frame (and its ledger) from here.
-		d.Dock.Add(f, d.curDelay)
-		d.Kick()
-		return
-	}
 	d.propagating++
 	dd := d.getDelivery()
 	dd.f = f
@@ -616,13 +589,9 @@ func (d *Drainer) serialized() {
 
 // InFlight reports every frame currently owned by the drainer: being
 // serialized or in the propagation-delay stage (queued frames belong to the
-// VOQ). With a dock attached, the propagation stage's ledger lives in the
-// dock.
+// VOQ).
 func (d *Drainer) InFlight() int {
 	n := d.propagating
-	if d.Dock != nil {
-		n += d.Dock.InFlight()
-	}
 	if d.busy {
 		n++
 	}

@@ -165,26 +165,6 @@ func TestVOQResize(t *testing.T) {
 	}
 }
 
-func TestVOQMonitor(t *testing.T) {
-	loop := sim.NewLoop(1)
-	v := NewVOQ(loop, 8, 0)
-	var samples []int
-	v.Monitor = func(_ sim.Time, n int) { samples = append(samples, n) }
-	f := testFrame(loop, 100)
-	v.Enqueue(f)
-	v.Enqueue(f)
-	v.Dequeue()
-	want := []int{1, 2, 1}
-	if len(samples) != len(want) {
-		t.Fatalf("samples = %v", samples)
-	}
-	for i := range want {
-		if samples[i] != want[i] {
-			t.Fatalf("samples = %v, want %v", samples, want)
-		}
-	}
-}
-
 // TestVOQRingIsFIFO drives queues with a random mix of enqueues, dequeues
 // and resizes against a plain slice: a queue accepts a frame exactly when the
 // slice holds fewer than its current capacity, every frame leaves in the

@@ -86,18 +86,9 @@ type Config struct {
 	Notify       NotifyProfile
 	PreChange    *PreChange // optional retcpdyn switch support
 
-	// Cluster is nil in every run: every rack lives on the loop passed to
-	// New, with one shared buffer pool and one delivery event per frame in
-	// flight. It is reachable from benchmark/ only (the 8-rack forward rung
-	// of benchmark/ladder.go) and goes, with sim/shard.go and netem/dock.go,
-	// when ROADMAP item 2 drops the name there. Non-nil, it places the
-	// network on the lane engine: rack r's data plane (host NIC pipe, VOQs,
-	// drainers, delivery) lives on Cluster.RackLoop(r) with its own buffer
-	// pool, cross-rack propagation travels through per-(src,dst) docks
-	// applied at engine barriers, and the control plane runs on
-	// Cluster.Control() — which must be the loop passed to New. Such a
-	// network is untraced. The two wirings differ only in what New
-	// constructs; every frame takes the same path.
+	// Cluster is ignored: every rack lives on the loop passed to New. It is
+	// set only under benchmark/ and goes with the lane-engine names there
+	// (ROADMAP item 2).
 	Cluster *sim.ShardedLoop
 
 	// FramePool recycles the network's frame wire buffers (DefaultConfig
@@ -182,7 +173,7 @@ func (h *Host) Send(seg *packet.Segment) {
 	seg.Src = h.Addr
 	r := h.Rack
 	r.framesIn++
-	r.uplink.Send(netem.NewFrameIn(r.loop, r.pool, seg))
+	r.uplink.Send(netem.NewFrameIn(r.net.Loop, r.net.pool, seg))
 }
 
 // Uplink exposes the rack's shared host-side ingress NIC pipe. The fault
@@ -191,35 +182,14 @@ func (r *Rack) Uplink() *netem.Pipe { return r.uplink }
 
 // Rack is a ToR switch plus its attached hosts. Each rack has one VOQ per
 // destination rack.
-//
-// Every rack shares Network.Loop and one buffer pool. (Under the
-// benchmark-only Config.Cluster the loop is the rack's lane and the pool is
-// the rack's own; the frame path is the same.)
 type Rack struct {
 	net   *Network
 	ID    int
 	Hosts []*Host
 
-	loop     *sim.Loop   // Network.Loop (the rack's lane under Cluster)
 	uplink   *netem.Pipe // shared host-side ingress NIC
 	voqs     []*netem.VOQ
 	drainers []*netem.Drainer
-
-	// pool recycles wire buffers for frames this rack's hosts send: one
-	// network-wide pool every rack aliases, so releases anywhere restock
-	// sends anywhere. Under a Cluster each lane owns its own pool, and a frame
-	// consumed on another rack's lane has its buffer repatriated at the next
-	// barrier (returnWire/flushReturns) — released straight into the
-	// destination pool, the source pool would never see a put again and both
-	// pools would allocate forever. Nil when Config.FramePool is.
-	pool *netem.BufPool
-
-	// Barrier-return staging for foreign wire buffers (Cluster only):
-	// retBufs[src] holds buffers consumed on this lane whose home pool is
-	// rack src's.
-	retBufs    [][][]byte
-	retDirty   bool
-	retFlushFn func()
 
 	// Per-rack slice of the frame-conservation ledger: framesIn counts
 	// frames sent by this rack's hosts, delivered/misrouted count frames
@@ -281,6 +251,11 @@ type Network struct {
 	started bool
 	baseVOQ int
 	tracer  *trace.Tracer
+
+	// pool recycles the wire buffers of every rack's frames
+	// (Config.FramePool): releases anywhere restock sends anywhere, so gets
+	// and puts balance by construction. Nil turns recycling off.
+	pool *netem.BufPool
 
 	// OnTransition, if set, is called at the start of every day with the
 	// new TDN (after drainers are kicked, before notifications are sent).
@@ -375,54 +350,16 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 			return nil, err
 		}
 	}
-	cluster := cfg.Cluster
-	if cluster != nil {
-		if cluster.Control() != loop {
-			return nil, fmt.Errorf("rdcn: Cluster is set but loop is not Cluster.Control()")
-		}
-		if cluster.Racks() != cfg.Racks {
-			return nil, fmt.Errorf("rdcn: Cluster has %d rack lanes but Config.Racks is %d", cluster.Racks(), cfg.Racks)
-		}
-		// Conservative lookahead: no frame crosses racks in less than the
-		// fastest TDN's propagation delay, so windows of that span are safe.
-		if len(cfg.TDNs) > 0 {
-			la := cfg.TDNs[0].Delay
-			for _, p := range cfg.TDNs[1:] {
-				if p.Delay < la {
-					la = p.Delay
-				}
-			}
-			cluster.SetLookahead(la)
-		}
-	}
 	// slotStart > slotEnd: the kept slot starts empty.
-	n := &Network{Loop: loop, Cfg: cfg, baseVOQ: cfg.VOQCap, slotStart: 1}
+	n := &Network{Loop: loop, Cfg: cfg, pool: cfg.FramePool, baseVOQ: cfg.VOQCap, slotStart: 1}
 	nvoq := cfg.Racks - 1 // one VOQ per destination rack
 	ntdn := len(cfg.TDNs)
 	n.Racks = make([]*Rack, cfg.Racks)
 	n.paths = make([]tdnPath, cfg.Racks*nvoq*ntdn)
-	// Every rack shares one pool (releases anywhere restock sends anywhere,
-	// so gets and puts balance by construction); under a Cluster each lane
-	// owns a pool and the barrier return path keeps them balanced.
-	var sharedPool *netem.BufPool
-	if cluster == nil {
-		sharedPool = cfg.FramePool
-	}
 	for r := 0; r < cfg.Racks; r++ {
-		rloop := loop
-		if cluster != nil {
-			rloop = cluster.RackLoop(r)
-		}
-		rack := &Rack{net: n, ID: r, loop: rloop, pool: sharedPool}
-		if cluster != nil {
-			if cfg.FramePool != nil {
-				rack.pool = &netem.BufPool{}
-			}
-			rack.retBufs = make([][][]byte, cfg.Racks)
-			rack.retFlushFn = rack.flushReturns
-		}
+		rack := &Rack{net: n, ID: r}
 		for k := 0; k < nvoq; k++ {
-			voq := netem.NewVOQ(rloop, cfg.VOQCap, cfg.MarkThresh)
+			voq := netem.NewVOQ(loop, cfg.VOQCap, cfg.MarkThresh)
 			voq.Label = fmt.Sprintf("r%dq%d", rack.ID, k)
 			voq.Total = &n.queued
 			dst := rack.qDst(k)
@@ -431,28 +368,20 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 				row[tdn] = n.pathOn(r, dst, tdn)
 			}
 			d := &netem.Drainer{
-				Loop: rloop,
+				Loop: loop,
 				Q:    voq,
-				Path: n.pathFunc(rloop, row),
-				Out:  func(f netem.Frame) { n.deliver(r, dst, f) },
-			}
-			if cluster != nil {
-				// Every drainer here crosses racks (qDst skips self), so its
-				// propagation stage becomes a dock: staged on this lane,
-				// flushed at barriers, delivered on the destination lane
-				// through the same sink.
-				d.Dock = netem.NewDock(r, dst, rloop, cluster.RackLoop(dst), cluster.Defer)
-				d.Dock.Out = d.Out
+				Path: n.pathFunc(row),
+				Out:  func(f netem.Frame) { n.deliver(dst, f) },
 			}
 			rack.voqs = append(rack.voqs, voq)
 			rack.drainers = append(rack.drainers, d)
 		}
 		rack.uplink = &netem.Pipe{
-			Loop:  rloop,
+			Loop:  loop,
 			Rate:  hostRate,
 			Delay: hostDelay,
 			Out:   func(f netem.Frame) { rack.ingress(f) },
-			Pool:  rack.pool,
+			Pool:  n.pool,
 		}
 		for h := 0; h < cfg.HostsPerRack; h++ {
 			rack.Hosts = append(rack.Hosts, &Host{Rack: rack, ID: h, Addr: HostAddr(r, h)})
@@ -484,13 +413,12 @@ func (n *Network) pathOn(rackID, dst, tdn int) tdnPath {
 }
 
 // pathFunc adapts the schedule to the drainer interface for the drainer whose
-// path table is row (indexed by TDN). The schedule is evaluated on the owning
-// rack's clock. A pair the TDN leaves dark returns before the circuit check;
-// CircuitOK is asked on every other call, because a flap has no event that
-// could invalidate a cached answer.
-func (n *Network) pathFunc(rloop *sim.Loop, row []tdnPath) netem.PathFunc {
+// path table is row (indexed by TDN). A pair the TDN leaves dark returns
+// before the circuit check; CircuitOK is asked on every other call, because a
+// flap has no event that could invalidate a cached answer.
+func (n *Network) pathFunc(row []tdnPath) netem.PathFunc {
 	return func() (netem.Path, bool) {
-		now := rloop.Now()
+		now := n.Loop.Now()
 		tdn, ok := n.dataPlaneSlot(now)
 		if !ok {
 			return netem.Path{}, false
@@ -530,45 +458,44 @@ func (r *Rack) ingress(f netem.Frame) {
 	n := r.net
 	if len(f.Wire) < 20 {
 		r.misrouted++
-		f.Release(r.pool)
+		f.Release(n.pool)
 		return
 	}
 	addr := binary.BigEndian.Uint32(f.Wire[16:20])
 	dst := int(addr >> 16 & 0xFF)
 	if addr>>24 != 0x0A || dst >= n.Cfg.Racks {
 		r.misrouted++
-		f.Release(r.pool)
+		f.Release(n.pool)
 		return
 	}
 	if dst == r.ID {
-		n.deliver(r.ID, r.ID, f)
+		n.deliver(r.ID, f)
 		return
 	}
 	if !r.voqs[r.qIndex(dst)].Enqueue(f) {
-		f.Release(r.pool)
+		f.Release(n.pool)
 	}
 }
 
-// deliver hands a frame sent from rack src to the destination host in rack
-// dst, identified by the IPv4 destination address. Delivery is a frame's
-// terminal point: once Recv returns the wire buffer goes home to rack src's
-// pool (see returnWire), so Recv hooks must parse (Parse copies) rather than
-// retain the wire.
+// deliver hands a frame to the destination host in rack dst, identified by
+// the IPv4 destination address. Delivery is a frame's terminal point: once
+// Recv returns the wire buffer goes back to the pool, so Recv hooks must
+// parse (Parse copies) rather than retain the wire.
 //
 // Hot path: runs once per delivered frame.
-func (n *Network) deliver(src, dst int, f netem.Frame) {
+func (n *Network) deliver(dst int, f netem.Frame) {
 	rack := n.Racks[dst]
 	h := n.hostIn(rack, f)
 	if h == nil {
 		rack.misrouted++
-		rack.returnWire(src, &f) // misrouted; drop
+		f.Release(n.pool) // misrouted; drop
 		return
 	}
 	rack.delivered++
 	if h.Recv != nil {
 		h.Recv(f)
 	}
-	rack.returnWire(src, &f)
+	f.Release(n.pool)
 }
 
 // hostIn resolves a frame's destination host within rack by its IPv4
@@ -585,44 +512,6 @@ func (n *Network) hostIn(rack *Rack, f netem.Frame) *Host {
 		return nil
 	}
 	return rack.Hosts[id]
-}
-
-// returnWire sends a consumed frame's buffer home to rack src's pool. That is
-// this rack's own pool — the one every rack shares — or pooling is off, and it
-// is a plain release; only under a Cluster can it be another lane's pool, and
-// then the buffer is staged for the next barrier (see Rack.pool).
-//
-// Hot path: runs once per consumed frame.
-func (r *Rack) returnWire(src int, f *netem.Frame) {
-	home := r.net.Racks[src].pool
-	if home == nil || home == r.pool || cap(f.Wire) == 0 {
-		f.Release(r.pool)
-		return
-	}
-	if !r.retDirty {
-		r.net.Cfg.Cluster.DeferLane(r.ID, r.retFlushFn)
-		r.retDirty = true
-	}
-	r.retBufs[src] = append(r.retBufs[src], f.Wire)
-	f.Wire = nil
-}
-
-// flushReturns hands every staged foreign buffer back to its home rack's
-// pool, in source-rack order. Runs at a barrier, registered through the lane
-// engine's DeferLane once per window (Cluster only).
-func (r *Rack) flushReturns() {
-	r.retDirty = false
-	for src, bufs := range r.retBufs {
-		if len(bufs) == 0 {
-			continue
-		}
-		home := r.net.Racks[src].pool
-		for i, b := range bufs {
-			home.Put(b)
-			bufs[i] = nil
-		}
-		r.retBufs[src] = bufs[:0]
-	}
 }
 
 // Start schedules the RDCN control plane (schedule transitions, VOQ
@@ -733,7 +622,7 @@ func (n *Network) preChange() {
 // PreChange.TDN day.
 func (n *Network) restoreVOQCaps() { n.setVOQCaps(n.baseVOQ) }
 
-// setVOQCaps resizes every uplink VOQ on both racks (unless a resize fault
+// setVOQCaps resizes every uplink VOQ of every rack (unless a resize fault
 // suppresses individual queues).
 func (n *Network) setVOQCaps(cap int) {
 	n.emit("voq_caps", -1, float64(cap), float64(n.baseVOQ))
@@ -747,7 +636,7 @@ func (n *Network) setVOQCaps(cap int) {
 	}
 }
 
-// KickAll re-kicks every drainer on both racks. Besides the nominal slot
+// KickAll re-kicks every drainer of every rack. Besides the nominal slot
 // transitions, the fault injector calls it at drift-shifted boundaries,
 // where the data plane's day/night edges no longer coincide with the
 // control-plane events that normally kick.
@@ -764,8 +653,8 @@ func (n *Network) Epoch() uint32 { return n.epoch }
 
 // CheckInvariants validates the accounting of every rack VOQ and the running
 // occupancy count QueueLen reads. The runtime invariant checker
-// (internal/invariant) calls it after every simulation event during faulted
-// runs.
+// (internal/invariant) calls it every eighth simulation event of a checked
+// run.
 func (n *Network) CheckInvariants() error {
 	queued := 0
 	for _, rack := range n.Racks {
@@ -830,8 +719,7 @@ type notifyCell struct {
 // "notify" span, parented on the current epoch-occupancy span so the causal
 // chain epoch -> notify -> cwnd_swap is explicit in the trace; the span
 // closes at the delivery instant and is the implicit parent of whatever the
-// host does in response (the TDTCP cwnd swap parents onto it). The delivery
-// timer is armed on the destination host's rack's loop.
+// host does in response (the TDTCP cwnd swap parents onto it).
 func (n *Network) deliverNotify(h *Host, tdn int, epoch uint32, d sim.Dur) {
 	sp := n.tracer.BeginSpan(trace.CatRDCN, int64(n.Loop.Now()), "notify", -1, tdn, n.epochSpan)
 	r := h.Rack
@@ -845,7 +733,7 @@ func (n *Network) deliverNotify(h *Host, tdn int, epoch uint32, d sim.Dur) {
 		c.fn = c.fire
 	}
 	c.h, c.tdn, c.epoch, c.d, c.sp = h, tdn, epoch, d, sp
-	r.loop.After(d, c.fn)
+	n.Loop.After(d, c.fn)
 }
 
 // fire delivers one notification, then recycles the cell.
@@ -859,7 +747,7 @@ func (c *notifyCell) fire() {
 	if h.NotifyTDN == nil {
 		return
 	}
-	now := r.loop.Now()
+	now := n.Loop.Now()
 	n.tracer.EndSpan(trace.CatRDCN, int64(now), "notify", -1, tdn, sp, float64(epoch), float64(d))
 	n.NotifyLat.Record(int64(d))
 	n.tracer.PushParent(sp)

@@ -311,3 +311,80 @@ func TestDataPlanePathIsExact(t *testing.T) {
 		t.Fatalf("%d checks, %d with a path, %d inside the flap: the test exercises nothing", checks, up, flapped)
 	}
 }
+
+// TestClusterIsInert builds the 8-rack rotor the way benchmark/ladder.go's
+// forward rung does, with Config.Cluster set to a lane engine whose Control()
+// loop is passed to New and driven by the engine's RunUntil, and checks that
+// it is the same network as one on a plain loop: the same (time, rack, host)
+// delivery sequence, the same notifications, the same frame ledger, and
+// conservation at every step.
+func TestClusterIsInert(t *testing.T) {
+	const racks, frames = 8, 4000
+	type delivery struct {
+		at         sim.Time
+		rack, host int
+		tdn        int // -1 for a frame, the TDN for a notification
+	}
+	run := func(engine *sim.ShardedLoop) ([]delivery, [3]uint64) {
+		cfg := DefaultConfig()
+		cfg.Racks, cfg.HostsPerRack = racks, 1
+		cfg.TDNs = RotorTDNs(racks, cfg.TDNs[0], cfg.TDNs[1])
+		cfg.Schedule = RotorWeek(racks, 6, 180*sim.Microsecond, 20*sim.Microsecond)
+		loop := sim.NewLoop(1)
+		runUntil := loop.RunUntil
+		if engine != nil {
+			loop, runUntil, cfg.Cluster = engine.Control(), engine.RunUntil, engine
+		}
+		n, err := New(loop, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []delivery
+		for _, r := range n.Racks {
+			h := r.Hosts[0]
+			h.Recv = func(netem.Frame) { got = append(got, delivery{loop.Now(), h.Rack.ID, h.ID, -1}) }
+			h.NotifyTDN = func(tdn int, _ uint32) { got = append(got, delivery{loop.Now(), h.Rack.ID, h.ID, tdn}) }
+		}
+		n.Start(sim.Time(sim.Second))
+		segs := make([]*packet.Segment, racks)
+		for s := range segs {
+			segs[s] = &packet.Segment{Dst: HostAddr((s+1)%racks, 0), TTL: 64, Proto: packet.ProtoTCP,
+				TCP: packet.TCPHeader{Flags: packet.FlagACK, PayloadLen: 8960}}
+		}
+		now := sim.Time(0)
+		for step := 0; ; step++ {
+			sent, delivered, _ := n.FrameLedger()
+			if delivered >= frames {
+				break
+			}
+			if step > 10000 {
+				t.Fatalf("only %d of %d frames delivered", delivered, frames)
+			}
+			for ; sent-delivered < 12*racks; sent += racks {
+				for s, seg := range segs {
+					n.Racks[s].Hosts[0].Send(seg)
+				}
+			}
+			now = now.Add(20 * sim.Microsecond)
+			runUntil(now)
+			if err := n.CheckConservation(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sent, delivered, misrouted := n.FrameLedger()
+		return got, [3]uint64{sent, delivered, misrouted}
+	}
+	plain, plainLedger := run(nil)
+	lanes, lanesLedger := run(sim.NewSharded(1, racks, 1))
+	if plainLedger != lanesLedger {
+		t.Fatalf("frame ledger (sent, delivered, misrouted): plain loop %v, Cluster %v", plainLedger, lanesLedger)
+	}
+	if !reflect.DeepEqual(plain, lanes) {
+		for i := range min(len(plain), len(lanes)) {
+			if plain[i] != lanes[i] {
+				t.Fatalf("delivery %d: plain loop %+v, Cluster %+v", i, plain[i], lanes[i])
+			}
+		}
+		t.Fatalf("%d deliveries on a plain loop, %d under Cluster", len(plain), len(lanes))
+	}
+}

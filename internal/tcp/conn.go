@@ -142,7 +142,8 @@ type Conn struct {
 	// Out transmits a segment toward the peer (typically rdcn.Host.Send).
 	// The segment is only valid for the duration of the call: the connection
 	// reuses its backing storage for the next transmission. Implementations
-	// that retain it (delay queues, subflow gates) must Clone it first.
+	// that retain it must deep-copy it first: Clone it, or copy it into
+	// storage of their own, as MPTCP's subflow gate does.
 	Out func(*packet.Segment)
 
 	cfg    Config
@@ -227,11 +228,6 @@ type Conn struct {
 	// offered data and its FIN is acknowledged — the flow-completion
 	// instant FCT accounting measures against.
 	OnDone func(now sim.Time)
-	// OnStateSwitch, if set, observes active-path-state switches (TDTCP).
-	OnStateSwitch func(now sim.Time, from, to int)
-	// OnSendBlocked, if set, is called when the sender wants to transmit
-	// but is blocked (diagnostics).
-	OnSendBlocked func(reason string)
 	// TxSegmentHook, if set, is invoked on every outgoing data segment just
 	// before serialization, with the retransmission-queue entry and the
 	// header (MPTCP attaches its DSS mapping here).
@@ -796,9 +792,6 @@ func (c *Conn) sendNewSegment() bool {
 	}
 	inFlightBytes := uint32(c.sndNxt.Diff(c.sndUna))
 	if c.peerWnd > 0 && inFlightBytes+uint32(c.cfg.MSS) > c.peerWnd {
-		if c.OnSendBlocked != nil {
-			c.OnSendBlocked("rwnd")
-		}
 		return false
 	}
 	if !c.paceGate() {
