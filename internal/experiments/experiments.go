@@ -88,8 +88,9 @@ type RunConfig struct {
 	// is the measurement window (default 10).
 	WarmupWeeks, MeasureWeeks int
 	Seed                      int64
-	// Shards is a refused stub, kept one PR for a caller that still writes
-	// Shards: 1. 0 and 1 mean nothing; any other value is an error.
+	// Shards is a refused stub that benchmark/ still sets to 1; it goes with
+	// ROADMAP item 2's benchmark change. 0 and 1 mean nothing; any other
+	// value is an error.
 	Shards int
 	// Notify is the TDN-change notification profile (default optimized).
 	Notify *rdcn.NotifyProfile

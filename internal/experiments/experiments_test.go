@@ -147,6 +147,17 @@ func TestUnknownVariantRefused(t *testing.T) {
 	}
 }
 
+// TestShardsRefused: a Shards value other than 0 or 1 is an error from both
+// entry points, naming the field, and never a panic.
+func TestShardsRefused(t *testing.T) {
+	if _, err := Run(RunConfig{Variant: TDTCP, WarmupWeeks: 1, MeasureWeeks: 1, Flows: 2, Shards: 2}); err == nil || !strings.Contains(err.Error(), "Shards") {
+		t.Errorf("Run at Shards 2: err %v, want one naming Shards", err)
+	}
+	if _, err := RunWorkload(WorkloadConfig{Variant: TDTCP, Scenario: MultiRack(4), WarmupWeeks: 1, MeasureWeeks: 1, Shards: -1}); err == nil || !strings.Contains(err.Error(), "Shards") {
+		t.Errorf("RunWorkload at Shards -1: err %v, want one naming Shards", err)
+	}
+}
+
 func TestTDTCPAblationOrdering(t *testing.T) {
 	full, err := Run(RunConfig{Variant: TDTCP, WarmupWeeks: 2, MeasureWeeks: 6})
 	if err != nil {

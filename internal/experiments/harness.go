@@ -63,8 +63,7 @@ type harness struct {
 // sweep looks for does not heal — a broken counter stays broken, which is why
 // the checker latches a failed site — so a sparser sweep reports the same
 // violation at most seven events later, with the guilty event still in the
-// flight snapshot. One in eight is what checked runs have in fact paid since
-// PR 10, when the checker's hook sat on a loop that saw one event in 7.6.
+// flight snapshot.
 const invariantSweepEvery = 8
 
 // newHarness builds the run's loop and network from the fields RunConfig and

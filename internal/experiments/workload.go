@@ -34,7 +34,8 @@ type WorkloadConfig struct {
 	// flows arriving inside the window.
 	WarmupWeeks, MeasureWeeks int
 	Seed                      int64
-	// Shards is a refused stub (see RunConfig.Shards): 0 or 1, else an error.
+	// Shards is a refused stub that goes with ROADMAP item 2's benchmark
+	// change, like RunConfig.Shards: 0 or 1, else an error.
 	Shards int
 	// MaxFlows caps total arrivals so a mis-set load cannot spawn unbounded
 	// work (default 512).

@@ -218,7 +218,7 @@ type Pipe struct {
 
 	// Coalesce is ignored: every frame in the propagation-delay stage is one
 	// loop event. It is set only under benchmark/ and goes with the
-	// lane-engine names there (ROADMAP item 2).
+	// one-loop shim in internal/sim/shard.go (ROADMAP item 2).
 	Coalesce bool
 
 	q    []Frame

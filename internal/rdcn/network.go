@@ -87,8 +87,8 @@ type Config struct {
 	PreChange    *PreChange // optional retcpdyn switch support
 
 	// Cluster is ignored: every rack lives on the loop passed to New. It is
-	// set only under benchmark/ and goes with the lane-engine names there
-	// (ROADMAP item 2).
+	// set only under benchmark/ and goes with the one-loop shim in
+	// internal/sim/shard.go (ROADMAP item 2).
 	Cluster *sim.ShardedLoop
 
 	// FramePool recycles the network's frame wire buffers (DefaultConfig

@@ -313,11 +313,11 @@ func TestDataPlanePathIsExact(t *testing.T) {
 }
 
 // TestClusterIsInert builds the 8-rack rotor the way benchmark/ladder.go's
-// forward rung does, with Config.Cluster set to a lane engine whose Control()
-// loop is passed to New and driven by the engine's RunUntil, and checks that
-// it is the same network as one on a plain loop: the same (time, rack, host)
-// delivery sequence, the same notifications, the same frame ledger, and
-// conservation at every step.
+// forward rung does, with Config.Cluster set to a sim.ShardedLoop shim whose
+// Control() loop is passed to New and driven by the shim's RunUntil, and
+// checks that it is the same network as one on a plain loop: the same (time,
+// rack, host) delivery sequence, the same notifications, the same frame
+// ledger, and conservation at every step.
 func TestClusterIsInert(t *testing.T) {
 	const racks, frames = 8, 4000
 	type delivery struct {
