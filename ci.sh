@@ -26,6 +26,13 @@ go run ./cmd/tdlint -json ./... > artifacts/tdlint.json
 
 go build ./...
 
+# DESIGN.md stays within ROADMAP item 6's bound of 70 000 bytes: a section
+# that grows is paid for by trimming another.
+if [ "$(wc -c < DESIGN.md)" -gt 70000 ]; then
+	echo "ci.sh: DESIGN.md is $(wc -c < DESIGN.md) bytes, over the 70 000-byte bound" >&2
+	exit 1
+fi
+
 # One engine (ROADMAP item 2): every run executes on a plain sim.Loop.
 # internal/sim/shard.go is a one-loop shim: sim.ShardedLoop wraps one Loop and
 # hands it out as every lane, only so that benchmark/ladder.go's two rungs keep
@@ -75,13 +82,15 @@ find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testd
 		printf "%7d total\n", total
 	}' | tee artifacts/loc.txt
 
-# The six allocation contracts, printed: the bytes and mallocs each further
+# The seven allocation contracts, printed: the bytes and mallocs each further
 # flow of an open-loop run costs, at most 512 B in 2 mallocs
 # (TestWorkloadChurnAllocatesForItsResultOnly; flow reuse is judged by these
 # numbers), the bytes each further measured week of a
 # Run costs (TestRunAllocationIsFlatInHorizon: its result stops at PlotWeeks),
-# at most 75 % of a first Run's bytes for a second one on the memory the first
-# handed back (TestRunReusesItsMemory), the allocations of a steady-state week
+# at most 50 % of a first Run's bytes for a second one on the memory the first
+# handed back (TestRunReusesItsMemory), at most 80 % of a Run's bytes building
+# its endpoints when it reopens those a Run of its shape handed on
+# (TestSameShapeRunReopensItsEndpoints), the allocations of a steady-state week
 # of every variant on the hybrid and the 8-rack rotor
 # (TestSteadyStateDoesNotAllocate), 0 allocations per VOQ enqueue and dequeue
 # after NewVOQ, across a grow/shrink cycle (TestVOQDoesNotAllocate), and the
@@ -90,7 +99,7 @@ find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testd
 # These tests are now the only guard of the functions that used to carry a
 # //lint:hotpath directive: no lint check looks at allocations. All but the
 # VOQ's skip under -race, so the race run below does not cover them.
-go test -count=1 -v -run 'TestWorkloadChurnAllocatesForItsResultOnly|TestRunAllocationIsFlatInHorizon|TestRunReusesItsMemory|TestSteadyStateDoesNotAllocate|TestVOQDoesNotAllocate|TestHistogramAllocatesTouchedOctavesOnly' \
+go test -count=1 -v -run 'TestWorkloadChurnAllocatesForItsResultOnly|TestRunAllocationIsFlatInHorizon|TestRunReusesItsMemory|TestSameShapeRunReopensItsEndpoints|TestSteadyStateDoesNotAllocate|TestVOQDoesNotAllocate|TestHistogramAllocatesTouchedOctavesOnly' \
 	./internal/experiments ./internal/netem ./internal/trace > artifacts/alloc.txt || { cat artifacts/alloc.txt; exit 1; }
 cat artifacts/alloc.txt
 

@@ -400,7 +400,8 @@ func newRunHarness(cfg *RunConfig) (*harness, error) {
 		return nil, err
 	}
 	defer h.dumpOnPanic()
-	mn := newMuxNet(h.net, h.pool, cfg.Variant, cfg.Flow)
+	mn := newMuxNet(h.net, h.mem, cfg.Variant, cfg.Flow)
+	h.mux = mn
 	for i := 0; i < cfg.Flows; i++ {
 		f, err := mn.runFlow(i)
 		if err != nil {

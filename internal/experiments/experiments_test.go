@@ -245,7 +245,7 @@ func TestBuildFlowsValidation(t *testing.T) {
 
 	// BuildFlows is newMuxNet and runFlow; the mux is needed to see the ports.
 	net := newNet(Hybrid())
-	mn := newMuxNet(net, nil, MPTCP, FlowOptions{})
+	mn := newMuxNet(net, new(runMem), MPTCP, FlowOptions{})
 	f, err := mn.runFlow(1)
 	if err != nil {
 		t.Fatal(err)

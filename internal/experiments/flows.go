@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"github.com/rdcn-net/tdtcp/internal/cc"
 	"github.com/rdcn-net/tdtcp/internal/core"
@@ -372,8 +373,13 @@ type muxNet struct {
 	byAddr  map[uint32]*hostMux // the same muxes by host address, for leave
 
 	// parked holds the flows release has retired until an arrival reopens
-	// them (DESIGN.md §10 "Endpoint reuse").
+	// them (DESIGN.md §10 "Endpoint reuse"), starting from those the run
+	// before handed on when it had this shape.
 	parked []*Flow
+	// shape is what the flows fit; handOn is false when they must not
+	// outlive the run (see shapeOf).
+	shape  shape
+	handOn bool
 	// built and reopened count the endpoints constructed and the times one
 	// was reopened: two per flow between them.
 	built, reopened int
@@ -382,11 +388,45 @@ type muxNet struct {
 	noReuse bool
 }
 
+// shape is what makes one run's flows fit another's: every field
+// endpointConfig reads, so that two muxNets of one shape build their
+// endpoints from equal tcp.Configs, up to the loop and the pool, which the run
+// memory carries with the flows.
+type shape struct {
+	variant                                  Variant
+	tdns                                     int
+	noRelaxed, noRTTFilter, noPessimisticRTO bool // TDTCPOpts
+	minRTO, maxRTO                           sim.Dur
+	perTDNCC                                 string // FlowOptions.PerTDNCC, comma-joined
+	mss, rcvBuf                              int
+}
+
+// shapeOf returns the shape of variant v's flows under opt on a fabric of
+// tdns TDNs, and false for flows that must not outlive their run: MPTCP's,
+// which are never parked, and those whose config holds a closure, which may
+// be over the finished run's network (the deadman schedule).
+func shapeOf(v Variant, tdns int, opt FlowOptions) (shape, bool) {
+	o := opt.TDTCPOpts
+	s := shape{variant: v, tdns: tdns,
+		noRelaxed: o.DisableRelaxedReordering, noRTTFilter: o.DisableRTTFilter, noPessimisticRTO: o.DisablePessimisticRTO,
+		minRTO: opt.MinRTO, maxRTO: opt.MaxRTO, perTDNCC: strings.Join(opt.PerTDNCC, ","),
+		mss: opt.MSS, rcvBuf: opt.RcvBuf}
+	return s, v != MPTCP && o.DeadmanHorizon == 0 && o.DeadmanSchedule == nil
+}
+
 // newMuxNet takes over every host's upcalls: frames, TDN-change
 // notifications and the retcpdyn advance signal all go through the host's mux.
-func newMuxNet(net *rdcn.Network, pool *tcp.Pool, v Variant, opt FlowOptions) *muxNet {
-	mn := &muxNet{net: net, variant: v, opt: opt, pool: pool,
+// Its endpoints draw on mem's pool, and it takes the flows mem carries from
+// the run before (see parkAll) when they are of its shape; otherwise they are
+// dropped.
+func newMuxNet(net *rdcn.Network, mem *runMem, v Variant, opt FlowOptions) *muxNet {
+	mn := &muxNet{net: net, variant: v, opt: opt, pool: mem.segs,
 		muxes: make([][]*hostMux, len(net.Racks)), byAddr: make(map[uint32]*hostMux)}
+	mn.shape, mn.handOn = shapeOf(v, len(net.Cfg.TDNs), opt)
+	if mn.handOn && mem.shape == mn.shape {
+		mn.parked = mem.flows
+	}
+	mem.flows = nil
 	for r, rack := range net.Racks {
 		mn.muxes[r] = make([]*hostMux, len(rack.Hosts))
 		for h, host := range rack.Hosts {
@@ -425,7 +465,7 @@ func BuildFlows(net *rdcn.Network, n int, v Variant, opt FlowOptions) ([]*Flow, 
 	if err := CheckVariant(v, len(net.Racks), false); err != nil {
 		return nil, err
 	}
-	mn := newMuxNet(net, new(tcp.Pool), v, opt)
+	mn := newMuxNet(net, &runMem{segs: new(tcp.Pool)}, v, opt)
 	var flows []*Flow
 	for i := 0; i < n; i++ {
 		f, err := mn.runFlow(i)
@@ -589,6 +629,32 @@ func (mn *muxNet) release(f *Flow) {
 		c.Release()
 	}
 	mn.parked = append(mn.parked, f)
+}
+
+// parkAll ends the run's hold on its flows: every one still open or
+// lingering leaves and is released, and an MPTCP flow's subflows are
+// released, so that the pool counts no live connection. It returns the
+// parked flows when they may serve the next run of their shape (shapeOf),
+// each with its arrival record cleared: that record's FIN-ack callback is
+// bound to the finished run, and a reopened flow binds its own.
+func (mn *muxNet) parkAll(flows []*Flow) []*Flow {
+	for _, f := range flows {
+		if f.MSnd == nil {
+			mn.leave(f)
+			mn.release(f)
+			continue
+		}
+		for _, c := range slices.Concat(f.MSnd.Subflows(), f.MRcv.Subflows()) {
+			c.Release()
+		}
+	}
+	if !mn.handOn {
+		return nil
+	}
+	for _, f := range mn.parked {
+		f.arrival = arrival{}
+	}
+	return mn.parked
 }
 
 // census sums the muxes over every host: the listeners one TDN change is

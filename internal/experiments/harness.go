@@ -45,6 +45,9 @@ type harness struct {
 	// retransmission-queue entries from it) and the network its frame pool.
 	mem  *runMem
 	pool *tcp.Pool
+	// mux is the muxNet the entry point wires its flows through, which takes
+	// the flows mem carries and parks the run's own for the next run.
+	mux *muxNet
 	// rtts and lag are the registry's per-TDN RTT and deadman-lag histograms
 	// on a metered run, resolved by the first addFlow for every flow after.
 	rtts []*trace.Histogram
@@ -154,14 +157,18 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error)
 }
 
 // runMem is the working memory a run grows and hands on to the next: the
-// event loop's heap, slab and random source, the network's frame-buffer pool
-// and the tcp.Pool of retransmission-queue entries. Nothing a run returns
-// points into it, so once a run has assembled its result, its memory can serve
-// another. A run that fails, is cancelled or panics drops its memory instead.
+// event loop's heap, slab and random source, the network's frame-buffer pool,
+// the tcp.Pool of retransmission-queue entries, and the run's flows, released
+// and parked, for the next run of their shape to reopen (newMuxNet). Nothing
+// a run returns points into it, so once a run has assembled its result, its
+// memory can serve another. A run that fails, is cancelled or panics drops its
+// memory instead.
 type runMem struct {
 	loop   *sim.Loop
 	frames *netem.BufPool
 	segs   *tcp.Pool
+	flows  []*Flow
+	shape  shape
 }
 
 // spareMem is the list of memory finished runs handed back: a LIFO under a
@@ -192,15 +199,19 @@ func takeRunMem(seed int64) *runMem {
 	return m
 }
 
-// release hands the run's memory to the next run. Call it last, once the
-// result is assembled and nothing reads the loop, the network or the flows
-// any more. The loop is reset at once, so a spare holds no callback of the
-// finished run and with it none of its network.
+// release hands the run's memory, its flows parked, to the next run. Call it
+// last, once the result is assembled and nothing reads the loop, the network
+// or the flows any more. Every connection the run built is released first; one
+// that is not fails loudly. The loop is reset at once, so a spare holds no
+// callback of the finished run and with it none of its network.
 func (h *harness) release() {
 	m := h.mem
 	h.mem = nil
+	m.flows, m.shape = h.mux.parkAll(h.flows), h.mux.shape
+	if n := m.segs.LiveConns(); n != 0 {
+		panic(fmt.Sprintf("experiments: %s hands on its memory with %d connections unreleased", h.what, n))
+	}
 	m.loop.Reset(0)
-	m.segs.Reset()
 	spareMem.mu.Lock()
 	if len(spareMem.mems) < runtime.GOMAXPROCS(0) {
 		spareMem.mems = append(spareMem.mems, m)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/rdcn-net/tdtcp/internal/core"
 	"github.com/rdcn-net/tdtcp/internal/fault"
 	"github.com/rdcn-net/tdtcp/internal/trace"
 )
@@ -27,52 +28,134 @@ func lastSpare() *runMem {
 	return nil
 }
 
-// TestWarmMemoryIsUnobservable: a run on memory another scenario warmed —
-// the 8-rack rotor's open-loop workload, or a faulted run under the invariant
-// checker — writes the same JSONL trace and metrics bytes and returns the same
-// Result as a run on fresh memory, and did take the warmed memory.
+// parkedFlows is the set of flows the spare memory the next run takes
+// carries.
+func parkedFlows() map[*Flow]bool {
+	set := map[*Flow]bool{}
+	if m := lastSpare(); m != nil {
+		for _, f := range m.flows {
+			set[f] = true
+		}
+	}
+	return set
+}
+
+// warmCase is a run TestWarmMemoryIsUnobservable repeats on warmed memory: it
+// returns the run's JSONL trace and metrics bytes and its Result, with what
+// depends on how the flows came to be (endpoints built or reopened) zeroed.
+type warmCase struct {
+	name string
+	run  func(t *testing.T) ([]byte, any)
+}
+
+// warmer is a run that warms the memory the next run takes; same says it has
+// the shape of the run it warms for, so that run must reopen every endpoint
+// it hands on and build none, where any other must build afresh.
+type warmer struct {
+	name string
+	same bool
+	run  func() error
+}
+
+// tracedBytes runs fn with a tracer in every category but the loop's and a
+// metrics registry, and returns the trace and metrics bytes.
+func tracedBytes(t *testing.T, fn func(*trace.Tracer, *trace.Registry)) []byte {
+	var buf bytes.Buffer
+	tr, reg := trace.New(&buf, trace.CatAll&^trace.CatSim), trace.NewRegistry()
+	fn(tr, reg)
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// rotor8 is the 8-rack rotor's open-loop web-search workload, at the load and
+// size the benchmark's rotor workload has, shortened.
+func rotor8(seed int64) WorkloadConfig {
+	return WorkloadConfig{Variant: TDTCP, Scenario: MultiRack(8), Hosts: 4, Load: 0.4,
+		WarmupWeeks: 1, MeasureWeeks: 4, Seed: seed}
+}
+
+// TestWarmMemoryIsUnobservable: a run on memory another run warmed writes the
+// same JSONL trace and metrics bytes and returns the same Result as a run on
+// fresh memory, and did take the warmed memory. The warmers are other
+// scenarios — the 8-rack rotor's open-loop workload, a faulted run under the
+// invariant checker — and runs of the same shape, whose endpoints the run
+// reopens: then it builds none. A warmer that differs from the run in one
+// TDTCPOpts flag, in TDN count or in variant hands on endpoints the run must
+// not take.
 func TestWarmMemoryIsUnobservable(t *testing.T) {
 	plan, err := fault.Parse("drop=0.01,nloss=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmers := []struct {
-		name string
-		run  func() error
-	}{
-		{"rotor8_websearch", func() error {
-			_, err := RunWorkload(WorkloadConfig{Variant: TDTCP, Scenario: MultiRack(8), Hosts: 4, Load: 0.4,
-				WarmupWeeks: 1, MeasureWeeks: 4})
+	hybrid := func(v Variant, seed int64, opt FlowOptions) func() error {
+		return func() error {
+			_, err := Run(RunConfig{Variant: v, WarmupWeeks: 1, MeasureWeeks: 2, Seed: seed, Flow: opt})
 			return err
-		}},
-		{"hybrid_cubic_faulted", func() error {
+		}
+	}
+	others := []warmer{
+		{"rotor8_websearch", false, func() error { _, err := RunWorkload(rotor8(1)); return err }},
+		{"hybrid_cubic_faulted", false, func() error {
 			_, err := Run(RunConfig{Variant: Cubic, Flows: 4, WarmupWeeks: 1, MeasureWeeks: 2,
 				Fault: &plan, Invariants: true})
 			return err
 		}},
 	}
-	for _, v := range []Variant{TDTCP, MPTCP} {
-		run := func(t *testing.T) (out []byte, res *Result) {
-			var buf bytes.Buffer
-			tr := trace.New(&buf, trace.CatAll&^trace.CatSim)
-			reg := trace.NewRegistry()
-			res, err := Run(RunConfig{Variant: v, WarmupWeeks: 1, MeasureWeeks: 3, Tracer: tr, Metrics: reg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tr.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := reg.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
+	var cases []warmCase
+	warmers := map[string][]warmer{}
+	for _, v := range []Variant{TDTCP, MPTCP, Cubic, DCTCP, ReTCP, ReTCPDyn} {
+		c := warmCase{string(v), func(t *testing.T) ([]byte, any) {
+			var res *Result
+			out := tracedBytes(t, func(tr *trace.Tracer, reg *trace.Registry) {
+				var err error
+				if res, err = Run(RunConfig{Variant: v, WarmupWeeks: 1, MeasureWeeks: 3, Tracer: tr, Metrics: reg}); err != nil {
+					t.Fatal(err)
+				}
+			})
 			res.Cfg.Tracer, res.Cfg.Metrics = nil, nil
-			return buf.Bytes(), res
-		}
+			return out, res
+		}}
+		cases = append(cases, c)
+		warmers[c.name] = append(warmers[c.name], warmer{"hybrid_" + string(v) + "_seed7", v != MPTCP, hybrid(v, 7, FlowOptions{})})
+	}
+	warmers["tdtcp"] = append(warmers["tdtcp"], others...)
+	warmers["tdtcp"] = append(warmers["tdtcp"],
+		warmer{"hybrid_tdtcp_no_rtt_filter", false, hybrid(TDTCP, 1, FlowOptions{TDTCPOpts: core.Options{DisableRTTFilter: true}})},
+		warmer{"hybrid_split_tdtcp", false, func() error {
+			_, err := Run(RunConfig{Variant: TDTCP, Scenario: splitHybrid(t), WarmupWeeks: 1, MeasureWeeks: 2})
+			return err
+		}})
+	warmers["mptcp2f"] = append(warmers["mptcp2f"], others...)
+	warmers["cubic"] = append(warmers["cubic"], warmer{"hybrid_dctcp", false, hybrid(DCTCP, 1, FlowOptions{})})
+	cases = append(cases, warmCase{"rotor8_websearch", func(t *testing.T) ([]byte, any) {
+		var res *WorkloadResult
+		out := tracedBytes(t, func(tr *trace.Tracer, reg *trace.Registry) {
+			cfg := rotor8(1)
+			cfg.Tracer, cfg.Metrics = tr, reg
+			var err error
+			if res, err = RunWorkload(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		res.Cfg.Tracer, res.Cfg.Metrics = nil, nil
+		res.life.built, res.life.reopened = 0, 0
+		return out, res
+	}})
+	warmers["rotor8_websearch"] = []warmer{
+		{"rotor8_websearch", true, func() error { _, err := RunWorkload(rotor8(1)); return err }},
+		{"hybrid_tdtcp", false, hybrid(TDTCP, 1, FlowOptions{})},
+	}
+
+	for _, c := range cases {
 		dropSpareMem()
-		fresh, freshRes := run(t)
-		for _, w := range warmers {
-			t.Run(string(v)+"/"+w.name, func(t *testing.T) {
+		fresh, freshRes := c.run(t)
+		for _, w := range warmers[c.name] {
+			t.Run(c.name+"/"+w.name, func(t *testing.T) {
 				dropSpareMem()
 				if err := w.run(); err != nil {
 					t.Fatal(err)
@@ -81,9 +164,26 @@ func TestWarmMemoryIsUnobservable(t *testing.T) {
 				if warm == nil {
 					t.Fatal("the warming run handed no memory back")
 				}
-				got, res := run(t)
+				handed := parkedFlows()
+				if w.same && len(handed) == 0 {
+					t.Fatal("the warming run handed on no endpoints")
+				}
+				got, res := c.run(t)
 				if lastSpare() != warm {
 					t.Fatal("the run did not take the warmed memory, or did not hand it back")
+				}
+				parked := parkedFlows()
+				reopened := 0
+				for f := range parked {
+					if handed[f] {
+						reopened++
+					}
+				}
+				switch {
+				case w.same && reopened != len(parked):
+					t.Errorf("the run built %d flows beside the %d of the same shape it was handed", len(parked)-reopened, len(handed))
+				case !w.same && reopened != 0:
+					t.Errorf("the run reopened %d flows of another shape", reopened)
 				}
 				if !bytes.Equal(got, fresh) {
 					d := firstDiffLine(got, fresh)
@@ -121,7 +221,8 @@ func TestFailedRunDropsItsMemory(t *testing.T) {
 // TestRunReusesItsMemory is the allocation contract of run-to-run reuse
 // (DESIGN.md §10 "Connection state and the run's pool"): the second of two
 // identical 3+20-week hybrid Runs takes the loop, frame pool and tcp.Pool the
-// first grew, and allocates at most 75 % of what the first did.
+// first grew, and the endpoints it parked, and allocates at most 50 % of what
+// the first did.
 func TestRunReusesItsMemory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on this path")
@@ -137,7 +238,45 @@ func TestRunReusesItsMemory(t *testing.T) {
 	dropSpareMem()
 	first, second := run(), run()
 	t.Logf("first run %d B, second %d B (%.0f %%)", first, second, 100*float64(second)/float64(first))
-	if 4*second > 3*first {
-		t.Errorf("the second run allocates %d B against the first's %d: more than 75 %%", second, first)
+	if 2*second > first {
+		t.Errorf("the second run allocates %d B against the first's %d: more than 50 %%", second, first)
+	}
+}
+
+// TestSameShapeRunReopensItsEndpoints is the allocation contract of handing
+// endpoints on (DESIGN.md §10 "Endpoint reuse"): for each single-path variant
+// on the hybrid, a 3+20-week Run on memory a Run of the same shape handed on
+// reopens every endpoint it was handed, and allocates at most 80 % of what
+// the same Run does on the same memory with the handed endpoints dropped, so
+// that it builds its own.
+func TestSameShapeRunReopensItsEndpoints(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on this path")
+	}
+	for _, v := range []Variant{Cubic, DCTCP, ReTCP, ReTCPDyn, TDTCP} {
+		run := func(seed int64) uint64 {
+			bytes, _ := allocatedBy(func() {
+				if _, err := Run(RunConfig{Variant: v, WarmupWeeks: 3, MeasureWeeks: 20, Seed: seed}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			return bytes
+		}
+		dropSpareMem()
+		run(1001)
+		handed := parkedFlows()
+		reopening := run(1002)
+		for f := range parkedFlows() {
+			if !handed[f] {
+				t.Fatalf("%s: the second run built a flow beside the %d it was handed", v, len(handed))
+			}
+		}
+		lastSpare().flows = nil
+		building := run(1002)
+		t.Logf("%-8s %d B reopening its endpoints, %d B building them (%.0f %%)",
+			v, reopening, building, 100*float64(reopening)/float64(building))
+		if 5*reopening > 4*building {
+			t.Errorf("%s: %d B reopening against %d B building: more than 80 %%", v, reopening, building)
+		}
 	}
 }

@@ -184,7 +184,8 @@ type lifeCensus struct {
 	liveConns   int // connections attached to the pool and not released
 	flows       int // flows the harness still tracks
 	// Endpoint reuse (muxNet): released endpoints waiting on the parked list,
-	// endpoints ever constructed, and the times one was reopened.
+	// those a run of the same shape handed on included, endpoints this run
+	// constructed, and the times one was reopened.
 	parked, built, reopened int
 }
 
@@ -242,8 +243,9 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	measureStart, end := h.measureStart, h.end
 
 	fctHist := cfg.Metrics.Hist("fct.ns")
-	mn := newMuxNet(net, h.pool, cfg.Variant, cfg.Flow)
+	mn := newMuxNet(net, h.mem, cfg.Variant, cfg.Flow)
 	mn.noReuse = cfg.noReuse
+	h.mux = mn
 	h.start()
 
 	// Aggregate capacity = per-rack schedule-weighted uplink rate × racks.
