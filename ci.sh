@@ -167,3 +167,4 @@ go test -fuzz=FuzzFlowSizeCDF -fuzztime=5s ./internal/workload/
 go test -fuzz=FuzzOptimalSeries -fuzztime=5s ./internal/workload/
 go test -fuzz=FuzzLoopMatchesReference -fuzztime=5s ./internal/sim/
 go test -fuzz=FuzzSpecNormalize -fuzztime=5s ./internal/serve/
+go test -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/fault/

@@ -74,6 +74,10 @@ func (p *Plan) Enabled() bool {
 //	flaps, flapfrac   flapped day count / fraction of the day survived
 //	drift             per-week schedule drift bound (Go duration)
 //	resizefail        VOQ-resize failure probability
+//
+// A probability must lie in [0, 1] (NaN is refused) and a duration in
+// [0, 1h]: maxDur, far above any schedule week, keeps every draw the
+// injector makes from a duration (drift's 2·Drift+1 included) inside int64.
 func Parse(spec string) (Plan, error) {
 	var p Plan
 	if strings.TrimSpace(spec) == "" {
@@ -129,12 +133,15 @@ func Parse(spec string) (Plan, error) {
 	return p, nil
 }
 
+// maxDur is the largest duration Parse accepts for any key.
+const maxDur = 3600 * sim.Second
+
 func parseProb(v string) (float64, error) {
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, err
 	}
-	if f < 0 || f > 1 {
+	if !(f >= 0 && f <= 1) {
 		return 0, fmt.Errorf("probability outside [0,1]")
 	}
 	return f, nil
@@ -145,8 +152,8 @@ func parseDur(v string) (sim.Dur, error) {
 	if err != nil {
 		return 0, err
 	}
-	if d < 0 {
-		return 0, fmt.Errorf("negative duration")
+	if d < 0 || sim.Dur(d.Nanoseconds()) > maxDur {
+		return 0, fmt.Errorf("duration outside [0,1h]")
 	}
 	return sim.Dur(d.Nanoseconds()), nil
 }
@@ -395,7 +402,7 @@ func (inj *Injector) planFlaps(until sim.Time) {
 			inj.stats.CircuitFlaps++
 			inj.count("circuit_flaps")
 			inj.emit("flap", w.tdn, float64(w.to.Sub(w.from)), inj.plan.FlapFrac)
-			// An in-progress frame finishes, then the drainer finds the
+			// An in-progress frame finishes, then the VOQ link finds the
 			// path dark; nothing to kick until the nominal day-end
 			// transition.
 		})
@@ -412,7 +419,7 @@ func (inj *Injector) circuitOK(tdn int, now sim.Time) bool {
 }
 
 // planDrift draws one data-plane schedule offset per week, uniform in
-// [-Drift, +Drift], and schedules drainer kicks at the shifted slot
+// [-Drift, +Drift], and schedules VOQ link kicks at the shifted slot
 // boundaries (the nominal transitions kick at the wrong instants once the
 // data plane has drifted away from them).
 func (inj *Injector) planDrift(until sim.Time) {

@@ -46,6 +46,28 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseRefusesWhatItCannotRun: NaN passes a plain range check, so it
+// would parse into a plan that Enabled reads as off; a duration past the
+// ceiling would overflow the injector's draws (drift's 2·Drift+1 panics
+// Int63n). Parse refuses both, on every key of their kind.
+func TestParseRefusesWhatItCannotRun(t *testing.T) {
+	var specs []string
+	for _, k := range []string{"nloss", "ndup", "drop", "corrupt", "reorder", "flapfrac", "resizefail"} {
+		specs = append(specs, k+"=NaN", k+"=nan")
+	}
+	for _, k := range []string{"ndelay", "rdelay", "drift"} {
+		specs = append(specs, k+"=2000000h", k+"=61m")
+	}
+	for _, spec := range specs {
+		if p, err := Parse(spec); err == nil {
+			t.Errorf("Parse(%q) = %+v, want an error", spec, p)
+		}
+	}
+	if p, err := Parse("ndelay=1h,rdelay=1h,drift=1h"); err != nil || p.Drift != 3600*sim.Second {
+		t.Errorf("Parse at the ceiling = %+v, %v", p, err)
+	}
+}
+
 func TestPlanEnabled(t *testing.T) {
 	if (&Plan{}).Enabled() {
 		t.Error("zero plan reports enabled")

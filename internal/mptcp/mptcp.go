@@ -102,9 +102,6 @@ type Conn struct {
 	Stats Stats
 	// DeliveredBytes is the connection-level in-order delivery counter.
 	DeliveredBytes int64
-	// OnDelivered observes connection-level progress (the MPTCP curve in
-	// the paper's sequence graphs).
-	OnDelivered func(now sim.Time, total int64)
 }
 
 // New constructs an MPTCP endpoint. outs supplies one transmit function per
@@ -400,9 +397,6 @@ func (m *Conn) advance(end packet.Seq) {
 		m.ranges = m.ranges[:copy(m.ranges, m.ranges[1:])]
 	}
 	m.DeliveredBytes += int64(m.dsnDelivered.Diff(prev))
-	if m.OnDelivered != nil {
-		m.OnDelivered(m.Loop.Now(), m.DeliveredBytes)
-	}
 }
 
 func (m *Conn) insertRange(start, end packet.Seq) {

@@ -1,7 +1,8 @@
 // Package netem provides the network-emulation building blocks the RDCN
-// model is assembled from: host NIC pipes, ToR virtual output queues (VOQs)
-// with drop-tail and ECN-marking behaviour, and schedule-driven drainers that
-// serialize frames onto whichever time-division network is currently active.
+// model is assembled from: ToR virtual output queues (VOQs) with drop-tail
+// and ECN-marking behaviour, and one serializing link, Pipe, that is both the
+// host NIC and the ToR uplink draining a VOQ onto whichever time-division
+// network is currently active.
 //
 // It plays the role of Etalon's Click pipeline in the paper's testbed.
 package netem
@@ -135,12 +136,6 @@ func NewFrameIn(loop *sim.Loop, pool *BufPool, seg *packet.Segment) Frame {
 	}
 }
 
-// NewFrame serializes seg into a freshly allocated frame stamped at the
-// current time.
-func NewFrame(loop *sim.Loop, seg *packet.Segment) Frame {
-	return NewFrameIn(loop, nil, seg)
-}
-
 // Release returns the frame's wire buffer to pool and clears the alias so a
 // stale Frame copy cannot touch the recycled bytes. Nil-pool safe.
 //
@@ -197,15 +192,31 @@ func CorruptWire(b []byte) {
 	b[len(b)/2] ^= 0xA5
 }
 
-// Pipe is a serializing link with an unbounded FIFO: the host NIC and its
-// qdisc. Frames are serialized one at a time at Rate, then delivered to the
-// sink Delay later. Pipe is never the statistics bottleneck in the paper's
-// topology (hosts have fabric-rate NICs) but it shapes bursts realistically.
+// Path is the network a link is currently serving: its bottleneck rate and
+// one-way propagation delay.
+type Path struct {
+	Rate  sim.Rate
+	Delay sim.Dur
+}
+
+// Pipe is a serializing link: frames are serialized one at a time, each at
+// the rate of the path it starts on, and delivered to Out that path's delay
+// later. With Next nil it is a host NIC and its qdisc: an unbounded FIFO fed
+// by Send, sent at Rate onto Delay; it never limits throughput in the
+// paper's topology (hosts have fabric-rate NICs) but shapes bursts
+// realistically. With Next set it is a ToR uplink draining a VOQ onto
+// whichever time-division network is active; while the path is dark it
+// idles until Kick is called.
 type Pipe struct {
 	Loop  *sim.Loop
 	Rate  sim.Rate
 	Delay sim.Dur
 	Out   Sink
+
+	// Next, when non-nil, is the pipe's source instead of its own FIFO: the
+	// next frame and the path to send it on, or ok false when there is no
+	// frame or the path is dark.
+	Next func() (f Frame, path Path, ok bool)
 
 	// Fault, when non-nil, is consulted once per frame when serialization
 	// completes; the returned fate may drop, corrupt, or extra-delay the
@@ -226,11 +237,14 @@ type Pipe struct {
 	busy bool
 
 	// Serialization is a one-at-a-time state machine: cur is the frame on
-	// the wire, serializedFn the single bound callback that finishes it.
-	// Propagation overlaps (several frames can be in the Delay stage at
-	// once), so deliveries ride inflight cells from a free list, each with
-	// its own callback bound exactly once.
+	// the wire and curDelay the delay of the path it started on; source
+	// (Next, or the FIFO's dequeue) and serializedFn are bound once, by the
+	// first Kick. Propagation overlaps (several frames can be in the Delay
+	// stage at once), so deliveries ride inflight cells from a free list,
+	// each with its own callback bound exactly once.
 	cur          Frame
+	curDelay     sim.Dur
+	source       func() (Frame, Path, bool)
 	serializedFn func()
 	deliveryFree []*pipeDelivery
 
@@ -245,19 +259,43 @@ type pipeDelivery struct {
 	fn func()
 }
 
-// Send enqueues a frame for transmission.
+// Send enqueues a frame on the pipe's own FIFO for transmission.
 func (p *Pipe) Send(f Frame) {
 	p.q = append(p.q, f)
-	p.kick()
+	p.Kick()
 }
 
-// QueueLen reports the number of frames waiting in the pipe (not counting
-// one being serialized).
+// QueueLen reports the number of frames waiting in the pipe's own FIFO (not
+// counting one being serialized).
 func (p *Pipe) QueueLen() int { return len(p.q) - p.head }
 
-func (p *Pipe) kick() {
-	if p.busy || p.QueueLen() == 0 {
+// Kick starts serializing the next frame unless one is already on the wire.
+// Send kicks by itself; a pipe with Next is kicked whenever its source may
+// have a frame to give, e.g. at every enqueue and schedule transition.
+func (p *Pipe) Kick() {
+	if p.busy {
 		return
+	}
+	if p.source == nil {
+		p.source, p.serializedFn = p.Next, p.serialized
+		if p.source == nil {
+			p.source = p.dequeue
+		}
+	}
+	f, path, ok := p.source()
+	if !ok {
+		return
+	}
+	p.busy = true
+	p.cur, p.curDelay = f, path.Delay
+	p.Loop.After(path.Rate.TransmitTime(f.Len), p.serializedFn)
+}
+
+// dequeue is the source of a pipe without Next: the head of its own FIFO,
+// sent at Rate onto Delay.
+func (p *Pipe) dequeue() (Frame, Path, bool) {
+	if p.QueueLen() == 0 {
+		return Frame{}, Path{}, false
 	}
 	f := p.q[p.head]
 	p.q[p.head] = Frame{}
@@ -266,23 +304,18 @@ func (p *Pipe) kick() {
 		p.q = append(p.q[:0], p.q[p.head:]...)
 		p.head = 0
 	}
-	p.busy = true
-	p.cur = f
-	if p.serializedFn == nil {
-		p.serializedFn = p.serialized
-	}
-	p.Loop.After(p.Rate.TransmitTime(f.Len), p.serializedFn)
+	return f, Path{Rate: p.Rate, Delay: p.Delay}, true
 }
 
 // serialized finishes the frame currently on the wire: it consults the fault
 // hook, schedules the propagation-delay delivery, and starts the next frame.
-// Delivery is scheduled before the next kick so event order (and therefore
+// Delivery is scheduled before the next Kick so event order (and therefore
 // the trace) matches a frame-at-a-time reading of the pipeline.
 func (p *Pipe) serialized() {
 	f := p.cur
 	p.cur = Frame{}
 	p.busy = false
-	delay := p.Delay
+	delay := p.curDelay
 	drop := false
 	if p.Fault != nil {
 		fate := p.Fault(f)
@@ -301,11 +334,12 @@ func (p *Pipe) serialized() {
 		d.f = f
 		p.Loop.After(delay, d.fn)
 	}
-	p.kick()
+	p.Kick()
 }
 
-// InFlight reports every frame currently inside the pipe: queued, being
-// serialized, or in the propagation-delay stage.
+// InFlight reports every frame currently inside the pipe: queued in its own
+// FIFO, being serialized, or in the propagation-delay stage (frames Next has
+// not yet taken belong to its source).
 func (p *Pipe) InFlight() int {
 	n := p.QueueLen() + p.propagating
 	if p.busy {
@@ -363,10 +397,6 @@ type VOQ struct {
 	// accepted frame adds one to it and every dequeued frame takes one away,
 	// so it reads their summed occupancy without visiting them.
 	Total *int
-
-	// OnEnqueue, when non-nil, is called when a frame is accepted; the
-	// drainer uses it to wake up.
-	OnEnqueue func()
 
 	// Tracer, when non-nil, receives CatVOQ events (enqueue/dequeue/drop/
 	// mark/resize); Label names this queue ("r0q1" = rack 0 → rack 1).
@@ -456,9 +486,6 @@ func (v *VOQ) Enqueue(f Frame) bool {
 	v.enq++
 	v.OccHist.Record(int64(v.Len()))
 	v.emit("voq_enq", float64(v.Len()), float64(v.cap))
-	if v.OnEnqueue != nil {
-		v.OnEnqueue()
-	}
 	return true
 }
 
@@ -501,124 +528,4 @@ func (v *VOQ) CheckInvariants() error {
 		return fmt.Errorf("netem: voq %s occupancy %d != enq-deq %d", v.Label, got, want)
 	}
 	return nil
-}
-
-// Path describes the network a drainer is currently serving: the bottleneck
-// rate and the one-way propagation delay of the active TDN.
-type Path struct {
-	Rate  sim.Rate
-	Delay sim.Dur
-}
-
-// PathFunc reports the currently active path. ok is false during a night
-// (reconfiguration blackout), when nothing may be sent.
-type PathFunc func() (p Path, ok bool)
-
-// Drainer serializes frames from a VOQ onto the currently active path. It is
-// the ToR's uplink transmitter: one frame at a time, at the active TDN's
-// rate, delivered to the sink after the TDN's propagation delay. When the
-// schedule blacks out the path the drainer idles until Kick is called.
-type Drainer struct {
-	Loop *sim.Loop
-	Q    *VOQ
-	Path PathFunc
-	Out  Sink
-
-	busy bool
-
-	// Same state-machine shape as Pipe: one frame serializes at a time
-	// (cur, curDelay, one bound serializedFn), while propagation-delay
-	// deliveries overlap on free-listed cells.
-	cur          Frame
-	curDelay     sim.Dur
-	serializedFn func()
-	deliveryFree []*drainDelivery
-
-	propagating int // frames in the propagation-delay stage
-}
-
-// drainDelivery carries one frame through the propagation-delay stage.
-type drainDelivery struct {
-	d  *Drainer
-	f  Frame
-	fn func()
-}
-
-// Attach wires the drainer to its queue's enqueue notification and starts
-// draining if frames are already waiting.
-func (d *Drainer) Attach() {
-	d.Q.OnEnqueue = d.Kick
-	d.Kick()
-}
-
-// Kick attempts to (re)start draining. Call whenever the path may have
-// become active, e.g. at every schedule transition.
-func (d *Drainer) Kick() {
-	if d.busy {
-		return
-	}
-	path, ok := d.Path()
-	if !ok {
-		return
-	}
-	f, ok := d.Q.Dequeue()
-	if !ok {
-		return
-	}
-	d.busy = true
-	d.cur = f
-	d.curDelay = path.Delay
-	if d.serializedFn == nil {
-		d.serializedFn = d.serialized
-	}
-	d.Loop.After(path.Rate.TransmitTime(f.Len), d.serializedFn)
-}
-
-// serialized finishes the frame on the wire: delivery is scheduled before
-// the next Kick so event order matches a frame-at-a-time reading.
-func (d *Drainer) serialized() {
-	f := d.cur
-	d.cur = Frame{}
-	d.busy = false
-	d.propagating++
-	dd := d.getDelivery()
-	dd.f = f
-	d.Loop.After(d.curDelay, dd.fn)
-	d.Kick()
-}
-
-// InFlight reports every frame currently owned by the drainer: being
-// serialized or in the propagation-delay stage (queued frames belong to the
-// VOQ).
-func (d *Drainer) InFlight() int {
-	n := d.propagating
-	if d.busy {
-		n++
-	}
-	return n
-}
-
-func (d *Drainer) getDelivery() *drainDelivery {
-	if n := len(d.deliveryFree); n > 0 {
-		dd := d.deliveryFree[n-1]
-		d.deliveryFree[n-1] = nil
-		d.deliveryFree = d.deliveryFree[:n-1]
-		return dd
-	}
-	dd := &drainDelivery{d: d}
-	dd.fn = dd.fire
-	return dd
-}
-
-// fire delivers the frame at the end of serialization and recycles the
-// delivery cell.
-//
-// Hot path: runs once per drained frame.
-func (dd *drainDelivery) fire() {
-	d := dd.d
-	f := dd.f
-	dd.f = Frame{}
-	d.propagating--
-	d.deliveryFree = append(d.deliveryFree, dd)
-	d.Out(f)
 }

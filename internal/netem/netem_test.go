@@ -15,7 +15,7 @@ func testFrame(loop *sim.Loop, payload int) Frame {
 		Src: 1, Dst: 2, TTL: 64, Proto: packet.ProtoTCP,
 		TCP: packet.TCPHeader{Flags: packet.FlagACK, PayloadLen: payload},
 	}
-	return NewFrame(loop, seg)
+	return NewFrameIn(loop, nil, seg)
 }
 
 func TestPipeSerialization(t *testing.T) {
@@ -55,7 +55,7 @@ func TestPipeFIFO(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		seg := &packet.Segment{Src: 1, Dst: 2, Proto: packet.ProtoTCP,
 			TCP: packet.TCPHeader{Seq: uint32(i), Flags: packet.FlagACK}}
-		p.Send(NewFrame(loop, seg))
+		p.Send(NewFrameIn(loop, nil, seg))
 	}
 	loop.Run()
 	for i, v := range got {
@@ -124,7 +124,7 @@ func TestMarkCCEChecksumProperty(t *testing.T) {
 		seg := &packet.Segment{Src: src, Dst: dst, TTL: 64, Proto: packet.ProtoTCP,
 			ECN: ecn & 0x03,
 			TCP: packet.TCPHeader{Seq: seq, Flags: packet.FlagACK}}
-		fr := NewFrame(loop, seg)
+		fr := NewFrameIn(loop, nil, seg)
 		fr.MarkCE()
 		var got packet.Segment
 		if err := packet.Parse(fr.Wire, &got); err != nil {
@@ -250,20 +250,33 @@ func TestVOQDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// drain returns the Next of a pipe that drains v onto path, whenever path
+// reports a lit network.
+func drain(v *VOQ, path func() (Path, bool)) func() (Frame, Path, bool) {
+	return func() (Frame, Path, bool) {
+		p, ok := path()
+		if !ok {
+			return Frame{}, p, false
+		}
+		f, ok := v.Dequeue()
+		return f, p, ok
+	}
+}
+
 func TestDrainerRespectsSchedule(t *testing.T) {
 	loop := sim.NewLoop(1)
 	v := NewVOQ(loop, 100, 0)
 	active := false
 	var arrivals []sim.Time
-	d := &Drainer{
-		Loop: loop, Q: v,
-		Path: func() (Path, bool) {
+	d := &Pipe{
+		Loop: loop,
+		Next: drain(v, func() (Path, bool) {
 			return Path{Rate: 10 * sim.Gbps, Delay: 10 * sim.Microsecond}, active
-		},
+		}),
 		Out: func(Frame) { arrivals = append(arrivals, loop.Now()) },
 	}
-	d.Attach()
 	v.Enqueue(testFrame(loop, 1250-40)) // 1us serialization
+	d.Kick()
 	loop.RunUntil(sim.Time(100 * sim.Microsecond))
 	if len(arrivals) != 0 {
 		t.Fatal("frame drained while path inactive")
@@ -286,15 +299,15 @@ func TestDrainerRateSwitch(t *testing.T) {
 	v := NewVOQ(loop, 100, 0)
 	rate := 10 * sim.Gbps
 	var arrivals []sim.Time
-	d := &Drainer{
-		Loop: loop, Q: v,
-		Path: func() (Path, bool) { return Path{Rate: rate, Delay: 0}, true },
+	d := &Pipe{
+		Loop: loop,
+		Next: drain(v, func() (Path, bool) { return Path{Rate: rate, Delay: 0}, true }),
 		Out:  func(Frame) { arrivals = append(arrivals, loop.Now()) },
 	}
-	d.Attach()
 	f := testFrame(loop, 12500-40) // 10us at 10Gbps, 1us at 100Gbps
 	v.Enqueue(f)
 	v.Enqueue(f)
+	d.Kick()
 	loop.At(sim.Time(9500*sim.Nanosecond), func() { rate = 100 * sim.Gbps })
 	loop.Run()
 	if len(arrivals) != 2 {
@@ -310,7 +323,7 @@ func TestDrainerRateSwitch(t *testing.T) {
 
 func TestDrainerDeliversInOrderAcrossDelayDrop(t *testing.T) {
 	// A latency drop between frames can cause the later frame to arrive
-	// before the earlier one (cross-TDN reordering). The drainer must allow
+	// before the earlier one (cross-TDN reordering). The pipe must allow
 	// this: it models two different physical paths.
 	loop := sim.NewLoop(1)
 	v := NewVOQ(loop, 100, 0)
@@ -320,9 +333,9 @@ func TestDrainerDeliversInOrderAcrossDelayDrop(t *testing.T) {
 		at  sim.Time
 	}
 	var arrivals []arrival
-	d := &Drainer{
-		Loop: loop, Q: v,
-		Path: func() (Path, bool) { return Path{Rate: 100 * sim.Gbps, Delay: delay}, true },
+	d := &Pipe{
+		Loop: loop,
+		Next: drain(v, func() (Path, bool) { return Path{Rate: 100 * sim.Gbps, Delay: delay}, true }),
 		Out: func(f Frame) {
 			var s packet.Segment
 			if err := packet.Parse(f.Wire, &s); err != nil {
@@ -331,15 +344,16 @@ func TestDrainerDeliversInOrderAcrossDelayDrop(t *testing.T) {
 			arrivals = append(arrivals, arrival{s.TCP.Seq, loop.Now()})
 		},
 	}
-	d.Attach()
 	mk := func(seq uint32) Frame {
-		return NewFrame(loop, &packet.Segment{Src: 1, Dst: 2, Proto: packet.ProtoTCP,
+		return NewFrameIn(loop, nil, &packet.Segment{Src: 1, Dst: 2, Proto: packet.ProtoTCP,
 			TCP: packet.TCPHeader{Seq: seq, Flags: packet.FlagACK, PayloadLen: 100}})
 	}
 	v.Enqueue(mk(1))
+	d.Kick()
 	loop.At(sim.Time(2*sim.Microsecond), func() {
 		delay = 1 * sim.Microsecond // path switches to the low-latency TDN
 		v.Enqueue(mk(2))
+		d.Kick()
 	})
 	loop.Run()
 	if len(arrivals) != 2 {

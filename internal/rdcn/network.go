@@ -112,7 +112,7 @@ type Config struct {
 	// schedule — and the control plane's notifications — say the day is up.
 	CircuitOK func(tdn int, now sim.Time) bool
 	// ScheduleOffset, when non-nil, shifts the data plane's view of the
-	// schedule: drainers evaluate Schedule.At(now - offset) while
+	// schedule: VOQ links evaluate Schedule.At(now - offset) while
 	// notifications keep nominal timing, modelling a ToR whose optical
 	// switch drifts from its agenda.
 	ScheduleOffset func(now sim.Time) sim.Dur
@@ -187,9 +187,9 @@ type Rack struct {
 	ID    int
 	Hosts []*Host
 
-	uplink   *netem.Pipe // shared host-side ingress NIC
-	voqs     []*netem.VOQ
-	drainers []*netem.Drainer
+	uplink *netem.Pipe // shared host-side ingress NIC
+	voqs   []*netem.VOQ
+	links  []*netem.Pipe // links[q] drains voqs[q] onto the active TDN
 
 	// Per-rack slice of the frame-conservation ledger: framesIn counts
 	// frames sent by this rack's hosts, delivered/misrouted count frames
@@ -258,7 +258,7 @@ type Network struct {
 	pool *netem.BufPool
 
 	// OnTransition, if set, is called at the start of every day with the
-	// new TDN (after drainers are kicked, before notifications are sent).
+	// new TDN (after the links are kicked, before notifications are sent).
 	OnTransition func(tdn int)
 
 	// NotifyLat, when non-nil, records the epoch-switch latency of every
@@ -283,8 +283,8 @@ type Network struct {
 	slotTDN            int
 	slotOK             bool
 
-	// paths holds every drainer's path on every TDN, built once in New:
-	// rack r's VOQ q on TDN k is paths[(r*(Racks-1)+q)*len(TDNs)+k].
+	// paths holds every link's path on every TDN, built once in New (see
+	// pathRow).
 	paths []tdnPath
 
 	// queued counts the frames waiting in every VOQ of the network; each VOQ
@@ -292,8 +292,8 @@ type Network struct {
 	queued int
 }
 
-// tdnPath is one drainer's path on one TDN; ok is false when the TDN gives
-// the drainer's rack pair no circuit.
+// tdnPath is one link's path on one TDN; ok is false when the TDN gives the
+// link's rack pair no circuit.
 type tdnPath struct {
 	netem.Path
 	ok bool
@@ -333,8 +333,8 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 	if cfg.Racks < 2 || cfg.Racks > 0xFF {
 		return nil, fmt.Errorf("rdcn: Racks must be in [2,255], got %d", cfg.Racks)
 	}
-	if cfg.HostsPerRack <= 0 {
-		return nil, fmt.Errorf("rdcn: HostsPerRack must be positive")
+	if cfg.HostsPerRack <= 0 || cfg.HostsPerRack > 0x10000 {
+		return nil, fmt.Errorf("rdcn: HostsPerRack must be in [1,65536] (HostAddr keeps 16 bits of host id), got %d", cfg.HostsPerRack)
 	}
 	if cfg.Schedule == nil {
 		return nil, fmt.Errorf("rdcn: Schedule is required")
@@ -353,9 +353,8 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 	// slotStart > slotEnd: the kept slot starts empty.
 	n := &Network{Loop: loop, Cfg: cfg, pool: cfg.FramePool, baseVOQ: cfg.VOQCap, slotStart: 1}
 	nvoq := cfg.Racks - 1 // one VOQ per destination rack
-	ntdn := len(cfg.TDNs)
 	n.Racks = make([]*Rack, cfg.Racks)
-	n.paths = make([]tdnPath, cfg.Racks*nvoq*ntdn)
+	n.paths = make([]tdnPath, cfg.Racks*nvoq*len(cfg.TDNs))
 	for r := 0; r < cfg.Racks; r++ {
 		rack := &Rack{net: n, ID: r}
 		for k := 0; k < nvoq; k++ {
@@ -363,18 +362,24 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 			voq.Label = fmt.Sprintf("r%dq%d", rack.ID, k)
 			voq.Total = &n.queued
 			dst := rack.qDst(k)
-			row := n.paths[(r*nvoq+k)*ntdn:][:ntdn]
+			row := n.pathRow(r, k)
 			for tdn := range row {
 				row[tdn] = n.pathOn(r, dst, tdn)
 			}
-			d := &netem.Drainer{
+			link := &netem.Pipe{
 				Loop: loop,
-				Q:    voq,
-				Path: n.pathFunc(row),
 				Out:  func(f netem.Frame) { n.deliver(dst, f) },
+				Next: func() (netem.Frame, netem.Path, bool) {
+					p, ok := n.path(row)
+					if !ok {
+						return netem.Frame{}, p, false
+					}
+					f, ok := voq.Dequeue()
+					return f, p, ok
+				},
 			}
 			rack.voqs = append(rack.voqs, voq)
-			rack.drainers = append(rack.drainers, d)
+			rack.links = append(rack.links, link)
 		}
 		rack.uplink = &netem.Pipe{
 			Loop:  loop,
@@ -387,9 +392,6 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 			rack.Hosts = append(rack.Hosts, &Host{Rack: rack, ID: h, Addr: HostAddr(r, h)})
 		}
 		n.Racks[r] = rack
-		for _, d := range rack.drainers {
-			d.Attach()
-		}
 	}
 	return n, nil
 }
@@ -412,26 +414,30 @@ func (n *Network) pathOn(rackID, dst, tdn int) tdnPath {
 	return tdnPath{netem.Path{Rate: p.Rate, Delay: p.Delay}, true}
 }
 
-// pathFunc adapts the schedule to the drainer interface for the drainer whose
-// path table is row (indexed by TDN). A pair the TDN leaves dark returns
-// before the circuit check; CircuitOK is asked on every other call, because a
-// flap has no event that could invalidate a cached answer.
-func (n *Network) pathFunc(row []tdnPath) netem.PathFunc {
-	return func() (netem.Path, bool) {
-		now := n.Loop.Now()
-		tdn, ok := n.dataPlaneSlot(now)
-		if !ok {
-			return netem.Path{}, false
-		}
-		p := row[tdn]
-		if !p.ok {
-			return netem.Path{}, false
-		}
-		if ck := n.Cfg.CircuitOK; ck != nil && !ck(tdn, now) {
-			return netem.Path{}, false // a flapped circuit reads as dark
-		}
-		return p.Path, true
+// pathRow is the path table of rack r's VOQ q, indexed by TDN.
+func (n *Network) pathRow(r, q int) []tdnPath {
+	ntdn := len(n.Cfg.TDNs)
+	return n.paths[(r*(n.Cfg.Racks-1)+q)*ntdn:][:ntdn]
+}
+
+// path reports the active path of the link whose path table is row (ok is
+// false while it is dark). A pair the TDN leaves dark returns before the
+// circuit check; CircuitOK is asked on every other call, because a flap has
+// no event that could invalidate a cached answer.
+func (n *Network) path(row []tdnPath) (netem.Path, bool) {
+	now := n.Loop.Now()
+	tdn, ok := n.dataPlaneSlot(now)
+	if !ok {
+		return netem.Path{}, false
 	}
+	p := row[tdn]
+	if !p.ok {
+		return netem.Path{}, false
+	}
+	if ck := n.Cfg.CircuitOK; ck != nil && !ck(tdn, now) {
+		return netem.Path{}, false // a flapped circuit reads as dark
+	}
+	return p.Path, true
 }
 
 // dataPlaneSlot reports the scheduled TDN the data plane serves at now (ok is
@@ -472,9 +478,12 @@ func (r *Rack) ingress(f netem.Frame) {
 		n.deliver(r.ID, f)
 		return
 	}
-	if !r.voqs[r.qIndex(dst)].Enqueue(f) {
+	q := r.qIndex(dst)
+	if !r.voqs[q].Enqueue(f) {
 		f.Release(n.pool)
+		return
 	}
+	r.links[q].Kick()
 }
 
 // deliver hands a frame to the destination host in rack dst, identified by
@@ -636,14 +645,14 @@ func (n *Network) setVOQCaps(cap int) {
 	}
 }
 
-// KickAll re-kicks every drainer of every rack. Besides the nominal slot
+// KickAll re-kicks every VOQ link of every rack. Besides the nominal slot
 // transitions, the fault injector calls it at drift-shifted boundaries,
 // where the data plane's day/night edges no longer coincide with the
 // control-plane events that normally kick.
 func (n *Network) KickAll() {
 	for _, rack := range n.Racks {
-		for _, d := range rack.drainers {
-			d.Kick()
+		for _, l := range rack.links {
+			l.Kick()
 		}
 	}
 }
@@ -767,7 +776,7 @@ func (n *Network) QueueLen() int { return n.queued }
 
 // InFlightFrames reports the number of data-plane frames currently inside the
 // network: queued in or serializing through a host NIC pipe, waiting in a
-// VOQ, or serializing/propagating through a ToR uplink drainer.
+// VOQ, or serializing/propagating through a VOQ link.
 func (n *Network) InFlightFrames() uint64 {
 	var fl uint64
 	for _, rack := range n.Racks {
@@ -775,8 +784,8 @@ func (n *Network) InFlightFrames() uint64 {
 		for _, v := range rack.voqs {
 			fl += uint64(v.Len())
 		}
-		for _, d := range rack.drainers {
-			fl += uint64(d.InFlight())
+		for _, l := range rack.links {
+			fl += uint64(l.InFlight())
 		}
 	}
 	return fl

@@ -124,6 +124,29 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesHostsPastTheAddressSpace: HostAddr keeps 16 bits of host id,
+// so in a rack of 65 537 hosts the last one would carry host 0's address and
+// its frames would reach host 0. New refuses that rack; one of 65 536 still
+// builds, and a frame to its last host arrives there.
+func TestNewRefusesHostsPastTheAddressSpace(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.HostsPerRack = 0x10001
+	if _, err := New(sim.NewLoop(1), cfg); err == nil {
+		t.Fatal("65 537 hosts per rack accepted: host 65 536 shares host 0's address")
+	}
+	cfg.HostsPerRack = 0x10000
+	loop, n := buildNet(t, cfg)
+	var got []int
+	for _, id := range []int{0, 0xFFFF} {
+		n.Racks[1].Hosts[id].Recv = func(netem.Frame) { got = append(got, id) }
+	}
+	n.Racks[0].Hosts[0].Send(&packet.Segment{Dst: HostAddr(1, 0xFFFF), TTL: 64, Proto: packet.ProtoTCP})
+	loop.Run()
+	if len(got) != 1 || got[0] != 0xFFFF {
+		t.Fatalf("frame to host 65 535 reached hosts %v", got)
+	}
+}
+
 func TestEndToEndDelivery(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HostsPerRack = 2

@@ -239,7 +239,7 @@ func TestMultiRackMisroute(t *testing.T) {
 	}
 }
 
-// TestDataPlanePathIsExact: every drainer's path, read through the network's
+// TestDataPlanePathIsExact: every VOQ link's path, read through the network's
 // kept slot and its path table, equals the schedule asked afresh at
 // now - ScheduleOffset(now), filtered by CircuitOK and the rotor matching.
 // The offset steps from -7 µs to +7 µs at every odd week's start, so the
@@ -281,8 +281,8 @@ func TestDataPlanePathIsExact(t *testing.T) {
 	check := func() {
 		now := loop.Now()
 		for _, r := range n.Racks {
-			for q, d := range r.drainers {
-				got, gok := d.Path()
+			for q := range r.links {
+				got, gok := n.path(n.pathRow(r.ID, q))
 				wp, wok := want(r.ID, r.qDst(q), now)
 				if got != wp || gok != wok {
 					t.Fatalf("rack %d -> %d at %v: path (%+v, %v), want (%+v, %v)", r.ID, r.qDst(q), now, got, gok, wp, wok)

@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/rdcn-net/tdtcp/internal/cc"
 	"github.com/rdcn-net/tdtcp/internal/packet"
@@ -221,9 +220,6 @@ type Conn struct {
 
 	Stats Stats
 
-	// OnDelivered, if set, is called whenever in-order delivery advances:
-	// the receiver-side sequence progress of the paper's figures.
-	OnDelivered func(now sim.Time, total int64)
 	// OnDone, if set, is called once when the sender has delivered all
 	// offered data and its FIN is acknowledged — the flow-completion
 	// instant FCT accounting measures against.
@@ -1045,6 +1041,3 @@ func (c *Conn) String() string {
 		[]string{"closed", "listen", "synsent", "synrcvd", "estab", "finwait", "closewait", "done"}[c.state],
 		uint32(c.sndUna.Diff(c.iss)), uint32(c.sndNxt.Diff(c.iss)), len(c.states), c.policy.Active())
 }
-
-// cwndOf is a test helper exposing a state's cwnd rounded down.
-func cwndOf(st *PathState) int { return int(math.Floor(st.Cwnd())) }

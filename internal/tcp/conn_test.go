@@ -153,9 +153,10 @@ func TestBulkTransferClean(t *testing.T) {
 func TestDeliveryMonotonic(t *testing.T) {
 	loop, a, b, wa, _ := newPair(t, pairOpt{})
 	b.Listen()
-	var last int64 = -1
-	b.OnDelivered = func(_ sim.Time, total int64) {
-		if total <= last {
+	var last int64
+	loop.PostEvent = func() {
+		total := b.Stats.BytesDelivered
+		if total < last {
 			t.Fatalf("delivery regressed: %d after %d", total, last)
 		}
 		last = total

@@ -110,9 +110,6 @@ func (c *Conn) advanceDelivery(end packet.Seq) {
 		c.ranges = c.ranges[:copy(c.ranges, c.ranges[1:])]
 	}
 	c.Stats.BytesDelivered += int64(c.rcvNxt.Diff(prev))
-	if c.OnDelivered != nil {
-		c.OnDelivered(c.Loop.Now(), c.Stats.BytesDelivered)
-	}
 }
 
 // insertRange adds an out-of-order range, merging neighbours, and marks it

@@ -167,7 +167,6 @@ func TestReopenEqualsFresh(t *testing.T) {
 			for _, c := range []*tcp.Conn{a, b} {
 				c.SetTracer(&sink, 7)
 				c.RTTHists = hists
-				c.OnDelivered = func(sim.Time, int64) {}
 				c.OnDone = func(sim.Time) {}
 			}
 			b.Listen()
