@@ -89,7 +89,8 @@ find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testd
 # Run costs (TestRunAllocationIsFlatInHorizon: its result stops at PlotWeeks),
 # at most 50 % of a first Run's bytes for a second one on the memory the first
 # handed back (TestRunReusesItsMemory), at most 80 % of a Run's bytes building
-# its endpoints when it reopens those a Run of its shape handed on
+# its endpoints when it reopens those a Run of equal variant, TDN count and
+# FlowOptions handed on, a faulted TDTCP Run among them
 # (TestSameShapeRunReopensItsEndpoints), the allocations of a steady-state week
 # of every variant on the hybrid and the 8-rack rotor
 # (TestSteadyStateDoesNotAllocate), 0 allocations per VOQ enqueue and dequeue

@@ -50,7 +50,7 @@ func run() int {
 		workers  = flag.Int("workers", 0, "worker-pool size: max concurrent simulations (0 = default 2)")
 		queue    = flag.Int("queue", 0, "admission queue depth; beyond workers+queue, submits get 429 (0 = default 16)")
 		deadline = flag.Duration("deadline", 0, "default per-job wall-clock deadline when the spec sets none (0 = default 60s)")
-		cache    = flag.Int("cache", 0, "result-cache capacity in entries (0 = default 128, -1 = disable)")
+		cache    = flag.Int("cache", 0, "result-cache capacity in entries (0 = default 128, -1 = disable); finished jobs are held while cached or among the last that many to finish (128 when disabled)")
 		drain    = flag.Duration("drain", 30*time.Second, "shutdown budget on SIGTERM: half for graceful finish, then cancel")
 	)
 	flag.Parse()

@@ -38,18 +38,22 @@ func TestEpochWraparoundSwitches(t *testing.T) {
 	}
 }
 
+// alternating is a schedule of TDNs 0 and 1 in turn, one day each, no
+// nights.
+type alternating sim.Dur
+
+func (d alternating) At(t sim.Time) (int, bool, sim.Time) {
+	day := sim.Time(d)
+	return int(t/day) % 2, true, (t/day + 1) * day
+}
+
 // TestDeadmanInfersTDNFromSchedule starves the policy of notifications
 // entirely: past the horizon it must start tracking the nominal schedule
 // instead of sitting on the attach-time TDN forever.
 func TestDeadmanInfersTDNFromSchedule(t *testing.T) {
-	day := 100 * sim.Microsecond
-	sched := func(tm sim.Time) (int, bool) {
-		return int(tm/sim.Time(day)) % 2, true
-	}
-	e := newEnv(t, Options{
-		DeadmanHorizon:  250 * sim.Microsecond,
-		DeadmanSchedule: sched,
-	}, nil)
+	sched := alternating(100 * sim.Microsecond)
+	e := newEnv(t, Options{DeadmanHorizon: 250 * sim.Microsecond}, nil)
+	e.pa.Schedule, e.pb.Schedule = sched, sched
 	e.establish()
 
 	e.runFor(2 * sim.Millisecond) // no notifications at all
@@ -57,7 +61,7 @@ func TestDeadmanInfersTDNFromSchedule(t *testing.T) {
 	if st.DeadmanEngaged == 0 {
 		t.Fatal("deadman never engaged with zero notifications")
 	}
-	if want, _ := sched(e.loop.Now()); e.pa.ActiveTDN() != want {
+	if want, _, _ := sched.At(e.loop.Now()); e.pa.ActiveTDN() != want {
 		t.Fatalf("active TDN %d, schedule says %d", e.pa.ActiveTDN(), want)
 	}
 
@@ -72,19 +76,36 @@ func TestDeadmanInfersTDNFromSchedule(t *testing.T) {
 	e.pb.StopDeadman()
 }
 
+// TestDeadmanWithoutScheduleOnlyWatches: a deadman armed with no schedule
+// bound has nothing to infer from, so silence past the horizon switches
+// nothing, and the timer keeps re-arming until stopped.
+func TestDeadmanWithoutScheduleOnlyWatches(t *testing.T) {
+	e := newEnv(t, Options{DeadmanHorizon: 250 * sim.Microsecond}, nil)
+	e.establish()
+	e.runFor(2 * sim.Millisecond)
+	if st := e.pa.Stats(); st.DeadmanEngaged != 0 || st.Switches != 0 {
+		t.Errorf("with no schedule bound: %+v, want no switch", st)
+	}
+	if !e.pa.deadmanTimer.Active() {
+		t.Error("the deadman stopped re-arming")
+	}
+	e.pa.StopDeadman()
+	e.pb.StopDeadman()
+}
+
 // TestResetEqualsNew: a policy that has switched TDNs on notifications and on
 // its deadman, counted stale ones and carries a lag histogram is, after Reset,
 // what New returns for the same arguments; and reopened with its connection
 // it is what a new policy is once attached: TDN 0, no change pointer, zero
 // counters, the connection's epoch gate open again, and exactly one deadman
-// armed a horizon ahead. The struct is compared whole (funcs, the connection
-// and the timer handle aside), so a field added later and not reset fails.
+// armed a horizon ahead. The struct is compared whole (the bound callback, the
+// connection and the timer handle aside), so a field added later and not reset
+// fails, the bound schedule and lag histogram among them.
 func TestResetEqualsNew(t *testing.T) {
-	opts := Options{
-		DeadmanHorizon:  250 * sim.Microsecond,
-		DeadmanSchedule: func(tm sim.Time) (int, bool) { return int(tm/sim.Time(100*sim.Microsecond)) % 2, true },
-	}
+	opts := Options{DeadmanHorizon: 250 * sim.Microsecond}
+	sched := alternating(100 * sim.Microsecond)
 	e := newEnv(t, opts, nil)
+	e.pa.Schedule, e.pb.Schedule = sched, sched
 	e.pa.DeadmanLag = trace.NewRegistry().Hist("lag")
 	e.establish()
 	e.a.QueueBytes(40 * 8960)
@@ -102,7 +123,7 @@ func TestResetEqualsNew(t *testing.T) {
 		t.Helper()
 		g, w := *got, *want
 		for _, p := range []*TDTCP{&g, &w} {
-			p.c, p.deadmanFn, p.opts.DeadmanSchedule, p.deadmanTimer = nil, nil, nil, sim.Timer{}
+			p.c, p.deadmanFn, p.deadmanTimer = nil, nil, sim.Timer{}
 		}
 		if !reflect.DeepEqual(g, w) {
 			t.Errorf("%s:\n got %+v\nwant %+v", what, g, w)

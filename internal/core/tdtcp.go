@@ -42,18 +42,15 @@ type Options struct {
 	// §4.4 slowest-TDN synthesis.
 	DisablePessimisticRTO bool
 
-	// DeadmanHorizon, together with DeadmanSchedule, arms the notification
-	// deadman: when no notification (fresh or stale) has been delivered for
-	// this long, the policy infers the active TDN from the nominal schedule
-	// instead of waiting forever on a lossy control channel. Without it a
-	// run of lost notifications strands every flow on a stale TDN,
-	// blackholing cwnd updates into state the fabric no longer serves. Set
-	// it above the longest nominal notification gap (the paper's hybrid
-	// week delivers one per ~200µs day) so it only trips on genuine loss.
+	// DeadmanHorizon arms the notification deadman: when no notification
+	// (fresh or stale) has been delivered for this long, the policy infers
+	// the active TDN from the nominal schedule (TDTCP.Schedule) instead of
+	// waiting forever on a lossy control channel. Without it a run of lost
+	// notifications strands every flow on a stale TDN, blackholing cwnd
+	// updates into state the fabric no longer serves. Set it above the
+	// longest nominal notification gap (the paper's hybrid week delivers one
+	// per ~200µs day) so it only trips on genuine loss.
 	DeadmanHorizon sim.Dur
-	// DeadmanSchedule reports the TDN the nominal schedule makes active at
-	// t (ok=false during a night). Typically rdcn.Schedule.At.
-	DeadmanSchedule func(t sim.Time) (tdn int, ok bool)
 }
 
 // TDTCP is the per-TDN state-multiplexing policy. Create one per connection
@@ -70,6 +67,12 @@ type TDTCP struct {
 	// the tail of this histogram is how far behind the schedule a flow ran
 	// while its control channel was dark.
 	DeadmanLag *trace.Histogram
+	// Schedule is the nominal schedule the deadman switches by (an
+	// *rdcn.Schedule): At(t) is the TDN active at t, ok=false during a night.
+	// Unset, the deadman re-arms without switching. Reset clears it.
+	Schedule interface {
+		At(t sim.Time) (tdn int, ok bool, end sim.Time)
+	}
 
 	// changePtr is the TDN change pointer (§3.4): the first sequence
 	// number transmitted after the most recent TDN switch.
@@ -114,9 +117,10 @@ func New(numTDNs int, opts Options) *TDTCP {
 }
 
 // Reset implements tcp.Policy: back to TDN 0 with no change pointer, no
-// notification seen and every counter zero, keeping New's arguments and the
-// bound deadman callback. A deadman timer still armed is stopped, so a policy
-// reset without StopDeadman does not end up with two.
+// notification seen, every counter zero and no schedule or lag histogram,
+// keeping New's arguments and the bound deadman callback. A deadman timer
+// still armed is stopped, so a policy reset without StopDeadman does not end
+// up with two.
 func (p *TDTCP) Reset() {
 	p.deadmanTimer.Stop()
 	*p = TDTCP{opts: p.opts, numTDNs: p.numTDNs, deadmanFn: p.deadmanFn}
@@ -137,7 +141,7 @@ func (p *TDTCP) ChangePointer() (packet.Seq, bool) { return p.changePtr, p.haveC
 // Attach implements tcp.Policy.
 func (p *TDTCP) Attach(c *tcp.Conn) {
 	p.c = c
-	if p.opts.DeadmanHorizon > 0 && p.opts.DeadmanSchedule != nil {
+	if p.opts.DeadmanHorizon > 0 {
 		p.lastNotifyAt = c.Loop.Now()
 		if p.deadmanFn == nil {
 			p.deadmanFn = p.deadmanFire
@@ -164,15 +168,17 @@ func (p *TDTCP) deadmanFire() {
 		// instant the horizon could lapse again.
 		p.deadmanTimer = p.c.Loop.At(p.lastNotifyAt.Add(p.opts.DeadmanHorizon), p.deadmanFn)
 		return
-	} else if tdn, ok := p.opts.DeadmanSchedule(now); ok && tdn >= 0 && tdn < p.numTDNs && tdn != p.active {
-		p.deadmanEngaged++
-		p.DeadmanLag.Record(int64(gap))
-		if tr := p.c.Tracer; tr.Enabled(trace.CatTDN) {
-			tr.Emit(trace.CatTDN, int64(now), "tdn_deadman",
-				p.c.FlowID, tdn, float64(p.active), float64(gap), "")
+	} else if p.Schedule != nil {
+		if tdn, ok, _ := p.Schedule.At(now); ok && tdn >= 0 && tdn < p.numTDNs && tdn != p.active {
+			p.deadmanEngaged++
+			p.DeadmanLag.Record(int64(gap))
+			if tr := p.c.Tracer; tr.Enabled(trace.CatTDN) {
+				tr.Emit(trace.CatTDN, int64(now), "tdn_deadman",
+					p.c.FlowID, tdn, float64(p.active), float64(gap), "")
+			}
+			p.switchTo(tdn)
+			p.c.Kick()
 		}
-		p.switchTo(tdn)
-		p.c.Kick()
 	}
 	p.deadmanTimer = p.c.Loop.After(p.opts.DeadmanHorizon, p.deadmanFn)
 }

@@ -28,19 +28,12 @@ type Scenario struct {
 	Racks int
 }
 
-// Hybrid is the paper's main setting: TDN 0 = 10 Gbps / ~100 µs RTT packet
-// network, TDN 1 = 100 Gbps / ~40 µs RTT optical network (Figs. 2, 7, 10,
-// 11, 13).
+// Hybrid is the paper's main setting, the §5.1 testbed of
+// rdcn.DefaultConfig: TDN 0 = 10 Gbps / ~100 µs RTT packet network, TDN 1 =
+// 100 Gbps / ~40 µs RTT optical network (Figs. 2, 7, 10, 11, 13).
 func Hybrid() Scenario {
-	return Scenario{
-		Name: "hybrid",
-		TDNs: []rdcn.TDNParams{
-			{Rate: 10 * sim.Gbps, Delay: 49 * sim.Microsecond},
-			{Rate: 100 * sim.Gbps, Delay: 19 * sim.Microsecond},
-		},
-		Schedule: rdcn.HybridWeek(6, 180*sim.Microsecond, 20*sim.Microsecond),
-		VOQCap:   16,
-	}
+	c := rdcn.DefaultConfig()
+	return Scenario{Name: "hybrid", TDNs: c.TDNs, Schedule: c.Schedule, VOQCap: c.VOQCap}
 }
 
 // MultiRack scales the hybrid setting to an n-rack rotor RDCN: TDN 0 keeps
@@ -400,7 +393,10 @@ func newRunHarness(cfg *RunConfig) (*harness, error) {
 		return nil, err
 	}
 	defer h.dumpOnPanic()
-	mn := newMuxNet(h.net, h.mem, cfg.Variant, cfg.Flow)
+	mn, err := newMuxNet(h.net, h.mem, cfg.Variant, cfg.Flow)
+	if err != nil {
+		return nil, err
+	}
 	h.mux = mn
 	for i := 0; i < cfg.Flows; i++ {
 		f, err := mn.runFlow(i)

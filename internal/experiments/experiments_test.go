@@ -245,7 +245,10 @@ func TestBuildFlowsValidation(t *testing.T) {
 
 	// BuildFlows is newMuxNet and runFlow; the mux is needed to see the ports.
 	net := newNet(Hybrid())
-	mn := newMuxNet(net, new(runMem), MPTCP, FlowOptions{})
+	mn, err := newMuxNet(net, new(runMem), MPTCP, FlowOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := mn.runFlow(1)
 	if err != nil {
 		t.Fatal(err)

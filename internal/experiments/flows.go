@@ -6,8 +6,8 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
-	"strings"
 
 	"github.com/rdcn-net/tdtcp/internal/cc"
 	"github.com/rdcn-net/tdtcp/internal/core"
@@ -70,7 +70,8 @@ type Flow struct {
 	Snd, Rcv   *tcp.Conn   // single-path and TDTCP
 	MSnd, MRcv *mptcp.Conn // MPTCP
 
-	arrival arrival // RunWorkload's record of the flow's current life
+	muxes   [2]*hostMux // the muxes of Snd's host and Rcv's, set by BuildFlow
+	arrival arrival     // RunWorkload's record of the flow's current life
 }
 
 // Delivered returns in-order bytes delivered to the receiving application.
@@ -206,11 +207,10 @@ func needsECN(v Variant, opt FlowOptions) bool {
 	return cc.NeedsECN(ccName(v)) || v == TDTCP && slices.ContainsFunc(opt.PerTDNCC, cc.NeedsECN)
 }
 
-// endpointConfig builds the tcp.Config of one endpoint, sender or receiver
-// alike, of a non-MPTCP variant: CC factory, pacing, ECN, and (for TDTCP) the
-// endpoint's own per-TDN state policy.
-func endpointConfig(net *rdcn.Network, v Variant, opt FlowOptions, pool *tcp.Pool) (tcp.Config, error) {
-	ntdns := len(net.Cfg.TDNs)
+// endpointConfig builds the tcp.Config every endpoint, sender or receiver
+// alike, of a non-MPTCP variant v under opt shares on a fabric of tdns TDNs:
+// CC factories, pacing and ECN. A TDTCP endpoint adds its own policy.
+func endpointConfig(v Variant, tdns int, opt FlowOptions, pool *tcp.Pool) (tcp.Config, error) {
 	mk, err := cc.NewFactory(ccName(v))
 	if err != nil {
 		return tcp.Config{}, err
@@ -221,7 +221,7 @@ func endpointConfig(net *rdcn.Network, v Variant, opt FlowOptions, pool *tcp.Poo
 		return cfg, nil
 	}
 	cfg.Pacing = tdtcpPacing
-	cfg.NumTDNs = ntdns
+	cfg.NumTDNs = tdns
 	for _, name := range opt.PerTDNCC {
 		f, err := cc.NewFactory(name)
 		if err != nil {
@@ -229,15 +229,6 @@ func endpointConfig(net *rdcn.Network, v Variant, opt FlowOptions, pool *tcp.Poo
 		}
 		cfg.CCPerState = append(cfg.CCPerState, f)
 	}
-	o := opt.TDTCPOpts
-	if o.DeadmanHorizon > 0 && o.DeadmanSchedule == nil {
-		sched := net.Cfg.Schedule
-		o.DeadmanSchedule = func(t sim.Time) (int, bool) {
-			tdn, ok, _ := sched.At(t)
-			return tdn, ok
-		}
-	}
-	cfg.Policy = core.New(ntdns, o)
 	return cfg, nil
 }
 
@@ -264,7 +255,7 @@ type listener interface {
 // back to the run's pool, so what a host holds follows the flows open or
 // lingering on it, not the flows it ever carried. A segment for an unbound port is
 // dropped and counted, as a host does after TIME_WAIT. The released flow
-// itself is parked whole for a later arrival to reopen (muxNet.parked).
+// itself is parked whole for a later arrival to reopen (runMem.parked).
 //
 // The port table is looked up, never ranged over, and notify keeps join
 // order (fan-out order is trace order), so event order stays deterministic.
@@ -368,18 +359,9 @@ type muxNet struct {
 	net     *rdcn.Network
 	variant Variant
 	opt     FlowOptions
-	pool    *tcp.Pool           // every endpoint's queue entries: the harness's in a run
-	muxes   [][]*hostMux        // [rack][host]
-	byAddr  map[uint32]*hostMux // the same muxes by host address, for leave
-
-	// parked holds the flows release has retired until an arrival reopens
-	// them (DESIGN.md §10 "Endpoint reuse"), starting from those the run
-	// before handed on when it had this shape.
-	parked []*Flow
-	// shape is what the flows fit; handOn is false when they must not
-	// outlive the run (see shapeOf).
-	shape  shape
-	handOn bool
+	mem     *runMem      // its pool holds every endpoint's queue entries, its parked list the released flows
+	cfg     tcp.Config   // what every single-path endpoint is built from (endpointConfig)
+	muxes   [][]*hostMux // [rack][host]
 	// built and reopened count the endpoints constructed and the times one
 	// was reopened: two per flow between them.
 	built, reopened int
@@ -388,57 +370,36 @@ type muxNet struct {
 	noReuse bool
 }
 
-// shape is what makes one run's flows fit another's: every field
-// endpointConfig reads, so that two muxNets of one shape build their
-// endpoints from equal tcp.Configs, up to the loop and the pool, which the run
-// memory carries with the flows.
-type shape struct {
-	variant                                  Variant
-	tdns                                     int
-	noRelaxed, noRTTFilter, noPessimisticRTO bool // TDTCPOpts
-	minRTO, maxRTO                           sim.Dur
-	perTDNCC                                 string // FlowOptions.PerTDNCC, comma-joined
-	mss, rcvBuf                              int
-}
-
-// shapeOf returns the shape of variant v's flows under opt on a fabric of
-// tdns TDNs, and false for flows that must not outlive their run: MPTCP's,
-// which are never parked, and those whose config holds a closure, which may
-// be over the finished run's network (the deadman schedule).
-func shapeOf(v Variant, tdns int, opt FlowOptions) (shape, bool) {
-	o := opt.TDTCPOpts
-	s := shape{variant: v, tdns: tdns,
-		noRelaxed: o.DisableRelaxedReordering, noRTTFilter: o.DisableRTTFilter, noPessimisticRTO: o.DisablePessimisticRTO,
-		minRTO: opt.MinRTO, maxRTO: opt.MaxRTO, perTDNCC: strings.Join(opt.PerTDNCC, ","),
-		mss: opt.MSS, rcvBuf: opt.RcvBuf}
-	return s, v != MPTCP && o.DeadmanHorizon == 0 && o.DeadmanSchedule == nil
-}
-
 // newMuxNet takes over every host's upcalls: frames, TDN-change
 // notifications and the retcpdyn advance signal all go through the host's mux.
-// Its endpoints draw on mem's pool, and it takes the flows mem carries from
-// the run before (see parkAll) when they are of its shape; otherwise they are
-// dropped.
-func newMuxNet(net *rdcn.Network, mem *runMem, v Variant, opt FlowOptions) *muxNet {
-	mn := &muxNet{net: net, variant: v, opt: opt, pool: mem.segs,
-		muxes: make([][]*hostMux, len(net.Racks)), byAddr: make(map[uint32]*hostMux)}
-	mn.shape, mn.handOn = shapeOf(v, len(net.Cfg.TDNs), opt)
-	if mn.handOn && mem.shape == mn.shape {
-		mn.parked = mem.flows
+// Its endpoints draw on mem's pool, and it reopens the flows mem has parked
+// when they were built for the same variant, TDN count and FlowOptions;
+// otherwise they are dropped. An unknown congestion control in opt is an
+// error.
+func newMuxNet(net *rdcn.Network, mem *runMem, v Variant, opt FlowOptions) (*muxNet, error) {
+	tdns := len(net.Cfg.TDNs)
+	cfg, err := endpointConfig(v, tdns, opt, mem.segs)
+	if err != nil {
+		return nil, err
 	}
-	mem.flows = nil
+	if mem.variant != v || mem.tdns != tdns || !reflect.DeepEqual(mem.opt, opt) {
+		clear(mem.parked)
+		mem.parked = mem.parked[:0]
+		mem.variant, mem.tdns, mem.opt = v, tdns, opt
+		mem.opt.PerTDNCC = slices.Clone(opt.PerTDNCC)
+	}
+	mn := &muxNet{net: net, variant: v, opt: opt, mem: mem, cfg: cfg, muxes: make([][]*hostMux, len(net.Racks))}
 	for r, rack := range net.Racks {
 		mn.muxes[r] = make([]*hostMux, len(rack.Hosts))
 		for h, host := range rack.Hosts {
 			m := newHostMux(host)
 			mn.muxes[r][h] = m
-			mn.byAddr[host.Addr] = m
 			host.Recv = m.recv
 			host.NotifyTDN = m.notifyTDN
 			host.NotifyPreChange = m.notifyPreChange
 		}
 	}
-	return mn
+	return mn, nil
 }
 
 // place is Run's placement of flow i on a fabric of the given rack count. On
@@ -465,7 +426,10 @@ func BuildFlows(net *rdcn.Network, n int, v Variant, opt FlowOptions) ([]*Flow, 
 	if err := CheckVariant(v, len(net.Racks), false); err != nil {
 		return nil, err
 	}
-	mn := newMuxNet(net, &runMem{segs: new(tcp.Pool)}, v, opt)
+	mn, err := newMuxNet(net, &runMem{segs: new(tcp.Pool)}, v, opt)
+	if err != nil {
+		return nil, err
+	}
 	var flows []*Flow
 	for i := 0; i < n; i++ {
 		f, err := mn.runFlow(i)
@@ -515,10 +479,8 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 		return mn.buildMPTCP(sm, dm, port), nil
 	}
 
-	f, err := mn.flow(sm, dm)
-	if err != nil {
-		return nil, err
-	}
+	f := mn.flow(sm, dm)
+	f.muxes = [2]*hostMux{sm, dm}
 	f.Snd.LocalAddr, f.Snd.RemoteAddr = sm.host.Addr, dm.host.Addr
 	f.Snd.LocalPort, f.Snd.RemotePort = port, port
 	f.Rcv.LocalAddr, f.Rcv.RemoteAddr = dm.host.Addr, sm.host.Addr
@@ -531,6 +493,9 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 	case TDTCP:
 		sm.notify = append(sm.notify, f.Snd)
 		dm.notify = append(dm.notify, f.Rcv)
+		for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
+			c.Config().Policy.(*core.TDTCP).Schedule = mn.net.Cfg.Schedule
+		}
 	case ReTCP, ReTCPDyn:
 		sm.notify = append(sm.notify, mn.newRetcpSender(f.Snd))
 	default:
@@ -544,35 +509,28 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 // dm's: the last flow parked, each end reopened in the role it had, or else a
 // new pair. Sender first, as always: a TDTCP policy may arm its deadman when
 // it attaches, and arming order is trace order.
-func (mn *muxNet) flow(sm, dm *hostMux) (*Flow, error) {
-	if k := len(mn.parked); k > 0 && !mn.noReuse {
-		f := mn.parked[k-1]
-		mn.parked[k-1] = nil
-		mn.parked = mn.parked[:k-1]
+func (mn *muxNet) flow(sm, dm *hostMux) *Flow {
+	parked := mn.mem.parked
+	if k := len(parked); k > 0 && !mn.noReuse {
+		f := parked[k-1]
+		parked[k-1] = nil
+		mn.mem.parked = parked[:k-1]
 		f.Snd.Reopen(sm.send)
 		f.Rcv.Reopen(dm.send)
 		mn.reopened += 2
-		return f, nil
+		return f
 	}
-	f := &Flow{Variant: mn.variant}
-	var err error
-	if f.Snd, err = mn.endpoint(sm); err != nil {
-		return nil, err
-	}
-	if f.Rcv, err = mn.endpoint(dm); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return &Flow{Variant: mn.variant, Snd: mn.endpoint(sm), Rcv: mn.endpoint(dm)}
 }
 
 // endpoint constructs a connection for one end of a new flow on host m.
-func (mn *muxNet) endpoint(m *hostMux) (*tcp.Conn, error) {
-	cfg, err := endpointConfig(mn.net, mn.variant, mn.opt, mn.pool)
-	if err != nil {
-		return nil, err
+func (mn *muxNet) endpoint(m *hostMux) *tcp.Conn {
+	cfg := mn.cfg
+	if mn.variant == TDTCP {
+		cfg.Policy = core.New(cfg.NumTDNs, mn.opt.TDTCPOpts)
 	}
 	mn.built++
-	return tcp.NewConn(mn.net.Loop, cfg, m.send), nil
+	return tcp.NewConn(mn.net.Loop, cfg, m.send)
 }
 
 // buildMPTCP wires an MPTCP flow from sm's host to dm's: one subflow per TDN,
@@ -588,7 +546,7 @@ func (mn *muxNet) buildMPTCP(sm, dm *hostMux, port uint16) *Flow {
 		minRTO = 10 * sim.Millisecond
 	}
 	sub := tcp.Config{CC: func() cc.Algorithm { return cc.NewCubic() }, MinRTO: minRTO, MaxRTO: opt.MaxRTO,
-		MSS: opt.MSS, RcvBuf: opt.RcvBuf, Pool: mn.pool}
+		MSS: opt.MSS, RcvBuf: opt.RcvBuf, Pool: mn.mem.segs}
 	cfg := mptcp.Config{NumSubflows: len(mn.net.Cfg.TDNs), Sub: sub}
 	snd, rcv := newMPTCPEnd(mn.net.Loop, sm, cfg), newMPTCPEnd(mn.net.Loop, dm, cfg)
 	for k, s := range snd.conn.Subflows() {
@@ -612,8 +570,8 @@ func (mn *muxNet) buildMPTCP(sm, dm *hostMux, port uint16) *Flow {
 // engage it on a dead flow for the rest of the run. The ports stay bound until
 // release (see hostMux).
 func (mn *muxNet) leave(f *Flow) {
-	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
-		mn.byAddr[c.LocalAddr].leave(c)
+	for i, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
+		f.muxes[i].leave(c)
 		if p, ok := c.Config().Policy.(*core.TDTCP); ok {
 			p.StopDeadman()
 		}
@@ -624,20 +582,20 @@ func (mn *muxNet) leave(f *Flow) {
 // both connections stop their timers and return their retransmission-queue
 // entries to the pool, and the flow is parked.
 func (mn *muxNet) release(f *Flow) {
-	for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
-		mn.byAddr[c.LocalAddr].unbind(c.LocalPort)
+	for i, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
+		f.muxes[i].unbind(c.LocalPort)
 		c.Release()
 	}
-	mn.parked = append(mn.parked, f)
+	mn.mem.parked = append(mn.mem.parked, f)
 }
 
 // parkAll ends the run's hold on its flows: every one still open or
 // lingering leaves and is released, and an MPTCP flow's subflows are
-// released, so that the pool counts no live connection. It returns the
-// parked flows when they may serve the next run of their shape (shapeOf),
-// each with its arrival record cleared: that record's FIN-ack callback is
-// bound to the finished run, and a reopened flow binds its own.
-func (mn *muxNet) parkAll(flows []*Flow) []*Flow {
+// released, so that the pool counts no live connection. Each parked flow
+// keeps only its endpoints for the next run: its muxes are the finished
+// network's, and its arrival record's FIN-ack callback is bound to the
+// finished run; a reopened flow binds its own.
+func (mn *muxNet) parkAll(flows []*Flow) {
 	for _, f := range flows {
 		if f.MSnd == nil {
 			mn.leave(f)
@@ -648,13 +606,9 @@ func (mn *muxNet) parkAll(flows []*Flow) []*Flow {
 			c.Release()
 		}
 	}
-	if !mn.handOn {
-		return nil
+	for _, f := range mn.mem.parked {
+		*f = Flow{Variant: f.Variant, Snd: f.Snd, Rcv: f.Rcv}
 	}
-	for _, f := range mn.parked {
-		f.arrival = arrival{}
-	}
-	return mn.parked
 }
 
 // census sums the muxes over every host: the listeners one TDN change is

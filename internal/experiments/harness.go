@@ -45,8 +45,8 @@ type harness struct {
 	// retransmission-queue entries from it) and the network its frame pool.
 	mem  *runMem
 	pool *tcp.Pool
-	// mux is the muxNet the entry point wires its flows through, which takes
-	// the flows mem carries and parks the run's own for the next run.
+	// mux is the muxNet the entry point wires its flows through, which
+	// reopens the flows mem has parked and parks the run's own there.
 	mux *muxNet
 	// rtts and lag are the registry's per-TDN RTT and deadman-lag histograms
 	// on a metered run, resolved by the first addFlow for every flow after.
@@ -158,17 +158,22 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error)
 
 // runMem is the working memory a run grows and hands on to the next: the
 // event loop's heap, slab and random source, the network's frame-buffer pool,
-// the tcp.Pool of retransmission-queue entries, and the run's flows, released
-// and parked, for the next run of their shape to reopen (newMuxNet). Nothing
-// a run returns points into it, so once a run has assembled its result, its
+// the tcp.Pool of retransmission-queue entries, and the flows released and
+// parked, for a later arrival of the run or the next run to reopen. Nothing a
+// run returns points into it, so once a run has assembled its result, its
 // memory can serve another. A run that fails, is cancelled or panics drops its
 // memory instead.
 type runMem struct {
 	loop   *sim.Loop
 	frames *netem.BufPool
 	segs   *tcp.Pool
-	flows  []*Flow
-	shape  shape
+	// parked holds the released flows. Their endpoints were built for
+	// variant on a fabric of tdns TDNs under opt, and newMuxNet keeps them
+	// only for a run with all three equal (DESIGN.md §10 "Endpoint reuse").
+	parked  []*Flow
+	variant Variant
+	tdns    int
+	opt     FlowOptions
 }
 
 // spareMem is the list of memory finished runs handed back: a LIFO under a
@@ -207,7 +212,7 @@ func takeRunMem(seed int64) *runMem {
 func (h *harness) release() {
 	m := h.mem
 	h.mem = nil
-	m.flows, m.shape = h.mux.parkAll(h.flows), h.mux.shape
+	h.mux.parkAll(h.flows)
 	if n := m.segs.LiveConns(); n != 0 {
 		panic(fmt.Sprintf("experiments: %s hands on its memory with %d connections unreleased", h.what, n))
 	}

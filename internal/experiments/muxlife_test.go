@@ -155,7 +155,10 @@ func finishedMuxFlow(t *testing.T) (*harness, *muxNet, *Flow) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mn := newMuxNet(h.net, h.mem, TDTCP, rc.Flow)
+	mn, err := newMuxNet(h.net, h.mem, TDTCP, rc.Flow)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := mn.BuildFlow(0, 0, 1, 1, muxTestPort)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/rdcn-net/tdtcp/internal/core"
 	"github.com/rdcn-net/tdtcp/internal/fault"
+	"github.com/rdcn-net/tdtcp/internal/rdcn"
 	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
@@ -33,7 +34,7 @@ func lastSpare() *runMem {
 func parkedFlows() map[*Flow]bool {
 	set := map[*Flow]bool{}
 	if m := lastSpare(); m != nil {
-		for _, f := range m.flows {
+		for _, f := range m.parked {
 			set[f] = true
 		}
 	}
@@ -83,13 +84,25 @@ func rotor8(seed int64) WorkloadConfig {
 // same JSONL trace and metrics bytes and returns the same Result as a run on
 // fresh memory, and did take the warmed memory. The warmers are other
 // scenarios — the 8-rack rotor's open-loop workload, a faulted run under the
-// invariant checker — and runs of the same shape, whose endpoints the run
-// reopens: then it builds none. A warmer that differs from the run in one
-// TDTCPOpts flag, in TDN count or in variant hands on endpoints the run must
-// not take.
+// invariant checker — and runs of equal variant, TDN count and FlowOptions,
+// whose endpoints the run reopens: then it builds none. Among those is a
+// faulted TDTCP run on the standard schedule warming one on a rotated
+// schedule with the same day-start gaps, hence the same deadman horizon: the
+// reopened endpoints' deadman must follow the new run's schedule. A warmer
+// that differs from the run in one TDTCPOpts flag, in TDN count or in variant
+// hands on endpoints the run must not take.
 func TestWarmMemoryIsUnobservable(t *testing.T) {
 	plan, err := fault.Parse("drop=0.01,nloss=0.1")
 	if err != nil {
+		t.Fatal(err)
+	}
+	nloss, err := fault.Parse("nloss=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotated := Hybrid()
+	rotated.Name = "hybrid-rotated"
+	if rotated.Schedule, err = rdcn.ParseSchedule("1:180us,-:20us,6x(0:180us,-:20us)"); err != nil {
 		t.Fatal(err)
 	}
 	hybrid := func(v Variant, seed int64, opt FlowOptions) func() error {
@@ -146,6 +159,25 @@ func TestWarmMemoryIsUnobservable(t *testing.T) {
 		res.life.built, res.life.reopened = 0, 0
 		return out, res
 	}})
+	cases = append(cases, warmCase{"tdtcp_faulted_rotated", func(t *testing.T) ([]byte, any) {
+		var res *Result
+		out := tracedBytes(t, func(tr *trace.Tracer, reg *trace.Registry) {
+			var err error
+			if res, err = Run(RunConfig{Variant: TDTCP, Scenario: rotated, WarmupWeeks: 1, MeasureWeeks: 3,
+				Fault: &nloss, Tracer: tr, Metrics: reg}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if res.DeadmanEngaged == 0 {
+			t.Fatal("the deadman never engaged: the case shows nothing")
+		}
+		res.Cfg.Tracer, res.Cfg.Metrics = nil, nil
+		return out, res
+	}})
+	warmers["tdtcp_faulted_rotated"] = []warmer{{"hybrid_tdtcp_faulted", true, func() error {
+		_, err := Run(RunConfig{Variant: TDTCP, WarmupWeeks: 1, MeasureWeeks: 2, Seed: 7, Fault: &nloss})
+		return err
+	}}}
 	warmers["rotor8_websearch"] = []warmer{
 		{"rotor8_websearch", true, func() error { _, err := RunWorkload(rotor8(1)); return err }},
 		{"hybrid_tdtcp", false, hybrid(TDTCP, 1, FlowOptions{})},
@@ -245,18 +277,34 @@ func TestRunReusesItsMemory(t *testing.T) {
 
 // TestSameShapeRunReopensItsEndpoints is the allocation contract of handing
 // endpoints on (DESIGN.md §10 "Endpoint reuse"): for each single-path variant
-// on the hybrid, a 3+20-week Run on memory a Run of the same shape handed on
-// reopens every endpoint it was handed, and allocates at most 80 % of what
-// the same Run does on the same memory with the handed endpoints dropped, so
-// that it builds its own.
+// on the hybrid, and for TDTCP under notification loss (its deadman armed), a
+// 3+20-week Run on memory a Run of equal variant, TDN count and FlowOptions
+// handed on reopens every endpoint it was handed, and allocates at most 80 %
+// of what the same Run does on the same memory with the handed endpoints
+// dropped, so that it builds its own.
 func TestSameShapeRunReopensItsEndpoints(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on this path")
 	}
+	nloss, err := fault.Parse("nloss=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		name string
+		cfg  RunConfig
+	}
+	var rows []row
 	for _, v := range []Variant{Cubic, DCTCP, ReTCP, ReTCPDyn, TDTCP} {
+		rows = append(rows, row{string(v), RunConfig{Variant: v}})
+	}
+	rows = append(rows, row{"tdtcp+nloss", RunConfig{Variant: TDTCP, Fault: &nloss}})
+	for _, r := range rows {
 		run := func(seed int64) uint64 {
+			cfg := r.cfg
+			cfg.WarmupWeeks, cfg.MeasureWeeks, cfg.Seed = 3, 20, seed
 			bytes, _ := allocatedBy(func() {
-				if _, err := Run(RunConfig{Variant: v, WarmupWeeks: 3, MeasureWeeks: 20, Seed: seed}); err != nil {
+				if _, err := Run(cfg); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -265,18 +313,21 @@ func TestSameShapeRunReopensItsEndpoints(t *testing.T) {
 		dropSpareMem()
 		run(1001)
 		handed := parkedFlows()
+		if len(handed) == 0 {
+			t.Fatalf("%s: the first run handed on no endpoints", r.name)
+		}
 		reopening := run(1002)
 		for f := range parkedFlows() {
 			if !handed[f] {
-				t.Fatalf("%s: the second run built a flow beside the %d it was handed", v, len(handed))
+				t.Fatalf("%s: the second run built a flow beside the %d it was handed", r.name, len(handed))
 			}
 		}
-		lastSpare().flows = nil
+		lastSpare().parked = nil
 		building := run(1002)
-		t.Logf("%-8s %d B reopening its endpoints, %d B building them (%.0f %%)",
-			v, reopening, building, 100*float64(reopening)/float64(building))
+		t.Logf("%-11s %d B reopening its endpoints, %d B building them (%.0f %%)",
+			r.name, reopening, building, 100*float64(reopening)/float64(building))
 		if 5*reopening > 4*building {
-			t.Errorf("%s: %d B reopening against %d B building: more than 80 %%", v, reopening, building)
+			t.Errorf("%s: %d B reopening against %d B building: more than 80 %%", r.name, reopening, building)
 		}
 	}
 }

@@ -184,8 +184,9 @@ type lifeCensus struct {
 	liveConns   int // connections attached to the pool and not released
 	flows       int // flows the harness still tracks
 	// Endpoint reuse (muxNet): released endpoints waiting on the parked list,
-	// those a run of the same shape handed on included, endpoints this run
-	// constructed, and the times one was reopened.
+	// those a run of equal variant, TDN count and FlowOptions handed on
+	// included, endpoints this run constructed, and the times one was
+	// reopened.
 	parked, built, reopened int
 }
 
@@ -243,7 +244,10 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	measureStart, end := h.measureStart, h.end
 
 	fctHist := cfg.Metrics.Hist("fct.ns")
-	mn := newMuxNet(net, h.mem, cfg.Variant, cfg.Flow)
+	mn, err := newMuxNet(net, h.mem, cfg.Variant, cfg.Flow)
+	if err != nil {
+		return nil, err
+	}
 	mn.noReuse = cfg.noReuse
 	h.mux = mn
 	h.start()
@@ -368,7 +372,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	res.life.notifyWidth, res.life.portsBound, res.LateSegs = mn.census()
 	res.life.flows = len(h.flows)
 	res.life.liveConns = h.pool.LiveConns()
-	res.life.parked = 2 * len(mn.parked)
+	res.life.parked = 2 * len(h.mem.parked)
 	res.life.built, res.life.reopened = mn.built, mn.reopened
 	res.FramesSent, res.FramesDelivered, res.FramesMisrouted, err = h.finish(byteLedger{
 		acked: res.Sender.BytesAcked, fins: res.FlowsCompleted,

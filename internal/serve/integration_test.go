@@ -104,7 +104,7 @@ func TestDefaultRunnerWorkloadKind(t *testing.T) {
 // deadline error — the service-level face of the byte-identical-prefix
 // property proven in the experiments package tests.
 func TestDefaultRunnerDeadlineCancelsRealRun(t *testing.T) {
-	s := New(Config{Workers: 1, StopEvery: 256})
+	s := New(Config{Workers: 1})
 	defer shutdownOrFail(t, s)
 	spec := tinySpec()
 	spec.Flows = 8

@@ -15,10 +15,10 @@ import (
 // panics.
 type Request struct {
 	Spec *Spec
-	// Cancelled is polled between simulation events (every StopEvery); a
-	// Runner must abandon the run promptly once it returns true.
+	// Cancelled is polled between simulation events (every
+	// sim.DefaultStopEvery); a Runner must abandon the run promptly once it
+	// returns true.
 	Cancelled func() bool
-	StopEvery int
 	// Flight is the job's private flight recorder. Runners should wire it
 	// into the run so a panic snapshot has the last events in hand.
 	Flight *trace.Flight
@@ -83,7 +83,6 @@ func DefaultRunner(req *Request) (*Outcome, error) {
 		cfg.Metrics = metrics
 		cfg.Flight = req.Flight
 		cfg.Stop = req.Cancelled
-		cfg.StopEvery = req.StopEvery
 		res, err := experiments.RunWorkload(cfg)
 		if err != nil {
 			return nil, err
@@ -106,7 +105,6 @@ func DefaultRunner(req *Request) (*Outcome, error) {
 		cfg.Metrics = metrics
 		cfg.Flight = req.Flight
 		cfg.Stop = req.Cancelled
-		cfg.StopEvery = req.StopEvery
 		res, err := experiments.Run(cfg)
 		if err != nil {
 			return nil, err

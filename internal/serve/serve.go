@@ -69,11 +69,9 @@ type Config struct {
 	// DefaultDeadline caps a job's wall-clock run time when its spec does
 	// not set deadline_ms (default 60s).
 	DefaultDeadline time.Duration
-	// StopEvery is the cancellation-poll cadence in simulation events
-	// (default sim.DefaultStopEvery via the loop).
-	StopEvery int
 	// CacheCap bounds the result cache in entries, evicted FIFO (default
-	// 128; negative disables caching).
+	// 128; negative disables caching). It bounds the job table too (see
+	// retainLocked).
 	CacheCap int
 	// Metrics receives the serve.* counters and histograms (one is created
 	// if nil).
@@ -82,6 +80,8 @@ type Config struct {
 	// substitute stubs to exercise the failure machinery.
 	Runner Runner
 }
+
+const defaultCacheCap = 128
 
 func (c *Config) fillDefaults() {
 	if c.Workers <= 0 {
@@ -94,7 +94,7 @@ func (c *Config) fillDefaults() {
 		c.DefaultDeadline = 60 * time.Second
 	}
 	if c.CacheCap == 0 {
-		c.CacheCap = 128
+		c.CacheCap = defaultCacheCap
 	}
 	if c.Metrics == nil {
 		c.Metrics = trace.NewRegistry()
@@ -126,6 +126,8 @@ type Job struct {
 	// at the first hit: the view of a terminal job no longer changes. Held
 	// only while the job is in the result cache.
 	hitReply []byte
+	// aged: no longer among Server.finished, so held only while cached.
+	aged bool
 
 	cancelled atomic.Bool
 	// done closes when the job reaches a terminal state.
@@ -169,10 +171,11 @@ type Server struct {
 	cfg Config
 
 	mu        sync.Mutex
-	jobs      map[string]*Job // by ID
+	jobs      map[string]*Job // by ID: queued, running, cached or in finished
 	inflight  map[string]*Job // by Key: queued or running (single-flight)
 	cache     map[string]*Job // by Key: terminal done jobs
 	cacheFifo []string
+	finished  []*Job // the last jobs to finish, oldest first (retainLocked)
 	nextID    uint64
 	draining  bool
 
@@ -329,7 +332,7 @@ func (s *Server) View(j *Job, withResult bool) *JobView {
 	return v
 }
 
-// Jobs snapshots every job, newest first.
+// Jobs snapshots every job the server still holds, newest first.
 func (s *Server) Jobs() []*JobView {
 	s.mu.Lock()
 	ids := make([]*Job, 0, len(s.jobs))
@@ -441,7 +444,6 @@ func (s *Server) run(j *Job, stop func() bool) (out *Outcome, err error) {
 	return s.cfg.Runner(&Request{
 		Spec:      j.Spec,
 		Cancelled: stop,
-		StopEvery: s.cfg.StopEvery,
 		Flight:    flight,
 	})
 }
@@ -468,7 +470,29 @@ func (s *Server) finalizeLocked(j *Job, state State, out *Outcome, err error) {
 	default: // StateQueued, StateRunning
 		panic(fmt.Sprintf("serve: finalize to non-terminal state %q", state))
 	}
+	s.retainLocked(j)
 	close(j.done)
+}
+
+// retainLocked bounds the job table: a finished job stays in it while it is
+// among the last CacheCap jobs to finish (defaultCacheCap with caching off)
+// or is cached, and not every job since start. Caller holds s.mu.
+func (s *Server) retainLocked(j *Job) {
+	s.finished = append(s.finished, j)
+	keep := s.cfg.CacheCap
+	if keep < 0 { // caching off
+		keep = defaultCacheCap
+	}
+	if len(s.finished) <= keep {
+		return
+	}
+	old := s.finished[0]
+	s.finished[0] = nil
+	s.finished = s.finished[1:]
+	old.aged = true
+	if s.cache[old.Key] != old {
+		delete(s.jobs, old.ID)
+	}
 }
 
 // cacheAddLocked inserts a completed job into the result cache with FIFO
@@ -485,8 +509,12 @@ func (s *Server) cacheAddLocked(j *Job) {
 	for len(s.cacheFifo) > s.cfg.CacheCap {
 		evict := s.cacheFifo[0]
 		s.cacheFifo = s.cacheFifo[1:]
-		s.cache[evict].hitReply = nil
+		e := s.cache[evict]
+		e.hitReply = nil
 		delete(s.cache, evict)
+		if e.aged {
+			delete(s.jobs, e.ID)
+		}
 		s.cfg.Metrics.Add("serve.cache_evictions", 1)
 	}
 	s.cfg.Metrics.Set("serve.cache_entries", float64(len(s.cache)))

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"runtime"
 	"strings"
 	"sync"
@@ -512,4 +513,59 @@ func TestTortureLifecycle(t *testing.T) {
 	}
 	t.Logf("torture: %d accepted (%v), %d joined, %d cache hits, %d rejected, drain %v",
 		len(accepted), states, joined, hits, rejected, drainTook)
+}
+
+// TestJobTableForgetsOldJobs: the job table is bounded by the cache, not by
+// the jobs ever submitted. After 4·CacheCap distinct jobs have finished —
+// done, failed and cancelled mixed — it holds at most 2·CacheCap jobs beyond
+// the workers and the queue, the newest done jobs still hit the cache, and
+// the oldest job's id is unknown (404).
+func TestJobTableForgetsOldJobs(t *testing.T) {
+	const cacheCap = 8
+	cfg := Config{Workers: 1, QueueDepth: 4, CacheCap: cacheCap, Runner: func(req *Request) (*Outcome, error) {
+		switch req.Spec.Seed % 3 {
+		case 0:
+			return nil, errors.New("stub failure")
+		case 1:
+			return okRunner(req)
+		default:
+			return slowRunner(req)
+		}
+	}}
+	s, ts := httpServer(t, cfg)
+	var first *Job
+	var done []*Job
+	for seed := int64(1); seed <= 4*cacheCap; seed++ {
+		j, disp, err := s.Submit(&Spec{Seed: seed})
+		if err != nil || disp != DispAccepted {
+			t.Fatalf("seed %d: disp=%q err=%v", seed, disp, err)
+		}
+		if seed%3 == 2 {
+			s.Cancel(j.ID)
+		}
+		waitTerminal(t, j)
+		if first == nil {
+			first = j
+		}
+		if v := s.View(j, false); v.State == StateDone {
+			done = append(done, j)
+		}
+	}
+	s.mu.Lock()
+	held := len(s.jobs)
+	s.mu.Unlock()
+	if bound := 2*cacheCap + cfg.Workers + cfg.QueueDepth; held > bound {
+		t.Errorf("the job table holds %d jobs after %d finished, want at most %d", held, 4*cacheCap, bound)
+	}
+	for _, j := range done[len(done)-cacheCap:] {
+		if got, disp, err := s.Submit(j.Spec); err != nil || disp != DispCacheHit || got != j {
+			t.Errorf("resubmitting done job %s: disp=%q err=%v", j.ID, disp, err)
+		}
+	}
+	if _, ok := s.Job(first.ID); ok {
+		t.Errorf("job %s is still held after %d newer jobs finished", first.ID, 4*cacheCap-1)
+	}
+	if code, _ := doJSON(t, http.MethodGet, ts.URL+"/jobs/"+first.ID, ""); code != http.StatusNotFound {
+		t.Errorf("GET /jobs/%s: %d, want 404", first.ID, code)
+	}
 }

@@ -313,8 +313,12 @@ func (c *Conn) init(out func(*packet.Segment)) {
 // configuration, congestion-control instances and policy, so the result is
 // what NewConn would return for that Config and differs only in address. out
 // replaces Out; addresses, ports, hooks and tracer are the caller's to set
-// again, as after NewConn. The connection must have been released.
+// again, as after NewConn. It panics unless the connection was released: a
+// live one would lose its outstanding entries and be counted live twice.
 func (c *Conn) Reopen(out func(*packet.Segment)) {
+	if c.state != stReleased {
+		panic(fmt.Sprintf("tcp: Reopen of a connection that was not released (%v)", c))
+	}
 	c.init(out)
 }
 

@@ -126,3 +126,41 @@ func TestReleaseReturnsEverythingToThePool(t *testing.T) {
 		}
 	}
 }
+
+// TestReopenRequiresRelease: Reopen on a connection that was never released,
+// or on one carrying data, panics and leaves it as it was: its outstanding
+// entries stay queued and the pool counts it live once.
+func TestReopenRequiresRelease(t *testing.T) {
+	pool := new(Pool)
+	cfg := Config{Pool: pool}
+	loop, a, b, _, _ := newPair(t, pairOpt{cfgA: cfg, cfgB: cfg})
+	reopen := func(what string, c *Conn) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Reopen of a %s connection did not panic", what)
+			}
+		}()
+		c.Reopen(c.Out)
+	}
+	reopen("new", b)
+	b.Listen()
+	a.Connect(4000 * 8960)
+	runFor(loop, 300*sim.Microsecond)
+	out := a.rtx.len()
+	if !a.Established() || out == 0 {
+		t.Fatalf("set-up: %v with %d segments outstanding", a, out)
+	}
+	reopen("live", a)
+	if a.rtx.len() != out || !a.Established() {
+		t.Errorf("after the refused Reopen: %v with %d segments outstanding, want %d", a, a.rtx.len(), out)
+	}
+	if n := pool.LiveConns(); n != 2 {
+		t.Errorf("%d live connections after the refused Reopens, want 2", n)
+	}
+	a.Release()
+	a.Reopen(a.Out)
+	if n := pool.LiveConns(); n != 2 {
+		t.Errorf("%d live connections after a released connection's Reopen, want 2", n)
+	}
+}
