@@ -82,25 +82,31 @@ find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testd
 		printf "%7d total\n", total
 	}' | tee artifacts/loc.txt
 
-# The seven allocation contracts, printed: the bytes and mallocs each further
+# The nine allocation contracts, printed: the bytes and mallocs each further
 # flow of an open-loop run costs, at most 512 B in 2 mallocs
 # (TestWorkloadChurnAllocatesForItsResultOnly; flow reuse is judged by these
 # numbers), the bytes each further measured week of a
 # Run costs (TestRunAllocationIsFlatInHorizon: its result stops at PlotWeeks),
-# at most 50 % of a first Run's bytes for a second one on the memory the first
-# handed back (TestRunReusesItsMemory), at most 80 % of a Run's bytes building
+# at most 40 % of a first Run's bytes for a second one on the memory the first
+# handed back (TestRunReusesItsMemory; the frame pool it hands on also holds
+# the pipes' FIFO arrays and propagation cells), every wire buffer back in
+# that pool once a run has handed it over, gets = puts
+# (TestHandBackReturnsEveryFrame), at most 80 % of a Run's bytes building
 # its endpoints when it reopens those a Run of equal variant, TDN count and
-# FlowOptions handed on, a faulted TDTCP Run among them
-# (TestSameShapeRunReopensItsEndpoints), the allocations of a steady-state week
-# of every variant on the hybrid and the 8-rack rotor
+# FlowOptions handed on, MPTCP's parked flows and a faulted TDTCP Run among
+# them (TestSameShapeRunReopensItsEndpoints), the allocations of a
+# steady-state week of every variant on the hybrid and the 8-rack rotor
 # (TestSteadyStateDoesNotAllocate), 0 allocations per VOQ enqueue and dequeue
-# after NewVOQ, across a grow/shrink cycle (TestVOQDoesNotAllocate), and the
-# bytes a histogram holds for the octaves it has recorded, 0 allocations per
-# Record after an octave's first (TestHistogramAllocatesTouchedOctavesOnly).
+# after NewVOQ, across a grow/shrink cycle (TestVOQDoesNotAllocate), a host
+# NIC's FIFO array no larger than twice the frames it queues at once
+# (TestPipeFIFOFollowsOccupancy), and the bytes a histogram holds for the
+# octaves it has recorded, 0 allocations per Record after an octave's first
+# (TestHistogramAllocatesTouchedOctavesOnly).
 # These tests are now the only guard of the functions that used to carry a
 # //lint:hotpath directive: no lint check looks at allocations. All but the
-# VOQ's skip under -race, so the race run below does not cover them.
-go test -count=1 -v -run 'TestWorkloadChurnAllocatesForItsResultOnly|TestRunAllocationIsFlatInHorizon|TestRunReusesItsMemory|TestSameShapeRunReopensItsEndpoints|TestSteadyStateDoesNotAllocate|TestVOQDoesNotAllocate|TestHistogramAllocatesTouchedOctavesOnly' \
+# VOQ's, the pipe's and the hand-back's skip under -race, so the race run
+# below does not cover them.
+go test -count=1 -v -run 'TestWorkloadChurnAllocatesForItsResultOnly|TestRunAllocationIsFlatInHorizon|TestRunReusesItsMemory|TestHandBackReturnsEveryFrame|TestSameShapeRunReopensItsEndpoints|TestSteadyStateDoesNotAllocate|TestVOQDoesNotAllocate|TestPipeFIFOFollowsOccupancy|TestHistogramAllocatesTouchedOctavesOnly' \
 	./internal/experiments ./internal/netem ./internal/trace > artifacts/alloc.txt || { cat artifacts/alloc.txt; exit 1; }
 cat artifacts/alloc.txt
 

@@ -70,8 +70,9 @@ type Flow struct {
 	Snd, Rcv   *tcp.Conn   // single-path and TDTCP
 	MSnd, MRcv *mptcp.Conn // MPTCP
 
-	muxes   [2]*hostMux // the muxes of Snd's host and Rcv's, set by BuildFlow
-	arrival arrival     // RunWorkload's record of the flow's current life
+	muxes   [2]*hostMux  // the muxes of the sender's host and the receiver's, set by BuildFlow
+	ends    [2]*mptcpEnd // MPTCP: the listeners MSnd and MRcv belong to
+	arrival arrival      // RunWorkload's record of the flow's current life
 }
 
 // Delivered returns in-order bytes delivered to the receiving application.
@@ -207,9 +208,15 @@ func needsECN(v Variant, opt FlowOptions) bool {
 	return cc.NeedsECN(ccName(v)) || v == TDTCP && slices.ContainsFunc(opt.PerTDNCC, cc.NeedsECN)
 }
 
+// mptcpMinRTO is the MPTCP subflows' MinRTO unless FlowOptions sets one:
+// stranded subflows must not melt down in RTO storms between their TDN's days
+// (the kernel's 200 ms floor, time-dilated, is several optical weeks).
+const mptcpMinRTO = 10 * sim.Millisecond
+
 // endpointConfig builds the tcp.Config every endpoint, sender or receiver
-// alike, of a non-MPTCP variant v under opt shares on a fabric of tdns TDNs:
-// CC factories, pacing and ECN. A TDTCP endpoint adds its own policy.
+// alike, of variant v under opt shares on a fabric of tdns TDNs — for MPTCP,
+// every subflow: CC factories, pacing and ECN. A TDTCP endpoint adds its own
+// policy.
 func endpointConfig(v Variant, tdns int, opt FlowOptions, pool *tcp.Pool) (tcp.Config, error) {
 	mk, err := cc.NewFactory(ccName(v))
 	if err != nil {
@@ -217,6 +224,9 @@ func endpointConfig(v Variant, tdns int, opt FlowOptions, pool *tcp.Pool) (tcp.C
 	}
 	cfg := tcp.Config{CC: mk, ECN: needsECN(v, opt), Pool: pool,
 		MinRTO: opt.MinRTO, MaxRTO: opt.MaxRTO, MSS: opt.MSS, RcvBuf: opt.RcvBuf}
+	if v == MPTCP && cfg.MinRTO == 0 {
+		cfg.MinRTO = mptcpMinRTO
+	}
 	if v != TDTCP {
 		return cfg, nil
 	}
@@ -344,9 +354,9 @@ func (m *hostMux) notifyPreChange(tdn int) {
 	}
 }
 
-// leave takes c out of the notify set, keeping the others in join order.
-func (m *hostMux) leave(c *tcp.Conn) {
-	if i := slices.Index(m.notify, listener(c)); i >= 0 {
+// leave takes l out of the notify set, keeping the others in join order.
+func (m *hostMux) leave(l listener) {
+	if i := slices.Index(m.notify, l); i >= 0 {
 		m.notify = slices.Delete(m.notify, i, i+1)
 	}
 }
@@ -360,7 +370,7 @@ type muxNet struct {
 	variant Variant
 	opt     FlowOptions
 	mem     *runMem      // its pool holds every endpoint's queue entries, its parked list the released flows
-	cfg     tcp.Config   // what every single-path endpoint is built from (endpointConfig)
+	cfg     tcp.Config   // what every endpoint, or MPTCP subflow, is built from (endpointConfig)
 	muxes   [][]*hostMux // [rack][host]
 	// built and reopened count the endpoints constructed and the times one
 	// was reopened: two per flow between them.
@@ -444,12 +454,12 @@ func BuildFlows(net *rdcn.Network, n int, v Variant, opt FlowOptions) ([]*Flow, 
 // BuildFlow wires one flow of the muxNet's variant from (srcRack, srcHost) to
 // (dstRack, dstHost). Both endpoints use the same port number, which must be
 // unique per endpoint host among the ports bound at the time — it is the demux
-// key on both sides; subflow k of an MPTCP flow takes port+k. A single-path
-// flow is a parked one, both ends reopened, or else a new one.
+// key on both sides; subflow k of an MPTCP flow takes port+k. A flow is a
+// parked one, both ends reopened, or else a new one.
 // The flow's listeners join their hosts' notify sets here — both endpoints of
-// a TDTCP or MPTCP flow, the sender of a reTCP one — and a TDTCP flow's leave
-// them at leave; the ports are unbound at release. The variant is one
-// CheckVariant accepted for this fabric.
+// a TDTCP or MPTCP flow, the sender of a reTCP one — and a TDTCP or MPTCP
+// flow's leave them at leave; the ports are unbound at release. The variant is
+// one CheckVariant accepted for this fabric.
 func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16) (*Flow, error) {
 	ports := 1
 	if mn.variant == MPTCP {
@@ -475,12 +485,24 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 			}
 		}
 	}
-	if mn.variant == MPTCP {
-		return mn.buildMPTCP(sm, dm, port), nil
-	}
 
 	f := mn.flow(sm, dm)
 	f.muxes = [2]*hostMux{sm, dm}
+	if mn.variant == MPTCP {
+		for k, s := range f.MSnd.Subflows() {
+			r, p := f.MRcv.Subflows()[k], port+uint16(k)
+			s.LocalAddr, s.RemoteAddr = sm.host.Addr, dm.host.Addr
+			s.LocalPort, s.RemotePort = p, p
+			r.LocalAddr, r.RemoteAddr = dm.host.Addr, sm.host.Addr
+			r.LocalPort, r.RemotePort = p, p
+			sm.bind(p, s)
+			dm.bind(p, r)
+		}
+		f.MRcv.Listen()
+		sm.notify = append(sm.notify, f.ends[0])
+		dm.notify = append(dm.notify, f.ends[1])
+		return f, nil
+	}
 	f.Snd.LocalAddr, f.Snd.RemoteAddr = sm.host.Addr, dm.host.Addr
 	f.Snd.LocalPort, f.Snd.RemotePort = port, port
 	f.Rcv.LocalAddr, f.Rcv.RemoteAddr = dm.host.Addr, sm.host.Addr
@@ -505,20 +527,31 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 	return f, nil
 }
 
-// flow returns the endpoints of a new single-path flow from sm's host to
-// dm's: the last flow parked, each end reopened in the role it had, or else a
-// new pair. Sender first, as always: a TDTCP policy may arm its deadman when
-// it attaches, and arming order is trace order.
+// flow returns the endpoints of a new flow from sm's host to dm's: the last
+// flow parked, each end reopened in the role it had, or else a new pair.
+// Sender first, as always: a TDTCP policy may arm its deadman when it
+// attaches, and arming order is trace order.
 func (mn *muxNet) flow(sm, dm *hostMux) *Flow {
 	parked := mn.mem.parked
 	if k := len(parked); k > 0 && !mn.noReuse {
 		f := parked[k-1]
 		parked[k-1] = nil
 		mn.mem.parked = parked[:k-1]
-		f.Snd.Reopen(sm.send)
-		f.Rcv.Reopen(dm.send)
+		if f.MSnd != nil {
+			f.ends[0].reopen(sm)
+			f.ends[1].reopen(dm)
+		} else {
+			f.Snd.Reopen(sm.send)
+			f.Rcv.Reopen(dm.send)
+		}
 		mn.reopened += 2
 		return f
+	}
+	if mn.variant == MPTCP {
+		cfg := mptcp.Config{NumSubflows: len(mn.net.Cfg.TDNs), Sub: mn.cfg}
+		snd, rcv := newMPTCPEnd(mn.net.Loop, sm, cfg), newMPTCPEnd(mn.net.Loop, dm, cfg)
+		mn.built += 2
+		return &Flow{Variant: MPTCP, MSnd: snd.conn, MRcv: rcv.conn, ends: [2]*mptcpEnd{snd, rcv}}
 	}
 	return &Flow{Variant: mn.variant, Snd: mn.endpoint(sm), Rcv: mn.endpoint(dm)}
 }
@@ -533,43 +566,18 @@ func (mn *muxNet) endpoint(m *hostMux) *tcp.Conn {
 	return tcp.NewConn(mn.net.Loop, cfg, m.send)
 }
 
-// buildMPTCP wires an MPTCP flow from sm's host to dm's: one subflow per TDN,
-// subflow k on port port+k at both ends, and each end in its host's notify
-// set.
-func (mn *muxNet) buildMPTCP(sm, dm *hostMux, port uint16) *Flow {
-	opt := mn.opt
-	minRTO := opt.MinRTO
-	if minRTO == 0 {
-		// Stranded subflows must not melt down in RTO storms between their
-		// TDN's days (the kernel's 200 ms floor, time-dilated, is several
-		// optical weeks).
-		minRTO = 10 * sim.Millisecond
-	}
-	sub := tcp.Config{CC: func() cc.Algorithm { return cc.NewCubic() }, MinRTO: minRTO, MaxRTO: opt.MaxRTO,
-		MSS: opt.MSS, RcvBuf: opt.RcvBuf, Pool: mn.mem.segs}
-	cfg := mptcp.Config{NumSubflows: len(mn.net.Cfg.TDNs), Sub: sub}
-	snd, rcv := newMPTCPEnd(mn.net.Loop, sm, cfg), newMPTCPEnd(mn.net.Loop, dm, cfg)
-	for k, s := range snd.conn.Subflows() {
-		r, p := rcv.conn.Subflows()[k], port+uint16(k)
-		s.LocalAddr, s.RemoteAddr = sm.host.Addr, dm.host.Addr
-		s.LocalPort, s.RemotePort = p, p
-		r.LocalAddr, r.RemoteAddr = dm.host.Addr, sm.host.Addr
-		r.LocalPort, r.RemotePort = p, p
-		sm.bind(p, s)
-		dm.bind(p, r)
-	}
-	rcv.conn.Listen()
-	sm.notify = append(sm.notify, snd)
-	dm.notify = append(dm.notify, rcv)
-	return &Flow{Variant: MPTCP, MSnd: snd.conn, MRcv: rcv.conn}
-}
-
 // leave retires a flow whose sender has seen its FIN acknowledged: both
 // endpoints stop receiving TDN notifications, and a notification deadman, if
 // armed, is stopped — with the notifications gone, silence would otherwise
 // engage it on a dead flow for the rest of the run. The ports stay bound until
 // release (see hostMux).
 func (mn *muxNet) leave(f *Flow) {
+	if f.MSnd != nil {
+		for i, e := range f.ends {
+			f.muxes[i].leave(e)
+		}
+		return
+	}
 	for i, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
 		f.muxes[i].leave(c)
 		if p, ok := c.Config().Policy.(*core.TDTCP); ok {
@@ -578,36 +586,39 @@ func (mn *muxNet) leave(f *Flow) {
 	}
 }
 
-// release ends the linger of a flow that has left: both ports are unbound,
-// both connections stop their timers and return their retransmission-queue
+// release ends the linger of a flow that has left: every port is unbound,
+// every connection stops its timers and returns its retransmission-queue
 // entries to the pool, and the flow is parked.
 func (mn *muxNet) release(f *Flow) {
-	for i, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
-		f.muxes[i].unbind(c.LocalPort)
-		c.Release()
+	if f.MSnd != nil {
+		for i, e := range f.ends {
+			for _, c := range e.conn.Subflows() {
+				f.muxes[i].unbind(c.LocalPort)
+			}
+			e.conn.Release()
+		}
+	} else {
+		for i, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
+			f.muxes[i].unbind(c.LocalPort)
+			c.Release()
+		}
 	}
 	mn.mem.parked = append(mn.mem.parked, f)
 }
 
 // parkAll ends the run's hold on its flows: every one still open or
-// lingering leaves and is released, and an MPTCP flow's subflows are
-// released, so that the pool counts no live connection. Each parked flow
-// keeps only its endpoints for the next run: its muxes are the finished
-// network's, and its arrival record's FIN-ack callback is bound to the
-// finished run; a reopened flow binds its own.
+// lingering leaves and is released, so that the pool counts no live
+// connection. Each parked flow keeps only its endpoints for the next run: its
+// muxes are the finished network's, and its arrival record's FIN-ack callback
+// is bound to the finished run; a reopened flow binds its own, and an MPTCP
+// end rebinds its gates.
 func (mn *muxNet) parkAll(flows []*Flow) {
 	for _, f := range flows {
-		if f.MSnd == nil {
-			mn.leave(f)
-			mn.release(f)
-			continue
-		}
-		for _, c := range slices.Concat(f.MSnd.Subflows(), f.MRcv.Subflows()) {
-			c.Release()
-		}
+		mn.leave(f)
+		mn.release(f)
 	}
 	for _, f := range mn.mem.parked {
-		*f = Flow{Variant: f.Variant, Snd: f.Snd, Rcv: f.Rcv}
+		*f = Flow{Variant: f.Variant, Snd: f.Snd, Rcv: f.Rcv, MSnd: f.MSnd, MRcv: f.MRcv, ends: f.ends}
 	}
 }
 
@@ -632,18 +643,27 @@ func (mn *muxNet) census() (notifyWidth, portsBound int, lateSegs uint64) {
 // it held, then steers the scheduler.
 type mptcpEnd struct {
 	conn  *mptcp.Conn
-	gates []subflowGate // one per subflow; gate k passes only during TDN k
+	gates []subflowGate           // one per subflow; gate k passes only during TDN k
+	outs  []func(*packet.Segment) // gate k's send, bound once: subflow k's Out
 }
 
 func newMPTCPEnd(loop *sim.Loop, m *hostMux, cfg mptcp.Config) *mptcpEnd {
-	e := &mptcpEnd{gates: make([]subflowGate, cfg.NumSubflows)}
-	outs := make([]func(*packet.Segment), cfg.NumSubflows)
+	e := &mptcpEnd{gates: make([]subflowGate, cfg.NumSubflows), outs: make([]func(*packet.Segment), cfg.NumSubflows)}
 	for k := range e.gates {
 		e.gates[k] = subflowGate{mux: m, tdn: k}
-		outs[k] = e.gates[k].send
+		e.outs[k] = e.gates[k].send
 	}
-	e.conn = mptcp.New(loop, cfg, outs)
+	e.conn = mptcp.New(loop, cfg, e.outs)
 	return e
+}
+
+// reopen starts a parked end's next life on host m: its gates, emptied, pass
+// to m's mux and keep their slots, and its connection is reopened onto them.
+func (e *mptcpEnd) reopen(m *hostMux) {
+	for k := range e.gates {
+		e.gates[k].mux, e.gates[k].held = m, e.gates[k].held[:0]
+	}
+	e.conn.Reopen(e.outs)
 }
 
 func (e *mptcpEnd) Notify(tdn int, epoch uint32) {

@@ -157,12 +157,12 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error)
 }
 
 // runMem is the working memory a run grows and hands on to the next: the
-// event loop's heap, slab and random source, the network's frame-buffer pool,
-// the tcp.Pool of retransmission-queue entries, and the flows released and
-// parked, for a later arrival of the run or the next run to reopen. Nothing a
-// run returns points into it, so once a run has assembled its result, its
-// memory can serve another. A run that fails, is cancelled or panics drops its
-// memory instead.
+// event loop's heap, slab and random source, the network's frame pool (wire
+// buffers, pipe FIFO arrays and propagation cells), the tcp.Pool of
+// retransmission-queue entries, and the flows released and parked, for a
+// later arrival of the run or the next run to reopen. Nothing a run returns
+// points into it, so once a run has assembled its result, its memory can serve
+// another. A run that fails, is cancelled or panics drops its memory instead.
 type runMem struct {
 	loop   *sim.Loop
 	frames *netem.BufPool
@@ -207,8 +207,9 @@ func takeRunMem(seed int64) *runMem {
 // release hands the run's memory, its flows parked, to the next run. Call it
 // last, once the result is assembled and nothing reads the loop, the network
 // or the flows any more. Every connection the run built is released first; one
-// that is not fails loudly. The loop is reset at once, so a spare holds no
-// callback of the finished run and with it none of its network.
+// that is not fails loudly. Then the network puts every frame it still holds
+// and its pipes' storage back into the frame pool, and the loop is reset, so a
+// spare holds no callback of the finished run and with it none of its network.
 func (h *harness) release() {
 	m := h.mem
 	h.mem = nil
@@ -216,6 +217,7 @@ func (h *harness) release() {
 	if n := m.segs.LiveConns(); n != 0 {
 		panic(fmt.Sprintf("experiments: %s hands on its memory with %d connections unreleased", h.what, n))
 	}
+	h.net.Release()
 	m.loop.Reset(0)
 	spareMem.mu.Lock()
 	if len(spareMem.mems) < runtime.GOMAXPROCS(0) {

@@ -83,10 +83,12 @@ func rotor8(seed int64) WorkloadConfig {
 // TestWarmMemoryIsUnobservable: a run on memory another run warmed writes the
 // same JSONL trace and metrics bytes and returns the same Result as a run on
 // fresh memory, and did take the warmed memory. The warmers are other
-// scenarios — the 8-rack rotor's open-loop workload, a faulted run under the
+// scenarios — the 8-rack rotor's open-loop workload, whose pipe arrays and
+// propagation cells the hybrid runs reuse, and a faulted run under the
 // invariant checker — and runs of equal variant, TDN count and FlowOptions,
-// whose endpoints the run reopens: then it builds none. Among those is a
-// faulted TDTCP run on the standard schedule warming one on a rotated
+// whose endpoints the run reopens: then it builds none. Among those are a
+// faulted MPTCP run, whose subflow gates may hold segments at its horizon,
+// and a faulted TDTCP run on the standard schedule warming one on a rotated
 // schedule with the same day-start gaps, hence the same deadman horizon: the
 // reopened endpoints' deadman must follow the new run's schedule. A warmer
 // that differs from the run in one TDTCPOpts flag, in TDN count or in variant
@@ -134,7 +136,7 @@ func TestWarmMemoryIsUnobservable(t *testing.T) {
 			return out, res
 		}}
 		cases = append(cases, c)
-		warmers[c.name] = append(warmers[c.name], warmer{"hybrid_" + string(v) + "_seed7", v != MPTCP, hybrid(v, 7, FlowOptions{})})
+		warmers[c.name] = append(warmers[c.name], warmer{"hybrid_" + string(v) + "_seed7", true, hybrid(v, 7, FlowOptions{})})
 	}
 	warmers["tdtcp"] = append(warmers["tdtcp"], others...)
 	warmers["tdtcp"] = append(warmers["tdtcp"],
@@ -144,6 +146,10 @@ func TestWarmMemoryIsUnobservable(t *testing.T) {
 			return err
 		}})
 	warmers["mptcp2f"] = append(warmers["mptcp2f"], others...)
+	warmers["mptcp2f"] = append(warmers["mptcp2f"], warmer{"hybrid_mptcp2f_faulted", true, func() error {
+		_, err := Run(RunConfig{Variant: MPTCP, WarmupWeeks: 1, MeasureWeeks: 2, Seed: 7, Fault: &plan, Invariants: true})
+		return err
+	}})
 	warmers["cubic"] = append(warmers["cubic"], warmer{"hybrid_dctcp", false, hybrid(DCTCP, 1, FlowOptions{})})
 	cases = append(cases, warmCase{"rotor8_websearch", func(t *testing.T) ([]byte, any) {
 		var res *WorkloadResult
@@ -252,9 +258,10 @@ func TestFailedRunDropsItsMemory(t *testing.T) {
 
 // TestRunReusesItsMemory is the allocation contract of run-to-run reuse
 // (DESIGN.md §10 "Connection state and the run's pool"): the second of two
-// identical 3+20-week hybrid Runs takes the loop, frame pool and tcp.Pool the
-// first grew, and the endpoints it parked, and allocates at most 50 % of what
-// the first did.
+// identical 3+20-week hybrid Runs takes the loop, the frame pool (with the
+// pipes' FIFO arrays and propagation cells) and the tcp.Pool the first grew,
+// and the endpoints it parked, and allocates at most 40 % of what the first
+// did.
 func TestRunReusesItsMemory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on this path")
@@ -270,18 +277,18 @@ func TestRunReusesItsMemory(t *testing.T) {
 	dropSpareMem()
 	first, second := run(), run()
 	t.Logf("first run %d B, second %d B (%.0f %%)", first, second, 100*float64(second)/float64(first))
-	if 2*second > first {
-		t.Errorf("the second run allocates %d B against the first's %d: more than 50 %%", second, first)
+	if 5*second > 2*first {
+		t.Errorf("the second run allocates %d B against the first's %d: more than 40 %%", second, first)
 	}
 }
 
 // TestSameShapeRunReopensItsEndpoints is the allocation contract of handing
-// endpoints on (DESIGN.md §10 "Endpoint reuse"): for each single-path variant
-// on the hybrid, and for TDTCP under notification loss (its deadman armed), a
-// 3+20-week Run on memory a Run of equal variant, TDN count and FlowOptions
-// handed on reopens every endpoint it was handed, and allocates at most 80 %
-// of what the same Run does on the same memory with the handed endpoints
-// dropped, so that it builds its own.
+// endpoints on (DESIGN.md §10 "Endpoint reuse"): for each variant on the
+// hybrid, MPTCP included, and for TDTCP under notification loss (its deadman
+// armed), a 3+20-week Run on memory a Run of equal variant, TDN count and
+// FlowOptions handed on reopens every endpoint it was handed, and allocates
+// at most 80 % of what the same Run does on the same memory with the handed
+// endpoints dropped, so that it builds its own.
 func TestSameShapeRunReopensItsEndpoints(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on this path")
@@ -295,7 +302,7 @@ func TestSameShapeRunReopensItsEndpoints(t *testing.T) {
 		cfg  RunConfig
 	}
 	var rows []row
-	for _, v := range []Variant{Cubic, DCTCP, ReTCP, ReTCPDyn, TDTCP} {
+	for _, v := range []Variant{Cubic, DCTCP, ReTCP, ReTCPDyn, TDTCP, MPTCP} {
 		rows = append(rows, row{string(v), RunConfig{Variant: v}})
 	}
 	rows = append(rows, row{"tdtcp+nloss", RunConfig{Variant: TDTCP, Fault: &nloss}})
@@ -328,6 +335,44 @@ func TestSameShapeRunReopensItsEndpoints(t *testing.T) {
 			r.name, reopening, building, 100*float64(reopening)/float64(building))
 		if 5*reopening > 4*building {
 			t.Errorf("%s: %d B reopening against %d B building: more than 80 %%", r.name, reopening, building)
+		}
+	}
+}
+
+// TestHandBackReturnsEveryFrame: once a run has handed its memory back, every
+// wire buffer it drew from the frame pool is back in it, the frames the
+// horizon caught inside the network (in a NIC's FIFO, on a wire, in the
+// propagation stage, in a VOQ) included, so the pool reads as many puts as
+// gets. Checked on a plain and a faulted hybrid Run, an MPTCP Run, and the
+// 8-rack rotor's open-loop workload.
+func TestHandBackReturnsEveryFrame(t *testing.T) {
+	plan, err := fault.Parse("drop=0.01,nloss=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hybrid := func(cfg RunConfig) func() error {
+		return func() error {
+			cfg.WarmupWeeks, cfg.MeasureWeeks = 1, 2
+			_, err := Run(cfg)
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"hybrid_tdtcp", hybrid(RunConfig{Variant: TDTCP})},
+		{"hybrid_cubic_faulted", hybrid(RunConfig{Variant: Cubic, Fault: &plan})},
+		{"hybrid_mptcp2f", hybrid(RunConfig{Variant: MPTCP})},
+		{"rotor8_websearch", func() error { _, err := RunWorkload(rotor8(1)); return err }},
+	} {
+		dropSpareMem()
+		if err := c.run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		gets, puts, _ := lastSpare().frames.Stats()
+		if gets == 0 || gets != puts {
+			t.Errorf("%s: the handed-back frame pool reads %d gets and %d puts", c.name, gets, puts)
 		}
 	}
 }

@@ -85,6 +85,11 @@ type Conn struct {
 	ledgers [][]mapping
 	queued  []uint32 // bytes ever queued per subflow (stream offsets)
 
+	// The hooks subflow i carries its DSS mappings through, bound once: a
+	// subflow's Reopen clears them, and init sets them again.
+	txHooks []func(seg *tcp.TxSeg, h *packet.TCPHeader)
+	rxHooks []func(h *packet.TCPHeader)
+
 	active    int
 	dsnNxt    packet.Seq
 	backlog   int64
@@ -106,32 +111,77 @@ type Conn struct {
 
 // New constructs an MPTCP endpoint. outs supplies one transmit function per
 // subflow (each typically gated at the host so the subflow sends only while
-// its TDN is active).
+// its TDN is active). It allocates the endpoint's storage — the subflows, the
+// per-subflow ledgers and hooks, the bound pump callback — and leaves every
+// starting value to init, the path Reopen takes over the same storage.
 func New(loop *sim.Loop, cfg Config, outs []func(*packet.Segment)) *Conn {
 	cfg.fillDefaults()
 	if len(outs) != cfg.NumSubflows {
 		panic(fmt.Sprintf("mptcp: %d outs for %d subflows", len(outs), cfg.NumSubflows))
 	}
-	m := &Conn{Loop: loop, cfg: cfg}
-	for i := 0; i < cfg.NumSubflows; i++ {
-		i := i
-		sub := tcp.NewConn(loop, cfg.Sub, outs[i])
-		sub.TxSegmentHook = func(seg *tcp.TxSeg, h *packet.TCPHeader) {
+	n := cfg.NumSubflows
+	m := &Conn{Loop: loop, cfg: cfg, subs: make([]*tcp.Conn, n), ledgers: make([][]mapping, n),
+		queued: make([]uint32, n), txHooks: make([]func(*tcp.TxSeg, *packet.TCPHeader), n),
+		rxHooks: make([]func(*packet.TCPHeader), n)}
+	m.pumpFn = m.tick
+	for i := range m.subs {
+		m.subs[i] = tcp.NewConn(loop, cfg.Sub, outs[i])
+		m.txHooks[i] = func(seg *tcp.TxSeg, h *packet.TCPHeader) {
 			if dsn, ok := m.lookupDSN(i, seg.Seq); ok {
 				h.MPDSSPresent = true
 				h.DSN = dsn.Uint32()
 			}
 		}
-		sub.RxDataHook = func(h *packet.TCPHeader) {
+		m.rxHooks[i] = func(h *packet.TCPHeader) {
 			if h.MPDSSPresent {
 				m.acceptDSN(packet.SeqOf(h.DSN), h.PayloadLen)
 			}
 		}
-		m.subs = append(m.subs, sub)
-		m.ledgers = append(m.ledgers, nil)
-		m.queued = append(m.queued, 0)
 	}
+	m.init()
 	return m
+}
+
+// init puts the endpoint in its starting state over the storage it holds:
+// New's, just allocated, or Reopen's, left by the life before, its subflows
+// already (re)initialised. As tcp.Conn's init, it assigns the struct whole
+// from a literal naming only what carries over, so every other field, one
+// added later included, starts from its zero value.
+func (m *Conn) init() {
+	for i := range m.ledgers {
+		m.ledgers[i] = m.ledgers[i][:0]
+	}
+	clear(m.queued)
+	*m = Conn{Loop: m.Loop, cfg: m.cfg, subs: m.subs, ledgers: m.ledgers, queued: m.queued,
+		txHooks: m.txHooks, rxHooks: m.rxHooks, ranges: m.ranges[:0], pumpFn: m.pumpFn}
+	for i, sub := range m.subs {
+		sub.TxSegmentHook, sub.RxDataHook = m.txHooks[i], m.rxHooks[i]
+	}
+}
+
+// Release ends the endpoint's life: every subflow is released (tcp.Conn's
+// Release) and the scheduler tick is stopped. Stats and DeliveredBytes stay
+// readable until Reopen, for which the endpoint keeps what it allocated.
+func (m *Conn) Release() {
+	for _, sub := range m.subs {
+		sub.Release()
+	}
+	m.pumpTimer.Stop()
+}
+
+// Reopen starts a released endpoint's next life over the storage Release
+// left it: each subflow is reopened onto its transmit function in outs, then
+// init runs as for New, so the result is what New would return for the same
+// Config and outs and differs only in address. It panics unless the endpoint
+// was released (tcp.Conn's Reopen does, on the first subflow).
+func (m *Conn) Reopen(outs []func(*packet.Segment)) {
+	if len(outs) != len(m.subs) {
+		panic(fmt.Sprintf("mptcp: %d outs for %d subflows", len(outs), len(m.subs)))
+	}
+	for i, sub := range m.subs {
+		sub.Reopen(outs[i])
+	}
+	m.init()
 }
 
 // Subflows exposes the per-TDN subflow connections (for wiring and tests).
@@ -198,20 +248,20 @@ func (m *Conn) Notify(tdn int, epoch uint32) {
 }
 
 // schedulePump arms the periodic scheduler tick. The tick callback is bound
-// once (lazily) so steady-state rearming does not allocate.
+// once, by New, so steady-state rearming does not allocate.
 func (m *Conn) schedulePump() {
 	if m.pumpTimer.Active() {
 		return
 	}
-	if m.pumpFn == nil {
-		m.pumpFn = func() {
-			m.pump()
-			if m.backlog != 0 || m.anyOutstanding() {
-				m.schedulePump()
-			}
-		}
-	}
 	m.pumpTimer = m.Loop.After(pumpInterval, m.pumpFn)
+}
+
+// tick is the scheduler's periodic pump; it re-arms while there is work.
+func (m *Conn) tick() {
+	m.pump()
+	if m.backlog != 0 || m.anyOutstanding() {
+		m.schedulePump()
+	}
 }
 
 func (m *Conn) anyOutstanding() bool {

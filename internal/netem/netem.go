@@ -40,6 +40,12 @@ type BufPool struct {
 	block []byte // carve-out backing for fresh buffers, bufClass at a time
 
 	gets, puts, misses uint64
+
+	// The storage of the pipes that drew on the pool, handed back by their
+	// Release for the pipes of the next network: FIFO arrays, cleared, and
+	// propagation cells, chained through their link field.
+	fifos [][]Frame
+	cells *pipeDelivery
 }
 
 // bufClass is the uniform minimum capacity of pooled buffers. Header lengths
@@ -224,7 +230,10 @@ type Pipe struct {
 	Fault func(Frame) FrameFate
 
 	// Pool, when non-nil, receives the wire buffers of frames the Fault
-	// hook drops — the only point where a frame dies inside the pipe.
+	// hook drops — the only point where a frame dies inside the pipe — and
+	// of every frame the pipe still holds at Release. The pipe also takes
+	// its FIFO array and its propagation cells from it, and gives them back
+	// at Release. Nil is plain allocation.
 	Pool *BufPool
 
 	// Coalesce is ignored: every frame in the propagation-delay stage is one
@@ -240,13 +249,17 @@ type Pipe struct {
 	// the wire and curDelay the delay of the path it started on; source
 	// (Next, or the FIFO's dequeue) and serializedFn are bound once, by the
 	// first Kick. Propagation overlaps (several frames can be in the Delay
-	// stage at once), so deliveries ride inflight cells from a free list,
-	// each with its own callback bound exactly once.
+	// stage at once), so deliveries ride inflight cells, each with its own
+	// callback bound exactly once. Two chains run through the cells, so
+	// neither costs an allocation: free holds those not in flight, and cells
+	// every cell the pipe has, since one in the propagation stage is
+	// reachable otherwise only through its pending event, and Release must
+	// find its frame.
 	cur          Frame
 	curDelay     sim.Dur
 	source       func() (Frame, Path, bool)
 	serializedFn func()
-	deliveryFree []*pipeDelivery
+	free, cells  *pipeDelivery
 
 	propagating int    // frames in the propagation-delay stage
 	faultDrops  uint64 // frames killed by the Fault hook
@@ -254,15 +267,38 @@ type Pipe struct {
 
 // pipeDelivery carries one frame through the propagation-delay stage.
 type pipeDelivery struct {
-	p  *Pipe
-	f  Frame
-	fn func()
+	p    *Pipe
+	f    Frame
+	fn   func()
+	next *pipeDelivery // the next in its pipe's free chain
+	link *pipeDelivery // the next in its pipe's chain of every cell, or in its pool's
 }
 
 // Send enqueues a frame on the pipe's own FIFO for transmission.
 func (p *Pipe) Send(f Frame) {
+	if len(p.q) == cap(p.q) {
+		p.makeRoom()
+	}
 	p.q = append(p.q, f)
 	p.Kick()
+}
+
+// makeRoom is Send's cold path, taken when the append would grow the FIFO's
+// array: it moves the queued frames to the front of the array, or, when the
+// pipe has no array yet, takes one from Pool. With neither, append grows the
+// array, so an array the pipe grows is at most twice the most frames it
+// queued at once.
+func (p *Pipe) makeRoom() {
+	if p.head > 0 {
+		n := copy(p.q, p.q[p.head:])
+		clear(p.q[n:])
+		p.q, p.head = p.q[:n], 0
+		return
+	}
+	if pool := p.Pool; cap(p.q) == 0 && pool != nil && len(pool.fifos) > 0 {
+		n := len(pool.fifos) - 1
+		p.q, pool.fifos[n], pool.fifos = pool.fifos[n], nil, pool.fifos[:n]
+	}
 }
 
 // QueueLen reports the number of frames waiting in the pipe's own FIFO (not
@@ -299,10 +335,8 @@ func (p *Pipe) dequeue() (Frame, Path, bool) {
 	}
 	f := p.q[p.head]
 	p.q[p.head] = Frame{}
-	p.head++
-	if p.head > 64 && p.head*2 >= len(p.q) {
-		p.q = append(p.q[:0], p.q[p.head:]...)
-		p.head = 0
+	if p.head++; p.head == len(p.q) {
+		p.q, p.head = p.q[:0], 0
 	}
 	return f, Path{Rate: p.Rate, Delay: p.Delay}, true
 }
@@ -351,15 +385,51 @@ func (p *Pipe) InFlight() int {
 // FaultDrops reports the cumulative number of frames the Fault hook killed.
 func (p *Pipe) FaultDrops() uint64 { return p.faultDrops }
 
+// Release ends the pipe's life and hands its storage to Pool: the wire
+// buffer of every frame it still holds — queued in its FIFO, on the wire, in
+// the propagation stage — goes back, and then so do its FIFO array and its
+// cells. It emits nothing and moves no counter. The pipe must not be used
+// again, and its deliveries still pending on the loop must never fire: reset
+// the loop before Pool serves another network.
+func (p *Pipe) Release() {
+	for i := p.head; i < len(p.q); i++ {
+		p.q[i].Release(p.Pool)
+	}
+	p.cur.Release(p.Pool)
+	var last *pipeDelivery
+	for d := p.cells; d != nil; d = d.link {
+		d.f.Release(p.Pool)
+		d.p, d.f, d.next = nil, Frame{}, nil
+		last = d
+	}
+	if p.Pool != nil {
+		if last != nil {
+			last.link, p.Pool.cells = p.Pool.cells, p.cells
+		}
+		if cap(p.q) > 0 {
+			q := p.q[:cap(p.q)]
+			clear(q)
+			p.Pool.fifos = append(p.Pool.fifos, q[:0])
+		}
+	}
+	p.q, p.head, p.free, p.cells = nil, 0, nil, nil
+}
+
+// getDelivery takes a free cell, or one the pool holds, or makes one.
 func (p *Pipe) getDelivery() *pipeDelivery {
-	if n := len(p.deliveryFree); n > 0 {
-		d := p.deliveryFree[n-1]
-		p.deliveryFree[n-1] = nil
-		p.deliveryFree = p.deliveryFree[:n-1]
+	if d := p.free; d != nil {
+		p.free = d.next
 		return d
 	}
-	d := &pipeDelivery{p: p}
-	d.fn = d.fire
+	var d *pipeDelivery
+	if p.Pool != nil && p.Pool.cells != nil {
+		d = p.Pool.cells
+		p.Pool.cells = d.link
+	} else {
+		d = new(pipeDelivery)
+		d.fn = d.fire
+	}
+	d.p, d.link, p.cells = p, p.cells, d
 	return d
 }
 
@@ -372,7 +442,7 @@ func (d *pipeDelivery) fire() {
 	f := d.f
 	d.f = Frame{}
 	p.propagating--
-	p.deliveryFree = append(p.deliveryFree, d)
+	d.next, p.free = p.free, d
 	p.Out(f)
 }
 
@@ -508,6 +578,17 @@ func (v *VOQ) Dequeue() (Frame, bool) {
 	v.deq++
 	v.emit("voq_deq", float64(v.Len()), float64(v.cap))
 	return f, true
+}
+
+// Release ends the queue's life: the wire buffer of every queued frame goes
+// back to pool. Unlike draining the queue through Dequeue it emits nothing and
+// moves no counter, so it may follow a run's result; the queue must not be
+// used again.
+func (v *VOQ) Release(pool *BufPool) {
+	for i := range v.ring {
+		v.ring[i].Release(pool) // a slot outside the queue holds the zero Frame
+	}
+	clear(v.ring)
 }
 
 // CheckInvariants validates the queue's internal accounting: head indexes the

@@ -65,6 +65,118 @@ func TestPipeFIFO(t *testing.T) {
 	}
 }
 
+// TestPipeFIFOFollowsOccupancy: the FIFO's array grows with the frames queued
+// at once, not with the frames sent. A 1 Gbps pipe is offered a 1 µs frame
+// every 0.6 µs while it queues fewer than 2, with a pause after every 100 that
+// lets it drain: over 1 000 frames, in order, the array never exceeds 4.
+func TestPipeFIFOFollowsOccupancy(t *testing.T) {
+	loop := sim.NewLoop(1)
+	var got []int
+	p := &Pipe{Loop: loop, Rate: 1 * sim.Gbps, Out: func(f Frame) {
+		var s packet.Segment
+		if err := packet.Parse(f.Wire, &s); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, int(s.TCP.Seq))
+	}}
+	sent, most := 0, 0
+	var offer func()
+	offer = func() {
+		if p.QueueLen() < 2 {
+			seg := &packet.Segment{Src: 1, Dst: 2, Proto: packet.ProtoTCP,
+				TCP: packet.TCPHeader{Seq: uint32(sent), Flags: packet.FlagACK, PayloadLen: 125 - 40}}
+			p.Send(NewFrameIn(loop, nil, seg))
+			sent++
+			most = max(most, cap(p.q))
+		}
+		switch {
+		case sent == 1000:
+		case sent%100 == 0 && p.QueueLen() > 0:
+			loop.After(5*sim.Microsecond, offer)
+		default:
+			loop.After(600*sim.Nanosecond, offer)
+		}
+	}
+	offer()
+	loop.Run()
+	if len(got) != 1000 {
+		t.Fatalf("%d frames delivered, want 1000", len(got))
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("out of order at %d: got seq %d", i, v)
+		}
+	}
+	if most > 4 {
+		t.Errorf("the FIFO's array reached %d frames with at most 2 queued", most)
+	}
+}
+
+// TestPipeReleaseHandsBackEverything: a pipe released with frames queued, on
+// the wire and in the propagation stage puts every wire buffer back into its
+// pool and gives the pool its FIFO array and cells, and a pipe built on the
+// pool next takes all three instead of allocating its own.
+func TestPipeReleaseHandsBackEverything(t *testing.T) {
+	loop := sim.NewLoop(1)
+	pool := new(BufPool)
+	newPipe := func() *Pipe {
+		return &Pipe{Loop: loop, Rate: 10 * sim.Gbps, Delay: 10 * sim.Microsecond, Pool: pool,
+			Out: func(f Frame) { f.Release(pool) }}
+	}
+	send := func(p *Pipe, n int) {
+		for i := 0; i < n; i++ {
+			seg := &packet.Segment{Src: 1, Dst: 2, Proto: packet.ProtoTCP,
+				TCP: packet.TCPHeader{Flags: packet.FlagACK, PayloadLen: 1250 - 40}}
+			p.Send(NewFrameIn(loop, pool, seg))
+		}
+	}
+	// 1 µs per frame onto a 10 µs delay: after 5.5 µs, 5 frames propagate,
+	// one is on the wire and 10 are queued.
+	p := newPipe()
+	send(p, 16)
+	loop.RunUntil(sim.Time(5500 * sim.Nanosecond))
+	if p.QueueLen() != 10 || p.InFlight() != 16 {
+		t.Fatalf("set-up: %d queued, %d in flight; want 10 and 16", p.QueueLen(), p.InFlight())
+	}
+	fifo, cells := &p.q[:1][0], map[*pipeDelivery]bool{}
+	for d := p.cells; d != nil; d = d.link {
+		cells[d] = true
+	}
+	p.Release()
+	gets, puts, misses := pool.Stats()
+	if gets != 16 || puts != 16 {
+		t.Errorf("after Release the pool reads %d gets and %d puts, want 16 and 16", gets, puts)
+	}
+	pooled := 0
+	for d := pool.cells; d != nil; d = d.link {
+		pooled++
+	}
+	if len(pool.fifos) != 1 || len(cells) != 5 || pooled != 5 {
+		t.Fatalf("the pool holds %d FIFO arrays and %d of the pipe's %d cells, want 1 and 5 of 5", len(pool.fifos), pooled, len(cells))
+	}
+
+	loop.Reset(1)
+	next := newPipe()
+	send(next, 5)
+	if &next.q[:1][0] != fifo {
+		t.Error("the next pipe did not take the handed-back FIFO array")
+	}
+	loop.Run()
+	if _, _, m := pool.Stats(); m != misses {
+		t.Errorf("the next pipe's frames missed the pool %d times", m-misses)
+	}
+	n := 0
+	for d := next.cells; d != nil; d = d.link {
+		n++
+		if !cells[d] {
+			t.Error("the next pipe made a cell beside the 5 handed back")
+		}
+	}
+	if n != 5 || pool.cells != nil {
+		t.Errorf("the next pipe has %d cells and left the pool holding some; want the 5", n)
+	}
+}
+
 func TestVOQDropTail(t *testing.T) {
 	loop := sim.NewLoop(1)
 	v := NewVOQ(loop, 4, 0)

@@ -91,13 +91,14 @@ type Config struct {
 	// internal/sim/shard.go (ROADMAP item 2).
 	Cluster *sim.ShardedLoop
 
-	// FramePool recycles the network's frame wire buffers (DefaultConfig
-	// supplies a fresh pool). A pool serves one network at a time; once that
-	// network is done with, the next may take the pool over warm. Nil turns
-	// recycling off, making every frame a fresh allocation: the unpooled
-	// reference data plane, whose traces the pooled plane must match byte for
-	// byte (the golden-trace test enforces this), kept for that A/B check and
-	// for debugging suspected aliasing.
+	// FramePool recycles the network's frame wire buffers, and holds its
+	// pipes' FIFO arrays and propagation cells (DefaultConfig supplies a
+	// fresh pool). A pool serves one network at a time; once that network
+	// has run Release, the next may take the pool over warm. Nil turns
+	// recycling off, making every frame and pipe array a fresh allocation:
+	// the unpooled reference data plane, whose traces the pooled plane must
+	// match byte for byte (the golden-trace test enforces this), kept for
+	// that A/B check and for debugging suspected aliasing.
 	FramePool *netem.BufPool
 
 	// Fault-injection hooks, installed by internal/fault. All are optional
@@ -253,8 +254,10 @@ type Network struct {
 	tracer  *trace.Tracer
 
 	// pool recycles the wire buffers of every rack's frames
-	// (Config.FramePool): releases anywhere restock sends anywhere, so gets
-	// and puts balance by construction. Nil turns recycling off.
+	// (Config.FramePool): releases anywhere restock sends anywhere, and
+	// Release returns the frames still inside the network, so once it has
+	// run every Get has had its Put. Every pipe of the network draws its
+	// FIFO array and propagation cells from it too. Nil turns recycling off.
 	pool *netem.BufPool
 
 	// OnTransition, if set, is called at the start of every day with the
@@ -368,6 +371,7 @@ func New(loop *sim.Loop, cfg Config) (*Network, error) {
 			}
 			link := &netem.Pipe{
 				Loop: loop,
+				Pool: n.pool,
 				Out:  func(f netem.Frame) { n.deliver(dst, f) },
 				Next: func() (netem.Frame, netem.Path, bool) {
 					p, ok := n.path(row)
@@ -653,6 +657,23 @@ func (n *Network) KickAll() {
 	for _, rack := range n.Racks {
 		for _, l := range rack.links {
 			l.Kick()
+		}
+	}
+}
+
+// Release hands the network's storage back to its frame pool once a run is
+// over: the wire buffer of every frame still inside — in a host NIC's FIFO,
+// on a wire, in the propagation stage, in a VOQ — and then every pipe's FIFO
+// array and propagation cells. It emits nothing and moves no counter, so it
+// may follow the run's result. The network must not run again, and the
+// deliveries still pending on its loop must never fire: reset the loop before
+// the pool serves another network.
+func (n *Network) Release() {
+	for _, rack := range n.Racks {
+		rack.uplink.Release()
+		for q, v := range rack.voqs {
+			v.Release(n.pool)
+			rack.links[q].Release()
 		}
 	}
 }
