@@ -101,12 +101,15 @@ find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testd
 # NIC's FIFO array no larger than twice the frames it queues at once
 # (TestPipeFIFOFollowsOccupancy), and the bytes a histogram holds for the
 # octaves it has recorded, 0 allocations per Record after an octave's first
-# (TestHistogramAllocatesTouchedOctavesOnly).
+# (TestHistogramAllocatesTouchedOctavesOnly). Beside them, what handed-on
+# memory retains: a parked flow holds nothing of its last run, whose network,
+# result, flight recorder, schedule and histograms are collected
+# (TestParkedFlowsHoldNothingOfTheirRun).
 # These tests are now the only guard of the functions that used to carry a
 # //lint:hotpath directive: no lint check looks at allocations. All but the
-# VOQ's, the pipe's and the hand-back's skip under -race, so the race run
-# below does not cover them.
-go test -count=1 -v -run 'TestWorkloadChurnAllocatesForItsResultOnly|TestRunAllocationIsFlatInHorizon|TestRunReusesItsMemory|TestHandBackReturnsEveryFrame|TestSameShapeRunReopensItsEndpoints|TestSteadyStateDoesNotAllocate|TestVOQDoesNotAllocate|TestPipeFIFOFollowsOccupancy|TestHistogramAllocatesTouchedOctavesOnly' \
+# VOQ's, the pipe's, the hand-back's and the parked flows' skip under -race, so
+# the race run below does not cover them.
+go test -count=1 -v -run 'TestWorkloadChurnAllocatesForItsResultOnly|TestRunAllocationIsFlatInHorizon|TestRunReusesItsMemory|TestHandBackReturnsEveryFrame|TestSameShapeRunReopensItsEndpoints|TestParkedFlowsHoldNothingOfTheirRun|TestSteadyStateDoesNotAllocate|TestVOQDoesNotAllocate|TestPipeFIFOFollowsOccupancy|TestHistogramAllocatesTouchedOctavesOnly' \
 	./internal/experiments ./internal/netem ./internal/trace > artifacts/alloc.txt || { cat artifacts/alloc.txt; exit 1; }
 cat artifacts/alloc.txt
 

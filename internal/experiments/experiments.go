@@ -154,6 +154,9 @@ type RunConfig struct {
 	// reference data plane (a nil rdcn.Config.FramePool) without it being a
 	// run option.
 	tweakNet func(*rdcn.Config)
+	// onNet, when non-nil, is handed the network once it is built: how this
+	// package's tests watch a finished run's network.
+	onNet func(*rdcn.Network)
 }
 
 func (cfg *RunConfig) fillDefaults() {
@@ -345,14 +348,15 @@ func Run(cfg RunConfig) (*Result, error) {
 		s, r := f.SenderStats(), f.ReceiverStats()
 		addStats(&res.Sender, &s)
 		addStats(&res.Receiver, &r)
-		if f.Snd != nil {
-			if p, ok := f.Snd.Config().Policy.(*core.TDTCP); ok {
-				ps := p.Stats()
-				res.TDTCPSwitches += ps.Switches
-				res.DeadmanEngaged += ps.DeadmanEngaged
-			}
-			if p, ok := f.Rcv.Config().Policy.(*core.TDTCP); ok {
-				res.DeadmanEngaged += p.Stats().DeadmanEngaged
+		for i := range f.ends {
+			for _, c := range f.ends[i].conns {
+				if p, ok := c.Config().Policy.(*core.TDTCP); ok {
+					ps := p.Stats()
+					if i == 0 {
+						res.TDTCPSwitches += ps.Switches
+					}
+					res.DeadmanEngaged += ps.DeadmanEngaged
+				}
 			}
 		}
 	}
@@ -370,10 +374,6 @@ func Run(cfg RunConfig) (*Result, error) {
 		res.FlightSnapshot = chk.FlightSnapshot()
 	}
 	res.Flight = h.flight
-	// The VOQ series gets its label from the variant but its own axis: fix
-	// labels for clarity.
-	res.Seq.Label = string(cfg.Variant)
-	res.VOQ.Label = string(cfg.Variant)
 	populateMetrics(cfg, res, h)
 	h.release()
 	return res, nil

@@ -70,8 +70,8 @@ type Flow struct {
 	Snd, Rcv   *tcp.Conn   // single-path and TDTCP
 	MSnd, MRcv *mptcp.Conn // MPTCP
 
-	muxes   [2]*hostMux  // the muxes of the sender's host and the receiver's, set by BuildFlow
-	ends    [2]*mptcpEnd // MPTCP: the listeners MSnd and MRcv belong to
+	ends    [2]flowEnd   // the sender's end and the receiver's
+	pair    [2]*tcp.Conn // a single-path flow's Snd and Rcv: its two ends' conns
 	arrival arrival      // RunWorkload's record of the flow's current life
 }
 
@@ -97,38 +97,16 @@ func (f *Flow) Start(bytes int64) {
 // their TDN labels). Receivers are left unwired: sender-side events already
 // describe the full data path, and the paper's figures are sender-centric.
 func (f *Flow) SetTracer(tr *trace.Tracer, id int) {
-	if f.MSnd != nil {
-		for _, sub := range f.MSnd.Subflows() {
-			sub.SetTracer(tr, id)
-		}
-		return
+	for _, c := range f.ends[0].conns {
+		c.SetTracer(tr, id)
 	}
-	f.Snd.SetTracer(tr, id)
 }
 
 // SenderStats sums sender-side counters (over subflows for MPTCP).
-func (f *Flow) SenderStats() tcp.Stats {
-	if f.MSnd != nil {
-		var agg tcp.Stats
-		for _, sub := range f.MSnd.Subflows() {
-			addStats(&agg, &sub.Stats)
-		}
-		return agg
-	}
-	return f.Snd.Stats
-}
+func (f *Flow) SenderStats() tcp.Stats { return f.ends[0].stats() }
 
 // ReceiverStats sums receiver-side counters.
-func (f *Flow) ReceiverStats() tcp.Stats {
-	if f.MRcv != nil {
-		var agg tcp.Stats
-		for _, sub := range f.MRcv.Subflows() {
-			addStats(&agg, &sub.Stats)
-		}
-		return agg
-	}
-	return f.Rcv.Stats
-}
+func (f *Flow) ReceiverStats() tcp.Stats { return f.ends[1].stats() }
 
 func addStats(dst, src *tcp.Stats) {
 	dst.SegsSent += src.SegsSent
@@ -243,8 +221,9 @@ func endpointConfig(v Variant, tdns int, opt FlowOptions, pool *tcp.Pool) (tcp.C
 }
 
 // listener is what a host's TDN-change notification is fanned out to: a
-// TDTCP endpoint (*tcp.Conn), one end of an MPTCP flow (*mptcpEnd) or a reTCP
-// sender (*retcpSender).
+// flow's end holds one when its variant takes the signal, a TDTCP endpoint
+// (*tcp.Conn), an end of an MPTCP flow (*flowEnd) or a reTCP sender
+// (*retcpSender).
 type listener interface {
 	Notify(tdn int, epoch uint32)
 }
@@ -371,6 +350,7 @@ type muxNet struct {
 	opt     FlowOptions
 	mem     *runMem      // its pool holds every endpoint's queue entries, its parked list the released flows
 	cfg     tcp.Config   // what every endpoint, or MPTCP subflow, is built from (endpointConfig)
+	conns   int          // connections per end: 1, or an MPTCP subflow per TDN
 	muxes   [][]*hostMux // [rack][host]
 	// built and reopened count the endpoints constructed and the times one
 	// was reopened: two per flow between them.
@@ -398,7 +378,10 @@ func newMuxNet(net *rdcn.Network, mem *runMem, v Variant, opt FlowOptions) (*mux
 		mem.variant, mem.tdns, mem.opt = v, tdns, opt
 		mem.opt.PerTDNCC = slices.Clone(opt.PerTDNCC)
 	}
-	mn := &muxNet{net: net, variant: v, opt: opt, mem: mem, cfg: cfg, muxes: make([][]*hostMux, len(net.Racks))}
+	mn := &muxNet{net: net, variant: v, opt: opt, mem: mem, cfg: cfg, conns: 1, muxes: make([][]*hostMux, len(net.Racks))}
+	if v == MPTCP {
+		mn.conns = tdns
+	}
 	for r, rack := range net.Racks {
 		mn.muxes[r] = make([]*hostMux, len(rack.Hosts))
 		for h, host := range rack.Hosts {
@@ -455,16 +438,12 @@ func BuildFlows(net *rdcn.Network, n int, v Variant, opt FlowOptions) ([]*Flow, 
 // (dstRack, dstHost). Both endpoints use the same port number, which must be
 // unique per endpoint host among the ports bound at the time — it is the demux
 // key on both sides; subflow k of an MPTCP flow takes port+k. A flow is a
-// parked one, both ends reopened, or else a new one.
-// The flow's listeners join their hosts' notify sets here — both endpoints of
-// a TDTCP or MPTCP flow, the sender of a reTCP one — and a TDTCP or MPTCP
-// flow's leave them at leave; the ports are unbound at release. The variant is
-// one CheckVariant accepted for this fabric.
+// parked one, both ends reopened, or else a new one. Each end's connections
+// are addressed and bound, and its listener, if it has one, joins its host's
+// notify set here — both ends of a TDTCP or MPTCP flow, the sender of a reTCP
+// one — and leaves it at leave; the ports are unbound at release. The variant
+// is one CheckVariant accepted for this fabric.
 func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16) (*Flow, error) {
-	ports := 1
-	if mn.variant == MPTCP {
-		ports = len(mn.net.Cfg.TDNs)
-	}
 	for _, ep := range [...]struct{ rack, host int }{{srcRack, srcHost}, {dstRack, dstHost}} {
 		if ep.rack < 0 || ep.rack >= len(mn.net.Racks) {
 			return nil, fmt.Errorf("experiments: rack %d out of range", ep.rack)
@@ -477,7 +456,7 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 		return nil, fmt.Errorf("experiments: flow endpoints coincide (rack %d host %d)", srcRack, srcHost)
 	}
 	sm, dm := mn.muxes[srcRack][srcHost], mn.muxes[dstRack][dstHost]
-	for k := 0; k < ports; k++ {
+	for k := 0; k < mn.conns; k++ {
 		p := port + uint16(k)
 		for _, m := range [...]*hostMux{sm, dm} {
 			if m.conn(p) != nil {
@@ -487,42 +466,22 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 	}
 
 	f := mn.flow(sm, dm)
-	f.muxes = [2]*hostMux{sm, dm}
-	if mn.variant == MPTCP {
-		for k, s := range f.MSnd.Subflows() {
-			r, p := f.MRcv.Subflows()[k], port+uint16(k)
-			s.LocalAddr, s.RemoteAddr = sm.host.Addr, dm.host.Addr
-			s.LocalPort, s.RemotePort = p, p
-			r.LocalAddr, r.RemoteAddr = dm.host.Addr, sm.host.Addr
-			r.LocalPort, r.RemotePort = p, p
-			sm.bind(p, s)
-			dm.bind(p, r)
+	for i := range f.ends {
+		e, peer := &f.ends[i], f.ends[1-i].mux
+		for k, c := range e.conns {
+			c.LocalAddr, c.RemoteAddr = e.mux.host.Addr, peer.host.Addr
+			c.LocalPort, c.RemotePort = port+uint16(k), port+uint16(k)
+			e.mux.bind(c.LocalPort, c)
+			if p, ok := c.Config().Policy.(*core.TDTCP); ok {
+				p.Schedule = mn.net.Cfg.Schedule
+			}
 		}
-		f.MRcv.Listen()
-		sm.notify = append(sm.notify, f.ends[0])
-		dm.notify = append(dm.notify, f.ends[1])
-		return f, nil
+		if e.listener != nil {
+			e.mux.notify = append(e.mux.notify, e.listener)
+		}
 	}
-	f.Snd.LocalAddr, f.Snd.RemoteAddr = sm.host.Addr, dm.host.Addr
-	f.Snd.LocalPort, f.Snd.RemotePort = port, port
-	f.Rcv.LocalAddr, f.Rcv.RemoteAddr = dm.host.Addr, sm.host.Addr
-	f.Rcv.LocalPort, f.Rcv.RemotePort = port, port
-	f.Rcv.Listen()
-
-	sm.bind(port, f.Snd)
-	dm.bind(port, f.Rcv)
-	switch mn.variant {
-	case TDTCP:
-		sm.notify = append(sm.notify, f.Snd)
-		dm.notify = append(dm.notify, f.Rcv)
-		for _, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
-			c.Config().Policy.(*core.TDTCP).Schedule = mn.net.Cfg.Schedule
-		}
-	case ReTCP, ReTCPDyn:
-		sm.notify = append(sm.notify, mn.newRetcpSender(f.Snd))
-	default:
-		// Cubic, DCTCP, Reno: loss/ECN-driven variants take no explicit TDN
-		// signal.
+	for _, c := range f.ends[1].conns {
+		c.Listen()
 	}
 	return f, nil
 }
@@ -537,23 +496,32 @@ func (mn *muxNet) flow(sm, dm *hostMux) *Flow {
 		f := parked[k-1]
 		parked[k-1] = nil
 		mn.mem.parked = parked[:k-1]
-		if f.MSnd != nil {
-			f.ends[0].reopen(sm)
-			f.ends[1].reopen(dm)
-		} else {
-			f.Snd.Reopen(sm.send)
-			f.Rcv.Reopen(dm.send)
-		}
+		f.ends[0].reopen(sm)
+		f.ends[1].reopen(dm)
 		mn.reopened += 2
 		return f
 	}
+	mn.built += 2
+	f := &Flow{Variant: mn.variant}
 	if mn.variant == MPTCP {
-		cfg := mptcp.Config{NumSubflows: len(mn.net.Cfg.TDNs), Sub: mn.cfg}
-		snd, rcv := newMPTCPEnd(mn.net.Loop, sm, cfg), newMPTCPEnd(mn.net.Loop, dm, cfg)
-		mn.built += 2
-		return &Flow{Variant: MPTCP, MSnd: snd.conn, MRcv: rcv.conn, ends: [2]*mptcpEnd{snd, rcv}}
+		cfg := mptcp.Config{NumSubflows: mn.conns, Sub: mn.cfg}
+		f.MSnd, f.MRcv = f.ends[0].buildMPTCP(mn.net.Loop, sm, cfg), f.ends[1].buildMPTCP(mn.net.Loop, dm, cfg)
+		return f
 	}
-	return &Flow{Variant: mn.variant, Snd: mn.endpoint(sm), Rcv: mn.endpoint(dm)}
+	f.Snd, f.Rcv = mn.endpoint(sm), mn.endpoint(dm)
+	f.pair = [2]*tcp.Conn{f.Snd, f.Rcv}
+	f.ends[0] = flowEnd{mux: sm, conns: f.pair[:1:1]}
+	f.ends[1] = flowEnd{mux: dm, conns: f.pair[1:]}
+	switch mn.variant {
+	case TDTCP:
+		f.ends[0].listener, f.ends[1].listener = f.Snd, f.Rcv
+	case ReTCP, ReTCPDyn:
+		f.ends[0].listener = mn.newRetcpSender(f.Snd)
+	default:
+		// Cubic, DCTCP, Reno: loss/ECN-driven variants take no explicit TDN
+		// signal.
+	}
+	return f
 }
 
 // endpoint constructs a connection for one end of a new flow on host m.
@@ -562,63 +530,53 @@ func (mn *muxNet) endpoint(m *hostMux) *tcp.Conn {
 	if mn.variant == TDTCP {
 		cfg.Policy = core.New(cfg.NumTDNs, mn.opt.TDTCPOpts)
 	}
-	mn.built++
 	return tcp.NewConn(mn.net.Loop, cfg, m.send)
 }
 
-// leave retires a flow whose sender has seen its FIN acknowledged: both
-// endpoints stop receiving TDN notifications, and a notification deadman, if
-// armed, is stopped — with the notifications gone, silence would otherwise
-// engage it on a dead flow for the rest of the run. The ports stay bound until
-// release (see hostMux).
+// leave retires a flow whose sender has seen its FIN acknowledged: its ends'
+// listeners leave the notify sets, and a notification deadman, if armed, is
+// stopped — with the notifications gone, silence would otherwise engage it on
+// a dead flow for the rest of the run — and drops the run's schedule and lag
+// histogram. The ports stay bound until release (see hostMux).
 func (mn *muxNet) leave(f *Flow) {
-	if f.MSnd != nil {
-		for i, e := range f.ends {
-			f.muxes[i].leave(e)
+	for i := range f.ends {
+		e := &f.ends[i]
+		if e.listener != nil {
+			e.mux.leave(e.listener)
 		}
-		return
-	}
-	for i, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
-		f.muxes[i].leave(c)
-		if p, ok := c.Config().Policy.(*core.TDTCP); ok {
-			p.StopDeadman()
+		for _, c := range e.conns {
+			if p, ok := c.Config().Policy.(*core.TDTCP); ok {
+				p.StopDeadman()
+				p.Schedule, p.DeadmanLag = nil, nil
+			}
 		}
 	}
 }
 
-// release ends the linger of a flow that has left: every port is unbound,
-// every connection stops its timers and returns its retransmission-queue
-// entries to the pool, and the flow is parked.
+// release ends the linger of a flow that has left: each end unbinds its ports
+// and releases its connections, which stop their timers and return their
+// retransmission-queue entries to the pool, and drops its host's mux; the flow
+// is parked.
 func (mn *muxNet) release(f *Flow) {
-	if f.MSnd != nil {
-		for i, e := range f.ends {
-			for _, c := range e.conn.Subflows() {
-				f.muxes[i].unbind(c.LocalPort)
-			}
-			e.conn.Release()
-		}
-	} else {
-		for i, c := range [...]*tcp.Conn{f.Snd, f.Rcv} {
-			f.muxes[i].unbind(c.LocalPort)
-			c.Release()
-		}
+	for i := range f.ends {
+		f.ends[i].release()
 	}
 	mn.mem.parked = append(mn.mem.parked, f)
 }
 
 // parkAll ends the run's hold on its flows: every one still open or
 // lingering leaves and is released, so that the pool counts no live
-// connection. Each parked flow keeps only its endpoints for the next run: its
-// muxes are the finished network's, and its arrival record's FIN-ack callback
-// is bound to the finished run; a reopened flow binds its own, and an MPTCP
-// end rebinds its gates.
+// connection. A parked flow then holds nothing of the run: its ends dropped
+// their muxes at release, its connections their transmit function, FIN-ack
+// callback, tracer and histograms (tcp.Conn.Release), and here it drops its
+// arrival record; a reopened flow binds its own.
 func (mn *muxNet) parkAll(flows []*Flow) {
 	for _, f := range flows {
 		mn.leave(f)
 		mn.release(f)
 	}
 	for _, f := range mn.mem.parked {
-		*f = Flow{Variant: f.Variant, Snd: f.Snd, Rcv: f.Rcv, MSnd: f.MSnd, MRcv: f.MRcv, ends: f.ends}
+		f.arrival = arrival{}
 	}
 }
 
@@ -635,48 +593,88 @@ func (mn *muxNet) census() (notifyWidth, portsBound int, lateSegs uint64) {
 	return notifyWidth, portsBound, lateSegs
 }
 
-// mptcpEnd is one end of an MPTCP flow as its host's listener. The paper's
-// MPTCP "pins" subflows via the tdm_schd scheduler at both endpoints, so data
-// AND acknowledgments of an inactive subflow wait in the host's send queue
-// until that TDN returns (§2.2, §3.3 — the cause of MPTCP's flow-control
-// stalls): a TDN change first releases what the gate of the subflow pinned to
-// it held, then steers the scheduler.
-type mptcpEnd struct {
-	conn  *mptcp.Conn
+// flowEnd is one side of a flow: the host mux it is wired to, its
+// connections (the one endpoint, or an MPTCP flow's subflows, one per TDN),
+// and the listener its host's TDN changes reach, nil for the loss-driven
+// variants. An MPTCP end also holds its connection-level socket and subflow
+// gates, and is its own listener. The paper's MPTCP "pins" subflows via the
+// tdm_schd scheduler at both endpoints, so data AND acknowledgments of an
+// inactive subflow wait in the host's send queue until that TDN returns
+// (§2.2, §3.3 — the cause of MPTCP's flow-control stalls): a TDN change first
+// releases what the gate of the subflow pinned to it held, then steers the
+// scheduler.
+type flowEnd struct {
+	mux      *hostMux // nil while the flow is parked
+	conns    []*tcp.Conn
+	listener listener
+
+	mp    *mptcp.Conn
 	gates []subflowGate           // one per subflow; gate k passes only during TDN k
 	outs  []func(*packet.Segment) // gate k's send, bound once: subflow k's Out
 }
 
-func newMPTCPEnd(loop *sim.Loop, m *hostMux, cfg mptcp.Config) *mptcpEnd {
-	e := &mptcpEnd{gates: make([]subflowGate, cfg.NumSubflows), outs: make([]func(*packet.Segment), cfg.NumSubflows)}
+// buildMPTCP constructs e as a new MPTCP end on host m.
+func (e *flowEnd) buildMPTCP(loop *sim.Loop, m *hostMux, cfg mptcp.Config) *mptcp.Conn {
+	e.mux, e.listener = m, e
+	e.gates, e.outs = make([]subflowGate, cfg.NumSubflows), make([]func(*packet.Segment), cfg.NumSubflows)
 	for k := range e.gates {
-		e.gates[k] = subflowGate{mux: m, tdn: k}
+		e.gates[k] = subflowGate{end: e, tdn: k}
 		e.outs[k] = e.gates[k].send
 	}
-	e.conn = mptcp.New(loop, cfg, e.outs)
-	return e
+	e.mp = mptcp.New(loop, cfg, e.outs)
+	e.conns = e.mp.Subflows()
+	return e.mp
 }
 
-// reopen starts a parked end's next life on host m: its gates, emptied, pass
-// to m's mux and keep their slots, and its connection is reopened onto them.
-func (e *mptcpEnd) reopen(m *hostMux) {
-	for k := range e.gates {
-		e.gates[k].mux, e.gates[k].held = m, e.gates[k].held[:0]
+// stats sums the counters of e's connections.
+func (e *flowEnd) stats() tcp.Stats {
+	var agg tcp.Stats
+	for _, c := range e.conns {
+		addStats(&agg, &c.Stats)
 	}
-	e.conn.Reopen(e.outs)
+	return agg
 }
 
-func (e *mptcpEnd) Notify(tdn int, epoch uint32) {
+// reopen starts a parked end's next life on host m: its connections are
+// reopened onto m's mux, an MPTCP end's through its gates, emptied.
+func (e *flowEnd) reopen(m *hostMux) {
+	e.mux = m
+	if e.mp == nil {
+		e.conns[0].Reopen(m.send)
+		return
+	}
+	for k := range e.gates {
+		e.gates[k].held = e.gates[k].held[:0]
+	}
+	e.mp.Reopen(e.outs)
+}
+
+// release unbinds e's ports, releases its connections (an MPTCP end's
+// scheduler tick with them) and drops its mux.
+func (e *flowEnd) release() {
+	for _, c := range e.conns {
+		e.mux.unbind(c.LocalPort)
+		c.Release()
+	}
+	if e.mp != nil {
+		e.mp.Release()
+	}
+	e.mux = nil
+}
+
+// Notify is an MPTCP end's: the gate of the subflow pinned to tdn flushes,
+// then the scheduler follows.
+func (e *flowEnd) Notify(tdn int, epoch uint32) {
 	if tdn >= 0 && tdn < len(e.gates) {
 		e.gates[tdn].flush()
 	}
-	e.conn.Notify(tdn, epoch)
+	e.mp.Notify(tdn, epoch)
 }
 
 // subflowGate holds a subflow's outgoing segments at the host while the
 // subflow's TDN is not the one its host was last notified of.
 type subflowGate struct {
-	mux *hostMux
+	end *flowEnd // the gate reaches its host's mux through its end
 	tdn int
 	// held are the segments waiting for the TDN, copied into value slots that
 	// the gate keeps from one day to the next, each with its SACK storage.
@@ -692,7 +690,7 @@ const (
 )
 
 func (g *subflowGate) send(s *packet.Segment) {
-	if g.mux.cur != g.tdn {
+	if g.end.mux.cur != g.tdn {
 		// The connection reuses the segment's storage after send returns
 		// (the Conn.Out contract), so a held segment must be a deep copy:
 		// into the next slot, over the SACK array the slot already has.
@@ -707,7 +705,7 @@ func (g *subflowGate) send(s *packet.Segment) {
 		h.TCP.SACK = append(sack, s.TCP.SACK...)
 		return
 	}
-	g.mux.send(s)
+	g.end.mux.send(s)
 }
 
 // grow doubles the gate's slots (to gateSlots at first). The new slots get
@@ -729,7 +727,7 @@ func (g *subflowGate) grow() {
 // the slots are free for the next day as soon as the loop is done.
 func (g *subflowGate) flush() {
 	for i := range g.held {
-		g.mux.send(&g.held[i])
+		g.end.mux.send(&g.held[i])
 	}
 	g.held = g.held[:0]
 }

@@ -118,6 +118,9 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error)
 		return nil, err
 	}
 	h.net = net
+	if cfg.onNet != nil {
+		cfg.onNet(net)
+	}
 	h.loop.SetTracer(h.tracer)
 	net.SetTracer(h.tracer)
 	if m := cfg.Metrics; m != nil {
@@ -147,7 +150,6 @@ func newHarness(cfg *RunConfig, what string, hostsPerRack int) (*harness, error)
 		h.chk.SetTracer(h.tracer)
 		h.chk.SetMetrics(cfg.Metrics)
 		h.chk.SetFlight(h.flight, os.Stderr)
-		h.chk.WatchNetwork(net)
 	}
 
 	week := cfg.Scenario.Schedule.Week()
@@ -243,28 +245,25 @@ func (h *harness) dumpOnPanic() {
 // checked runs.
 func (h *harness) addFlow(f *Flow, id int) {
 	f.SetTracer(h.tracer, id)
-	conns := []*tcp.Conn{f.Snd, f.Rcv}
-	if f.MSnd != nil {
-		conns = slices.Concat(f.MSnd.Subflows(), f.MRcv.Subflows())
-	}
-	if m := h.cfg.Metrics; m != nil {
-		if h.rtts == nil {
-			h.rtts = make([]*trace.Histogram, len(h.cfg.Scenario.TDNs))
-			for k := range h.rtts {
-				h.rtts[k] = m.Hist(fmt.Sprintf("tcp.rtt_tdn%d_ns", k))
-			}
-			h.lag = m.Hist("tdtcp.deadman_lag_ns")
+	m := h.cfg.Metrics
+	if m != nil && h.rtts == nil {
+		h.rtts = make([]*trace.Histogram, len(h.cfg.Scenario.TDNs))
+		for k := range h.rtts {
+			h.rtts[k] = m.Hist(fmt.Sprintf("tcp.rtt_tdn%d_ns", k))
 		}
-		for _, c := range conns {
-			c.RTTHists = h.rtts
-			if p, ok := c.Config().Policy.(*core.TDTCP); ok {
-				p.DeadmanLag = h.lag
-			}
-		}
+		h.lag = m.Hist("tdtcp.deadman_lag_ns")
 	}
-	if h.chk != nil {
-		for _, c := range conns {
-			h.chk.WatchConn(c, id)
+	for i := range f.ends {
+		for _, c := range f.ends[i].conns {
+			if m != nil {
+				c.RTTHists = h.rtts
+				if p, ok := c.Config().Policy.(*core.TDTCP); ok {
+					p.DeadmanLag = h.lag
+				}
+			}
+			if h.chk != nil {
+				h.chk.WatchConn(c, id)
+			}
 		}
 	}
 	h.flows = append(h.flows, f)
@@ -296,8 +295,14 @@ func (h *harness) goodputGbps() float64 {
 }
 
 // start arms the control plane and the fault injector up to the horizon.
-// Call after the flows exist and before any of them is started.
+// Call after the flows exist and before any of them is started. A checked
+// run's network is watched from here, after its flows' connections: a sweep
+// checks the sites in registration order, and the first violation decides the
+// flight snapshot.
 func (h *harness) start() {
+	if h.chk != nil {
+		h.chk.WatchNetwork(h.net)
+	}
 	h.net.Start(h.end)
 	if h.inj != nil {
 		h.inj.Start(h.end)

@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 
 	"github.com/rdcn-net/tdtcp/internal/core"
 	"github.com/rdcn-net/tdtcp/internal/fault"
@@ -375,4 +377,76 @@ func TestHandBackReturnsEveryFrame(t *testing.T) {
 			t.Errorf("%s: the handed-back frame pool reads %d gets and %d puts", c.name, gets, puts)
 		}
 	}
+}
+
+// alive returns a probe of whether p is still reachable, which holds p only
+// weakly.
+func alive[T any](p *T) func() bool {
+	w := weak.Make(p)
+	return func() bool { return w.Value() != nil }
+}
+
+// TestParkedFlowsHoldNothingOfTheirRun: the parked flows a run hands on keep
+// their endpoints and nothing of the run that released them. Once a metered
+// Run of each variant TestSameShapeRunReopensItsEndpoints measures, and a
+// RunWorkload of each variant it admits, has handed its memory back with its
+// flows parked, the finished network, the result, its flight recorder, the
+// scenario's schedule and the registry's RTT and deadman-lag histograms are
+// collected.
+func TestParkedFlowsHoldNothingOfTheirRun(t *testing.T) {
+	nloss, err := fault.Parse("nloss=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A row runs on a registry of its own with onNet set, and returns probes
+	// of its result, the result's flight recorder and the scenario's
+	// schedule, which the deadman was bound to.
+	type row func(reg *trace.Registry, onNet func(*rdcn.Network)) (res, flight, schedule func() bool)
+	hybrid := func(cfg RunConfig) row {
+		return func(reg *trace.Registry, onNet func(*rdcn.Network)) (func() bool, func() bool, func() bool) {
+			c := cfg
+			c.WarmupWeeks, c.MeasureWeeks, c.Metrics, c.onNet = 1, 2, reg, onNet
+			res, err := Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return alive(res), alive(res.Flight), alive(res.Cfg.Scenario.Schedule)
+		}
+	}
+	workload := func(v Variant) row {
+		return func(reg *trace.Registry, onNet func(*rdcn.Network)) (func() bool, func() bool, func() bool) {
+			res, err := RunWorkload(WorkloadConfig{Variant: v, WarmupWeeks: 1, MeasureWeeks: 2, Metrics: reg, onNet: onNet})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return alive(res), alive(res.Flight), alive(res.Cfg.Scenario.Schedule)
+		}
+	}
+	rows := map[string]row{"tdtcp+nloss": hybrid(RunConfig{Variant: TDTCP, Fault: &nloss})}
+	for _, v := range []Variant{Cubic, DCTCP, ReTCP, ReTCPDyn, TDTCP, MPTCP} {
+		rows[string(v)] = hybrid(RunConfig{Variant: v})
+		if CheckVariant(v, 0, true) == nil {
+			rows["workload_"+string(v)] = workload(v)
+		}
+	}
+	for name, run := range rows {
+		dropSpareMem()
+		reg := trace.NewRegistry()
+		probes := map[string]func() bool{
+			"RTT histogram":         alive(reg.Hist("tcp.rtt_tdn0_ns")),
+			"deadman-lag histogram": alive(reg.Hist("tdtcp.deadman_lag_ns")),
+		}
+		probes["result"], probes["flight recorder"], probes["schedule"] = run(reg, func(n *rdcn.Network) { probes["network"] = alive(n) })
+		if len(parkedFlows()) == 0 {
+			t.Fatalf("%s: the run handed on no endpoints", name)
+		}
+		runtime.GC()
+		runtime.GC()
+		for what, live := range probes {
+			if live() {
+				t.Errorf("%s: the spare memory keeps the finished run's %s alive", name, what)
+			}
+		}
+	}
+	t.Logf("%d runs handed their memory back with their flows parked: each one's network, result, flight recorder, schedule and histograms were collected", len(rows))
 }

@@ -70,8 +70,10 @@ type WorkloadConfig struct {
 	Stop      func() bool
 	StopEvery int
 
-	// tweakNet selects a reference data plane (see RunConfig.tweakNet).
+	// tweakNet selects a reference data plane and onNet watches the network
+	// (see RunConfig).
 	tweakNet func(*rdcn.Config)
+	onNet    func(*rdcn.Network)
 	// firstPort is the port the first arrival takes (default minPort); a
 	// seam for testing the wrap without 64 512 arrivals.
 	firstPort int
@@ -233,7 +235,7 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 		Seed: cfg.Seed, Shards: cfg.Shards, MarkThresh: cfg.MarkThresh, Notify: cfg.Notify,
 		Flow: cfg.Flow, Tracer: cfg.Tracer, Metrics: cfg.Metrics,
 		Flight: cfg.Flight, DisableFlight: cfg.DisableFlight, Meter: cfg.Meter,
-		Stop: cfg.Stop, StopEvery: cfg.StopEvery, tweakNet: cfg.tweakNet,
+		Stop: cfg.Stop, StopEvery: cfg.StopEvery, tweakNet: cfg.tweakNet, onNet: cfg.onNet,
 	}
 	h, err := newHarness(&rc, fmt.Sprintf("workload %s on %s", cfg.Variant, cfg.Scenario.Name), cfg.Hosts)
 	if err != nil {

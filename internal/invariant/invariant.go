@@ -33,18 +33,9 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%v %s: %v", v.At, v.Site, v.Err)
 }
 
-type watchedConn struct {
-	conn   *tcp.Conn
-	flow   int
-	failed bool
-}
-
-type watchedNet struct {
-	net    *rdcn.Network
-	failed bool
-}
-
-type watchedFunc struct {
+// watched is one registered site: fn runs on every sweep, and its first
+// error is reported at site, labelled with flow, and latches the site out.
+type watched struct {
 	site   string
 	flow   int
 	fn     func() error
@@ -61,9 +52,10 @@ type Checker struct {
 	flight  *trace.Flight
 	dumpTo  io.Writer
 
-	conns []watchedConn
-	nets  []watchedNet
-	funcs []watchedFunc
+	// sites are swept in registration order, so the first violation, which
+	// decides FlightSnapshot and the dump banner, is the first registered
+	// site's to fail.
+	sites []watched
 
 	// Every checks only every n-th event when > 1 (a throttle for very long
 	// runs; the default 1 checks after every event).
@@ -109,12 +101,12 @@ func (c *Checker) FlightSnapshot() []trace.Event { return c.flightSnap }
 
 // WatchConn registers a connection; flow labels its violations.
 func (c *Checker) WatchConn(conn *tcp.Conn, flow int) {
-	c.conns = append(c.conns, watchedConn{conn: conn, flow: flow})
+	c.WatchFunc(fmt.Sprintf("conn[%d]", flow), flow, conn.CheckInvariants)
 }
 
 // WatchNetwork registers a network.
 func (c *Checker) WatchNetwork(n *rdcn.Network) {
-	c.nets = append(c.nets, watchedNet{net: n})
+	c.WatchFunc("network", -1, n.CheckInvariants)
 }
 
 // WatchFunc registers an arbitrary invariant: fn runs on every sweep and a
@@ -123,7 +115,7 @@ func (c *Checker) WatchNetwork(n *rdcn.Network) {
 // further checking. This is the seam for experiment-specific invariants the
 // core does not know about.
 func (c *Checker) WatchFunc(site string, flow int, fn func() error) {
-	c.funcs = append(c.funcs, watchedFunc{site: site, flow: flow, fn: fn})
+	c.sites = append(c.sites, watched{site: site, flow: flow, fn: fn})
 }
 
 // Checks reports how many post-event sweeps have run.
@@ -150,28 +142,8 @@ func (c *Checker) step() {
 		return
 	}
 	c.checks++
-	for i := range c.conns {
-		w := &c.conns[i]
-		if w.failed {
-			continue
-		}
-		if err := w.conn.CheckInvariants(); err != nil {
-			w.failed = true
-			c.report(fmt.Sprintf("conn[%d]", w.flow), w.flow, err)
-		}
-	}
-	for i := range c.nets {
-		w := &c.nets[i]
-		if w.failed {
-			continue
-		}
-		if err := w.net.CheckInvariants(); err != nil {
-			w.failed = true
-			c.report("network", -1, err)
-		}
-	}
-	for i := range c.funcs {
-		w := &c.funcs[i]
+	for i := range c.sites {
+		w := &c.sites[i]
 		if w.failed {
 			continue
 		}

@@ -327,8 +327,11 @@ func (c *Conn) Reopen(out func(*packet.Segment)) {
 // and pacing timers are stopped, and the connection becomes inert: Input,
 // Notify and the transmit engine ignore it. Stats and path states stay
 // readable until Reopen, for which the connection keeps what it allocated,
-// the queue's backing array included, cleared so it pins no entry. Timers a Policy armed on its own (the
-// TDTCP deadman) are the caller's to stop first.
+// the queue's backing array included, cleared so it pins no entry. It drops
+// what its user wired in — Out, OnDone, RTTHists and the tracer — so that a
+// released connection holds nothing of the network or run it served. Timers
+// a Policy armed on its own (the TDTCP deadman) are the caller's to stop
+// first.
 func (c *Conn) Release() {
 	if c.state == stReleased {
 		return
@@ -346,6 +349,8 @@ func (c *Conn) Release() {
 	c.state = stReleased
 	c.timer.Stop()
 	c.paceTimer.Stop()
+	c.Out, c.OnDone, c.RTTHists = nil, nil, nil
+	c.SetTracer(nil, -1)
 }
 
 // SetTracer attaches a tracer and flow label to the connection and hooks
