@@ -48,7 +48,7 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'NewSharded|ShardedLoop|\.Cl
 	exit 1
 fi
 
-# One flow builder (ROADMAP item 7): every flow of every variant is wired
+# One flow builder (DESIGN.md §10, "Run harness"): every flow of every variant is wired
 # through the host muxes, and newMuxNet is what installs a host's upcalls.
 # Outside internal/rdcn/ and benchmark/, non-test Go may assign a Host's Recv,
 # NotifyTDN or NotifyPreChange in that function only, so a second wiring

@@ -269,6 +269,34 @@ func TestBuildFlowsValidation(t *testing.T) {
 	}
 }
 
+// TestMPTCPPinningIgnoresStaleNotifications: an MPTCP end's subflow pinning
+// follows its scheduler, so a stale notification, arriving after a newer one,
+// re-pins nothing. After (TDN 1, epoch 2) and then (TDN 0, epoch 1), the
+// TDN-1 subflow's SYN reaches the host's send and the TDN-0 subflow's is held.
+func TestMPTCPPinningIgnoresStaleNotifications(t *testing.T) {
+	net, err := rdcn.New(sim.NewLoop(1), rdcn.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, err := BuildFlows(net, 1, MPTCP, FlowOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rack := net.Racks[0]
+	rack.Hosts[0].NotifyTDN(1, 2)
+	rack.Hosts[0].NotifyTDN(0, 1)
+	sent := func() uint64 { s, _, _ := rack.FrameLedger(); return s }
+	subs, before := flows[0].MSnd.Subflows(), sent()
+	subs[1].Connect(0)
+	if got := sent() - before; got != 1 {
+		t.Errorf("the TDN-1 subflow's SYN: %d frames reached the host, want 1", got)
+	}
+	subs[0].Connect(0)
+	if got := sent() - before; got != 1 {
+		t.Errorf("the TDN-0 subflow's SYN went out while TDN 1 is active: %d frames reached the host, want 1", got)
+	}
+}
+
 // TestWorkloadPortsRecycle: the port sequence wraps past 65535 onto the ports
 // released flows gave back, so a run is not limited to one port space of
 // arrivals, and which port a flow gets changes nothing it does. The run that

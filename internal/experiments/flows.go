@@ -76,21 +76,10 @@ type Flow struct {
 }
 
 // Delivered returns in-order bytes delivered to the receiving application.
-func (f *Flow) Delivered() int64 {
-	if f.MRcv != nil {
-		return f.MRcv.DeliveredBytes
-	}
-	return f.Rcv.Stats.BytesDelivered
-}
+func (f *Flow) Delivered() int64 { return f.ends[1].sock.Delivered() }
 
 // Start begins the transfer (bytes < 0 streams indefinitely).
-func (f *Flow) Start(bytes int64) {
-	if f.MSnd != nil {
-		f.MSnd.Connect(bytes)
-		return
-	}
-	f.Snd.Connect(bytes)
-}
+func (f *Flow) Start(bytes int64) { f.ends[0].sock.Connect(bytes) }
 
 // SetTracer labels the flow's sender-side connection(s) with the given
 // tracer and flow id (MPTCP subflows all share the flow id, distinguished by
@@ -221,9 +210,8 @@ func endpointConfig(v Variant, tdns int, opt FlowOptions, pool *tcp.Pool) (tcp.C
 }
 
 // listener is what a host's TDN-change notification is fanned out to: a
-// flow's end holds one when its variant takes the signal, a TDTCP endpoint
-// (*tcp.Conn), an end of an MPTCP flow (*flowEnd) or a reTCP sender
-// (*retcpSender).
+// flow's end holds one when its variant takes the signal, its socket (a TDTCP
+// endpoint or an MPTCP one) or a reTCP sender (*retcpSender).
 type listener interface {
 	Notify(tdn int, epoch uint32)
 }
@@ -254,7 +242,6 @@ type hostMux struct {
 	seg    packet.Segment
 	conns  []portConn // the bound ports, sorted by port: a binary search finds one
 	notify []listener
-	cur    int    // the TDN last notified; MPTCP subflow gates hold to it
 	late   uint64 // segments dropped for want of a bound port
 }
 
@@ -317,7 +304,6 @@ func (m *hostMux) recv(fr netem.Frame) {
 }
 
 func (m *hostMux) notifyTDN(tdn int, epoch uint32) {
-	m.cur = tdn
 	for _, l := range m.notify {
 		l.Notify(tdn, epoch)
 	}
@@ -480,9 +466,7 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 			e.mux.notify = append(e.mux.notify, e.listener)
 		}
 	}
-	for _, c := range f.ends[1].conns {
-		c.Listen()
-	}
+	f.ends[1].sock.Listen()
 	return f, nil
 }
 
@@ -505,13 +489,15 @@ func (mn *muxNet) flow(sm, dm *hostMux) *Flow {
 	f := &Flow{Variant: mn.variant}
 	if mn.variant == MPTCP {
 		cfg := mptcp.Config{NumSubflows: mn.conns, Sub: mn.cfg}
-		f.MSnd, f.MRcv = f.ends[0].buildMPTCP(mn.net.Loop, sm, cfg), f.ends[1].buildMPTCP(mn.net.Loop, dm, cfg)
+		f.MSnd, f.MRcv = mptcp.New(mn.net.Loop, cfg, sm.send), mptcp.New(mn.net.Loop, cfg, dm.send)
+		f.ends[0] = flowEnd{mux: sm, conns: f.MSnd.Subflows(), sock: f.MSnd, listener: f.MSnd}
+		f.ends[1] = flowEnd{mux: dm, conns: f.MRcv.Subflows(), sock: f.MRcv, listener: f.MRcv}
 		return f
 	}
 	f.Snd, f.Rcv = mn.endpoint(sm), mn.endpoint(dm)
 	f.pair = [2]*tcp.Conn{f.Snd, f.Rcv}
-	f.ends[0] = flowEnd{mux: sm, conns: f.pair[:1:1]}
-	f.ends[1] = flowEnd{mux: dm, conns: f.pair[1:]}
+	f.ends[0] = flowEnd{mux: sm, conns: f.pair[:1:1], sock: f.Snd}
+	f.ends[1] = flowEnd{mux: dm, conns: f.pair[1:], sock: f.Rcv}
 	switch mn.variant {
 	case TDTCP:
 		f.ends[0].listener, f.ends[1].listener = f.Snd, f.Rcv
@@ -593,37 +579,25 @@ func (mn *muxNet) census() (notifyWidth, portsBound int, lateSegs uint64) {
 	return notifyWidth, portsBound, lateSegs
 }
 
-// flowEnd is one side of a flow: the host mux it is wired to, its
-// connections (the one endpoint, or an MPTCP flow's subflows, one per TDN),
-// and the listener its host's TDN changes reach, nil for the loss-driven
-// variants. An MPTCP end also holds its connection-level socket and subflow
-// gates, and is its own listener. The paper's MPTCP "pins" subflows via the
-// tdm_schd scheduler at both endpoints, so data AND acknowledgments of an
-// inactive subflow wait in the host's send queue until that TDN returns
-// (§2.2, §3.3 — the cause of MPTCP's flow-control stalls): a TDN change first
-// releases what the gate of the subflow pinned to it held, then steers the
-// scheduler.
+// flowEnd is one side of a flow: the host mux it is wired to, its socket and
+// the socket's connections (the one endpoint, or an MPTCP endpoint's subflows,
+// one per TDN), and the listener its host's TDN changes reach, nil for the
+// loss-driven variants.
 type flowEnd struct {
 	mux      *hostMux // nil while the flow is parked
 	conns    []*tcp.Conn
+	sock     socket
 	listener listener
-
-	mp    *mptcp.Conn
-	gates []subflowGate           // one per subflow; gate k passes only during TDN k
-	outs  []func(*packet.Segment) // gate k's send, bound once: subflow k's Out
 }
 
-// buildMPTCP constructs e as a new MPTCP end on host m.
-func (e *flowEnd) buildMPTCP(loop *sim.Loop, m *hostMux, cfg mptcp.Config) *mptcp.Conn {
-	e.mux, e.listener = m, e
-	e.gates, e.outs = make([]subflowGate, cfg.NumSubflows), make([]func(*packet.Segment), cfg.NumSubflows)
-	for k := range e.gates {
-		e.gates[k] = subflowGate{end: e, tdn: k}
-		e.outs[k] = e.gates[k].send
-	}
-	e.mp = mptcp.New(loop, cfg, e.outs)
-	e.conns = e.mp.Subflows()
-	return e.mp
+// socket is what an end's application sees, whatever the variant: a
+// *tcp.Conn or an *mptcp.Conn, which pins its subflows to their TDNs itself.
+type socket interface {
+	Connect(bytes int64)
+	Listen()
+	Reopen(out func(*packet.Segment))
+	Release()
+	Delivered() int64
 }
 
 // stats sums the counters of e's connections.
@@ -635,101 +609,20 @@ func (e *flowEnd) stats() tcp.Stats {
 	return agg
 }
 
-// reopen starts a parked end's next life on host m: its connections are
-// reopened onto m's mux, an MPTCP end's through its gates, emptied.
+// reopen starts a parked end's next life on host m: its socket is reopened
+// onto m's mux.
 func (e *flowEnd) reopen(m *hostMux) {
 	e.mux = m
-	if e.mp == nil {
-		e.conns[0].Reopen(m.send)
-		return
-	}
-	for k := range e.gates {
-		e.gates[k].held = e.gates[k].held[:0]
-	}
-	e.mp.Reopen(e.outs)
+	e.sock.Reopen(m.send)
 }
 
-// release unbinds e's ports, releases its connections (an MPTCP end's
-// scheduler tick with them) and drops its mux.
+// release unbinds e's ports, releases its socket and drops its mux.
 func (e *flowEnd) release() {
 	for _, c := range e.conns {
 		e.mux.unbind(c.LocalPort)
-		c.Release()
 	}
-	if e.mp != nil {
-		e.mp.Release()
-	}
+	e.sock.Release()
 	e.mux = nil
-}
-
-// Notify is an MPTCP end's: the gate of the subflow pinned to tdn flushes,
-// then the scheduler follows.
-func (e *flowEnd) Notify(tdn int, epoch uint32) {
-	if tdn >= 0 && tdn < len(e.gates) {
-		e.gates[tdn].flush()
-	}
-	e.mp.Notify(tdn, epoch)
-}
-
-// subflowGate holds a subflow's outgoing segments at the host while the
-// subflow's TDN is not the one its host was last notified of.
-type subflowGate struct {
-	end *flowEnd // the gate reaches its host's mux through its end
-	tdn int
-	// held are the segments waiting for the TDN, copied into value slots that
-	// the gate keeps from one day to the next, each with its SACK storage.
-	held []packet.Segment
-}
-
-// A gate makes gateSlots slots at first and doubles them when a day holds
-// more (the most seen in one day is 11); each slot is made with
-// gateSACKBlocks SACK blocks, the most a segment carries.
-const (
-	gateSlots      = 8
-	gateSACKBlocks = 4
-)
-
-func (g *subflowGate) send(s *packet.Segment) {
-	if g.end.mux.cur != g.tdn {
-		// The connection reuses the segment's storage after send returns
-		// (the Conn.Out contract), so a held segment must be a deep copy:
-		// into the next slot, over the SACK array the slot already has.
-		n := len(g.held)
-		if n == cap(g.held) {
-			g.grow()
-		}
-		g.held = g.held[:n+1]
-		h := &g.held[n]
-		sack := h.TCP.SACK[:0]
-		*h = *s
-		h.TCP.SACK = append(sack, s.TCP.SACK...)
-		return
-	}
-	g.end.mux.send(s)
-}
-
-// grow doubles the gate's slots (to gateSlots at first). The new slots get
-// their SACK storage at once, carved from one block, so that a slot, once
-// made, never allocates.
-func (g *subflowGate) grow() {
-	n, size := len(g.held), max(gateSlots, 2*cap(g.held))
-	held := make([]packet.Segment, size)
-	copy(held, g.held)
-	sacks := make([]packet.SACKBlock, (size-n)*gateSACKBlocks)
-	for i := n; i < size; i++ {
-		k := (i - n) * gateSACKBlocks
-		held[i].TCP.SACK = sacks[k : k : k+gateSACKBlocks]
-	}
-	g.held = held[:n]
-}
-
-// flush sends what the gate held. Sending serializes a segment at once, so
-// the slots are free for the next day as soon as the loop is done.
-func (g *subflowGate) flush() {
-	for i := range g.held {
-		g.end.mux.send(&g.held[i])
-	}
-	g.held = g.held[:0]
 }
 
 // retcpSender is a reTCP sender as its host's listener: it forwards circuit

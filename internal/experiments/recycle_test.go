@@ -37,7 +37,7 @@ func allocatedBy(fn func()) (bytes, mallocs uint64) {
 // differences in runtime.MemStats.TotalAlloc and Mallocs over the difference
 // in arrivals. Constructing both endpoints per arrival read 9.5 kB here;
 // reopening loose endpoints, which swapped queue arrays between roles, with a
-// closure per arrival, read 725 B and 3.7 mallocs; this reads 434 B and 1.4.
+// closure per arrival, read 725 B and 3.7 mallocs; this reads 417 B and 1.3.
 func TestWorkloadChurnAllocatesForItsResultOnly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on this path")

@@ -7,15 +7,17 @@
 // inactive subflow.
 //
 // Each subflow is a complete tcp.Conn with its own congestion control; the
-// connection-level machinery lives here. The pathology the paper measures —
-// flow-control stalls because ACKs for data sent on the optical subflow
-// cannot return until the optical network is next active, forcing reinjection
-// on the packet subflow — emerges from exactly this structure.
+// connection-level machinery lives here, and so does the pinning: subflow k
+// transmits through gate k, which holds its segments, data and ACKs alike, at
+// the host while k is not the scheduler's active subflow and releases them
+// when a notification the epoch check accepts makes it so (§2.2, §3.3). The
+// pathology the paper measures — flow-control stalls because ACKs for data
+// sent on the optical subflow cannot return until the optical network is next
+// active, forcing reinjection on the packet subflow — emerges from exactly
+// this structure.
 package mptcp
 
 import (
-	"fmt"
-
 	"github.com/rdcn-net/tdtcp/internal/packet"
 	"github.com/rdcn-net/tdtcp/internal/sim"
 	"github.com/rdcn-net/tdtcp/internal/tcp"
@@ -82,6 +84,8 @@ type Conn struct {
 	cfg  Config
 
 	subs    []*tcp.Conn
+	gates   []gate                // gate k is subflow k's way out
+	out     func(*packet.Segment) // the host's transmit function; nil while released
 	ledgers [][]mapping
 	queued  []uint32 // bytes ever queued per subflow (stream offsets)
 
@@ -109,23 +113,29 @@ type Conn struct {
 	DeliveredBytes int64
 }
 
-// New constructs an MPTCP endpoint. outs supplies one transmit function per
-// subflow (each typically gated at the host so the subflow sends only while
-// its TDN is active). It allocates the endpoint's storage — the subflows, the
-// per-subflow ledgers and hooks, the bound pump callback — and leaves every
-// starting value to init, the path Reopen takes over the same storage.
-func New(loop *sim.Loop, cfg Config, outs []func(*packet.Segment)) *Conn {
+// New constructs an MPTCP endpoint that transmits through out, the host's one
+// transmit function: subflow k's segments reach it through gate k, bound once
+// here as the subflow's Out. It allocates the endpoint's storage — the
+// subflows, their gates, the per-subflow ledgers and hooks, the bound pump
+// callback — and leaves every starting value to init, the path Reopen takes
+// over the same storage.
+func New(loop *sim.Loop, cfg Config, out func(*packet.Segment)) *Conn {
 	cfg.fillDefaults()
-	if len(outs) != cfg.NumSubflows {
-		panic(fmt.Sprintf("mptcp: %d outs for %d subflows", len(outs), cfg.NumSubflows))
-	}
 	n := cfg.NumSubflows
-	m := &Conn{Loop: loop, cfg: cfg, subs: make([]*tcp.Conn, n), ledgers: make([][]mapping, n),
-		queued: make([]uint32, n), txHooks: make([]func(*tcp.TxSeg, *packet.TCPHeader), n),
-		rxHooks: make([]func(*packet.TCPHeader), n)}
+	m := &Conn{Loop: loop, cfg: cfg, out: out, subs: make([]*tcp.Conn, n), gates: make([]gate, n),
+		ledgers: make([][]mapping, n), queued: make([]uint32, n),
+		txHooks: make([]func(*tcp.TxSeg, *packet.TCPHeader), n), rxHooks: make([]func(*packet.TCPHeader), n)}
 	m.pumpFn = m.tick
 	for i := range m.subs {
-		m.subs[i] = tcp.NewConn(loop, cfg.Sub, outs[i])
+		g := &m.gates[i]
+		g.send = func(s *packet.Segment) {
+			if m.active != i {
+				g.hold(s)
+				return
+			}
+			m.out(s)
+		}
+		m.subs[i] = tcp.NewConn(loop, cfg.Sub, g.send)
 		m.txHooks[i] = func(seg *tcp.TxSeg, h *packet.TCPHeader) {
 			if dsn, ok := m.lookupDSN(i, seg.Seq); ok {
 				h.MPDSSPresent = true
@@ -144,43 +154,45 @@ func New(loop *sim.Loop, cfg Config, outs []func(*packet.Segment)) *Conn {
 
 // init puts the endpoint in its starting state over the storage it holds:
 // New's, just allocated, or Reopen's, left by the life before, its subflows
-// already (re)initialised. As tcp.Conn's init, it assigns the struct whole
-// from a literal naming only what carries over, so every other field, one
-// added later included, starts from its zero value.
+// already (re)initialised and its gates emptied by Release. As tcp.Conn's
+// init, it assigns the struct whole from a literal naming only what carries
+// over, so every other field, one added later included, starts from its zero
+// value.
 func (m *Conn) init() {
 	for i := range m.ledgers {
 		m.ledgers[i] = m.ledgers[i][:0]
 	}
 	clear(m.queued)
-	*m = Conn{Loop: m.Loop, cfg: m.cfg, subs: m.subs, ledgers: m.ledgers, queued: m.queued,
-		txHooks: m.txHooks, rxHooks: m.rxHooks, ranges: m.ranges[:0], pumpFn: m.pumpFn}
+	*m = Conn{Loop: m.Loop, cfg: m.cfg, subs: m.subs, gates: m.gates, out: m.out, ledgers: m.ledgers,
+		queued: m.queued, txHooks: m.txHooks, rxHooks: m.rxHooks, ranges: m.ranges[:0], pumpFn: m.pumpFn}
 	for i, sub := range m.subs {
 		sub.TxSegmentHook, sub.RxDataHook = m.txHooks[i], m.rxHooks[i]
 	}
 }
 
 // Release ends the endpoint's life: every subflow is released (tcp.Conn's
-// Release) and the scheduler tick is stopped. Stats and DeliveredBytes stay
-// readable until Reopen, for which the endpoint keeps what it allocated.
+// Release), the scheduler tick is stopped, the gates drop what they held and
+// the endpoint drops out. Stats and DeliveredBytes stay readable until Reopen,
+// for which the endpoint keeps what it allocated.
 func (m *Conn) Release() {
-	for _, sub := range m.subs {
+	for i, sub := range m.subs {
 		sub.Release()
+		m.gates[i].held = m.gates[i].held[:0]
 	}
 	m.pumpTimer.Stop()
+	m.out = nil
 }
 
 // Reopen starts a released endpoint's next life over the storage Release
-// left it: each subflow is reopened onto its transmit function in outs, then
-// init runs as for New, so the result is what New would return for the same
-// Config and outs and differs only in address. It panics unless the endpoint
-// was released (tcp.Conn's Reopen does, on the first subflow).
-func (m *Conn) Reopen(outs []func(*packet.Segment)) {
-	if len(outs) != len(m.subs) {
-		panic(fmt.Sprintf("mptcp: %d outs for %d subflows", len(outs), len(m.subs)))
-	}
+// left it, transmitting through out: each subflow is reopened onto its gate,
+// then init runs as for New, so the result is what New would return for the
+// same Config and out and differs only in address. It panics unless the
+// endpoint was released (tcp.Conn's Reopen does, on the first subflow).
+func (m *Conn) Reopen(out func(*packet.Segment)) {
 	for i, sub := range m.subs {
-		sub.Reopen(outs[i])
+		sub.Reopen(m.gates[i].send)
 	}
+	m.out = out
 	m.init()
 }
 
@@ -189,6 +201,10 @@ func (m *Conn) Subflows() []*tcp.Conn { return m.subs }
 
 // Active returns the subflow index tdm_schd currently schedules on.
 func (m *Conn) Active() int { return m.active }
+
+// Delivered returns the connection-level bytes delivered in order
+// (DeliveredBytes).
+func (m *Conn) Delivered() int64 { return m.DeliveredBytes }
 
 // Backlog returns connection-level bytes not yet assigned to any subflow.
 func (m *Conn) Backlog() int64 { return m.backlog }
@@ -219,9 +235,11 @@ func (m *Conn) QueueBytes(n int64) {
 	m.schedulePump()
 }
 
-// Notify implements the tdm_schd steering decision: all new data goes to
-// the subflow pinned to the newly active TDN, and after reinjectDelay any
-// data stranded on the other subflows is reinjected onto this one.
+// Notify implements the tdm_schd steering decision: the gate of the subflow
+// pinned to the newly active TDN releases what it held, all new data goes to
+// that subflow, and after reinjectDelay any data stranded on the other
+// subflows is reinjected onto it. A stale or duplicate notification changes
+// nothing, the gates included.
 func (m *Conn) Notify(tdn int, epoch uint32) {
 	if tdn < 0 || tdn >= len(m.subs) {
 		return
@@ -239,12 +257,70 @@ func (m *Conn) Notify(tdn int, epoch uint32) {
 		m.epochSeen = true
 	}
 	m.epoch = e
+	m.gates[tdn].flush(m.out)
 	if tdn == m.active {
 		return
 	}
 	m.active = tdn
 	m.Stats.SchedulerSwitches++
 	m.pump()
+}
+
+// gate holds a subflow's outgoing segments at the host while the subflow is
+// not the scheduler's active one.
+type gate struct {
+	send func(*packet.Segment) // bound once, by New: the subflow's Out
+	// held are the segments waiting for the subflow's TDN, copied into value
+	// slots that the gate keeps from one day to the next, each with its SACK
+	// storage.
+	held []packet.Segment
+}
+
+// A gate makes gateSlots slots at first and doubles them when a day holds
+// more (the most seen in one day is 11); each slot is made with
+// gateSACKBlocks SACK blocks, the most a segment carries.
+const (
+	gateSlots      = 8
+	gateSACKBlocks = 4
+)
+
+// hold copies s into the gate's next slot. The connection reuses the
+// segment's storage after its Out returns, so a held segment must be a deep
+// copy: into the slot, over the SACK array the slot already has.
+func (g *gate) hold(s *packet.Segment) {
+	n := len(g.held)
+	if n == cap(g.held) {
+		g.grow()
+	}
+	g.held = g.held[:n+1]
+	h := &g.held[n]
+	sack := h.TCP.SACK[:0]
+	*h = *s
+	h.TCP.SACK = append(sack, s.TCP.SACK...)
+}
+
+// grow doubles the gate's slots (to gateSlots at first). The new slots get
+// their SACK storage at once, carved from one block, so that a slot, once
+// made, never allocates.
+func (g *gate) grow() {
+	n, size := len(g.held), max(gateSlots, 2*cap(g.held))
+	held := make([]packet.Segment, size)
+	copy(held, g.held)
+	sacks := make([]packet.SACKBlock, (size-n)*gateSACKBlocks)
+	for i := n; i < size; i++ {
+		k := (i - n) * gateSACKBlocks
+		held[i].TCP.SACK = sacks[k : k : k+gateSACKBlocks]
+	}
+	g.held = held[:n]
+}
+
+// flush sends what the gate held through out. Sending serializes a segment at
+// once, so the slots are free for the next day as soon as the loop is done.
+func (g *gate) flush(out func(*packet.Segment)) {
+	for i := range g.held {
+		out(&g.held[i])
+	}
+	g.held = g.held[:0]
 }
 
 // schedulePump arms the periodic scheduler tick. The tick callback is bound

@@ -9,33 +9,22 @@ import (
 	"github.com/rdcn-net/tdtcp/internal/tcp"
 )
 
-// pinnedWire models a path pinned to one TDN: frames sent (in either
-// direction) while the TDN is inactive are held at the ToR and released when
-// the TDN next activates — exactly the stranding that stalls MPTCP in §2.2.
-type pinnedWire struct {
-	loop   *sim.Loop
-	tdn    int
-	delay  sim.Dur
-	active *int // pointer to the fabric's active TDN
-	held   [][]byte
-	dst    func(*packet.Segment)
+// wire is one direction of one subflow's path: it delivers each segment
+// after delay. The pinning is the endpoints' own (their gates hold what an
+// inactive subflow sends), so the wire holds nothing.
+type wire struct {
+	loop  *sim.Loop
+	delay sim.Dur
+	dst   func(*packet.Segment)
 	// drop, when non-nil, discards matching segments.
 	drop func(*packet.Segment) bool
 }
 
-func (w *pinnedWire) send(s *packet.Segment) {
+func (w *wire) send(s *packet.Segment) {
 	if w.drop != nil && w.drop(s) {
 		return
 	}
 	b := s.Serialize(nil)
-	if *w.active != w.tdn {
-		w.held = append(w.held, b)
-		return
-	}
-	w.deliver(b)
-}
-
-func (w *pinnedWire) deliver(b []byte) {
 	w.loop.After(w.delay, func() {
 		var got packet.Segment
 		if err := packet.Parse(b, &got); err != nil {
@@ -45,14 +34,6 @@ func (w *pinnedWire) deliver(b []byte) {
 	})
 }
 
-// release flushes held frames when the TDN activates.
-func (w *pinnedWire) release() {
-	for _, b := range w.held {
-		w.deliver(b)
-	}
-	w.held = nil
-}
-
 type env struct {
 	t      *testing.T
 	loop   *sim.Loop
@@ -60,7 +41,7 @@ type env struct {
 	epoch  uint32
 	snd    *Conn
 	rcv    *Conn
-	wires  []*pinnedWire // 0,1: snd->rcv per TDN; 2,3: rcv->snd per TDN
+	wires  []*wire // 0,1: snd->rcv per TDN; 2,3: rcv->snd per TDN
 }
 
 func newEnv(t *testing.T, cfg Config) *env { return newEnvOn(t, cfg, sim.NewLoop(5)) }
@@ -69,38 +50,43 @@ func newEnv(t *testing.T, cfg Config) *env { return newEnvOn(t, cfg, sim.NewLoop
 func newEnvOn(t *testing.T, cfg Config, loop *sim.Loop) *env {
 	e := &env{t: t, loop: loop}
 	delays := []sim.Dur{50 * sim.Microsecond, 5 * sim.Microsecond}
-	mk := func(tdn int) *pinnedWire {
-		return &pinnedWire{loop: e.loop, tdn: tdn, delay: delays[tdn], active: &e.active}
+	for i := 0; i < 4; i++ {
+		e.wires = append(e.wires, &wire{loop: loop, delay: delays[i%2]})
 	}
-	w0, w1, w2, w3 := mk(0), mk(1), mk(0), mk(1)
-	e.wires = []*pinnedWire{w0, w1, w2, w3}
-	e.snd = New(e.loop, cfg, []func(*packet.Segment){w0.send, w1.send})
-	e.rcv = New(e.loop, cfg, []func(*packet.Segment){w2.send, w3.send})
+	e.snd = New(e.loop, cfg, e.out(&e.snd, e.wires[:2]))
+	e.rcv = New(e.loop, cfg, e.out(&e.rcv, e.wires[2:]))
 	for i, sub := range e.snd.Subflows() {
 		sub.LocalAddr, sub.RemoteAddr = 1, 2
 		sub.LocalPort, sub.RemotePort = uint16(1000+i), uint16(2000+i)
+		e.wires[2+i].dst = sub.Input
 	}
 	for i, sub := range e.rcv.Subflows() {
 		sub.LocalAddr, sub.RemoteAddr = 2, 1
 		sub.LocalPort, sub.RemotePort = uint16(2000+i), uint16(1000+i)
+		e.wires[i].dst = sub.Input
 	}
-	w0.dst = func(s *packet.Segment) { e.rcv.Subflows()[0].Input(s) }
-	w1.dst = func(s *packet.Segment) { e.rcv.Subflows()[1].Input(s) }
-	w2.dst = func(s *packet.Segment) { e.snd.Subflows()[0].Input(s) }
-	w3.dst = func(s *packet.Segment) { e.snd.Subflows()[1].Input(s) }
 	return e
 }
 
-// switchTDN moves the fabric to tdn, releasing that TDN's held frames and
-// notifying both endpoints' schedulers.
+// out is an endpoint's one transmit function: it demultiplexes a segment by
+// source port onto the wire of the subflow that sent it.
+func (e *env) out(c **Conn, wires []*wire) func(*packet.Segment) {
+	return func(s *packet.Segment) {
+		for k, sub := range (*c).Subflows() {
+			if sub.LocalPort == s.TCP.SrcPort {
+				wires[k].send(s)
+				return
+			}
+		}
+		e.t.Fatalf("no subflow sends from port %d", s.TCP.SrcPort)
+	}
+}
+
+// switchTDN moves the fabric to tdn and notifies both endpoints' schedulers,
+// whose gates release what they held for it.
 func (e *env) switchTDN(tdn int) {
 	e.active = tdn
 	e.epoch++
-	for _, w := range e.wires {
-		if w.tdn == tdn {
-			w.release()
-		}
-	}
 	e.snd.Notify(tdn, e.epoch)
 	e.rcv.Notify(tdn, e.epoch)
 }
@@ -251,15 +237,6 @@ func TestDSNReassembly(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched outs accepted")
-		}
-	}()
-	New(sim.NewLoop(1), Config{NumSubflows: 2}, []func(*packet.Segment){func(*packet.Segment) {}})
-}
-
 func TestSubflowPolicyRejected(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -277,8 +254,7 @@ func TestSubflowPolicyRejected(t *testing.T) {
 // froze the scheduler on the pre-wrap subflow forever.)
 func TestNotifyEpochWraparound(t *testing.T) {
 	loop := sim.NewLoop(1)
-	drop := func(*packet.Segment) {}
-	m := New(loop, Config{}, []func(*packet.Segment){drop, drop})
+	m := New(loop, Config{}, func(*packet.Segment) {})
 
 	m.Notify(1, math.MaxUint32) // last epoch before the wrap
 	if m.Active() != 1 {
@@ -298,5 +274,44 @@ func TestNotifyEpochWraparound(t *testing.T) {
 	}
 	if got := m.Stats.SchedulerSwitches; got != 2 {
 		t.Fatalf("scheduler switches = %d, want 2", got)
+	}
+}
+
+// TestGateHoldsUntilItsTDN: a subflow's segments wait in its gate, deep
+// copies, while another subflow is active; a notification the epoch check
+// accepts releases what its TDN's gate held, and a stale or duplicate one
+// releases nothing; Release empties the gates.
+func TestGateHoldsUntilItsTDN(t *testing.T) {
+	var sent []packet.Segment
+	m := New(sim.NewLoop(1), Config{}, func(s *packet.Segment) { sent = append(sent, *s.Clone()) })
+	seg := func(port uint16) *packet.Segment {
+		return &packet.Segment{TCP: packet.TCPHeader{SrcPort: port, SACK: []packet.SACKBlock{{Start: 7, End: 9}}}}
+	}
+	s1 := seg(11)
+	m.gates[1].send(s1)
+	s1.TCP.SACK[0].Start = 0 // the sender reuses its segment once Out returns
+	m.gates[0].send(seg(10))
+	if len(sent) != 1 || sent[0].TCP.SrcPort != 10 {
+		t.Fatalf("with subflow 0 active, %v went out", sent)
+	}
+	m.Notify(1, 5)
+	if len(sent) != 2 || sent[1].TCP.SrcPort != 11 || sent[1].TCP.SACK[0].Start != 7 {
+		t.Fatalf("after the notification for TDN 1, %v went out; want subflow 1's held segment as sent", sent)
+	}
+	m.gates[0].send(seg(10))
+	m.Notify(0, 4) // stale
+	m.Notify(1, 5) // duplicate
+	if len(sent) != 2 || len(m.gates[0].held) != 1 || m.Active() != 1 {
+		t.Fatalf("a stale or duplicate notification moved the gates: %d sent, %d held, active %d",
+			len(sent), len(m.gates[0].held), m.Active())
+	}
+	m.Release()
+	for k, g := range m.gates {
+		if len(g.held) != 0 {
+			t.Errorf("released endpoint's gate %d holds %d segments", k, len(g.held))
+		}
+	}
+	if m.out != nil {
+		t.Error("released endpoint still holds its transmit function")
 	}
 }

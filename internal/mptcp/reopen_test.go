@@ -42,13 +42,10 @@ func TestReopenEqualsFresh(t *testing.T) {
 		t.Fatalf("set-up: %d reinjections, %d receiver ranges, backlog %d: not a lossy transfer caught mid-flight",
 			e.snd.Stats.ReinjectEvents, len(e.rcv.ranges), e.snd.backlog)
 	}
-	outs := func(w ...*pinnedWire) []func(*packet.Segment) {
-		return []func(*packet.Segment){w[0].send, w[1].send}
-	}
 	diff := func(got, want *Conn) []string {
 		return obs.DiffState(got, want, reflect.TypeOf((*sim.Loop)(nil)), reflect.TypeOf((*tcp.Pool)(nil)))
 	}
-	fresh := func() *Conn { return New(e.loop, cfg, outs(e.wires[0], e.wires[1])) }
+	fresh := func() *Conn { return New(e.loop, cfg, func(*packet.Segment) {}) }
 	if n := len(diff(e.snd, fresh())); n < 25 {
 		t.Fatalf("set-up: only %d fields of the used sender differ from a new one", n)
 	}
@@ -59,11 +56,8 @@ func TestReopenEqualsFresh(t *testing.T) {
 		t.Error("the released sender's scheduler tick is still armed")
 	}
 	e.loop.Run() // the wires drain into the released pair, which ignores them
-	for _, w := range e.wires {
-		w.held = nil
-	}
-	e.snd.Reopen(outs(e.wires[0], e.wires[1]))
-	e.rcv.Reopen(outs(e.wires[2], e.wires[3]))
+	e.snd.Reopen(e.out(&e.snd, e.wires[:2]))
+	e.rcv.Reopen(e.out(&e.rcv, e.wires[2:]))
 	for _, c := range []*Conn{e.snd, e.rcv} {
 		for _, d := range diff(c, fresh()) {
 			t.Error(d)
@@ -97,5 +91,5 @@ func TestReopenRequiresRelease(t *testing.T) {
 			t.Error("Reopen of a live endpoint did not panic")
 		}
 	}()
-	e.snd.Reopen([]func(*packet.Segment){e.wires[0].send, e.wires[1].send})
+	e.snd.Reopen(e.out(&e.snd, e.wires[:2]))
 }

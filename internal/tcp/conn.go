@@ -438,6 +438,9 @@ func (c *Conn) SndUna() packet.Seq { return c.sndUna }
 // SndNxt returns the next sequence number to be sent.
 func (c *Conn) SndNxt() packet.Seq { return c.sndNxt }
 
+// Delivered returns the payload bytes delivered in order (Stats.BytesDelivered).
+func (c *Conn) Delivered() int64 { return c.Stats.BytesDelivered }
+
 // RelSeq translates an absolute data sequence number into a 0-based stream
 // offset (the SYN consumes one sequence number).
 func (c *Conn) RelSeq(seq packet.Seq) uint32 { return uint32(seq.Diff(c.iss)) - 1 }

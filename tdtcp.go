@@ -156,9 +156,11 @@ func NewTDTCPPolicy(numTDNs int, opts TDTCPOptions) *TDTCPPolicy {
 	return core.New(numTDNs, opts)
 }
 
-// NewMPTCP constructs a multipath endpoint with one subflow per out.
-func NewMPTCP(loop *Loop, cfg MPTCPConfig, outs []func(*Segment)) *MPTCPConn {
-	return mptcp.New(loop, cfg, outs)
+// NewMPTCP constructs a multipath endpoint, one subflow per TDN, that
+// transmits through out; subflow k's segments wait at the endpoint while k is
+// not the subflow its scheduler steers to (see MPTCPConn.Notify).
+func NewMPTCP(loop *Loop, cfg MPTCPConfig, out func(*Segment)) *MPTCPConn {
+	return mptcp.New(loop, cfg, out)
 }
 
 // ParseSegment decodes wire bytes into s (gopacket-style reusable decode).
