@@ -172,6 +172,7 @@ go test -run '^$' -bench . -benchmem -benchtime 1x ./...
 # entries under testdata/fuzz always run as part of `go test` above; this
 # additionally exercises fresh random inputs.
 go test -fuzz=FuzzConnDeliver -fuzztime=5s ./internal/tcp/
+go test -fuzz=FuzzReassembly -fuzztime=5s ./internal/packet/
 go test -fuzz=FuzzScheduleParse -fuzztime=5s ./internal/rdcn/
 go test -fuzz=FuzzFlowSizeCDF -fuzztime=5s ./internal/workload/
 go test -fuzz=FuzzOptimalSeries -fuzztime=5s ./internal/workload/

@@ -8,9 +8,10 @@
 //   - Per-TDN state variables (§3.1, §4.3): one tcp.PathState per TDN — pipe
 //     variables, congestion-control instance, RTT estimator — swapped
 //     atomically when the network reconfigures.
-//   - TDN change notification (§3.2): OnNotify applies ToR-generated ICMP
-//     notifications, discarding stale epochs, and records the TDN change
-//     pointer (the first sequence number of the new TDN).
+//   - TDN change notification (§3.2): OnNotify applies the ToR-generated
+//     ICMP notifications that tcp.Conn.Notify's epoch gate passes, and
+//     records the TDN change pointer (the first sequence number of the new
+//     TDN).
 //   - Relaxed reordering detection (§3.4): loss candidates from a different
 //     TDN than the triggering ACK, on the far side of the change pointer,
 //     are suspected cross-TDN reordering and left to RACK-TLP instead of
@@ -43,7 +44,7 @@ type Options struct {
 	DisablePessimisticRTO bool
 
 	// DeadmanHorizon arms the notification deadman: when no notification
-	// (fresh or stale) has been delivered for this long, the policy infers
+	// has passed Conn.Notify's epoch gate for this long, the policy infers
 	// the active TDN from the nominal schedule (TDTCP.Schedule) instead of
 	// waiting forever on a lossy control channel. Without it a run of lost
 	// notifications strands every flow on a stale TDN, blackholing cwnd

@@ -3,10 +3,13 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/rdcn-net/tdtcp/internal/fault"
 	"github.com/rdcn-net/tdtcp/internal/obs"
+	"github.com/rdcn-net/tdtcp/internal/packet"
+	"github.com/rdcn-net/tdtcp/internal/sim"
 	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
@@ -188,5 +191,37 @@ func TestDeadmanEngagesUnderNotificationLoss(t *testing.T) {
 	if res.GoodputGbps < 0.5*clean.GoodputGbps {
 		t.Fatalf("notification loss halved throughput despite deadman: %0.2f vs %0.2f Gbps",
 			res.GoodputGbps, clean.GoodputGbps)
+	}
+}
+
+// TestCheckedRunWatchesDSNQueue: a checked MPTCP run watches each flow end's
+// socket, so a receiver's connection-level DSN queue is checked beside its
+// subflows, and a corrupted queue is reported at its flow's site.
+func TestCheckedRunWatchesDSNQueue(t *testing.T) {
+	h := startedRunHarness(t, RunConfig{Variant: MPTCP, Flows: 4, WarmupWeeks: 1, MeasureWeeks: 2, Invariants: true})
+	h.chk.Every = 1
+	h.chk.SetFlight(h.flight, nil) // the violation is expected: no dump
+	flow := -1
+	var q *packet.Reassembly
+	for step := 0; flow < 0; step++ {
+		if step == 10000 {
+			t.Fatal("no MPTCP receiver held a DSN range beyond its next point in 100 ms")
+		}
+		h.loop.RunUntil(h.loop.Now().Add(10 * sim.Microsecond))
+		for i, f := range h.flows {
+			if q = f.MRcv.DSNQueue(); len(q.Ranges()) > 0 {
+				flow = i
+				break
+			}
+		}
+	}
+	if vs := h.chk.Violations(); len(vs) != 0 {
+		t.Fatalf("clean run reported %v", vs[0])
+	}
+	q.Ranges()[0].End = q.Ranges()[0].Start
+	h.loop.RunUntil(h.loop.Now().Add(10 * sim.Microsecond))
+	vs := h.chk.Violations()
+	if len(vs) != 1 || vs[0].Site != fmt.Sprintf("conn[%d]", flow) || !strings.Contains(vs[0].Err.Error(), "mptcp: DSN range 0 is empty") {
+		t.Fatalf("violations %v; want one at conn[%d] naming the empty DSN range", vs, flow)
 	}
 }

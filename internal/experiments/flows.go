@@ -590,7 +590,7 @@ type flowEnd struct {
 	listener listener
 }
 
-// socket is what an end's application sees, whatever the variant: a
+// socket is what an end's application and the invariant checker see: a
 // *tcp.Conn or an *mptcp.Conn, which pins its subflows to their TDNs itself.
 type socket interface {
 	Connect(bytes int64)
@@ -598,6 +598,7 @@ type socket interface {
 	Reopen(out func(*packet.Segment))
 	Release()
 	Delivered() int64
+	CheckInvariants() error
 }
 
 // stats sums the counters of e's connections.

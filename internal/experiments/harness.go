@@ -241,8 +241,8 @@ func (h *harness) dumpOnPanic() {
 // addFlow registers a flow the entry point built. Its sender records through
 // the run's tracer; every connection (both directions, every MPTCP subflow)
 // gets the registry's per-TDN RTT and deadman-lag histograms, resolved once per
-// run and recorded into lock-free, and is watched by the invariant checker on
-// checked runs.
+// run and recorded into lock-free; on checked runs the invariant checker
+// watches each end's socket, an MPTCP one with its DSN queue.
 func (h *harness) addFlow(f *Flow, id int) {
 	f.SetTracer(h.tracer, id)
 	m := h.cfg.Metrics
@@ -261,9 +261,9 @@ func (h *harness) addFlow(f *Flow, id int) {
 					p.DeadmanLag = h.lag
 				}
 			}
-			if h.chk != nil {
-				h.chk.WatchConn(c, id)
-			}
+		}
+		if h.chk != nil {
+			h.chk.WatchConn(f.ends[i].sock, id)
 		}
 	}
 	h.flows = append(h.flows, f)

@@ -1,8 +1,9 @@
 // Package invariant is the runtime consistency checker for faulted runs: it
 // hooks the simulation loop's post-event point and revalidates every watched
-// tcp.Conn (scoreboard/sequence/pipe-counter invariants) and rdcn.Network
-// (VOQ accounting) after each executed event, between events — never
-// mid-update, when transient inconsistency is legal.
+// tcp.Conn (scoreboard/sequence/pipe-counter invariants), mptcp.Conn (its
+// subflows and DSN queue) and rdcn.Network (VOQ accounting) after each
+// executed event, between events — never mid-update, when transient
+// inconsistency is legal.
 //
 // The checkers themselves live next to the state they validate
 // (tcp.Conn.CheckInvariants, rdcn.Network.CheckInvariants); this package
@@ -18,7 +19,6 @@ import (
 
 	"github.com/rdcn-net/tdtcp/internal/rdcn"
 	"github.com/rdcn-net/tdtcp/internal/sim"
-	"github.com/rdcn-net/tdtcp/internal/tcp"
 	"github.com/rdcn-net/tdtcp/internal/trace"
 )
 
@@ -99,8 +99,9 @@ func (c *Checker) SetFlight(f *trace.Flight, w io.Writer) {
 // first violation (nil when no violation occurred or no recorder attached).
 func (c *Checker) FlightSnapshot() []trace.Event { return c.flightSnap }
 
-// WatchConn registers a connection; flow labels its violations.
-func (c *Checker) WatchConn(conn *tcp.Conn, flow int) {
+// WatchConn registers a connection (a tcp.Conn or an mptcp.Conn); flow
+// labels its violations.
+func (c *Checker) WatchConn(conn interface{ CheckInvariants() error }, flow int) {
 	c.WatchFunc(fmt.Sprintf("conn[%d]", flow), flow, conn.CheckInvariants)
 }
 

@@ -18,6 +18,8 @@
 package mptcp
 
 import (
+	"fmt"
+
 	"github.com/rdcn-net/tdtcp/internal/packet"
 	"github.com/rdcn-net/tdtcp/internal/sim"
 	"github.com/rdcn-net/tdtcp/internal/tcp"
@@ -73,7 +75,7 @@ type mapping struct {
 type Stats struct {
 	Reinjections      uint64 // bytes reinjected onto another subflow
 	ReinjectEvents    uint64
-	DupDSNBytes       int64 // bytes received whose DSN range was already complete
+	DupDSNBytes       int64 // bytes received that had already arrived (packet.Reassembly.Add's dup)
 	SchedulerSwitches uint64
 	BufferStalls      uint64 // pump attempts blocked on the shared send buffer
 }
@@ -94,15 +96,13 @@ type Conn struct {
 	txHooks []func(seg *tcp.TxSeg, h *packet.TCPHeader)
 	rxHooks []func(h *packet.TCPHeader)
 
-	active    int
-	dsnNxt    packet.Seq
-	backlog   int64
-	epoch     packet.Seq
-	epochSeen bool
+	active  int
+	dsnNxt  packet.Seq
+	backlog int64
+	epochs  packet.EpochGate
 
 	// Receiver: connection-level reassembly over DSN space.
-	dsnDelivered packet.Seq
-	ranges       []packet.SeqRange
+	dsn packet.Reassembly
 
 	pumpTimer    sim.Timer
 	pumpFn       func()
@@ -164,7 +164,8 @@ func (m *Conn) init() {
 	}
 	clear(m.queued)
 	*m = Conn{Loop: m.Loop, cfg: m.cfg, subs: m.subs, gates: m.gates, out: m.out, ledgers: m.ledgers,
-		queued: m.queued, txHooks: m.txHooks, rxHooks: m.rxHooks, ranges: m.ranges[:0], pumpFn: m.pumpFn}
+		queued: m.queued, txHooks: m.txHooks, rxHooks: m.rxHooks, dsn: m.dsn, pumpFn: m.pumpFn}
+	m.dsn.Reset(packet.Seq{})
 	for i, sub := range m.subs {
 		sub.TxSegmentHook, sub.RxDataHook = m.txHooks[i], m.rxHooks[i]
 	}
@@ -198,6 +199,23 @@ func (m *Conn) Reopen(out func(*packet.Segment)) {
 
 // Subflows exposes the per-TDN subflow connections (for wiring and tests).
 func (m *Conn) Subflows() []*tcp.Conn { return m.subs }
+
+// DSNQueue exposes the connection-level receive queue (tests).
+func (m *Conn) DSNQueue() *packet.Reassembly { return &m.dsn }
+
+// CheckInvariants validates every subflow (tcp.Conn's CheckInvariants), then
+// the connection-level DSN queue.
+func (m *Conn) CheckInvariants() error {
+	for i, sub := range m.subs {
+		if err := sub.CheckInvariants(); err != nil {
+			return fmt.Errorf("mptcp: subflow %d: %w", i, err)
+		}
+	}
+	if err := m.dsn.Check(); err != nil {
+		return fmt.Errorf("mptcp: DSN %w", err)
+	}
+	return nil
+}
 
 // Active returns the subflow index tdm_schd currently schedules on.
 func (m *Conn) Active() int { return m.active }
@@ -238,25 +256,13 @@ func (m *Conn) QueueBytes(n int64) {
 // Notify implements the tdm_schd steering decision: the gate of the subflow
 // pinned to the newly active TDN releases what it held, all new data goes to
 // that subflow, and after reinjectDelay any data stranded on the other
-// subflows is reinjected onto it. A stale or duplicate notification changes
-// nothing, the gates included.
+// subflows is reinjected onto it. Only a notification whose epoch passes the
+// endpoint's epoch gate (packet.EpochGate, the one tcp.Conn.Notify keeps)
+// acts; a stale or duplicate one changes nothing, the gates included.
 func (m *Conn) Notify(tdn int, epoch uint32) {
-	if tdn < 0 || tdn >= len(m.subs) {
+	if tdn < 0 || tdn >= len(m.subs) || m.epochs.Pass(epoch) != packet.EpochNew {
 		return
 	}
-	// Stale/duplicate epochs are discarded with serial-number arithmetic
-	// (RFC 1982), the same gate as tcp.Conn.Notify, so it survives the
-	// epoch counter wrapping past MaxUint32. Epoch 0 bypasses the gate
-	// (tests and direct drivers; the network's counter skips it);
-	// epochSeen distinguishes "no epoch yet" from real epochs near the wrap.
-	e := packet.SeqOf(epoch)
-	if epoch != 0 {
-		if m.epochSeen && e.LEQ(m.epoch) {
-			return
-		}
-		m.epochSeen = true
-	}
-	m.epoch = e
 	m.gates[tdn].flush(m.out)
 	if tdn == m.active {
 		return
@@ -492,58 +498,7 @@ func (m *Conn) reinject(target int) {
 
 // acceptDSN folds a received DSN range into connection-level reassembly.
 func (m *Conn) acceptDSN(dsn packet.Seq, length int) {
-	if length <= 0 {
-		return
-	}
-	start, end := dsn, dsn.Add(length)
-	if end.LEQ(m.dsnDelivered) {
-		m.Stats.DupDSNBytes += int64(length)
-		return
-	}
-	if start.LT(m.dsnDelivered) {
-		m.Stats.DupDSNBytes += int64(m.dsnDelivered.Diff(start))
-		start = m.dsnDelivered
-	}
-	if start == m.dsnDelivered {
-		m.advance(end)
-		return
-	}
-	m.insertRange(start, end)
-}
-
-func (m *Conn) advance(end packet.Seq) {
-	prev := m.dsnDelivered
-	m.dsnDelivered = end
-	for len(m.ranges) > 0 && m.ranges[0].Start.LEQ(m.dsnDelivered) {
-		if m.ranges[0].End.GT(m.dsnDelivered) {
-			m.dsnDelivered = m.ranges[0].End
-		}
-		// Shift down rather than reslice forward, which would give up a
-		// capacity slot per pop (as tcp's advanceDelivery does).
-		m.ranges = m.ranges[:copy(m.ranges, m.ranges[1:])]
-	}
-	m.DeliveredBytes += int64(m.dsnDelivered.Diff(prev))
-}
-
-func (m *Conn) insertRange(start, end packet.Seq) {
-	i := 0
-	for i < len(m.ranges) && m.ranges[i].Start.LT(start) {
-		i++
-	}
-	m.ranges = append(m.ranges, packet.SeqRange{})
-	copy(m.ranges[i+1:], m.ranges[i:])
-	m.ranges[i] = packet.SeqRange{Start: start, End: end}
-	if i > 0 && m.ranges[i-1].End.GEQ(m.ranges[i].Start) {
-		if m.ranges[i].End.GT(m.ranges[i-1].End) {
-			m.ranges[i-1].End = m.ranges[i].End
-		}
-		m.ranges = append(m.ranges[:i], m.ranges[i+1:]...)
-		i--
-	}
-	for i+1 < len(m.ranges) && m.ranges[i].End.GEQ(m.ranges[i+1].Start) {
-		if m.ranges[i+1].End.GT(m.ranges[i].End) {
-			m.ranges[i].End = m.ranges[i+1].End
-		}
-		m.ranges = append(m.ranges[:i+1], m.ranges[i+2:]...)
-	}
+	advanced, dup := m.dsn.Add(dsn, dsn.Add(length))
+	m.DeliveredBytes += int64(advanced)
+	m.Stats.DupDSNBytes += int64(dup)
 }

@@ -232,8 +232,21 @@ func TestDSNReassembly(t *testing.T) {
 	if m.DeliveredBytes != 330 {
 		t.Fatalf("delivered %d, want 330", m.DeliveredBytes)
 	}
-	if len(m.ranges) != 0 {
-		t.Fatalf("ranges not drained: %v", m.ranges)
+	if len(m.dsn.Ranges()) != 0 {
+		t.Fatalf("ranges not drained: %v", m.dsn.Ranges())
+	}
+}
+
+// TestDupDSNCountsHeldRanges: a DSN range that the queue already holds
+// beyond the in-order point arrived before, and counts as duplicate bytes
+// just as one below that point does.
+func TestDupDSNCountsHeldRanges(t *testing.T) {
+	m := &Conn{Loop: sim.NewLoop(1)}
+	m.acceptDSN(packet.SeqOf(100), 50)
+	m.acceptDSN(packet.SeqOf(110), 20) // inside [100, 150)
+	m.acceptDSN(packet.SeqOf(140), 20) // runs past it: 10 new bytes
+	if m.Stats.DupDSNBytes != 20 || m.DeliveredBytes != 0 {
+		t.Fatalf("dup %d, delivered %d; want 20 and 0", m.Stats.DupDSNBytes, m.DeliveredBytes)
 	}
 }
 
@@ -274,6 +287,19 @@ func TestNotifyEpochWraparound(t *testing.T) {
 	}
 	if got := m.Stats.SchedulerSwitches; got != 2 {
 		t.Fatalf("scheduler switches = %d, want 2", got)
+	}
+}
+
+// TestNotifyEpochZeroLeavesGate: epoch 0 passes the epoch gate without
+// moving it, as in tcp.Conn.Notify, so an epoch before the last real one is
+// still stale after it.
+func TestNotifyEpochZeroLeavesGate(t *testing.T) {
+	m := New(sim.NewLoop(1), Config{}, func(*packet.Segment) {})
+	m.Notify(1, 5)
+	m.Notify(1, 0)
+	m.Notify(0, 3) // stale: 3 precedes 5
+	if m.Active() != 1 {
+		t.Fatalf("active = %d after a stale epoch, want 1", m.Active())
 	}
 }
 

@@ -32,15 +32,15 @@ func TestReopenEqualsFresh(t *testing.T) {
 	e.snd.Connect(4000 * 8960)
 	// Switch TDNs every 150 µs until the sender has reinjected and the
 	// receiver holds data beyond a hole in DSN space.
-	for i := 1; i <= 6000 && (e.snd.Stats.ReinjectEvents == 0 || len(e.rcv.ranges) == 0); i++ {
+	for i := 1; i <= 6000 && (e.snd.Stats.ReinjectEvents == 0 || len(e.rcv.dsn.Ranges()) == 0); i++ {
 		e.runFor(5 * sim.Microsecond)
 		if i%30 == 0 {
 			e.switchTDN(1 - e.active)
 		}
 	}
-	if e.snd.Stats.ReinjectEvents == 0 || len(e.rcv.ranges) == 0 || e.snd.backlog == 0 || !e.snd.anyOutstanding() {
+	if e.snd.Stats.ReinjectEvents == 0 || len(e.rcv.dsn.Ranges()) == 0 || e.snd.backlog == 0 || !e.snd.anyOutstanding() {
 		t.Fatalf("set-up: %d reinjections, %d receiver ranges, backlog %d: not a lossy transfer caught mid-flight",
-			e.snd.Stats.ReinjectEvents, len(e.rcv.ranges), e.snd.backlog)
+			e.snd.Stats.ReinjectEvents, len(e.rcv.dsn.Ranges()), e.snd.backlog)
 	}
 	diff := func(got, want *Conn) []string {
 		return obs.DiffState(got, want, reflect.TypeOf((*sim.Loop)(nil)), reflect.TypeOf((*tcp.Pool)(nil)))

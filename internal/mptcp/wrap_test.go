@@ -27,7 +27,7 @@ func TestTransferAcrossSequenceWrap(t *testing.T) {
 	)
 	seed := wrapSeed(t, 30*mss, 50*mss)
 	e := newEnvOn(t, Config{}, sim.NewLoop(seed))
-	e.snd.dsnNxt, e.rcv.dsnDelivered = packet.SeqOf(dsn0), packet.SeqOf(dsn0)
+	e.snd.dsnNxt, e.rcv.dsn.Next = packet.SeqOf(dsn0), packet.SeqOf(dsn0)
 	dropped := 0
 	e.wires[0].drop = func(s *packet.Segment) bool {
 		// One data segment two MSS below subflow 0's wrap, one just past it.
@@ -74,7 +74,7 @@ func TestTransferAcrossSequenceWrap(t *testing.T) {
 	if e.snd.Stats.ReinjectEvents == 0 {
 		t.Fatalf("seed %d: nothing was reinjected", seed)
 	}
-	if got := e.rcv.dsnDelivered.Diff(packet.SeqOf(dsn0)); got != total {
+	if got := e.rcv.dsn.Next.Diff(packet.SeqOf(dsn0)); got != total {
 		t.Fatalf("seed %d: the DSN advanced %d, want %d", seed, got, total)
 	}
 }

@@ -1,7 +1,9 @@
 package packet
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -117,4 +119,111 @@ func TestSeqDiff(t *testing.T) {
 			t.Errorf("%#x.Add(%d)=%#x want %#x", c.b, c.want, got.Uint32(), c.a)
 		}
 	}
+}
+
+// TestEpochGate walks one gate through the cases the TDN-change notification
+// path meets: the first epoch, epoch 0 (passes, moves nothing), the wrap from
+// MaxUint32 to 1, a duplicate, and stale epochs, one of them after epoch 0.
+func TestEpochGate(t *testing.T) {
+	steps := []struct {
+		epoch uint32
+		want  EpochVerdict
+		last  uint32 // Last() after the step
+	}{
+		{0, EpochNew, 0},
+		{math.MaxUint32 - 1, EpochNew, math.MaxUint32 - 1},
+		{math.MaxUint32, EpochNew, math.MaxUint32},
+		{0, EpochNew, math.MaxUint32},
+		{1, EpochNew, 1}, // the wrap
+		{1, EpochDup, 1},
+		{math.MaxUint32, EpochStale, 1},
+		{0, EpochNew, 1},
+		{math.MaxUint32, EpochStale, 1}, // still stale after epoch 0
+		{3, EpochNew, 3},
+		{2, EpochStale, 3},
+	}
+	var g EpochGate
+	for i, s := range steps {
+		if got := g.Pass(s.epoch); got != s.want || g.Last() != s.last {
+			t.Fatalf("step %d: Pass(%#x) = %d with Last %#x, want %d with Last %#x", i, s.epoch, got, g.Last(), s.want, s.last)
+		}
+	}
+}
+
+// FuzzReassembly checks the receive queue against a naive model that marks
+// every point of a window, which starts a little before the 2^32 wrap, as
+// arrived or not. Each 3-byte record of adds, up to 64 of them, is one Add: a
+// start offset in the window and a length of 1 to 32 points. After each Add,
+// Next is the first point not arrived, the ranges are the maximal runs of
+// arrived points beyond it, the advanced and duplicate counts match the
+// model's, and Check passes. The SACK blocks are distinct ranges of the queue,
+// the first of them the range holding the last Add when that Add brought new
+// points beyond Next.
+func FuzzReassembly(f *testing.F) {
+	f.Add(uint16(5), []byte{0, 0, 9})
+	f.Add(uint16(300), []byte{40, 0, 9, 0, 0, 9, 20, 0, 29, 80, 0, 3, 10, 0, 60})
+	f.Add(uint16(1), []byte{1, 0, 0, 3, 0, 0, 5, 0, 0, 7, 0, 0, 9, 0, 0, 11, 0, 0, 13, 0, 0, 15, 0, 0, 17, 0, 0, 19, 0, 0, 0, 0, 20})
+	f.Fuzz(func(t *testing.T, back uint16, adds []byte) {
+		const window, maxLen = 256, 32
+		base := SeqOf(-uint32(back % window))
+		var r Reassembly
+		r.Reset(base)
+		var arrived [window + maxLen]bool
+		next := 0
+		adds = adds[:min(len(adds), 3*64)]
+		for ; len(adds) >= 3; adds = adds[3:] {
+			off := int(binary.LittleEndian.Uint16(adds)) % window
+			n := 1 + int(adds[2])%maxLen
+			all, before := true, 0
+			for p := off; p < off+n; p++ {
+				all = all && arrived[p]
+				if p < next {
+					before++
+				}
+				arrived[p] = true
+			}
+			wantDup, prev := before, next
+			if all {
+				wantDup = n
+			}
+			for arrived[next] {
+				next++
+			}
+			var want []SeqRange
+			for p := next + 1; p < len(arrived); p++ {
+				if !arrived[p] {
+					continue
+				}
+				if k := len(want) - 1; k >= 0 && want[k].End == base.Add(p) {
+					want[k].End = want[k].End.Add(1)
+				} else {
+					want = append(want, SeqRange{base.Add(p), base.Add(p + 1)})
+				}
+			}
+
+			advanced, dup := r.Add(base.Add(off), base.Add(off+n))
+			if advanced != next-prev || dup != wantDup || r.Next != base.Add(next) {
+				t.Fatalf("Add(+%d, +%d): advanced %d, dup %d, Next +%d; want %d, %d, +%d",
+					off, off+n, advanced, dup, r.Next.Diff(base), next-prev, wantDup, next)
+			}
+			if !slices.Equal(r.Ranges(), want) {
+				t.Fatalf("after Add(+%d, +%d): ranges %v, want %v", off, off+n, r.Ranges(), want)
+			}
+			if err := r.Check(); err != nil {
+				t.Fatal(err)
+			}
+			blocks := r.Blocks(nil, 4)
+			for i, b := range blocks {
+				if !slices.Contains(want, SeqRange{SeqOf(b.Start), SeqOf(b.End)}) || slices.Index(blocks, b) != i {
+					t.Fatalf("SACK block %d %v is not a distinct range of %v", i, b, want)
+				}
+			}
+			if off > next && dup < n {
+				i := slices.IndexFunc(want, func(g SeqRange) bool { return g.Start.LEQ(base.Add(off)) && base.Add(off+n).LEQ(g.End) })
+				if len(blocks) == 0 || blocks[0] != want[i].Block() {
+					t.Fatalf("after Add(+%d, +%d): first SACK block of %v is not %v", off, off+n, blocks, want[i])
+				}
+			}
+		}
+	})
 }

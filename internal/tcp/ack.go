@@ -51,7 +51,7 @@ func (c *Conn) handleSYN(s *packet.Segment) {
 	h := &s.TCP
 	c.RemoteAddr, c.RemotePort = s.Src, h.SrcPort
 	c.irs = packet.SeqOf(h.Seq)
-	c.rcvNxt = c.irs.Add(1)
+	c.rcv.Next = c.irs.Add(1)
 	c.peerTD = h.TDCapable
 	c.peerTDNs = int(h.NumTDNs)
 	c.tdEnabled = c.negotiateTD()
@@ -70,7 +70,7 @@ func (c *Conn) handleSYNACK(s *packet.Segment) {
 		return
 	}
 	c.irs = packet.SeqOf(h.Seq)
-	c.rcvNxt = c.irs.Add(1)
+	c.rcv.Next = c.irs.Add(1)
 	c.peerTD = h.TDCapable
 	c.peerTDNs = int(h.NumTDNs)
 	c.tdEnabled = c.negotiateTD()

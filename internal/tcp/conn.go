@@ -194,9 +194,7 @@ type Conn struct {
 
 	// Receiver.
 	irs        packet.Seq
-	rcvNxt     packet.Seq
-	ranges     []packet.SeqRange // out-of-order received, sorted, disjoint
-	mruBlock   []packet.Seq      // recently updated range starts, MRU first
+	rcv        packet.Reassembly // rcv.Next is RCV.NXT
 	dsack      packet.SeqRange   // pending D-SACK block (dsackValid set)
 	dsackValid bool
 	peerTD     bool
@@ -211,12 +209,8 @@ type Conn struct {
 	delivered  []int
 	rtoTouched []bool
 
-	// notifySeen marks that at least one TDN notification was applied, and
-	// notifyEpoch is the epoch of the latest one. The flag distinguishes "no
-	// epoch yet" from epoch values near the uint32 wrap, where no sentinel
-	// exists.
-	notifySeen  bool
-	notifyEpoch packet.Seq
+	// epochs drops stale and duplicate TDN notifications.
+	epochs packet.EpochGate
 
 	Stats Stats
 
@@ -272,7 +266,6 @@ func NewConn(loop *sim.Loop, cfg Config, out func(*packet.Segment)) *Conn {
 	}
 	c.delivered = make([]int, n)
 	c.rtoTouched = make([]bool, n)
-	c.mruBlock = make([]packet.Seq, 0, maxMRU)
 	c.outSeg.TCP.SACK = make([]packet.SACKBlock, 0, 4)
 	c.rtx.segs = make([]*TxSeg, 0, 64)
 	c.init(out)
@@ -293,10 +286,11 @@ func (c *Conn) init(out func(*packet.Segment)) {
 		Loop: c.Loop, Out: out, cfg: c.cfg, policy: c.cfg.Policy, pool: c.cfg.Pool,
 		state: stClosed, FlowID: -1,
 		states: c.states, delivered: c.delivered, rtoTouched: c.rtoTouched,
-		ranges: c.ranges[:0], mruBlock: c.mruBlock[:0], rtx: rtxQueue{segs: c.rtx.segs[:0]},
+		rcv: c.rcv, rtx: rtxQueue{segs: c.rtx.segs[:0]},
 		onTimerFn: c.onTimerFn, paceFn: c.paceFn,
 	}
 	c.outSeg.TCP.SACK = sack
+	c.rcv.Reset(packet.Seq{})
 	clear(c.delivered)
 	clear(c.rtoTouched)
 	for i, st := range c.states {
@@ -518,22 +512,16 @@ func (c *Conn) Notify(tdn int, epoch uint32) {
 		return
 	}
 	c.Stats.NotifiesRcvd++
-	if epoch != 0 {
-		e := packet.SeqOf(epoch)
-		if c.notifySeen {
-			if e == c.notifyEpoch {
-				c.Stats.NotifiesDup++
-				c.emit("notify_dup", tdn, float64(epoch), 0, "")
-				return
-			}
-			if e.LT(c.notifyEpoch) {
-				c.Stats.NotifiesStale++
-				c.emit("notify_stale", tdn, float64(epoch), float64(c.notifyEpoch.Uint32()), "")
-				return
-			}
-		}
-		c.notifySeen = true
-		c.notifyEpoch = e
+	switch c.epochs.Pass(epoch) {
+	case packet.EpochDup:
+		c.Stats.NotifiesDup++
+		c.emit("notify_dup", tdn, float64(epoch), 0, "")
+		return
+	case packet.EpochStale:
+		c.Stats.NotifiesStale++
+		c.emit("notify_stale", tdn, float64(epoch), float64(c.epochs.Last()), "")
+		return
+	case packet.EpochNew:
 	}
 	c.policy.OnNotify(tdn)
 	// A path switch may have opened the window: try to transmit.
@@ -611,7 +599,7 @@ func (c *Conn) newSegment(flags uint8) *packet.Segment {
 			SrcPort: c.LocalPort, DstPort: c.RemotePort,
 			Flags:  flags,
 			Window: uint32(c.rcvWindow()),
-			Ack:    c.rcvNxt.Uint32(),
+			Ack:    c.rcv.Next.Uint32(),
 			SACK:   sack,
 		},
 	}
@@ -622,11 +610,7 @@ func (c *Conn) newSegment(flags uint8) *packet.Segment {
 }
 
 func (c *Conn) rcvWindow() int {
-	held := 0
-	for _, r := range c.ranges {
-		held += int(r.End.Diff(r.Start))
-	}
-	w := c.cfg.RcvBuf - held
+	w := c.cfg.RcvBuf - c.rcv.Held()
 	if w < 0 {
 		w = 0
 	}

@@ -81,7 +81,7 @@ func FuzzConnDeliver(f *testing.F) {
 				}
 				h := &seg.TCP
 				h.SrcPort, h.DstPort = peer.LocalPort, target.LocalPort
-				h.Seq = target.rcvNxt.Uint32() + binary.LittleEndian.Uint32(rec[2:6])
+				h.Seq = target.rcv.Next.Uint32() + binary.LittleEndian.Uint32(rec[2:6])
 				h.Ack = target.sndUna.Uint32() + binary.LittleEndian.Uint32(rec[6:10])
 				h.Flags = packet.FlagACK | flagTable[(rec[0]>>2)&7]
 				h.Window = 1 << 20

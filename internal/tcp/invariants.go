@@ -126,17 +126,8 @@ func (c *Conn) CheckInvariants() error {
 		return fmt.Errorf("tcp: packets out over all TDNs %d, rtx queue holds %d", out, c.rtx.len())
 	}
 
-	// Receiver ranges: sorted, disjoint, strictly above rcv_nxt.
-	for i, r := range c.ranges {
-		if r.Start.GEQ(r.End) {
-			return fmt.Errorf("tcp: receiver range %d is empty [%d,%d)", i, r.Start.Uint32(), r.End.Uint32())
-		}
-		if r.Start.LEQ(c.rcvNxt) {
-			return fmt.Errorf("tcp: receiver range %d starts at %d, at or below rcv_nxt %d", i, r.Start.Uint32(), c.rcvNxt.Uint32())
-		}
-		if i > 0 && r.Start.LT(c.ranges[i-1].End) {
-			return fmt.Errorf("tcp: receiver ranges %d and %d overlap or are unsorted", i-1, i)
-		}
+	if err := c.rcv.Check(); err != nil {
+		return fmt.Errorf("tcp: receiver %w", err)
 	}
 	return nil
 }

@@ -27,9 +27,9 @@ func midTransferPair(t *testing.T) (a, b *Conn) {
 	}
 	b.Listen()
 	a.Connect(4000 * 8960)
-	for i := 0; len(b.ranges) < 2 || a.States()[0].SackedOut == 0; i++ {
+	for i := 0; len(b.Ranges()) < 2 || a.States()[0].SackedOut == 0; i++ {
 		if i == 1000 {
-			t.Fatalf("set-up: receiver holds %d ranges, sender %d SACKed entries", len(b.ranges), a.States()[0].SackedOut)
+			t.Fatalf("set-up: receiver holds %d ranges, sender %d SACKed entries", len(b.Ranges()), a.States()[0].SackedOut)
 		}
 		runFor(loop, 5*sim.Microsecond)
 	}
@@ -65,9 +65,9 @@ func TestCheckInvariantsNamesTheBrokenRule(t *testing.T) {
 			q[0], q[1] = q[1], q[0]
 		}, "out of order"},
 		{"tail short of sndNxt", func(a, b *Conn) { a.sndNxt = a.sndNxt.Add(1) }, "tail segment ends"},
-		{"range at rcvNxt", func(a, b *Conn) { b.ranges[0].Start = b.rcvNxt }, "at or below rcv_nxt"},
-		{"empty range", func(a, b *Conn) { b.ranges[0].End = b.ranges[0].Start }, "is empty"},
-		{"overlapping ranges", func(a, b *Conn) { b.ranges[1].Start = b.ranges[0].End.Add(-1) }, "overlap"},
+		{"range at rcvNxt", func(a, b *Conn) { b.Ranges()[0].Start = b.rcv.Next }, "at or below rcv_nxt"},
+		{"empty range", func(a, b *Conn) { b.Ranges()[0].End = b.Ranges()[0].Start }, "is empty"},
+		{"overlapping ranges", func(a, b *Conn) { b.Ranges()[1].Start = b.Ranges()[0].End.Add(-1) }, "overlap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
