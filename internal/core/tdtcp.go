@@ -190,19 +190,18 @@ func (p *TDTCP) NumStates() int { return p.numTDNs }
 // Active implements tcp.Policy.
 func (p *TDTCP) Active() int { return p.active }
 
-// OnNotify implements tcp.Policy: switch the active per-TDN state set.
-// Stale-epoch filtering happens in Conn.Notify; here an out-of-range TDN is
-// ignored (the §4.2 contract requires both ends to agree on the TDN count).
+// OnNotify implements tcp.Policy: switch the active per-TDN state set, then
+// run the transmit engine, whatever the notification did. Stale-epoch
+// filtering happens in Conn.Notify; here an out-of-range TDN is ignored (the
+// §4.2 contract requires both ends to agree on the TDN count).
 func (p *TDTCP) OnNotify(tdn int) {
 	p.lastNotifyAt = p.c.Loop.Now()
 	if tdn < 0 || tdn >= p.numTDNs {
 		p.staleNotifies++
-		return
+	} else if tdn != p.active {
+		p.switchTo(tdn)
 	}
-	if tdn == p.active {
-		return
-	}
-	p.switchTo(tdn)
+	p.c.Kick()
 }
 
 // switchTo makes tdn the active state set and records the change pointer

@@ -297,6 +297,60 @@ func TestMPTCPPinningIgnoresStaleNotifications(t *testing.T) {
 	}
 }
 
+// TestReTCPCircuitIgnoresStaleNotifications: a reTCP sender reacts to its
+// host's circuit signal behind its connection's epoch gate, so a stale
+// notification, arriving after a newer one, cannot tear the circuit ramp down
+// mid-day, and a replayed one ramps nothing twice. Plain reTCP reacts to a
+// circuit-up 40 µs late and to a teardown 80 µs late.
+func TestReTCPCircuitIgnoresStaleNotifications(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		tdn   int    // delivered 50 µs after (1, epoch 2)...
+		epoch uint32 // ...with this epoch
+		up    int
+		stale uint64
+		dup   uint64
+	}{
+		{"stale", 0, 1, 1, 1, 0},
+		{"dup", 1, 2, 1, 0, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			loop := sim.NewLoop(1)
+			net, err := rdcn.New(loop, rdcn.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows, err := BuildFlows(net, 1, ReTCP, FlowOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			tr := trace.New(&buf, trace.CatCC)
+			f := flows[0]
+			f.SetTracer(tr, 0)
+			f.Start(-1)
+			loop.RunUntil(sim.Time(2 * sim.Millisecond))
+
+			host := net.Racks[0].Hosts[0]
+			host.NotifyTDN(1, 2)
+			loop.RunUntil(loop.Now().Add(50 * sim.Microsecond))
+			host.NotifyTDN(c.tdn, c.epoch)
+			loop.RunUntil(loop.Now().Add(100 * sim.Microsecond))
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			up := strings.Count(buf.String(), `"name":"circuit_up"`)
+			down := strings.Count(buf.String(), `"name":"circuit_down"`)
+			if up != c.up || down != 0 {
+				t.Errorf("circuit_up %d, circuit_down %d; want %d and 0", up, down, c.up)
+			}
+			if st := f.Snd.Stats; st.NotifiesRcvd != 2 || st.NotifiesStale != c.stale || st.NotifiesDup != c.dup {
+				t.Errorf("notifies rcvd %d stale %d dup %d; want 2, %d, %d", st.NotifiesRcvd, st.NotifiesStale, st.NotifiesDup, c.stale, c.dup)
+			}
+		})
+	}
+}
+
 // TestWorkloadPortsRecycle: the port sequence wraps past 65535 onto the ports
 // released flows gave back, so a run is not limited to one port space of
 // arrivals, and which port a flow gets changes nothing it does. The run that

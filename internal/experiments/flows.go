@@ -145,10 +145,10 @@ type FlowOptions struct {
 // paper's testbed, so TDTCP flows pace.
 const tdtcpPacing = 2.0
 
-// retcpReactDelay delays the plain-reTCP circuit-up ramp: without the
+// retcpReactDelay is plain reTCP's reaction delay (tcp.Circuit): without the
 // retcpdyn switch support, the sender learns the circuit state from in-band
-// packet marks, roughly one optical RTT after the change. retcpdyn's advance
-// notification is unaffected.
+// packet marks, roughly one optical RTT after the change. retcpdyn reacts at
+// once.
 const retcpReactDelay = 40 * sim.Microsecond
 
 // ccName is the cc package's name for the congestion control of variant v's
@@ -182,8 +182,8 @@ const mptcpMinRTO = 10 * sim.Millisecond
 
 // endpointConfig builds the tcp.Config every endpoint, sender or receiver
 // alike, of variant v under opt shares on a fabric of tdns TDNs — for MPTCP,
-// every subflow: CC factories, pacing and ECN. A TDTCP endpoint adds its own
-// policy.
+// every subflow: CC factories, pacing and ECN. A TDTCP or reTCP endpoint adds
+// its own policy (muxNet.endpoint).
 func endpointConfig(v Variant, tdns int, opt FlowOptions, pool *tcp.Pool) (tcp.Config, error) {
 	mk, err := cc.NewFactory(ccName(v))
 	if err != nil {
@@ -209,18 +209,11 @@ func endpointConfig(v Variant, tdns int, opt FlowOptions, pool *tcp.Pool) (tcp.C
 	return cfg, nil
 }
 
-// listener is what a host's TDN-change notification is fanned out to: a
-// flow's end holds one when its variant takes the signal, its socket (a TDTCP
-// endpoint or an MPTCP one) or a reTCP sender (*retcpSender).
-type listener interface {
-	Notify(tdn int, epoch uint32)
-}
-
 // hostMux is one host's transport stack: it demultiplexes the host's frames
 // to its connections by TCP destination port, and fans TDN-change
-// notifications out to the host's listeners. Every flow is wired through the
-// muxes of its two hosts, whether a host carries one connection (a Run on the
-// two-rack testbed) or many (a workload).
+// notifications out to the sockets of its flow ends that take them. Every
+// flow is wired through the muxes of its two hosts, whether a host carries
+// one connection (a Run on the two-rack testbed) or many (a workload).
 //
 // An endpoint's two memberships have different lifetimes. Its place in notify
 // — the §3.2 "every TDTCP socket on the host" set — begins at
@@ -241,7 +234,7 @@ type hostMux struct {
 	send   func(*packet.Segment) // host.Send, bound once: the Out of every endpoint here
 	seg    packet.Segment
 	conns  []portConn // the bound ports, sorted by port: a binary search finds one
-	notify []listener
+	notify []socket
 	late   uint64 // segments dropped for want of a bound port
 }
 
@@ -304,25 +297,20 @@ func (m *hostMux) recv(fr netem.Frame) {
 }
 
 func (m *hostMux) notifyTDN(tdn int, epoch uint32) {
-	for _, l := range m.notify {
-		l.Notify(tdn, epoch)
+	for _, s := range m.notify {
+		s.Notify(tdn, epoch)
 	}
 }
 
-// notifyPreChange passes the retcpdyn advance circuit-up signal to the host's
-// reTCP senders.
+// notifyPreChange is retcpdyn's advance ramp, taken with the ToR's buffer
+// resize: every reTCP sender on the host ramps at once. newMuxNet installs it
+// for the reTCP variants only, whose notify sets hold senders' connections.
 func (m *hostMux) notifyPreChange(tdn int) {
-	for _, l := range m.notify {
-		if s, ok := l.(*retcpSender); ok {
-			s.preChange(tdn)
-		}
+	if tdn != 1 {
+		return
 	}
-}
-
-// leave takes l out of the notify set, keeping the others in join order.
-func (m *hostMux) leave(l listener) {
-	if i := slices.Index(m.notify, l); i >= 0 {
-		m.notify = slices.Delete(m.notify, i, i+1)
+	for _, s := range m.notify {
+		s.(*tcp.Conn).CircuitUp()
 	}
 }
 
@@ -338,6 +326,7 @@ type muxNet struct {
 	cfg     tcp.Config   // what every endpoint, or MPTCP subflow, is built from (endpointConfig)
 	conns   int          // connections per end: 1, or an MPTCP subflow per TDN
 	muxes   [][]*hostMux // [rack][host]
+	joins   [2]bool      // whether the sender's and the receiver's sockets join their host's notify set
 	// built and reopened count the endpoints constructed and the times one
 	// was reopened: two per flow between them.
 	built, reopened int
@@ -346,8 +335,8 @@ type muxNet struct {
 	noReuse bool
 }
 
-// newMuxNet takes over every host's upcalls: frames, TDN-change
-// notifications and the retcpdyn advance signal all go through the host's mux.
+// newMuxNet takes over every host's upcalls: frames, TDN-change notifications
+// and, for reTCP, the retcpdyn advance signal all go through the host's mux.
 // Its endpoints draw on mem's pool, and it reopens the flows mem has parked
 // when they were built for the same variant, TDN count and FlowOptions;
 // otherwise they are dropped. An unknown congestion control in opt is an
@@ -365,6 +354,13 @@ func newMuxNet(net *rdcn.Network, mem *runMem, v Variant, opt FlowOptions) (*mux
 		mem.opt.PerTDNCC = slices.Clone(opt.PerTDNCC)
 	}
 	mn := &muxNet{net: net, variant: v, opt: opt, mem: mem, cfg: cfg, conns: 1, muxes: make([][]*hostMux, len(net.Racks))}
+	switch v {
+	case MPTCP, TDTCP:
+		mn.joins = [2]bool{true, true}
+	case ReTCP, ReTCPDyn:
+		mn.joins = [2]bool{true, false}
+	default: // loss/ECN-driven variants take no explicit TDN signal
+	}
 	if v == MPTCP {
 		mn.conns = tdns
 	}
@@ -375,7 +371,9 @@ func newMuxNet(net *rdcn.Network, mem *runMem, v Variant, opt FlowOptions) (*mux
 			mn.muxes[r][h] = m
 			host.Recv = m.recv
 			host.NotifyTDN = m.notifyTDN
-			host.NotifyPreChange = m.notifyPreChange
+			if v == ReTCP || v == ReTCPDyn {
+				host.NotifyPreChange = m.notifyPreChange
+			}
 		}
 	}
 	return mn, nil
@@ -425,10 +423,10 @@ func BuildFlows(net *rdcn.Network, n int, v Variant, opt FlowOptions) ([]*Flow, 
 // unique per endpoint host among the ports bound at the time — it is the demux
 // key on both sides; subflow k of an MPTCP flow takes port+k. A flow is a
 // parked one, both ends reopened, or else a new one. Each end's connections
-// are addressed and bound, and its listener, if it has one, joins its host's
-// notify set here — both ends of a TDTCP or MPTCP flow, the sender of a reTCP
-// one — and leaves it at leave; the ports are unbound at release. The variant
-// is one CheckVariant accepted for this fabric.
+// are addressed and bound, and its socket, if the variant's ends of its role
+// take the TDN signal (muxNet.joins), joins its host's notify set here and
+// leaves it at leave; the ports are unbound at release. The variant is one
+// CheckVariant accepted for this fabric.
 func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16) (*Flow, error) {
 	for _, ep := range [...]struct{ rack, host int }{{srcRack, srcHost}, {dstRack, dstHost}} {
 		if ep.rack < 0 || ep.rack >= len(mn.net.Racks) {
@@ -462,8 +460,8 @@ func (mn *muxNet) BuildFlow(srcRack, srcHost, dstRack, dstHost int, port uint16)
 				p.Schedule = mn.net.Cfg.Schedule
 			}
 		}
-		if e.listener != nil {
-			e.mux.notify = append(e.mux.notify, e.listener)
+		if mn.joins[i] {
+			e.mux.notify = append(e.mux.notify, e.sock)
 		}
 	}
 	f.ends[1].sock.Listen()
@@ -490,45 +488,44 @@ func (mn *muxNet) flow(sm, dm *hostMux) *Flow {
 	if mn.variant == MPTCP {
 		cfg := mptcp.Config{NumSubflows: mn.conns, Sub: mn.cfg}
 		f.MSnd, f.MRcv = mptcp.New(mn.net.Loop, cfg, sm.send), mptcp.New(mn.net.Loop, cfg, dm.send)
-		f.ends[0] = flowEnd{mux: sm, conns: f.MSnd.Subflows(), sock: f.MSnd, listener: f.MSnd}
-		f.ends[1] = flowEnd{mux: dm, conns: f.MRcv.Subflows(), sock: f.MRcv, listener: f.MRcv}
+		f.ends[0] = flowEnd{mux: sm, conns: f.MSnd.Subflows(), sock: f.MSnd}
+		f.ends[1] = flowEnd{mux: dm, conns: f.MRcv.Subflows(), sock: f.MRcv}
 		return f
 	}
 	f.Snd, f.Rcv = mn.endpoint(sm), mn.endpoint(dm)
 	f.pair = [2]*tcp.Conn{f.Snd, f.Rcv}
 	f.ends[0] = flowEnd{mux: sm, conns: f.pair[:1:1], sock: f.Snd}
 	f.ends[1] = flowEnd{mux: dm, conns: f.pair[1:], sock: f.Rcv}
-	switch mn.variant {
-	case TDTCP:
-		f.ends[0].listener, f.ends[1].listener = f.Snd, f.Rcv
-	case ReTCP, ReTCPDyn:
-		f.ends[0].listener = mn.newRetcpSender(f.Snd)
-	default:
-		// Cubic, DCTCP, Reno: loss/ECN-driven variants take no explicit TDN
-		// signal.
-	}
 	return f
 }
 
-// endpoint constructs a connection for one end of a new flow on host m.
+// endpoint constructs a connection for one end of a new flow on host m, with
+// its variant's policy.
 func (mn *muxNet) endpoint(m *hostMux) *tcp.Conn {
 	cfg := mn.cfg
-	if mn.variant == TDTCP {
+	switch mn.variant {
+	case TDTCP:
 		cfg.Policy = core.New(cfg.NumTDNs, mn.opt.TDTCPOpts)
+	case ReTCP:
+		cfg.Policy = tcp.NewCircuit(retcpReactDelay)
+	case ReTCPDyn:
+		cfg.Policy = tcp.NewCircuit(0)
+	default: // tcp.Config's default, SinglePath
 	}
 	return tcp.NewConn(mn.net.Loop, cfg, m.send)
 }
 
 // leave retires a flow whose sender has seen its FIN acknowledged: its ends'
-// listeners leave the notify sets, and a notification deadman, if armed, is
-// stopped — with the notifications gone, silence would otherwise engage it on
-// a dead flow for the rest of the run — and drops the run's schedule and lag
-// histogram. The ports stay bound until release (see hostMux).
+// sockets leave the notify sets, the others keeping join order, and a
+// notification deadman, if armed, is stopped — with the notifications gone,
+// silence would otherwise engage it on a dead flow for the rest of the run —
+// and drops the run's schedule and lag histogram. The ports stay bound until
+// release (see hostMux).
 func (mn *muxNet) leave(f *Flow) {
 	for i := range f.ends {
 		e := &f.ends[i]
-		if e.listener != nil {
-			e.mux.leave(e.listener)
+		if j := slices.Index(e.mux.notify, e.sock); j >= 0 {
+			e.mux.notify = slices.Delete(e.mux.notify, j, j+1)
 		}
 		for _, c := range e.conns {
 			if p, ok := c.Config().Policy.(*core.TDTCP); ok {
@@ -566,8 +563,8 @@ func (mn *muxNet) parkAll(flows []*Flow) {
 	}
 }
 
-// census sums the muxes over every host: the listeners one TDN change is
-// fanned out to, the ports bound, and the segments dropped at unbound ports.
+// census sums the muxes over every host: the sockets one TDN change is fanned
+// out to, the ports bound, and the segments dropped at unbound ports.
 func (mn *muxNet) census() (notifyWidth, portsBound int, lateSegs uint64) {
 	for _, rack := range mn.muxes {
 		for _, m := range rack {
@@ -581,18 +578,18 @@ func (mn *muxNet) census() (notifyWidth, portsBound int, lateSegs uint64) {
 
 // flowEnd is one side of a flow: the host mux it is wired to, its socket and
 // the socket's connections (the one endpoint, or an MPTCP endpoint's subflows,
-// one per TDN), and the listener its host's TDN changes reach, nil for the
-// loss-driven variants.
+// one per TDN).
 type flowEnd struct {
-	mux      *hostMux // nil while the flow is parked
-	conns    []*tcp.Conn
-	sock     socket
-	listener listener
+	mux   *hostMux // nil while the flow is parked
+	conns []*tcp.Conn
+	sock  socket
 }
 
-// socket is what an end's application and the invariant checker see: a
-// *tcp.Conn or an *mptcp.Conn, which pins its subflows to their TDNs itself.
+// socket is what an end's application, its host's notify set and the
+// invariant checker see: a *tcp.Conn or an *mptcp.Conn, which pins its
+// subflows to their TDNs itself. Either gates its TDN notifications by epoch.
 type socket interface {
+	Notify(tdn int, epoch uint32)
 	Connect(bytes int64)
 	Listen()
 	Reopen(out func(*packet.Segment))
@@ -624,51 +621,4 @@ func (e *flowEnd) release() {
 	}
 	e.sock.Release()
 	e.mux = nil
-}
-
-// retcpSender is a reTCP sender as its host's listener: it forwards circuit
-// establishment (TDN 1) and teardown (any other TDN) to the sender's
-// circuit-aware CC, each after its reaction delay. Plain reTCP discovers
-// circuit state from in-band packet marks: roughly one optical RTT late on
-// establishment and one packet RTT late on teardown — during which it keeps
-// sending at circuit rate into the packet network. retcpdyn gets explicit
-// advance signals and reacts at once.
-type retcpSender struct {
-	loop     *sim.Loop
-	up, down sim.Dur
-	// The sender's CircuitUp and CircuitDown, bound once for the delayed
-	// calls.
-	circuitUp, circuitDown func()
-}
-
-func (mn *muxNet) newRetcpSender(c *tcp.Conn) *retcpSender {
-	react := retcpReactDelay
-	if mn.variant == ReTCPDyn {
-		react = 0 // the switch notifies explicitly ahead of time
-	}
-	return &retcpSender{loop: mn.net.Loop, up: react, down: 2 * react,
-		circuitUp: c.CircuitUp, circuitDown: c.CircuitDown}
-}
-
-func (s *retcpSender) Notify(tdn int, _ uint32) {
-	if tdn == 1 {
-		s.react(s.up, s.circuitUp)
-	} else {
-		s.react(s.down, s.circuitDown)
-	}
-}
-
-func (s *retcpSender) react(delay sim.Dur, fn func()) {
-	if delay > 0 {
-		s.loop.After(delay, fn)
-	} else {
-		fn()
-	}
-}
-
-// preChange is retcpdyn's advance ramp, taken with the ToR's buffer resize.
-func (s *retcpSender) preChange(tdn int) {
-	if tdn == 1 {
-		s.circuitUp()
-	}
 }

@@ -13,14 +13,16 @@ import (
 )
 
 // TestPinnedBytes is the "same behaviour, byte for byte" gate for refactors of
-// the run path: four small scenarios, each hashed over its JSONL trace
+// the run path: five small scenarios, each hashed over its JSONL trace
 // (everything but the per-event-loop CatSim chatter) followed by its metrics
 // JSON. hybrid_tdtcp is a plain Run on the two-rack hybrid;
 // hybrid_cubic_faulted adds the fault injector (drops and notification loss)
 // and the invariant checker; rotor4_websearch is RunWorkload's open-loop flow
 // life cycle on a 4-rack rotor; rotor4_tdtcp_flap_drift is a checked Run on a
 // rotor whose drift steps the evaluation time backwards at week boundaries and
-// whose flaps darken a day with no event of its own. A change that moves any
+// whose flaps darken a day with no event of its own; hybrid_retcpdyn_reordered
+// is reTCP's circuit reaction behind its epoch gate, under duplicated and
+// delayed notifications. A change that moves any
 // constant changed what a run emits, and has to say why; CHANGES.md records
 // every move with its first divergent record.
 //
@@ -33,6 +35,10 @@ func TestPinnedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	fabric, err := fault.Parse("flaps=3,drift=7us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reordered, err := fault.Parse("ndup=0.1,ndelay=250us")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +66,11 @@ func TestPinnedBytes(t *testing.T) {
 		{"rotor4_tdtcp_flap_drift", "e2ea382c1c78ba5680bc98d3292a3b02f43878beedae65356436574040556c18", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
 			_, err := Run(RunConfig{Variant: TDTCP, Scenario: MultiRack(4), Flows: 8, WarmupWeeks: 1, MeasureWeeks: 3,
 				Fault: &fabric, Invariants: true, Tracer: tr, Metrics: reg})
+			return err
+		}},
+		{"hybrid_retcpdyn_reordered", "142ceb950f1d988edea1992344ff8266e5a7358cbd39980da47dfa62ec2a83b8", nil, func(tr *trace.Tracer, reg *trace.Registry) error {
+			_, err := Run(RunConfig{Variant: ReTCPDyn, Flows: 4, WarmupWeeks: 1, MeasureWeeks: 2,
+				Fault: &reordered, Tracer: tr, Metrics: reg})
 			return err
 		}},
 	} {

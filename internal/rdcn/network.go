@@ -146,8 +146,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Host is an end host attached to a rack ToR. Transport endpoints register
-// the Recv and NotifyTDN upcalls.
+// Host is an end host attached to a rack ToR. Its upcalls are its transport
+// stack's (experiments' host mux): Recv demultiplexes frames to connections,
+// NotifyTDN fans the notification out to the host's sockets, each gating it
+// by epoch, and NotifyPreChange reaches the host's reTCP senders.
 type Host struct {
 	Rack *Rack
 	ID   int

@@ -323,9 +323,10 @@ func (c *Conn) Reopen(out func(*packet.Segment)) {
 // readable until Reopen, for which the connection keeps what it allocated,
 // the queue's backing array included, cleared so it pins no entry. It drops
 // what its user wired in — Out, OnDone, RTTHists and the tracer — so that a
-// released connection holds nothing of the network or run it served. Timers
-// a Policy armed on its own (the TDTCP deadman) are the caller's to stop
-// first.
+// released connection holds nothing of the network or run it served. It stops
+// neither of the timers a Policy arms itself: the TDTCP deadman is the
+// caller's to stop first, and a reTCP reaction (Circuit) still fires, at most
+// 2*react after its notification.
 func (c *Conn) Release() {
 	if c.state == stReleased {
 		return
@@ -507,6 +508,7 @@ func (c *Conn) Close() {
 // serial-number arithmetic (RFC 1982), so the gate survives the epoch counter
 // wrapping past math.MaxUint32. Epoch 0 bypasses the gate (tests and direct
 // drivers that do not maintain epochs; the network's counter skips it).
+// Whether the transmit engine runs is the policy's decision (Policy.OnNotify).
 func (c *Conn) Notify(tdn int, epoch uint32) {
 	if c.state == stReleased {
 		return
@@ -524,14 +526,12 @@ func (c *Conn) Notify(tdn int, epoch uint32) {
 	case packet.EpochNew:
 	}
 	c.policy.OnNotify(tdn)
-	// A path switch may have opened the window: try to transmit.
-	c.trySend()
 }
 
 // Kick re-runs the transmit engine. Policies call it after mutating path
-// state outside the ACK/notification paths (e.g. the TDTCP deadman fallback
-// switching the active TDN), where a freshly opened window would otherwise
-// sit idle until the next ACK.
+// state outside the ACK path (a TDTCP switch, by notification or by the
+// deadman fallback), where a freshly opened window would otherwise sit idle
+// until the next ACK.
 func (c *Conn) Kick() { c.trySend() }
 
 // KickRecovery restarts a stalled recovery: when the active state sits in
@@ -562,8 +562,8 @@ func (c *Conn) KickRecovery() {
 	}
 }
 
-// CircuitUp/CircuitDown forward explicit circuit signals to circuit-aware
-// congestion control (reTCP).
+// CircuitUp forwards an explicit circuit-up signal to circuit-aware
+// congestion control (reTCP) and runs the transmit engine for the ramp.
 func (c *Conn) CircuitUp() {
 	for _, st := range c.states {
 		if ca, ok := st.CC.(cc.CircuitAware); ok {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"github.com/rdcn-net/tdtcp/internal/cc"
 	"github.com/rdcn-net/tdtcp/internal/packet"
 	"github.com/rdcn-net/tdtcp/internal/sim"
 )
@@ -13,9 +14,12 @@ import (
 // notifications — and delivers them into an established TD-capable pair with
 // data in flight. A record may instead release the target mid-transfer, then
 // its peer, and reopen both on the storage they kept for a fresh handshake and
-// transfer, with the old life's segments still on the wires. The connection
-// must neither panic nor break a scoreboard invariant, no matter what arrives
-// off the wire.
+// transfer, with the old life's segments still on the wires. An input whose
+// length is not a whole number of records spends its first byte on the pair's
+// policy: SinglePath, or reTCP's Circuit over the retcp congestion control,
+// reacting at once or 40 µs late, so that replayed notifications drive
+// circuit ramps across release and reopen. The connection must neither panic
+// nor break a scoreboard invariant, no matter what arrives off the wire.
 func FuzzConnDeliver(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x10, 9, 0, 0, 0, 9, 0, 0, 0, 0, 1, 1, 0, 0, 0})
@@ -28,6 +32,27 @@ func FuzzConnDeliver(f *testing.F) {
 		0x03, 0xff, 60, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		0x41, 0x10, 0, 0, 0, 0, 9, 0, 0, 0, 2, 0, 0, 0x40, 0, 0,
 	})
+	// Circuit at once: a circuit-up, a stale teardown, release and reopen,
+	// then the new life's first epoch.
+	f.Add([]byte{
+		1,
+		0x03, 0x00, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+		0x03, 0x00, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0x03, 0xff, 30, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0x03, 0x00, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+	})
+	// Circuit 40 µs late: a circuit-up whose ramp is still pending when the
+	// pair is released 20 µs later and reopened, then a teardown.
+	f.Add([]byte{
+		2,
+		0x03, 0x00, 7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+		0x03, 0xff, 20, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0x03, 0x00, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0,
+	})
+	retcp, err := cc.NewFactory("retcp")
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	flagTable := [8]uint8{
 		0, packet.FlagFIN, packet.FlagRST, packet.FlagSYN,
@@ -35,10 +60,16 @@ func FuzzConnDeliver(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loop, a, b, wa, wb := newPair(t, pairOpt{
-			cfgA: Config{NumTDNs: 2},
-			cfgB: Config{NumTDNs: 2},
-		})
+		cfg := func() Config { return Config{NumTDNs: 2} }
+		if len(data)%16 != 0 {
+			pick := data[0] % 3
+			data = data[1:]
+			if pick > 0 {
+				react := sim.Dur(pick-1) * 40 * sim.Microsecond
+				cfg = func() Config { return Config{NumTDNs: 2, CC: retcp, Policy: NewCircuit(react)} }
+			}
+		}
+		loop, a, b, wa, wb := newPair(t, pairOpt{cfgA: cfg(), cfgB: cfg()})
 		transfer := func() {
 			b.Listen()
 			a.Connect(0)

@@ -202,9 +202,10 @@ func (ps *PathState) ObserveRTT(sample sim.Dur, minRTO, maxRTO sim.Dur) {
 }
 
 // Policy abstracts how a connection manages its path state(s). The
-// single-path policy (SinglePath) serves CUBIC/DCTCP/reTCP; the TDTCP
-// policy in internal/core multiplexes one state per TDN and implements the
-// paper's reordering and RTT heuristics.
+// single-path policy (SinglePath) serves CUBIC/DCTCP, and Circuit adds
+// reTCP's reaction to the circuit signal; the TDTCP policy in internal/core
+// multiplexes one state per TDN and implements the paper's reordering and
+// RTT heuristics.
 type Policy interface {
 	// Reset returns the policy to the state its constructor left it in,
 	// keeping only the constructor's arguments: a reopened connection reuses
@@ -219,7 +220,8 @@ type Policy interface {
 	// Active returns the index of the state governing new transmissions.
 	Active() int
 	// OnNotify delivers a network TDN-change notification that passed
-	// Conn.Notify's epoch gate.
+	// Conn.Notify's epoch gate. Conn.Notify runs no transmit engine after
+	// it: a policy whose notification can open the window calls Kick.
 	OnNotify(tdn int)
 	// DataTDN is the TDN tag for outgoing data segments.
 	DataTDN() uint8
@@ -280,3 +282,46 @@ func (p *SinglePath) RTTTarget(dataTDN, ackTDN uint8) (int, bool) { return 0, tr
 
 // SegmentRTO implements Policy.
 func (p *SinglePath) SegmentRTO(tdn uint8) sim.Dur { return p.c.states[0].RTO }
+
+// Circuit is reTCP's policy (Mukerjee et al., NSDI'20): SinglePath plus the
+// sender's reaction to the fabric's circuit signal. A notification of TDN 1,
+// the circuit, ramps the window through the connection's CircuitUp after
+// react; any other TDN restores it through CircuitDown after 2*react. Plain
+// reTCP, learning circuit state from in-band marks, lags by react; retcpdyn,
+// signalled by the switch, reacts at once (react 0).
+type Circuit struct {
+	SinglePath
+	react    sim.Dur
+	up, down func() // CircuitUp and CircuitDown, bound at the first Attach
+}
+
+// NewCircuit returns the reTCP policy with the given reaction delay.
+func NewCircuit(react sim.Dur) *Circuit {
+	p := &Circuit{react: react}
+	p.Reset()
+	return p
+}
+
+// Reset implements Policy, keeping the delay and the bound reactions.
+func (p *Circuit) Reset() { *p = Circuit{react: p.react, up: p.up, down: p.down} }
+
+// Attach implements Policy.
+func (p *Circuit) Attach(c *Conn) {
+	p.c = c
+	if p.up == nil {
+		p.up, p.down = c.CircuitUp, c.CircuitDown
+	}
+}
+
+// OnNotify implements Policy: only CircuitUp runs the transmit engine.
+func (p *Circuit) OnNotify(tdn int) {
+	fn, delay := p.down, 2*p.react
+	if tdn == 1 {
+		fn, delay = p.up, p.react
+	}
+	if delay > 0 {
+		p.c.Loop.After(delay, fn)
+	} else {
+		fn()
+	}
+}
